@@ -1364,4 +1364,15 @@ let main =
       cluster_cmd; slo_cmd; serve_cmd;
     ]
 
-let () = exit (Cmd.eval main)
+(* Library entry points reject out-of-range arguments with
+   [Invalid_argument]: report that as a usage error (exit status 2), not
+   as a crash.  Anything else is still an internal error. *)
+let () =
+  match Cmd.eval ~catch:false main with
+  | code -> exit code
+  | exception Invalid_argument msg ->
+    Printf.eprintf "bunshin: %s\n" msg;
+    exit 2
+  | exception e ->
+    Printf.eprintf "bunshin: internal error, uncaught exception:\n%s\n" (Printexc.to_string e);
+    exit Cmd.Exit.internal_error

@@ -222,4 +222,20 @@ serve_ir=$(dune exec bin/bunshin_cli.exe -- serve --ir -n 3 --requests 120)
 echo "$serve_ir" | grep -q "precompiled variants: 3 compiles" || {
   echo "serve smoke: IR source did not reuse precompiled variants"; exit 1; }
 
+# Usage-error smoke: out-of-range arguments that the library rejects must
+# be reported as usage errors (exit status 2), never as an internal error.
+echo "== usage-error smoke (bad argument matrix)"
+for args in "serve --requests 0" "serve --rps 0" "serve --pool 0" "serve --batch 0" \
+  "cluster --nodes 0" "chaos -n 1" "trace -n 0" "profile bzip2 -n 0" \
+  "slo --requests 0" "run bzip2 -n 0"; do
+  status=0
+  # $args is split into words on purpose.
+  usage_out=$(dune exec bin/bunshin_cli.exe -- $args 2>&1) || status=$?
+  [ "$status" -eq 2 ] || {
+    echo "usage smoke: 'bunshin $args' exited $status, want 2"; exit 1; }
+  if echo "$usage_out" | grep -q "internal error"; then
+    echo "usage smoke: 'bunshin $args' reported an internal error"; exit 1
+  fi
+done
+
 echo "OK"

@@ -73,8 +73,7 @@ let sanitizer_fraction build fname =
   let cf = Program.cost_factor build fname in
   if cf <= 1.0 then 0.0 else (cf -. 1.0) /. cf
 
-let exec_build m build ~seed =
-  let trace = Program.build_trace build ~seed in
+let exec_trace m build trace =
   let sens = 1.0 /. (1.0 +. Program.overhead_of_build build) in
   let proc =
     M.new_proc m ~cache_sensitivity:sens ~name:build.Program.prog.Program.name
@@ -163,15 +162,17 @@ let exec_build m build ~seed =
   ignore (M.spawn m proc ~name:"main" (run_ops trace));
   proc
 
+let exec_build m build ~seed = exec_trace m build (Program.build_trace build ~seed)
+
 let measure ?machine_config build ~seed =
   let m =
     match machine_config with
     | Some config -> M.create ~config ()
     | None -> M.create ()
   in
-  ignore (exec_build m build ~seed);
-  M.run m;
   let trace = Program.build_trace build ~seed in
+  ignore (exec_trace m build trace);
+  M.run m;
   {
     prog_name = build.Program.prog.Program.name;
     total_time = (M.stats m).M.total_time;

@@ -17,7 +17,11 @@ val measure :
   ?machine_config:Bunshin_machine.Machine.config -> Bunshin_program.Program.build ->
   seed:int -> t
 (** Execute the build's trace (threads, locks, syscalls and all) on a fresh
-    machine and collect its profile. *)
+    machine and collect its profile.  The trace is built once, and
+    [by_func] is the per-function Work of the very trace the machine ran.
+    Building it costs O(1) per op plus O(log F) per function draw over F
+    functions (see {!Bunshin_program.Program.build_trace}), so most of a
+    run's host time is the machine simulation. *)
 
 val overhead_by_func : baseline:t -> instrumented:t -> (string * float) list
 (** The overhead profile: per-function extra time, clamped at 0. *)

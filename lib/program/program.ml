@@ -107,7 +107,25 @@ let weave_in_execution sans body =
 let build_trace b ~seed =
   let rng = Bunshin_util.Rng.create seed in
   let body = b.prog.gen_trace rng in
-  let body = Trace.map_cost (fun fname c -> c *. cost_factor b fname) body in
+  (* [cost_factor] scans the functions, the checked units and every
+     sanitizer's cost model, so it is resolved once per function: a trace
+     has ~1,000 Work ops over at most 120 functions.  A baseline build's
+     factor is 1.0 everywhere, and [c *. 1.0 = c]. *)
+  let body =
+    if b.sanitizers = [] then body
+    else begin
+      let factors = Hashtbl.create 64 in
+      let factor fname =
+        match Hashtbl.find_opt factors fname with
+        | Some f -> f
+        | None ->
+          let f = cost_factor b fname in
+          Hashtbl.add factors fname f;
+          f
+      in
+      Trace.map_cost (fun fname c -> c *. factor fname) body
+    end
+  in
   let body = weave_in_execution b.sanitizers body in
   let pre = List.map (fun s -> Trace.Sys s) (runtime_syscalls b.sanitizers San.Pre_main) in
   let post = List.map (fun s -> Trace.Sys s) (runtime_syscalls b.sanitizers San.Post_exit) in
@@ -120,12 +138,16 @@ let build_ram_overhead b = San.group_ram_overhead b.sanitizers
 
 let overhead_of_build b =
   (* Weight each function by its share of baseline work in the seed-0
-     workload. *)
-  let base = b.prog.gen_trace (Bunshin_util.Rng.create 0) in
-  let weights = Trace.work_by_func base in
-  let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 weights in
-  if total <= 0.0 then 0.0
-  else
-    List.fold_left
-      (fun acc (fname, w) -> acc +. (w /. total *. (cost_factor b fname -. 1.0)))
-      0.0 weights
+     workload.  A baseline build's factors are all 1.0, so it has no
+     overhead and no trace to generate. *)
+  if b.sanitizers = [] then 0.0
+  else begin
+    let base = b.prog.gen_trace (Bunshin_util.Rng.create 0) in
+    let weights = Trace.work_by_func base in
+    let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 weights in
+    if total <= 0.0 then 0.0
+    else
+      List.fold_left
+        (fun acc (fname, w) -> acc +. (w /. total *. (cost_factor b fname -. 1.0)))
+        0.0 weights
+  end

@@ -56,7 +56,10 @@ val build_trace : build -> seed:int -> Trace.t
 (** Concrete trace of this build under its workload.  The same seed yields
     behaviourally equivalent traces across builds of the same program
     (identical syscall sequence inside main), so the NXE can synchronize
-    them; only costs and sanitizer-runtime syscalls differ. *)
+    them; only costs and sanitizer-runtime syscalls differ.  Each Work op
+    costs the workload's cost times {!cost_factor}, which is resolved once
+    per distinct function per call (a baseline build skips the pass); no
+    state is kept between calls. *)
 
 val build_working_set : build -> float
 (** LLC working set after shadow-memory inflation. *)

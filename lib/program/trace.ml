@@ -33,10 +33,18 @@ let total_work t =
 let work_by_func t =
   let tbl = Hashtbl.create 16 in
   let add name cost =
-    Hashtbl.replace tbl name (cost +. Option.value ~default:0.0 (Hashtbl.find_opt tbl name))
+    let sum =
+      match Hashtbl.find_opt tbl name with
+      | Some sum -> sum
+      | None ->
+        let sum = ref 0.0 in
+        Hashtbl.add tbl name sum;
+        sum
+    in
+    sum := !sum +. cost
   in
   fold (fun () op -> match op with Work w -> add w.func w.cost | _ -> ()) () t;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  Hashtbl.fold (fun k sum acc -> (k, !sum) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let syscall_count t =

@@ -76,18 +76,38 @@ let choice t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choice: empty array";
   arr.(int t (Array.length arr))
 
-let weighted_choice t pairs =
-  if Array.length pairs = 0 then invalid_arg "Rng.weighted_choice: empty array";
-  let total = Array.fold_left (fun acc (_, w) -> acc +. w) 0.0 pairs in
-  if total <= 0.0 then invalid_arg "Rng.weighted_choice: weights sum to zero";
-  let target = float t total in
-  let rec scan i acc =
-    if i = Array.length pairs - 1 then fst pairs.(i)
-    else
-      let acc = acc +. snd pairs.(i) in
-      if target < acc then fst pairs.(i) else scan (i + 1) acc
-  in
-  scan 0 0.0
+type 'a weighted = { items : 'a array; cum : float array }
+
+let weighted pairs =
+  let n = Array.length pairs in
+  if n = 0 then invalid_arg "Rng.weighted: empty array";
+  let cum = Array.make n 0.0 in
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun i (_, w) ->
+      if not (Float.is_finite w && w >= 0.0) then
+        invalid_arg (Printf.sprintf "Rng.weighted: weight %d is %g" i w);
+      acc := !acc +. w;
+      cum.(i) <- !acc)
+    pairs;
+  if !acc <= 0.0 then invalid_arg "Rng.weighted: weights sum to zero";
+  if not (Float.is_finite !acc) then invalid_arg "Rng.weighted: weights overflow";
+  { items = Array.map fst pairs; cum }
+
+(* The first prefix sum above [target], the last element if none is.  The
+   prefix sums are non-decreasing, so binary search returns exactly what
+   a left-to-right scan accumulating the same sums would. *)
+let draw t w =
+  let n = Array.length w.cum in
+  let target = float t w.cum.(n - 1) in
+  let lo = ref 0 and hi = ref (n - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if target < w.cum.(mid) then hi := mid else lo := mid + 1
+  done;
+  w.items.(!lo)
+
+let weighted_choice t pairs = draw t (weighted pairs)
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

@@ -48,8 +48,25 @@ val pareto : t -> shape:float -> scale:float -> float
 val choice : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 
+type 'a weighted
+(** A cumulative-weight table over a fixed set of weighted elements.
+    Building it costs O(n); each {!draw} from it costs O(log n).  Build it
+    once per generated trace, not once per draw. *)
+
+val weighted : ('a * float) array -> 'a weighted
+(** [weighted pairs] tabulates the prefix sums of the weights, left to
+    right.  @raise Invalid_argument if [pairs] is empty, a weight is
+    negative, NaN or infinite, or the weights sum to zero or overflow. *)
+
+val draw : t -> 'a weighted -> 'a
+(** Element drawn proportionally to its weight, with one uniform draw in
+    [\[0, total)]: the first element whose prefix sum exceeds it, or the
+    last element when rounding leaves none.  This is the element a linear
+    scan over the same pairs returns. *)
+
 val weighted_choice : t -> ('a * float) array -> 'a
-(** Element drawn proportionally to its (non-negative, not all zero) weight. *)
+(** [weighted_choice t pairs] is [draw t (weighted pairs)]: a one-off
+    draw that pays for building the table. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -25,11 +25,11 @@ let suite_name = function
 let phase_burst_reads = 24
 
 let cpu_trace ~funcs ~units ~unit_cost ~syscall_every rng =
-  let weighted = Array.of_list funcs in
+  let weighted = Rng.weighted (Array.of_list funcs) in
   let burst_every = max 1 (units / 3) in
   List.concat
     (List.init units (fun i ->
-         let fname = Rng.weighted_choice rng weighted in
+         let fname = Rng.draw rng weighted in
          let jitter = Rng.float_in rng 0.85 1.15 in
          let work = Trace.Work { func = fname; cost = unit_cost *. jitter } in
          let regular =
@@ -60,11 +60,11 @@ let cpu_trace ~funcs ~units ~unit_cost ~syscall_every rng =
 
 let worker_trace ~funcs ~units ~unit_cost ~stall ~racy ~lock_every ~barrier_every ~threads
     ~barrier_base rng =
-  let weighted = Array.of_list funcs in
+  let weighted = Rng.weighted (Array.of_list funcs) in
   let barrier_counter = ref 0 in
   List.concat
     (List.init units (fun i ->
-         let fname = Rng.weighted_choice rng weighted in
+         let fname = Rng.draw rng weighted in
          let jitter = Rng.float_in rng 0.85 1.15 in
          let work = Trace.Work { func = fname; cost = unit_cost *. jitter } in
          let ops = ref (if stall > 0.0 then [ work; Trace.Idle (unit_cost *. stall) ] else [ work ]) in

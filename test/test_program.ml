@@ -131,6 +131,48 @@ let test_overhead_of_build_model () =
   (* crunch is memory-bound and dominates: overhead should exceed 100%. *)
   Alcotest.(check bool) (Printf.sprintf "oh=%.3f in [0.8, 1.8]" oh) true (oh >= 0.8 && oh <= 1.8)
 
+(* Every Work op of a build's trace is the workload's op scaled by the
+   build's cost factor, bit for bit: instrumentation only inflates costs,
+   and weaving only inserts Sys ops.  SPEC models give ~1,000 Work ops over
+   up to 120 functions per trace. *)
+let test_build_trace_scales_work_exactly () =
+  let rec work_ops acc = function
+    | [] -> acc
+    | Trace.Work w :: rest -> work_ops ((w.func, w.cost) :: acc) rest
+    | (Trace.Spawn sub | Trace.Fork sub) :: rest -> work_ops (work_ops acc sub) rest
+    | _ :: rest -> work_ops acc rest
+  in
+  let work_ops t = List.rev (work_ops [] t) in
+  let spec name = (Bunshin_workloads.Spec.find name).Bunshin_workloads.Bench.prog in
+  let hmmer = spec "hmmer" in
+  (* Function k keeps k mod 5 of its 4 block groups: fractions 0 to 1. *)
+  let units =
+    List.concat
+      (List.mapi
+         (fun k (f : Program.func) ->
+           List.init (min 4 (k mod 5)) (Program.block_unit f.Program.fn_name))
+         hmmer.Program.funcs)
+  in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (tag, b) ->
+      let seed = 2 in
+      let expected = work_ops (b.Program.prog.Program.gen_trace (Rng.create seed)) in
+      let got = work_ops (Program.build_trace b ~seed) in
+      Alcotest.(check int) (tag ^ ": work op count") (List.length expected) (List.length got);
+      List.iteri
+        (fun i ((f, c), (f', c')) ->
+          let want = c *. Program.cost_factor b f in
+          if f <> f' || bits want <> bits c' then
+            Alcotest.failf "%s: work op %d is %s %h, want %s %h" tag i f' c' f want)
+        (List.combine expected got))
+    [
+      ("asan", Program.full [ San.asan ] (spec "gcc"));
+      ("ubsan-19", Program.full San.ubsan_subs (spec "gcc"));
+      ("msan", Program.full [ San.msan ] (spec "bzip2"));
+      ("asan block_split=4", Program.variant [ San.asan ] ~block_split:4 ~checked:units hmmer);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Profiler *)
 
@@ -337,6 +379,8 @@ let () =
           Alcotest.test_case "working set inflation" `Quick test_build_working_set_inflation;
           Alcotest.test_case "markers present" `Quick test_markers_present;
           Alcotest.test_case "overhead model" `Quick test_overhead_of_build_model;
+          Alcotest.test_case "work scales by cost factor" `Quick
+            test_build_trace_scales_work_exactly;
         ] );
       ( "profiler",
         [

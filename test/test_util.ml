@@ -152,6 +152,26 @@ let test_rng_weighted_choice () =
   let ratio = float_of_int (get "b") /. float_of_int (get "a") in
   Alcotest.(check bool) "3x ratio approx" true (ratio > 2.5 && ratio < 3.5)
 
+let test_rng_weighted_rejects_bad_weights () =
+  (* A NaN weight poisons every later prefix sum ([target < nan] is false),
+     so a draw would return the last element every time; a negative weight
+     makes an earlier element unreachable.  Both are rejected when the
+     table is built. *)
+  let rejects name pairs =
+    Alcotest.(check bool) name true
+      (match Rng.weighted pairs with
+       | _ -> false
+       | exception Invalid_argument _ -> true)
+  in
+  rejects "nan" [| ("a", 1.0); ("b", nan); ("c", 1.0) |];
+  rejects "negative" [| ("a", 2.0); ("b", -1.0); ("c", 1.0) |];
+  rejects "infinite" [| ("a", 1.0); ("b", infinity) |];
+  rejects "all zero" [| ("a", 0.0); ("b", 0.0) |];
+  rejects "empty" [||];
+  Alcotest.check_raises "weighted_choice checks too"
+    (Invalid_argument "Rng.weighted: weight 1 is nan") (fun () ->
+      ignore (Rng.weighted_choice (Rng.create 0) [| ("a", 1.0); ("b", nan); ("c", 1.0) |]))
+
 let test_rng_shuffle_permutation () =
   let t = Rng.create 17 in
   let arr = Array.init 50 Fun.id in
@@ -368,6 +388,43 @@ let prop_mean_between_min_max =
       let m = Stats.mean xs in
       m >= Stats.minimum xs -. 1e-9 && m <= Stats.maximum xs +. 1e-9)
 
+(* The linear-scan [weighted_choice] the cumulative table replaced, kept
+   verbatim as the reference the table must reproduce draw for draw. *)
+let scan_weighted_choice t pairs =
+  if Array.length pairs = 0 then invalid_arg "Rng.weighted_choice: empty array";
+  let total = Array.fold_left (fun acc (_, w) -> acc +. w) 0.0 pairs in
+  if total <= 0.0 then invalid_arg "Rng.weighted_choice: weights sum to zero";
+  let target = Rng.float t total in
+  let rec scan i acc =
+    if i = Array.length pairs - 1 then fst pairs.(i)
+    else
+      let acc = acc +. snd pairs.(i) in
+      if target < acc then fst pairs.(i) else scan (i + 1) acc
+  in
+  scan 0 0.0
+
+(* Weights mix zeros, a few repeated values and arbitrary ones, so ties
+   between prefix sums and runs of equal sums both occur. *)
+let weights_gen =
+  QCheck.Gen.(
+    list_size (1 -- 150)
+      (frequency
+         [
+           (2, return 0.0);
+           (3, oneofl [ 1.0; 0.5; 3.25 ]);
+           (5, float_range 0.0 100.0);
+         ]))
+
+let prop_weighted_draw_matches_scan =
+  QCheck.Test.make ~name:"rng: table draw matches linear scan" ~count:300
+    QCheck.(pair small_int (make ~print:Print.(list float) weights_gen))
+    (fun (seed, ws) ->
+      QCheck.assume (List.exists (fun w -> w > 0.0) ws);
+      let pairs = Array.of_list (List.mapi (fun i w -> (i, w)) ws) in
+      let table = Rng.weighted pairs in
+      let a = Rng.create seed and b = Rng.create seed in
+      List.for_all (fun _ -> Rng.draw a table = scan_weighted_choice b pairs) (List.init 1000 Fun.id))
+
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -392,6 +449,8 @@ let () =
           Alcotest.test_case "pareto bounds" `Quick test_rng_pareto_bounds;
           Alcotest.test_case "chance extremes" `Quick test_rng_chance_extremes;
           Alcotest.test_case "weighted choice" `Quick test_rng_weighted_choice;
+          Alcotest.test_case "weighted rejects bad weights" `Quick
+            test_rng_weighted_rejects_bad_weights;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "sample distinct" `Quick test_rng_sample_distinct;
         ] );
@@ -427,6 +486,7 @@ let () =
           [
             prop_rng_int_in_range;
             prop_shuffle_preserves_multiset;
+            prop_weighted_draw_matches_scan;
             prop_percentile_bounded;
             prop_percentiles_agree;
             prop_mean_between_min_max;
