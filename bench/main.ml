@@ -835,11 +835,15 @@ let kernel_phi_heavy () =
 type interp_measure = { im_ns_per_step : float; im_steps_per_s : float }
 
 (* Best-of-[batches]: the minimum per-step time over repeated batches, the
-   usual microbenchmark defense against scheduler and GC noise. *)
+   usual microbenchmark defense against scheduler and GC noise.  Each batch
+   starts from a full major collection, so a kernel that triggers major
+   collections of its own (alloc_heavy) is not timed at whatever GC phase
+   the previous batch, or the other engine's garbage, left behind. *)
 let interp_measure ~batches ~runs run1 =
   ignore (run1 ());
   let best = ref infinity in
   for _ = 1 to batches do
+    Gc.full_major ();
     let t0 = Unix.gettimeofday () in
     let steps = ref 0 in
     for _ = 1 to runs do

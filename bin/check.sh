@@ -238,4 +238,20 @@ for args in "serve --requests 0" "serve --rps 0" "serve --pool 0" "serve --batch
   fi
 done
 
+# Heap-limit smoke: a malloc of 10^10 slots must end the run as a
+# simulated crash (exit status 3) within seconds, before any slot is
+# mapped, instead of growing the process until the host runs out of memory.
+echo "== heap-limit smoke (exec malloc of 10^10 slots)"
+status=0
+heap_out=$(timeout 10 dune exec bin/bunshin_cli.exe -- exec examples/ir/huge_malloc.bir \
+  --args 10000000000 2>&1) || status=$?
+echo "$heap_out"
+[ "$status" -eq 3 ] || {
+  echo "heap-limit smoke: exec exited $status, want 3"; exit 1; }
+echo "$heap_out" | grep -q "^CRASHED" || {
+  echo "heap-limit smoke: the run did not end as a crash"; exit 1; }
+if echo "$heap_out" | grep -q "internal error"; then
+  echo "heap-limit smoke: exec reported an internal error"; exit 1
+fi
+
 echo "OK"

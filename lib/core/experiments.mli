@@ -172,6 +172,11 @@ val nxe_run :
 
 (** {1 High-throughput serving (the [bunshin serve] front-end)} *)
 
+val serve_ir_kernel : unit -> Bunshin_ir.Ast.modul
+(** The request handler {!serve_ir_source} serves: [main(rid)] prints
+    [rid], runs 24 multiply-add steps over it and prints the result — 51
+    interpreter steps, no allocation. *)
+
 val serve_ir_source : ?n:int -> unit -> Bunshin_serve.Serve.source * int ref
 (** An IR-backed request source for {!Bunshin_serve.Serve.run}: [n]
     variants of a small request-handler kernel, each

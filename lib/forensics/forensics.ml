@@ -27,11 +27,15 @@ module Tape = struct
     mutable total : int;   (* records ever written *)
   }
 
+  (* Fills never-written entries; built once, because [Sc.make] scans the
+     whole syscall table for a name it will not find. *)
+  let placeholder = Sc.make "tape.empty"
+
   let create ~depth =
     if depth < 1 then invalid_arg "Forensics.Tape.create: depth must be >= 1";
     {
       cap = depth;
-      scs = Array.make depth (Sc.make "tape.empty");
+      scs = Array.make depth placeholder;
       poss = Array.make depth (-1);
       times = Array.make depth 0.0;
       total = 0;

@@ -11,6 +11,7 @@ type crash =
   | Wild_pointer of int64
   | Bad_indirect_call of int64
   | Stack_overflow_sim
+  | Heap_exhausted
 
 type hazard =
   | Oob_write of int64
@@ -47,6 +48,12 @@ type config = {
 
 let default_config =
   { fuel = 1_000_000; max_depth = 10_000; redzone = 1; undef_as = 0L; layout_seed = 0 }
+
+(* Bound on the bump allocators' next address, in slots.  The largest heap
+   any current caller builds is ~450k slots (the full-mode alloc_heavy
+   bench kernel); past the bound a run ends with [Heap_exhausted] instead
+   of growing the host process without limit. *)
+let heap_limit = 1 lsl 22
 
 (* Where interpreter steps go, by intrinsic class.  Purely additive
    accounting for the overhead-attribution profiler: attaching a record
@@ -155,6 +162,9 @@ let allocate st size =
    | Some rng -> st.next_addr <- st.next_addr + Bunshin_util.Rng.int rng 4
    | None -> ());
   let base = st.next_addr in
+  (* Subtracting from the bound keeps a huge [size] from overflowing a sum,
+     and the check precedes any mapping, so a refused request costs nothing. *)
+  if size > heap_limit - base - st.cfg.redzone then raise (Trap (Crashed Heap_exhausted));
   let a = { a_base = base; a_size = size; a_freed = false } in
   Hashtbl.replace st.allocs base a;
   for i = 0 to size - 1 do
@@ -200,6 +210,11 @@ let init_state ?telemetry ?phases cfg modul =
       Hashtbl.replace st.func_addr f.f_name addr;
       Hashtbl.replace st.addr_func addr f.f_name)
     modul.m_funcs;
+  st
+
+(* Globals are allocated inside the run, so one that crosses the heap limit
+   ends it like any other allocation. *)
+let init_globals st =
   List.iter
     (fun g ->
       let a = allocate st g.g_size in
@@ -212,8 +227,7 @@ let init_state ?telemetry ?phases cfg modul =
             cell.cinit <- true
           end)
         g.g_init)
-    modul.m_globals;
-  st
+    st.modul.m_globals
 
 (* ------------------------------------------------------------------ *)
 (* Value coercions *)
@@ -536,6 +550,7 @@ let run_reference ?(config = default_config) ?telemetry ?phases modul ~entry ~ar
   let st = init_state ?telemetry ?phases config modul in
   let outcome =
     try
+      init_globals st;
       let v =
         exec_call st ~depth:0 ~caller:entry ~caller_block:"" entry
           (List.map (fun n -> VInt n) args)
@@ -591,6 +606,7 @@ let fallocate fst size =
    | Some rng -> fst.f_next <- fst.f_next + Bunshin_util.Rng.int rng 4
    | None -> ());
   let base = fst.f_next in
+  if size > heap_limit - base - fst.f_cfg.redzone then raise (Trap (Crashed Heap_exhausted));
   let id = Vec.length fst.f_allocs in
   let a = { fa_base = base; fa_size = size; fa_freed = false } in
   Vec.push fst.f_allocs a;
@@ -601,28 +617,28 @@ let fallocate fst size =
   a
 
 let finit_state ?telemetry ?phases cfg (pm : P.t) =
-  let fst =
-    {
-      f_cfg = cfg;
-      f_pm = pm;
-      f_mem = Shadow.create ~fill:P.VUndef;
-      f_allocs = Vec.create ();
-      f_global_base = Array.make (Array.length pm.P.p_globals) 0;
-      f_next =
-        (if cfg.layout_seed = 0 then 0x1000
-         else
-           0x1000
-           + Bunshin_util.Rng.int (Bunshin_util.Rng.create cfg.layout_seed) 0x8000);
-      f_rng =
-        (if cfg.layout_seed = 0 then None
-         else Some (Bunshin_util.Rng.create (cfg.layout_seed * 7919)));
-      f_timeline_rev = [];
-      f_hazards_rev = [];
-      f_steps = 0;
-      f_tel = make_itel telemetry;
-      f_ph = phases;
-    }
-  in
+  {
+    f_cfg = cfg;
+    f_pm = pm;
+    f_mem = Shadow.create ~fill:P.VUndef;
+    f_allocs = Vec.create ();
+    f_global_base = Array.make (Array.length pm.P.p_globals) 0;
+    f_next =
+      (if cfg.layout_seed = 0 then 0x1000
+       else
+         0x1000 + Bunshin_util.Rng.int (Bunshin_util.Rng.create cfg.layout_seed) 0x8000);
+    f_rng =
+      (if cfg.layout_seed = 0 then None
+       else Some (Bunshin_util.Rng.create (cfg.layout_seed * 7919)));
+    f_timeline_rev = [];
+    f_hazards_rev = [];
+    f_steps = 0;
+    f_tel = make_itel telemetry;
+    f_ph = phases;
+  }
+
+(* As in the reference engine, globals are allocated inside the run. *)
+let finit_globals fst =
   Array.iteri
     (fun gi (g : global) ->
       let a = fallocate fst g.g_size in
@@ -637,8 +653,7 @@ let finit_state ?telemetry ?phases cfg (pm : P.t) =
             Bytes.set p.Shadow.init off '\001'
           end)
         g.g_init)
-    pm.P.p_globals;
-  fst
+    fst.f_pm.P.p_globals
 
 let fto_int fst = function
   | P.VInt n -> n
@@ -677,6 +692,8 @@ let fmem_access fst access v =
   let p = Shadow.page_of fst.f_mem addr in
   let off = addr land Shadow.page_mask in
   let t = Bytes.unsafe_get p.Shadow.tags off in
+  (* This trap guards the unchecked [values] reads of [fmem_load] and
+     [fmem_store]: the shared empty page's value plane is empty. *)
   if t = Shadow.tag_unmapped then raise (Trap (Crashed (Wild_pointer (Int64.of_int addr))));
   if t = Shadow.tag_redzone then
     frecord_hazard fst
@@ -1050,6 +1067,7 @@ let run_compiled ?(config = default_config) ?telemetry ?phases (pm : P.t) ~entry
   let fst = finit_state ?telemetry ?phases config pm in
   let outcome =
     try
+      finit_globals fst;
       let args = Array.of_list (List.map (fun n -> P.VInt n) args) in
       Finished (Some (fto_int fst (fexec_call fst ~depth:0 fidx args)))
     with Trap o -> o
@@ -1071,6 +1089,8 @@ let events_equal a b = a.events = b.events
 
 let address_of_global ?(config = default_config) modul name =
   let st = init_state config modul in
+  (try init_globals st
+   with Trap _ -> invalid_arg "Interp.address_of_global: globals exceed the heap limit");
   match Hashtbl.find_opt st.global_base name with
   | Some base -> Int64.of_int base
   | None -> invalid_arg ("Interp.address_of_global: unknown global " ^ name)

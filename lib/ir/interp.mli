@@ -29,6 +29,10 @@ type crash =
   | Wild_pointer of int64       (** dereference of an unmapped address *)
   | Bad_indirect_call of int64  (** indirect call to a non-function value *)
   | Stack_overflow_sim          (** call depth limit *)
+  | Heap_exhausted
+      (** an allocation would take the heap past {!heap_limit}; like
+          [Stack_overflow_sim], an artifact of the model, not a memory
+          error of the program *)
 
 type hazard =
   | Oob_write of int64
@@ -77,6 +81,15 @@ type config = {
 }
 
 val default_config : config
+
+val heap_limit : int
+(** Bound on the allocators' next address, in slots (2{^ 22}): a run's
+    globals, allocas and [malloc]s together end below it.  An allocation
+    that would reach past it, counting its redzone, ends the run with
+    [Crashed Heap_exhausted] in both engines, before any of its slots is
+    mapped.  The largest heap a current caller builds, the full-mode
+    [alloc_heavy] kernel of [bench interp], reaches about 450k slots.  A
+    constant of the model, not a {!config} field. *)
 
 (** Step attribution for the overhead profiler: where the run's
     instructions went, by intrinsic class.  Counts {e accumulate} across

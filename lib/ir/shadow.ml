@@ -13,14 +13,19 @@ type 'a page = {
   init : Bytes.t;
 }
 
-type 'a t = {
-  fill : 'a;
-  empty : 'a page;
-      (* Shared all-unmapped page returned for never-mapped indices, so
-         [page_of] is total and allocation-free.  Never written to: every
-         write is guarded by a tag check, and its tags stay [tag_unmapped]. *)
-  mutable pages : 'a page option array;
-}
+type 'a t = { fill : 'a; mutable pages : 'a page option array }
+
+(* The one all-unmapped page of the process, returned for never-mapped
+   indices so [page_of] is total and allocation-free.  Never written to:
+   every write is guarded by a tag check, and its tags stay [tag_unmapped].
+   Its value plane is empty, which is what lets one page serve every
+   ['a t]; each read of [values] comes after a tag check that fails here.
+   The planes are bound first so that the record is a value and
+   generalises. *)
+let empty_tags = Bytes.make page_slots tag_unmapped
+let empty_owner = Array.make page_slots (-1)
+let empty_init = Bytes.make page_slots '\000'
+let empty = { tags = empty_tags; owner = empty_owner; values = [||]; init = empty_init }
 
 let make_page fill =
   {
@@ -30,14 +35,14 @@ let make_page fill =
     init = Bytes.make page_slots '\000';
   }
 
-let create ~fill = { fill; empty = make_page fill; pages = Array.make 64 None }
+let create ~fill = { fill; pages = Array.make 64 None }
 
 let page_of t addr =
   (* [lsr] is a logical shift, so a negative address yields a huge page
      index and falls through to the empty page — no sign check needed. *)
   let pi = addr lsr page_bits in
-  if pi >= Array.length t.pages then t.empty
-  else match Array.unsafe_get t.pages pi with Some p -> p | None -> t.empty
+  if pi >= Array.length t.pages then empty
+  else match Array.unsafe_get t.pages pi with Some p -> p | None -> empty
 
 let ensure t pi =
   if pi >= Array.length t.pages then begin

@@ -17,10 +17,19 @@
       cell).
 
     Lookups never allocate and never fault: addresses outside every page
-    (including negative ones) resolve to a shared, permanently-unmapped
-    [empty] page, so the interpreter's wild-pointer path needs no bounds
-    check of its own.  Pages are materialised only by {!map_range}, i.e.
-    only for address ranges an allocation actually covers. *)
+    (including negative ones) resolve to the {b empty page}, so the
+    interpreter's wild-pointer path needs no bounds check of its own.
+    There is one empty page per process, shared by every ['a t] and built
+    at module initialisation, so {!create} costs a small page table and
+    nothing else.  Its [tags], [owner] and [init] planes are full-size
+    (all [tag_unmapped], [-1] and ['\000']), so any slot of them may be
+    read unchecked.  Its [values] plane is empty, because it must serve
+    every ['a]: a [values] read is valid only after a tag check that
+    rejects [tag_unmapped], and with [Array.unsafe_get] a read that skips
+    the check reads out of bounds instead of raising.
+
+    Pages are materialised only by {!map_range}, i.e. only for address
+    ranges an allocation actually covers. *)
 
 val page_bits : int
 val page_slots : int
@@ -50,15 +59,16 @@ type 'a page = {
 type 'a t
 
 val create : fill:'a -> 'a t
-(** [fill] populates the value arrays of fresh pages; it is never
-    observable through the interpreter because loads consult [init]
-    first. *)
+(** An empty page table.  [fill] populates the value arrays of pages
+    {!map_range} materialises; it is never observable through the
+    interpreter because loads consult [init] first. *)
 
 val page_of : 'a t -> int -> 'a page
 (** Total: the page covering the address, or the shared empty page (all
     tags [tag_unmapped]) when none was ever mapped.  Callers must check
-    the tag before touching [values]/[init]/[owner] — writing through an
-    unmapped tag would corrupt the shared empty page. *)
+    the tag before reading [values] (empty on the shared page) and before
+    writing any plane — writing through an unmapped tag would corrupt the
+    page every shadow shares. *)
 
 val map_range : 'a t -> base:int -> len:int -> tag:char -> owner:int -> unit
 (** Tag [len] slots starting at [base] (materialising pages as needed)

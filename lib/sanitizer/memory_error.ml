@@ -72,4 +72,4 @@ let of_crash = function
   | Bunshin_ir.Interp.Null_deref -> Some (Undefined Null_dereference)
   | Bunshin_ir.Interp.Wild_pointer _ -> Some Out_of_bounds_write
   | Bunshin_ir.Interp.Bad_indirect_call _ -> Some Out_of_bounds_write
-  | Bunshin_ir.Interp.Stack_overflow_sim -> None
+  | Bunshin_ir.Interp.Stack_overflow_sim | Bunshin_ir.Interp.Heap_exhausted -> None

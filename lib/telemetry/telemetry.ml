@@ -52,15 +52,12 @@ module Hist = struct
     [ 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000.; 2000.; 5000.; 10000. ]
 
   let create ?(buckets = default_buckets) () =
-    (* Normalize through Stats.histogram so bucketing here can never drift
+    (* Stats.histogram's own normaliser, so bucketing here can never drift
        from the pure list-based version. *)
-    let bounds =
-      Stats.histogram ~buckets []
-      |> List.filter_map (fun (b, _) -> if Float.is_finite b then Some b else None)
-    in
+    let bounds = Array.of_list (Stats.bucket_bounds buckets) in
     {
-      bounds = Array.of_list bounds;
-      counts = Array.make (List.length bounds + 1) 0;
+      bounds;
+      counts = Array.make (Array.length bounds + 1) 0;
       h_n = 0;
       h_sum = 0.0;
       h_min = infinity;

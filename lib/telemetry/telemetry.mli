@@ -122,7 +122,11 @@ module Hist : sig
 
   val create : ?buckets:float list -> unit -> t
   (** Bounds are sorted and deduplicated; non-finite bounds are rejected.
-      @raise Invalid_argument on an empty or non-finite bucket list. *)
+      The bounds go through {!Bunshin_util.Stats.bucket_bounds}, the
+      normaliser [Stats.histogram] itself uses, so the two cannot drift;
+      no throwaway histogram is built.
+      @raise Invalid_argument on an empty or non-finite bucket list, with
+      [Stats.histogram]'s message. *)
 
   val observe : t -> float -> unit
   val count : t -> int

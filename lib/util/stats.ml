@@ -70,15 +70,17 @@ let percentiles samples ps =
 let minimum = function [] -> 0.0 | x :: xs -> List.fold_left min x xs
 let maximum = function [] -> 0.0 | x :: xs -> List.fold_left max x xs
 
+let bucket_bounds bs =
+  if bs = [] then invalid_arg "Stats.histogram: empty bucket list";
+  List.iter
+    (fun b -> if not (Float.is_finite b) then invalid_arg "Stats.histogram: non-finite bucket")
+    bs;
+  List.sort_uniq compare bs
+
 let histogram ?buckets xs =
   let bounds =
     match buckets with
-    | Some bs ->
-      if bs = [] then invalid_arg "Stats.histogram: empty bucket list";
-      List.iter
-        (fun b -> if not (Float.is_finite b) then invalid_arg "Stats.histogram: non-finite bucket")
-        bs;
-      List.sort_uniq compare bs
+    | Some bs -> bucket_bounds bs
     | None -> (
       match xs with
       | [] -> []

@@ -26,6 +26,12 @@ val minimum : float list -> float
 val maximum : float list -> float
 val sum : float list -> float
 
+val bucket_bounds : float list -> float list
+(** The bucket normaliser of {!histogram}: the bounds sorted and
+    deduplicated.  [Telemetry.Hist.create] calls it too, so the two
+    bucket the same way.
+    @raise Invalid_argument on an empty list or a non-finite bound. *)
+
 val histogram : ?buckets:float list -> float list -> (float * int) list
 (** Fixed-bucket histogram of the samples: [(upper_bound, count)] per
     bucket, where a sample [x] lands in the first bucket with [x <= bound],

@@ -1135,45 +1135,126 @@ let () =
    air and used as a pointer (never returned by the allocator) must trap
    as [Wild_pointer] in both engines; the reference interpreter's cell
    lookup used to be an unguarded [Hashtbl.find] that could leak
-   [Not_found] out of [run] instead of producing a crash outcome. *)
+   [Not_found] out of [run] instead of producing a crash outcome.  The
+   addresses are one past the fast engine's page table, one on a
+   never-created page inside it, and a negative one: all three resolve to
+   the shared empty page, whose value plane is empty.  [free] and the
+   allocation-metadata checks read that page too, and must agree with the
+   reference without raising. *)
 
-let forged_ptr_prog ~write =
+let forged_ptr_prog ~op addr =
   let b = B.create "forged" in
   B.start_func b ~name:"main" ~params:[];
-  (* Well past anything next_addr will ever hand out in this program. *)
-  let wild = B.cst64 0x7FF0_0000L in
-  if write then B.store b (B.cst 1) wild else ignore (B.load b wild);
-  B.ret b (Some (B.cst 0));
+  let wild = B.cst64 addr in
+  let r =
+    match op with
+    | `Load -> B.load b wild
+    | `Store ->
+      B.store b (B.cst 1) wild;
+      B.cst 0
+    | `Call f -> B.call b f [ wild ]
+  in
+  B.ret b (Some r);
   B.finish b
 
 let test_wild_forged_pointer () =
   List.iter
-    (fun write ->
-      let m = forged_ptr_prog ~write in
-      let pm = Interp.compile m in
-      let check_engine name f =
-        match f () with
-        | r ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s %s traps wild" name
-                 (if write then "store" else "load"))
-              true
-              (match r.Interp.outcome with
-              | Interp.Crashed (Interp.Wild_pointer a) -> a = 0x7FF0_0000L
-              | _ -> false)
-        | exception Not_found ->
-            Alcotest.failf "%s leaked Not_found on a forged pointer" name
-      in
-      check_engine "reference" (fun () ->
-          Interp.run_reference m ~entry:"main" ~args:[]);
-      check_engine "fast" (fun () -> Interp.run_compiled pm ~entry:"main" ~args:[]);
-      (* And the two engines must agree on the whole run record. *)
-      assert_differential "forged pointer" m [ [] ])
-    [ false; true ]
+    (fun addr ->
+      List.iter
+        (fun (op_name, op) ->
+          let m = forged_ptr_prog ~op addr in
+          let pm = Interp.compile m in
+          let label = Printf.sprintf "%s %Ld" op_name addr in
+          let check_engine name f =
+            match f () with
+            | r -> (
+              match op with
+              | `Load | `Store ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s %s traps wild" name label)
+                  true
+                  (match r.Interp.outcome with
+                  | Interp.Crashed (Interp.Wild_pointer a) -> a = addr
+                  | _ -> false)
+              | `Call _ -> ())
+            | exception e ->
+              Alcotest.failf "%s raised %s on %s" name (Printexc.to_string e) label
+          in
+          check_engine "reference" (fun () -> Interp.run_reference m ~entry:"main" ~args:[]);
+          check_engine "fast" (fun () -> Interp.run_compiled pm ~entry:"main" ~args:[]);
+          (* And the two engines must agree on the whole run record. *)
+          assert_differential ("forged pointer " ^ label) m [ [] ])
+        [
+          ("load", `Load); ("store", `Store); ("free", `Call Runtime_api.free);
+          ("bounds_ok", `Call Runtime_api.bounds_ok); ("in_alloc", `Call Runtime_api.in_alloc);
+          ("not_freed", `Call Runtime_api.not_freed); ("init_ok", `Call Runtime_api.init_ok);
+        ])
+    [ 0x7FF0_0000L; 0x20000L; -8L ]
+
+(* ------------------------------------------------------------------ *)
+(* Regression: the interpreter heap is bounded, so a program cannot grow
+   the host process until it runs out of memory.  An allocation past
+   [Interp.heap_limit] ends the run with [Heap_exhausted] in both engines,
+   before any slot is mapped, whether it comes through malloc, alloca or
+   a global. *)
+
+(* main(n) allocates through [alloc], stores to the result and loads it
+   back. *)
+let heap_prog name alloc =
+  let b = B.create name in
+  B.start_func b ~name:"main" ~params:[ "n" ];
+  let p = alloc b in
+  B.store b (B.cst 1) p;
+  B.ret b (Some (B.load b p));
+  B.finish b
+
+let test_heap_limit () =
+  let exhausted name m args =
+    Alcotest.(check bool) (name ^ " exhausts the heap") true
+      ((Interp.run m ~entry:"main" ~args).Interp.outcome = Interp.Crashed Interp.Heap_exhausted);
+    assert_differential ("heap limit via " ^ name) m [ args ]
+  in
+  let malloc = heap_prog "huge_malloc" (fun b -> B.call b Runtime_api.malloc [ Ast.Reg "n" ]) in
+  List.iter
+    (fun n -> exhausted (Printf.sprintf "malloc(%Ld)" n) malloc [ n ])
+    [ Int64.of_int Interp.heap_limit; 10_000_000_000L; Int64.of_int max_int ];
+  exhausted "alloca" (heap_prog "huge_alloca" (fun b -> B.alloca b Interp.heap_limit)) [ 0L ];
+  exhausted "global"
+    (heap_prog "huge_global" (fun b ->
+         B.add_global b ~name:"g" ~size:Interp.heap_limit ();
+         Ast.Global "g"))
+    [ 0L ];
+  (* Headroom: a million-slot heap, twice what any current caller builds,
+     still fits. *)
+  Alcotest.(check bool) "malloc(1M) fits" true
+    ((Interp.run malloc ~entry:"main" ~args:[ 1_000_000L ]).Interp.outcome
+    = Interp.Finished (Some 1L))
+
+(* ------------------------------------------------------------------ *)
+(* Setup cost: a run of the 51-step serve kernel maps no heap page, so it
+   must put nothing directly on the major heap.  The shared all-unmapped
+   page (9,222 words) is built once per process, not once per run. *)
+
+let test_run_setup_major_words () =
+  let pm = Interp.compile (Bunshin.Experiments.serve_ir_kernel ()) in
+  let runs () =
+    for rid = 1 to 100 do
+      ignore (Interp.run_compiled pm ~entry:"main" ~args:[ Int64.of_int rid ])
+    done
+  in
+  runs ();
+  let _, promoted0, major0 = Gc.counters () in
+  runs ();
+  let _, promoted1, major1 = Gc.counters () in
+  Alcotest.(check (float 0.0)) "direct major words over 100 runs" 0.0
+    (major1 -. major0 -. (promoted1 -. promoted0))
 
 let () =
   Alcotest.run ~and_exit:false "bunshin_ir_regressions"
     [
       ( "wild-pointer",
         [ Alcotest.test_case "forged absolute pointer" `Quick test_wild_forged_pointer ] );
+      ("heap-limit", [ Alcotest.test_case "malloc, alloca and global" `Quick test_heap_limit ]);
+      ( "setup-cost",
+        [ Alcotest.test_case "no direct major words per run" `Quick test_run_setup_major_words ] );
     ]

@@ -32,7 +32,9 @@ let test_hazard_classification () =
     (Err.name (Err.of_hazard (Interp.Uaf_read 0L)));
   Alcotest.(check bool) "crash div0" true
     (Err.of_crash Interp.Div_by_zero = Some (Err.Undefined Err.Div_by_zero));
-  Alcotest.(check bool) "sim artifact" true (Err.of_crash Interp.Stack_overflow_sim = None)
+  Alcotest.(check bool) "sim artifact" true (Err.of_crash Interp.Stack_overflow_sim = None);
+  Alcotest.(check bool) "heap limit is a sim artifact" true
+    (Err.of_crash Interp.Heap_exhausted = None)
 
 (* ------------------------------------------------------------------ *)
 (* Registry: conflicts and groups *)

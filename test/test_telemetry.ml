@@ -225,6 +225,23 @@ let test_hist_empty () =
   Alcotest.(check bool) "all buckets empty" true
     (List.for_all (fun (_, c) -> c = 0) (Tel.Hist.dump h))
 
+(* Hist.create and Stats.histogram share one bucket normaliser, so they
+   reject the same bucket lists with the same exception. *)
+let test_hist_rejects_bad_buckets () =
+  List.iter
+    (fun (name, buckets) ->
+      let raised f = match f () with _ -> None | exception Invalid_argument m -> Some m in
+      let hist = raised (fun () -> ignore (Tel.Hist.create ~buckets ())) in
+      let stats = raised (fun () -> ignore (Stats.histogram ~buckets [])) in
+      Alcotest.(check bool) (name ^ " rejected") true (hist <> None);
+      Alcotest.(check (option string)) (name ^ " same message") stats hist)
+    [
+      ("empty", []);
+      ("nan", [ 1.0; Float.nan ]);
+      ("infinity", [ infinity; 2.0 ]);
+      ("neg_infinity", [ neg_infinity ]);
+    ]
+
 let test_registry () =
   let sink = Tel.create () in
   let c = Tel.counter sink "hits" in
@@ -504,6 +521,7 @@ let () =
         [
           Alcotest.test_case "hist matches Stats.histogram" `Quick test_hist_matches_stats;
           Alcotest.test_case "hist empty" `Quick test_hist_empty;
+          Alcotest.test_case "hist rejects bad buckets" `Quick test_hist_rejects_bad_buckets;
           Alcotest.test_case "registry" `Quick test_registry;
         ] );
       ( "export",
