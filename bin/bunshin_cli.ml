@@ -409,11 +409,10 @@ let forensics_cmd =
       | None -> Cve.cases
       | Some name -> List.filter (fun c -> c.Cve.c_program = name) Cve.cases
     in
-    if selected = [] then begin
-      Printf.eprintf "unknown case %S (try `bunshin cve' for the list)\n"
-        (Option.value case ~default:"");
-      exit 1
-    end;
+    if selected = [] then
+      invalid_arg
+        (Printf.sprintf "unknown case %S (try `bunshin cve' for the list)"
+           (Option.value case ~default:""));
     List.iter
       (fun c ->
         let report =
@@ -595,6 +594,7 @@ let trace_cmd =
                    export.")
   in
   let run bench n config nodes out metrics_file print_metrics spans spans_out =
+    if nodes < 1 then invalid_arg "trace: --nodes must be >= 1";
     let sink = Telemetry.create () in
     let tracer = if spans || spans_out <> None then Some (Trace_ctx.create ()) else None in
     let config = { config with Nxe.telemetry = Some sink; tracer } in
@@ -1062,15 +1062,16 @@ let slo_cmd =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the SLO summary as a JSON object.")
   in
   let run kind n nodes requests file_kb sub_windows sub_us prometheus json spans spans_out =
+    if nodes < 1 then invalid_arg "slo: --nodes must be >= 1";
     let bench = Server.make kind ~file_kb ~connections:16 ~requests in
     let sink = Telemetry.create () in
     let tc = Trace_ctx.create () in
     let label =
       Printf.sprintf "%s x%d (%s)" bench.Bench.name n
-        (if nodes <= 1 then "single node" else Printf.sprintf "%d nodes" nodes)
+        (if nodes = 1 then "single node" else Printf.sprintf "%d nodes" nodes)
     in
     let total_time =
-      if nodes <= 1 then begin
+      if nodes = 1 then begin
         let config = { Nxe.selective with telemetry = Some sink; tracer = Some tc } in
         let builds = List.init n (fun _ -> Program.baseline bench.Bench.prog) in
         let r = Experiments.nxe_run ~config ~seed:Experiments.ref_seed builds in

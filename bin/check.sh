@@ -227,7 +227,8 @@ echo "$serve_ir" | grep -q "precompiled variants: 3 compiles" || {
 echo "== usage-error smoke (bad argument matrix)"
 for args in "serve --requests 0" "serve --rps 0" "serve --pool 0" "serve --batch 0" \
   "cluster --nodes 0" "chaos -n 1" "trace -n 0" "profile bzip2 -n 0" \
-  "slo --requests 0" "run bzip2 -n 0"; do
+  "slo --requests 0" "run bzip2 -n 0" "slo --nodes 0" "trace bzip2 --nodes 0" \
+  "forensics nosuch"; do
   status=0
   # $args is split into words on purpose.
   usage_out=$(dune exec bin/bunshin_cli.exe -- $args 2>&1) || status=$?

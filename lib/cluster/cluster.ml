@@ -254,7 +254,7 @@ type cl = {
   outboxes : outbox array; (* index k-1 *)
   h_wait : Tel.Hist.t;
   working_sets : float array;
-  sensitivities : float array;
+  sensitivities : float Lazy.t array;
   names : string array;
   mutable failed : Nxe.alert option;
   mutable failed_at : float;
@@ -1415,7 +1415,7 @@ let run_traces ?(config = default_config) ?machine_config ?working_sets ?sensiti
       if List.length ss <> n then
         invalid_arg "Cluster.run_traces: sensitivities length mismatch";
       Array.of_list ss
-    | None -> Array.make n 1.0
+    | None -> Array.make n (Lazy.from_val 1.0)
   in
   let mk_machine () =
     match machine_config with
@@ -1672,7 +1672,7 @@ let run_builds ?config ?machine_config ?faults ?coverage ?(jitter = 0.0) ~seed b
   in
   let working_sets = List.map Program.build_working_set builds in
   let sensitivities =
-    List.map (fun b -> 1.0 /. (1.0 +. Program.overhead_of_build b)) builds
+    List.map (fun b -> lazy (1.0 /. (1.0 +. Program.overhead_of_build b))) builds
   in
   let names =
     List.mapi (fun i b -> Printf.sprintf "v%d-%s" i b.Program.prog.Program.name) builds

@@ -135,14 +135,16 @@ val run_traces :
   ?config:config ->
   ?machine_config:M.config ->
   ?working_sets:float list ->
-  ?sensitivities:float list ->
+  ?sensitivities:float Lazy.t list ->
   ?faults:Faults.plan ->
   ?coverage:string list list ->
   names:string list ->
   Trace.t list ->
   report
 (** Execute one trace per variant across the cluster.  Variant 0 is the
-    leader.  Traces may use [Work]/[Idle]/[Sys]/[Sys_shared]/[Incr]/
+    leader.  [working_sets] and [sensitivities] are as in
+    {!Nxe.run_traces}: a sensitivity is forced only if its node's LLC is
+    over-subscribed.  Traces may use [Work]/[Idle]/[Sys]/[Sys_shared]/[Incr]/
     [Lock]/[Unlock]/[Barrier]/[Spawn]/[Marker]; [Fork], [Shared_read] and
     signal delivery are single-host features and are rejected.
     @raise Invalid_argument on invalid config, placement, unsupported ops,

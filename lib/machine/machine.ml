@@ -48,7 +48,9 @@ type proc = {
   pid : int;
   pname : string;
   ws : float;
-  sens : float; (* fraction of cycles that are LLC-bound *)
+  sens : float Lazy.t;
+      (* fraction of cycles that are LLC-bound; forced only under LLC
+         over-subscription *)
   mutable proc_threads : thread list;
   mutable p_active : int;
       (* threads currently Ready or Running: the proc contributes its
@@ -94,7 +96,8 @@ and thread = {
 type tid = thread
 
 let dummy_proc =
-  { pid = -1; pname = "<none>"; ws = 0.0; sens = 0.0; proc_threads = []; p_active = 0 }
+  { pid = -1; pname = "<none>"; ws = 0.0; sens = Lazy.from_val 0.0; proc_threads = [];
+    p_active = 0 }
 
 (* Placeholder filling empty queue/heap slots: never dispatched, never woken. *)
 let dummy_thread =
@@ -451,7 +454,9 @@ let timer_drop t =
 (* ------------------------------------------------------------------ *)
 (* State transitions *)
 
-let new_proc t ?(cache_sensitivity = 1.0) ~name ~working_set () =
+let default_sensitivity = Lazy.from_val 1.0
+
+let new_proc t ?(cache_sensitivity = default_sensitivity) ~name ~working_set () =
   let p =
     { pid = t.next_pid; pname = name; ws = working_set; sens = cache_sensitivity;
       proc_threads = []; p_active = 0 }
@@ -659,7 +664,7 @@ let multiplier t th =
        Only the thread's LLC-bound cycles are hit (sanitizer check cycles
        are compute-bound and shrug off evictions). *)
     let extra = 1.0 -. (1.0 /. pressure) in
-    1.0 +. (t.cfg.miss_penalty *. extra *. th.t_proc.sens)
+    1.0 +. (t.cfg.miss_penalty *. extra *. Lazy.force th.t_proc.sens)
 
 (* ------------------------------------------------------------------ *)
 (* Fiber management *)

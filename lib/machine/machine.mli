@@ -40,12 +40,17 @@ val now : t -> float
 (** Current simulated time. *)
 
 val new_proc :
-  t -> ?cache_sensitivity:float -> name:string -> working_set:float -> unit -> proc
+  t -> ?cache_sensitivity:float Lazy.t -> name:string -> working_set:float -> unit -> proc
 (** Register a process (one variant, one server, ...).  [working_set] is its
     LLC footprint in the same units as [llc_capacity]; [cache_sensitivity]
-    (default 1.0) is the fraction of its cycles that miss penalties touch —
-    a heavily instrumented variant spends most cycles in compute-bound
-    checks, so its sensitivity is baseline_cycles / total_cycles. *)
+    (default [Lazy.from_val 1.0]) is the fraction of its cycles that miss
+    penalties touch — a heavily instrumented variant spends most cycles in
+    compute-bound checks, so its sensitivity is baseline_cycles /
+    total_cycles.  The machine forces it only when it charges a burst of
+    this process while the active working sets over-subscribe the LLC, so
+    a run that always fits never computes it, and each process forces it
+    at most once.  It is forced by the scheduler, so it must be a pure
+    computation that performs no machine operation. *)
 
 val proc_name : proc -> string
 

@@ -282,7 +282,7 @@ type t = {
   h_gap : Tel.Hist.t;  (* leader run-ahead distance, slots *)
   h_wait : Tel.Hist.t; (* blocked time at sync points, us *)
   working_sets : float array;
-  sensitivities : float array;
+  sensitivities : float Lazy.t array;
   names : string array;
   mutable failed : alert option;
   mutable failed_at : float; (* machine time of the abort *)
@@ -1441,7 +1441,7 @@ let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_s
     | Some ss ->
       if List.length ss <> n then invalid_arg "Nxe.run_traces: sensitivities length mismatch";
       Array.of_list ss
-    | None -> Array.make n 1.0
+    | None -> Array.make n (Lazy.from_val 1.0)
   in
   let machine =
     match machine_config with
@@ -1771,7 +1771,7 @@ let run_builds ?config ?machine_config ?on_machine ?faults ?coverage ?profile
   let traces = List.mapi (fun i b -> jitter_trace i (Program.build_trace b ~seed)) builds in
   let working_sets = List.map Program.build_working_set builds in
   let sensitivities =
-    List.map (fun b -> 1.0 /. (1.0 +. Program.overhead_of_build b)) builds
+    List.map (fun b -> lazy (1.0 /. (1.0 +. Program.overhead_of_build b))) builds
   in
   let names =
     List.mapi

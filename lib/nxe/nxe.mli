@@ -231,7 +231,7 @@ val run_traces :
   ?machine_config:M.config ->
   ?on_machine:(M.t -> unit) ->
   ?working_sets:float list ->
-  ?sensitivities:float list ->
+  ?sensitivities:float Lazy.t list ->
   ?signals:(float * Bunshin_program.Trace.t) list ->
   ?faults:Bunshin_faults.Faults.plan ->
   ?coverage:string list list ->
@@ -241,7 +241,9 @@ val run_traces :
   report
 (** Synchronize N traces (index 0 is the leader).  [working_sets] defaults
     to 1.0 each; [sensitivities] are the per-variant cache sensitivities
-    (see {!M.new_proc}); [names] label the machine processes.  [on_machine]
+    (default [Lazy.from_val 1.0] each), shared by all of a variant's
+    processes and forced only if the group over-subscribes the LLC (see
+    {!M.new_proc}); [names] label the machine processes.  [on_machine]
     runs right after machine creation — e.g. to attach background load.
     [signals] are asynchronous deliveries [(time, handler trace)]: the
     leader takes each at its next synchronized syscall and every follower
@@ -278,4 +280,6 @@ val run_builds :
     streams) and run them under the engine.  [jitter] (default 0) applies a
     per-variant multiplicative compute skew of up to the given fraction —
     diversified binaries never run cycle-identical, and this skew is what
-    lockstep synchronization actually waits on. *)
+    lockstep synchronization actually waits on.  Each variant's cache
+    sensitivity is [1 / (1 + Program.overhead_of_build b)], computed only
+    if the group over-subscribes the LLC. *)

@@ -5,7 +5,7 @@ module Program = Bunshin_program.Program
 
 module Pthreads = Bunshin_machine.Pthreads
 
-type t = { prog_name : string; total_time : float; by_func : (string * float) list }
+type t = { prog_name : string; total_time : float; by_func : (string * float) list Lazy.t }
 
 (* ------------------------------------------------------------------ *)
 (* Phase taxonomy: names for the machine's accounting buckets.  Slots 0-4
@@ -74,7 +74,10 @@ let sanitizer_fraction build fname =
   if cf <= 1.0 then 0.0 else (cf -. 1.0) /. cf
 
 let exec_trace m build trace =
-  let sens = 1.0 /. (1.0 +. Program.overhead_of_build build) in
+  (* One lazy for the main process and its forked children: the machine
+     forces it only under LLC over-subscription, and
+     [Program.overhead_of_build] regenerates the program's seed-0 trace. *)
+  let sens = lazy (1.0 /. (1.0 +. Program.overhead_of_build build)) in
   let proc =
     M.new_proc m ~cache_sensitivity:sens ~name:build.Program.prog.Program.name
       ~working_set:(Program.build_working_set build) ()
@@ -176,7 +179,7 @@ let measure ?machine_config build ~seed =
   {
     prog_name = build.Program.prog.Program.name;
     total_time = (M.stats m).M.total_time;
-    by_func = Trace.work_by_func trace;
+    by_func = lazy (Trace.work_by_func trace);
   }
 
 let to_string t =
@@ -185,7 +188,7 @@ let to_string t =
   Buffer.add_string buf (Printf.sprintf "total\t%.6f\n" t.total_time);
   List.iter
     (fun (f, v) -> Buffer.add_string buf (Printf.sprintf "func\t%s\t%.6f\n" f v))
-    t.by_func;
+    (Lazy.force t.by_func);
   Buffer.contents buf
 
 let of_string s =
@@ -196,7 +199,7 @@ let of_string s =
     | [] | [ "" ] -> (
       match (!prog_name, !total) with
       | Some p, Some t ->
-        Ok { prog_name = p; total_time = t; by_func = List.rev !funcs }
+        Ok { prog_name = p; total_time = t; by_func = Lazy.from_val (List.rev !funcs) }
       | _ -> Error "Profile.of_string: missing program/total header")
     | line :: rest -> (
       match String.split_on_char '\t' line with
@@ -220,12 +223,12 @@ let of_string s =
   parse lines
 
 let overhead_by_func ~baseline ~instrumented =
-  let base = baseline.by_func in
+  let base = Lazy.force baseline.by_func in
   List.map
     (fun (fname, cost) ->
       let b = Option.value ~default:0.0 (List.assoc_opt fname base) in
       (fname, Float.max 0.0 (cost -. b)))
-    instrumented.by_func
+    (Lazy.force instrumented.by_func)
 
 let total_overhead ~baseline ~instrumented =
   Bunshin_util.Stats.overhead ~baseline:baseline.total_time ~measured:instrumented.total_time

@@ -9,8 +9,11 @@
 
 type t = {
   prog_name : string;
-  total_time : float;             (** machine wall time of the run, us *)
-  by_func : (string * float) list; (** per-function self time, us *)
+  total_time : float;  (** machine wall time of the run, us *)
+  by_func : (string * float) list Lazy.t;
+      (** per-function self time, us, sorted by name.  Computed from the
+          run's own trace the first time it is forced, so a caller that
+          reads only [total_time] never pays for it. *)
 }
 
 val measure :
@@ -21,10 +24,13 @@ val measure :
     [by_func] is the per-function Work of the very trace the machine ran.
     Building it costs O(1) per op plus O(log F) per function draw over F
     functions (see {!Bunshin_program.Program.build_trace}), so most of a
-    run's host time is the machine simulation. *)
+    run's host time is the machine simulation.  The build's cache
+    sensitivity ({!Bunshin_program.Program.overhead_of_build}, one more
+    trace generation) is computed only if the run over-subscribes the LLC. *)
 
 val overhead_by_func : baseline:t -> instrumented:t -> (string * float) list
-(** The overhead profile: per-function extra time, clamped at 0. *)
+(** The overhead profile: per-function extra time, clamped at 0.  Forces
+    both profiles' [by_func]. *)
 
 val total_overhead : baseline:t -> instrumented:t -> float
 (** End-to-end slowdown fraction. *)
@@ -33,10 +39,10 @@ val total_overhead : baseline:t -> instrumented:t -> float
     after a train run, reload for variant generation. *)
 
 val to_string : t -> string
-(** Stable tab-separated text form. *)
+(** Stable tab-separated text form.  Forces [by_func]. *)
 
 val of_string : string -> (t, string) result
-(** Parse {!to_string} output. *)
+(** Parse {!to_string} output.  The parsed [by_func] is already forced. *)
 
 (** {1 Trace executor} — also used directly by tests and examples. *)
 

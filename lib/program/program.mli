@@ -73,7 +73,11 @@ val build_ram_overhead : build -> float
 val overhead_of_build : build -> float
 (** Model-predicted slowdown of this build vs baseline on the typical
     function mix of the program (used for quick estimates; the profiler
-    measures the real thing on the machine). *)
+    measures the real thing on the machine).  Unless the build is a
+    baseline (result 0, no work), each call generates the program's whole
+    seed-0 workload trace and sums its work per function, as dear as one
+    {!build_trace}; the profiler and the engines therefore derive a
+    build's cache sensitivity from it lazily. *)
 
 val cost_factor : build -> string -> float
 (** Work-cost multiplier this build applies to the named function

@@ -304,6 +304,47 @@ let test_pressure_peak_recorded () =
   M.run m;
   Alcotest.(check bool) "peak = 2x" true ((M.stats m).M.cache_pressure_peak >= 2.0 -. 1e-9)
 
+(* A cache sensitivity is forced only under LLC over-subscription, at most
+   once however many procs share it, and the run it gives is the one the
+   same value gives when passed already forced. *)
+let test_sensitivity_forced_lazily () =
+  let run ~ws sens =
+    let m = M.create ~config:(cfg ~cores:2 ~llc:10.0 ~penalty:1.0 ()) () in
+    let procs =
+      List.map
+        (fun name ->
+          let p = M.new_proc m ~cache_sensitivity:sens ~name ~working_set:ws () in
+          ignore
+            (M.spawn m p ~name:"t" (fun () ->
+                 M.compute m 10.0;
+                 M.sleep m 1.0;
+                 M.compute m 5.0));
+          p)
+        [ "a"; "b" ]
+    in
+    M.run m;
+    let st = M.stats m in
+    let floats xs = String.concat " " (List.map (Printf.sprintf "%h") xs) in
+    Printf.sprintf "%s ctx=%d | %s" (floats [ st.M.total_time; st.M.cache_pressure_peak ])
+      st.M.context_switches
+      (String.concat " | "
+         (List.map
+            (fun p -> floats (M.proc_finish_time m p :: Array.to_list (M.proc_phases m p)))
+            procs))
+  in
+  let counting () =
+    let forced = ref 0 in
+    (lazy (incr forced; 0.25), forced)
+  in
+  (* Two working sets of 4.0 fit an LLC of 10.0; two of 8.0 do not. *)
+  List.iter
+    (fun (ws, label, want) ->
+      let sens, forced = counting () in
+      let lazily = run ~ws sens in
+      Alcotest.(check int) (label ^ ": times forced") want !forced;
+      Alcotest.(check string) (label ^ ": same run as eager") (run ~ws (Lazy.from_val 0.25)) lazily)
+    [ (4.0, "fits", 0); (8.0, "over-subscribed", 1) ]
+
 (* ------------------------------------------------------------------ *)
 (* Proc accounting *)
 
@@ -515,6 +556,7 @@ let () =
         [
           Alcotest.test_case "inflation" `Quick test_cache_inflation;
           Alcotest.test_case "pressure peak" `Quick test_pressure_peak_recorded;
+          Alcotest.test_case "sensitivity forced lazily" `Quick test_sensitivity_forced_lazily;
         ] );
       ("accounting", [ Alcotest.test_case "per-proc" `Quick test_proc_accounting ]);
       ( "waitq",

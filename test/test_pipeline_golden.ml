@@ -52,7 +52,7 @@ let render name =
   let profile tag build =
     let p = measure build in
     line "profile %s total=%s" tag (fl p.Profile.total_time);
-    List.iter (fun (f, w) -> line "  %s %s" f (fl w)) p.Profile.by_func;
+    List.iter (fun (f, w) -> line "  %s %s" f (fl w)) (Lazy.force p.Profile.by_func);
     p
   in
   let base = profile "baseline" (Program.baseline prog) in

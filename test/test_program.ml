@@ -181,7 +181,7 @@ let test_profile_baseline () =
   let p = Profile.measure (Program.baseline prog) ~seed:7 in
   Alcotest.(check bool) "total >= work" true (p.Profile.total_time >= 1000.0);
   Alcotest.(check (float 1e-6)) "crunch time" 800.0
-    (List.assoc "crunch" p.Profile.by_func)
+    (List.assoc "crunch" (Lazy.force p.Profile.by_func))
 
 let test_profile_overhead_profile () =
   let prog = toy_program () in
@@ -194,6 +194,50 @@ let test_profile_overhead_profile () =
   Alcotest.(check bool) "crunch >> parse" true (crunch > 2.0 *. parse);
   let total = Profile.total_overhead ~baseline:base ~instrumented:inst in
   Alcotest.(check bool) (Printf.sprintf "total %.3f > 0.5" total) true (total > 0.5)
+
+(* The toy program with a workload generator that counts its calls. *)
+let counting_program ~working_set =
+  let prog = toy_program () in
+  let calls = ref 0 in
+  let gen_trace rng =
+    incr calls;
+    prog.Program.gen_trace rng
+  in
+  ({ prog with Program.working_set; gen_trace }, calls)
+
+(* ASan inflates a working set 1.3x and the desktop LLC holds 10.0, so a
+   program of working set 1.0 fits it and one of 20.0 over-subscribes it.
+   Only then is the cache sensitivity needed, and computing it
+   ([Program.overhead_of_build]) generates the seed-0 trace once more. *)
+let test_profile_computes_lazily () =
+  let measure ws =
+    let prog, calls = counting_program ~working_set:ws in
+    let b = Program.full [ San.asan ] prog in
+    (b, Profile.measure ~machine_config:Bunshin.Experiments.desktop b ~seed:7, calls)
+  in
+  let _, _, calls = measure 1.0 in
+  Alcotest.(check int) "fits: one trace" 1 !calls;
+  let b, p, calls = measure 20.0 in
+  Alcotest.(check int) "over-subscribed: one more for the sensitivity" 2 !calls;
+  Alcotest.(check bool) "by_func not built by measure" false (Lazy.is_val p.Profile.by_func);
+  let by_func = Lazy.force p.Profile.by_func in
+  Alcotest.(check int) "by_func generates no trace" 2 !calls;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "by_func is the run's trace"
+    (Trace.work_by_func (Program.build_trace b ~seed:7))
+    by_func
+
+let test_nxe_sensitivity_computed_lazily () =
+  let traces ws =
+    let prog, calls = counting_program ~working_set:ws in
+    let b = Program.full [ San.asan ] prog in
+    ignore
+      (Bunshin_nxe.Nxe.run_builds ~machine_config:Bunshin.Experiments.desktop ~seed:7
+         [ b; b; b ]);
+    !calls
+  in
+  Alcotest.(check int) "fits: one trace per variant" 3 (traces 1.0);
+  Alcotest.(check int) "over-subscribed: one more per variant" 6 (traces 20.0)
 
 let test_profile_multithreaded_trace () =
   (* Two worker threads guarded by a lock: executor must not deadlock and
@@ -217,7 +261,8 @@ let test_profile_multithreaded_trace () =
     }
   in
   let p = Profile.measure (Program.baseline prog) ~seed:1 in
-  Alcotest.(check (float 1e-6)) "all three counted" 30.0 (List.assoc "worker" p.Profile.by_func);
+  Alcotest.(check (float 1e-6)) "all three counted" 30.0
+    (List.assoc "worker" (Lazy.force p.Profile.by_func));
   Alcotest.(check bool) "finished" true (p.Profile.total_time > 0.0)
 
 (* ------------------------------------------------------------------ *)
@@ -387,6 +432,8 @@ let () =
           Alcotest.test_case "baseline profile" `Quick test_profile_baseline;
           Alcotest.test_case "overhead profile" `Quick test_profile_overhead_profile;
           Alcotest.test_case "multithreaded trace" `Quick test_profile_multithreaded_trace;
+          Alcotest.test_case "computes lazily" `Quick test_profile_computes_lazily;
+          Alcotest.test_case "nxe sensitivity lazy" `Quick test_nxe_sensitivity_computed_lazily;
         ] );
       ( "variant-generator",
         [
