@@ -114,6 +114,12 @@ let write_file file contents =
     Printf.eprintf "cannot write %s: %s\n" file e;
     exit 1
 
+(* An input file that cannot be read is a usage error: the top-level
+   handler reports it as [bunshin: cannot read FILE: ...], exit status 2. *)
+let read_file file =
+  try In_channel.with_open_text file In_channel.input_all
+  with Sys_error e -> invalid_arg ("cannot read " ^ e)
+
 let span_report ?(trees = 3) ~label tc ~show ~spans_out =
   if show then begin
     let all_traces = Trace_ctx.traces tc in
@@ -145,9 +151,9 @@ let plan_of ?(block_split = 1) ?profile_file ~mode ~n ~sanitizer bench =
     let inst =
       match profile_file with
       | Some file -> (
-        match Profile.of_string (In_channel.with_open_text file In_channel.input_all) with
+        match Profile.of_string (read_file file) with
         | Ok p -> p
-        | Error e -> failwith e)
+        | Error e -> invalid_arg (Printf.sprintf "--profile %s: %s" file e))
       | None -> Profile.measure (Program.full [ sanitizer ] prog) ~seed:Experiments.train_seed
     in
     let oh = Profile.overhead_by_func ~baseline:base ~instrumented:inst in
@@ -244,8 +250,7 @@ let profile_cmd =
     let inst = Profile.measure (Program.full [ sanitizer ] prog) ~seed:Experiments.train_seed in
     (match save with
      | Some file ->
-       Out_channel.with_open_text file (fun oc ->
-           Out_channel.output_string oc (Profile.to_string inst));
+       write_file file (Profile.to_string inst);
        Printf.printf "profile written to %s\n" file
      | None -> ());
     Printf.printf "%s under %s: total %.0f -> %.0f us (%s)\n\n" prog.Program.name
@@ -305,12 +310,11 @@ let profile_cmd =
          print_string body;
          if body <> "" && body.[String.length body - 1] <> '\n' then print_newline ()
        | Some file ->
-         Out_channel.with_open_text file (fun oc -> Out_channel.output_string oc body);
+         write_file file body;
          Printf.printf "attribution written to %s\n" file);
       match (trace, config.Nxe.telemetry) with
       | Some file, Some sink ->
-        Out_channel.with_open_text file (fun oc ->
-            Out_channel.output_string oc (Telemetry.to_chrome_json sink));
+        write_file file (Telemetry.to_chrome_json sink);
         Printf.printf "trace written to %s (%d events)\n" file (Telemetry.event_count sink)
       | _ -> ()
     end
@@ -458,7 +462,7 @@ let exec_cmd =
              ~doc:"Instrument with this sanitizer before running (repeatable).")
   in
   let run file args sans =
-    let src = In_channel.with_open_text file In_channel.input_all in
+    let src = read_file file in
     match Ir_parser.parse src with
     | Error e ->
       Printf.eprintf "parse error: %s\n" e;
@@ -632,12 +636,6 @@ let trace_cmd =
        Printf.printf "ir stage: %s (benign input), %.0f us, synced %d syscalls\n"
          case.Cve.c_program ir.Nxe.total_time ir.Nxe.synced_syscalls
      | [] -> ());
-    let write file contents =
-      try Out_channel.with_open_text file (fun oc -> Out_channel.output_string oc contents)
-      with Sys_error e ->
-        Printf.eprintf "cannot write %s: %s\n" file e;
-        exit 1
-    in
     let chrome = Telemetry.to_chrome_json sink in
     (* Exporter self-check: the emitted trace must actually be JSON, or
        chrome://tracing will reject the file with no useful message. *)
@@ -646,8 +644,8 @@ let trace_cmd =
      | Error e ->
        Printf.eprintf "trace JSON: INVALID: %s\n" e;
        exit 1);
-    write out chrome;
-    write metrics_file (Telemetry.metrics_to_json sink);
+    write_file out chrome;
+    write_file metrics_file (Telemetry.metrics_to_json sink);
     Printf.printf "wrote %s (%d events, %d dropped) and %s\n" out
       (Telemetry.event_count sink) (Telemetry.dropped_events sink) metrics_file;
     if print_metrics then print_string (Telemetry.metrics_to_text sink);

@@ -239,6 +239,27 @@ for args in "serve --requests 0" "serve --rps 0" "serve --pool 0" "serve --batch
   fi
 done
 
+# File-error smoke: an output path that cannot be written exits 1 with
+# "cannot write FILE"; a --profile that cannot be read or does not parse
+# is a usage error (exit 2).  Neither may surface as an internal error.
+echo "== file-error smoke (unwritable outputs, bad --profile)"
+printf 'program\tbzip2\nnot a profile line\n' > _build/check_bad_profile.txt
+for case in "1 profile bzip2 --out /nonexistent/x" "1 profile bzip2 --trace /nonexistent/x" \
+  "1 profile bzip2 --functions --save /nonexistent/x" \
+  "2 generate bzip2 --profile /nonexistent" \
+  "2 generate bzip2 --profile _build/check_bad_profile.txt"; do
+  want=${case%% *}
+  args=${case#* }
+  status=0
+  # $args is split into words on purpose.
+  file_out=$(dune exec bin/bunshin_cli.exe -- $args 2>&1) || status=$?
+  [ "$status" -eq "$want" ] || {
+    echo "file-error smoke: 'bunshin $args' exited $status, want $want"; exit 1; }
+  if echo "$file_out" | grep -q "internal error"; then
+    echo "file-error smoke: 'bunshin $args' reported an internal error"; exit 1
+  fi
+done
+
 # Heap-limit smoke: a malloc of 10^10 slots must end the run as a
 # simulated crash (exit status 3) within seconds, before any slot is
 # mapped, instead of growing the process until the host runs out of memory.

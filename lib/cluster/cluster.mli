@@ -1,13 +1,21 @@
 (** Distributed N-version execution: variant fleets spread over several
     {!Bunshin_machine.Machine} nodes joined by a {!Bunshin_net.Net} model —
-    the DMON / dMVX architecture on top of Bunshin's single-host NXE.
+    the DMON / dMVX architecture.  This is a front end: runs go through
+    the one engine, {!Bunshin_nxe.Nxe.run_net}, over its Net transport,
+    and this module maps its {!config} onto the engine's and projects the
+    {!report}.  A one-node cluster therefore reproduces
+    {!Bunshin_nxe.Nxe.run_traces} exactly (naive mode against strict
+    lockstep, the selective modes against selective lockstep on traces
+    without process or socket syscalls).
 
     The leader variant always runs on node 0 and publishes the same flat
-    syscall slot ring the local engine uses.  Followers placed on node 0
-    consume it directly, exactly as in {!Bunshin_nxe.Nxe}; followers on
-    other nodes see a slot only after it has been {e shipped} over a link
-    (serialized columns, batched messages — no per-slot message records),
-    so their timing honestly includes the wire.
+    syscall slot ring as a local group.  Followers placed on node 0
+    consume it directly; followers on other nodes see a slot only after
+    it has been {e shipped} over a link (serialized columns, batched
+    messages — no per-slot message records), so their timing honestly
+    includes the wire.  With a [telemetry] sink attached, a cluster run
+    records the engine's [nxe.*] counters, instants and histograms, as a
+    local run does.
 
     Three ship modes reproduce the dMVX trade-off:
     - {!Full_remote_lockstep} (naive): every synchronized syscall is
@@ -29,9 +37,10 @@
     see {!incident_signature}.
 
     {b Determinism.}  All cross-node data flows through {!Bunshin_net.Net}
-    links (timed {!Bunshin_machine.Machine.post} deliveries); the cluster
-    loop advances whichever node holds the globally earliest event,
-    breaking ties by node index — one seed, one bit-stable schedule.
+    links (timed {!Bunshin_machine.Machine.post} deliveries); the engine's
+    co-simulation loop advances whichever node holds the globally
+    earliest event, breaking ties by node index — one seed, one
+    bit-stable schedule.
     Monitor-plane signalling (abort, quarantine, end-of-stream wakes,
     heartbeats) is shared state outside the byte accounting, modelling the
     out-of-band monitor channel.

@@ -9,6 +9,7 @@ module F = Bunshin_forensics.Forensics
 module Faults = Bunshin_faults.Faults
 module Pr = Bunshin_profile.Profile
 module Tx = Bunshin_trace_ctx.Trace_ctx
+module Net = Bunshin_net.Net
 
 type mode = Strict_lockstep | Selective_lockstep
 
@@ -36,7 +37,6 @@ type config = {
   telemetry : Tel.sink option;
   fault_policy : fault_policy;
   tracer : Tx.t option;
-  trace_node : int;
 }
 
 let default_config =
@@ -56,10 +56,45 @@ let default_config =
     telemetry = None;
     fault_policy = default_policy;
     tracer = None;
-    trace_node = 0;
   }
 
 let selective = { default_config with mode = Selective_lockstep }
+
+type ship_mode = Full_remote_lockstep | Selective | Selective_replicated
+
+type placement = Round_robin | Pinned of int list
+
+type net = {
+  nodes : int;
+  placement : placement;
+  ship : ship_mode;
+  link : Net.params;
+  net_seed : int;
+  batch_slots : int;
+  ack_every : int;
+  msg_cost : float;
+}
+
+type traffic = {
+  tf_ship : int;
+  tf_batch : int;
+  tf_release : int;
+  tf_ack : int;
+  tf_flow : int;
+  tf_order : int;
+}
+
+type net_report = {
+  placed : int list;
+  remote_checked : int;
+  replicated_results : int;
+  bytes_on_wire : int;
+  msgs_on_wire : int;
+  traffic : traffic;
+  link_stats : (string * Net.stats) list;
+  net_rtt : (float * int) list;
+  node_stats : M.stats list;
+}
 
 (* A hung fiber sleeps this long: practically forever at simulation time
    scales, but finite so an unmonitored group (no heartbeat watchdog)
@@ -173,6 +208,65 @@ let report_signature r =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
+(* Net transport: wire sizing.  The byte model is deliberately simple and
+   explicit: a fixed per-message header, per-slot metadata proportional to
+   the argument vector (position, syscall number, a 16-byte digest, 8 bytes
+   per argument), and a page-sized raw buffer whenever IO content must
+   cross the wire.  What varies between ship modes is exactly WHICH of
+   these components travel — that difference is the dMVX curve. *)
+
+(* 24 bytes of transport/session header plus 8 bytes of causal-trace
+   context (trace id + span id, 32-bit each) piggybacked on EVERY message
+   unconditionally — the header reserves the field whether or not a
+   tracer is attached, so enabling tracing cannot change bytes-on-wire,
+   schedules, or reports (the bit-identity guarantee). *)
+let msg_hdr = 32
+let io_payload = 4096
+let slot_meta sc = 32 + (8 * List.length sc.Sc.args)
+
+(* Lockstep ship (down): naive mode carries the raw write buffer so the
+   remote check compares content; selective modes compare by digest. *)
+let ship_bytes ship sc =
+  msg_hdr + slot_meta sc
+  + (match ship with
+    | Full_remote_lockstep -> (
+      match sc.Sc.klass with Sc.Io_write -> io_payload | _ -> 0)
+    | Selective | Selective_replicated -> 0)
+
+(* Lockstep release (down): result value; a read-like lockstep slot must
+   also ship the buffer the leader read — in every mode (these are the
+   security-sensitive ones). *)
+let release_bytes sc =
+  msg_hdr + 16 + (match sc.Sc.klass with Sc.Io_read -> io_payload | _ -> 0)
+
+(* One entry of a batched non-sensitive slot message: metadata plus the
+   result; read results ride along unless they are served from the
+   follower node's local replica of the leader stream. *)
+let batch_entry_bytes ship sc =
+  slot_meta sc + 8
+  + (match sc.Sc.klass with
+    | Sc.Io_read when ship <> Selective_replicated -> io_payload
+    | _ -> 0)
+
+let ack_bytes = msg_hdr + 16
+let flow_bytes = msg_hdr + 16
+let order_entry_bytes = 16
+
+(* The sensitive set: the syscalls that must be remote-checked before the
+   leader may execute them — writes (the selective-lockstep set), process
+   control, and socket control operations (dMVX's selective
+   cross-checking).  Naive mode remote-checks everything. *)
+let socket_ops = [ "socket"; "connect"; "bind"; "listen"; "accept"; "accept4"; "shutdown" ]
+
+let is_sensitive ship sc =
+  match ship with
+  | Full_remote_lockstep -> true
+  | Selective | Selective_replicated ->
+    Sc.is_lockstep_selected sc
+    || sc.Sc.klass = Sc.Process
+    || List.mem sc.Sc.name socket_ops
+
+(* ------------------------------------------------------------------ *)
 (* Internal state *)
 
 (* Placeholder filling unwritten ring cells; never compared or executed. *)
@@ -190,7 +284,7 @@ let sc_fork_cost = Sc.base_cost (Sc.fork ())
    vote write preallocated ints/floats/bools — no record per event.  The
    per-slot columns are:
      sl_sc       the published syscall
-     sl_ready    leader released the slot (result available)
+     sl_ready    leader released the slot (result available, node-0 view)
      sl_arrived  followers checked in so far
      sl_first/sl_last/sl_lastv   straggler tracking — the leader's
        "arrival" is its publish time; followers stamp the time they
@@ -200,8 +294,16 @@ let sc_fork_cost = Sc.base_cost (Sc.fork ())
        spin tests a bool, not a string
      sl_trace/sl_span   causal-trace context stamped by the leader at
        publish time ([-1] without a tracer): the propagated ids that let
-       followers — and, through the cluster's link messages, remote
-       nodes — attach their spans to the same rendezvous tree *)
+       followers — and, through link messages, remote nodes — attach
+       their spans to the same rendezvous tree
+     sl_ship     Net only: lockstep ship time, for the RTT histogram
+
+   Slot columns are authoritative shared state (they model the content of
+   messages, and sharing them keeps divergence verdicts structurally
+   identical across transports).  What a follower on a REMOTE node may
+   look at is gated by its node's delivery watermarks [rp_len] /
+   [rp_released], which only ever advance from a Net delivery callback.
+   The Net-only arrays are empty in-process. *)
 type chan = {
   ch_id : int;
   ch_path : string; (* identity of the logical thread, equal across variants *)
@@ -214,11 +316,16 @@ type chan = {
   mutable sl_sigdel : bool array;
   mutable sl_trace : int array;
   mutable sl_span : int array;
+  mutable sl_ship : float array;
   mutable sl_len : int;
   mutable leader_pos : int;
   mutable leader_done : bool;
   cursors : int array; (* per follower *)
   fol_done : bool array;
+  kn : int array; (* Net, per follower: the LEADER'S wire-delayed knowledge of it *)
+  last_ack : int array; (* Net, per follower: cursor value last flow-acked *)
+  rp_len : int array; (* Net, per node: slots delivered (visible) there *)
+  rp_released : int array; (* Net, per node: releases delivered there *)
   leader_q : M.Waitq.t;
   fol_q : M.Waitq.t array;
   tapes : F.Tape.t array;
@@ -227,27 +334,6 @@ type chan = {
      recording), so an abort can reconstruct who went off-script *)
 }
 
-(* Amortized-doubling growth of the slot columns; slots are never evicted
-   (a restarted variant refetches), exactly like the Vec they replace. *)
-let ensure_slot chan =
-  let cap = Array.length chan.sl_ready in
-  if chan.sl_len = cap then begin
-    let ncap = max 16 (2 * cap) in
-    let grow_sc a = let b = Array.make ncap dummy_sc in Array.blit a 0 b 0 cap; b in
-    let grow_b a = let b = Array.make ncap false in Array.blit a 0 b 0 cap; b in
-    let grow_i a = let b = Array.make ncap 0 in Array.blit a 0 b 0 cap; b in
-    let grow_f a = let b = Array.make ncap 0.0 in Array.blit a 0 b 0 cap; b in
-    chan.sl_sc <- grow_sc chan.sl_sc;
-    chan.sl_ready <- grow_b chan.sl_ready;
-    chan.sl_arrived <- grow_i chan.sl_arrived;
-    chan.sl_first <- grow_f chan.sl_first;
-    chan.sl_last <- grow_f chan.sl_last;
-    chan.sl_lastv <- grow_i chan.sl_lastv;
-    chan.sl_sigdel <- grow_b chan.sl_sigdel;
-    chan.sl_trace <- grow_i chan.sl_trace;
-    chan.sl_span <- grow_i chan.sl_span
-  end
-
 (* Weak-determinism replay state: one per process path, shared by all
    variants (models the kernel module's order_list).  Order entries are
    interned channel ids — the replay spin compares ints, never paths. *)
@@ -255,6 +341,7 @@ type det = {
   d_order : int Vec.t;   (* ltids (as channel ids) in leader acquisition order *)
   d_cursors : int array; (* per follower variant *)
   d_qs : M.Waitq.t array; (* per follower variant *)
+  rd_len : int array; (* Net, per node: entries delivered there *)
 }
 
 (* Trace handle: present only when [config.telemetry] is set.  The
@@ -274,10 +361,43 @@ type tel = {
   t_restarts : Tel.Counter.t;
 }
 
+(* Per-remote-node outbox of batched stream entries.  Contiguous runs on
+   the same channel / order list coalesce into one watermark item, so a
+   batch of K slots is one message and one list walk at delivery. *)
+type ob_item =
+  | Ob_slots of chan * int (* watermark: slots below are delivered+released *)
+  | Ob_order of det * int (* watermark: order entries below are delivered *)
+
+type outbox = {
+  mutable ob_items : ob_item list; (* newest first *)
+  mutable ob_slots : int;
+  mutable ob_bytes : int;
+  mutable ob_span : int; (* causal context of the newest appended slot *)
+}
+
+(* The Net transport's own state; absent in-process. *)
+type wire = {
+  spec : net;
+  links : Net.t;
+  down : Net.link array; (* index k-1: node 0 -> node k *)
+  up : Net.link array; (* index k-1: node k -> node 0 *)
+  outboxes : outbox array; (* index k-1 *)
+  mutable remote_checked : int;
+  mutable replicated : int;
+  mutable tf_ship : int;
+  mutable tf_batch : int;
+  mutable tf_release : int;
+  mutable tf_ack : int;
+  mutable tf_flow : int;
+  mutable tf_order : int;
+}
+
 type t = {
   cfg : config;
   n : int;
-  machine : M.t;
+  machines : M.t array; (* per node; node 0 hosts the leader and the monitor *)
+  place : int array; (* variant -> node; all 0 in-process *)
+  wire : wire option;
   tel : tel option;
   h_gap : Tel.Hist.t;  (* leader run-ahead distance, slots *)
   h_wait : Tel.Hist.t; (* blocked time at sync points, us *)
@@ -285,7 +405,7 @@ type t = {
   sensitivities : float Lazy.t array;
   names : string array;
   mutable failed : alert option;
-  mutable failed_at : float; (* machine time of the abort *)
+  mutable failed_at : float; (* node-0 time of the abort *)
   mutable chan_count : int;
   mutable all_chans : chan list;
   mutable all_dets : det list;
@@ -328,19 +448,43 @@ type t = {
      per-variant phase totals filled at the end *)
 }
 
+(* Amortized-doubling growth of the slot columns; slots are never evicted
+   (a restarted variant refetches), exactly like the Vec they replace. *)
+let ensure_slot nxe chan =
+  let cap = Array.length chan.sl_ready in
+  if chan.sl_len = cap then begin
+    let ncap = max 16 (2 * cap) in
+    let grow_sc a = let b = Array.make ncap dummy_sc in Array.blit a 0 b 0 cap; b in
+    let grow_b a = let b = Array.make ncap false in Array.blit a 0 b 0 cap; b in
+    let grow_i a = let b = Array.make ncap 0 in Array.blit a 0 b 0 cap; b in
+    let grow_f a = let b = Array.make ncap 0.0 in Array.blit a 0 b 0 cap; b in
+    chan.sl_sc <- grow_sc chan.sl_sc;
+    chan.sl_ready <- grow_b chan.sl_ready;
+    chan.sl_arrived <- grow_i chan.sl_arrived;
+    chan.sl_first <- grow_f chan.sl_first;
+    chan.sl_last <- grow_f chan.sl_last;
+    chan.sl_lastv <- grow_i chan.sl_lastv;
+    chan.sl_sigdel <- grow_b chan.sl_sigdel;
+    chan.sl_trace <- grow_i chan.sl_trace;
+    chan.sl_span <- grow_i chan.sl_span;
+    match nxe.wire with Some _ -> chan.sl_ship <- grow_f chan.sl_ship | None -> ()
+  end
+
 let aborted nxe = nxe.failed <> None
+let machine_of nxe variant = nxe.machines.(nxe.place.(variant))
 
 (* Heartbeat: any interaction with the engine proves the variant alive. *)
-let touch nxe variant = nxe.last_progress.(variant) <- M.now nxe.machine
+let touch nxe variant = nxe.last_progress.(variant) <- M.now (machine_of nxe variant)
 
 (* A thread parked at an NXE sync point is waiting on its peers, not hung:
    the watchdog must not count its silence against the variant.  All NXE
    waits are condition loops, so the accounting survives spurious wakes. *)
 let nxe_wait nxe ~variant q =
+  let m = machine_of nxe variant in
   nxe.v_parked.(variant) <- nxe.v_parked.(variant) + 1;
-  let prev = M.set_wait_phase nxe.machine (Pr.Phase.slot Pr.Phase.Lockstep_wait) in
-  M.Waitq.wait nxe.machine q;
-  ignore (M.set_wait_phase nxe.machine prev);
+  let prev = M.set_wait_phase m (Pr.Phase.slot Pr.Phase.Lockstep_wait) in
+  M.Waitq.wait m q;
+  ignore (M.set_wait_phase m prev);
   nxe.v_parked.(variant) <- nxe.v_parked.(variant) - 1
 
 (* Work with the sanitizer share carved out: a single compute call (burst
@@ -348,7 +492,7 @@ let nxe_wait nxe ~variant q =
    run); the variant's check fraction of the measured delta is then moved
    from Compute to Sanitizer post-hoc. *)
 let do_work nxe ~variant fname cost =
-  let m = nxe.machine in
+  let m = machine_of nxe variant in
   let f =
     match nxe.profile with
     | Some c -> Pr.Collector.check_fraction c ~variant fname
@@ -369,7 +513,7 @@ let do_work nxe ~variant fname cost =
          own one-span trace; a0 carries the sanitizer share of the work. *)
       let id =
         Tx.record tc Tx.Sanitizer ~trace:(Tx.new_trace tc) ~parent:(-1)
-          ~node:nxe.cfg.trace_node ~variant ~chan:(-1) ~pos:(-1) ~t0:w0 ~t1:(M.now m)
+          ~node:nxe.place.(variant) ~variant ~chan:(-1) ~pos:(-1) ~t0:w0 ~t1:(M.now m)
       in
       Tx.annotate tc id ~a0:(delta *. f) ~a1:0.0 ~a2:0.0
     | None -> ()
@@ -378,8 +522,7 @@ let do_work nxe ~variant fname cost =
 (* Follower fetch compute: when the follower blocked, the futex round trip
    (resched) is bundled into the same compute call so the schedule matches
    the untagged engine; its share of the measured delta is reattributed. *)
-let fetch_compute nxe ~blocked =
-  let m = nxe.machine in
+let fetch_compute nxe m ~blocked =
   let fc = nxe.cfg.fetch_cost in
   if not blocked then ph_compute m Pr.Phase.Fetch fc
   else begin
@@ -401,21 +544,34 @@ let fetch_compute nxe ~blocked =
    per variant, so publish/fetch spans line up visually. *)
 let lane nxe chan ~variant = (chan.ch_id * nxe.n) + variant
 
+(* Wake every follower queue of [qs] (indexed by follower).  A wait queue
+   belongs to the machine its waiters run on: in-process that is one
+   batched scheduler operation (same wake order as per-queue broadcasts);
+   over the Net each wake names the follower's node.  Wakes are the
+   monitor plane — shared state, no wire bytes. *)
+let wake_all nxe qs =
+  match nxe.wire with
+  | None -> M.Waitq.broadcast_many nxe.machines.(0) qs
+  | Some _ -> Array.iteri (fun i q -> M.Waitq.broadcast (machine_of nxe (i + 1)) q) qs
+
+(* One leader publish releases every parked follower. *)
+let wake_followers nxe chan = wake_all nxe chan.fol_q
+
 (* Kick every parked thread so condition loops re-evaluate: used on abort
    and whenever a quarantine or restart changes who is being waited for. *)
 let broadcast_all nxe =
-  let m = nxe.machine in
   List.iter
     (fun ch ->
-      M.Waitq.broadcast m ch.leader_q;
-      Array.iter (M.Waitq.broadcast m) ch.fol_q)
+      M.Waitq.broadcast nxe.machines.(0) ch.leader_q;
+      wake_all nxe ch.fol_q)
     nxe.all_chans;
-  List.iter (fun d -> Array.iter (M.Waitq.broadcast m) d.d_qs) nxe.all_dets
+  List.iter (fun d -> wake_all nxe d.d_qs) nxe.all_dets
 
 let fail nxe alert =
   if nxe.failed = None then begin
+    let now = M.now nxe.machines.(0) in
     nxe.failed <- Some alert;
-    nxe.failed_at <- M.now nxe.machine;
+    nxe.failed_at <- now;
     (match nxe.tel with
      | Some tel ->
        Tel.Counter.incr tel.t_alerts;
@@ -426,16 +582,34 @@ let fail nxe alert =
              ("expected", alert.al_expected);
              ("got", alert.al_got);
            ]
-         ~ts:(M.now nxe.machine) ~cat:"nxe" "divergence"
+         ~ts:now ~cat:"nxe" "divergence"
      | None -> ());
     broadcast_all nxe
   end
+
+(* A divergence at [pos] of [chan], blamed on [variant]. *)
+let diverge nxe chan ~pos ~variant ~expected ~got ?exp_sc ?got_sc () =
+  fail nxe
+    {
+      al_channel = chan.ch_id;
+      al_position = pos;
+      al_variant = variant;
+      al_expected = expected;
+      al_got = got;
+      al_expected_sc = exp_sc;
+      al_got_sc = got_sc;
+    }
+
+(* Size of the Net-only per-follower and per-node arrays: zero in-process. *)
+let wire_dims nxe =
+  match nxe.wire with None -> (0, 0) | Some _ -> (nxe.n - 1, Array.length nxe.machines)
 
 let get_chan nxe path =
   match Hashtbl.find_opt nxe.chan_reg path with
   | Some c -> c
   | None ->
     let nf = nxe.n - 1 in
+    let wf, wn = wire_dims nxe in
     let c =
       {
         ch_id = nxe.chan_count;
@@ -449,11 +623,16 @@ let get_chan nxe path =
         sl_sigdel = [||];
         sl_trace = [||];
         sl_span = [||];
+        sl_ship = [||];
         sl_len = 0;
         leader_pos = 0;
         leader_done = false;
         cursors = Array.make nf 0;
         fol_done = Array.make nf false;
+        kn = Array.make wf 0;
+        last_ack = Array.make wf 0;
+        rp_len = Array.make wn 0;
+        rp_released = Array.make wn 0;
         leader_q = M.Waitq.create ();
         fol_q = Array.init nf (fun _ -> M.Waitq.create ());
         tapes = Array.init nxe.n (fun _ -> F.Tape.create ~depth:nxe.cfg.recorder_depth);
@@ -481,6 +660,7 @@ let get_det nxe path =
         d_order = Vec.create ();
         d_cursors = Array.make nf 0;
         d_qs = Array.init nf (fun _ -> M.Waitq.create ());
+        rd_len = Array.make (snd (wire_dims nxe)) 0;
       }
     in
     nxe.all_dets <- d :: nxe.all_dets;
@@ -520,7 +700,7 @@ let get_proc nxe path variant =
   | Some p -> p
   | None ->
     let p =
-      M.new_proc nxe.machine
+      M.new_proc (machine_of nxe variant)
         ~cache_sensitivity:nxe.sensitivities.(variant)
         ~name:(Printf.sprintf "%s:%s" nxe.names.(variant) path)
         ~working_set:nxe.working_sets.(variant) ()
@@ -534,25 +714,29 @@ let get_proc nxe path variant =
 let live_followers chan =
   Array.fold_left (fun acc d -> if d then acc else acc + 1) 0 chan.fol_done
 
-let min_live_cursor chan =
+(* Lowest cursor among live followers ([leader_pos] when none is live).
+   With [~known], a remote follower counts at its last flow-acked cursor:
+   the leader's run-ahead bound uses what it KNOWS, and the wire delay of
+   flow acks is part of the model.  In-process every follower is local. *)
+let min_live_cursor ?(known = false) nxe chan =
   let best = ref max_int in
-  Array.iteri
-    (fun i c -> if (not chan.fol_done.(i)) && c < !best then best := c)
-    chan.cursors;
+  for i = 0 to Array.length chan.cursors - 1 do
+    if not chan.fol_done.(i) then begin
+      let c = if known && nxe.place.(i + 1) <> 0 then chan.kn.(i) else chan.cursors.(i) in
+      if c < !best then best := c
+    end
+  done;
   if !best = max_int then chan.leader_pos else !best
-
-(* One leader publish releases every parked follower as a single batched
-   scheduler operation (same wake order as per-queue broadcasts). *)
-let wake_followers nxe chan = M.Waitq.broadcast_many nxe.machine chan.fol_q
 
 (* ------------------------------------------------------------------ *)
 (* Causal tracing.  The rendezvous root opens when the leader starts its
    check-in (widened back to the first arrival once known) and closes when
    the slot is fully retired: after the leader's release AND every live
    follower's consume — fetches happen post-release, so only that boundary
-   lets fetch spans nest inside the root.  All recording is pure
-   observation: nothing here touches the schedule, and with
-   [config.tracer = None] every site compiles to a no-op test. *)
+   lets fetch spans nest inside the root.  Spans carry the node of the
+   variant that records them.  All recording is pure observation: nothing
+   here touches the schedule, and with [config.tracer = None] every site
+   compiles to a no-op test. *)
 
 (* Every live (non-exited, non-quarantined) follower has consumed [pos]. *)
 let slot_retired nxe chan pos =
@@ -564,30 +748,212 @@ let slot_retired nxe chan pos =
     chan.cursors;
   !all
 
-(* Record the calling thread's last run-queue wait as a Sched_wait child
-   of the slot's rendezvous root (dropped if it falls outside it).  Must
-   be called before any further [M.compute]: the next burst dispatch
-   overwrites the machine's last-wait stamps. *)
-let trace_sched_wait nxe tc chan pos ~variant =
-  let r0, r1 = M.last_ready_wait nxe.machine in
+(* A run-queue wait [r0, r1] of [variant] as a Sched_wait child of the
+   slot's rendezvous root (dropped if empty or outside the root). *)
+let trace_ready_wait nxe tc chan pos ~variant (r0, r1) =
   if r1 > r0 then
     ignore
       (Tx.record_child tc Tx.Sched_wait ~parent:chan.sl_span.(pos)
-         ~node:nxe.cfg.trace_node ~variant ~chan:chan.ch_id ~pos ~t0:r0 ~t1:r1)
+         ~node:nxe.place.(variant) ~variant ~chan:chan.ch_id ~pos ~t0:r0 ~t1:r1)
+
+(* The calling thread's last run-queue wait.  Must be called before any
+   further [M.compute]: the next burst dispatch overwrites the machine's
+   last-wait stamps. *)
+let trace_sched_wait nxe tc chan pos ~variant =
+  trace_ready_wait nxe tc chan pos ~variant (M.last_ready_wait (machine_of nxe variant))
+
+(* A follower consumes released slot [pos]: fetch compute, cursor advance,
+   and the Fetch span (after an Arrival edge ending at [arrived_at], for a
+   shared-memory fetch) — the last consume retires the slot and closes the
+   rendezvous root. *)
+let consume ?arrived_at nxe m chan ~variant ~pos ~blocked =
+  let fetch_t0 = M.now m in
+  fetch_compute nxe m ~blocked;
+  chan.cursors.(variant - 1) <- pos + 1;
+  touch nxe variant;
+  match nxe.cfg.tracer with
+  | Some tc when chan.sl_span.(pos) >= 0 ->
+    (match arrived_at with
+     | Some t1 ->
+       ignore
+         (Tx.record_child tc Tx.Arrival ~parent:chan.sl_span.(pos) ~node:nxe.place.(variant)
+            ~variant ~chan:chan.ch_id ~pos ~t0:neg_infinity ~t1)
+     | None -> ());
+    ignore
+      (Tx.record_child tc Tx.Fetch ~parent:chan.sl_span.(pos) ~node:nxe.place.(variant)
+         ~variant ~chan:chan.ch_id ~pos ~t0:fetch_t0 ~t1:(M.now m));
+    if slot_retired nxe chan pos then Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
+  | _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Net transport: outboxes, flushes and delivery callbacks.  Every
+   cross-node datum flows through a Net link (timed machine posts), and
+   its delivery callback only ever advances monotone watermarks. *)
+
+(* A node still worth shipping to: it hosts at least one follower that is
+   neither quarantined nor finished.  Streams to retired nodes are
+   discarded — no bytes, no clock advance on a dead machine. *)
+let node_active nxe k =
+  let act = ref false in
+  for v = 1 to nxe.n - 1 do
+    if nxe.place.(v) = k && (not nxe.v_quarantined.(v)) && nxe.live_threads.(v) > 0
+    then act := true
+  done;
+  !act
+
+(* Wake the followers of [qs] (indexed by follower) placed on node [k]. *)
+let wake_node nxe qs k =
+  Array.iteri
+    (fun i q -> if nxe.place.(i + 1) = k then M.Waitq.broadcast nxe.machines.(k) q)
+    qs
+
+(* Flush one node's outbox as a single batched message.  Always called
+   from a leader fiber on node 0.  Delivery walks the items in append
+   order and only advances monotone watermarks — re-delivery or overlap
+   with a lockstep ship can never move a watermark backwards. *)
+let flush_node nxe w k =
+  let ob = w.outboxes.(k - 1) in
+  if ob.ob_items <> [] then begin
+    let items = List.rev ob.ob_items in
+    let bytes = msg_hdr + ob.ob_bytes in
+    let span = ob.ob_span in
+    ob.ob_items <- [];
+    ob.ob_slots <- 0;
+    ob.ob_bytes <- 0;
+    ob.ob_span <- -1;
+    if node_active nxe k then begin
+      M.compute nxe.machines.(0) w.spec.msg_cost;
+      (match w.spec.ship with
+       | Full_remote_lockstep -> w.tf_order <- w.tf_order + bytes
+       | Selective | Selective_replicated -> w.tf_batch <- w.tf_batch + bytes);
+      Net.send_traced w.links w.down.(k - 1) ~bytes ~span ~node:k (fun () ->
+          List.iter
+            (fun item ->
+              match item with
+              | Ob_slots (c, hi) ->
+                if hi > c.rp_len.(k) then c.rp_len.(k) <- hi;
+                if hi > c.rp_released.(k) then c.rp_released.(k) <- hi;
+                wake_node nxe c.fol_q k
+              | Ob_order (d, hi) ->
+                if hi > d.rd_len.(k) then d.rd_len.(k) <- hi;
+                wake_node nxe d.d_qs k)
+            items)
+    end
+  end
+
+let flush_all nxe w =
+  for k = 1 to Array.length nxe.machines - 1 do
+    flush_node nxe w k
+  done
+
+(* Append one executed non-sensitive slot to node [k]'s stream; batched
+   slots arrive pre-released (the leader already executed them). *)
+let append_slot nxe w k chan ~pos sc =
+  let ob = w.outboxes.(k - 1) in
+  (match ob.ob_items with
+   | Ob_slots (c, _) :: rest when c == chan ->
+     ob.ob_items <- Ob_slots (chan, pos + 1) :: rest
+   | items -> ob.ob_items <- Ob_slots (chan, pos + 1) :: items);
+  ob.ob_slots <- ob.ob_slots + 1;
+  ob.ob_bytes <- ob.ob_bytes + batch_entry_bytes w.spec.ship sc;
+  (* The batch message carries the context of its newest slot: by the time
+     it flushes, earlier slots' rendezvous roots have already closed. *)
+  if pos < Array.length chan.sl_span && chan.sl_span.(pos) >= 0 then
+    ob.ob_span <- chan.sl_span.(pos);
+  if ob.ob_slots >= w.spec.batch_slots then flush_node nxe w k
+
+let append_order nxe w k det ~hi =
+  let ob = w.outboxes.(k - 1) in
+  (match ob.ob_items with
+   | Ob_order (d, _) :: rest when d == det -> ob.ob_items <- Ob_order (det, hi) :: rest
+   | items -> ob.ob_items <- Ob_order (det, hi) :: items);
+  ob.ob_bytes <- ob.ob_bytes + order_entry_bytes;
+  (* Naive mode has no slot batches to ride on: each order entry is its
+     own message, like the per-operation synccall it models. *)
+  if w.spec.ship = Full_remote_lockstep then flush_node nxe w k
+
+(* Follower -> leader flow-control ack: pushes the follower's consumption
+   cursor into the leader's knowledge ([kn]), releasing ring capacity.
+   Sent every [ack_every] consumed slots, and additionally whenever the
+   follower is about to park with unacked consumption — that bound on
+   staleness is what makes the capacity wait deadlock-free. *)
+let send_flow nxe w chan ~variant =
+  let i = variant - 1 in
+  let node = nxe.place.(variant) in
+  let cur = chan.cursors.(i) in
+  chan.last_ack.(i) <- cur;
+  M.compute nxe.machines.(node) w.spec.msg_cost;
+  w.tf_flow <- w.tf_flow + flow_bytes;
+  Net.send w.links w.up.(node - 1) ~bytes:flow_bytes (fun () ->
+      if cur > chan.kn.(i) then chan.kn.(i) <- cur;
+      M.Waitq.broadcast nxe.machines.(0) chan.leader_q)
+
+let maybe_flow nxe w chan ~variant =
+  let i = variant - 1 in
+  if chan.cursors.(i) - chan.last_ack.(i) >= w.spec.ack_every then
+    send_flow nxe w chan ~variant
+
+(* Leader, before a rendezvous.  Everything a remote follower needs to
+   REACH it — batched slots, order entries — was appended strictly
+   earlier, so flushing here (before the leader can block) keeps the wait
+   acyclic; then the slot itself ships to every active node. *)
+let ship_slot nxe w chan ~pos sc =
+  let m = nxe.machines.(0) in
+  flush_all nxe w;
+  chan.sl_ship.(pos) <- M.now m;
+  for k = 1 to Array.length nxe.machines - 1 do
+    if node_active nxe k then begin
+      M.compute m w.spec.msg_cost;
+      let bytes = ship_bytes w.spec.ship sc in
+      w.tf_ship <- w.tf_ship + bytes;
+      Net.send_traced w.links w.down.(k - 1) ~bytes ~span:chan.sl_span.(pos) ~node:k
+        (fun () ->
+          if pos + 1 > chan.rp_len.(k) then chan.rp_len.(k) <- pos + 1;
+          wake_node nxe chan.fol_q k)
+    end
+  done
+
+(* Leader, after executing a slot: a rendezvous slot's release is its own
+   message; any other slot joins each active node's batch. *)
+let release_slot nxe w chan ~pos ~lockstep sc =
+  let m = nxe.machines.(0) in
+  for k = 1 to Array.length nxe.machines - 1 do
+    if node_active nxe k then
+      if lockstep then begin
+        M.compute m w.spec.msg_cost;
+        let bytes = release_bytes sc in
+        w.tf_release <- w.tf_release + bytes;
+        Net.send_traced w.links w.down.(k - 1) ~bytes ~span:chan.sl_span.(pos) ~node:k
+          (fun () ->
+            if pos + 1 > chan.rp_released.(k) then chan.rp_released.(k) <- pos + 1;
+            if pos + 1 > chan.rp_len.(k) then chan.rp_len.(k) <- pos + 1;
+            wake_node nxe chan.fol_q k)
+      end
+      else append_slot nxe w k chan ~pos sc
+  done
+
+(* Flushing charges msg_cost, and a flow ack can land during that compute:
+   the ring wait re-checks before parking so the wakeup is not lost. *)
+let outbox_pending nxe =
+  match nxe.wire with
+  | None -> false
+  | Some w -> Array.exists (fun ob -> ob.ob_items <> []) w.outboxes
 
 (* ------------------------------------------------------------------ *)
 (* Fault handling: benign-death / missed-heartbeat verdicts, quarantine,
    N-1 degradation and optional restart.  A fault is NOT a divergence: the
    monitor learns about it from waitpid or from silence, never from a
    mismatching syscall, so it gets its own verdict path and its incidents
-   are stamped [F.Fault_isolation] instead of going through blame voting. *)
+   are stamped [F.Fault_isolation] instead of going through blame voting.
+   The monitor plane is shared state on node 0, so a remote quarantine
+   produces the exact incident and coverage accounting a local one does. *)
 
 let monitor_proc nxe =
   match nxe.mon_proc with
   | Some p -> p
   | None ->
     (* Zero working set: the monitor must not perturb the cache model. *)
-    let p = M.new_proc nxe.machine ~name:"nxe-monitor" ~working_set:0.0 () in
+    let p = M.new_proc nxe.machines.(0) ~name:"nxe-monitor" ~working_set:0.0 () in
     nxe.mon_proc <- Some p;
     p
 
@@ -610,12 +976,44 @@ let vote_at chan ~pos v =
     else if exited then F.Exited
     else F.Pending
 
+(* Net divergence evidence must be ship-mode-independent: when a batched
+   check fails, the leader (and followers on other nodes) may have run far
+   ahead of the diverging slot, so a live recorder snapshot would show
+   run-ahead entries naive lockstep can never contain.  Rebuild the window
+   ending at the divergence instead — recorded entries where the recorder
+   still holds them, slot-stream reconstructions for positions the variant
+   already passed (a passed check means it issued exactly the leader's
+   syscall there). *)
+let divergence_tape nxe chan ~pos v =
+  let lo = max 0 (pos - nxe.cfg.recorder_depth + 1) in
+  let recorded = F.Tape.to_list chan.tapes.(v) in
+  let passed p = if v = 0 then p < chan.sl_len else chan.cursors.(v - 1) > p in
+  List.concat
+    (List.init (pos - lo + 1) (fun i ->
+         let p = lo + i in
+         match List.find_opt (fun (r : F.syscall_rec) -> r.F.r_pos = p) recorded with
+         | Some r -> [ r ]
+         | None ->
+           if passed p && p < chan.sl_len then begin
+             let sc = chan.sl_sc.(p) in
+             [ { F.r_pos = p; r_name = sc.Sc.name; r_args = sc.Sc.args; r_time = 0.0 } ]
+           end
+           else []))
+
+(* Incident tapes: the live recorders, except for a divergence over the
+   Net, which gets the window ending at the divergent slot.  Fault
+   incidents always keep the live tapes: each variant's actual progress is
+   the evidence there. *)
 let incident_for nxe ~chan ~pos ~flagged ~expected ~got ?mismatch_override ~time () =
+  let tapes =
+    match (nxe.wire, mismatch_override) with
+    | Some _, None -> Array.init nxe.n (divergence_tape nxe chan ~pos)
+    | _ -> Array.init nxe.n (fun v -> F.Tape.to_list chan.tapes.(v))
+  in
   F.build ?mismatch_override ~channel:chan.ch_id ~position:pos ~flagged ~expected ~got
     ~time
     ~votes:(Array.init nxe.n (vote_at chan ~pos))
-    ~tapes:(Array.init nxe.n (fun v -> F.Tape.to_list chan.tapes.(v)))
-    ()
+    ~tapes ()
 
 (* Where did the victim go missing?  The first channel (in creation order)
    where it lags the leader; the root channel as a fallback. *)
@@ -634,13 +1032,12 @@ let expected_at chan pos =
   else "<heartbeat>"
 
 let cancel_variant nxe variant =
-  Hashtbl.iter
-    (fun (_, v) proc -> if v = variant then M.cancel_proc nxe.machine proc)
-    nxe.proc_reg
+  let m = machine_of nxe variant in
+  Hashtbl.iter (fun (_, v) proc -> if v = variant then M.cancel_proc m proc) nxe.proc_reg
 
 let quarantine nxe ~variant ~cause =
   if not nxe.v_quarantined.(variant) then begin
-    let now = M.now nxe.machine in
+    let now = M.now nxe.machines.(0) in
     let chan, pos = fault_site nxe variant in
     (* Build the incident before retiring the cursors, so the victim's vote
        reads Pending ("never arrived"), not Exited. *)
@@ -672,7 +1069,7 @@ let quarantine nxe ~variant ~cause =
 
 let handle_fault nxe ~variant ~cause =
   if (not (aborted nxe)) && not nxe.v_quarantined.(variant) then begin
-    let m = nxe.machine in
+    let m = nxe.machines.(0) in
     let pol = nxe.cfg.fault_policy in
     let abort () =
       let chan, pos = fault_site nxe variant in
@@ -688,16 +1085,7 @@ let handle_fault nxe ~variant ~cause =
           (incident_for nxe ~chan ~pos ~flagged:variant ~expected ~got
              ~mismatch_override:F.Fault_isolation ~time:(M.now m) ());
       nxe.v_dead.(variant) <- true;
-      fail nxe
-        {
-          al_channel = chan.ch_id;
-          al_position = pos;
-          al_variant = variant;
-          al_expected = expected;
-          al_got = got;
-          al_expected_sc = None;
-          al_got_sc = None;
-        };
+      diverge nxe chan ~pos ~variant ~expected ~got ();
       (* A stalled fiber must not keep the clock running to its far-future
          wake-up: kill the victim's threads like the monitor would. *)
       cancel_variant nxe variant
@@ -736,7 +1124,7 @@ let apply_faults nxe ~variant sc =
   else begin
     let ord = nxe.sys_ord.(variant) in
     nxe.sys_ord.(variant) <- ord + 1;
-    let m = nxe.machine in
+    let m = machine_of nxe variant in
     let injected () =
       match nxe.tel with
       | Some tel ->
@@ -788,8 +1176,11 @@ let apply_faults nxe ~variant sc =
     !sc
   end
 
+(* ------------------------------------------------------------------ *)
+(* The leader's side of a slot *)
+
 let leader_sync nxe chan sc =
-  let m = nxe.machine in
+  let m = nxe.machines.(0) in
   let tid = lane nxe chan ~variant:0 in
   (match nxe.tel with
    | Some tel ->
@@ -800,7 +1191,7 @@ let leader_sync nxe chan sc =
   let pub_t0 = M.now m in
   ph_compute m Pr.Phase.Publish nxe.cfg.checkin_cost;
   let pos = chan.leader_pos in
-  ensure_slot chan;
+  ensure_slot nxe chan;
   let publish_now = M.now m in
   chan.sl_sc.(pos) <- sc;
   chan.sl_ready.(pos) <- false;
@@ -809,6 +1200,7 @@ let leader_sync nxe chan sc =
   chan.sl_last.(pos) <- publish_now;
   chan.sl_lastv.(pos) <- 0;
   chan.sl_sigdel.(pos) <- sc.Sc.name = "signal_delivery";
+  (match nxe.wire with Some _ -> chan.sl_ship.(pos) <- 0.0 | None -> ());
   (match nxe.cfg.tracer with
    | Some tc ->
      (* The rendezvous root: opens at the leader's check-in (widened back
@@ -817,14 +1209,14 @@ let leader_sync nxe chan sc =
         later participant hangs its spans off. *)
      let trace = Tx.new_trace tc in
      let root =
-       Tx.start tc Tx.Rendezvous ~trace ~parent:(-1) ~node:nxe.cfg.trace_node
-         ~variant:(-1) ~chan:chan.ch_id ~pos ~t0:pub_t0
+       Tx.start tc Tx.Rendezvous ~trace ~parent:(-1) ~node:0 ~variant:(-1) ~chan:chan.ch_id
+         ~pos ~t0:pub_t0
      in
      chan.sl_trace.(pos) <- trace;
      chan.sl_span.(pos) <- root;
      ignore
-       (Tx.record_child tc Tx.Publish ~parent:root ~node:nxe.cfg.trace_node ~variant:0
-          ~chan:chan.ch_id ~pos ~t0:pub_t0 ~t1:publish_now)
+       (Tx.record_child tc Tx.Publish ~parent:root ~node:0 ~variant:0 ~chan:chan.ch_id ~pos
+          ~t0:pub_t0 ~t1:publish_now)
    | None ->
      chan.sl_trace.(pos) <- -1;
      chan.sl_span.(pos) <- -1);
@@ -833,7 +1225,7 @@ let leader_sync nxe chan sc =
   touch nxe 0;
   chan.leader_pos <- pos + 1;
   nxe.synced <- nxe.synced + 1;
-  let gap = pos - min_live_cursor chan in
+  let gap = pos - min_live_cursor nxe chan in
   if Array.length chan.cursors > 0 then begin
     nxe.gap_sum <- nxe.gap_sum +. float_of_int gap;
     nxe.gap_count <- nxe.gap_count + 1;
@@ -841,13 +1233,21 @@ let leader_sync nxe chan sc =
     if gap > nxe.gap_max then nxe.gap_max <- gap
   end;
   wake_followers nxe chan;
-  let lockstep = nxe.cfg.mode = Strict_lockstep || Sc.is_lockstep_selected sc in
+  (* Which slots rendezvous: the lockstep mode in-process, the ship mode's
+     sensitive set over the Net. *)
+  let lockstep =
+    match nxe.wire with
+    | None -> nxe.cfg.mode = Strict_lockstep || Sc.is_lockstep_selected sc
+    | Some w -> is_sensitive w.spec.ship sc
+  in
   let blocked = ref false in
   let wait_from = M.now m in
   if lockstep then begin
     nxe.locksteps <- nxe.locksteps + 1;
     (match nxe.tel with Some tel -> Tel.Counter.incr tel.t_locksteps | None -> ());
-    (* Execute only after every live follower has arrived and agreed. *)
+    (match nxe.wire with Some w -> ship_slot nxe w chan ~pos sc | None -> ());
+    (* Execute only after every live follower — local, or remote through
+       an ack on the up link — has arrived and agreed. *)
     let waiting = ref true in
     while !waiting do
       if aborted nxe then waiting := false
@@ -858,16 +1258,8 @@ let leader_sync nxe chan sc =
         for i = 0 to Array.length chan.fol_done - 1 do
           if chan.fol_done.(i) && (not nxe.v_quarantined.(i + 1)) && chan.cursors.(i) <= pos
           then
-            fail nxe
-              {
-                al_channel = chan.ch_id;
-                al_position = pos;
-                al_variant = i + 1;
-                al_expected = sc.Sc.name;
-                al_got = "<exit>";
-                al_expected_sc = Some sc;
-                al_got_sc = None;
-              }
+            diverge nxe chan ~pos ~variant:(i + 1) ~expected:sc.Sc.name ~got:"<exit>"
+              ~exp_sc:sc ()
         done;
         if (not (aborted nxe)) && chan.sl_arrived.(pos) < live_followers chan then begin
           blocked := true;
@@ -886,9 +1278,8 @@ let leader_sync nxe chan sc =
          if !blocked then begin
            trace_sched_wait nxe tc chan pos ~variant:0;
            ignore
-             (Tx.record_child tc Tx.Lockstep_wait ~parent:chan.sl_span.(pos)
-                ~node:nxe.cfg.trace_node ~variant:0 ~chan:chan.ch_id ~pos ~t0:wait_from
-                ~t1:(M.now m))
+             (Tx.record_child tc Tx.Lockstep_wait ~parent:chan.sl_span.(pos) ~node:0
+                ~variant:0 ~chan:chan.ch_id ~pos ~t0:wait_from ~t1:(M.now m))
          end
        | None -> ());
       (match nxe.profile with
@@ -910,9 +1301,15 @@ let leader_sync nxe chan sc =
   end
   else begin
     (* Ring buffer: run ahead up to capacity. *)
-    while (not (aborted nxe)) && chan.leader_pos - min_live_cursor chan > nxe.cfg.ring_capacity do
-      blocked := true;
-      nxe_wait nxe ~variant:0 chan.leader_q
+    while
+      (not (aborted nxe))
+      && chan.leader_pos - min_live_cursor ~known:true nxe chan > nxe.cfg.ring_capacity
+    do
+      match nxe.wire with
+      | Some w when outbox_pending nxe -> flush_all nxe w
+      | _ ->
+        blocked := true;
+        nxe_wait nxe ~variant:0 chan.leader_q
     done
   end;
   if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. wait_from);
@@ -927,13 +1324,14 @@ let leader_sync nxe chan sc =
        Tel.instant tel.t_dom ~tid ~args:[ ("sc", sc.Sc.name) ] ~ts:(M.now m) ~cat:"nxe"
          "lockstep:release"
      | _ -> ());
+    (match nxe.wire with Some w -> release_slot nxe w chan ~pos ~lockstep sc | None -> ());
     (match nxe.cfg.tracer with
      | Some tc ->
        Tx.extend_t0 tc chan.sl_span.(pos) ~t0:chan.sl_first.(pos);
-       (* With no live follower left the leader is the last participant:
-          retire the root here.  Otherwise the follower advancing the last
-          cursor closes it (fetches happen after this release). *)
-       if live_followers chan = 0 then Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
+       (* With no live follower left the leader's release IS the
+          retirement.  Otherwise the follower advancing the last cursor
+          closes the root (fetches happen after this release). *)
+       if slot_retired nxe chan pos then Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
      | None -> ());
     wake_followers nxe chan
   end;
@@ -941,21 +1339,100 @@ let leader_sync nxe chan sc =
   | Some tel -> Tel.span_end tel.t_dom ~tid ~ts:(M.now m) ~cat:"nxe" "publish"
   | None -> ()
 
+(* ------------------------------------------------------------------ *)
+(* The follower's side of a slot.  A follower on node 0 sees the ring
+   directly: [leader_pos] and [sl_ready].  A follower on node k > 0 sees a
+   slot only once its node's delivery watermark [rp_len] covers it: a
+   sensitive slot's arrival is an ack over the up link and its release an
+   explicit message, batched slots arrive pre-released, and consumption
+   is flow-acked back so the leader's ring bound can advance. *)
+
+let visible chan node = if node = 0 then chan.leader_pos else chan.rp_len.(node)
+
+(* The leader's release of [pos] is visible on [node]. *)
+let released chan node pos =
+  if node = 0 then chan.sl_ready.(pos) else chan.rp_released.(node) > pos
+
+(* The leader exited and its whole stream has reached [node]. *)
+let drained chan node =
+  chan.leader_done && (node = 0 || chan.rp_len.(node) >= chan.leader_pos)
+
+(* Straggler bookkeeping for an arrival at [pos] stamped [t]. *)
+let arrive chan pos ~variant t =
+  chan.sl_arrived.(pos) <- chan.sl_arrived.(pos) + 1;
+  if t < chan.sl_first.(pos) then chan.sl_first.(pos) <- t;
+  if t >= chan.sl_last.(pos) then begin
+    chan.sl_last.(pos) <- t;
+    chan.sl_lastv.(pos) <- variant
+  end
+
+(* Remote arrival at a sensitive slot: the ack carries this node's
+   verdict (and its current cursor, for free) back to the leader.  The
+   Arrival span opens at the rendezvous root and closes when the ack lands
+   on node 0 — so a remote straggler's lateness INCLUDES its wire time,
+   with the ack's Net_msg nested inside it; the largest-edge rule then
+   separates "variant slow" from "wire slow". *)
+let send_ack nxe w chan ~variant ~node ~pos ~rdy =
+  let i = variant - 1 in
+  let arr =
+    match nxe.cfg.tracer with
+    | Some tc when chan.sl_span.(pos) >= 0 ->
+      trace_ready_wait nxe tc chan pos ~variant rdy;
+      Tx.start tc Tx.Arrival ~trace:chan.sl_trace.(pos) ~parent:chan.sl_span.(pos) ~node
+        ~variant ~chan:chan.ch_id ~pos ~t0:(Tx.span_t0 tc chan.sl_span.(pos))
+    | _ -> -1
+  in
+  M.compute nxe.machines.(node) w.spec.msg_cost;
+  let cursor_now = chan.cursors.(i) in
+  w.tf_ack <- w.tf_ack + ack_bytes;
+  Net.send_traced w.links w.up.(node - 1) ~bytes:ack_bytes ~span:arr ~node:0 (fun () ->
+      let t0 = M.now nxe.machines.(0) in
+      arrive chan pos ~variant t0;
+      if chan.sl_ship.(pos) > 0.0 then Net.observe_rtt w.links (t0 -. chan.sl_ship.(pos));
+      if cursor_now > chan.kn.(i) then chan.kn.(i) <- cursor_now;
+      w.remote_checked <- w.remote_checked + 1;
+      (match nxe.cfg.tracer with Some tc when arr >= 0 -> Tx.finish tc arr ~t1:t0 | _ -> ());
+      M.Waitq.broadcast nxe.machines.(0) chan.leader_q)
+
+(* Arrival at a released-on-delivery slot — a batched one on a remote
+   node, or any slot on node 0 — recorded as an Arrival edge from the
+   root's opening (an arrival before the root opened cannot be the
+   straggler; record_child drops its inverted interval) plus the dispatch
+   wait that ended the block. *)
+let trace_arrival nxe chan pos ~variant ~wait_from ~rdy =
+  match nxe.cfg.tracer with
+  | Some tc when chan.sl_span.(pos) >= 0 ->
+    let node = nxe.place.(variant) in
+    ignore
+      (Tx.record_child tc Tx.Arrival ~parent:chan.sl_span.(pos) ~node ~variant
+         ~chan:chan.ch_id ~pos ~t0:neg_infinity ~t1:wait_from);
+    trace_ready_wait nxe tc chan pos ~variant rdy
+  | _ -> ()
+
 let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
-  let m = nxe.machine in
+  let node = nxe.place.(variant) in
+  let m = nxe.machines.(node) in
+  (* The wire state, for a follower off node 0. *)
+  let remote = if node > 0 then nxe.wire else None in
   let i = variant - 1 in
   let pos = chan.cursors.(i) in
   let blocked_for_slot = ref false in
   let wait_from = M.now m in
-  while (not (aborted nxe)) && chan.leader_pos <= pos && not chan.leader_done do
-    blocked_for_slot := true;
-    nxe_wait nxe ~variant chan.fol_q.(i)
+  while (not (aborted nxe)) && visible chan node <= pos && not (drained chan node) do
+    match remote with
+    | Some w when chan.cursors.(i) > chan.last_ack.(i) ->
+      (* Sending the flow ack costs CPU, and a delivery can land during
+         that compute — so re-check the wait condition before parking. *)
+      send_flow nxe w chan ~variant
+    | _ ->
+      blocked_for_slot := true;
+      nxe_wait nxe ~variant chan.fol_q.(i)
   done;
   if !blocked_for_slot then Tel.Hist.observe nxe.h_wait (M.now m -. wait_from);
   (* Capture the dispatch wait that ended the block now: the resched
      compute below would overwrite the machine's last-wait stamps.  The
      slot's span context is only valid past the wait (leader published). *)
-  let rdy0, rdy1 =
+  let rdy =
     match nxe.cfg.tracer with
     | Some _ when !blocked_for_slot -> M.last_ready_wait m
     | _ -> (0.0, 0.0)
@@ -967,7 +1444,7 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
     (* An asynchronous signal the leader took at this point: consume the
        delivery slot, run the handler at the equivalent position, retry.
        The marker test is a cached bool stamped at publish time. *)
-    chan.leader_pos > pos
+    visible chan node > pos
     && chan.sl_sigdel.(pos)
     && sc.Sc.name <> "signal_delivery"
   then begin
@@ -992,101 +1469,68 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
       follower_sync_body ~on_signal nxe chan ~variant sc
     end
   end
-  else if chan.leader_pos <= pos then begin
-    (* Leader exited; this variant issues an extra syscall. *)
+  else if visible chan node <= pos then begin
+    (* Leader exited (and its whole stream reached this node); this
+       variant issues an extra syscall. *)
     F.Tape.record chan.tapes.(variant) ~pos ~time:(M.now m) sc;
-    fail nxe
-      {
-        al_channel = chan.ch_id;
-        al_position = pos;
-        al_variant = variant;
-        al_expected = "<exit>";
-        al_got = sc.Sc.name;
-        al_expected_sc = None;
-        al_got_sc = Some sc;
-      }
+    diverge nxe chan ~pos ~variant ~expected:"<exit>" ~got:sc.Sc.name ~got_sc:sc ()
   end
   else begin
     let exp_sc = chan.sl_sc.(pos) in
     F.Tape.record chan.tapes.(variant) ~pos ~time:(M.now m) sc;
     if not (Sc.args_match exp_sc sc) then
-      fail nxe
-        {
-          al_channel = chan.ch_id;
-          al_position = pos;
-          al_variant = variant;
-          al_expected = Format.asprintf "%a" Sc.pp exp_sc;
-          al_got = Format.asprintf "%a" Sc.pp sc;
-          al_expected_sc = Some exp_sc;
-          al_got_sc = Some sc;
-        }
-    else begin
-      chan.sl_arrived.(pos) <- chan.sl_arrived.(pos) + 1;
-      (* Arrival time is when the follower reached the sync point (before
-         any blocking), so straggler attribution reflects who was late. *)
-      if wait_from < chan.sl_first.(pos) then chan.sl_first.(pos) <- wait_from;
-      if wait_from >= chan.sl_last.(pos) then begin
-        chan.sl_last.(pos) <- wait_from;
-        chan.sl_lastv.(pos) <- variant
-      end;
-      (match nxe.cfg.tracer with
-       | Some tc when chan.sl_span.(pos) >= 0 ->
-         (* Arrival edge: rendezvous open -> this variant reached the sync
-            point (the straggler edge of the profiler, as a span).  A
-            variant arriving before the root opened cannot be the
-            straggler; record_child drops its inverted interval. *)
-         ignore
-           (Tx.record_child tc Tx.Arrival ~parent:chan.sl_span.(pos)
-              ~node:nxe.cfg.trace_node ~variant ~chan:chan.ch_id ~pos
-              ~t0:neg_infinity ~t1:wait_from);
-         if rdy1 > rdy0 then
-           ignore
-             (Tx.record_child tc Tx.Sched_wait ~parent:chan.sl_span.(pos)
-                ~node:nxe.cfg.trace_node ~variant ~chan:chan.ch_id ~pos ~t0:rdy0
-                ~t1:rdy1)
-       | _ -> ());
-      (match nxe.tel with
-       | Some tel ->
-         Tel.instant tel.t_dom ~tid:(lane nxe chan ~variant)
-           ~args:[ ("sc", sc.Sc.name) ] ~ts:(M.now m) ~cat:"nxe" "lockstep:arrive"
-       | None -> ());
-      M.Waitq.signal m chan.leader_q;
-      let blocked = ref false in
-      let ready_from = M.now m in
-      while (not (aborted nxe)) && not chan.sl_ready.(pos) do
-        blocked := true;
-        nxe_wait nxe ~variant chan.fol_q.(i)
-      done;
-      if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. ready_from);
-      if not (aborted nxe) then begin
-        let fetch_t0 = M.now m in
-        (match nxe.cfg.tracer with
-         | Some tc when !blocked && chan.sl_span.(pos) >= 0 ->
-           trace_sched_wait nxe tc chan pos ~variant
-         | _ -> ());
-        fetch_compute nxe ~blocked:!blocked;
-        chan.cursors.(i) <- pos + 1;
-        touch nxe variant;
-        (match nxe.cfg.tracer with
-         | Some tc when chan.sl_span.(pos) >= 0 ->
-           ignore
-             (Tx.record_child tc Tx.Fetch ~parent:chan.sl_span.(pos)
-                ~node:nxe.cfg.trace_node ~variant ~chan:chan.ch_id ~pos ~t0:fetch_t0
-                ~t1:(M.now m));
-           (* The last consume retires the slot and closes the root. *)
-           if slot_retired nxe chan pos then
-             Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
-         | _ -> ());
-        M.Waitq.signal m chan.leader_q
-      end
-    end
+      diverge nxe chan ~pos ~variant ~expected:(Format.asprintf "%a" Sc.pp exp_sc)
+        ~got:(Format.asprintf "%a" Sc.pp sc) ~exp_sc ~got_sc:sc ()
+    else
+      match remote with
+      | Some w when not (is_sensitive w.spec.ship exp_sc) ->
+        (* Batched slot: delivered pre-released.  With replication on, a
+           read result is served from this node's replica of the leader
+           stream — no payload crossed the wire for it. *)
+        if exp_sc.Sc.klass = Sc.Io_read && w.spec.ship = Selective_replicated then
+          w.replicated <- w.replicated + 1;
+        trace_arrival nxe chan pos ~variant ~wait_from ~rdy;
+        consume nxe m chan ~variant ~pos ~blocked:false;
+        maybe_flow nxe w chan ~variant
+      | _ ->
+        (match remote with
+         | Some w -> send_ack nxe w chan ~variant ~node ~pos ~rdy
+         | None ->
+           (* Arrival time is when the follower reached the sync point
+              (before any blocking), so straggler attribution reflects who
+              was late. *)
+           arrive chan pos ~variant wait_from;
+           trace_arrival nxe chan pos ~variant ~wait_from ~rdy;
+           (match nxe.tel with
+            | Some tel ->
+              Tel.instant tel.t_dom ~tid:(lane nxe chan ~variant)
+                ~args:[ ("sc", sc.Sc.name) ] ~ts:(M.now m) ~cat:"nxe" "lockstep:arrive"
+            | None -> ());
+           M.Waitq.signal m chan.leader_q);
+        let blocked = ref false in
+        let ready_from = M.now m in
+        while (not (aborted nxe)) && not (released chan node pos) do
+          blocked := true;
+          nxe_wait nxe ~variant chan.fol_q.(i)
+        done;
+        if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. ready_from);
+        if not (aborted nxe) then begin
+          (match nxe.cfg.tracer with
+           | Some tc when !blocked && chan.sl_span.(pos) >= 0 ->
+             trace_sched_wait nxe tc chan pos ~variant
+           | _ -> ());
+          consume nxe m chan ~variant ~pos ~blocked:!blocked;
+          match remote with
+          | Some w -> maybe_flow nxe w chan ~variant
+          | None -> M.Waitq.signal m chan.leader_q
+        end
   end
 
 let follower_sync ?on_signal nxe chan ~variant sc =
   match nxe.tel with
   | None -> follower_sync_body ?on_signal nxe chan ~variant sc
   | Some tel ->
-    let m = nxe.machine in
+    let m = machine_of nxe variant in
     let tid = lane nxe chan ~variant in
     Tel.Counter.incr tel.t_fetch;
     Tel.span_begin tel.t_dom ~tid ~args:[ ("sc", sc.Sc.name) ] ~ts:(M.now m) ~cat:"nxe"
@@ -1094,10 +1538,10 @@ let follower_sync ?on_signal nxe chan ~variant sc =
     follower_sync_body ?on_signal nxe chan ~variant sc;
     Tel.span_end tel.t_dom ~tid ~ts:(M.now m) ~cat:"nxe" "fetch"
 
-(* Shared-memory propagation: like follower_sync, but the slot carries
-   content to adopt rather than arguments to compare. *)
+(* Shared-memory propagation (in-process only): like follower_sync, but
+   the slot carries content to adopt rather than arguments to compare. *)
 let follower_shared_fetch nxe chan ~variant ~pos dst =
-  let m = nxe.machine in
+  let m = machine_of nxe variant in
   let i = variant - 1 in
   let blocked = ref false in
   let wait_from = M.now m in
@@ -1108,39 +1552,17 @@ let follower_shared_fetch nxe chan ~variant ~pos dst =
   if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. wait_from);
   if aborted nxe then ()
   else if chan.leader_pos <= pos then
-    fail nxe
-      {
-        al_channel = chan.ch_id;
-        al_position = pos;
-        al_variant = variant;
-        al_expected = "<exit>";
-        al_got = "shared-memory access";
-        al_expected_sc = None;
-        al_got_sc = None;
-      }
+    diverge nxe chan ~pos ~variant ~expected:"<exit>" ~got:"shared-memory access" ()
   else begin
     let exp_sc = chan.sl_sc.(pos) in
     F.Tape.record chan.tapes.(variant) ~pos ~time:(M.now m) exp_sc;
     (match exp_sc.Sc.args with
      | [ _; content ] -> dst := content
      | _ ->
-       fail nxe
-         {
-           al_channel = chan.ch_id;
-           al_position = pos;
-           al_variant = variant;
-           al_expected = Format.asprintf "%a" Sc.pp exp_sc;
-           al_got = "shared-memory access";
-           al_expected_sc = Some exp_sc;
-           al_got_sc = None;
-         });
+       diverge nxe chan ~pos ~variant ~expected:(Format.asprintf "%a" Sc.pp exp_sc)
+         ~got:"shared-memory access" ~exp_sc ());
     if not (aborted nxe) then begin
-      chan.sl_arrived.(pos) <- chan.sl_arrived.(pos) + 1;
-      if wait_from < chan.sl_first.(pos) then chan.sl_first.(pos) <- wait_from;
-      if wait_from >= chan.sl_last.(pos) then begin
-        chan.sl_last.(pos) <- wait_from;
-        chan.sl_lastv.(pos) <- variant
-      end;
+      arrive chan pos ~variant wait_from;
       M.Waitq.signal m chan.leader_q;
       let blocked2 = ref !blocked in
       let ready_from = M.now m in
@@ -1150,23 +1572,7 @@ let follower_shared_fetch nxe chan ~variant ~pos dst =
       done;
       if M.now m > ready_from then Tel.Hist.observe nxe.h_wait (M.now m -. ready_from);
       if not (aborted nxe) then begin
-        let fetch_t0 = M.now m in
-        fetch_compute nxe ~blocked:!blocked2;
-        chan.cursors.(i) <- pos + 1;
-        touch nxe variant;
-        (match nxe.cfg.tracer with
-         | Some tc when chan.sl_span.(pos) >= 0 ->
-           ignore
-             (Tx.record_child tc Tx.Arrival ~parent:chan.sl_span.(pos)
-                ~node:nxe.cfg.trace_node ~variant ~chan:chan.ch_id ~pos
-                ~t0:neg_infinity ~t1:wait_from);
-           ignore
-             (Tx.record_child tc Tx.Fetch ~parent:chan.sl_span.(pos)
-                ~node:nxe.cfg.trace_node ~variant ~chan:chan.ch_id ~pos ~t0:fetch_t0
-                ~t1:(M.now m));
-           if slot_retired nxe chan pos then
-             Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
-         | _ -> ());
+        consume ~arrived_at:wait_from nxe m chan ~variant ~pos ~blocked:!blocked2;
         M.Waitq.signal m chan.leader_q
       end
     end
@@ -1174,11 +1580,14 @@ let follower_shared_fetch nxe chan ~variant ~pos dst =
 
 (* ------------------------------------------------------------------ *)
 (* Weak determinism: replay the leader's total order of locking-primitive
-   operations (the synccall protocol of §4.2). *)
+   operations (the synccall protocol of §4.2).  Over the Net the order
+   list streams to each node with the batches (its own messages in naive
+   mode), and a remote follower replays an entry only once delivered. *)
 
 let det_order_op nxe det ~variant ~chan =
   if nxe.cfg.weak_determinism then begin
-    let m = nxe.machine in
+    let node = nxe.place.(variant) in
+    let m = nxe.machines.(node) in
     (* The logical-thread id is the interned channel id: paths are unique
        per channel, so the int comparison below is exactly the old string
        comparison. *)
@@ -1188,14 +1597,21 @@ let det_order_op nxe det ~variant ~chan =
       Vec.push det.d_order ltid;
       nxe.order_len <- nxe.order_len + 1;
       touch nxe 0;
-      M.Waitq.broadcast_many m det.d_qs
+      wake_all nxe det.d_qs;
+      match nxe.wire with
+      | Some w ->
+        for k = 1 to Array.length nxe.machines - 1 do
+          if node_active nxe k then append_order nxe w k det ~hi:(Vec.length det.d_order)
+        done
+      | None -> ()
     end
     else begin
       let i = variant - 1 in
+      let delivered () = if node = 0 then Vec.length det.d_order else det.rd_len.(node) in
       while
         (not (aborted nxe))
         && not
-             (det.d_cursors.(i) < Vec.length det.d_order
+             (det.d_cursors.(i) < delivered ()
              && Vec.get det.d_order det.d_cursors.(i) = ltid)
       do
         nxe_wait nxe ~variant det.d_qs.(i)
@@ -1216,13 +1632,13 @@ let det_order_op nxe det ~variant ~chan =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Asynchronous signals: the leader takes a signal at its next
-   synchronized syscall and publishes a delivery marker; followers run the
-   handler at the same logical position (the classic NVX delivery-point
-   problem, solved at sync points). *)
+(* Asynchronous signals (in-process only): the leader takes a signal at its
+   next synchronized syscall and publishes a delivery marker; followers run
+   the handler at the same logical position (the classic NVX
+   delivery-point problem, solved at sync points). *)
 
 let rec run_handler nxe ~variant ~chan ops =
-  let m = nxe.machine in
+  let m = machine_of nxe variant in
   List.iter
     (fun op ->
       match op with
@@ -1240,7 +1656,7 @@ and deliver_due_signals nxe ~chan =
   match nxe.pending_signals with
   | [] -> ()
   | (t, idx) :: rest ->
-    if chan.ch_id = 0 && t <= M.now nxe.machine then begin
+    if chan.ch_id = 0 && t <= M.now nxe.machines.(0) then begin
       nxe.pending_signals <- rest;
       leader_sync nxe chan (Sc.with_args sc_signal_delivery [ Int64.of_int idx ]);
       if idx < Array.length nxe.signal_handlers then
@@ -1264,7 +1680,7 @@ and do_sys nxe ~variant ~chan sc =
 (* Thread executor *)
 
 let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~pth ~det ~in_main_init ops () =
-  let m = nxe.machine in
+  let m = machine_of nxe variant in
   let in_main = ref in_main_init in
   let spawn_count = ref 0 in
   let fork_count = ref 0 in
@@ -1366,11 +1782,14 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~pth ~det ~in_main_init ops () 
   touch nxe variant;
   if variant = 0 then begin
     chan.leader_done <- true;
+    (* Whatever is still batched must reach the remote nodes, or their
+       followers would wait forever on a watermark no one will advance. *)
+    (match nxe.wire with Some w -> flush_all nxe w | None -> ());
     wake_followers nxe chan
   end
   else begin
     chan.fol_done.(variant - 1) <- true;
-    M.Waitq.signal m chan.leader_q
+    M.Waitq.signal nxe.machines.(0) chan.leader_q
   end;
   (* Clamped: a quarantine zeroes the count while cancelled fibers never
      run this epilogue, but the Die victim's own fiber does. *)
@@ -1384,71 +1803,149 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~pth ~det ~in_main_init ops () 
     | _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* The run loop.  In-process, the one machine runs to completion.  Over
+   the Net the nodes co-simulate: settle every machine (dispatch runnable
+   fibers until none makes progress), then step whichever machine holds
+   the globally earliest pending event, ties broken by node index — a
+   total deterministic order, so one seed gives one bit-stable schedule. *)
+
+let run_machines nxe =
+  let ms = nxe.machines in
+  match nxe.wire with
+  | None -> M.run ms.(0)
+  | Some _ ->
+    let nm = Array.length ms in
+    let settle () =
+      let progressed = ref true in
+      while !progressed do
+        progressed := false;
+        for k = 0 to nm - 1 do
+          if M.dispatch_runnable ms.(k) then progressed := true
+        done
+      done
+    in
+    let unfinished () = Array.fold_left (fun s m -> s + M.unfinished_nondaemon m) 0 ms in
+    let continue_ = ref true in
+    while !continue_ do
+      settle ();
+      if unfinished () = 0 then continue_ := false
+      else begin
+        let best = ref (-1) in
+        let bt = ref infinity in
+        for k = 0 to nm - 1 do
+          let t = M.next_event_time ms.(k) in
+          if t < !bt then begin
+            bt := t;
+            best := k
+          end
+        done;
+        if !best < 0 then
+          raise
+            (M.Deadlock
+               ("cluster: "
+               ^ String.concat "; " (List.map M.stuck_description (Array.to_list ms))))
+        else M.step_event ms.(!best)
+      end
+    done
+
+(* ------------------------------------------------------------------ *)
 (* Entry points *)
 
-let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_sets
-    ?sensitivities ?(signals = []) ?(faults = Faults.none) ?coverage ?profile ~names traces =
-  let n = List.length traces in
-  if n < 1 then invalid_arg "Nxe.run_traces: need at least one variant";
-  if List.length names <> n then invalid_arg "Nxe.run_traces: names/traces length mismatch";
+(* One validation for both transports; returns the variant -> node
+   placement.  Over the Net, [Fork], [Shared_read] and [Restart_once] are
+   rejected: the slot stream is the only thing shipped, so a forked
+   group, a poisoned-page copy or a respawned victim would have no wire
+   model. *)
+let validate ~who ~net ~n ~names ~(config : config) ~faults ~coverage ~profile traces =
+  let bad fmt = Printf.ksprintf (fun s -> invalid_arg (who ^ ": " ^ s)) fmt in
+  if n < 1 then bad "need at least one variant";
+  if List.length names <> n then bad "names/traces length mismatch";
   (match profile with
-   | Some c when Pr.Collector.variants c <> n ->
-     invalid_arg "Nxe.run_traces: profile collector variant count mismatch"
+   | Some c when Pr.Collector.variants c <> n -> bad "profile collector variant count mismatch"
    | _ -> ());
   let pol = config.fault_policy in
   if Float.is_nan pol.heartbeat_timeout || pol.heartbeat_timeout <= 0.0 then
-    invalid_arg "Nxe.run_traces: heartbeat_timeout must be positive (infinity = off)";
+    bad "heartbeat_timeout must be positive (infinity = off)";
   if pol.restart_backoff < 0.0 || not (Float.is_finite pol.restart_backoff) then
-    invalid_arg "Nxe.run_traces: restart_backoff must be non-negative and finite";
+    bad "restart_backoff must be non-negative and finite";
   List.iter
     (fun (inj : Faults.injection) ->
       if inj.Faults.i_variant < 0 || inj.Faults.i_variant >= n then
-        invalid_arg "Nxe.run_traces: fault injection victim out of range";
-      if inj.Faults.i_at < 0 then
-        invalid_arg "Nxe.run_traces: fault injection position must be >= 0")
+        bad "fault injection victim out of range";
+      if inj.Faults.i_at < 0 then bad "fault injection position must be >= 0")
     faults.Faults.p_injections;
   (match coverage with
-   | Some cov when List.length cov <> n ->
-     invalid_arg "Nxe.run_traces: coverage length mismatch"
+   | Some cov when List.length cov <> n -> bad "coverage length mismatch"
    | _ -> ());
-  List.iter
-    (fun (label, c) ->
-      if c < 0.0 || not (Float.is_finite c) then
-        invalid_arg (Printf.sprintf "Nxe.run_traces: %s must be non-negative" label))
+  let costs =
     [
       ("checkin_cost", config.checkin_cost);
       ("fetch_cost", config.fetch_cost);
       ("synccall_cost", config.synccall_cost);
       ("resched_cost", config.resched_cost);
-    ];
-  if config.recorder_depth < 1 then
-    invalid_arg "Nxe.run_traces: recorder_depth must be >= 1";
+    ]
+    @ match net with Some w -> [ ("msg_cost", w.msg_cost) ] | None -> []
+  in
+  List.iter
+    (fun (label, c) ->
+      if c < 0.0 || not (Float.is_finite c) then bad "%s must be non-negative" label)
+    costs;
+  if config.recorder_depth < 1 then bad "recorder_depth must be >= 1";
   (* Capacity 0 would demand a slot be consumed before its publish returns,
      but followers only consume released slots — a guaranteed deadlock in
      selective mode, so reject it loudly instead.  Capacity 1 is the
      tightest legal ring: one unconsumed slot in flight (see the .mli). *)
-  if config.ring_capacity < 1 then
-    invalid_arg "Nxe.run_traces: ring_capacity must be >= 1";
-  let working_sets =
-    match working_sets with
-    | Some ws ->
-      if List.length ws <> n then invalid_arg "Nxe.run_traces: working_sets length mismatch";
-      Array.of_list ws
-    | None -> Array.make n 1.0
+  if config.ring_capacity < 1 then bad "ring_capacity must be >= 1";
+  match net with
+  | None -> Array.make n 0
+  | Some w ->
+    if w.nodes < 1 then bad "nodes must be >= 1";
+    if w.batch_slots < 1 then bad "batch_slots must be >= 1";
+    if w.ack_every < 1 || w.ack_every > config.ring_capacity then
+      bad "ack_every must be in [1, ring_capacity]";
+    if pol.policy = Restart_once then bad "Restart_once is not supported over the Net";
+    let rec check ops =
+      List.iter
+        (function
+          | Trace.Fork _ -> bad "Fork is a single-host feature"
+          | Trace.Shared_read _ -> bad "Shared_read is a single-host feature"
+          | Trace.Spawn sub -> check sub
+          | _ -> ())
+        ops
+    in
+    List.iter check traces;
+    let place =
+      match w.placement with
+      | Round_robin -> Array.init n (fun v -> v mod w.nodes)
+      | Pinned l ->
+        if List.length l <> n then bad "placement length mismatch";
+        Array.of_list l
+    in
+    Array.iter (fun k -> if k < 0 || k >= w.nodes then bad "placement node out of range") place;
+    if place.(0) <> 0 then bad "the leader (variant 0) must be on node 0";
+    place
+
+let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitivities ~signals
+    ~faults ~coverage ~profile ~names traces =
+  let n = List.length traces in
+  let place = validate ~who ~net ~n ~names ~config ~faults ~coverage ~profile traces in
+  let per_variant what default = function
+    | Some l ->
+      if List.length l <> n then invalid_arg (Printf.sprintf "%s: %s length mismatch" who what);
+      Array.of_list l
+    | None -> Array.make n default
   in
-  let sensitivities =
-    match sensitivities with
-    | Some ss ->
-      if List.length ss <> n then invalid_arg "Nxe.run_traces: sensitivities length mismatch";
-      Array.of_list ss
-    | None -> Array.make n (Lazy.from_val 1.0)
-  in
-  let machine =
+  let working_sets = per_variant "working_sets" 1.0 working_sets in
+  let sensitivities = per_variant "sensitivities" (Lazy.from_val 1.0) sensitivities in
+  let create () =
     match machine_config with
     | Some c -> M.create ~config:c ?telemetry:config.telemetry ()
     | None -> M.create ?telemetry:config.telemetry ()
   in
-  (match on_machine with Some hook -> hook machine | None -> ());
+  let machines =
+    Array.init (match net with Some w -> w.nodes | None -> 1) (fun _ -> create ())
+  in
+  (match on_machine with Some hook -> hook machines.(0) | None -> ());
   let tel =
     Option.map
       (fun sink ->
@@ -1488,11 +1985,45 @@ let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_s
      ignore (Tel.register_hist sink "nxe.lockstep_wait_us" h_wait);
      ignore (Tel.register_hist sink "nxe.heartbeat_wait_us" h_heartbeat)
    | None -> ());
+  let wire =
+    Option.map
+      (fun w ->
+        let links =
+          Net.create ~seed:w.net_seed ?telemetry:config.telemetry ?tracer:config.tracer ()
+        in
+        let link src dst =
+          Net.link links ~params:w.link ~src:machines.(src) ~dst:machines.(dst)
+            (Printf.sprintf "n%d-n%d" src dst)
+        in
+        let down = Array.init (w.nodes - 1) (fun j -> link 0 (j + 1)) in
+        let up = Array.init (w.nodes - 1) (fun j -> link (j + 1) 0) in
+        {
+          spec = w;
+          links;
+          down;
+          up;
+          outboxes =
+            Array.init (w.nodes - 1) (fun _ ->
+                { ob_items = []; ob_slots = 0; ob_bytes = 0; ob_span = -1 });
+          remote_checked = 0;
+          replicated = 0;
+          tf_ship = 0;
+          tf_batch = 0;
+          tf_release = 0;
+          tf_ack = 0;
+          tf_flow = 0;
+          tf_order = 0;
+        })
+      net
+  in
+  let signals = List.sort compare signals in
   let nxe =
     {
       cfg = config;
       n;
-      machine;
+      machines;
+      place;
+      wire;
       tel;
       h_gap;
       h_wait;
@@ -1516,9 +2047,8 @@ let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_s
       gap_max = 0;
       order_len = 0;
       replays = 0;
-      pending_signals =
-        List.mapi (fun i (t, _) -> (t, i)) (List.sort compare signals);
-      signal_handlers = Array.of_list (List.map snd (List.sort compare signals));
+      pending_signals = List.mapi (fun i (t, _) -> (t, i)) signals;
+      signal_handlers = Array.of_list (List.map snd signals);
       faults = Array.of_list faults.Faults.p_injections;
       f_done = Array.make (List.length faults.Faults.p_injections) 0;
       sys_ord = Array.make n 0;
@@ -1529,7 +2059,7 @@ let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_s
       v_parked = Array.make n 0;
       live_threads = Array.make n 0;
       last_progress = Array.make n 0.0;
-      traces_arr = [||];
+      traces_arr = Array.of_list traces;
       mon_proc = None;
       restart_hook = (fun _ -> ());
       fault_incidents = [];
@@ -1539,23 +2069,25 @@ let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_s
       profile;
     }
   in
-  nxe.traces_arr <- Array.of_list traces;
   let root_chan = get_chan nxe "c" in
   let root_det = get_det nxe "root" in
   let has_marker trace =
     List.exists (function Trace.Marker Trace.Main_entered -> true | _ -> false) trace
   in
-  List.iteri
-    (fun variant trace ->
-      let proc = get_proc nxe "root" variant in
-      let pth = get_pth nxe "root" variant in
-      nxe.live_threads.(variant) <- nxe.live_threads.(variant) + 1;
-      ignore
-        (M.spawn machine proc
-           ~name:(Printf.sprintf "%s:main" nxe.names.(variant))
-           (exec_ops nxe ~variant ~chan:root_chan ~ppath:"root" ~proc ~pth ~det:root_det
-              ~in_main_init:(not (has_marker trace)) trace)))
-    traces;
+  let start_main variant ~suffix =
+    let proc = get_proc nxe "root" variant in
+    let pth = get_pth nxe "root" variant in
+    let trace = nxe.traces_arr.(variant) in
+    ignore
+      (M.spawn (machine_of nxe variant) proc
+         ~name:(Printf.sprintf "%s:main%s" nxe.names.(variant) suffix)
+         (exec_ops nxe ~variant ~chan:root_chan ~ppath:"root" ~proc ~pth ~det:root_det
+            ~in_main_init:(not (has_marker trace)) trace))
+  in
+  for variant = 0 to n - 1 do
+    nxe.live_threads.(variant) <- nxe.live_threads.(variant) + 1;
+    start_main variant ~suffix:""
+  done;
   nxe.restart_hook <-
     (fun variant ->
       if (not (aborted nxe)) && nxe.v_quarantined.(variant) then begin
@@ -1588,37 +2120,32 @@ let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_s
            Tel.Counter.incr tel.t_restarts;
            Tel.instant tel.t_dom
              ~args:[ ("variant", string_of_int variant) ]
-             ~ts:(M.now machine) ~cat:"nxe" "restart"
+             ~ts:(M.now machines.(0)) ~cat:"nxe" "restart"
          | None -> ());
-        let proc = get_proc nxe "root" variant in
-        let pth = get_pth nxe "root" variant in
-        let trace = nxe.traces_arr.(variant) in
-        ignore
-          (M.spawn machine proc
-             ~name:(Printf.sprintf "%s:main:restart" nxe.names.(variant))
-             (exec_ops nxe ~variant ~chan:root_chan ~ppath:"root" ~proc ~pth ~det:root_det
-                ~in_main_init:(not (has_marker trace)) trace));
+        start_main variant ~suffix:":restart";
         broadcast_all nxe
       end);
-  (* Heartbeat watchdog: a daemon monitor fiber with zero working set and
-     zero compute, so attaching it never perturbs the group's schedule.  A
-     variant is declared hung when it has unfinished threads, at least one
-     of them is NOT parked at an NXE sync point (parked = waiting on peers,
-     which is the engine's fault, not the variant's), and it has made no
-     engine interaction for a full timeout.  The timeout must therefore
-     exceed the longest legitimate syscall-free stretch of the workload. *)
+  (* Heartbeat watchdog, on node 0 (the monitor host): a daemon monitor
+     fiber with zero working set and zero compute, so attaching it never
+     perturbs the group's schedule.  A variant is declared hung when it has
+     unfinished threads, at least one of them is NOT parked at an NXE sync
+     point (parked = waiting on peers, which is the engine's fault, not the
+     variant's), and it has made no engine interaction for a full timeout.
+     The timeout must therefore exceed the longest legitimate syscall-free
+     stretch of the workload. *)
   let hb = config.fault_policy.heartbeat_timeout in
   if Float.is_finite hb then begin
+    let m0 = machines.(0) in
     let mon = monitor_proc nxe in
     ignore
-      (M.spawn machine ~daemon:true mon ~name:"nxe-monitor:watchdog" (fun () ->
+      (M.spawn m0 ~daemon:true mon ~name:"nxe-monitor:watchdog" (fun () ->
            let interval = hb /. 2.0 in
            while
              (not (aborted nxe)) && Array.exists (fun c -> c > 0) nxe.live_threads
            do
-             M.sleep machine interval;
+             M.sleep m0 interval;
              if not (aborted nxe) then begin
-               let now = M.now machine in
+               let now = M.now m0 in
                for v = 0 to n - 1 do
                  if
                    nxe.live_threads.(v) > 0
@@ -1634,25 +2161,25 @@ let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_s
              end
            done))
   end;
-  (match M.run machine with
+  (match run_machines nxe with
    | () -> ()
    | exception M.Deadlock msg ->
      (* After an abort, threads stuck on application locks are "killed" by
         the monitor; any other deadlock is a real bug. *)
      if not (aborted nxe) then raise (M.Deadlock msg));
+  let per_proc v f init =
+    Hashtbl.fold (fun (_, v') proc acc -> if v' = v then f acc proc else acc) nxe.proc_reg init
+  in
   let variant_finish =
     List.init n (fun v ->
-        Hashtbl.fold
-          (fun (_, v') proc acc ->
-            if v' = v then Float.max acc (M.proc_finish_time machine proc) else acc)
-          nxe.proc_reg 0.0)
+        per_proc v (fun acc p -> Float.max acc (M.proc_finish_time (machine_of nxe v) p)) 0.0)
   in
   let variant_cpu =
     List.init n (fun v ->
-        Hashtbl.fold
-          (fun (_, v') proc acc ->
-            if v' = v then acc +. M.proc_cpu_time machine proc else acc)
-          nxe.proc_reg 0.0)
+        per_proc v (fun acc p -> acc +. M.proc_cpu_time (machine_of nxe v) p) 0.0)
+  in
+  let total_time =
+    Array.fold_left (fun acc m -> Float.max acc (M.stats m).M.total_time) 0.0 machines
   in
   (* Fill the attribution collector: per-variant phase-bucket sums over
      every process of the variant (the monitor lives in its own proc and
@@ -1661,20 +2188,19 @@ let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_s
    | Some c ->
      let vf = Array.of_list variant_finish and vc = Array.of_list variant_cpu in
      for v = 0 to n - 1 do
+       let m = machine_of nxe v in
        let phases = Array.make M.phase_slots 0.0 in
-       let thread_time = ref 0.0 in
-       Hashtbl.iter
-         (fun (_, v') proc ->
-           if v' = v then begin
-             let pp = M.proc_phases machine proc in
-             Array.iteri (fun i x -> phases.(i) <- phases.(i) +. x) pp;
-             thread_time := !thread_time +. M.proc_accounted_time machine proc
-           end)
-         nxe.proc_reg;
+       let thread_time =
+         per_proc v
+           (fun acc proc ->
+             Array.iteri (fun i x -> phases.(i) <- phases.(i) +. x) (M.proc_phases m proc);
+             acc +. M.proc_accounted_time m proc)
+           0.0
+       in
        Pr.Collector.fill_variant c ~variant:v ~name:nxe.names.(v) ~wall:vf.(v)
-         ~thread_time:!thread_time ~cpu:vc.(v) phases
+         ~thread_time ~cpu:vc.(v) phases
      done;
-     Pr.Collector.fill_run c ~total_time:(M.stats machine).M.total_time
+     Pr.Collector.fill_run c ~total_time
    | None -> ());
   (* Blame attribution: at an abort, every variant's flight recorder (plus
      the slot stream, for entries the bounded tapes already evicted) yields
@@ -1717,35 +2243,79 @@ let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_s
                 else [])
               cov))
   in
-  {
-    outcome = (match nxe.failed with None -> `All_finished | Some a -> `Aborted a);
-    incident;
-    total_time = (M.stats machine).M.total_time;
-    variant_finish;
-    variant_cpu;
-    synced_syscalls = nxe.synced;
-    executed_syscalls = nxe.executed;
-    lockstep_syscalls = nxe.locksteps;
-    avg_syscall_gap =
-      (if nxe.gap_count = 0 then 0.0 else nxe.gap_sum /. float_of_int nxe.gap_count);
-    max_syscall_gap = nxe.gap_max;
-    order_list_length = nxe.order_len;
-    det_replays = nxe.replays;
-    channels = nxe.chan_count;
-    variant_status = Array.to_list nxe.v_status;
-    coverage_loss;
-    fault_incidents = List.rev nxe.fault_incidents;
-    histograms =
-      [
-        ("syscall_gap", Tel.Hist.dump nxe.h_gap);
-        ("lockstep_wait_us", Tel.Hist.dump nxe.h_wait);
-        ("heartbeat_wait_us", Tel.Hist.dump nxe.h_heartbeat);
-      ];
-    machine_stats = M.stats machine;
-  }
+  let report =
+    {
+      outcome = (match nxe.failed with None -> `All_finished | Some a -> `Aborted a);
+      incident;
+      total_time;
+      variant_finish;
+      variant_cpu;
+      synced_syscalls = nxe.synced;
+      executed_syscalls = nxe.executed;
+      lockstep_syscalls = nxe.locksteps;
+      avg_syscall_gap =
+        (if nxe.gap_count = 0 then 0.0 else nxe.gap_sum /. float_of_int nxe.gap_count);
+      max_syscall_gap = nxe.gap_max;
+      order_list_length = nxe.order_len;
+      det_replays = nxe.replays;
+      channels = nxe.chan_count;
+      variant_status = Array.to_list nxe.v_status;
+      coverage_loss;
+      fault_incidents = List.rev nxe.fault_incidents;
+      histograms =
+        [
+          ("syscall_gap", Tel.Hist.dump nxe.h_gap);
+          ("lockstep_wait_us", Tel.Hist.dump nxe.h_wait);
+          ("heartbeat_wait_us", Tel.Hist.dump nxe.h_heartbeat);
+        ];
+      machine_stats = M.stats machines.(0);
+    }
+  in
+  (nxe, report)
 
-let run_builds ?config ?machine_config ?on_machine ?faults ?coverage ?profile
-    ?(jitter = 0.0) ~seed builds =
+let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_sets
+    ?sensitivities ?(signals = []) ?(faults = Faults.none) ?coverage ?profile ~names traces =
+  snd
+    (run ~who:"Nxe.run_traces" ~net:None ~config ~machine_config ~on_machine ~working_sets
+       ~sensitivities ~signals ~faults ~coverage ~profile ~names traces)
+
+let run_net net ?(config = default_config) ?machine_config ?working_sets ?sensitivities
+    ?(faults = Faults.none) ?coverage ~names traces =
+  let nxe, report =
+    run ~who:"Nxe.run_net" ~net:(Some net) ~config ~machine_config ~on_machine:None
+      ~working_sets ~sensitivities ~signals:[] ~faults ~coverage ~profile:None ~names traces
+  in
+  let w = Option.get nxe.wire in
+  let totals = Net.totals w.links in
+  ( report,
+    {
+      placed = Array.to_list nxe.place;
+      remote_checked = w.remote_checked;
+      replicated_results = w.replicated;
+      bytes_on_wire = totals.Net.s_bytes;
+      msgs_on_wire = totals.Net.s_msgs;
+      traffic =
+        {
+          tf_ship = w.tf_ship;
+          tf_batch = w.tf_batch;
+          tf_release = w.tf_release;
+          tf_ack = w.tf_ack;
+          tf_flow = w.tf_flow;
+          tf_order = w.tf_order;
+        };
+      link_stats = List.map (fun l -> (Net.link_name l, Net.link_stats l)) (Net.links w.links);
+      net_rtt = Tel.Hist.dump (Net.rtt_hist w.links);
+      node_stats = Array.to_list (Array.map M.stats nxe.machines);
+    } )
+
+type group = {
+  g_names : string list;
+  g_traces : Trace.t list;
+  g_working_sets : float list;
+  g_sensitivities : float Lazy.t list;
+}
+
+let group_of_builds ~jitter ~seed builds =
   (* Per-variant compute skew: diversified binaries (distinct code layout,
      ASLR, different checks) never run cycle-identical.  The skew is
      systematic per (variant, function) — a function whose cache layout is
@@ -1768,16 +2338,18 @@ let run_builds ?config ?machine_config ?on_machine ?faults ?coverage ?profile
       Trace.map_cost (fun func cost -> cost *. factor func) trace
     end
   in
-  let traces = List.mapi (fun i b -> jitter_trace i (Program.build_trace b ~seed)) builds in
-  let working_sets = List.map Program.build_working_set builds in
-  let sensitivities =
-    List.map (fun b -> lazy (1.0 /. (1.0 +. Program.overhead_of_build b))) builds
-  in
-  let names =
-    List.mapi
-      (fun i b -> Printf.sprintf "v%d-%s" i b.Program.prog.Program.name)
-      builds
-  in
+  {
+    g_traces = List.mapi (fun i b -> jitter_trace i (Program.build_trace b ~seed)) builds;
+    g_working_sets = List.map Program.build_working_set builds;
+    g_sensitivities =
+      List.map (fun b -> lazy (1.0 /. (1.0 +. Program.overhead_of_build b))) builds;
+    g_names =
+      List.mapi (fun i b -> Printf.sprintf "v%d-%s" i b.Program.prog.Program.name) builds;
+  }
+
+let run_builds ?config ?machine_config ?on_machine ?faults ?coverage ?profile
+    ?(jitter = 0.0) ~seed builds =
+  let g = group_of_builds ~jitter ~seed builds in
   (* Per-(variant, function) sanitizer fractions let the executor split
      check execution out of compute without extra compute calls. *)
   (match profile with
@@ -1795,5 +2367,6 @@ let run_builds ?config ?machine_config ?on_machine ?faults ?coverage ?profile
            b.Program.prog.Program.funcs)
        builds
    | None -> ());
-  run_traces ?config ?machine_config ?on_machine ?faults ?coverage ?profile ~working_sets
-    ~sensitivities ~names traces
+  run_traces ?config ?machine_config ?on_machine ?faults ?coverage ?profile
+    ~working_sets:g.g_working_sets ~sensitivities:g.g_sensitivities ~names:g.g_names
+    g.g_traces

@@ -23,7 +23,12 @@
     - {b Sanitizer-introduced syscalls}: synchronization starts at
       [Main_entered], stops at [About_to_exit], and memory-management
       syscalls are never compared, so variants hardened differently do not
-      trip false alerts. *)
+      trip false alerts.
+
+    This is the only lockstep engine.  {!run_traces} runs a group
+    in-process on one machine; {!run_net} runs the same code with the
+    variants spread over several machines joined by a
+    {!Bunshin_net.Net} transport (see "Networked groups" below). *)
 
 module M := Bunshin_machine.Machine
 
@@ -114,14 +119,11 @@ type config = {
           becomes one {!Bunshin_trace_ctx.Trace_ctx.Rendezvous} tree
           (publish, per-variant arrival, lockstep wait, scheduler waits,
           post-release fetches), and sanitizer checks become standalone
-          spans.  Pure observation into preallocated columns — the
-          {!report}, the schedule and the per-sync allocation budget are
-          unchanged (pinned by the golden and bench tests).  [None]
-          (default) compiles every site to a no-op test. *)
-  trace_node : int;
-      (** node id stamped on locally recorded spans (default 0); the
-          cluster sets it so multi-node trees attribute spans to the
-          machine that produced them *)
+          spans.  Each span carries the node of the variant that recorded
+          it (always 0 in-process).  Pure observation into preallocated
+          columns — the {!report}, the schedule and the per-sync
+          allocation budget are unchanged (pinned by the golden and bench
+          tests).  [None] (default) compiles every site to a no-op test. *)
 }
 (** All [*_cost] fields are in simulated microseconds — the same unit as
     {!M.config} quanta and every time in {!report}. *)
@@ -283,3 +285,103 @@ val run_builds :
     lockstep synchronization actually waits on.  Each variant's cache
     sensitivity is [1 / (1 + Program.overhead_of_build b)], computed only
     if the group over-subscribes the LLC. *)
+
+(** {2 Networked groups: the Net transport}
+
+    The same engine with its variants spread over several
+    {!Bunshin_machine.Machine} nodes joined by a {!Bunshin_net.Net} model
+    (the DMON / dMVX architecture).  The leader always runs on node 0 and
+    publishes the same slot ring; a follower on node 0 reads it directly,
+    while a follower on node [k > 0] sees a slot only once a link has
+    delivered it there, so its timing includes the wire.  Five things
+    differ from the in-process transport, and nothing else:
+    - which slots rendezvous: the ship mode's sensitive set, not
+      [config.mode];
+    - what a remote follower may see: its node's delivery watermarks, plus
+      arrival acks and flow-control acks on the up link;
+    - the leader's wire actions: flush and ship before a rendezvous,
+      release or batch after it, flush in the ring wait and at thread
+      exit, and batch weak-determinism order pushes (each its own
+      message in naive mode);
+    - incident tapes of a divergence end at the divergent slot, so the
+      verdict is ship-mode-independent;
+    - the run loop co-simulates the nodes, advancing whichever holds the
+      globally earliest event (ties by node index).
+
+    Monitor-plane signalling (abort, quarantine, end-of-stream wakes,
+    heartbeats) is shared state outside the byte accounting.  [Fork],
+    [Shared_read], signals and [Restart_once] have no wire model and are
+    rejected.  {!Bunshin_cluster.Cluster} is the user-facing front end. *)
+
+type ship_mode =
+  | Full_remote_lockstep  (** every slot round-trips with raw buffers *)
+  | Selective             (** only sensitive slots round-trip (digest compare) *)
+  | Selective_replicated  (** + read-like results served from the local replica *)
+
+type placement =
+  | Round_robin       (** variant [v] on node [v mod nodes] *)
+  | Pinned of int list (** explicit variant -> node map; leader on node 0 *)
+
+type net = {
+  nodes : int;          (** machine instances; node 0 hosts the leader *)
+  placement : placement;
+  ship : ship_mode;
+  link : Bunshin_net.Net.params; (** every inter-node link *)
+  net_seed : int;       (** seed for link loss draws *)
+  batch_slots : int;    (** non-sensitive slots per batched message *)
+  ack_every : int;      (** follower flow-control ack period, slots *)
+  msg_cost : float;     (** µs of CPU to marshal one message, charged at send *)
+}
+
+(** Bytes on the wire per traffic kind, message headers included. *)
+type traffic = {
+  tf_ship : int;
+  tf_batch : int;
+  tf_release : int;
+  tf_ack : int;
+  tf_flow : int;
+  tf_order : int;
+}
+
+type net_report = {
+  placed : int list;            (** variant -> node, as placed *)
+  remote_checked : int;         (** slot acks received over the wire *)
+  replicated_results : int;     (** read results served from the local replica *)
+  bytes_on_wire : int;
+  msgs_on_wire : int;
+  traffic : traffic;
+  link_stats : (string * Bunshin_net.Net.stats) list; (** per link, creation order *)
+  net_rtt : (float * int) list; (** ship-to-ack round trips, µs *)
+  node_stats : M.stats list;    (** per node *)
+}
+
+val run_net :
+  net ->
+  ?config:config ->
+  ?machine_config:M.config ->
+  ?working_sets:float list ->
+  ?sensitivities:float Lazy.t list ->
+  ?faults:Bunshin_faults.Faults.plan ->
+  ?coverage:string list list ->
+  names:string list ->
+  Bunshin_program.Trace.t list ->
+  report * net_report
+(** {!run_traces} over the Net transport.  In the {!report},
+    [total_time] is the latest finish over all nodes and [machine_stats]
+    is node 0's; [config.mode] and [config.sync_shared_memory] are unused.
+    @raise Invalid_argument as {!run_traces}, and on an invalid [net]
+    (fewer than one node, a bad placement, [batch_slots < 1], [ack_every]
+    outside [1, ring_capacity], negative [msg_cost]), on [Fork] or
+    [Shared_read] in a trace, or on the [Restart_once] policy. *)
+
+(** A group's inputs derived from program builds. *)
+type group = {
+  g_names : string list;
+  g_traces : Bunshin_program.Trace.t list;
+  g_working_sets : float list;
+  g_sensitivities : float Lazy.t list;
+}
+
+val group_of_builds : jitter:float -> seed:int -> Bunshin_program.Program.build list -> group
+(** The traces, names, working sets and lazy cache sensitivities
+    {!run_builds} runs, with its per-(variant, function) compute jitter. *)

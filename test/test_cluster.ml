@@ -376,18 +376,19 @@ let test_validation () =
 (* Spawn-free traces only: channel numbering is creation-ordered, so a
    multithreaded interleaving could legitimately differ between runs;
    single-channel traces make verdicts directly comparable. *)
-let gen_trace_ops =
-  let open QCheck.Gen in
-  let leaf =
+type op = [ `Work of float | `Read of int | `Write of int | `Locked of int ]
+
+let gen_op : op QCheck.Gen.t =
+  QCheck.Gen.(
     frequency
       [
         (4, map (fun c -> `Work (float_of_int (1 + c))) (int_bound 30));
         (2, map (fun i -> `Read i) (int_bound 100));
         (2, map (fun i -> `Write i) (int_bound 100));
         (1, map (fun l -> `Locked l) (int_bound 2));
-      ]
-  in
-  list_size (1 -- 20) leaf
+      ])
+
+let gen_trace_ops = QCheck.Gen.(list_size (1 -- 20) gen_op)
 
 let trace_of_ops ops =
   List.concat_map
@@ -466,6 +467,124 @@ let prop_cluster_matches_local_engine =
       in
       local = remote)
 
+(* ------------------------------------------------------------------ *)
+(* Property: a one-node cluster is the local engine *)
+
+(* With every variant on node 0 the Net transport ships nothing, so a
+   cluster run must reproduce the local engine bit for bit: naive mode
+   against strict lockstep, the selective modes against selective
+   lockstep (their sensitive set is the selective-lockstep set on traces
+   without process or socket syscalls). *)
+type k1_case = {
+  k_n : int;
+  k_main : op list;
+  k_spawn : op list option;
+  k_diverge : (int * int) option; (* (k-th syscall, follower) *)
+  k_skew : float list;
+}
+
+let gen_k1_case =
+  let open QCheck.Gen in
+  let* k_n = 2 -- 4 in
+  let* k_main = list_size (1 -- 16) gen_op in
+  let* k_spawn = opt (list_size (1 -- 8) gen_op) in
+  let* k_diverge = opt (pair (int_bound 16) (1 -- (k_n - 1))) in
+  let* k_skew = list_repeat k_n (float_range 0.8 1.25) in
+  return { k_n; k_main; k_spawn; k_diverge; k_skew }
+
+let print_k1_case c =
+  Printf.sprintf "n=%d main=%d ops spawn=%s diverge=%s" c.k_n (List.length c.k_main)
+    (match c.k_spawn with Some s -> string_of_int (List.length s) | None -> "-")
+    (match c.k_diverge with Some (k, v) -> Printf.sprintf "#%d@v%d" k v | None -> "-")
+
+let k1_traces c =
+  List.mapi
+    (fun v skew ->
+      let skewed ops = Trace.map_cost (fun _ cost -> cost *. skew) (trace_of_ops ops) in
+      let main = skewed c.k_main in
+      let main =
+        match c.k_diverge with
+        | Some (k, fv) when fv = v -> mutate_kth_syscall ~k ~delta:500L main
+        | _ -> main
+      in
+      match c.k_spawn with Some sub -> Trace.Spawn (skewed sub) :: main | None -> main)
+    c.k_skew
+
+let h = Printf.sprintf "%h"
+let hs l = String.concat ";" (List.map h l)
+
+let alert_str = function
+  | `All_finished -> "finished"
+  | `Aborted a ->
+    Printf.sprintf "aborted(ch%d@%d v%d %s!=%s)" a.Nxe.al_channel a.Nxe.al_position
+      a.Nxe.al_variant a.Nxe.al_expected a.Nxe.al_got
+
+let status_str l =
+  String.concat ";"
+    (List.map
+       (function
+         | Nxe.Healthy -> "H"
+         | Nxe.Quarantined q -> Printf.sprintf "Q@%s" (h q.q_time)
+         | Nxe.Recovered q -> Printf.sprintf "R@%s" (h q.r_time))
+       l)
+
+let hist_str cells =
+  String.concat "," (List.map (fun (ub, c) -> Printf.sprintf "%s*%d" (h ub) c) cells)
+
+let stats_str (s : M.stats) =
+  Printf.sprintf "t=%s ctx=%d peak=%s" (h s.M.total_time) s.M.context_switches
+    (h s.M.cache_pressure_peak)
+
+let local_scalars (r : Nxe.report) =
+  Printf.sprintf
+    ("%s t=%s fin=[%s] cpu=[%s] syn=%d exe=%d lock=%d ord=%d rep=%d ch=%d "
+    ^^ "st=[%s] wait=[%s] %s")
+    (alert_str r.Nxe.outcome) (h r.Nxe.total_time) (hs r.Nxe.variant_finish)
+    (hs r.Nxe.variant_cpu) r.Nxe.synced_syscalls r.Nxe.executed_syscalls
+    r.Nxe.lockstep_syscalls r.Nxe.order_list_length r.Nxe.det_replays r.Nxe.channels
+    (status_str r.Nxe.variant_status)
+    (hist_str (List.assoc "lockstep_wait_us" r.Nxe.histograms))
+    (stats_str r.Nxe.machine_stats)
+
+let cluster_scalars (r : Cluster.report) =
+  Printf.sprintf
+    ("%s t=%s fin=[%s] cpu=[%s] syn=%d exe=%d lock=%d ord=%d rep=%d ch=%d "
+    ^^ "st=[%s] wait=[%s] %s")
+    (alert_str r.Cluster.outcome) (h r.Cluster.total_time) (hs r.Cluster.variant_finish)
+    (hs r.Cluster.variant_cpu) r.Cluster.synced_syscalls r.Cluster.executed_syscalls
+    r.Cluster.lockstep_syscalls r.Cluster.order_entries r.Cluster.det_replays
+    r.Cluster.channels
+    (status_str r.Cluster.variant_status)
+    (hist_str (List.assoc "lockstep_wait_us" r.Cluster.histograms))
+    (match r.Cluster.node_stats with [ s ] -> stats_str s | _ -> "nodes<>1")
+
+let signature = Option.map Cluster.incident_signature
+
+let prop_one_node_cluster_is_local_engine =
+  QCheck.Test.make ~name:"cluster: one node reproduces the local engine" ~count:1000
+    (QCheck.make ~print:print_k1_case gen_k1_case)
+    (fun c ->
+      let traces = k1_traces c and names = names c.k_n in
+      let cluster ship =
+        Cluster.run_traces ~config:(cfg ~nodes:1 ~ship ()) ~names traces
+      in
+      let strict = Nxe.run_traces ~names traces in
+      let naive = cluster Cluster.Full_remote_lockstep in
+      let local_sel = Nxe.run_traces ~config:Nxe.selective ~names traces in
+      let agree what a b =
+        if a <> b then QCheck.Test.fail_reportf "%s:\n  local   %s\n  cluster %s" what a b
+        else true
+      in
+      agree "naive vs strict" (local_scalars strict) (cluster_scalars naive)
+      && signature strict.Nxe.incident = signature naive.Cluster.incident
+      && List.for_all
+           (fun ship ->
+             let r = cluster ship in
+             agree (Cluster.mode_name ship ^ " vs selective") (local_scalars local_sel)
+               (cluster_scalars r)
+             && r.Cluster.outcome = local_sel.Nxe.outcome)
+           [ Cluster.Selective; Cluster.Selective_replicated ])
+
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -506,5 +625,10 @@ let () =
           Alcotest.test_case "validation" `Quick test_validation;
         ] );
       ( "properties",
-        qcheck [ prop_ship_modes_observation_equivalent; prop_cluster_matches_local_engine ] );
+        qcheck
+          [
+            prop_ship_modes_observation_equivalent;
+            prop_cluster_matches_local_engine;
+            prop_one_node_cluster_is_local_engine;
+          ] );
     ]

@@ -9,7 +9,9 @@
    flow control — fails here, not just verdict changes.
 
    Each scenario also runs with a telemetry sink attached (documented as
-   pure observation): both reports must render byte-identically.
+   pure observation): both reports must render byte-identically.  The
+   remote-quarantine run must also feed the engine's nxe.* counters, as a
+   local run does.
 
    Regenerate with:
      BUNSHIN_REGEN_GOLDEN=test/golden dune exec test/test_cluster_golden.exe *)
@@ -226,6 +228,21 @@ let () =
          end);
       print_string ("golden " ^ s.s_name ^ ": checked\n"))
     scenarios;
+  (* One telemetry schema on both transports: the remote quarantine run
+     feeds the engine's own nxe.* counters. *)
+  let sink = Tel.create () in
+  let s = List.find (fun s -> s.s_name = "cluster_remote_quarantine") scenarios in
+  let r = s.s_run ~telemetry:(Some sink) in
+  List.iter
+    (fun (name, want) ->
+      let got = Tel.Counter.value (Tel.counter sink name) in
+      if got <> want then fail (Printf.sprintf "%s: %s = %d, want %d" s.s_name name got want))
+    [
+      ("nxe.slot_publish", r.Cluster.synced_syscalls);
+      ("nxe.faults_injected", 1);
+      ("nxe.quarantines", 1);
+    ];
+  print_string ("telemetry " ^ s.s_name ^ ": checked\n");
   match !failures with
   | [] -> if regen_dir <> None then print_string "goldens regenerated\n"
   | fs ->
