@@ -1525,9 +1525,10 @@ let slo_data () =
       (r.Nxe.synced_syscalls, r.Nxe.total_time, 3));
   measure ~sname:"lighttpd" ~nodes:4 ~slo_limit:(Server.slo_target_us Server.Lighttpd)
     (fun tracer ->
-      let config = { Cluster.default_config with nodes = 4; ship = Cluster.Selective; tracer } in
+      let config = { Cluster.default_config with nodes = 4; ship = Cluster.Selective } in
+      let engine = { Nxe.default_config with tracer } in
       let names = List.init 3 (Printf.sprintf "v%d") in
-      let r = Cluster.run_traces ~config ~names (List.init 3 (fun _ -> server_trace)) in
+      let r = Cluster.run_traces ~config ~engine ~names (List.init 3 (fun _ -> server_trace)) in
       (r.Cluster.synced_syscalls, r.Cluster.total_time, 3));
   Table.print t;
   Gate.emit_json ~section:"slo" ~quick (List.rev !suites)

@@ -612,12 +612,14 @@ let trace_cmd =
     (* Distributed stage: the same fleet spread over the requested nodes,
        so the per-link wire counters land in the same sink. *)
     if nodes > 1 then begin
-      let cconfig = { Cluster.default_config with nodes; telemetry = Some sink; tracer } in
+      let cconfig = { Cluster.default_config with nodes } in
       let trace =
         Program.build_trace (Program.baseline bench.Bench.prog) ~seed:Experiments.ref_seed
       in
       let names = List.init n (fun i -> Printf.sprintf "v%d" i) in
-      let cr = Cluster.run_traces ~config:cconfig ~names (List.init n (fun _ -> trace)) in
+      let cr =
+        Cluster.run_traces ~config:cconfig ~engine:config ~names (List.init n (fun _ -> trace))
+      in
       Printf.printf "cluster stage: %d nodes (%s), %.0f us, %d bytes in %d msgs on the wire\n"
         nodes
         (Cluster.mode_name cconfig.Cluster.ship)
@@ -676,6 +678,25 @@ let robustness_cmd =
     (Cmd.info "robustness" ~doc:"The 5.1 robustness sweep: false-positive check on all suites.")
     Term.(const run $ const ())
 
+let status_str = function
+  | Nxe.Healthy -> "healthy"
+  | Nxe.Quarantined { q_time; q_cause; q_restarts } ->
+    Printf.sprintf "QUARANTINED at %.1fus (%s, %d restarts)" q_time
+      (Nxe.cause_string q_cause) q_restarts
+  | Nxe.Recovered { q_time; q_cause; r_time } ->
+    Printf.sprintf "recovered at %.1fus (quarantined %.1fus, %s)" r_time q_time
+      (Nxe.cause_string q_cause)
+
+let print_incidents ~json incidents =
+  List.iter
+    (fun inc ->
+      if json then print_endline (Forensics.to_json inc)
+      else begin
+        print_newline ();
+        print_string (Forensics.to_text inc)
+      end)
+    incidents
+
 let chaos_cmd =
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Fault-plan seed.")
@@ -710,15 +731,6 @@ let chaos_cmd =
   in
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit fault incidents as JSON.")
-  in
-  let status_str = function
-    | Nxe.Healthy -> "healthy"
-    | Nxe.Quarantined { q_time; q_cause; q_restarts } ->
-      Printf.sprintf "QUARANTINED at %.1fus (%s, %d restarts)" q_time
-        (Nxe.cause_string q_cause) q_restarts
-    | Nxe.Recovered { q_time; q_cause; r_time } ->
-      Printf.sprintf "recovered at %.1fus (quarantined %.1fus, %s)" r_time q_time
-        (Nxe.cause_string q_cause)
   in
   let run config n seed count policy heartbeat json =
     let units = 24 in
@@ -761,17 +773,7 @@ let chaos_cmd =
     (match r.Nxe.coverage_loss with
      | [] -> Printf.printf "coverage loss: none\n"
      | lost -> Printf.printf "coverage loss: %s\n" (String.concat ", " lost));
-    let incidents =
-      r.Nxe.fault_incidents @ Option.to_list r.Nxe.incident
-    in
-    List.iter
-      (fun inc ->
-        if json then print_endline (Forensics.to_json inc)
-        else begin
-          print_newline ();
-          print_string (Forensics.to_text inc)
-        end)
-      incidents
+    print_incidents ~json (r.Nxe.fault_incidents @ Option.to_list r.Nxe.incident)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -856,15 +858,6 @@ let cluster_cmd =
                    workload's longest syscall-free compute stretch.")
   in
   let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Emit incidents as JSON.") in
-  let status_str = function
-    | Nxe.Healthy -> "healthy"
-    | Nxe.Quarantined { q_time; q_cause; q_restarts } ->
-      Printf.sprintf "QUARANTINED at %.1fus (%s, %d restarts)" q_time
-        (Nxe.cause_string q_cause) q_restarts
-    | Nxe.Recovered { q_time; q_cause; r_time } ->
-      Printf.sprintf "recovered at %.1fus (quarantined %.1fus, %s)" r_time q_time
-        (Nxe.cause_string q_cause)
-  in
   let mutate_kth_syscall ~k trace =
     let seen = ref 0 in
     List.map
@@ -914,14 +907,7 @@ let cluster_cmd =
         Printf.printf "  link %-8s msgs=%d bytes=%d retransmits=%d\n" lname st.Net.s_msgs
           st.Net.s_bytes st.Net.s_retransmits)
       r.Cluster.link_stats;
-    List.iter
-      (fun inc ->
-        if json then print_endline (Forensics.to_json inc)
-        else begin
-          print_newline ();
-          print_string (Forensics.to_text inc)
-        end)
-      (r.Cluster.fault_incidents @ Option.to_list r.Cluster.incident)
+    print_incidents ~json (r.Cluster.fault_incidents @ Option.to_list r.Cluster.incident)
   in
   let run bench n nodes ship compare diverge chaos policy heartbeat json spans spans_out =
     let tracer =
@@ -941,16 +927,19 @@ let cluster_cmd =
     let names = List.init n (fun i -> Printf.sprintf "v%d" i) in
     let faults = Option.map (fun seed -> Faults.plan ~seed ~variants:n ~syscalls ()) chaos in
     Option.iter (Format.printf "%a@." Faults.pp_plan) faults;
-    let config ship =
-      { Cluster.default_config with
-        nodes; ship; tracer;
+    let engine =
+      { Nxe.default_config with
+        tracer;
         fault_policy =
           (* The watchdog only matters when faults are injected; leave it
              off otherwise so a long syscall-free stretch is not a stall. *)
-          (if chaos = None then Cluster.default_config.Cluster.fault_policy
+          (if chaos = None then Nxe.default_policy
            else { Nxe.policy; heartbeat_timeout = heartbeat; restart_backoff = 50.0 }) }
     in
-    let run1 ship = Cluster.run_traces ~config:(config ship) ?faults ~names traces in
+    let run1 ship =
+      Cluster.run_traces ~config:{ Cluster.default_config with nodes; ship } ~engine ?faults
+        ~names traces
+    in
     if not compare then begin
       Printf.printf "%s x%d on %d nodes, %s shipping\n" bench.Bench.name n nodes
         (Cluster.mode_name ship);
@@ -1068,23 +1057,20 @@ let slo_cmd =
       Printf.sprintf "%s x%d (%s)" bench.Bench.name n
         (if nodes = 1 then "single node" else Printf.sprintf "%d nodes" nodes)
     in
+    let engine = { Nxe.selective with telemetry = Some sink; tracer = Some tc } in
     let total_time =
       if nodes = 1 then begin
-        let config = { Nxe.selective with telemetry = Some sink; tracer = Some tc } in
         let builds = List.init n (fun _ -> Program.baseline bench.Bench.prog) in
-        let r = Experiments.nxe_run ~config ~seed:Experiments.ref_seed builds in
+        let r = Experiments.nxe_run ~config:engine ~seed:Experiments.ref_seed builds in
         r.Nxe.total_time
       end
       else begin
-        let config =
-          { Cluster.default_config with
-            nodes; ship = Cluster.Selective; telemetry = Some sink; tracer = Some tc }
-        in
+        let config = { Cluster.default_config with nodes; ship = Cluster.Selective } in
         let trace =
           Program.build_trace (Program.baseline bench.Bench.prog) ~seed:Experiments.ref_seed
         in
         let names = List.init n (fun i -> Printf.sprintf "v%d" i) in
-        let r = Cluster.run_traces ~config ~names (List.init n (fun _ -> trace)) in
+        let r = Cluster.run_traces ~config ~engine ~names (List.init n (fun _ -> trace)) in
         r.Cluster.total_time
       end
     in

@@ -27,72 +27,44 @@ cat BENCH_interp.json
 
 # Perf gates.  The interpreter numbers are wall-clock, so they are gated
 # against the baseline regenerated just above (catches a same-machine
-# regression without tripping on hardware differences).  The attribution
-# numbers are simulated time — deterministic — so they are gated tightly
-# against the committed BENCH_profile.json, and an injected 25% regression
-# (--scale-baseline 0.8) must make the gate exit non-zero.
+# regression without tripping on hardware differences).
 echo "== perf gate (bench diff interp --quick)"
 dune exec bench/main.exe -- diff interp --quick
-echo "== perf gate (bench diff profile, committed baseline)"
-dune exec bench/main.exe -- diff profile
-echo "== perf gate self-test (injected regression must fail)"
-if dune exec bench/main.exe -- diff profile --scale-baseline 0.8 >/dev/null 2>&1; then
-  echo "perf gate self-test: injected regression was NOT detected"; exit 1
-fi
 
-# NXE lockstep gate: `diff nxe --quick` runs the quick `bench nxe`
-# section fresh (which also asserts the hot path's per-sync allocation
-# budget) and compares it against the committed BENCH_nxe.json — the
-# synchronized-syscall counts and simulated times are pinned exactly
-# (bit-identical schedules), the wall-clock sync rate with the same
-# tolerance as the interp gate.  The scaled-baseline rerun proves the
-# gate actually fails on a 25% regression.
-echo "== perf gate (bench nxe --quick vs committed BENCH_nxe.json)"
-dune exec bench/main.exe -- diff nxe --quick
-echo "== perf gate self-test (injected nxe regression must fail)"
-if dune exec bench/main.exe -- diff nxe --quick --scale-baseline 0.8 >/dev/null 2>&1; then
-  echo "nxe perf gate self-test: injected regression was NOT detected"; exit 1
-fi
-
-# Distributed NXE gate: `diff net --quick` re-runs the cluster traffic
-# matrix (which itself asserts the >=5x dense-workload byte reduction of
-# selective+replication vs naive, and cross-mode verdict parity) and pins
-# the deterministic wire/time numbers against the committed
-# BENCH_net.json.  The scaled-baseline rerun proves the gate actually
-# fails on an injected 25% regression.
-echo "== perf gate (bench net --quick vs committed BENCH_net.json)"
-dune exec bench/main.exe -- diff net --quick
-echo "== perf gate self-test (injected net regression must fail)"
-if dune exec bench/main.exe -- diff net --quick --scale-baseline 0.8 >/dev/null 2>&1; then
-  echo "net perf gate self-test: injected regression was NOT detected"; exit 1
-fi
-
-# SLO/tracing gate: `diff slo --quick` re-runs the causal-tracing matrix
-# fresh — which itself asserts that enabling the tracer leaves the run
-# bit-identical, that the span ring stays inside the NXE's per-sync
-# allocation budget, and that the live windowed p99 agrees with the
-# post-hoc exact percentile within one log-bucket width — and pins the
-# deterministic latency quantiles, burn rates and attribution shares
-# against the committed BENCH_slo.json.
-echo "== perf gate (bench slo --quick vs committed BENCH_slo.json)"
-dune exec bench/main.exe -- diff slo --quick
-echo "== perf gate self-test (injected slo regression must fail)"
-if dune exec bench/main.exe -- diff slo --quick --scale-baseline 0.8 >/dev/null 2>&1; then
-  echo "slo perf gate self-test: injected regression was NOT detected"; exit 1
-fi
-
-# Serving gate: `diff serve --quick` re-runs the open-loop offered-load
-# sweep over the NXE group pool — which itself re-proves neutrality
-# (pooled group reports bit-identical to solo replays on the saturated
-# point) — and pins request conservation counts, the deterministic
-# latency quantiles, the rejection rates and the epoll-style batching
-# factor against the committed BENCH_serve.json.
-echo "== perf gate (bench serve --quick vs committed BENCH_serve.json)"
-dune exec bench/main.exe -- diff serve --quick
-echo "== perf gate self-test (injected serve regression must fail)"
-if dune exec bench/main.exe -- diff serve --quick --scale-baseline 0.8 >/dev/null 2>&1; then
-  echo "serve perf gate self-test: injected regression was NOT detected"; exit 1
-fi
+# The other gates diff a fresh run against the committed BENCH_<section>.json,
+# then rerun with an injected 25% regression (--scale-baseline 0.8) that
+# must make the gate exit non-zero.  What each section pins:
+# - profile: the attribution numbers are simulated time — deterministic —
+#   so they are gated tightly against the committed baseline.
+# - nxe: `diff nxe --quick` runs the quick `bench nxe` section fresh (which
+#   also asserts the hot path's per-sync allocation budget); the
+#   synchronized-syscall counts and simulated times are pinned exactly
+#   (bit-identical schedules), the wall-clock sync rate with the same
+#   tolerance as the interp gate.
+# - net: re-runs the cluster traffic matrix (which itself asserts the >=5x
+#   dense-workload byte reduction of selective+replication vs naive, and
+#   cross-mode verdict parity) and pins the deterministic wire/time numbers.
+# - slo: re-runs the causal-tracing matrix fresh — which itself asserts
+#   that enabling the tracer leaves the run bit-identical, that the span
+#   ring stays inside the NXE's per-sync allocation budget, and that the
+#   live windowed p99 agrees with the post-hoc exact percentile within one
+#   log-bucket width — and pins the deterministic latency quantiles, burn
+#   rates and attribution shares.
+# - serve: re-runs the open-loop offered-load sweep over the NXE group pool
+#   — which itself re-proves neutrality (pooled group reports bit-identical
+#   to solo replays on the saturated point) — and pins request conservation
+#   counts, the deterministic latency quantiles, the rejection rates and
+#   the epoll-style batching factor.
+for gate in "profile" "nxe --quick" "net --quick" "slo --quick" "serve --quick"; do
+  section=${gate%% *}
+  echo "== perf gate (bench diff $gate vs committed BENCH_$section.json)"
+  # $gate is split into words on purpose.
+  dune exec bench/main.exe -- diff $gate
+  echo "== perf gate self-test (injected $section regression must fail)"
+  if dune exec bench/main.exe -- diff $gate --scale-baseline 0.8 >/dev/null 2>&1; then
+    echo "$section perf gate self-test: injected regression was NOT detected"; exit 1
+  fi
+done
 
 # Profiler smoke: the overhead-attribution path end to end — per-phase
 # decomposition sums to each variant's thread time (the report prints the
@@ -275,5 +247,20 @@ echo "$heap_out" | grep -q "^CRASHED" || {
 if echo "$heap_out" | grep -q "internal error"; then
   echo "heap-limit smoke: exec reported an internal error"; exit 1
 fi
+
+# Verifier smoke: a call that passes fewer arguments than the callee reads
+# must be rejected before the run starts (exit 1, "verification failed"),
+# not fail partway through it.
+echo "== verifier smoke (exec of a module calling malloc with no argument)"
+printf 'define @main() {\nentry:\n  %%p = call @malloc()\n  ret 0\n}\n' \
+  > _build/check_malloc_no_arg.bir
+status=0
+verify_out=$(dune exec bin/bunshin_cli.exe -- exec _build/check_malloc_no_arg.bir 2>&1) \
+  || status=$?
+echo "$verify_out"
+[ "$status" -eq 1 ] || {
+  echo "verifier smoke: exec exited $status, want 1"; exit 1; }
+echo "$verify_out" | grep -q "verification failed" || {
+  echo "verifier smoke: the module was not rejected by the verifier"; exit 1; }
 
 echo "OK"

@@ -1,36 +1,18 @@
 module M = Bunshin_machine.Machine
-module Trace = Bunshin_program.Trace
-module Program = Bunshin_program.Program
-module Tel = Bunshin_telemetry.Telemetry
 module F = Bunshin_forensics.Forensics
-module Faults = Bunshin_faults.Faults
 module Nxe = Bunshin_nxe.Nxe
 module Net = Bunshin_net.Net
-module Tx = Bunshin_trace_ctx.Trace_ctx
 
 type ship_mode = Nxe.ship_mode = Full_remote_lockstep | Selective | Selective_replicated
 
 type placement = Nxe.placement = Round_robin | Pinned of int list
 
-type config = {
+type config = Nxe.net = {
   nodes : int;
   placement : placement;
   ship : ship_mode;
   link : Net.params;
-  net_seed : int;
   batch_slots : int;
-  ack_every : int;
-  ring_capacity : int;
-  checkin_cost : float;
-  fetch_cost : float;
-  synccall_cost : float;
-  resched_cost : float;
-  msg_cost : float;
-  weak_determinism : bool;
-  recorder_depth : int;
-  telemetry : Tel.sink option;
-  tracer : Tx.t option;
-  fault_policy : Nxe.fault_policy;
 }
 
 let default_config =
@@ -39,20 +21,7 @@ let default_config =
     placement = Round_robin;
     ship = Selective_replicated;
     link = Net.default_params;
-    net_seed = 0;
     batch_slots = 16;
-    ack_every = 16;
-    ring_capacity = 64;
-    checkin_cost = 0.3;
-    fetch_cost = 0.25;
-    synccall_cost = 0.4;
-    resched_cost = 0.25;
-    msg_cost = 0.5;
-    weak_determinism = true;
-    recorder_depth = 16;
-    telemetry = None;
-    tracer = None;
-    fault_policy = Nxe.default_policy;
   }
 
 type traffic = Nxe.traffic = {
@@ -96,41 +65,14 @@ let mode_name = function
   | Selective_replicated -> "selective+replication"
 
 (* ------------------------------------------------------------------ *)
-(* The cluster is the engine over its Net transport: split the config
-   into the engine's and the wire's halves, run, project the report. *)
+(* The cluster is the engine over its Net transport: run, project the
+   report. *)
 
-let engine_config (c : config) =
-  {
-    Nxe.default_config with
-    ring_capacity = c.ring_capacity;
-    checkin_cost = c.checkin_cost;
-    fetch_cost = c.fetch_cost;
-    synccall_cost = c.synccall_cost;
-    resched_cost = c.resched_cost;
-    weak_determinism = c.weak_determinism;
-    recorder_depth = c.recorder_depth;
-    telemetry = c.telemetry;
-    tracer = c.tracer;
-    fault_policy = c.fault_policy;
-  }
-
-let net_of (c : config) =
-  {
-    Nxe.nodes = c.nodes;
-    placement = c.placement;
-    ship = c.ship;
-    link = c.link;
-    net_seed = c.net_seed;
-    batch_slots = c.batch_slots;
-    ack_every = c.ack_every;
-    msg_cost = c.msg_cost;
-  }
-
-let run_traces ?(config = default_config) ?machine_config ?working_sets ?sensitivities
-    ?faults ?coverage ~names traces =
+let run_traces ?(config = default_config) ?engine ?machine_config ?working_sets
+    ?sensitivities ?faults ?coverage ~names traces =
   let r, w =
-    Nxe.run_net (net_of config) ~config:(engine_config config) ?machine_config
-      ?working_sets ?sensitivities ?faults ?coverage ~names traces
+    Nxe.run_net config ?config:engine ?machine_config ?working_sets ?sensitivities ?faults
+      ?coverage ~names traces
   in
   {
     outcome = r.Nxe.outcome;
@@ -161,11 +103,6 @@ let run_traces ?(config = default_config) ?machine_config ?working_sets ?sensiti
       ];
     node_stats = w.Nxe.node_stats;
   }
-
-let run_builds ?config ?machine_config ?faults ?coverage ?(jitter = 0.0) ~seed builds =
-  let g = Nxe.group_of_builds ~jitter ~seed builds in
-  run_traces ?config ?machine_config ?faults ?coverage ~working_sets:g.Nxe.g_working_sets
-    ~sensitivities:g.Nxe.g_sensitivities ~names:g.Nxe.g_names g.Nxe.g_traces
 
 (* ------------------------------------------------------------------ *)
 (* Verdict signature: everything about an incident except wall times. *)

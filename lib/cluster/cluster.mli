@@ -1,9 +1,10 @@
 (** Distributed N-version execution: variant fleets spread over several
     {!Bunshin_machine.Machine} nodes joined by a {!Bunshin_net.Net} model —
     the DMON / dMVX architecture.  This is a front end: runs go through
-    the one engine, {!Bunshin_nxe.Nxe.run_net}, over its Net transport,
-    and this module maps its {!config} onto the engine's and projects the
-    {!report}.  A one-node cluster therefore reproduces
+    the one engine, {!Bunshin_nxe.Nxe.run_net}, over its Net transport.
+    Its {!config} is the engine's {!Bunshin_nxe.Nxe.net}, the engine
+    settings are one {!Bunshin_nxe.Nxe.config}, and this module projects
+    the {!report}.  A one-node cluster therefore reproduces
     {!Bunshin_nxe.Nxe.run_traces} exactly (naive mode against strict
     lockstep, the selective modes against selective lockstep on traces
     without process or socket syscalls).
@@ -13,9 +14,9 @@
     consume it directly; followers on other nodes see a slot only after
     it has been {e shipped} over a link (serialized columns, batched
     messages — no per-slot message records), so their timing honestly
-    includes the wire.  With a [telemetry] sink attached, a cluster run
-    records the engine's [nxe.*] counters, instants and histograms, as a
-    local run does.
+    includes the wire.  With a [telemetry] sink in the engine config, a
+    cluster run records the engine's [nxe.*] counters, instants and
+    histograms, as a local run does.
 
     Three ship modes reproduce the dMVX trade-off:
     - {!Full_remote_lockstep} (naive): every synchronized syscall is
@@ -39,8 +40,8 @@
     {b Determinism.}  All cross-node data flows through {!Bunshin_net.Net}
     links (timed {!Bunshin_machine.Machine.post} deliveries); the engine's
     co-simulation loop advances whichever node holds the globally
-    earliest event, breaking ties by node index — one seed, one
-    bit-stable schedule.
+    earliest event, breaking ties by node index, and link-loss draws use
+    a fixed seed — one bit-stable schedule per input.
     Monitor-plane signalling (abort, quarantine, end-of-stream wakes,
     heartbeats) is shared state outside the byte accounting, modelling the
     out-of-band monitor channel.
@@ -49,59 +50,31 @@
     [net.mli]. *)
 
 module M := Bunshin_machine.Machine
-module Sc := Bunshin_syscall.Syscall
 module Trace := Bunshin_program.Trace
-module Program := Bunshin_program.Program
-module Tel := Bunshin_telemetry.Telemetry
 module F := Bunshin_forensics.Forensics
 module Faults := Bunshin_faults.Faults
 module Nxe := Bunshin_nxe.Nxe
 module Net := Bunshin_net.Net
-module Tx := Bunshin_trace_ctx.Trace_ctx
 
-type ship_mode =
+type ship_mode = Nxe.ship_mode =
   | Full_remote_lockstep  (** naive: every slot round-trips with raw buffers *)
   | Selective             (** only sensitive slots round-trip (digest compare) *)
   | Selective_replicated  (** + read-like results served from the local replica *)
 
-type placement =
+type placement = Nxe.placement =
   | Round_robin       (** variant [v] on node [v mod nodes]; leader on node 0 *)
   | Pinned of int list (** explicit variant -> node map; leader must map to 0 *)
 
-type config = {
+type config = Nxe.net = {
   nodes : int;               (** machine instances; node 0 hosts the leader *)
   placement : placement;
   ship : ship_mode;
   link : Net.params;         (** every inter-node link uses these parameters *)
-  net_seed : int;            (** seed for link loss draws *)
   batch_slots : int;         (** non-sensitive slots per batched message *)
-  ack_every : int;           (** follower flow-control ack period, slots *)
-  ring_capacity : int;       (** leader run-ahead bound vs. known cursors *)
-  checkin_cost : float;      (** publish cost, us (as in Nxe) *)
-  fetch_cost : float;
-  synccall_cost : float;
-  resched_cost : float;
-  msg_cost : float;          (** CPU to marshal one message, charged at send *)
-  weak_determinism : bool;   (** replay the leader's lock order everywhere *)
-  recorder_depth : int;      (** per-variant flight-recorder window *)
-  telemetry : Tel.sink option;
-  tracer : Tx.t option;
-      (** causal-span recorder: every synchronized syscall becomes one
-          trace rooted at the leader's publish, with per-variant arrivals,
-          scheduler waits and the link messages that shipped the slot as
-          children — across all nodes (context rides in the 8 reserved
-          header bytes of every message, see the byte-model note in
-          [net.mli]).  Pure observation: schedules, reports, incident
-          signatures and bytes-on-wire are bit-identical with or without
-          it (pinned by golden tests). *)
-  fault_policy : Nxe.fault_policy;
-      (** [Restart_once] is not supported on clusters (rejected) *)
 }
 
 val default_config : config
-(** 2 nodes, round-robin, [Selective_replicated], default link, batch 16,
-    ack every 16, ring 64, Nxe-matching sync costs, weak determinism on,
-    [Abort_on_fault] with no heartbeat. *)
+(** 2 nodes, round-robin, [Selective_replicated], default link, batch 16. *)
 
 (** Per-traffic-kind wire accounting (bytes include message headers). *)
 type traffic = {
@@ -142,6 +115,7 @@ type report = {
 
 val run_traces :
   ?config:config ->
+  ?engine:Nxe.config ->
   ?machine_config:M.config ->
   ?working_sets:float list ->
   ?sensitivities:float Lazy.t list ->
@@ -151,25 +125,23 @@ val run_traces :
   Trace.t list ->
   report
 (** Execute one trace per variant across the cluster.  Variant 0 is the
-    leader.  [working_sets] and [sensitivities] are as in
+    leader.  [engine] (default {!Nxe.default_config}) holds the engine
+    settings: the ring, weak determinism, telemetry, tracer and fault
+    policy; its [mode] and [sync_shared_memory] are unused here.  With a
+    [tracer], every synchronized syscall becomes one trace rooted at the
+    leader's publish, with per-variant arrivals, scheduler waits and the
+    link messages that shipped the slot as children, across all nodes
+    (context rides in the 8 reserved header bytes of every message, see
+    the byte-model note in [net.mli]).  Schedules, reports, incident
+    signatures and bytes-on-wire are bit-identical with or without it.
+    [working_sets] and [sensitivities] are as in
     {!Nxe.run_traces}: a sensitivity is forced only if its node's LLC is
     over-subscribed.  Traces may use [Work]/[Idle]/[Sys]/[Sys_shared]/[Incr]/
     [Lock]/[Unlock]/[Barrier]/[Spawn]/[Marker]; [Fork], [Shared_read] and
     signal delivery are single-host features and are rejected.
     @raise Invalid_argument on invalid config, placement, unsupported ops,
-    or the [Restart_once] policy. *)
-
-val run_builds :
-  ?config:config ->
-  ?machine_config:M.config ->
-  ?faults:Faults.plan ->
-  ?coverage:string list list ->
-  ?jitter:float ->
-  seed:int ->
-  Program.build list ->
-  report
-(** Build traces from program builds (with the same per-(variant, function)
-    compute jitter model as {!Bunshin_nxe.Nxe.run_builds}) and run them. *)
+    a [ring_capacity] below the flow-ack period of 16, or the
+    [Restart_once] policy. *)
 
 val incident_signature : F.incident -> string
 (** Canonical rendering of an incident with wall times stripped (tape and

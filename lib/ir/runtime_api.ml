@@ -22,8 +22,15 @@ let is_report_handler name =
 
 let helpers = [ bounds_ok; not_freed; in_alloc; init_ok; add_ok; mul_ok; shift_ok; code_ptr_ok ]
 
+(* Arguments each fixed-arity intrinsic reads.  Syscalls and report
+   handlers take any number. *)
+let fixed_arities =
+  [ (malloc, 1); (free, 1); (print, 1); (bounds_ok, 1); (not_freed, 1); (in_alloc, 1);
+    (init_ok, 1); (add_ok, 2); (mul_ok, 2); (shift_ok, 1); (code_ptr_ok, 1) ]
+
+let fixed_arity name = List.assoc_opt name fixed_arities
+
 let is_intrinsic name =
-  name = malloc || name = free || name = print
+  List.mem_assoc name fixed_arities
   || String.starts_with ~prefix:syscall_prefix name
-  || List.mem name helpers
   || is_report_handler name

@@ -57,3 +57,9 @@ val is_report_handler : string -> bool
 (** Every runtime function the interpreter implements (including report
     handlers and modelled syscalls). *)
 val is_intrinsic : string -> bool
+
+(** How many arguments a fixed-arity intrinsic reads: 1 for [malloc],
+    [free], [print] and the check helpers, 2 for [add_ok] and [mul_ok].
+    [None] for modelled syscalls and report handlers, which take any
+    number, and for names that are not intrinsics. *)
+val fixed_arity : string -> int option

@@ -18,7 +18,6 @@ let errors m =
   in
   check_dups "global" global_names (err "<module>");
   check_dups "function" func_names (err "<module>");
-  let known_callee name = List.mem name func_names || Runtime_api.is_intrinsic name in
   let check_func f =
     let fail msg = err f.f_name msg in
     if f.f_blocks = [] then fail "function has no blocks";
@@ -62,9 +61,26 @@ let errors m =
           (fun i ->
             List.iter (check_value where) (uses_of_instr i);
             (match i with
-             | Call (_, callee, _) ->
-               if not (known_callee callee) then
-                 fail (Printf.sprintf "%s: call to unknown function @%s" where callee)
+             | Call (_, callee, args) -> (
+               (* A module function shadows an intrinsic of the same name,
+                  as in the interpreter. *)
+               let got = List.length args in
+               let arity_error expected =
+                 fail
+                   (Printf.sprintf "%s: call to @%s with %d arguments, expected %s" where
+                      callee got expected)
+               in
+               match List.find_opt (fun g -> g.f_name = callee) m.m_funcs with
+               | Some g ->
+                 let want = List.length g.f_params in
+                 if got <> want then arity_error (string_of_int want)
+               | None -> (
+                 match Runtime_api.fixed_arity callee with
+                 | Some want ->
+                   if got < want then arity_error (Printf.sprintf "at least %d" want)
+                 | None ->
+                   if not (Runtime_api.is_intrinsic callee) then
+                     fail (Printf.sprintf "%s: call to unknown function @%s" where callee)))
              | Alloca (_, n) ->
                if n <= 0 then fail (Printf.sprintf "%s: alloca of non-positive size" where)
              | Phi (_, incoming) ->

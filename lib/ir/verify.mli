@@ -3,8 +3,10 @@
     The verifier enforces the invariants the slicer and interpreter rely on:
     unique labels and register definitions within a function, branch targets
     that exist, phi nodes that name actual predecessors, calls to known
-    module functions or known intrinsics, and the SSA dominance rule (every
-    use dominated by its definition, via {!Dominance}). *)
+    module functions with exactly their parameter count or to known
+    intrinsics with at least the arguments they read
+    ({!Runtime_api.fixed_arity}), and the SSA dominance rule (every use
+    dominated by its definition, via {!Dominance}). *)
 
 open Ast
 

@@ -7,7 +7,6 @@ type config = {
   quantum : float;
   ctx_switch_cost : float;
   llc_capacity : float;
-  base_miss_rate : float;
   miss_penalty : float;
   max_time : float;
 }
@@ -20,7 +19,6 @@ let default_config =
     quantum = 250.0;
     ctx_switch_cost = 1.0;
     llc_capacity = 1e9;
-    base_miss_rate = 0.02;
     miss_penalty = 0.5;
     max_time = 1e12;
   }

@@ -6,7 +6,9 @@
     context-switch cost.  A shared last-level cache model inflates compute
     cost when the combined working set of active processes exceeds LLC
     capacity — the mechanism behind the paper's Fig. 5 (scalability limited
-    by LLC pressure) and Fig. 9 (background load).
+    by LLC pressure) and Fig. 9 (background load).  A run that fits the
+    LLC pays no miss cost at all; past it, a process's LLC-bound cycles
+    inflate by [miss_penalty × (1 − 1/pressure)].
 
     Time is in abstract microseconds.  The simulation is deterministic:
     identical programs produce identical schedules. *)
@@ -20,7 +22,6 @@ type config = {
   quantum : float;          (** scheduler time slice, us *)
   ctx_switch_cost : float;  (** charged when a core switches threads, us *)
   llc_capacity : float;     (** LLC size, abstract working-set units *)
-  base_miss_rate : float;   (** LLC miss rate when everything fits *)
   miss_penalty : float;     (** compute inflation at 100% extra misses *)
   max_time : float;         (** safety stop for runaway simulations *)
 }

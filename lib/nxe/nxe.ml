@@ -27,13 +27,8 @@ let default_policy =
 type config = {
   mode : mode;
   ring_capacity : int;
-  checkin_cost : float;
-  fetch_cost : float;
-  synccall_cost : float;
-  resched_cost : float;
   weak_determinism : bool;
   sync_shared_memory : bool;
-  recorder_depth : int;
   telemetry : Tel.sink option;
   fault_policy : fault_policy;
   tracer : Tx.t option;
@@ -43,16 +38,8 @@ let default_config =
   {
     mode = Strict_lockstep;
     ring_capacity = 64;
-    checkin_cost = 0.3;
-    fetch_cost = 0.25;
-    synccall_cost = 0.4;
-    (* Futex sleep/wake round trip plus scheduler latency: paid whenever a
-       party actually blocks at a sync point — the "scheduled in and out of
-       the CPU" cost that makes strict lockstep dearer (§3.3). *)
-    resched_cost = 0.25;
     weak_determinism = true;
     sync_shared_memory = true;
-    recorder_depth = 16;
     telemetry = None;
     fault_policy = default_policy;
     tracer = None;
@@ -69,10 +56,7 @@ type net = {
   placement : placement;
   ship : ship_mode;
   link : Net.params;
-  net_seed : int;
   batch_slots : int;
-  ack_every : int;
-  msg_cost : float;
 }
 
 type traffic = {
@@ -519,15 +503,21 @@ let do_work nxe ~variant fname cost =
     | None -> ()
   end
 
+(* µs for a follower to consume a slot. *)
+let fetch_cost = 0.25
+
+(* µs of futex sleep/wake round trip plus scheduler latency: paid whenever
+   a party actually blocks at a sync point — the "scheduled in and out of
+   the CPU" cost that makes strict lockstep dearer (§3.3). *)
+let resched_cost = 0.25
+
 (* Follower fetch compute: when the follower blocked, the futex round trip
    (resched) is bundled into the same compute call so the schedule matches
    the untagged engine; its share of the measured delta is reattributed. *)
-let fetch_compute nxe m ~blocked =
-  let fc = nxe.cfg.fetch_cost in
-  if not blocked then ph_compute m Pr.Phase.Fetch fc
+let fetch_compute m ~blocked =
+  if not blocked then ph_compute m Pr.Phase.Fetch fetch_cost
   else begin
-    let rc = nxe.cfg.resched_cost in
-    let total = fc +. rc in
+    let total = fetch_cost +. resched_cost in
     let self = M.self m in
     let fslot = Pr.Phase.slot Pr.Phase.Fetch in
     let prev = M.set_phase m fslot in
@@ -535,9 +525,8 @@ let fetch_compute nxe m ~blocked =
     M.compute m total;
     let delta = M.thread_phase m self fslot -. before in
     ignore (M.set_phase m prev);
-    if rc > 0.0 && total > 0.0 then
-      M.reattribute m ~from_:fslot ~to_:(Pr.Phase.slot Pr.Phase.Resched)
-        (delta *. (rc /. total))
+    M.reattribute m ~from_:fslot ~to_:(Pr.Phase.slot Pr.Phase.Resched)
+      (delta *. (resched_cost /. total))
   end
 
 (* Chrome-trace lane for (channel, variant): one track per logical thread
@@ -604,6 +593,9 @@ let diverge nxe chan ~pos ~variant ~expected ~got ?exp_sc ?got_sc () =
 let wire_dims nxe =
   match nxe.wire with None -> (0, 0) | Some _ -> (nxe.n - 1, Array.length nxe.machines)
 
+(* Slots the divergence flight recorder retains per (channel, variant). *)
+let recorder_depth = 16
+
 let get_chan nxe path =
   match Hashtbl.find_opt nxe.chan_reg path with
   | Some c -> c
@@ -635,7 +627,7 @@ let get_chan nxe path =
         rp_released = Array.make wn 0;
         leader_q = M.Waitq.create ();
         fol_q = Array.init nf (fun _ -> M.Waitq.create ());
-        tapes = Array.init nxe.n (fun _ -> F.Tape.create ~depth:nxe.cfg.recorder_depth);
+        tapes = Array.init nxe.n (fun _ -> F.Tape.create ~depth:recorder_depth);
       }
     in
     nxe.chan_count <- nxe.chan_count + 1;
@@ -768,7 +760,7 @@ let trace_sched_wait nxe tc chan pos ~variant =
    rendezvous root. *)
 let consume ?arrived_at nxe m chan ~variant ~pos ~blocked =
   let fetch_t0 = M.now m in
-  fetch_compute nxe m ~blocked;
+  fetch_compute m ~blocked;
   chan.cursors.(variant - 1) <- pos + 1;
   touch nxe variant;
   match nxe.cfg.tracer with
@@ -807,6 +799,9 @@ let wake_node nxe qs k =
     (fun i q -> if nxe.place.(i + 1) = k then M.Waitq.broadcast nxe.machines.(k) q)
     qs
 
+(* µs of CPU to marshal one message, charged to the sender. *)
+let msg_cost = 0.5
+
 (* Flush one node's outbox as a single batched message.  Always called
    from a leader fiber on node 0.  Delivery walks the items in append
    order and only advances monotone watermarks — re-delivery or overlap
@@ -822,7 +817,7 @@ let flush_node nxe w k =
     ob.ob_bytes <- 0;
     ob.ob_span <- -1;
     if node_active nxe k then begin
-      M.compute nxe.machines.(0) w.spec.msg_cost;
+      M.compute nxe.machines.(0) msg_cost;
       (match w.spec.ship with
        | Full_remote_lockstep -> w.tf_order <- w.tf_order + bytes
        | Selective | Selective_replicated -> w.tf_batch <- w.tf_batch + bytes);
@@ -874,15 +869,17 @@ let append_order nxe w k det ~hi =
 
 (* Follower -> leader flow-control ack: pushes the follower's consumption
    cursor into the leader's knowledge ([kn]), releasing ring capacity.
-   Sent every [ack_every] consumed slots, and additionally whenever the
-   follower is about to park with unacked consumption — that bound on
+   Sent every [flow_ack_every] consumed slots, and additionally whenever
+   the follower is about to park with unacked consumption — that bound on
    staleness is what makes the capacity wait deadlock-free. *)
+let flow_ack_every = 16
+
 let send_flow nxe w chan ~variant =
   let i = variant - 1 in
   let node = nxe.place.(variant) in
   let cur = chan.cursors.(i) in
   chan.last_ack.(i) <- cur;
-  M.compute nxe.machines.(node) w.spec.msg_cost;
+  M.compute nxe.machines.(node) msg_cost;
   w.tf_flow <- w.tf_flow + flow_bytes;
   Net.send w.links w.up.(node - 1) ~bytes:flow_bytes (fun () ->
       if cur > chan.kn.(i) then chan.kn.(i) <- cur;
@@ -890,7 +887,7 @@ let send_flow nxe w chan ~variant =
 
 let maybe_flow nxe w chan ~variant =
   let i = variant - 1 in
-  if chan.cursors.(i) - chan.last_ack.(i) >= w.spec.ack_every then
+  if chan.cursors.(i) - chan.last_ack.(i) >= flow_ack_every then
     send_flow nxe w chan ~variant
 
 (* Leader, before a rendezvous.  Everything a remote follower needs to
@@ -903,7 +900,7 @@ let ship_slot nxe w chan ~pos sc =
   chan.sl_ship.(pos) <- M.now m;
   for k = 1 to Array.length nxe.machines - 1 do
     if node_active nxe k then begin
-      M.compute m w.spec.msg_cost;
+      M.compute m msg_cost;
       let bytes = ship_bytes w.spec.ship sc in
       w.tf_ship <- w.tf_ship + bytes;
       Net.send_traced w.links w.down.(k - 1) ~bytes ~span:chan.sl_span.(pos) ~node:k
@@ -920,7 +917,7 @@ let release_slot nxe w chan ~pos ~lockstep sc =
   for k = 1 to Array.length nxe.machines - 1 do
     if node_active nxe k then
       if lockstep then begin
-        M.compute m w.spec.msg_cost;
+        M.compute m msg_cost;
         let bytes = release_bytes sc in
         w.tf_release <- w.tf_release + bytes;
         Net.send_traced w.links w.down.(k - 1) ~bytes ~span:chan.sl_span.(pos) ~node:k
@@ -984,8 +981,8 @@ let vote_at chan ~pos v =
    still holds them, slot-stream reconstructions for positions the variant
    already passed (a passed check means it issued exactly the leader's
    syscall there). *)
-let divergence_tape nxe chan ~pos v =
-  let lo = max 0 (pos - nxe.cfg.recorder_depth + 1) in
+let divergence_tape chan ~pos v =
+  let lo = max 0 (pos - recorder_depth + 1) in
   let recorded = F.Tape.to_list chan.tapes.(v) in
   let passed p = if v = 0 then p < chan.sl_len else chan.cursors.(v - 1) > p in
   List.concat
@@ -1007,7 +1004,7 @@ let divergence_tape nxe chan ~pos v =
 let incident_for nxe ~chan ~pos ~flagged ~expected ~got ?mismatch_override ~time () =
   let tapes =
     match (nxe.wire, mismatch_override) with
-    | Some _, None -> Array.init nxe.n (divergence_tape nxe chan ~pos)
+    | Some _, None -> Array.init nxe.n (divergence_tape chan ~pos)
     | _ -> Array.init nxe.n (fun v -> F.Tape.to_list chan.tapes.(v))
   in
   F.build ?mismatch_override ~channel:chan.ch_id ~position:pos ~flagged ~expected ~got
@@ -1179,6 +1176,9 @@ let apply_faults nxe ~variant sc =
 (* ------------------------------------------------------------------ *)
 (* The leader's side of a slot *)
 
+(* µs to publish args/results into a slot. *)
+let checkin_cost = 0.3
+
 let leader_sync nxe chan sc =
   let m = nxe.machines.(0) in
   let tid = lane nxe chan ~variant:0 in
@@ -1189,7 +1189,7 @@ let leader_sync nxe chan sc =
        "publish"
    | None -> ());
   let pub_t0 = M.now m in
-  ph_compute m Pr.Phase.Publish nxe.cfg.checkin_cost;
+  ph_compute m Pr.Phase.Publish checkin_cost;
   let pos = chan.leader_pos in
   ensure_slot nxe chan;
   let publish_now = M.now m in
@@ -1313,7 +1313,7 @@ let leader_sync nxe chan sc =
     done
   end;
   if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. wait_from);
-  if !blocked && not (aborted nxe) then ph_compute m Pr.Phase.Resched nxe.cfg.resched_cost;
+  if !blocked && not (aborted nxe) then ph_compute m Pr.Phase.Resched resched_cost;
   if not (aborted nxe) then begin
     ph_compute m Pr.Phase.Syscall_service (Sc.base_cost sc);
     chan.sl_ready.(pos) <- true;
@@ -1382,7 +1382,7 @@ let send_ack nxe w chan ~variant ~node ~pos ~rdy =
         ~variant ~chan:chan.ch_id ~pos ~t0:(Tx.span_t0 tc chan.sl_span.(pos))
     | _ -> -1
   in
-  M.compute nxe.machines.(node) w.spec.msg_cost;
+  M.compute nxe.machines.(node) msg_cost;
   let cursor_now = chan.cursors.(i) in
   w.tf_ack <- w.tf_ack + ack_bytes;
   Net.send_traced w.links w.up.(node - 1) ~bytes:ack_bytes ~span:arr ~node:0 (fun () ->
@@ -1438,7 +1438,7 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
     | _ -> (0.0, 0.0)
   in
   if !blocked_for_slot && not (aborted nxe) then
-    ph_compute m Pr.Phase.Resched nxe.cfg.resched_cost;
+    ph_compute m Pr.Phase.Resched resched_cost;
   if aborted nxe then ()
   else if
     (* An asynchronous signal the leader took at this point: consume the
@@ -1454,7 +1454,7 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
       nxe_wait nxe ~variant chan.fol_q.(i)
     done;
     if not (aborted nxe) then begin
-      ph_compute m Pr.Phase.Fetch nxe.cfg.fetch_cost;
+      ph_compute m Pr.Phase.Fetch fetch_cost;
       chan.cursors.(i) <- pos + 1;
       touch nxe variant;
       (match nxe.cfg.tracer with
@@ -1584,6 +1584,9 @@ let follower_shared_fetch nxe chan ~variant ~pos dst =
    list streams to each node with the batches (its own messages in naive
    mode), and a remote follower replays an entry only once delivered. *)
 
+(* µs per weak-determinism ordering operation. *)
+let synccall_cost = 0.4
+
 let det_order_op nxe det ~variant ~chan =
   if nxe.cfg.weak_determinism then begin
     let node = nxe.place.(variant) in
@@ -1592,7 +1595,7 @@ let det_order_op nxe det ~variant ~chan =
        per channel, so the int comparison below is exactly the old string
        comparison. *)
     let ltid = chan.ch_id in
-    ph_compute m Pr.Phase.Synccall nxe.cfg.synccall_cost;
+    ph_compute m Pr.Phase.Synccall synccall_cost;
     if variant = 0 then begin
       Vec.push det.d_order ltid;
       nxe.order_len <- nxe.order_len + 1;
@@ -1877,20 +1880,6 @@ let validate ~who ~net ~n ~names ~(config : config) ~faults ~coverage ~profile t
   (match coverage with
    | Some cov when List.length cov <> n -> bad "coverage length mismatch"
    | _ -> ());
-  let costs =
-    [
-      ("checkin_cost", config.checkin_cost);
-      ("fetch_cost", config.fetch_cost);
-      ("synccall_cost", config.synccall_cost);
-      ("resched_cost", config.resched_cost);
-    ]
-    @ match net with Some w -> [ ("msg_cost", w.msg_cost) ] | None -> []
-  in
-  List.iter
-    (fun (label, c) ->
-      if c < 0.0 || not (Float.is_finite c) then bad "%s must be non-negative" label)
-    costs;
-  if config.recorder_depth < 1 then bad "recorder_depth must be >= 1";
   (* Capacity 0 would demand a slot be consumed before its publish returns,
      but followers only consume released slots — a guaranteed deadlock in
      selective mode, so reject it loudly instead.  Capacity 1 is the
@@ -1901,8 +1890,8 @@ let validate ~who ~net ~n ~names ~(config : config) ~faults ~coverage ~profile t
   | Some w ->
     if w.nodes < 1 then bad "nodes must be >= 1";
     if w.batch_slots < 1 then bad "batch_slots must be >= 1";
-    if w.ack_every < 1 || w.ack_every > config.ring_capacity then
-      bad "ack_every must be in [1, ring_capacity]";
+    if config.ring_capacity < flow_ack_every then
+      bad "ring_capacity must be >= %d (the flow-ack period) over the Net" flow_ack_every;
     if pol.policy = Restart_once then bad "Restart_once is not supported over the Net";
     let rec check ops =
       List.iter
@@ -1989,7 +1978,7 @@ let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitiviti
     Option.map
       (fun w ->
         let links =
-          Net.create ~seed:w.net_seed ?telemetry:config.telemetry ?tracer:config.tracer ()
+          Net.create ?telemetry:config.telemetry ?tracer:config.tracer ()
         in
         let link src dst =
           Net.link links ~params:w.link ~src:machines.(src) ~dst:machines.(dst)
@@ -2308,14 +2297,8 @@ let run_net net ?(config = default_config) ?machine_config ?working_sets ?sensit
       node_stats = Array.to_list (Array.map M.stats nxe.machines);
     } )
 
-type group = {
-  g_names : string list;
-  g_traces : Trace.t list;
-  g_working_sets : float list;
-  g_sensitivities : float Lazy.t list;
-}
-
-let group_of_builds ~jitter ~seed builds =
+let run_builds ?config ?machine_config ?on_machine ?faults ?coverage ?profile
+    ?(jitter = 0.0) ~seed builds =
   (* Per-variant compute skew: diversified binaries (distinct code layout,
      ASLR, different checks) never run cycle-identical.  The skew is
      systematic per (variant, function) — a function whose cache layout is
@@ -2338,18 +2321,6 @@ let group_of_builds ~jitter ~seed builds =
       Trace.map_cost (fun func cost -> cost *. factor func) trace
     end
   in
-  {
-    g_traces = List.mapi (fun i b -> jitter_trace i (Program.build_trace b ~seed)) builds;
-    g_working_sets = List.map Program.build_working_set builds;
-    g_sensitivities =
-      List.map (fun b -> lazy (1.0 /. (1.0 +. Program.overhead_of_build b))) builds;
-    g_names =
-      List.mapi (fun i b -> Printf.sprintf "v%d-%s" i b.Program.prog.Program.name) builds;
-  }
-
-let run_builds ?config ?machine_config ?on_machine ?faults ?coverage ?profile
-    ?(jitter = 0.0) ~seed builds =
-  let g = group_of_builds ~jitter ~seed builds in
   (* Per-(variant, function) sanitizer fractions let the executor split
      check execution out of compute without extra compute calls. *)
   (match profile with
@@ -2368,5 +2339,8 @@ let run_builds ?config ?machine_config ?on_machine ?faults ?coverage ?profile
        builds
    | None -> ());
   run_traces ?config ?machine_config ?on_machine ?faults ?coverage ?profile
-    ~working_sets:g.g_working_sets ~sensitivities:g.g_sensitivities ~names:g.g_names
-    g.g_traces
+    ~working_sets:(List.map Program.build_working_set builds)
+    ~sensitivities:
+      (List.map (fun b -> lazy (1.0 /. (1.0 +. Program.overhead_of_build b))) builds)
+    ~names:(List.mapi (fun i b -> Printf.sprintf "v%d-%s" i b.Program.prog.Program.name) builds)
+    (List.mapi (fun i b -> jitter_trace i (Program.build_trace b ~seed)) builds)

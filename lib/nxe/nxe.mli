@@ -28,7 +28,14 @@
     This is the only lockstep engine.  {!run_traces} runs a group
     in-process on one machine; {!run_net} runs the same code with the
     variants spread over several machines joined by a
-    {!Bunshin_net.Net} transport (see "Networked groups" below). *)
+    {!Bunshin_net.Net} transport (see "Networked groups" below).
+
+    The settable knobs are the ones the paper and the distributed designs
+    vary: the lockstep mode, the ring bound, weak determinism,
+    shared-memory sync and the fault policy ({!config}), and the node
+    count, placement, ship mode, link and batch size ({!net}).  Slot and
+    message costs, the flow-ack period and the flight-recorder window are
+    calibration constants, documented beside the records. *)
 
 module M := Bunshin_machine.Machine
 
@@ -81,23 +88,12 @@ type config = {
           ring — the leader publishes slot [p] and stalls until every live
           follower has consumed slot [p-1], giving at most one slot of
           run-ahead (it still beats strict lockstep: followers need not
-          have {e arrived} at [p] before the leader executes it). *)
-  checkin_cost : float;     (** µs to publish args/results into a slot *)
-  fetch_cost : float;       (** µs for a follower to consume a slot *)
-  synccall_cost : float;    (** µs per weak-determinism ordering operation *)
-  resched_cost : float;     (** µs of futex sleep/wake + scheduler latency,
-                                paid whenever a party actually blocks at a
-                                sync point — the strict-mode "scheduled in
-                                and out" cost (§3.3) *)
+          have {e arrived} at [p] before the leader executes it).  Over the
+          Net it must be at least 16, the flow-ack period. *)
   weak_determinism : bool;  (** replay leader's lock order in followers *)
   sync_shared_memory : bool;
       (** §3.3's poisoned-page mechanism: copy externally-shared mapped
           content from the leader to followers on access *)
-  recorder_depth : int;
-      (** slots retained per (channel, variant) by the divergence flight
-          recorder (default 16).  The recorder is always on — recording is
-          allocation-free, like the report histograms — and feeds the
-          {!report.incident} blame attribution on abort.  Must be ≥ 1. *)
   telemetry : Bunshin_telemetry.Telemetry.sink option;
       (** attach a trace sink: the engine opens an ["nxe"] clock domain
           (machine µs) with one track per (channel, variant), records
@@ -125,11 +121,17 @@ type config = {
           allocation budget are unchanged (pinned by the golden and bench
           tests).  [None] (default) compiles every site to a no-op test. *)
 }
-(** All [*_cost] fields are in simulated microseconds — the same unit as
-    {!M.config} quanta and every time in {!report}. *)
+(** The slot costs are constants of the engine, in simulated
+    microseconds (the unit of {!M.config} quanta and of every time in
+    {!report}): 0.3 to publish a slot, 0.25 for a follower to consume
+    one, 0.4 per weak-determinism ordering operation, and 0.25 of futex
+    round trip and scheduler latency whenever a party blocks at a sync
+    point — the strict-mode "scheduled in and out" cost (§3.3).  The
+    divergence flight recorder is always on and keeps the last 16 slots
+    per (channel, variant) for the {!report.incident} blame attribution. *)
 
 val default_config : config
-(** Strict lockstep, 64-slot ring, sub-microsecond slot costs. *)
+(** Strict lockstep, 64-slot ring, weak determinism on. *)
 
 val selective : config
 (** [default_config] with [mode = Selective_lockstep]. *)
@@ -261,8 +263,7 @@ val run_traces :
     rendezvous during the run and fills the per-variant phase totals when
     it ends.  Attaching one is pure observation — the report is
     bit-identical with and without it.
-    @raise Invalid_argument if any [config] cost is negative or non-finite,
-    if [ring_capacity < 1] or [recorder_depth < 1], if the heartbeat
+    @raise Invalid_argument if [ring_capacity < 1], if the heartbeat
     timeout or backoff is invalid, if an injection names a variant out of
     range, if [coverage] has the wrong length, or if [profile] was created
     for a different variant count. *)
@@ -327,11 +328,11 @@ type net = {
   placement : placement;
   ship : ship_mode;
   link : Bunshin_net.Net.params; (** every inter-node link *)
-  net_seed : int;       (** seed for link loss draws *)
   batch_slots : int;    (** non-sensitive slots per batched message *)
-  ack_every : int;      (** follower flow-control ack period, slots *)
-  msg_cost : float;     (** µs of CPU to marshal one message, charged at send *)
 }
+(** Marshalling one message costs its sender 0.5 µs of CPU.  A remote
+    follower flow-acks its consumption every 16 slots, and before it
+    parks with unacked consumption.  Link loss draws use seed 0. *)
 
 (** Bytes on the wire per traffic kind, message headers included. *)
 type traffic = {
@@ -370,18 +371,6 @@ val run_net :
     [total_time] is the latest finish over all nodes and [machine_stats]
     is node 0's; [config.mode] and [config.sync_shared_memory] are unused.
     @raise Invalid_argument as {!run_traces}, and on an invalid [net]
-    (fewer than one node, a bad placement, [batch_slots < 1], [ack_every]
-    outside [1, ring_capacity], negative [msg_cost]), on [Fork] or
+    (fewer than one node, a bad placement, [batch_slots < 1]), on a
+    [ring_capacity] below the flow-ack period of 16, on [Fork] or
     [Shared_read] in a trace, or on the [Restart_once] policy. *)
-
-(** A group's inputs derived from program builds. *)
-type group = {
-  g_names : string list;
-  g_traces : Bunshin_program.Trace.t list;
-  g_working_sets : float list;
-  g_sensitivities : float Lazy.t list;
-}
-
-val group_of_builds : jitter:float -> seed:int -> Bunshin_program.Program.build list -> group
-(** The traces, names, working sets and lazy cache sensitivities
-    {!run_builds} runs, with its per-(variant, function) compute jitter. *)

@@ -62,9 +62,6 @@ type config = {
   pool_capacity : int;
   queue_capacity : int;
   batch : int;
-  spawn_cost : float;
-  dispatch_cost : float;
-  admit_cost : float;
   retire_idle_us : float;
   nxe : Nxe.config;
   seed : int;
@@ -78,9 +75,6 @@ let default_config =
     pool_capacity = 8;
     queue_capacity = 64;
     batch = 4;
-    spawn_cost = 150.0;
-    dispatch_cost = 2.0;
-    admit_cost = 0.2;
     retire_idle_us = 10_000.0;
     nxe = Nxe.selective;
     seed = 42;
@@ -90,17 +84,11 @@ let default_config =
   }
 
 let validate cfg ~offered_rps ~requests =
-  let pos_cost name c =
-    if not (c >= 0.0 && Float.is_finite c) then
-      invalid_arg (Printf.sprintf "Serve.run: %s must be finite and >= 0" name)
-  in
   if cfg.pool_capacity < 1 then invalid_arg "Serve.run: pool_capacity must be >= 1";
   if cfg.queue_capacity < 1 then invalid_arg "Serve.run: queue_capacity must be >= 1";
   if cfg.batch < 1 then invalid_arg "Serve.run: batch must be >= 1";
-  pos_cost "spawn_cost" cfg.spawn_cost;
-  pos_cost "dispatch_cost" cfg.dispatch_cost;
-  pos_cost "admit_cost" cfg.admit_cost;
-  pos_cost "retire_idle_us" cfg.retire_idle_us;
+  if not (cfg.retire_idle_us >= 0.0 && Float.is_finite cfg.retire_idle_us) then
+    invalid_arg "Serve.run: retire_idle_us must be finite and >= 0";
   if not (offered_rps > 0.0 && Float.is_finite offered_rps) then
     invalid_arg "Serve.run: offered_rps must be finite and > 0";
   if requests < 1 then invalid_arg "Serve.run: requests must be >= 1";
@@ -163,6 +151,11 @@ type group = {
   mutable g_count : int;
   mutable g_idle_since : float;
 }
+
+(* Front-end CPU costs, µs. *)
+let spawn_cost = 150.0 (* fork a fresh group's variants *)
+let dispatch_cost = 2.0 (* one dispatcher cycle *)
+let admit_cost = 0.2 (* one arrival: accept + enqueue *)
 
 let run ?(config = default_config) src ~offered_rps ~requests =
   let cfg = config in
@@ -229,7 +222,7 @@ let run ?(config = default_config) src ~offered_rps ~requests =
         (Faulted { rq_arrival = arrival.(rid); rq_start = start; rq_finish = finish; rq_group = g.g_slot })
   in
   let worker g =
-    M.compute m cfg.spawn_cost;
+    M.compute m spawn_cost;
     let rec loop () =
       if g.g_count > 0 then begin
         let n = g.g_count in
@@ -322,7 +315,7 @@ let run ?(config = default_config) src ~offered_rps ~requests =
     for rid = 0 to requests - 1 do
       if rid > 0 then M.sleep m (Rng.exponential rng ~mean);
       arrival.(rid) <- M.now m;
-      M.compute m cfg.admit_cost;
+      M.compute m admit_cost;
       if !qlen >= cfg.queue_capacity then begin
         (* backpressure: an explicit verdict at arrival time, never an
            unbounded queue.  The post is a tick so the dispatcher can
@@ -353,7 +346,7 @@ let run ?(config = default_config) src ~offered_rps ~requests =
         ignore (M.Poll.wait m poll);
         (* one cycle cost however many events were drained: the
            epoll_wait return, queue scan and hand-offs *)
-        M.compute m cfg.dispatch_cost;
+        M.compute m dispatch_cost;
         assign ();
         retire_idle ();
         dloop ()

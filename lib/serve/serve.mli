@@ -19,7 +19,8 @@
     and report, bit-identical to running the same request solo (the
     {e neutrality} property, checkable via {!solo_report} and
     {!Bunshin_nxe.Nxe.report_signature}).  The pool only adds queueing
-    and front-end costs around it; it never reaches inside a group. *)
+    and front-end costs around it; it never reaches inside a group.  The
+    front-end costs are constants (see {!default_config}). *)
 
 module M := Bunshin_machine.Machine
 module Nxe := Bunshin_nxe.Nxe
@@ -60,10 +61,6 @@ type config = {
   queue_capacity : int;  (** bounded admission queue (≥ 1): arrivals
                              finding it full are rejected on the spot *)
   batch : int;  (** max requests handed to a group per dispatch *)
-  spawn_cost : float;  (** front-end µs to fork a fresh group's variants *)
-  dispatch_cost : float;  (** front-end µs per dispatcher cycle: the
-                              epoll_wait return, queue scan and hand-offs *)
-  admit_cost : float;  (** front-end µs per arrival (accept + enqueue) *)
   retire_idle_us : float;  (** retire a group idle this long *)
   nxe : Nxe.config;  (** engine config shared by every group *)
   seed : int;  (** arrival-process seed *)
@@ -77,7 +74,10 @@ type config = {
 
 val default_config : config
 (** 8 groups, queue of 64, batches of 4, selective-lockstep engine,
-    p99 <= 500 µs objective. *)
+    p99 <= 500 µs objective.  The front end's CPU costs are constants:
+    0.2 µs per arrival (accept + enqueue), 2 µs per dispatcher cycle (the
+    epoll_wait return, queue scan and hand-offs) and 150 µs to fork a
+    fresh group's variants. *)
 
 (** {1 Running} *)
 
@@ -128,8 +128,8 @@ val run : ?config:config -> source -> offered_rps:float -> requests:int -> repor
 (** Serve [requests] open-loop arrivals at [offered_rps] through the
     pool.  Deterministic: equal arguments give equal reports.
     @raise Invalid_argument on a non-positive rate, request count,
-    pool/batch size, negative queue capacity or cost, or an SLO quantile
-    outside (0, 100). *)
+    pool/batch size, negative queue capacity or idle-retirement time, or
+    an SLO quantile outside (0, 100). *)
 
 val solo_report : ?config:config -> source -> req_id:int -> Nxe.report
 (** The same engine run request [req_id] gets inside the pool — same

@@ -28,13 +28,12 @@ let read_heavy ?(units = 40) () =
 
 let modes = [ Cluster.Full_remote_lockstep; Cluster.Selective; Cluster.Selective_replicated ]
 
-let cfg ?(nodes = 2) ?(ship = Cluster.Selective_replicated) ?placement ?fault_policy () =
+let cfg ?(nodes = 2) ?(ship = Cluster.Selective_replicated) ?placement () =
   let c = { Cluster.default_config with nodes; ship } in
-  let c = match placement with Some p -> { c with Cluster.placement = p } | None -> c in
-  match fault_policy with Some fp -> { c with Cluster.fault_policy = fp } | None -> c
+  match placement with Some p -> { c with Cluster.placement = p } | None -> c
 
-let run ?config ?coverage ?faults n trace =
-  Cluster.run_traces ?config ?coverage ?faults ~names:(names n)
+let run ?config ?engine ?coverage ?faults n trace =
+  Cluster.run_traces ?config ?engine ?coverage ?faults ~names:(names n)
     (List.init n (fun _ -> trace))
 
 let finished r = r.Cluster.outcome = `All_finished
@@ -161,6 +160,32 @@ let test_multithreaded_spawn_across_nodes () =
       Alcotest.(check int) "order replayed remotely" 3 r.Cluster.det_replays)
     modes
 
+let test_ring_bound_uses_flow_acks () =
+  (* The leader bounds its run-ahead by the cursors its remote followers
+     have flow-acked, not by their live cursors.  With a 16-slot ring it
+     executes the 17th read only after the slowest follower (v2) has
+     consumed the first batch of 16 — one link latency after the batch
+     left, at 50 us of work per read — and its flow ack has crossed the
+     link back. *)
+  let latency = 500.0 and slow = 50.0 in
+  let reads w =
+    List.concat (List.init 17 (fun i -> [ work w; rd ~args:[ 3L; Int64.of_int i ] () ]))
+  in
+  let r =
+    Cluster.run_traces
+      ~config:
+        { (cfg ~nodes:3 ~ship:Cluster.Selective ()) with
+          Cluster.link = { Net.default_params with latency_us = latency } }
+      ~engine:{ Nxe.default_config with ring_capacity = 16 }
+      ~names:(names 3) [ reads 1.0; reads 1.0; reads slow ]
+  in
+  Alcotest.(check bool) "finished" true (finished r);
+  let leader_finish = List.hd r.Cluster.variant_finish in
+  Alcotest.(check bool)
+    (Printf.sprintf "leader finished at %.0f us, after the slow flow ack" leader_finish)
+    true
+    (leader_finish >= (2.0 *. latency) +. (16.0 *. slow))
+
 (* ------------------------------------------------------------------ *)
 (* Verdict parity: local engine vs every ship mode *)
 
@@ -221,6 +246,33 @@ let test_sequence_divergence_remote () =
       | None -> Alcotest.failf "%s did not abort" (Cluster.mode_name ship))
     modes
 
+let test_incident_tape_window () =
+  (* A divergence past the recorder depth: in every ship mode, each
+     variant's incident tape is the 16-slot window that ends at the
+     divergent slot. *)
+  let reads tag =
+    List.concat
+      (List.init 24 (fun i ->
+           [ work 5.0; rd ~args:[ 3L; (if i = 20 then tag else Int64.of_int i) ] () ]))
+  in
+  List.iter
+    (fun ship ->
+      let r =
+        Cluster.run_traces ~config:(cfg ~nodes:2 ~ship ()) ~names:(names 2)
+          [ reads 20L; reads 999L ]
+      in
+      match r.Cluster.incident with
+      | Some inc ->
+        Alcotest.(check int) "divergent slot" 20 inc.F.inc_position;
+        Array.iteri
+          (fun v tape ->
+            let tag = Printf.sprintf "%s v%d tape" (Cluster.mode_name ship) v in
+            Alcotest.(check (list int)) tag (List.init 16 (fun i -> 5 + i))
+              (List.map (fun (e : F.syscall_rec) -> e.F.r_pos) tape))
+          inc.F.inc_tapes
+      | None -> Alcotest.failf "%s did not abort" (Cluster.mode_name ship))
+    modes
+
 let test_abort_stops_remote_tail () =
   let tail = List.init 100 (fun _ -> work 100.0) in
   let leader = work 1.0 :: wr ~args:[ 1L; 1L ] () :: tail in
@@ -237,8 +289,12 @@ let test_abort_stops_remote_tail () =
 (* Faults across the wire *)
 
 let coverage3 = [ [ "asan"; "ubsan" ]; [ "asan"; "msan" ]; [ "msan"; "lowfat" ] ]
-let quarantine_policy =
-  { Nxe.policy = Nxe.Quarantine; heartbeat_timeout = 400.0; restart_backoff = 50.0 }
+let quarantine =
+  {
+    Nxe.default_config with
+    fault_policy =
+      { Nxe.policy = Nxe.Quarantine; heartbeat_timeout = 400.0; restart_backoff = 50.0 };
+  }
 
 let units = 12
 let chaos_trace () =
@@ -254,7 +310,7 @@ let test_remote_stall_quarantine_parity () =
      stall. *)
   let local =
     Nxe.run_traces
-      ~config:{ Nxe.default_config with fault_policy = quarantine_policy }
+      ~config:quarantine
       ~faults:stall_v1 ~coverage:coverage3 ~names:(names 3)
       (List.init 3 (fun _ -> chaos_trace ()))
   in
@@ -263,7 +319,7 @@ let test_remote_stall_quarantine_parity () =
     (fun ship ->
       let r =
         run
-          ~config:(cfg ~nodes:2 ~ship ~fault_policy:quarantine_policy ())
+          ~config:(cfg ~nodes:2 ~ship ()) ~engine:quarantine
           ~coverage:coverage3 ~faults:stall_v1 3 (chaos_trace ())
       in
       let tag = Cluster.mode_name ship in
@@ -295,7 +351,7 @@ let test_corrupt_remote_aborts () =
   in
   let r =
     run
-      ~config:(cfg ~nodes:2 ~ship:Cluster.Selective ~fault_policy:quarantine_policy ())
+      ~config:(cfg ~nodes:2 ~ship:Cluster.Selective ()) ~engine:quarantine
       ~faults 3 (basic_trace ~units:10 ())
   in
   match alert r with
@@ -308,7 +364,7 @@ let test_leader_fault_aborts_cluster () =
   let faults = Faults.make [ { Faults.i_variant = 0; i_at = 3; i_kind = Faults.Stall } ] in
   let r =
     run
-      ~config:(cfg ~nodes:2 ~fault_policy:quarantine_policy ())
+      ~config:(cfg ~nodes:2 ()) ~engine:quarantine
       ~faults 3 (chaos_trace ())
   in
   match alert r with
@@ -320,8 +376,10 @@ let test_leader_fault_aborts_cluster () =
 
 let test_histograms_and_counters () =
   let sink = Tel.create () in
-  let config = { (cfg ~nodes:2 ~ship:Cluster.Selective ()) with Cluster.telemetry = Some sink } in
-  let r = run ~config 3 (read_heavy ()) in
+  let r =
+    run ~config:(cfg ~nodes:2 ~ship:Cluster.Selective ())
+      ~engine:{ Nxe.default_config with telemetry = Some sink } 3 (read_heavy ())
+  in
   Alcotest.(check bool) "finished" true (finished r);
   Alcotest.(check bool) "lockstep wait hist" true
     (List.mem_assoc "lockstep_wait_us" r.Cluster.histograms);
@@ -358,17 +416,20 @@ let test_validation () =
   Alcotest.(check bool) "restart_once unsupported" true
     (invalid (fun () ->
          run
-           ~config:
-             (cfg
-                ~fault_policy:
-                  { Nxe.policy = Nxe.Restart_once; heartbeat_timeout = 100.0; restart_backoff = 10.0 }
-                ())
+           ~engine:
+             {
+               Nxe.default_config with
+               fault_policy =
+                 { Nxe.policy = Nxe.Restart_once; heartbeat_timeout = 100.0; restart_backoff = 10.0 };
+             }
            2 t));
   Alcotest.(check bool) "fork rejected" true
     (invalid (fun () -> run ~config:(cfg ()) 2 [ Trace.Fork [ work 1.0 ]; wr () ]));
-  Alcotest.(check bool) "ack_every bounded by ring" true
-    (invalid (fun () ->
-         run ~config:{ (cfg ()) with Cluster.ack_every = 100; ring_capacity = 8 } 2 t))
+  let ring c = { Nxe.default_config with ring_capacity = c } in
+  Alcotest.(check bool) "ring below the flow-ack period" true
+    (invalid (fun () -> run ~engine:(ring 15) 2 t));
+  Alcotest.(check bool) "ring of one flow-ack period" false
+    (invalid (fun () -> run ~engine:(ring 16) 2 t))
 
 (* ------------------------------------------------------------------ *)
 (* Property: observation equivalence of the ship modes *)
@@ -604,6 +665,7 @@ let () =
           Alcotest.test_case "naive > selective > replicated" `Quick test_mode_traffic_ordering;
           Alcotest.test_case "order stream only in naive" `Quick test_naive_ships_order_entries;
           Alcotest.test_case "multithreaded across nodes" `Quick test_multithreaded_spawn_across_nodes;
+          Alcotest.test_case "ring bound uses flow acks" `Quick test_ring_bound_uses_flow_acks;
         ] );
       ( "verdicts",
         [
@@ -611,6 +673,7 @@ let () =
             test_divergence_verdict_mode_independent;
           Alcotest.test_case "sequence divergence remote" `Quick test_sequence_divergence_remote;
           Alcotest.test_case "abort stops remote tail" `Quick test_abort_stops_remote_tail;
+          Alcotest.test_case "incident tape window" `Quick test_incident_tape_window;
         ] );
       ( "faults",
         [

@@ -133,9 +133,11 @@ let diverge_at ~pos ~tag n =
 let quarantine_policy =
   { Nxe.policy = Nxe.Quarantine; heartbeat_timeout = 400.0; restart_backoff = 50.0 }
 
-let cfg ?(nodes = 2) ?(ship = Cluster.Selective_replicated) ?fault_policy telemetry =
-  let c = { Cluster.default_config with nodes; ship; telemetry } in
-  match fault_policy with Some fp -> { c with Cluster.fault_policy = fp } | None -> c
+let run ?(nodes = 2) ?(ship = Cluster.Selective_replicated)
+    ?(fault_policy = Nxe.default_policy) ?faults ?coverage telemetry ~names traces =
+  Cluster.run_traces ~config:{ Cluster.default_config with nodes; ship }
+    ~engine:{ Nxe.default_config with telemetry; fault_policy } ?faults ?coverage ~names
+    traces
 
 type scenario = {
   s_name : string;
@@ -147,40 +149,28 @@ let sc name run = { s_name = name; s_run = run }
 let scenarios =
   [
     sc "cluster_naive_clean" (fun ~telemetry ->
-        Cluster.run_traces
-          ~config:(cfg ~ship:Cluster.Full_remote_lockstep telemetry)
-          ~names:(names 3)
+        run ~ship:Cluster.Full_remote_lockstep telemetry ~names:(names 3)
           (List.init 3 (fun _ -> mixed_trace ())));
     sc "cluster_selective_clean" (fun ~telemetry ->
-        Cluster.run_traces
-          ~config:(cfg ~ship:Cluster.Selective telemetry)
-          ~names:(names 3)
+        run ~ship:Cluster.Selective telemetry ~names:(names 3)
           (List.init 3 (fun _ -> mixed_trace ())));
     sc "cluster_replicated_clean" (fun ~telemetry ->
-        Cluster.run_traces
-          ~config:(cfg ~nodes:3 ~ship:Cluster.Selective_replicated telemetry)
-          ~names:(names 3)
+        run ~nodes:3 ~ship:Cluster.Selective_replicated telemetry ~names:(names 3)
           (List.init 3 (fun _ -> mixed_trace ())));
     sc "cluster_mt_order" (fun ~telemetry ->
-        Cluster.run_traces
-          ~config:(cfg ~ship:Cluster.Full_remote_lockstep telemetry)
-          ~names:(names 2)
+        run ~ship:Cluster.Full_remote_lockstep telemetry ~names:(names 2)
           (List.init 2 (fun _ -> mt_trace ())));
     sc "cluster_diverge_arg" (fun ~telemetry ->
-        Cluster.run_traces
-          ~config:(cfg ~ship:Cluster.Selective telemetry)
-          ~names:(names 3) (diverge_at ~pos:5 ~tag:777L 3));
+        run ~ship:Cluster.Selective telemetry ~names:(names 3) (diverge_at ~pos:5 ~tag:777L 3));
     sc "cluster_remote_quarantine" (fun ~telemetry ->
         (* The stalled follower sits on node 1: N−1 completion with the
            same coverage-loss accounting the local engine produces. *)
         let faults =
           Faults.make [ { Faults.i_variant = 1; i_at = 2; i_kind = Faults.Stall } ]
         in
-        Cluster.run_traces
-          ~config:(cfg ~fault_policy:quarantine_policy telemetry)
-          ~faults
+        run ~fault_policy:quarantine_policy ~faults
           ~coverage:[ [ "asan"; "msan" ]; [ "msan" ]; [ "asan" ] ]
-          ~names:(names 3) (diverge_at ~pos:(-1) ~tag:0L 3));
+          telemetry ~names:(names 3) (diverge_at ~pos:(-1) ~tag:0L 3));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -177,6 +177,34 @@ let test_verify_intrinsics_allowed () =
   B.ret b None;
   Alcotest.(check bool) "valid" true (Result.is_ok (Verify.check (B.finish b)))
 
+(* main() calls [callee] with [args]; callee(x, y) returns x + y. *)
+let call_module callee args =
+  let b = B.create "arity" in
+  B.start_func b ~name:"pair" ~params:[ "x"; "y" ];
+  B.ret b (Some (B.add b (Ast.Reg "x") (Ast.Reg "y")));
+  B.start_func b ~name:"main" ~params:[];
+  ignore (B.call b callee args);
+  B.ret b None;
+  B.finish b
+
+let test_verify_too_many_args () =
+  Alcotest.(check bool) "exact arity accepted" true
+    (Result.is_ok (Verify.check (call_module "pair" [ B.cst 1; B.cst 2 ])));
+  Alcotest.(check bool) "three for two rejected" true
+    (Result.is_error (Verify.check (call_module "pair" [ B.cst 1; B.cst 2; B.cst 3 ])))
+
+let test_verify_too_few_args () =
+  Alcotest.(check bool) "one for two rejected" true
+    (Result.is_error (Verify.check (call_module "pair" [ B.cst 1 ])));
+  Alcotest.(check bool) "add_ok with one rejected" true
+    (Result.is_error (Verify.check (call_module Runtime_api.add_ok [ B.cst 1 ])))
+
+let test_verify_malloc_no_args () =
+  Alcotest.(check bool) "malloc() rejected" true
+    (Result.is_error (Verify.check (call_module "malloc" [])));
+  Alcotest.(check bool) "syscalls take any number" true
+    (Result.is_ok (Verify.check (call_module "sys_getpid" [])))
+
 (* ------------------------------------------------------------------ *)
 (* CFG *)
 
@@ -581,6 +609,9 @@ let () =
           Alcotest.test_case "unknown branch target" `Quick test_verify_unknown_branch_target;
           Alcotest.test_case "duplicate register" `Quick test_verify_duplicate_register;
           Alcotest.test_case "intrinsics allowed" `Quick test_verify_intrinsics_allowed;
+          Alcotest.test_case "call with too many arguments" `Quick test_verify_too_many_args;
+          Alcotest.test_case "call with too few arguments" `Quick test_verify_too_few_args;
+          Alcotest.test_case "malloc with no argument" `Quick test_verify_malloc_no_args;
         ] );
       ( "cfg",
         [

@@ -393,17 +393,6 @@ let test_report_histograms_always_on () =
     (total (List.assoc "syscall_gap" bare.Nxe.histograms) > 0);
   Alcotest.(check bool) "same with sink" true (bare.Nxe.histograms = r.Nxe.histograms)
 
-let test_negative_cost_rejected () =
-  let bench = find_bench "bzip2" in
-  let builds = [ Program.baseline bench.Bench.prog ] in
-  match
-    Experiments.nxe_run
-      ~config:{ Nxe.default_config with Nxe.checkin_cost = -1.0 }
-      ~seed:Experiments.ref_seed builds
-  with
-  | _ -> Alcotest.fail "negative checkin_cost accepted"
-  | exception Invalid_argument _ -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Windowed SLO monitor *)
 
@@ -547,6 +536,5 @@ let () =
             test_disabled_sink_identical_report;
           Alcotest.test_case "report histograms always on" `Quick
             test_report_histograms_always_on;
-          Alcotest.test_case "negative cost rejected" `Quick test_negative_cost_rejected;
         ] );
     ]

@@ -10,6 +10,7 @@ module Nxe = Bunshin_nxe.Nxe
 module Cluster = Bunshin_cluster.Cluster
 module Tx = Bunshin_trace_ctx.Trace_ctx
 module Profile = Bunshin_profile.Profile
+module Faults = Bunshin_faults.Faults
 
 let work c = Trace.Work { func = "f"; cost = c }
 let wr i = Trace.Sys (Sc.write ~args:[ 1L; Int64.of_int i ] ())
@@ -54,7 +55,59 @@ let test_nxe_spans_well_formed () =
   (* Every synchronized syscall became one fully retired rendezvous tree. *)
   Alcotest.(check int) "one critical path per synced syscall"
     r.Nxe.synced_syscalls
-    (List.length (Tx.critical_paths tc))
+    (List.length (Tx.critical_paths tc));
+  (* A root closes only after the last follower's consume, so each tree
+     holds both followers' Fetch spans. *)
+  List.iter
+    (fun tr ->
+      Alcotest.(check int)
+        (Printf.sprintf "trace %d: one fetch per follower" tr)
+        (n - 1)
+        (List.length (List.filter (fun s -> s.Tx.sp_kind = Tx.Fetch) (Tx.tree tc tr))))
+    (Tx.traces tc)
+
+let test_nxe_roots_closed_after_quarantine () =
+  (* v1 stalls before its third syscall, a write, so the leader cannot
+     run past it; the watchdog quarantines it, and the leader then spawns
+     a reader thread whose channel is created after the quarantine.  The
+     retired victim must not hold any rendezvous root open, on either
+     channel. *)
+  let rd i = Trace.Sys (Sc.read ~args:[ 3L; Int64.of_int i ] ()) in
+  let trace =
+    [ work 5.0; rd 0; work 5.0; rd 1; work 5.0; wr 2; work 5.0 ]
+    @ [ Trace.Spawn (List.concat (List.init 4 (fun i -> [ work 5.0; rd (10 + i) ]))) ]
+  in
+  let tc = Tx.create () in
+  let config =
+    {
+      Nxe.selective with
+      Nxe.tracer = Some tc;
+      fault_policy =
+        { Nxe.policy = Nxe.Quarantine; heartbeat_timeout = 100.0; restart_backoff = 50.0 };
+    }
+  in
+  let faults = Faults.make [ { Faults.i_variant = 1; i_at = 2; i_kind = Faults.Stall } ] in
+  let r = Nxe.run_traces ~config ~faults ~names:(names 3) [ trace; trace; trace ] in
+  Alcotest.(check bool) "survivors finished" true (r.Nxe.outcome = `All_finished);
+  let q_time =
+    match List.nth r.Nxe.variant_status 1 with
+    | Nxe.Quarantined q -> q.q_time
+    | _ -> Alcotest.fail "v1 must end quarantined"
+  in
+  Alcotest.(check int) "two channels" 2 r.Nxe.channels;
+  let roots = List.filter (fun s -> s.Tx.sp_kind = Tx.Rendezvous) (Tx.spans tc) in
+  Alcotest.(check int) "one root per synced syscall" r.Nxe.synced_syscalls
+    (List.length roots);
+  List.iter
+    (fun s ->
+      if s.Tx.sp_chan = 1 then
+        Alcotest.(check bool)
+          (Printf.sprintf "root ch1@%d opened after the quarantine" s.Tx.sp_pos)
+          true (s.Tx.sp_t0 >= q_time);
+      Alcotest.(check bool)
+        (Printf.sprintf "root ch%d@%d closed" s.Tx.sp_chan s.Tx.sp_pos)
+        true (Float.is_finite s.Tx.sp_t1))
+    roots
 
 let test_nxe_report_neutral () =
   let n = 3 in
@@ -93,11 +146,9 @@ let test_straggler_matches_profiler_single_node () =
 let test_cluster_trees_span_all_nodes () =
   let n = 3 in
   let tc = Tx.create () in
-  let config =
-    { Cluster.default_config with
-      Cluster.nodes = 4; ship = Cluster.Selective; tracer = Some tc }
-  in
-  let r = Cluster.run_traces ~config ~names:(names n) (skewed_traces n) in
+  let config = { Cluster.default_config with Cluster.nodes = 4; ship = Cluster.Selective } in
+  let engine = { Nxe.default_config with tracer = Some tc } in
+  let r = Cluster.run_traces ~config ~engine ~names:(names n) (skewed_traces n) in
   Alcotest.(check bool) "finished" true (r.Cluster.outcome = `All_finished);
   ok_or_fail (Tx.well_formed tc);
   let traces = Tx.traces tc in
@@ -123,11 +174,9 @@ let test_cluster_trees_span_all_nodes () =
 let test_cluster_report_neutral () =
   let n = 3 in
   let run tracer =
-    let config =
-      { Cluster.default_config with
-        Cluster.nodes = 3; ship = Cluster.Selective; tracer }
-    in
-    Cluster.run_traces ~config ~names:(names n) (skewed_traces ~units:10 n)
+    let config = { Cluster.default_config with Cluster.nodes = 3; ship = Cluster.Selective } in
+    Cluster.run_traces ~config ~engine:{ Nxe.default_config with tracer } ~names:(names n)
+      (skewed_traces ~units:10 n)
   in
   let plain = run None in
   let tc = Tx.create () in
@@ -142,11 +191,9 @@ let test_cluster_incident_signature_neutral () =
   let leader = [ work 10.0; wr 42 ] in
   let follower = [ work 10.0; Trace.Sys (Sc.write ~args:[ 1L; 666L ] ()) ] in
   let run tracer =
-    let config =
-      { Cluster.default_config with
-        Cluster.nodes = 2; ship = Cluster.Selective; tracer }
-    in
-    Cluster.run_traces ~config ~names:(names 2) [ leader; follower ]
+    let config = { Cluster.default_config with Cluster.nodes = 2; ship = Cluster.Selective } in
+    Cluster.run_traces ~config ~engine:{ Nxe.default_config with tracer } ~names:(names 2)
+      [ leader; follower ]
   in
   let signature r =
     match r.Cluster.incident with
@@ -174,11 +221,9 @@ let test_cluster_straggler_matches_profiler () =
   in
   Alcotest.(check bool) "local finished" true (local.Nxe.outcome = `All_finished);
   let tc = Tx.create () in
-  let config =
-    { Cluster.default_config with
-      Cluster.nodes = 4; ship = Cluster.Selective; tracer = Some tc }
-  in
-  let r = Cluster.run_traces ~config ~names:(names n) (traces ()) in
+  let config = { Cluster.default_config with Cluster.nodes = 4; ship = Cluster.Selective } in
+  let engine = { Nxe.default_config with tracer = Some tc } in
+  let r = Cluster.run_traces ~config ~engine ~names:(names n) (traces ()) in
   Alcotest.(check bool) "cluster finished" true (r.Cluster.outcome = `All_finished);
   let profiled = Profile.Collector.top_straggler collector in
   let traced = top_straggler_of_paths (Tx.critical_paths tc) in
@@ -202,12 +247,10 @@ let prop_cluster_spans_well_formed =
       in
       let batch_slots = 1 + ((units * n) mod 16) in
       let tc = Tx.create () in
-      let config =
-        { Cluster.default_config with
-          Cluster.nodes; ship; batch_slots; tracer = Some tc }
-      in
+      let config = { Cluster.default_config with Cluster.nodes; ship; batch_slots } in
       let r =
-        Cluster.run_traces ~config ~names:(names n)
+        Cluster.run_traces ~config ~engine:{ Nxe.default_config with tracer = Some tc }
+          ~names:(names n)
           (skewed_traces ~units ~skew:(0.1 *. float_of_int (1 + (units mod 5))) n)
       in
       r.Cluster.outcome = `All_finished
@@ -223,6 +266,8 @@ let () =
         [
           Alcotest.test_case "spans well-formed" `Quick test_nxe_spans_well_formed;
           Alcotest.test_case "report neutral" `Quick test_nxe_report_neutral;
+          Alcotest.test_case "roots closed after quarantine" `Quick
+            test_nxe_roots_closed_after_quarantine;
           Alcotest.test_case "straggler matches profiler" `Quick
             test_straggler_matches_profiler_single_node;
         ] );
