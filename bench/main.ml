@@ -1076,7 +1076,7 @@ let nxe_data () =
           (* Allocation budget: the hot path is supposed to be free of
              per-event allocation, so a synchronized syscall on the dense
              and server workloads must stay under a fixed per-variant
-             word budget (measured ~80n words/sync, asserted at 120n for
+             word budget (measured 39-65n words/sync, asserted at 120n for
              headroom).  The sparse bzip2 rows are excluded: with only 90
              syncs the per-sync quotient is dominated by trace
              registration, not the sync path. *)

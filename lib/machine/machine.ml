@@ -64,29 +64,37 @@ and thread = {
   body : unit -> unit;
   mutable state : state;
   mutable k : kstate;
-  mutable remaining : float;
   mutable wake_pending : bool;
-  mutable finish_time : float;
-  mutable cpu : float;
   mutable self_opt : thread option;
       (* [Some self], built once at spawn, so entering the fiber does not
          allocate an option per resume *)
-  mutable eff_arg : float; (* sleep duration, passed effect-payload-free *)
   (* --- pending-burst payload (at most one burst is in flight per thread,
      so the Burst_end event needs no allocated record: the event heap
      stores only (time, seq, kind, thread) and the burst parameters live
-     here) --- *)
+     here and in [f]) --- *)
   mutable b_ci : int;      (* core the burst runs on *)
-  mutable b_slice : float; (* requested compute in the burst *)
-  mutable b_eff : float;   (* effective cost incl. inflation + ctx switch *)
-  mutable b_ctx : float;   (* context-switch share of b_eff *)
   (* --- phase accounting --- *)
-  spawn_time : float;
-  mutable p_since : float; (* start of the current state interval *)
   mutable p_run : int;     (* bucket charged while Running *)
   mutable p_wait : int;    (* bucket charged while Blocked *)
   p_acc : float array;     (* phase_slots buckets, us *)
-  (* --- last run-queue wait (Ready -> Running), for causal tracing --- *)
+  f : thread_floats;
+}
+
+(* Every float a thread writes per burst or per state change.  OCaml
+   stores the fields of an all-float record unboxed, so these writes
+   allocate nothing; a float field of a mixed record is a pointer, and
+   each write to it boxes a fresh float. *)
+and thread_floats = {
+  mutable remaining : float;
+  mutable cpu : float;
+  mutable finish_time : float;
+  mutable eff_arg : float; (* sleep duration, passed effect-payload-free *)
+  mutable b_slice : float; (* requested compute in the burst *)
+  mutable b_eff : float;   (* effective cost incl. inflation + ctx switch *)
+  mutable b_ctx : float;   (* context-switch share of b_eff *)
+  spawn_time : float;
+  mutable p_since : float; (* start of the current state interval *)
+  (* last run-queue wait (Ready -> Running), for causal tracing *)
   mutable t_rdy0 : float;  (* when the thread last became Ready *)
   mutable t_rdy1 : float;  (* when that wait ended (dispatch time) *)
 }
@@ -96,6 +104,10 @@ type tid = thread
 let dummy_proc =
   { pid = -1; pname = "<none>"; ws = 0.0; sens = Lazy.from_val 0.0; proc_threads = [];
     p_active = 0 }
+
+let new_floats now =
+  { remaining = 0.0; cpu = 0.0; finish_time = 0.0; eff_arg = 0.0; b_slice = 0.0;
+    b_eff = 0.0; b_ctx = 0.0; spawn_time = now; p_since = now; t_rdy0 = now; t_rdy1 = now }
 
 (* Placeholder filling empty queue/heap slots: never dispatched, never woken. *)
 let dummy_thread =
@@ -107,23 +119,13 @@ let dummy_thread =
     body = (fun () -> ());
     state = Finished;
     k = Live;
-    remaining = 0.0;
     wake_pending = false;
-    finish_time = 0.0;
-    cpu = 0.0;
     self_opt = None;
-    eff_arg = 0.0;
     b_ci = -1;
-    b_slice = 0.0;
-    b_eff = 0.0;
-    b_ctx = 0.0;
-    spawn_time = 0.0;
-    p_since = 0.0;
     p_run = 0;
     p_wait = 0;
     p_acc = [||];
-    t_rdy0 = 0.0;
-    t_rdy1 = 0.0;
+    f = new_floats 0.0;
   }
 
 (* Flat ring deque of threads: the run queue and every wait queue.  A push
@@ -174,7 +176,20 @@ module Tq = struct
     q.len <- q.len - 1
 end
 
-type core = { mutable c_last : int; mutable c_busy : bool; mutable c_budget : float }
+(* A core's quantum budget lives in the machine's [budget] float array,
+   unboxed, beside the core. *)
+type core = { mutable c_last : int; mutable c_busy : bool }
+
+(* The machine's per-burst floats, unboxed for the same reason as
+   [thread_floats]. *)
+type machine_floats = {
+  mutable clock : float;
+  mutable pressure_peak : float;
+  mutable pressure_cache : float;
+      (* cached LLC pressure: recomputed — with the same fold, in the same
+         order, so the float result is bit-identical — only when some
+         proc's active-thread count crossed the 0 boundary *)
+}
 
 (* Telemetry handles, resolved once at creation so the per-event cost is a
    field read; [tel = None] keeps every instrumentation point a no-op. *)
@@ -225,31 +240,32 @@ type t = {
   mutable progress : bool;
   runq : Tq.q;
   cores : core array;
+  budget : float array; (* per core: quantum left before the next switch *)
   mutable procs : proc list;
   mutable threads : thread list;
-  mutable clock : float;
+  mf : machine_floats;
   mutable current : thread option;
   mutable next_pid : int;
   mutable next_tid : int;
   mutable ctx_switches : int;
-  mutable pressure_peak : float;
   (* O(1) liveness/deadlock accounting: non-daemon threads not yet
      Finished, and how many of those are Blocked.  The run loop's
      per-event "are we deadlocked / is anyone alive" checks were O(threads)
      list walks before. *)
   mutable nd_unfinished : int;
   mutable nd_blocked : int;
-  (* Cached LLC pressure: recomputed — with the same fold, in the same
-     order, so the float result is bit-identical — only when some proc's
-     active-thread count crossed the 0 boundary. *)
-  mutable pressure_cache : float;
   mutable pressure_dirty : bool;
+  (* Inside [run]: the only driver under which [compute] may finish a
+     burst inline (the co-simulation hooks never set it). *)
+  mutable in_run : bool;
+  mutable n_inline : int; (* burst slices finished inline by [compute] *)
+  mutable n_sched : int;  (* burst slices started through the event heap *)
   tel : tel option;
 }
 
 type _ Effect.t +=
-  | E_compute : unit Effect.t (* burst size pre-staged in th.remaining *)
-  | E_sleep : unit Effect.t   (* duration pre-staged in th.eff_arg *)
+  | E_compute : unit Effect.t (* burst size pre-staged in th.f.remaining *)
+  | E_sleep : unit Effect.t   (* duration pre-staged in th.f.eff_arg *)
   | E_park : unit Effect.t
   | E_yield : unit Effect.t
 
@@ -291,24 +307,25 @@ let create ?(config = default_config) ?telemetry () =
     tm_next_seq = 0;
     progress = false;
     runq = Tq.create ();
-    cores =
-      Array.init config.cores (fun _ -> { c_last = -1; c_busy = false; c_budget = 0.0 });
+    cores = Array.init config.cores (fun _ -> { c_last = -1; c_busy = false });
+    budget = Array.make config.cores 0.0;
     procs = [];
     threads = [];
-    clock = 0.0;
+    mf = { clock = 0.0; pressure_peak = 0.0; pressure_cache = 0.0 };
     current = None;
     next_pid = 0;
     next_tid = 0;
     ctx_switches = 0;
-    pressure_peak = 0.0;
     nd_unfinished = 0;
     nd_blocked = 0;
-    pressure_cache = 0.0;
     pressure_dirty = true;
+    in_run = false;
+    n_inline = 0;
+    n_sched = 0;
     tel;
   }
 
-let now t = t.clock
+let now t = t.mf.clock
 
 (* ------------------------------------------------------------------ *)
 (* Flat event heap *)
@@ -412,7 +429,7 @@ let timer_grow t =
   t.tm_fn <- fn
 
 let post t ~at fn =
-  let at = if at > t.clock then at else t.clock in
+  let at = if at > t.mf.clock then at else t.mf.clock in
   if t.tm_len = Array.length t.tm_time then timer_grow t;
   let i = ref t.tm_len in
   t.tm_time.(!i) <- at;
@@ -470,7 +487,8 @@ let proc_name p = p.pname
    (old) state selects, then restart the interval at the current clock.
    Must run immediately before every state assignment. *)
 let charge t th =
-  let dt = t.clock -. th.p_since in
+  let f = th.f and clock = t.mf.clock in
+  let dt = clock -. f.p_since in
   if dt > 0.0 then begin
     let slot =
       match th.state with
@@ -482,7 +500,7 @@ let charge t th =
     in
     if slot >= 0 then th.p_acc.(slot) <- th.p_acc.(slot) +. dt
   end;
-  th.p_since <- t.clock
+  f.p_since <- clock
 
 (* The single state-assignment point: maintains the deadlock counters and
    each proc's active-thread count (hence the pressure cache's dirty bit).
@@ -528,23 +546,13 @@ let spawn t ?(daemon = false) proc ~name body =
       body;
       state = Ready;
       k = Not_started;
-      remaining = 0.0;
       wake_pending = false;
-      finish_time = 0.0;
-      cpu = 0.0;
       self_opt = None;
-      eff_arg = 0.0;
       b_ci = -1;
-      b_slice = 0.0;
-      b_eff = 0.0;
-      b_ctx = 0.0;
-      spawn_time = t.clock;
-      p_since = t.clock;
       p_run = slot_compute;
       p_wait = slot_wait;
       p_acc = Array.make phase_slots 0.0;
-      t_rdy0 = t.clock;
-      t_rdy1 = t.clock;
+      f = new_floats t.mf.clock;
     }
   in
   th.self_opt <- Some th;
@@ -566,21 +574,12 @@ let self t = current_thread t
 
 let last_ready_wait t =
   let th = current_thread t in
-  (th.t_rdy0, th.t_rdy1)
-
-let compute t d =
-  let th = current_thread t in
-  if d > 0.0 then begin
-    (* Stage the burst size in the thread record: the effect carries no
-       payload, so performing it allocates no constructor or boxed float. *)
-    th.remaining <- d;
-    perform E_compute
-  end
+  (th.f.t_rdy0, th.f.t_rdy1)
 
 let sleep t d =
   let th = current_thread t in
   if d > 0.0 then begin
-    th.eff_arg <- d;
+    th.f.eff_arg <- d;
     perform E_sleep
   end
 
@@ -601,8 +600,8 @@ let wake t th =
     (match t.tel with
      | Some tel ->
        Tel.Counter.incr tel.t_wakes;
-       Tel.instant tel.t_dom ~tid:tel.t_sched_tid ~args:[ ("thread", th.tname) ] ~ts:t.clock
-         ~cat:"machine" "wake"
+       Tel.instant tel.t_dom ~tid:tel.t_sched_tid ~args:[ ("thread", th.tname) ]
+         ~ts:t.mf.clock ~cat:"machine" "wake"
      | None -> ())
   | Ready | Running | Sleeping -> th.wake_pending <- true
   | Finished -> ()
@@ -622,7 +621,7 @@ let cancel t th =
   | _ ->
     charge t th;
     set_state t th Finished;
-    th.finish_time <- t.clock;
+    th.f.finish_time <- t.mf.clock;
     th.k <- Live (* drop the suspended continuation; it must never resume *)
 
 let cancel_proc t p = List.iter (cancel t) p.proc_threads
@@ -630,32 +629,31 @@ let cancel_proc t p = List.iter (cancel t) p.proc_threads
 (* ------------------------------------------------------------------ *)
 (* Cache model: inflation of compute cost under LLC pressure. *)
 
-let active_pressure t =
-  if t.pressure_dirty then begin
-    (* Same fold over the same list in the same order as always — only the
-       per-proc activity test changed from a thread-list walk to a counter
-       read — so the cached float is bit-identical to a fresh recompute. *)
-    let total =
-      List.fold_left (fun acc p -> if p.p_active > 0 then acc +. p.ws else acc) 0.0 t.procs
-    in
-    t.pressure_cache <- total /. t.cfg.llc_capacity;
-    t.pressure_dirty <- false
-  end;
-  t.pressure_cache
+(* Same fold over the same list in the same order as always — only the
+   per-proc activity test changed from a thread-list walk to a counter
+   read — so the cached float is bit-identical to a fresh recompute.  It
+   returns unit, not the float, so no call boxes the pressure. *)
+let refresh_pressure t =
+  let total =
+    List.fold_left (fun acc p -> if p.p_active > 0 then acc +. p.ws else acc) 0.0 t.procs
+  in
+  t.mf.pressure_cache <- total /. t.cfg.llc_capacity;
+  t.pressure_dirty <- false
+
+let trace_pressure t tel pressure =
+  Tel.Gauge.set tel.t_pressure pressure;
+  if Float.abs (pressure -. tel.t_last_pressure) > 1e-9 then begin
+    tel.t_last_pressure <- pressure;
+    Tel.instant tel.t_dom ~tid:tel.t_sched_tid
+      ~args:[ ("pressure", Printf.sprintf "%.3f" pressure) ]
+      ~ts:t.mf.clock ~cat:"machine" "cache_pressure"
+  end
 
 let multiplier t th =
-  let pressure = active_pressure t in
-  if pressure > t.pressure_peak then t.pressure_peak <- pressure;
-  (match t.tel with
-   | Some tel ->
-     Tel.Gauge.set tel.t_pressure pressure;
-     if Float.abs (pressure -. tel.t_last_pressure) > 1e-9 then begin
-       tel.t_last_pressure <- pressure;
-       Tel.instant tel.t_dom ~tid:tel.t_sched_tid
-         ~args:[ ("pressure", Printf.sprintf "%.3f" pressure) ]
-         ~ts:t.clock ~cat:"machine" "cache_pressure"
-     end
-   | None -> ());
+  if t.pressure_dirty then refresh_pressure t;
+  let pressure = t.mf.pressure_cache in
+  if pressure > t.mf.pressure_peak then t.mf.pressure_peak <- pressure;
+  (match t.tel with Some tel -> trace_pressure t tel pressure | None -> ());
   if pressure <= 1.0 then 1.0
   else
     (* Extra miss fraction grows with over-subscription, asymptoting to 1.
@@ -663,6 +661,81 @@ let multiplier t th =
        are compute-bound and shrug off evictions). *)
     let extra = 1.0 -. (1.0 /. pressure) in
     1.0 +. (t.cfg.miss_penalty *. extra *. Lazy.force th.t_proc.sens)
+
+(* [Float.min remaining quantum] without the call: both are positive and
+   finite, where the two agree bit-for-bit. *)
+let slice_of t th = if th.f.remaining <= t.cfg.quantum then th.f.remaining else t.cfg.quantum
+
+(* ------------------------------------------------------------------ *)
+(* Inline bursts.  A compute normally suspends the fiber, and the
+   scheduler queues it, places it, pushes its Burst_end event and pops it
+   again before resuming the same fiber.  When the machine's state proves
+   that this round trip can do nothing else, [compute] performs the same
+   float operations in the same order without suspending (DESIGN.md §14):
+
+   - [in_run]: only [run] drives the machine.  Under the co-simulation
+     hooks another node's earlier event can post a timer here.
+   - no telemetry: the burst span and pressure samples stay scheduled.
+   - not a daemon: the run loop's termination and deadlock checks could
+     otherwise fire while the burst is in flight.
+   - empty run queue: the dispatcher would place no other thread first.
+   - the thread's last core is free and still its own: the dispatcher
+     places it there (at most one core ever has [c_last = th.id]) with no
+     context switch.
+   - the burst ends strictly before the event-heap and timer tops and not
+     past [max_time]: it would be the next event popped, with no tie.
+
+   A refused slice has changed only idempotent state (the pressure peak
+   and the forced sensitivity), and the caller performs [E_compute] with
+   the remaining work.  An inline slice pushes no heap event and so skips
+   one sequence number; sequence numbers only break time ties, and every
+   later push still gets a larger one, so no tie-break changes. *)
+let inline_slice t th =
+  let ci = th.b_ci in
+  t.in_run
+  && (match t.tel with None -> true | Some _ -> false)
+  && (not th.daemon)
+  && Tq.is_empty t.runq
+  && ci >= 0
+  && t.cores.(ci).c_last = th.id
+  && (not t.cores.(ci).c_busy)
+  &&
+  let mult = multiplier t th in
+  let slice = slice_of t th in
+  let effective = 0.0 +. (slice *. mult) in
+  let f = th.f and mf = t.mf in
+  let time = mf.clock +. effective in
+  if (t.h_len = 0 || time < t.h_time.(0))
+     && (t.tm_len = 0 || time < t.tm_time.(0))
+     && time <= t.cfg.max_time
+  then begin
+    (* make_ready and start_burst *)
+    charge t th;
+    f.t_rdy0 <- f.p_since;
+    f.t_rdy1 <- mf.clock;
+    t.budget.(ci) <- t.budget.(ci) -. slice;
+    (* the Burst_end pop and handle_burst_end *)
+    if time > mf.clock then mf.clock <- time;
+    f.remaining <- f.remaining -. slice;
+    f.cpu <- f.cpu +. effective;
+    charge t th;
+    t.n_inline <- t.n_inline + 1;
+    true
+  end
+  else false
+
+(* Slices while each one may run inline; [true] once the burst is done. *)
+let rec inline_burst t th =
+  inline_slice t th && (th.f.remaining <= 1e-12 || inline_burst t th)
+
+let compute t d =
+  let th = current_thread t in
+  if d > 0.0 then begin
+    (* Stage the burst size in the thread record: the effect carries no
+       payload, so performing it allocates no constructor or boxed float. *)
+    th.f.remaining <- d;
+    if not (inline_burst t th) then perform E_compute
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Fiber management *)
@@ -675,7 +748,7 @@ let handler t th =
   let on_compute : ((unit, unit) continuation -> unit) option =
     Some
       (fun k ->
-        (* th.remaining was staged by [compute]. *)
+        (* th.f.remaining was staged by [compute]. *)
         th.k <- Suspended k;
         make_ready t th)
   in
@@ -685,7 +758,7 @@ let handler t th =
         th.k <- Suspended k;
         charge t th;
         set_state t th Sleeping;
-        heap_push t (t.clock +. th.eff_arg) ev_wake th)
+        heap_push t (t.mf.clock +. th.f.eff_arg) ev_wake th)
   in
   let on_park : ((unit, unit) continuation -> unit) option =
     Some
@@ -697,7 +770,7 @@ let handler t th =
         | Some tel ->
           Tel.Counter.incr tel.t_parks;
           Tel.instant tel.t_dom ~tid:tel.t_sched_tid ~args:[ ("thread", th.tname) ]
-            ~ts:t.clock ~cat:"machine" "park"
+            ~ts:t.mf.clock ~cat:"machine" "park"
         | None -> ())
   in
   let on_yield : ((unit, unit) continuation -> unit) option =
@@ -711,7 +784,7 @@ let handler t th =
       (fun () ->
         charge t th;
         set_state t th Finished;
-        th.finish_time <- t.clock;
+        th.f.finish_time <- t.mf.clock;
         th.k <- Live);
     exnc = (fun e -> raise e);
     effc =
@@ -729,8 +802,8 @@ let resume_fiber t th =
   let saved = t.current in
   t.current <- th.self_opt;
   if th.state = Ready then begin
-    th.t_rdy0 <- th.p_since;
-    th.t_rdy1 <- t.clock
+    th.f.t_rdy0 <- th.f.p_since;
+    th.f.t_rdy1 <- t.mf.clock
   end;
   charge t th;
   set_state t th Running;
@@ -770,16 +843,17 @@ let free_core_for t th =
 
 let start_burst t th ci =
   t.progress <- true;
-  let core = t.cores.(ci) in
+  t.n_sched <- t.n_sched + 1;
+  let core = t.cores.(ci) and f = th.f in
   let ctx =
     if core.c_last <> th.id then begin
       t.ctx_switches <- t.ctx_switches + 1;
-      core.c_budget <- t.cfg.quantum;
+      t.budget.(ci) <- t.cfg.quantum;
       (match t.tel with
        | Some tel ->
          Tel.Counter.incr tel.t_ctx;
-         Tel.instant tel.t_dom ~tid:ci ~args:[ ("to", th.tname) ] ~ts:t.clock ~cat:"machine"
-           "ctx_switch"
+         Tel.instant tel.t_dom ~tid:ci ~args:[ ("to", th.tname) ] ~ts:t.mf.clock
+           ~cat:"machine" "ctx_switch"
        | None -> ());
       t.cfg.ctx_switch_cost
     end
@@ -788,22 +862,20 @@ let start_burst t th ci =
   core.c_last <- th.id;
   core.c_busy <- true;
   let mult = multiplier t th in
-  (* [Float.min remaining quantum] without the call: both are positive and
-     finite, where the two agree bit-for-bit. *)
-  let slice = if th.remaining <= t.cfg.quantum then th.remaining else t.cfg.quantum in
+  let slice = slice_of t th in
   let effective = ctx +. (slice *. mult) in
   if th.state = Ready then begin
-    th.t_rdy0 <- th.p_since;
-    th.t_rdy1 <- t.clock
+    f.t_rdy0 <- f.p_since;
+    f.t_rdy1 <- t.mf.clock
   end;
   charge t th;
   set_state t th Running;
   th.b_ci <- ci;
-  th.b_slice <- slice;
-  th.b_eff <- effective;
-  th.b_ctx <- ctx;
-  core.c_budget <- core.c_budget -. slice;
-  heap_push t (t.clock +. effective) ev_burst th
+  f.b_slice <- slice;
+  f.b_eff <- effective;
+  f.b_ctx <- ctx;
+  t.budget.(ci) <- t.budget.(ci) -. slice;
+  heap_push t (t.mf.clock +. effective) ev_burst th
 
 let dispatch t =
   (* Each round: walk the current run queue once, resuming zero-cost fibers
@@ -820,13 +892,13 @@ let dispatch t =
     let ncores = if Tq.is_empty t.runq then 0 else Array.length t.cores in
     for ci = 0 to ncores - 1 do
       let core = t.cores.(ci) in
-      if (not core.c_busy) && core.c_budget > 0.0 then begin
+      if (not core.c_busy) && t.budget.(ci) > 0.0 then begin
         let n = Tq.length t.runq in
         let idx = ref (-1) in
         let i = ref 0 in
         while !idx < 0 && !i < n do
           let th = Tq.get t.runq !i in
-          if th.id = core.c_last && th.state = Ready && th.remaining > 0.0 then idx := !i;
+          if th.id = core.c_last && th.state = Ready && th.f.remaining > 0.0 then idx := !i;
           incr i
         done;
         if !idx >= 0 then begin
@@ -841,7 +913,7 @@ let dispatch t =
       if not (Tq.is_empty t.runq) then begin
         let th = Tq.take t.runq in
         if th.state <> Ready then () (* stale entry *)
-        else if th.remaining <= 0.0 then begin
+        else if th.f.remaining <= 0.0 then begin
           (* Nothing to burn: resume the fiber immediately (zero sim time). *)
           resume_fiber t th;
           again := true
@@ -865,13 +937,13 @@ let stuck_names t =
   String.concat ", " (List.rev stuck)
 
 let handle_burst_end t th =
-  let ci = th.b_ci
-  and slice = th.b_slice
-  and effective = th.b_eff
-  and ctx = th.b_ctx in
+  let ci = th.b_ci and f = th.f in
+  let slice = f.b_slice
+  and effective = f.b_eff
+  and ctx = f.b_ctx in
   t.cores.(ci).c_busy <- false;
-  th.remaining <- th.remaining -. slice;
-  th.cpu <- th.cpu +. effective;
+  f.remaining <- f.remaining -. slice;
+  f.cpu <- f.cpu +. effective;
   (* Charge the whole burst to the running bucket first, then carve the
      context-switch share out into the scheduler bucket, so a client that
      reads its buckets right after [compute] returns sees the burst
@@ -887,11 +959,11 @@ let handle_burst_end t th =
    | Some tel ->
      (* One complete span per CPU burst, on the core's lane: the trace
         shows exactly how the scheduler packed threads onto cores. *)
-     Tel.span_complete tel.t_dom ~tid:ci ~ts:(t.clock -. effective) ~dur:effective
+     Tel.span_complete tel.t_dom ~tid:ci ~ts:(t.mf.clock -. effective) ~dur:effective
        ~cat:"machine" th.tname
    | None -> ());
   if th.state = Finished then () (* cancelled mid-burst: free the core only *)
-  else if th.remaining > 1e-12 then make_ready t th
+  else if f.remaining > 1e-12 then make_ready t th
   else resume_fiber t th
 
 (* Pop and process the earliest pending event or timer.  Caller guarantees
@@ -899,14 +971,15 @@ let handle_burst_end t th =
    with no timers pending (every single-machine path) this is exactly the
    old run-loop body, so existing schedules are bit-identical. *)
 let process_next t =
+  let mf = t.mf in
   let use_timer =
     t.tm_len > 0 && (t.h_len = 0 || t.tm_time.(0) < t.h_time.(0))
   in
   if use_timer then begin
     let time = t.tm_time.(0) and fn = t.tm_fn.(0) in
     timer_drop t;
-    if time > t.clock then t.clock <- time;
-    if t.clock > t.cfg.max_time then
+    if time > mf.clock then mf.clock <- time;
+    if mf.clock > t.cfg.max_time then
       raise (Deadlock (Printf.sprintf "max_time %.0f exceeded" t.cfg.max_time));
     fn ()
   end
@@ -918,8 +991,8 @@ let process_next t =
     (* Event times are never behind the clock (every push is at
        [clock + positive] and pops come in key order), so this is
        [Float.max] without the function call. *)
-    if time > t.clock then t.clock <- time;
-    if t.clock > t.cfg.max_time then
+    if time > mf.clock then mf.clock <- time;
+    if mf.clock > t.cfg.max_time then
       raise (Deadlock (Printf.sprintf "max_time %.0f exceeded" t.cfg.max_time));
     if kind = ev_wake then begin
       if th.state = Sleeping then begin
@@ -950,7 +1023,8 @@ let run t =
       end
     end
   in
-  loop ()
+  t.in_run <- true;
+  Fun.protect ~finally:(fun () -> t.in_run <- false) loop
 
 (* ------------------------------------------------------------------ *)
 (* Co-simulation hooks: a cluster driver owns several machines and advances
@@ -983,16 +1057,21 @@ type stats = { total_time : float; context_switches : int; cache_pressure_peak :
 let stats t =
   let total =
     List.fold_left
-      (fun acc th -> if th.daemon then acc else Float.max acc th.finish_time)
+      (fun acc th -> if th.daemon then acc else Float.max acc th.f.finish_time)
       0.0 t.threads
   in
-  { total_time = total; context_switches = t.ctx_switches; cache_pressure_peak = t.pressure_peak }
+  { total_time = total; context_switches = t.ctx_switches;
+    cache_pressure_peak = t.mf.pressure_peak }
 
-let proc_cpu_time _t p = List.fold_left (fun acc th -> acc +. th.cpu) 0.0 p.proc_threads
+type burst_counts = { inline_bursts : int; scheduled_bursts : int }
+
+let burst_counts t = { inline_bursts = t.n_inline; scheduled_bursts = t.n_sched }
+
+let proc_cpu_time _t p = List.fold_left (fun acc th -> acc +. th.f.cpu) 0.0 p.proc_threads
 
 let proc_finish_time _t p =
   List.fold_left
-    (fun acc th -> if th.daemon then acc else Float.max acc th.finish_time)
+    (fun acc th -> if th.daemon then acc else Float.max acc th.f.finish_time)
     0.0 p.proc_threads
 
 (* ------------------------------------------------------------------ *)
@@ -1036,12 +1115,12 @@ let thread_phase _t th slot =
   th.p_acc.(slot)
 
 let thread_phases _t th = Array.copy th.p_acc
-let thread_spawn_time _t th = th.spawn_time
+let thread_spawn_time _t th = th.f.spawn_time
 
 (* Lifetime covered by the buckets: up to finish for finished threads, up
    to the last charge point otherwise — so phases always sum to it. *)
 let thread_accounted_time _t th =
-  (if th.state = Finished then th.finish_time else th.p_since) -. th.spawn_time
+  (if th.state = Finished then th.f.finish_time else th.f.p_since) -. th.f.spawn_time
 
 let proc_phases _t p =
   let acc = Array.make phase_slots 0.0 in

@@ -64,7 +64,15 @@ val spawn : t -> ?daemon:bool -> proc -> name:string -> (unit -> unit) -> tid
 (** {1 Fiber operations} — valid only inside a thread body. *)
 
 val compute : t -> float -> unit
-(** Consume CPU for the given cost (pre cache inflation). *)
+(** Consume CPU for the given cost (pre cache inflation).  Under {!run},
+    when the machine's state proves the burst would be the next event —
+    no telemetry sink, a non-daemon caller, an empty run queue, the
+    caller's last core free and still its own, and the burst ending
+    strictly before every pending event and timer — the burst finishes
+    without suspending the fiber: [compute] returns with the clock
+    advanced while no other fiber ran in between.  The schedule, the
+    stats and the phase buckets are the ones the scheduled path gives;
+    {!burst_counts} tells the two paths apart. *)
 
 val sleep : t -> float -> unit
 (** Wait wall-clock time without occupying a core. *)
@@ -152,6 +160,16 @@ type stats = {
 }
 
 val stats : t -> stats
+
+type burst_counts = {
+  inline_bursts : int;    (** burst slices {!compute} finished without suspending *)
+  scheduled_bursts : int; (** burst slices placed on a core through the event heap *)
+}
+
+val burst_counts : t -> burst_counts
+(** Deterministic op counters for the host-cost ledger: each quantum-sized
+    slice of a compute counts once, on the path that ran it.  They are
+    not part of {!stats}, which is identical whichever path ran. *)
 
 val proc_cpu_time : t -> proc -> float
 (** Total CPU consumed by the process's threads (post cache inflation). *)

@@ -402,7 +402,7 @@ type t = {
   proc_reg : (string * int, M.proc) Hashtbl.t;   (* (proc path, variant) *)
   mutable synced : int;
   mutable locksteps : int;
-  mutable gap_sum : float;
+  gap_sum : float array; (* one cell: a float array stores it unboxed *)
   mutable gap_count : int;
   mutable gap_max : int;
   mutable order_len : int;
@@ -620,7 +620,9 @@ let get_chan nxe path =
         leader_pos = 0;
         leader_done = false;
         cursors = Array.make nf 0;
-        fol_done = Array.make nf false;
+        (* A variant quarantined before this channel existed never joins
+           it; restart clears every channel's flag. *)
+        fol_done = Array.init nf (fun i -> nxe.v_quarantined.(i + 1));
         kn = Array.make wf 0;
         last_ack = Array.make wf 0;
         rp_len = Array.make wn 0;
@@ -730,14 +732,11 @@ let min_live_cursor ?(known = false) nxe chan =
    here touches the schedule, and with [config.tracer = None] every site
    compiles to a no-op test. *)
 
-(* Every live (non-exited, non-quarantined) follower has consumed [pos]. *)
-let slot_retired nxe chan pos =
+(* Every live follower has consumed [pos].  A quarantined follower is
+   done on every channel, including those created after its quarantine. *)
+let slot_retired chan pos =
   let all = ref true in
-  Array.iteri
-    (fun i c ->
-      if c <= pos && (not chan.fol_done.(i)) && not nxe.v_quarantined.(i + 1) then
-        all := false)
-    chan.cursors;
+  Array.iteri (fun i c -> if c <= pos && not chan.fol_done.(i) then all := false) chan.cursors;
   !all
 
 (* A run-queue wait [r0, r1] of [variant] as a Sched_wait child of the
@@ -774,7 +773,7 @@ let consume ?arrived_at nxe m chan ~variant ~pos ~blocked =
     ignore
       (Tx.record_child tc Tx.Fetch ~parent:chan.sl_span.(pos) ~node:nxe.place.(variant)
          ~variant ~chan:chan.ch_id ~pos ~t0:fetch_t0 ~t1:(M.now m));
-    if slot_retired nxe chan pos then Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
+    if slot_retired chan pos then Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -1227,7 +1226,7 @@ let leader_sync nxe chan sc =
   nxe.synced <- nxe.synced + 1;
   let gap = pos - min_live_cursor nxe chan in
   if Array.length chan.cursors > 0 then begin
-    nxe.gap_sum <- nxe.gap_sum +. float_of_int gap;
+    nxe.gap_sum.(0) <- nxe.gap_sum.(0) +. float_of_int gap;
     nxe.gap_count <- nxe.gap_count + 1;
     Tel.Hist.observe nxe.h_gap (float_of_int gap);
     if gap > nxe.gap_max then nxe.gap_max <- gap
@@ -1331,7 +1330,7 @@ let leader_sync nxe chan sc =
        (* With no live follower left the leader's release IS the
           retirement.  Otherwise the follower advancing the last cursor
           closes the root (fetches happen after this release). *)
-       if slot_retired nxe chan pos then Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
+       if slot_retired chan pos then Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
      | None -> ());
     wake_followers nxe chan
   end;
@@ -1458,7 +1457,7 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
       chan.cursors.(i) <- pos + 1;
       touch nxe variant;
       (match nxe.cfg.tracer with
-       | Some tc when chan.sl_span.(pos) >= 0 && slot_retired nxe chan pos ->
+       | Some tc when chan.sl_span.(pos) >= 0 && slot_retired chan pos ->
          Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
        | _ -> ());
       M.Waitq.signal m chan.leader_q;
@@ -2031,7 +2030,7 @@ let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitiviti
       proc_reg = Hashtbl.create 8;
       synced = 0;
       locksteps = 0;
-      gap_sum = 0.0;
+      gap_sum = [| 0.0 |];
       gap_count = 0;
       gap_max = 0;
       order_len = 0;
@@ -2243,7 +2242,7 @@ let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitiviti
       executed_syscalls = nxe.executed;
       lockstep_syscalls = nxe.locksteps;
       avg_syscall_gap =
-        (if nxe.gap_count = 0 then 0.0 else nxe.gap_sum /. float_of_int nxe.gap_count);
+        (if nxe.gap_count = 0 then 0.0 else nxe.gap_sum.(0) /. float_of_int nxe.gap_count);
       max_syscall_gap = nxe.gap_max;
       order_list_length = nxe.order_len;
       det_replays = nxe.replays;

@@ -39,13 +39,15 @@ module Gauge = struct
 end
 
 module Hist = struct
+  (* An all-float record stores its fields unboxed, so [observe] writes
+     them without allocating. *)
+  type moments = { mutable h_sum : float; mutable h_min : float; mutable h_max : float }
+
   type t = {
     bounds : float array; (* sorted, strictly increasing, finite *)
     counts : int array;   (* length bounds + 1; last entry is overflow *)
     mutable h_n : int;
-    mutable h_sum : float;
-    mutable h_min : float;
-    mutable h_max : float;
+    mo : moments;
   }
 
   let default_buckets =
@@ -59,9 +61,7 @@ module Hist = struct
       bounds;
       counts = Array.make (Array.length bounds + 1) 0;
       h_n = 0;
-      h_sum = 0.0;
-      h_min = infinity;
-      h_max = neg_infinity;
+      mo = { h_sum = 0.0; h_min = infinity; h_max = neg_infinity };
     }
 
   let observe h x =
@@ -72,15 +72,16 @@ module Hist = struct
     done;
     h.counts.(!i) <- h.counts.(!i) + 1;
     h.h_n <- h.h_n + 1;
-    h.h_sum <- h.h_sum +. x;
-    if x < h.h_min then h.h_min <- x;
-    if x > h.h_max then h.h_max <- x
+    let mo = h.mo in
+    mo.h_sum <- mo.h_sum +. x;
+    if x < mo.h_min then mo.h_min <- x;
+    if x > mo.h_max then mo.h_max <- x
 
   let count h = h.h_n
-  let sum h = h.h_sum
-  let mean h = if h.h_n = 0 then 0.0 else h.h_sum /. float_of_int h.h_n
-  let min_value h = if h.h_n = 0 then 0.0 else h.h_min
-  let max_value h = if h.h_n = 0 then 0.0 else h.h_max
+  let sum h = h.mo.h_sum
+  let mean h = if h.h_n = 0 then 0.0 else h.mo.h_sum /. float_of_int h.h_n
+  let min_value h = if h.h_n = 0 then 0.0 else h.mo.h_min
+  let max_value h = if h.h_n = 0 then 0.0 else h.mo.h_max
 
   let dump h =
     let k = Array.length h.bounds in
@@ -95,12 +96,12 @@ module Hist = struct
       let rank = int_of_float (ceil (p /. 100.0 *. float_of_int (h.h_n - 1))) in
       let rank = if rank < 0 then 0 else if rank > h.h_n - 1 then h.h_n - 1 else rank in
       let k = Array.length h.bounds in
-      let acc = ref 0 and i = ref 0 and res = ref h.h_max in
+      let acc = ref 0 and i = ref 0 and res = ref h.mo.h_max in
       (try
          while !i <= k do
            acc := !acc + h.counts.(!i);
            if !acc > rank then begin
-             res := (if !i < k then h.bounds.(!i) else h.h_max);
+             res := (if !i < k then h.bounds.(!i) else h.mo.h_max);
              raise Exit
            end;
            incr i
@@ -130,7 +131,7 @@ module Hist = struct
           while cum.(!i) <= rank do
             incr i
           done;
-          if !i < k then h.bounds.(!i) else h.h_max)
+          if !i < k then h.bounds.(!i) else h.mo.h_max)
         ps
     end
 end

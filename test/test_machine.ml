@@ -520,6 +520,184 @@ let prop_work_conservation =
       M.run m;
       (M.stats m).M.total_time <= Bunshin_util.Stats.sum costs +. 1e-6)
 
+(* ------------------------------------------------------------------ *)
+(* Inline bursts: [compute] finishes a burst without suspending the fiber
+   when the scheduled path provably does nothing else first.  A telemetry
+   sink keeps every burst on the scheduled path, so the same program run
+   with a sink is the reference schedule. *)
+
+type op = Compute of int | Sleep of int | Yield | Spawn of op list
+
+type prog = {
+  g_cores : int;
+  g_quantum : float;
+  g_ctx : float;
+  g_procs : (float * float) list; (* working set, cache sensitivity *)
+  g_threads : (bool * op list) list; (* daemon, ops *)
+  g_items : int; (* producer/consumer hand-offs *)
+  g_pc_cost : int;
+}
+
+let rec show_op = function
+  | Compute c -> Printf.sprintf "C%d" c
+  | Sleep c -> Printf.sprintf "S%d" c
+  | Yield -> "Y"
+  | Spawn ops -> "[" ^ String.concat " " (List.map show_op ops) ^ "]"
+
+let show_prog p =
+  Printf.sprintf "cores %d quantum %g ctx %g procs [%s] items %d x%d threads %s" p.g_cores
+    p.g_quantum p.g_ctx
+    (String.concat "; " (List.map (fun (ws, s) -> Printf.sprintf "%g/%g" ws s) p.g_procs))
+    p.g_items p.g_pc_cost
+    (String.concat " | "
+       (List.map
+          (fun (d, ops) -> (if d then "daemon " else "") ^ String.concat " " (List.map show_op ops))
+          p.g_threads))
+
+(* Small integer costs make equal event times common; costs up to 12
+   against a quantum of 3-8 make some computes span several slices.
+   Half the programs over-subscribe the 10-unit LLC with any one active
+   process, so the cache multiplier and the lazy sensitivity are live. *)
+let gen_prog =
+  let open QCheck.Gen in
+  let base =
+    frequency
+      [
+        (6, map (fun c -> Compute c) (int_range 1 12));
+        (2, map (fun c -> Sleep c) (int_range 1 6));
+        (1, return Yield);
+      ]
+  in
+  let spawn = map (fun l -> Spawn l) (list_size (int_range 1 4) base) in
+  let ops = list_size (int_range 1 8) (frequency [ (9, base); (1, spawn) ]) in
+  let* g_cores = int_range 1 4 in
+  let* g_quantum = oneofl [ 3.0; 5.0; 8.0 ] in
+  let* g_ctx = oneofl [ 0.0; 1.0 ] in
+  let* over = bool in
+  let* g_procs =
+    list_size (int_range 1 3)
+      (pair
+         (map float_of_int (if over then int_range 11 16 else int_range 1 3))
+         (oneofl [ 0.3; 0.7; 1.0 ]))
+  in
+  let* g_threads = list_size (int_range 1 5) (pair (map (fun k -> k = 0) (int_range 0 5)) ops) in
+  let* g_items = int_range 1 4 in
+  let* g_pc_cost = int_range 1 9 in
+  return { g_cores; g_quantum; g_ctx; g_procs; g_threads; g_items; g_pc_cost }
+
+(* Everything the two paths must agree on: stats, the (clock, thread) log
+   after each compute returns and at each thread's end (its finish time),
+   and per-proc CPU time and phase buckets. *)
+let run_prog ?telemetry p =
+  let m =
+    M.create ~config:(cfg ~cores:p.g_cores ~quantum:p.g_quantum ~ctx:p.g_ctx ~llc:10.0 ())
+      ?telemetry ()
+  in
+  let procs =
+    Array.of_list
+      (List.mapi
+         (fun i (ws, sens) ->
+           M.new_proc m ~cache_sensitivity:(lazy sens) ~name:(Printf.sprintf "p%d" i)
+             ~working_set:ws ())
+         p.g_procs)
+  in
+  let proc i = procs.(i mod Array.length procs) in
+  let log = ref [] in
+  let note name = log := (M.now m, name) :: !log in
+  let rec body pr name ops () =
+    List.iteri
+      (fun j op ->
+        match op with
+        | Compute c ->
+          M.compute m (float_of_int c);
+          note name
+        | Sleep c -> M.sleep m (float_of_int c)
+        | Yield -> M.yield m
+        | Spawn ops ->
+          let child = Printf.sprintf "%s.%d" name j in
+          ignore (M.spawn m pr ~name:child (body pr child ops)))
+      ops;
+    note (name ^ " end")
+  in
+  List.iteri
+    (fun i (daemon, ops) ->
+      let name = Printf.sprintf "t%d" i in
+      ignore (M.spawn m ~daemon (proc i) ~name (body (proc i) name ops)))
+    p.g_threads;
+  let wq = M.Waitq.create () and items = ref 0 in
+  let cost = float_of_int p.g_pc_cost in
+  ignore
+    (M.spawn m (proc 1) ~name:"producer" (fun () ->
+         for _ = 1 to p.g_items do
+           M.compute m cost;
+           note "producer";
+           incr items;
+           M.Waitq.signal m wq
+         done));
+  ignore
+    (M.spawn m (proc 2) ~name:"consumer" (fun () ->
+         for _ = 1 to p.g_items do
+           while !items = 0 do
+             M.Waitq.wait m wq
+           done;
+           decr items;
+           M.compute m (cost /. 2.0);
+           note "consumer"
+         done));
+  M.run m;
+  ( M.stats m,
+    List.rev !log,
+    Array.map (M.proc_cpu_time m) procs,
+    Array.map (M.proc_phases m) procs,
+    M.burst_counts m )
+
+let prop_inline_equals_scheduled =
+  QCheck.Test.make ~name:"machine: inline bursts equal scheduled bursts" ~count:400
+    (QCheck.make ~print:show_prog gen_prog)
+    (fun p ->
+      let stats, log, cpu, phases, _ = run_prog p in
+      let sink = Bunshin_telemetry.Telemetry.create () in
+      let stats', log', cpu', phases', sched = run_prog ~telemetry:sink p in
+      if sched.M.inline_bursts <> 0 then
+        QCheck.Test.fail_report "a sink must keep every burst scheduled";
+      stats = stats' && log = log' && cpu = cpu' && phases = phases')
+
+(* The inline path must actually be taken: the property above would also
+   hold if it never were. *)
+let check_bursts msg ~inline ~scheduled m =
+  let b = M.burst_counts m in
+  Alcotest.(check (pair int int)) msg (inline, scheduled) (b.M.inline_bursts, b.M.scheduled_bursts)
+
+let test_lone_thread_bursts () =
+  let m = M.create ~config:(cfg ~quantum:250.0 ()) () in
+  let p = M.new_proc m ~name:"p" ~working_set:1.0 () in
+  ignore (M.spawn m p ~name:"t" (fun () -> for _ = 1 to 10 do M.compute m 7.0 done));
+  M.run m;
+  check_bursts "k computes: first scheduled, k-1 inline" ~inline:9 ~scheduled:1 m;
+  check_time "70us" 70.0 (M.stats m).M.total_time
+
+let test_profile_run_bursts () =
+  let open Bunshin in
+  let gcc = List.find (fun b -> b.Bench.name = "gcc") Spec.all in
+  let m = M.create ~config:Experiments.desktop () in
+  ignore (Profile.exec_build m (Program.full [ Sanitizer.asan ] gcc.Bench.prog) ~seed:2);
+  M.run m;
+  check_bursts "gcc ASan solo run" ~inline:1799 ~scheduled:1 m
+
+let test_nxe_run_bursts () =
+  let open Bunshin in
+  let bzip2 = List.find (fun b -> b.Bench.name = "bzip2") Spec.all in
+  let trace = Program.build_trace (Program.baseline bzip2.Bench.prog) ~seed:2 in
+  let machine = ref None in
+  let r =
+    Nxe.run_traces ~on_machine:(fun m -> machine := Some m) ~names:[ "v0"; "v1"; "v2" ]
+      [ trace; trace; trace ]
+  in
+  Alcotest.(check bool) "finished" true (r.Nxe.outcome = `All_finished);
+  match !machine with
+  | Some m -> check_bursts "bzip2 x3 group run" ~inline:269 ~scheduled:3519 m
+  | None -> Alcotest.fail "on_machine not called"
+
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -573,6 +751,13 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "identical runs" `Quick test_determinism ]
         @ qcheck [ prop_total_at_least_critical_path; prop_work_conservation ] );
+      ( "inline",
+        [
+          Alcotest.test_case "lone thread counts" `Quick test_lone_thread_bursts;
+          Alcotest.test_case "profile run counts" `Quick test_profile_run_bursts;
+          Alcotest.test_case "nxe group counts" `Quick test_nxe_run_bursts;
+        ]
+        @ qcheck [ prop_inline_equals_scheduled ] );
     ]
 
 (* Appended: scheduler affinity and timeslice-budget behaviour. *)

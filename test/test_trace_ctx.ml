@@ -66,12 +66,12 @@ let test_nxe_spans_well_formed () =
         (List.length (List.filter (fun s -> s.Tx.sp_kind = Tx.Fetch) (Tx.tree tc tr))))
     (Tx.traces tc)
 
-let test_nxe_roots_closed_after_quarantine () =
-  (* v1 stalls before its third syscall, a write, so the leader cannot
-     run past it; the watchdog quarantines it, and the leader then spawns
-     a reader thread whose channel is created after the quarantine.  The
-     retired victim must not hold any rendezvous root open, on either
-     channel. *)
+(* v1 stalls before its third syscall, a write, so the leader cannot run
+   past it; the watchdog quarantines it, and the leader then spawns a
+   reader thread whose channel is created after the quarantine.  The
+   survivors finish, and the retired victim holds no rendezvous root open,
+   on either channel. *)
+let check_quarantine_then_spawn base =
   let rd i = Trace.Sys (Sc.read ~args:[ 3L; Int64.of_int i ] ()) in
   let trace =
     [ work 5.0; rd 0; work 5.0; rd 1; work 5.0; wr 2; work 5.0 ]
@@ -80,7 +80,7 @@ let test_nxe_roots_closed_after_quarantine () =
   let tc = Tx.create () in
   let config =
     {
-      Nxe.selective with
+      base with
       Nxe.tracer = Some tc;
       fault_policy =
         { Nxe.policy = Nxe.Quarantine; heartbeat_timeout = 100.0; restart_backoff = 50.0 };
@@ -108,6 +108,13 @@ let test_nxe_roots_closed_after_quarantine () =
         (Printf.sprintf "root ch%d@%d closed" s.Tx.sp_chan s.Tx.sp_pos)
         true (Float.is_finite s.Tx.sp_t1))
     roots
+
+let test_nxe_roots_closed_after_quarantine () = check_quarantine_then_spawn Nxe.selective
+
+(* Under strict lockstep the new channel must not wait for the victim:
+   it starts with the victim already retired. *)
+let test_nxe_strict_spawn_after_quarantine () =
+  check_quarantine_then_spawn Nxe.default_config
 
 let test_nxe_report_neutral () =
   let n = 3 in
@@ -268,6 +275,8 @@ let () =
           Alcotest.test_case "report neutral" `Quick test_nxe_report_neutral;
           Alcotest.test_case "roots closed after quarantine" `Quick
             test_nxe_roots_closed_after_quarantine;
+          Alcotest.test_case "strict spawn after quarantine" `Quick
+            test_nxe_strict_spawn_after_quarantine;
           Alcotest.test_case "straggler matches profiler" `Quick
             test_straggler_matches_profiler_single_node;
         ] );
