@@ -1357,6 +1357,17 @@ let profile_data () =
   Printf.printf "\nlighttpd: %d sync points over %.0f us, phase error %.4f%%\n"
     sattr.Profile.at_sync_points sattr.Profile.at_total_time
     (100.0 *. max_phase_err sattr);
+  (* Host allocation of one profile run: the minor words of measuring
+     bzip2's ASan build, after a warm-up run.  A deterministic count, so it
+     is pinned tightly; it covers building, costing and executing the
+     trace. *)
+  let asan = Program.full [ Sanitizer.asan ] (Spec.find "bzip2").Bench.prog in
+  let profile_run () = ignore (Profile.measure ~machine_config:E.desktop asan ~seed:E.ref_seed) in
+  profile_run ();
+  let mw0 = Gc.minor_words () in
+  profile_run ();
+  let minor_words_per_run = Gc.minor_words () -. mw0 in
+  Printf.printf "bzip2 ASan profile run: %.0f minor words\n" minor_words_per_run;
   Gate.emit_json ~section:"profile" ~quick:!quick_mode
     [
       ( "bzip2",
@@ -1367,6 +1378,7 @@ let profile_data () =
           ("max_solo_pct", 100.0 *. oa.E.oa_max_solo);
           ("straggler_wait_us", straggler_wait attr);
           ("phase_err_pct", 100.0 *. max_phase_err attr);
+          ("minor_words_per_run", minor_words_per_run);
         ] );
       ( "lighttpd",
         [
@@ -1654,6 +1666,9 @@ let gate_specs =
         Gate.threshold ~tolerance:0.05 "max_solo_pct";
         Gate.threshold ~tolerance:0.05 "straggler_wait_us";
         Gate.threshold ~tolerance:0.0 "phase_err_pct";
+        (* A deterministic count, with the tolerance of nxe's
+           minor_words_per_sync. *)
+        Gate.threshold ~tolerance:0.1 "minor_words_per_run";
       ] );
     ( "nxe",
       nxe_data,

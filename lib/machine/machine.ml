@@ -1097,18 +1097,34 @@ let set_wait_phase t slot =
   th.p_wait <- slot;
   prev
 
-let reattribute t ?th ~from_ ~to_ amount =
-  check_slot "reattribute" from_;
-  check_slot "reattribute" to_;
-  let th = match th with Some th -> th | None -> current_thread t in
+(* Clamp: reattribution moves time already charged; it can never drive a
+   bucket negative, so the sum-to-lifetime identity survives a caller
+   overestimating. *)
+let move_charged th ~from_ ~to_ amount =
   if amount > 0.0 && from_ <> to_ then begin
-    (* Clamp: reattribution moves time already charged; it can never drive
-       a bucket negative, so the sum-to-lifetime identity survives a
-       caller overestimating. *)
     let a = Float.min amount th.p_acc.(from_) in
     th.p_acc.(from_) <- th.p_acc.(from_) -. a;
     th.p_acc.(to_) <- th.p_acc.(to_) +. a
   end
+
+let reattribute t ?th ~from_ ~to_ amount =
+  check_slot "reattribute" from_;
+  check_slot "reattribute" to_;
+  let th = match th with Some th -> th | None -> current_thread t in
+  move_charged th ~from_ ~to_ amount
+
+(* The carve-out of the phase-splitting clients (the profiler's Work op,
+   the NXE's Work op and its bundled fetch+resched): inside this module
+   the bucket reads and the moved amount stay unboxed. *)
+let compute_share t d ~from_ ~to_ share =
+  check_slot "compute_share" from_;
+  check_slot "compute_share" to_;
+  let th = current_thread t in
+  let before = th.p_acc.(from_) in
+  compute t d;
+  let moved = (th.p_acc.(from_) -. before) *. share in
+  move_charged th ~from_ ~to_ moved;
+  moved
 
 let thread_phase _t th slot =
   check_slot "thread_phase" slot;

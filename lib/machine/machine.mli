@@ -220,6 +220,17 @@ val reattribute : t -> ?th:tid -> from_:int -> to_:int -> float -> unit
     of [th] (default: the calling thread).  Clamped at the source bucket's
     balance, so buckets never go negative and the sum is preserved. *)
 
+val compute_share : t -> float -> from_:int -> to_:int -> float -> float
+(** [compute_share t d ~from_ ~to_ share] (fiber op) is {!compute} [t d]
+    followed by moving [share] of what the burst charged to bucket [from_]
+    into bucket [to_], and returns the amount it asked to move.  It splits
+    one compute between two phases without splitting the burst, so the
+    schedule is that of a plain [compute].  The buckets end bit-identical
+    to reading [from_] with {!thread_phase} before and after [compute t d]
+    and then calling {!reattribute} with [share] times the difference
+    (clamped the same way).  @raise Invalid_argument on an out-of-range
+    slot, before computing. *)
+
 val thread_phase : t -> tid -> int -> float
 val thread_phases : t -> tid -> float array
 (** A copy of the thread's buckets, us. *)

@@ -91,6 +91,8 @@ let stall_duration = 1e9
    time is charged to, never touching burst boundaries or wake order), so
    tagging stays always-on and the report is bit-identical whether or not
    a profile collector is attached. *)
+let sanitizer_slot = Pr.Phase.slot Pr.Phase.Sanitizer
+
 let ph_compute m phase cost =
   let prev = M.set_phase m (Pr.Phase.slot phase) in
   M.compute m cost;
@@ -484,23 +486,18 @@ let do_work nxe ~variant fname cost =
   in
   if f <= 0.0 then M.compute m cost
   else begin
-    let self = M.self m in
-    let w0 = M.now m in
-    let before = M.thread_phase m self M.slot_compute in
-    M.compute m cost;
-    let delta = M.thread_phase m self M.slot_compute -. before in
-    M.reattribute m ~from_:M.slot_compute ~to_:(Pr.Phase.slot Pr.Phase.Sanitizer)
-      (delta *. f);
     match nxe.cfg.tracer with
+    | None -> ignore (M.compute_share m cost ~from_:M.slot_compute ~to_:sanitizer_slot f)
     | Some tc ->
+      let w0 = M.now m in
+      let moved = M.compute_share m cost ~from_:M.slot_compute ~to_:sanitizer_slot f in
       (* Sanitizer checks run between sync points, so each check is its
          own one-span trace; a0 carries the sanitizer share of the work. *)
       let id =
         Tx.record tc Tx.Sanitizer ~trace:(Tx.new_trace tc) ~parent:(-1)
           ~node:nxe.place.(variant) ~variant ~chan:(-1) ~pos:(-1) ~t0:w0 ~t1:(M.now m)
       in
-      Tx.annotate tc id ~a0:(delta *. f) ~a1:0.0 ~a2:0.0
-    | None -> ()
+      Tx.annotate tc id ~a0:moved ~a1:0.0 ~a2:0.0
   end
 
 (* µs for a follower to consume a slot. *)
@@ -514,19 +511,18 @@ let resched_cost = 0.25
 (* Follower fetch compute: when the follower blocked, the futex round trip
    (resched) is bundled into the same compute call so the schedule matches
    the untagged engine; its share of the measured delta is reattributed. *)
+let fetch_resched_cost = fetch_cost +. resched_cost
+let resched_share = resched_cost /. fetch_resched_cost
+
 let fetch_compute m ~blocked =
   if not blocked then ph_compute m Pr.Phase.Fetch fetch_cost
   else begin
-    let total = fetch_cost +. resched_cost in
-    let self = M.self m in
     let fslot = Pr.Phase.slot Pr.Phase.Fetch in
     let prev = M.set_phase m fslot in
-    let before = M.thread_phase m self fslot in
-    M.compute m total;
-    let delta = M.thread_phase m self fslot -. before in
-    ignore (M.set_phase m prev);
-    M.reattribute m ~from_:fslot ~to_:(Pr.Phase.slot Pr.Phase.Resched)
-      (delta *. (resched_cost /. total))
+    ignore
+      (M.compute_share m fetch_resched_cost ~from_:fslot
+         ~to_:(Pr.Phase.slot Pr.Phase.Resched) resched_share);
+    ignore (M.set_phase m prev)
   end
 
 (* Chrome-trace lane for (channel, variant): one track per logical thread
@@ -739,6 +735,12 @@ let slot_retired chan pos =
   Array.iteri (fun i c -> if c <= pos && not chan.fol_done.(i) then all := false) chan.cursors;
   !all
 
+(* Close [pos]'s rendezvous root once the slot is retired.  A root closes
+   once: a restarted follower refetching a retired slot leaves it alone. *)
+let close_root tc chan pos ~t1 =
+  let root = chan.sl_span.(pos) in
+  if Tx.is_open tc root && slot_retired chan pos then Tx.finish tc root ~t1
+
 (* A run-queue wait [r0, r1] of [variant] as a Sched_wait child of the
    slot's rendezvous root (dropped if empty or outside the root). *)
 let trace_ready_wait nxe tc chan pos ~variant (r0, r1) =
@@ -773,7 +775,7 @@ let consume ?arrived_at nxe m chan ~variant ~pos ~blocked =
     ignore
       (Tx.record_child tc Tx.Fetch ~parent:chan.sl_span.(pos) ~node:nxe.place.(variant)
          ~variant ~chan:chan.ch_id ~pos ~t0:fetch_t0 ~t1:(M.now m));
-    if slot_retired chan pos then Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
+    close_root tc chan pos ~t1:(M.now m)
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -1050,6 +1052,18 @@ let quarantine nxe ~variant ~cause =
        waiting for it at lockstep points and the ring's min-live cursor no
        longer includes it, so the remaining N-1 keep running. *)
     List.iter (fun c -> c.fol_done.(variant - 1) <- true) nxe.all_chans;
+    (* A slot the leader released past the victim's cursor may have waited
+       only on the victim's consume: it retires now, and nothing else
+       would close its root. *)
+    (match nxe.cfg.tracer with
+     | Some tc ->
+       List.iter
+         (fun c ->
+           for pos = c.cursors.(variant - 1) to c.sl_len - 1 do
+             if c.sl_ready.(pos) then close_root tc c pos ~t1:now
+           done)
+         nxe.all_chans
+     | None -> ());
     cancel_variant nxe variant;
     nxe.live_threads.(variant) <- 0;
     nxe.v_parked.(variant) <- 0;
@@ -1330,7 +1344,7 @@ let leader_sync nxe chan sc =
        (* With no live follower left the leader's release IS the
           retirement.  Otherwise the follower advancing the last cursor
           closes the root (fetches happen after this release). *)
-       if slot_retired chan pos then Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
+       close_root tc chan pos ~t1:(M.now m)
      | None -> ());
     wake_followers nxe chan
   end;
@@ -1457,9 +1471,8 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
       chan.cursors.(i) <- pos + 1;
       touch nxe variant;
       (match nxe.cfg.tracer with
-       | Some tc when chan.sl_span.(pos) >= 0 && slot_retired chan pos ->
-         Tx.finish tc chan.sl_span.(pos) ~t1:(M.now m)
-       | _ -> ());
+       | Some tc -> close_root tc chan pos ~t1:(M.now m)
+       | None -> ());
       M.Waitq.signal m chan.leader_q;
       (match chan.sl_sc.(pos).Sc.args with
        | [ idx ] when Int64.to_int idx < Array.length nxe.signal_handlers ->
@@ -2302,26 +2315,22 @@ let run_builds ?config ?machine_config ?on_machine ?faults ?coverage ?profile
      ASLR, different checks) never run cycle-identical.  The skew is
      systematic per (variant, function) — a function whose cache layout is
      unlucky in one variant stays slower there — which is what makes
-     lockstep waits real.  Syscall sequences are untouched. *)
-  let jitter_trace variant trace =
-    if jitter <= 0.0 then trace
-    else begin
-      let factors : (string, float) Hashtbl.t = Hashtbl.create 64 in
-      let factor func =
-        match Hashtbl.find_opt factors func with
-        | Some f -> f
-        | None ->
-          let h = Hashtbl.hash (seed, variant, func) in
-          let rng = Bunshin_util.Rng.create h in
-          let f = Bunshin_util.Rng.float_in rng (1.0 -. jitter) (1.0 +. jitter) in
-          Hashtbl.replace factors func f;
-          f
-      in
-      Trace.map_cost (fun func cost -> cost *. factor func) trace
-    end
+     lockstep waits real.  Syscall sequences are untouched.  The trace
+     builder applies it in the same walk as the build's cost factor. *)
+  let jitter_of variant =
+    if jitter <= 0.0 then None
+    else
+      Some
+        (fun func ->
+          let rng = Bunshin_util.Rng.create (Hashtbl.hash (seed, variant, func)) in
+          Bunshin_util.Rng.float_in rng (1.0 -. jitter) (1.0 +. jitter))
+  in
+  let built =
+    List.mapi (fun i b -> Program.build_trace_factored ?jitter:(jitter_of i) b ~seed) builds
   in
   (* Per-(variant, function) sanitizer fractions let the executor split
-     check execution out of compute without extra compute calls. *)
+     check execution out of compute without extra compute calls; each comes
+     from the factor the trace builder resolved. *)
   (match profile with
    | Some c ->
      if Pr.Collector.workload c = "" then
@@ -2329,17 +2338,17 @@ let run_builds ?config ?machine_config ?on_machine ?faults ?coverage ?profile
         | b :: _ -> Pr.Collector.set_workload c b.Program.prog.Program.name
         | [] -> ());
      List.iteri
-       (fun v b ->
+       (fun v (b, (_, factors)) ->
          List.iter
            (fun (fn : Program.func) ->
-             let f = Pr.sanitizer_fraction b fn.Program.fn_name in
+             let f = Pr.share_of_factor (Program.factor factors fn.Program.fn_name) in
              if f > 0.0 then Pr.Collector.set_check_fraction c ~variant:v fn.Program.fn_name f)
            b.Program.prog.Program.funcs)
-       builds
+       (List.combine builds built)
    | None -> ());
   run_traces ?config ?machine_config ?on_machine ?faults ?coverage ?profile
     ~working_sets:(List.map Program.build_working_set builds)
     ~sensitivities:
       (List.map (fun b -> lazy (1.0 /. (1.0 +. Program.overhead_of_build b))) builds)
     ~names:(List.mapi (fun i b -> Printf.sprintf "v%d-%s" i b.Program.prog.Program.name) builds)
-    (List.mapi (fun i b -> jitter_trace i (Program.build_trace b ~seed)) builds)
+    (List.map fst built)

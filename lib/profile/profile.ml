@@ -69,11 +69,13 @@ end
    this build: checks and residual inflate Work cost by [cost_factor], so
    that share of whatever the machine actually charged (including cache
    inflation, which scales both parts alike) belongs to the sanitizer. *)
-let sanitizer_fraction build fname =
-  let cf = Program.cost_factor build fname in
-  if cf <= 1.0 then 0.0 else (cf -. 1.0) /. cf
+let share_of_factor cf = if cf <= 1.0 then 0.0 else (cf -. 1.0) /. cf
 
-let exec_trace m build trace =
+let sanitizer_slot = Phase.slot Phase.Sanitizer
+
+(* [factor] gives each function's cost factor; the executor resolves its
+   sanitizer share once per function. *)
+let exec_trace m build ~factor trace =
   (* One lazy for the main process and its forked children: the machine
      forces it only under LLC over-subscription, and
      [Program.overhead_of_build] regenerates the program's seed-0 trace. *)
@@ -92,13 +94,13 @@ let exec_trace m build trace =
       Hashtbl.replace counters id r;
       r
   in
-  let fracs : (string, float) Hashtbl.t = Hashtbl.create 8 in
+  let fracs : float Program.Func_tbl.t = Program.Func_tbl.create 64 in
   let frac fname =
-    match Hashtbl.find_opt fracs fname with
-    | Some f -> f
-    | None ->
-      let f = sanitizer_fraction build fname in
-      Hashtbl.replace fracs fname f;
+    match Program.Func_tbl.find fracs fname with
+    | f -> f
+    | exception Not_found ->
+      let f = share_of_factor (factor fname) in
+      Program.Func_tbl.add fracs fname f;
       f
   in
   (* Phase-tagged wrappers: identical compute/wait calls (the schedule is
@@ -113,16 +115,13 @@ let exec_trace m build trace =
     f ();
     ignore (M.set_wait_phase m prev)
   in
-  let work fname cost =
-    let f = frac fname in
-    if f <= 0.0 then M.compute m cost
-    else begin
-      let self = M.self m in
-      let before = M.thread_phase m self M.slot_compute in
-      M.compute m cost;
-      let delta = M.thread_phase m self M.slot_compute -. before in
-      M.reattribute m ~from_:M.slot_compute ~to_:(Phase.slot Phase.Sanitizer) (delta *. f)
-    end
+  (* A baseline build's factors are all 1.0: no share to look up. *)
+  let work =
+    if build.Program.sanitizers = [] then fun _ cost -> M.compute m cost
+    else fun fname cost ->
+      let f = frac fname in
+      if f <= 0.0 then M.compute m cost
+      else ignore (M.compute_share m cost ~from_:M.slot_compute ~to_:sanitizer_slot f)
   in
   let rec run_ops ops () =
     List.iter
@@ -165,7 +164,11 @@ let exec_trace m build trace =
   ignore (M.spawn m proc ~name:"main" (run_ops trace));
   proc
 
-let exec_build m build ~seed = exec_trace m build (Program.build_trace build ~seed)
+(* The executor takes each function's factor from the one the trace
+   builder resolved, so [cost_factor] runs once per distinct function. *)
+let exec_build m build ~seed =
+  let trace, factors = Program.build_trace_factored build ~seed in
+  exec_trace m build ~factor:(Program.factor factors) trace
 
 let measure ?machine_config build ~seed =
   let m =
@@ -173,8 +176,8 @@ let measure ?machine_config build ~seed =
     | Some config -> M.create ~config ()
     | None -> M.create ()
   in
-  let trace = Program.build_trace build ~seed in
-  ignore (exec_trace m build trace);
+  let trace, factors = Program.build_trace_factored build ~seed in
+  ignore (exec_trace m build ~factor:(Program.factor factors) trace);
   M.run m;
   {
     prog_name = build.Program.prog.Program.name;
@@ -261,7 +264,7 @@ module Collector = struct
     straggler_wait : float array;
     (* per-variant check fractions, set by Nxe.run_builds so the executor
        can split compute from sanitizer time without extra computes *)
-    check_fracs : (string, float) Hashtbl.t array;
+    check_fracs : float Program.Func_tbl.t array;
     (* filled once at end of run *)
     names : string array;
     phases : float array array; (* n x Machine.phase_slots *)
@@ -286,7 +289,7 @@ module Collector = struct
       s_wait = Array.make capacity 0.0;
       straggler_count = Array.make n 0;
       straggler_wait = Array.make n 0.0;
-      check_fracs = Array.init n (fun _ -> Hashtbl.create 8);
+      check_fracs = Array.init n (fun _ -> Program.Func_tbl.create 64);
       names = Array.init n (Printf.sprintf "v%d");
       phases = Array.init n (fun _ -> Array.make M.phase_slots 0.0);
       wall = Array.make n 0.0;
@@ -333,12 +336,12 @@ module Collector = struct
         })
 
   let check_fraction c ~variant fname =
-    match Hashtbl.find_opt c.check_fracs.(variant) fname with
-    | Some f -> f
-    | None -> 0.0
+    match Program.Func_tbl.find c.check_fracs.(variant) fname with
+    | f -> f
+    | exception Not_found -> 0.0
 
   let set_check_fraction c ~variant fname f =
-    Hashtbl.replace c.check_fracs.(variant) fname f
+    Program.Func_tbl.replace c.check_fracs.(variant) fname f
 
   let set_workload c w = c.workload <- w
   let workload c = c.workload

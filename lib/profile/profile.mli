@@ -20,13 +20,14 @@ val measure :
   ?machine_config:Bunshin_machine.Machine.config -> Bunshin_program.Program.build ->
   seed:int -> t
 (** Execute the build's trace (threads, locks, syscalls and all) on a fresh
-    machine and collect its profile.  The trace is built once, and
-    [by_func] is the per-function Work of the very trace the machine ran.
-    Building it costs O(1) per op plus O(log F) per function draw over F
-    functions (see {!Bunshin_program.Program.build_trace}), so most of a
-    run's host time is the machine simulation.  The build's cache
-    sensitivity ({!Bunshin_program.Program.overhead_of_build}, one more
-    trace generation) is computed only if the run over-subscribes the LLC. *)
+    machine and collect its profile.  The trace is built once, in one walk
+    ({!Bunshin_program.Program.build_trace_factored}), and [by_func] is the
+    per-function Work of the very trace the machine ran.  Each function's
+    sanitizer share is {!share_of_factor} of the factor that walk
+    resolved, so [cost_factor] runs once per distinct function.  The
+    build's cache sensitivity
+    ({!Bunshin_program.Program.overhead_of_build}, one more trace
+    generation) is computed only if the run over-subscribes the LLC. *)
 
 val overhead_by_func : baseline:t -> instrumented:t -> (string * float) list
 (** The overhead profile: per-function extra time, clamped at 0.  Forces
@@ -88,10 +89,13 @@ module Phase : sig
   (** Stable lowercase name used by every exporter. *)
 end
 
-val sanitizer_fraction : Bunshin_program.Program.build -> string -> float
-(** [(cost_factor - 1) / cost_factor] for the function under this build:
-    the share of its measured compute attributable to check execution and
-    residual instrumentation. *)
+val share_of_factor : float -> float
+(** [share_of_factor cf] is [(cf - 1) / cf], or 0 when [cf <= 1]: for a
+    function's cost factor under a build
+    ({!Bunshin_program.Program.cost_factor}, or the value a trace build
+    resolved, {!Bunshin_program.Program.factor}), the share of its measured
+    compute attributable to check execution and residual
+    instrumentation. *)
 
 (** Preallocated per-run collector: exact per-variant aggregates plus a
     bounded ring of sync-point records (flight-recorder idiom — recording

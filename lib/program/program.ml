@@ -85,52 +85,86 @@ let runtime_syscalls sans phase =
 (* Interval of (inflated) work between in-execution metadata syscalls. *)
 let metadata_syscall_interval = 500.0
 
-let weave_in_execution sans body =
-  let extra = runtime_syscalls sans San.In_execution in
-  if extra = [] then body
-  else begin
-    let acc = ref 0.0 in
-    List.concat_map
-      (fun op ->
-        match op with
-        | Trace.Work w ->
-          acc := !acc +. w.cost;
-          if !acc >= metadata_syscall_interval then begin
-            acc := !acc -. metadata_syscall_interval;
-            (op :: List.map (fun s -> Trace.Sys s) extra)
-          end
-          else [ op ]
-        | _ -> [ op ])
-      body
-  end
+module Func_tbl = Hashtbl.Make (struct
+  type t = string
 
-let build_trace b ~seed =
-  let rng = Bunshin_util.Rng.create seed in
-  let body = b.prog.gen_trace rng in
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+(* What one function's Work ops are multiplied by: the build's cost factor,
+   then the caller's jitter.  All-float, so the record is flat. *)
+type scale = { cf : float; jf : float }
+
+type factors = { fs_build : build; fs_tbl : scale Func_tbl.t }
+
+let factor fs fname =
+  match Func_tbl.find fs.fs_tbl fname with
+  | e -> e.cf
+  | exception Not_found -> cost_factor fs.fs_build fname
+
+let build_trace_factored ?jitter b ~seed =
+  let body = b.prog.gen_trace (Bunshin_util.Rng.create seed) in
+  let tbl = Func_tbl.create 64 in
   (* [cost_factor] scans the functions, the checked units and every
      sanitizer's cost model, so it is resolved once per function: a trace
      has ~1,000 Work ops over at most 120 functions.  A baseline build's
-     factor is 1.0 everywhere, and [c *. 1.0 = c]. *)
-  let body =
-    if b.sanitizers = [] then body
-    else begin
-      let factors = Hashtbl.create 64 in
-      let factor fname =
-        match Hashtbl.find_opt factors fname with
-        | Some f -> f
-        | None ->
-          let f = cost_factor b fname in
-          Hashtbl.add factors fname f;
-          f
+     factor is 1.0 everywhere, and [c *. 1.0 = c], so it multiplies by
+     nothing; without [jitter] neither does the second factor. *)
+  let scaled = b.sanitizers <> [] and jittered = Option.is_some jitter in
+  let scale fname =
+    match Func_tbl.find tbl fname with
+    | e -> e
+    | exception Not_found ->
+      let e =
+        {
+          cf = (if scaled then cost_factor b fname else 1.0);
+          jf = (match jitter with Some j -> j fname | None -> 1.0);
+        }
       in
-      Trace.map_cost (fun fname c -> c *. factor fname) body
-    end
+      Func_tbl.add tbl fname e;
+      e
   in
-  let body = weave_in_execution b.sanitizers body in
-  let pre = List.map (fun s -> Trace.Sys s) (runtime_syscalls b.sanitizers San.Pre_main) in
-  let post = List.map (fun s -> Trace.Sys s) (runtime_syscalls b.sanitizers San.Post_exit) in
-  pre @ (Trace.Marker Trace.Main_entered :: body)
-  @ (Trace.Marker Trace.About_to_exit :: post)
+  let sys phase = List.map (fun s -> Trace.Sys s) (runtime_syscalls b.sanitizers phase) in
+  (* One walk: rescale each Work op and, on the main body only ([top]),
+     weave in the runtime's in-execution syscalls after every
+     [metadata_syscall_interval] of factored, pre-jitter work.  Spawned and
+     forked bodies are rescaled but not woven.  The main body ends on the
+     exit marker and the post-exit phase, so nothing is appended to it. *)
+  let extra = sys San.In_execution in
+  let weaving = extra <> [] in
+  let tail = Trace.Marker Trace.About_to_exit :: sys San.Post_exit in
+  let acc = [| 0.0 |] in
+  let[@tail_mod_cons] rec walk top = function
+    | [] -> if top then tail else []
+    | op :: rest -> (
+      match op with
+      | Trace.Work w when scaled || jittered ->
+        let e = scale w.func in
+        let c = if scaled then w.cost *. e.cf else w.cost in
+        let op = Trace.Work { w with cost = (if jittered then c *. e.jf else c) } in
+        if top && weaving then acc.(0) <- acc.(0) +. c;
+        if top && weaving && acc.(0) >= metadata_syscall_interval then begin
+          acc.(0) <- acc.(0) -. metadata_syscall_interval;
+          op :: weave extra rest
+        end
+        else op :: walk top rest
+      | Trace.Spawn sub ->
+        let sub = walk false sub in
+        Trace.Spawn sub :: walk top rest
+      | Trace.Fork sub ->
+        let sub = walk false sub in
+        Trace.Fork sub :: walk top rest
+      | Trace.Work _ | Trace.Idle _ | Trace.Sys _ | Trace.Sys_shared _ | Trace.Shared_read _
+      | Trace.Lock _ | Trace.Unlock _ | Trace.Incr _ | Trace.Barrier _ | Trace.Marker _ ->
+        op :: walk top rest)
+  and[@tail_mod_cons] weave es rest =
+    match es with [] -> walk true rest | e :: es -> e :: weave es rest
+  in
+  let trace = sys San.Pre_main @ (Trace.Marker Trace.Main_entered :: walk true body) in
+  (trace, { fs_build = b; fs_tbl = tbl })
+
+let build_trace b ~seed = fst (build_trace_factored b ~seed)
 
 let build_working_set b = b.prog.working_set *. San.group_ws_multiplier b.sanitizers
 

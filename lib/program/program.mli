@@ -57,9 +57,36 @@ val build_trace : build -> seed:int -> Trace.t
     behaviourally equivalent traces across builds of the same program
     (identical syscall sequence inside main), so the NXE can synchronize
     them; only costs and sanitizer-runtime syscalls differ.  Each Work op
-    costs the workload's cost times {!cost_factor}, which is resolved once
-    per distinct function per call (a baseline build skips the pass); no
-    state is kept between calls. *)
+    costs the workload's cost times {!cost_factor}.  [build_trace b ~seed]
+    is [fst (build_trace_factored b ~seed)]. *)
+
+module Func_tbl : Hashtbl.S with type key = string
+(** Hash tables keyed by function name, compared with [String.equal]: the
+    per-op lookups of the trace builder and the executors. *)
+
+type factors
+(** The per-function factors one {!build_trace_factored} call resolved.
+    Owned by the caller; nothing is kept between calls. *)
+
+val build_trace_factored :
+  ?jitter:(string -> float) -> build -> seed:int -> Trace.t * factors
+(** {!build_trace} in one walk over the generated ops, and the factors it
+    resolved.  The walk multiplies each Work op's cost by the function's
+    {!cost_factor} and then, if given, by [jitter fname]:
+    [(c *. cost_factor) *. jitter], which is the cost of [Trace.map_cost]
+    with the factor followed by [Trace.map_cost] with the jitter.  It
+    weaves the runtime's in-execution syscalls in after every 500 us of
+    factored, pre-jitter work on the main body (not inside Spawn/Fork
+    bodies), and splices the pre-main and post-exit phases around it.
+    [cost_factor] and [jitter] are each called once per distinct function
+    of the trace (a baseline build skips [cost_factor], and without
+    [jitter] there is no second multiplication).  The walk costs O(1) per
+    op plus one string-keyed lookup per Work op. *)
+
+val factor : factors -> string -> float
+(** [factor fs fname] is {!cost_factor} of the build for [fname]: the
+    value resolved while the trace was built, or, for a function the trace
+    never charged, computed now. *)
 
 val build_working_set : build -> float
 (** LLC working set after shadow-memory inflation. *)

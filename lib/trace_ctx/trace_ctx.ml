@@ -120,6 +120,7 @@ let start tc kind ~trace ~parent ~node ~variant ~chan ~pos ~t0 =
   end
 
 let finish tc id ~t1 = if id >= 0 && id < tc.len then tc.s_t1.(id) <- t1
+let is_open tc id = id >= 0 && id < tc.len && Float.is_nan tc.s_t1.(id)
 
 let extend_t0 tc id ~t0 =
   if id >= 0 && id < tc.len && t0 < tc.s_t0.(id) then tc.s_t0.(id) <- t0

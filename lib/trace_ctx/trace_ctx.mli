@@ -65,6 +65,9 @@ val start :
 val finish : t -> int -> t1:float -> unit
 (** Close a span ([-1] ids are ignored). *)
 
+val is_open : t -> int -> bool
+(** The span was started and not yet finished ([false] for [-1]). *)
+
 val extend_t0 : t -> int -> t0:float -> unit
 (** Pull a span's opening back to [t0] if earlier — used to widen a
     rendezvous root to the first arrival once it is known. *)

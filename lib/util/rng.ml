@@ -1,4 +1,7 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state, in an 8-byte buffer rather than a mutable [int64]
+   field: writing a field boxes a fresh [Int64] on every draw, while
+   [Bytes.set_int64_ne] stores the raw bits, so a draw allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
@@ -7,14 +10,20 @@ let mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
+
+let create seed = of_state (mix64 (Int64.of_int seed))
 
 let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
 
-let split t = { state = int64 t }
-let copy t = { state = t.state }
+let split t = of_state (int64 t)
+let copy = Bytes.copy
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

@@ -6,6 +6,9 @@
     independent subsystems without sharing mutable state. *)
 
 type t
+(** Mutable generator state.  Drawing from it updates the state in place
+    and allocates nothing; the streams are those of the reference
+    SplitMix64 (state advanced by the golden gamma, output mixed). *)
 
 val create : int -> t
 (** [create seed] returns a fresh generator. Equal seeds give equal streams. *)

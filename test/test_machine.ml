@@ -662,6 +662,94 @@ let prop_inline_equals_scheduled =
         QCheck.Test.fail_report "a sink must keep every burst scheduled";
       stats = stats' && log = log' && cpu = cpu' && phases = phases')
 
+(* [compute_share] against the client-side carve-out it replaced:
+   [thread_phase] before and after [compute], then [reattribute] of the
+   share.  Every compute of the random program carves a share (0 to 1) out
+   of the compute bucket or, under a switched run phase, out of a client
+   slot; every thread's buckets must match bit for bit, with and without
+   LLC over-subscription (half of [gen_prog]'s programs) and with and
+   without a telemetry sink (scheduled bursts only, or inline ones too). *)
+let run_carve ~primitive ?telemetry p =
+  let m =
+    M.create ~config:(cfg ~cores:p.g_cores ~quantum:p.g_quantum ~ctx:p.g_ctx ~llc:10.0 ())
+      ?telemetry ()
+  in
+  let procs =
+    Array.of_list
+      (List.mapi
+         (fun i (ws, sens) ->
+           M.new_proc m ~cache_sensitivity:(lazy sens) ~name:(Printf.sprintf "p%d" i)
+             ~working_set:ws ())
+         p.g_procs)
+  in
+  let proc i = procs.(i mod Array.length procs) in
+  let tids = ref [] in
+  let spawn pr name body = tids := M.spawn m pr ~name body :: !tids in
+  let to_ = M.first_client_slot + 1 in
+  let carve j d =
+    let share = float_of_int (j * 7 mod 10) /. 9.0 in
+    let from_ = if j mod 3 = 2 then M.first_client_slot else M.slot_compute in
+    let prev = M.set_phase m from_ in
+    (if primitive then ignore (M.compute_share m d ~from_ ~to_ share)
+     else begin
+       let self = M.self m in
+       let before = M.thread_phase m self from_ in
+       M.compute m d;
+       let delta = M.thread_phase m self from_ -. before in
+       M.reattribute m ~from_ ~to_ (delta *. share)
+     end);
+    ignore (M.set_phase m prev)
+  in
+  let rec body pr name ops () =
+    List.iteri
+      (fun j op ->
+        match op with
+        | Compute c -> carve j (float_of_int c)
+        | Sleep c -> M.sleep m (float_of_int c)
+        | Yield -> M.yield m
+        | Spawn ops ->
+          let child = Printf.sprintf "%s.%d" name j in
+          spawn pr child (body pr child ops))
+      ops
+  in
+  List.iteri
+    (fun i (daemon, ops) ->
+      let name = Printf.sprintf "t%d" i in
+      tids := M.spawn m ~daemon (proc i) ~name (body (proc i) name ops) :: !tids)
+    p.g_threads;
+  let wq = M.Waitq.create () and items = ref 0 in
+  let cost = float_of_int p.g_pc_cost in
+  spawn (proc 1) "producer" (fun () ->
+      for j = 1 to p.g_items do
+        carve j cost;
+        incr items;
+        M.Waitq.signal m wq
+      done);
+  spawn (proc 2) "consumer" (fun () ->
+      for j = 1 to p.g_items do
+        while !items = 0 do
+          M.Waitq.wait m wq
+        done;
+        decr items;
+        carve (j + 1) (cost /. 2.0)
+      done);
+  M.run m;
+  ( M.stats m,
+    List.rev_map
+      (fun tid -> Array.to_list (Array.map (Printf.sprintf "%h") (M.thread_phases m tid)))
+      !tids )
+
+let prop_compute_share_equals_carve_out =
+  QCheck.Test.make ~name:"machine: compute_share equals the client carve-out" ~count:300
+    (QCheck.make ~print:show_prog gen_prog)
+    (fun p ->
+      List.for_all
+        (fun telemetry ->
+          let stats, buckets = run_carve ~primitive:true ?telemetry p in
+          let stats', buckets' = run_carve ~primitive:false ?telemetry p in
+          stats = stats' && buckets = buckets')
+        [ None; Some (Bunshin_telemetry.Telemetry.create ()) ])
+
 (* The inline path must actually be taken: the property above would also
    hold if it never were. *)
 let check_bursts msg ~inline ~scheduled m =
@@ -757,7 +845,7 @@ let () =
           Alcotest.test_case "profile run counts" `Quick test_profile_run_bursts;
           Alcotest.test_case "nxe group counts" `Quick test_nxe_run_bursts;
         ]
-        @ qcheck [ prop_inline_equals_scheduled ] );
+        @ qcheck [ prop_inline_equals_scheduled; prop_compute_share_equals_carve_out ] );
     ]
 
 (* Appended: scheduler affinity and timeslice-budget behaviour. *)

@@ -149,6 +149,77 @@ let prop_random_roundtrip =
       | Error _ -> false
       | Ok m' -> Printer.string_of_modul m' = text)
 
+(* Property: on mutated IR sources, parsing, verification and both
+   interpreter engines raise only their declared errors.  [Parser.parse]
+   and [Verify.check] return results and raise nothing; [Interp.run] and
+   [Interp.run_reference] may raise only [Invalid_argument] (an unknown
+   entry or an arity mismatch), and when both run they agree on outcome,
+   events and step count.  Any other exception escapes and fails the
+   property.  The seeds are the example [.bir] files and the printed serve
+   kernel; each case applies one to four byte-level edits. *)
+let fuzz_seeds =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun f -> In_channel.with_open_bin f In_channel.input_all)
+          [ "../examples/ir/overflow_demo.bir"; "../examples/ir/huge_malloc.bir" ]
+       @ [ Printer.string_of_modul (Bunshin.Experiments.serve_ir_kernel ()) ]))
+
+(* Bytes an edit writes: IR punctuation, digits and letters, so that many
+   mutants still lex and some still verify. *)
+let fuzz_alphabet = "%@:,=()[]{}-0123456789 \nabcdefilmnoprstuvx;#*"
+
+let mutate seed =
+  let rng = Bunshin_util.Rng.create seed in
+  let seeds = Lazy.force fuzz_seeds in
+  let src = Bytes.of_string (Bunshin_util.Rng.choice rng seeds) in
+  let edit b =
+    let n = Bytes.length b in
+    let at = Bunshin_util.Rng.int rng (max 1 n) in
+    let ch () = fuzz_alphabet.[Bunshin_util.Rng.int rng (String.length fuzz_alphabet)] in
+    match Bunshin_util.Rng.int rng 4 with
+    | 0 when n > 0 -> Bytes.set b at (ch ()); b
+    | 1 when n > 0 -> Bytes.cat (Bytes.sub b 0 at) (Bytes.sub b (at + 1) (n - at - 1))
+    | 2 -> Bytes.cat (Bytes.sub b 0 at) (Bytes.cat (Bytes.make 1 (ch ())) (Bytes.sub b at (n - at)))
+    | _ ->
+      (* Duplicate a span: repeated instructions, labels or functions. *)
+      let len = min (n - at) (1 + Bunshin_util.Rng.int rng 40) in
+      Bytes.cat (Bytes.sub b 0 (at + len)) (Bytes.sub b at (n - at))
+  in
+  let rec go k b = if k = 0 then b else go (k - 1) (edit b) in
+  Bytes.to_string (go (Bunshin_util.Rng.int_in rng 1 4) src)
+
+let prop_declared_errors_only =
+  QCheck.Test.make ~name:"parse, verify and run raise only declared errors" ~count:2000
+    (QCheck.make ~print:mutate QCheck.Gen.int)
+    (fun seed ->
+      match Parser.parse (mutate seed) with
+      | Error _ -> true
+      | Ok m -> (
+        match Verify.check m with
+        | Error _ -> true
+        | Ok () ->
+          let config = { Interp.default_config with Interp.fuel = 20_000 } in
+          List.for_all
+            (fun (f : Ast.func) ->
+              let args = List.mapi (fun i _ -> Int64.of_int (i + 3)) f.Ast.f_params in
+              let run engine =
+                match engine m ~entry:f.Ast.f_name ~args with
+                | r -> Some r
+                | exception Invalid_argument _ -> None
+              in
+              match
+                ( run (Interp.run ~config ?telemetry:None ?phases:None),
+                  run (Interp.run_reference ~config ?telemetry:None ?phases:None) )
+              with
+              | Some a, Some b ->
+                a.Interp.outcome = b.Interp.outcome
+                && a.Interp.events = b.Interp.events
+                && a.Interp.steps = b.Interp.steps
+              | None, None -> true
+              | _ -> false)
+            m.Ast.m_funcs))
+
 let () =
   Alcotest.run "bunshin_parser"
     [
@@ -166,5 +237,8 @@ let () =
           Alcotest.test_case "missing terminator" `Quick test_parse_rejects_missing_terminator;
           Alcotest.test_case "comments and blanks" `Quick test_parse_comments_and_blanks;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest ~verbose:false prop_random_roundtrip ]);
+      ( "properties",
+        List.map
+          (QCheck_alcotest.to_alcotest ~verbose:false)
+          [ prop_random_roundtrip; prop_declared_errors_only ] );
     ]

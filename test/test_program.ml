@@ -403,6 +403,254 @@ let prop_check_distribution_always_covers =
       && List.length (List.sort_uniq compare all) = List.length all
       && List.length all = nfuncs)
 
+(* ------------------------------------------------------------------ *)
+(* One-pass trace building against the multi-pass reference.  The
+   references below are the earlier implementations, kept verbatim in
+   behaviour: generators that build one list per unit and concatenate,
+   and a build that scales costs with [Trace.map_cost], weaves the
+   runtime's in-execution syscalls in a second pass, splices the phases
+   with [@], and applies a variant's jitter in a last [Trace.map_cost]. *)
+
+module Bench = Bunshin_workloads.Bench
+
+let ref_cpu_trace ~funcs ~units ~unit_cost ~syscall_every rng =
+  let weighted = Rng.weighted (Array.of_list funcs) in
+  let burst_every = max 1 (units / 3) in
+  List.concat
+    (List.init units (fun i ->
+         let fname = Rng.draw rng weighted in
+         let jitter = Rng.float_in rng 0.85 1.15 in
+         let work = Trace.Work { func = fname; cost = unit_cost *. jitter } in
+         let regular =
+           if syscall_every > 0 && (i + 1) mod syscall_every = 0 then
+             let sc =
+               if (i / syscall_every) mod 12 = 11 then Sc.write ~args:[ 1L; Int64.of_int i ] ()
+               else Sc.read ~args:[ 3L; Int64.of_int i ] ()
+             in
+             [ work; Trace.Sys sc ]
+           else [ work ]
+         in
+         if syscall_every > 0 && (i + 1) mod burst_every = 0 then
+           (* 24 reads per phase burst, the generator's [phase_burst_reads]. *)
+           regular
+           @ List.concat
+               (List.init 24 (fun k ->
+                    [
+                      Trace.Work { func = fname; cost = unit_cost *. 0.05 };
+                      Trace.Sys (Sc.read ~args:[ 3L; Int64.of_int ((i * 100) + k) ] ());
+                    ]))
+         else regular))
+
+let ref_worker_trace ~funcs ~units ~unit_cost ~stall ~racy ~lock_every ~barrier_every ~threads
+    ~barrier_base rng =
+  let weighted = Rng.weighted (Array.of_list funcs) in
+  let barrier_counter = ref 0 in
+  List.concat
+    (List.init units (fun i ->
+         let fname = Rng.draw rng weighted in
+         let jitter = Rng.float_in rng 0.85 1.15 in
+         let work = Trace.Work { func = fname; cost = unit_cost *. jitter } in
+         let ops = ref (if stall > 0.0 then [ work; Trace.Idle (unit_cost *. stall) ] else [ work ]) in
+         if racy && (i + 1) mod 10 = 0 then
+           ops := !ops @ [ Trace.Incr 9; Trace.Sys_shared (Sc.read ~args:[ 3L ] (), 9) ];
+         if lock_every > 0 && (i + 1) mod lock_every = 0 then begin
+           let lock_id = (i / lock_every) mod 4 in
+           ops :=
+             [ Trace.Lock lock_id; Trace.Work { func = fname; cost = unit_cost *. 0.1 };
+               Trace.Unlock lock_id ]
+             @ !ops
+         end;
+         if barrier_every > 0 && (i + 1) mod barrier_every = 0 then begin
+           let b = barrier_base + !barrier_counter in
+           incr barrier_counter;
+           ops := !ops @ [ Trace.Barrier (b, threads) ]
+         end;
+         !ops))
+
+let ref_threaded_trace ?(stall = 0.5) ?(racy = false) ~funcs ~threads ~units_per_thread
+    ~unit_cost ~lock_every ~barrier_every rng =
+  let mk () =
+    ref_worker_trace ~funcs ~units:units_per_thread ~unit_cost ~stall ~racy ~lock_every
+      ~barrier_every ~threads ~barrier_base:0 rng
+  in
+  let workers = List.init (threads - 1) (fun _ -> Trace.Spawn (mk ())) in
+  workers @ mk ()
+
+let ref_runtime_syscalls sans phase =
+  let seen = Hashtbl.create 8 in
+  let reps =
+    List.filter
+      (fun (s : San.t) ->
+        if Hashtbl.mem seen s.San.family then false
+        else begin
+          Hashtbl.replace seen s.San.family ();
+          true
+        end)
+      sans
+  in
+  List.concat_map (fun s -> San.introduced_syscalls s phase) reps
+
+let ref_build_trace (b : Program.build) ~seed =
+  let body = b.Program.prog.Program.gen_trace (Rng.create seed) in
+  let body =
+    if b.Program.sanitizers = [] then body
+    else Trace.map_cost (fun f c -> c *. Program.cost_factor b f) body
+  in
+  let extra = ref_runtime_syscalls b.Program.sanitizers San.In_execution in
+  let body =
+    if extra = [] then body
+    else begin
+      let acc = ref 0.0 in
+      List.concat_map
+        (fun op ->
+          match op with
+          | Trace.Work w ->
+            acc := !acc +. w.cost;
+            if !acc >= 500.0 then begin
+              acc := !acc -. 500.0;
+              op :: List.map (fun s -> Trace.Sys s) extra
+            end
+            else [ op ]
+          | _ -> [ op ])
+        body
+    end
+  in
+  let sys phase = List.map (fun s -> Trace.Sys s) (ref_runtime_syscalls b.Program.sanitizers phase) in
+  sys San.Pre_main @ (Trace.Marker Trace.Main_entered :: body)
+  @ (Trace.Marker Trace.About_to_exit :: sys San.Post_exit)
+
+let ref_jitter jitter trace =
+  match jitter with None -> trace | Some j -> Trace.map_cost (fun f c -> c *. j f) trace
+
+(* Structural equality with every float compared bit for bit. *)
+let rec same_trace a b =
+  let bits = Int64.bits_of_float in
+  match (a, b) with
+  | [], [] -> true
+  | x :: xs, y :: ys ->
+    (match (x, y) with
+     | Trace.Work w, Trace.Work w' -> String.equal w.func w'.func && bits w.cost = bits w'.cost
+     | Trace.Idle d, Trace.Idle d' -> bits d = bits d'
+     | (Trace.Spawn s, Trace.Spawn s') | (Trace.Fork s, Trace.Fork s') -> same_trace s s'
+     | _ -> x = y)
+    && same_trace xs ys
+  | _ -> false
+
+(* Random generator parameters: 1-6 functions (one function, and
+   syscall_every = 0, included). *)
+let gen_funcs rng =
+  let n = Rng.int_in rng 1 6 in
+  List.init n (fun i -> (Printf.sprintf "g%d" i, 0.05 +. Rng.float rng 1.0))
+
+let gen_cpu rng =
+  let funcs = gen_funcs rng in
+  let units = Rng.int_in rng 0 160 in
+  let unit_cost = 1.0 +. Rng.float rng 60.0 in
+  let syscall_every = if Rng.chance rng 0.2 then 0 else Rng.int_in rng 1 9 in
+  (funcs, units, unit_cost, syscall_every)
+
+let gen_worker rng =
+  let funcs = gen_funcs rng in
+  ( funcs,
+    Rng.int_in rng 0 60,
+    1.0 +. Rng.float rng 60.0,
+    (if Rng.bool rng then 0.0 else Rng.float rng 1.0),
+    Rng.bool rng,
+    Rng.int_in rng 0 7,
+    Rng.int_in rng 0 7,
+    Rng.int_in rng 1 4 )
+
+let program_of ~name funcs gen_trace =
+  let profiles = [| Cost.typical_profile; Cost.memory_bound_profile; Cost.control_bound_profile |] in
+  {
+    Program.name;
+    funcs =
+      List.mapi
+        (fun i (f, _) -> { Program.fn_name = f; fn_profile = profiles.(i mod 3) })
+        funcs;
+    working_set = 1.0;
+    gen_trace;
+  }
+
+let builds_of rng (prog : Program.t) =
+  let units =
+    List.concat_map
+      (fun (f : Program.func) ->
+        List.filter (fun _ -> Rng.bool rng) (List.init 4 (Program.block_unit f.Program.fn_name)))
+      prog.Program.funcs
+  in
+  [ ("baseline", Program.baseline prog); ("asan", Program.full [ San.asan ] prog) ]
+  @ List.map (fun s -> (San.name s, Program.full [ s ] prog)) San.ubsan_subs
+  @ [
+      ("ubsan-19", Program.full San.ubsan_subs prog);
+      ("msan", Program.full [ San.msan ] prog);
+      ("asan block_split=4", Program.variant [ San.asan ] ~block_split:4 ~checked:units prog);
+    ]
+
+let jitter_of seed =
+  Some
+    (fun f ->
+      let r = Rng.create (Hashtbl.hash (seed, 1, f)) in
+      Rng.float_in r 0.9 1.1)
+
+let prop_generators_match_reference =
+  QCheck.Test.make ~count:200 ~name:"generators match the concatenating reference" QCheck.int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let funcs, units, unit_cost, syscall_every = gen_cpu rng in
+      let cpu gen = gen ~funcs ~units ~unit_cost ~syscall_every (Rng.create seed) in
+      let funcs, units, unit_cost, stall, racy, lock_every, barrier_every, threads =
+        gen_worker rng
+      in
+      let threaded gen =
+        gen ?stall:(Some stall) ?racy:(Some racy) ~funcs ~threads ~units_per_thread:units
+          ~unit_cost ~lock_every ~barrier_every (Rng.create seed)
+      in
+      same_trace (cpu Bench.cpu_trace) (cpu ref_cpu_trace)
+      && same_trace (threaded Bench.threaded_trace) (threaded ref_threaded_trace))
+
+let prop_build_matches_reference =
+  QCheck.Test.make ~count:40 ~name:"one-pass build matches map_cost, weave, splice, jitter"
+    QCheck.(pair int small_nat)
+    (fun (pseed, tseed) ->
+      let rng = Rng.create pseed in
+      let funcs, units, unit_cost, syscall_every = gen_cpu rng in
+      let wfuncs, wunits, wcost, stall, racy, lock_every, barrier_every, threads =
+        gen_worker rng
+      in
+      (* A single-threaded CPU workload, and one that spawns worker
+         threads, so Spawn bodies are rescaled but not woven. *)
+      let cpu =
+        program_of ~name:"cpu" funcs (Bench.cpu_trace ~funcs ~units ~unit_cost ~syscall_every)
+      in
+      let threaded =
+        program_of ~name:"threaded" wfuncs (fun r ->
+            Bench.cpu_trace ~funcs:wfuncs ~units ~unit_cost ~syscall_every r
+            @ Bench.threaded_trace ~stall ~racy ~funcs:wfuncs ~threads ~units_per_thread:wunits
+                ~unit_cost:wcost ~lock_every ~barrier_every r)
+      in
+      List.for_all
+        (fun prog ->
+          List.for_all
+            (fun (tag, b) ->
+              List.for_all
+                (fun jitter ->
+                  let got, factors = Program.build_trace_factored ?jitter b ~seed:tseed in
+                  let want = ref_jitter jitter (ref_build_trace b ~seed:tseed) in
+                  let factors_ok =
+                    List.for_all
+                      (fun (f, _) ->
+                        Int64.bits_of_float (Program.factor factors f)
+                        = Int64.bits_of_float (Program.cost_factor b f))
+                      (Trace.work_by_func got)
+                  in
+                  same_trace got want && factors_ok
+                  || QCheck.Test.fail_reportf "%s/%s differs (jitter %b, seed %d)"
+                       prog.Program.name tag (Option.is_some jitter) tseed)
+                [ None; jitter_of tseed ])
+            (builds_of rng prog))
+        [ cpu; threaded ])
+
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -445,5 +693,11 @@ let () =
           Alcotest.test_case "unify fig8 shape" `Quick test_unify_fig8_shape;
           Alcotest.test_case "end-to-end pipeline" `Quick test_end_to_end_generator_pipeline;
         ] );
-      ("properties", qcheck [ prop_check_distribution_always_covers ]);
+      ( "properties",
+        qcheck
+          [
+            prop_check_distribution_always_covers;
+            prop_generators_match_reference;
+            prop_build_matches_reference;
+          ] );
     ]

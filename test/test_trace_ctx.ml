@@ -116,6 +116,57 @@ let test_nxe_roots_closed_after_quarantine () = check_quarantine_then_spawn Nxe.
 let test_nxe_strict_spawn_after_quarantine () =
   check_quarantine_then_spawn Nxe.default_config
 
+(* Under selective lockstep the leader runs ahead of a follower through
+   non-lockstep reads.  v1 stalls just before its second syscall, a read,
+   so the leader releases reads v1 never consumes while v2 consumes them:
+   each such slot waits only on v1.  Quarantining v1 must close those
+   roots at once.  Under [Restart_once] the restarted v1 then refetches
+   every slot from the start, and no root may be finished a second time:
+   every root opened before the quarantine keeps the close time it had. *)
+let check_roots_after_run_ahead policy =
+  let rd i = Trace.Sys (Sc.read ~args:[ 3L; Int64.of_int i ] ()) in
+  let trace =
+    List.concat (List.init 5 (fun i -> [ work 5.0; rd i ])) @ [ work 5.0; wr 9; work 5.0 ]
+  in
+  let tc = Tx.create () in
+  let config =
+    {
+      Nxe.selective with
+      Nxe.tracer = Some tc;
+      fault_policy = { Nxe.policy; heartbeat_timeout = 100.0; restart_backoff = 50.0 };
+    }
+  in
+  let faults = Faults.make [ { Faults.i_variant = 1; i_at = 1; i_kind = Faults.Stall } ] in
+  let r = Nxe.run_traces ~config ~faults ~names:(names 3) [ trace; trace; trace ] in
+  Alcotest.(check bool) "survivors finished" true (r.Nxe.outcome = `All_finished);
+  ok_or_fail (Tx.well_formed tc);
+  let q_time =
+    match r.Nxe.fault_incidents with
+    | inc :: _ -> inc.Bunshin_forensics.Forensics.inc_time
+    | [] -> Alcotest.fail "v1 must have been quarantined"
+  in
+  let roots = List.filter (fun s -> s.Tx.sp_kind = Tx.Rendezvous) (Tx.spans tc) in
+  Alcotest.(check int) "one root per synced syscall" r.Nxe.synced_syscalls
+    (List.length roots);
+  let ran_ahead =
+    List.filter (fun s -> s.Tx.sp_pos >= 1 && s.Tx.sp_pos <= 4 && s.Tx.sp_t0 < q_time) roots
+  in
+  Alcotest.(check bool) "the leader ran ahead of the stalled v1" true (ran_ahead <> []);
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (Printf.sprintf "root ch%d@%d closed" s.Tx.sp_chan s.Tx.sp_pos)
+        true (Float.is_finite s.Tx.sp_t1);
+      if s.Tx.sp_pos <= 4 && s.Tx.sp_t0 < q_time then
+        Alcotest.(check bool)
+          (Printf.sprintf "root ch%d@%d closed by the quarantine (t1 %.3f, quarantine %.3f)"
+             s.Tx.sp_chan s.Tx.sp_pos s.Tx.sp_t1 q_time)
+          true (s.Tx.sp_t1 <= q_time))
+    roots
+
+let test_nxe_roots_closed_after_run_ahead () = check_roots_after_run_ahead Nxe.Quarantine
+let test_nxe_roots_finished_once_on_restart () = check_roots_after_run_ahead Nxe.Restart_once
+
 let test_nxe_report_neutral () =
   let n = 3 in
   let run tracer =
@@ -277,6 +328,10 @@ let () =
             test_nxe_roots_closed_after_quarantine;
           Alcotest.test_case "strict spawn after quarantine" `Quick
             test_nxe_strict_spawn_after_quarantine;
+          Alcotest.test_case "roots closed after run-ahead quarantine" `Quick
+            test_nxe_roots_closed_after_run_ahead;
+          Alcotest.test_case "roots finished once on restart" `Quick
+            test_nxe_roots_finished_once_on_restart;
           Alcotest.test_case "straggler matches profiler" `Quick
             test_straggler_matches_profiler_single_node;
         ] );

@@ -115,6 +115,49 @@ let test_rng_power_of_two_stream_unchanged () =
     Alcotest.(check int) "one raw draw per call" (raw mod 16) x
   done
 
+(* The raw SplitMix64 streams, pinned: any change to how the state is
+   stored or advanced shows here first, not only in downstream goldens.
+   Seed 0's first output is the reference SplitMix64 value. *)
+let test_rng_streams_pinned () =
+  let first8 t = List.init 8 (fun _ -> Rng.int64 t) in
+  let check name want t =
+    Alcotest.(check (list string)) name
+      (List.map (Printf.sprintf "%016Lx") want)
+      (List.map (Printf.sprintf "%016Lx") (first8 t))
+  in
+  check "seed 0"
+    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL; 0xf88bb8a8724c81ecL;
+      0x1b39896a51a8749bL; 0x53cb9f0c747ea2eaL; 0x2c829abe1f4532e1L; 0xc584133ac916ab3cL ]
+    (Rng.create 0);
+  check "seed 1"
+    [ 0xbfef8030ddc2d772L; 0x5f552ce482f2aa47L; 0x70335fc3daf3d8a7L; 0xf440fe3b62c79d2cL;
+      0x33ba2f29e7c168bbL; 0x98843f48a94b7866L; 0x74ad4c24d41a25f8L; 0x2f9a1f13648eab6eL ]
+    (Rng.create 1);
+  check "seed 42"
+    [ 0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L; 0x0c4b6b24ef01890eL;
+      0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L; 0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L ]
+    (Rng.create 42);
+  let parent = Rng.create 42 in
+  let child = Rng.split parent in
+  check "split child of seed 42"
+    [ 0x5599b3e06d073327L; 0xd6171d07a31128dfL; 0xed057ba08584c10bL; 0x9ea45beebee33b1cL;
+      0xb0d03117ca5e86c7L; 0x1fee6a4909479ccfL; 0xede4bcce07480405L; 0x6b330122e9c444dbL ]
+    child;
+  check "seed 42 after the split"
+    [ 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L; 0x0c4b6b24ef01890eL; 0xfb16a06e52ec10a7L;
+      0x3c30fc5fd50692c3L; 0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L; 0xc2bc249e28760ccdL ]
+    parent;
+  let t = Rng.create 1 in
+  ignore (Rng.int64 t);
+  ignore (Rng.int64 t);
+  let c = Rng.copy t in
+  let after_two =
+    [ 0x70335fc3daf3d8a7L; 0xf440fe3b62c79d2cL; 0x33ba2f29e7c168bbL; 0x98843f48a94b7866L;
+      0x74ad4c24d41a25f8L; 0x2f9a1f13648eab6eL; 0x509a840d44beedbdL; 0xe1d9d25350c18b44L ]
+  in
+  check "copy of seed 1 after two draws" after_two c;
+  check "seed 1 after the copy" after_two t
+
 let test_rng_gaussian_moments () =
   let t = Rng.create 13 in
   let xs = List.init 20000 (fun _ -> Rng.gaussian t ~mean:5.0 ~stddev:2.0) in
@@ -444,6 +487,7 @@ let () =
           Alcotest.test_case "no modulo bias" `Quick test_rng_no_modulo_bias;
           Alcotest.test_case "pow2 stream unchanged" `Quick
             test_rng_power_of_two_stream_unchanged;
+          Alcotest.test_case "streams pinned" `Quick test_rng_streams_pinned;
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "pareto bounds" `Quick test_rng_pareto_bounds;
