@@ -7,7 +7,11 @@
      dune exec bench/main.exe -- fig6            # one section
      dune exec bench/main.exe -- list            # section names
      dune exec bench/main.exe -- interp --quick  # fast smoke of the
-                                                 # interpreter microbench *)
+                                                 # interpreter microbench
+     dune exec bench/main.exe -- diff nxe        # one perf gate, in its
+                                                 # baseline's mode
+     dune exec bench/main.exe -- gates           # every perf gate, each in
+                                                 # its baseline's mode *)
 
 open Bunshin
 module E = Experiments
@@ -1640,8 +1644,9 @@ let serve_data () =
 let serve_section () = write_bench_json "BENCH_serve.json" (serve_data ())
 
 (* ------------------------------------------------------------------ *)
-(* Perf-regression gate: `diff SECTION' re-runs the section in memory and
-   compares it against the committed BENCH_SECTION.json baseline. *)
+(* Perf-regression gates: `diff SECTION' and `gates' re-run a section in
+   memory and compare it against the committed BENCH_SECTION.json
+   baseline. *)
 
 (* The attribution numbers are simulated time (deterministic), so their
    gate is tight.  The interpreter numbers are wall-clock on whatever
@@ -1729,87 +1734,96 @@ let gate_specs =
       ] );
   ]
 
-(* Multiply every suite metric in a baseline document by [factor] — the
-   injected-regression self-test (`--scale-baseline 0.8' makes the fresh
-   run look 25% slower than baseline on lower-is-better metrics). *)
-let scale_baseline factor doc =
-  match Forensics.Json.parse doc with
-  | Error e ->
-    Printf.eprintf "diff: cannot scale malformed baseline: %s\n" e;
-    exit 2
-  | Ok j ->
-    let str k = match Forensics.Json.member k j with Some (Forensics.Json.Str s) -> s | _ -> "" in
-    let quick =
-      match Forensics.Json.member "quick" j with Some (Forensics.Json.Bool b) -> b | _ -> false
-    in
-    let suites =
-      match Forensics.Json.member "suites" j with
-      | Some (Forensics.Json.Arr l) ->
-        List.filter_map
-          (function
-            | Forensics.Json.Obj fields ->
-              let name =
-                match List.assoc_opt "name" fields with
-                | Some (Forensics.Json.Str s) -> s
-                | _ -> ""
-              in
-              let metrics =
-                List.filter_map
-                  (function
-                    | k, Forensics.Json.Num v when k <> "name" -> Some (k, v *. factor)
-                    | _ -> None)
-                  fields
-              in
-              Some (name, metrics)
-            | _ -> None)
-          l
-      | _ -> []
-    in
-    Gate.emit_json ~section:(str "section") ~quick suites
+(* The baseline [j] with every suite metric multiplied by [factor] — the
+   injected-regression self-test (0.8 makes the fresh run look 25% slower
+   than baseline on lower-is-better metrics). *)
+let scale_baseline factor j =
+  let str k = match Json.member k j with Some (Json.Str s) -> s | _ -> "" in
+  let quick = match Json.member "quick" j with Some (Json.Bool b) -> b | _ -> false in
+  let suites =
+    match Json.member "suites" j with
+    | Some (Json.Arr l) ->
+      List.filter_map
+        (function
+          | Json.Obj fields ->
+            let name =
+              match List.assoc_opt "name" fields with Some (Json.Str s) -> s | _ -> ""
+            in
+            let metrics =
+              List.filter_map
+                (function
+                  | k, Json.Num v when k <> "name" -> Some (k, v *. factor)
+                  | _ -> None)
+                fields
+            in
+            Some (name, metrics)
+          | _ -> None)
+        l
+    | _ -> []
+  in
+  Gate.emit_json ~section:(str "section") ~quick suites
 
-let diff_mode args =
-  let rec parse section baseline scale = function
-    | [] -> (section, baseline, scale)
-    | "--baseline" :: file :: rest -> parse section (Some file) scale rest
-    | "--scale-baseline" :: f :: rest -> parse section baseline (float_of_string f) rest
-    | s :: rest when section = None -> parse (Some s) baseline scale rest
-    | s :: _ ->
-      Printf.eprintf "diff: unexpected argument %s\n" s;
-      exit 2
-  in
-  let section, baseline_file, scale = parse None None 1.0 args in
-  let section =
-    match section with
-    | Some s -> s
-    | None ->
-      Printf.eprintf "usage: diff SECTION [--baseline FILE] [--scale-baseline F]\n";
-      exit 2
-  in
+(* One gate: read the baseline BEFORE re-running its section (so a section
+   that writes its own file never compares against itself), run the
+   section once in the mode the baseline's "quick" field records, and
+   require a pass against the baseline and a failure against the baseline
+   scaled by 0.8 (an injected 25% regression), so the gate is shown able
+   to fail. *)
+let check_gate (section, data, thresholds) =
+  let file = "BENCH_" ^ section ^ ".json" in
+  Printf.printf "\n== gate %s vs %s\n%!" section file;
+  match In_channel.with_open_text file In_channel.input_all with
+  | exception Sys_error e -> Error (Printf.sprintf "cannot read baseline %s: %s" file e)
+  | baseline -> (
+    match Json.parse baseline with
+    | Error e -> Error (Printf.sprintf "malformed baseline %s: %s" file e)
+    | Ok j -> (
+      quick_mode := Json.member "quick" j = Some (Json.Bool true);
+      let fresh = data () in
+      let against baseline = Gate.compare_json ~thresholds ~baseline ~fresh in
+      match (against baseline, against (scale_baseline 0.8 j)) with
+      | Error e, _ | _, Error e -> Error e
+      | Ok r, Ok injected ->
+        print_string (Gate.result_to_text r);
+        if not (Gate.passed r) then Error "regressed against the baseline"
+        else if Gate.passed injected then
+          Error "self-test: an injected 25% regression was NOT detected"
+        else begin
+          print_endline "self-test: injected 25% regression detected";
+          Ok ()
+        end))
+
+(* `diff SECTION': one gate; exits 1 if it failed. *)
+let diff_mode section =
   match List.find_opt (fun (name, _, _) -> name = section) gate_specs with
   | None ->
     Printf.eprintf "diff: no perf gate for section %s (gated: %s)\n" section
       (String.concat ", " (List.map (fun (n, _, _) -> n) gate_specs));
     exit 2
-  | Some (_, data, thresholds) ->
-    let file = Option.value baseline_file ~default:("BENCH_" ^ section ^ ".json") in
-    (* Load the committed baseline BEFORE re-running the section, so a
-       section that writes its own file can never compare against itself. *)
-    let baseline =
-      try In_channel.with_open_text file In_channel.input_all
-      with Sys_error e ->
-        Printf.eprintf "diff: cannot read baseline %s: %s\n" file e;
-        exit 2
-    in
-    let baseline = if scale = 1.0 then baseline else scale_baseline scale baseline in
-    let fresh = data () in
-    print_newline ();
-    (match Gate.compare_json ~thresholds ~baseline ~fresh with
-     | Error e ->
-       Printf.eprintf "diff: %s\n" e;
-       exit 2
-     | Ok r ->
-       print_string (Gate.result_to_text r);
-       if not (Gate.passed r) then exit 1)
+  | Some spec -> (
+    match check_gate spec with
+    | Ok () -> ()
+    | Error e ->
+      Printf.eprintf "gate FAILED: %s: %s\n" section e;
+      exit 1)
+
+(* `gates': every entry of [gate_specs] against its committed
+   BENCH_<section>.json.  Every section runs; the exit status is non-zero
+   if any gate failed. *)
+let gates_mode () =
+  let failed =
+    List.filter_map
+      (fun ((section, _, _) as spec) ->
+        match check_gate spec with
+        | Ok () -> None
+        | Error e -> Some (section ^ ": " ^ e))
+      gate_specs
+  in
+  if failed <> [] then begin
+    List.iter (Printf.eprintf "gate FAILED: %s\n") failed;
+    exit 1
+  end;
+  Printf.printf "\nall %d gates passed\n" (List.length gate_specs)
 
 (* ------------------------------------------------------------------ *)
 (* Forensics: the incident report behind every Table 3/4 detection — the
@@ -2001,7 +2015,11 @@ let () =
   in
   match args with
   | [ "list" ] -> List.iter (fun (n, _) -> print_endline n) sections
-  | "diff" :: rest -> diff_mode rest
+  | [ "diff"; section ] -> diff_mode section
+  | "diff" :: _ ->
+    Printf.eprintf "usage: diff SECTION\n";
+    exit 2
+  | [ "gates" ] -> gates_mode ()
   | [] ->
     let t0 = Unix.gettimeofday () in
     List.iter (fun (_, f) -> f ()) sections;

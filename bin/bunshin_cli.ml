@@ -299,7 +299,7 @@ let profile_cmd =
       (* Exporter self-check before anything touches the file: a truncated
          or malformed report must fail loudly, not downstream. *)
       if json then begin
-        match Forensics.Json.parse body with
+        match Json.parse body with
         | Ok _ -> Printf.eprintf "profile JSON: valid (%d bytes)\n" (String.length body)
         | Error e ->
           Printf.eprintf "profile JSON: INVALID: %s\n" e;
@@ -641,7 +641,7 @@ let trace_cmd =
     let chrome = Telemetry.to_chrome_json sink in
     (* Exporter self-check: the emitted trace must actually be JSON, or
        chrome://tracing will reject the file with no useful message. *)
-    (match Forensics.Json.parse chrome with
+    (match Json.parse chrome with
      | Ok _ -> Printf.printf "trace JSON: valid (%d bytes)\n" (String.length chrome)
      | Error e ->
        Printf.eprintf "trace JSON: INVALID: %s\n" e;

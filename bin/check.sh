@@ -25,22 +25,21 @@ dune exec bench/main.exe -- interp --quick
 echo "-- BENCH_interp.json"
 cat BENCH_interp.json
 
-# Perf gates.  The interpreter numbers are wall-clock, so they are gated
-# against the baseline regenerated just above (catches a same-machine
-# regression without tripping on hardware differences).
-echo "== perf gate (bench diff interp --quick)"
-dune exec bench/main.exe -- diff interp --quick
-
-# The other gates diff a fresh run against the committed BENCH_<section>.json,
-# then rerun with an injected 25% regression (--scale-baseline 0.8) that
-# must make the gate exit non-zero.  What each section pins:
+# Perf gates, one table (`gate_specs' in bench/main.ml) for `bench diff'
+# and this check.  `bench gates' runs each gated section once, in the mode
+# its baseline's "quick" field records, and diffs it against the baseline
+# BENCH_<section>.json; it also compares the same fresh run against the
+# baseline scaled by 0.8 (an injected 25% regression), which must fail, so
+# every gate is shown able to fail.  What each section pins:
+# - interp: wall clock, so it is gated against the baseline the smoke above
+#   just regenerated (catches a same-machine regression without tripping on
+#   hardware differences); the step counts are deterministic and pinned.
 # - profile: the attribution numbers are simulated time — deterministic —
 #   so they are gated tightly against the committed baseline.
-# - nxe: `diff nxe --quick` runs the quick `bench nxe` section fresh (which
-#   also asserts the hot path's per-sync allocation budget); the
-#   synchronized-syscall counts and simulated times are pinned exactly
-#   (bit-identical schedules), the wall-clock sync rate with the same
-#   tolerance as the interp gate.
+# - nxe: runs the quick `bench nxe' section fresh (which also asserts the
+#   hot path's per-sync allocation budget); the synchronized-syscall counts
+#   and simulated times are pinned exactly (bit-identical schedules), the
+#   wall-clock sync rate with the same tolerance as the interp gate.
 # - net: re-runs the cluster traffic matrix (which itself asserts the >=5x
 #   dense-workload byte reduction of selective+replication vs naive, and
 #   cross-mode verdict parity) and pins the deterministic wire/time numbers.
@@ -55,16 +54,8 @@ dune exec bench/main.exe -- diff interp --quick
 #   to solo replays on the saturated point) — and pins request conservation
 #   counts, the deterministic latency quantiles, the rejection rates and
 #   the epoll-style batching factor.
-for gate in "profile" "nxe --quick" "net --quick" "slo --quick" "serve --quick"; do
-  section=${gate%% *}
-  echo "== perf gate (bench diff $gate vs committed BENCH_$section.json)"
-  # $gate is split into words on purpose.
-  dune exec bench/main.exe -- diff $gate
-  echo "== perf gate self-test (injected $section regression must fail)"
-  if dune exec bench/main.exe -- diff $gate --scale-baseline 0.8 >/dev/null 2>&1; then
-    echo "$section perf gate self-test: injected regression was NOT detected"; exit 1
-  fi
-done
+echo "== perf gates (bench gates vs the BENCH_<section>.json baselines)"
+dune exec bench/main.exe -- gates
 
 # Profiler smoke: the overhead-attribution path end to end — per-phase
 # decomposition sums to each variant's thread time (the report prints the

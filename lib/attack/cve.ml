@@ -4,6 +4,7 @@ module San = Bunshin_sanitizer.Sanitizer
 module Inst = Bunshin_sanitizer.Instrument
 module Slicer = Bunshin_slicer.Slicer
 module Forensics = Bunshin_forensics.Forensics
+module Nxe = Bunshin_nxe.Nxe
 
 type case = {
   c_program : string;
@@ -205,6 +206,9 @@ let sanitizer_of case =
 let detected run =
   match run.Interp.outcome with Interp.Detected _ -> true | _ -> false
 
+let finished run =
+  match run.Interp.outcome with Interp.Finished _ -> true | _ -> false
+
 (* Check distribution over two variants: A keeps the checks of the
    vulnerable function (removal elsewhere), B keeps the rest. *)
 let variants case =
@@ -232,32 +236,19 @@ let evaluate case =
   let full_x = run inst case.c_exploit_args in
   let a_x = run variant_a case.c_exploit_args in
   let b_x = run variant_b case.c_exploit_args in
-  let benign_ok pm =
-    let r = run pm case.c_benign in
-    match r.Interp.outcome with Interp.Finished _ -> true | _ -> false
-  in
-  let diverged = not (Interp.events_equal a_x b_x) in
-  let bunshin_detects = detected a_x || detected b_x || diverged in
-  (* Forensics: the incident the monitor would file for this abort — the
-     divergent slot of the variants' virtual syscall streams, with the
-     firing check site joined in from the sanitizer outcomes. *)
-  let incident =
-    if not bunshin_detects then None
-    else
-      Option.map
-        (fun inc ->
-          let det r =
-            match r.Interp.outcome with Interp.Detected d -> Some d | _ -> None
-          in
-          Forensics.refine_with_detections inc [| det a_x; det b_x |])
-        (Forensics.incident_of_runs [ a_x; b_x ])
-  in
+  (* The monitor's verdict and incident: the variants' group run under the
+     NXE, with the firing check site joined in by the bridge. *)
+  let group = Bridge.run_runs [ a_x; b_x ] in
+  let benign pm = run pm case.c_benign in
+  let benign_a = benign variant_a and benign_b = benign variant_b in
   {
     v_full_sanitizer = detected full_x;
     v_variant_a = detected a_x;
     v_variant_b = detected b_x;
-    v_diverged = diverged;
-    v_bunshin_detects = bunshin_detects;
-    v_benign_clean = benign_ok inst && benign_ok variant_a && benign_ok variant_b;
-    v_incident = incident;
+    v_diverged = not (Interp.events_equal a_x b_x);
+    v_bunshin_detects = group.Nxe.outcome <> `All_finished;
+    v_benign_clean =
+      List.for_all finished [ benign inst; benign_a; benign_b ]
+      && (Bridge.run_runs [ benign_a; benign_b ]).Nxe.outcome = `All_finished;
+    v_incident = group.Nxe.incident;
   }

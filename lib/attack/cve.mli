@@ -12,10 +12,12 @@
 
     Each case runs end to end through the real pipeline: instrument the IR
     with the sanitizer, split checks over two variants with the slicer, run
-    both variants on the exploit input in the interpreter, and decide
-    detection the way the NXE monitor does — a sanitizer report in either
-    variant, or divergent observable event streams (§5.3's nginx example:
-    variant A issues ASan's report write while variant B does not). *)
+    both variants on the exploit input in the interpreter, and synchronize
+    the two runs under the NXE ({!Bridge.run_runs}).  Detection is the
+    monitor's: the group run aborts when the variants diverge (§5.3's
+    nginx example: variant A issues ASan's report write while variant B
+    does not), or when a variant is killed by its sanitizer's abort or a
+    crash even though the streams agree. *)
 
 open Bunshin_ir
 
@@ -48,14 +50,18 @@ type verdict = {
   v_full_sanitizer : bool;   (** full instrumentation detects the exploit *)
   v_variant_a : bool;        (** variant holding the check detects it *)
   v_variant_b : bool;        (** the other variant alone detects it *)
-  v_diverged : bool;         (** the two variants' event streams diverge *)
-  v_bunshin_detects : bool;  (** the NXE monitor's decision *)
-  v_benign_clean : bool;     (** benign input triggers nothing anywhere *)
+  v_diverged : bool;         (** interpreter event streams differ (informational) *)
+  v_bunshin_detects : bool;  (** the NXE monitor's decision: the group run aborted *)
+  v_benign_clean : bool;
+      (** benign input triggers nothing anywhere: the full build and both
+          variants finish, and the variants' group run ends [`All_finished] *)
   v_incident : Bunshin_forensics.Forensics.incident option;
-      (** the forensic incident behind a detection: blamed variant and
-          attributed check site ([None] when nothing was detected, or when
-          both variants detected identically so no stream diverged) *)
+      (** the incident the engine filed with the abort: blamed variant and
+          attributed check site ([None] when nothing was detected) *)
 }
 
 val evaluate : case -> verdict
-(** Run the full pipeline on the case (2-variant check distribution). *)
+(** Run the full pipeline on the case (2-variant check distribution).
+    Detection and the incident come from one {!Bridge.run_runs} group run
+    of the variants on the exploit input; a second group run on the
+    benign input backs [v_benign_clean]. *)

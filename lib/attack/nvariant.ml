@@ -1,5 +1,6 @@
 open Bunshin_ir
 module B = Builder
+module Nxe = Bunshin_nxe.Nxe
 
 (* main(where, what):
      dispatch_table[0] = &benign_handler
@@ -41,9 +42,6 @@ let config_of seed = { Interp.default_config with layout_seed = seed }
 
 let hijacked run = List.mem (Interp.Output 666L) run.Interp.events
 
-let crashed run =
-  match run.Interp.outcome with Interp.Crashed _ -> true | _ -> false
-
 let finished run =
   match run.Interp.outcome with Interp.Finished _ -> true | _ -> false
 
@@ -65,10 +63,11 @@ let evaluate ?(seed_a = 41) ?(seed_b = 42) () =
     nv_hijacked_a = hijacked a;
     nv_hijacked_b = hijacked b;
     nv_diverged = not (Interp.events_equal a b);
-    (* The monitor flags a crashed variant or any observable divergence. *)
-    nv_detected = (not (Interp.events_equal a b)) || crashed a || crashed b;
+    (* The monitor's decision: the variants' group run under the NXE. *)
+    nv_detected = (Bridge.run_runs [ a; b ]).Nxe.outcome <> `All_finished;
     nv_benign_clean =
-      finished benign_a && finished benign_b && Interp.events_equal benign_a benign_b;
+      finished benign_a && finished benign_b
+      && (Bridge.run_runs [ benign_a; benign_b ]).Nxe.outcome = `All_finished;
   }
 
 let single_layout_escapes () =
@@ -81,4 +80,4 @@ let single_layout_escapes () =
   let a = run [ where; what ] in
   let b = run [ where; what ] in
   (* Both hijacked, identically: the monitor sees nothing. *)
-  hijacked a && hijacked b && Interp.events_equal a b
+  hijacked a && hijacked b && (Bridge.run_runs [ a; b ]).Nxe.outcome = `All_finished

@@ -6,8 +6,10 @@
     that hijacks a function pointer needs the pointer slot's absolute
     address; an address valid in one variant is wild in the other, so the
     attack can corrupt at most one variant — and the survivors' diverging
-    behaviour is exactly what the NXE monitor flags.  No sanitizer is
-    involved: the protection comes from diversification alone. *)
+    behaviour, or the crash of the variant the wild write hit, is exactly
+    what the NXE monitor flags: both runs go through one {!Bridge.run_runs}
+    group run, whose abort is the detection.  No sanitizer is involved:
+    the protection comes from diversification alone. *)
 
 open Bunshin_ir
 
@@ -19,9 +21,11 @@ val demo_modul : unit -> Ast.modul
 type verdict = {
   nv_hijacked_a : bool;   (** exploit takes over variant A (it knows A's layout) *)
   nv_hijacked_b : bool;   (** the same bytes take over variant B *)
-  nv_diverged : bool;     (** observable behaviour differs across variants *)
-  nv_detected : bool;     (** the monitor's decision: divergence or crash *)
-  nv_benign_clean : bool; (** benign input runs identically in both layouts *)
+  nv_diverged : bool;     (** interpreter event streams differ (informational) *)
+  nv_detected : bool;     (** the monitor's decision: the group run aborted *)
+  nv_benign_clean : bool;
+      (** benign input finishes in both layouts and their group run ends
+          [`All_finished] *)
 }
 
 val evaluate : ?seed_a:int -> ?seed_b:int -> unit -> verdict
@@ -30,4 +34,5 @@ val evaluate : ?seed_a:int -> ?seed_b:int -> unit -> verdict
 
 val single_layout_escapes : unit -> bool
 (** Control experiment: with both variants sharing one layout the exploit
-    hijacks both identically — no divergence, the attack escapes. *)
+    hijacks both identically — their group run finishes without an abort,
+    so the attack escapes. *)

@@ -4,6 +4,7 @@ module San = Bunshin_sanitizer.Sanitizer
 module Inst = Bunshin_sanitizer.Instrument
 module Slicer = Bunshin_slicer.Slicer
 module Forensics = Bunshin_forensics.Forensics
+module Nxe = Bunshin_nxe.Nxe
 
 type location = Stack | Heap | Bss | Data
 
@@ -223,29 +224,20 @@ let evaluate c =
   let ra = run variant_a args and rb = run variant_b args in
   let cookie_run = run (Interp.compile (Inst.apply_exn [ San.stack_cookie ] m)) args in
   let cfi_run = run (Interp.compile (Inst.apply_exn [ San.cfi ] m)) args in
-  let benign_ok pm =
-    let r = run pm benign_args in
-    finished r && not (succeeded c r)
-  in
-  let bunshin_detects = detected ra || detected rb || not (Interp.events_equal ra rb) in
-  let incident =
-    if not bunshin_detects then None
-    else
-      Option.map
-        (fun inc ->
-          let det r =
-            match r.Interp.outcome with Interp.Detected d -> Some d | _ -> None
-          in
-          Forensics.refine_with_detections inc [| det ra; det rb |])
-        (Forensics.incident_of_runs [ ra; rb ])
-  in
+  let benign pm = run pm benign_args in
+  let benign_ok r = finished r && not (succeeded c r) in
+  let benign_a = benign variant_a and benign_b = benign variant_b in
+  (* The monitor's verdict and incident: the variants' group run under the
+     NXE, with the firing check site joined in by the bridge. *)
+  let group = Bridge.run_runs [ ra; rb ] in
   {
     ro_vanilla_succeeds = succeeded c vanilla;
     ro_asan_detects = detected asan_run;
-    ro_bunshin_detects = bunshin_detects;
+    ro_bunshin_detects = group.Nxe.outcome <> `All_finished;
     ro_cookie_detects = detected cookie_run;
     ro_cfi_detects = detected cfi_run;
     ro_benign_clean =
-      benign_ok vanilla_pm && benign_ok asan_pm && benign_ok variant_a && benign_ok variant_b;
-    ro_incident = incident;
+      List.for_all benign_ok [ benign vanilla_pm; benign asan_pm; benign_a; benign_b ]
+      && (Bridge.run_runs [ benign_a; benign_b ]).Nxe.outcome = `All_finished;
+    ro_incident = group.Nxe.incident;
   }

@@ -7,8 +7,8 @@
 
     - vanilla: does the attack succeed (hijack or data tampering)?
     - full ASan: is it detected?
-    - 2-variant ASan check distribution: does the union of variants (report
-      in either, or observable divergence) match full ASan?
+    - 2-variant ASan check distribution: does the NXE monitor, running
+      both variants as one group ({!Bridge.run_runs}), match full ASan?
     - stack cookies / CFI: which structural subsets do they catch?
 
     The headline facts the big-matrix model asserts are demonstrated here:
@@ -49,13 +49,18 @@ val benign_args : int64 list
 type outcome = {
   ro_vanilla_succeeds : bool;
   ro_asan_detects : bool;
-  ro_bunshin_detects : bool;  (** 2-variant union + divergence *)
+  ro_bunshin_detects : bool;
+      (** the variants' group run under the NXE aborted on the exploit: the
+          variants diverged, or one was killed by its check or a crash *)
   ro_cookie_detects : bool;
   ro_cfi_detects : bool;
   ro_benign_clean : bool;
+      (** every build finishes on benign input without the attack's
+          effect, and the variants' group run ends [`All_finished] *)
   ro_incident : Bunshin_forensics.Forensics.incident option;
-      (** forensic incident behind a Bunshin detection: divergent slot,
-          blamed variant, attributed check site ([None] when undetected) *)
+      (** the incident the engine filed with a Bunshin detection:
+          divergent slot, blamed variant, attributed check site ([None]
+          when undetected) *)
 }
 
 val evaluate : combo -> outcome

@@ -16,6 +16,7 @@
 module Rng = Bunshin_util.Rng
 module Stats = Bunshin_util.Stats
 module Table = Bunshin_util.Table
+module Json = Bunshin_util.Json
 module Ir = Bunshin_ir.Ast
 module Builder = Bunshin_ir.Builder
 module Interp = Bunshin_ir.Interp
@@ -57,7 +58,7 @@ module Server = Bunshin_workloads.Server
 module Load = Bunshin_workloads.Load
 module Serve = Bunshin_serve.Serve
 module Experiments = Experiments
-module Bridge = Bridge
+module Bridge = Bunshin_attack.Bridge
 module Model = Model
 module Nvariant = Bunshin_attack.Nvariant
 module Ripe_ir = Bunshin_attack.Ripe_ir

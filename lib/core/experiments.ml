@@ -416,6 +416,7 @@ module Serve = Bunshin_serve.Serve
 module Ast = Bunshin_ir.Ast
 module Builder = Bunshin_ir.Builder
 module Interp = Bunshin_ir.Interp
+module Bridge = Bunshin_attack.Bridge
 
 (* A small request handler in the IR: hash the request id through a
    chain of arithmetic (the "application logic") between an input and an

@@ -1,6 +1,7 @@
 module Sc = Bunshin_syscall.Syscall
 module Interp = Bunshin_ir.Interp
 module Runtime_api = Bunshin_ir.Runtime_api
+module Json = Bunshin_util.Json
 
 type syscall_rec = { r_pos : int; r_name : string; r_args : int64 list; r_time : float }
 
@@ -281,109 +282,6 @@ let refine_with_detections inc dets =
   | _ -> inc
 
 (* ------------------------------------------------------------------ *)
-(* Incidents straight from interpreter runs (no NXE in the loop) *)
-
-let strip_sys_prefix name =
-  let p = Runtime_api.syscall_prefix in
-  let lp = String.length p in
-  if String.length name > lp && String.sub name 0 lp = p then
-    String.sub name lp (String.length name - lp)
-  else name
-
-(* The virtual synchronized-syscall stream of a run: the syscalls the
-   bridge's trace would put through an NXE channel, with step counts
-   converted to µs — including the trailing report write of a [Detected]
-   run (§5.3's extra write that betrays the detecting variant). *)
-let stream_of_run ~us_per_kinstr (run : Interp.run) =
-  let time step = float_of_int step *. us_per_kinstr /. 1000.0 in
-  let evs =
-    List.filter_map
-      (fun (step, ev) ->
-        let sc =
-          match ev with
-          | Interp.Output v -> Sc.write ~args:[ 1L; v ] ()
-          | Interp.Syscall (name, args) -> Sc.make ~args (strip_sys_prefix name)
-        in
-        if Sc.is_synchronized sc then Some (sc, time step) else None)
-      run.Interp.timeline
-  in
-  match run.Interp.outcome with
-  | Interp.Detected _ ->
-    evs @ [ (Sc.write ~args:[ 2L; 0xBADL ] (), time run.Interp.steps) ]
-  | Interp.Finished _ | Interp.Crashed _ | Interp.Fuel_exhausted -> evs
-
-let incident_of_runs ?(depth = 16) ?(us_per_kinstr = 10.0) runs =
-  if depth < 1 then invalid_arg "Forensics.incident_of_runs: depth must be >= 1";
-  match runs with
-  | [] | [ _ ] -> None
-  | _ ->
-    let streams =
-      Array.of_list (List.map (fun r -> Array.of_list (stream_of_run ~us_per_kinstr r)) runs)
-    in
-    let n = Array.length streams in
-    let maxlen = Array.fold_left (fun acc s -> max acc (Array.length s)) 0 streams in
-    let agree_at p =
-      let present =
-        List.filter_map
-          (fun v ->
-            if p < Array.length streams.(v) then Some (fst streams.(v).(p)) else None)
-          (List.init n Fun.id)
-      in
-      match present with
-      | [] -> true
-      | first :: rest ->
-        List.length present = n && List.for_all (Sc.args_match first) rest
-    in
-    let rec first_divergence p =
-      if p >= maxlen then None else if agree_at p then first_divergence (p + 1) else Some p
-    in
-    (match first_divergence 0 with
-     | None -> None
-     | Some p ->
-       let votes =
-         Array.map
-           (fun s ->
-             if p < Array.length s then
-               let sc, t = s.(p) in
-               Issued { r_pos = p; r_name = sc.Sc.name; r_args = sc.Sc.args; r_time = t }
-             else Exited)
-           streams
-       in
-       let tapes =
-         Array.map
-           (fun s ->
-             let upto = min (Array.length s) (p + 1) in
-             let first = max 0 (upto - depth) in
-             List.init (upto - first) (fun j ->
-                 let sc, t = s.(first + j) in
-                 { r_pos = first + j; r_name = sc.Sc.name; r_args = sc.Sc.args; r_time = t }))
-           streams
-       in
-       let flagged =
-         let rec go v =
-           if v >= n then 1
-           else if ballot votes.(v) <> ballot votes.(0) then v
-           else go (v + 1)
-         in
-         go 1
-       in
-       let blamed, _ = blame ~votes ~flagged in
-       let time =
-         match votes.(blamed) with
-         | Issued r -> r.r_time
-         | _ ->
-           Array.fold_left
-             (fun acc tape ->
-               List.fold_left (fun acc r -> Float.max acc r.r_time) acc tape)
-             0.0 tapes
-       in
-       Some
-         (build ~channel:0 ~position:p ~flagged
-            ~expected:(expected_of ~votes ~blamed)
-            ~got:(vote_str votes.(blamed))
-            ~time ~votes ~tapes ()))
-
-(* ------------------------------------------------------------------ *)
 (* Text rendering *)
 
 let basis_str = function
@@ -454,238 +352,6 @@ let to_text inc =
        | _ -> ()))
     inc.inc_tapes;
   Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* JSON *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  let escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let num_str f =
-    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.17g" f
-
-  let rec to_string = function
-    | Null -> "null"
-    | Bool b -> if b then "true" else "false"
-    | Num f -> num_str f
-    | Str s -> "\"" ^ escape s ^ "\""
-    | Arr l -> "[" ^ String.concat "," (List.map to_string l) ^ "]"
-    | Obj l ->
-      "{"
-      ^ String.concat ","
-          (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ to_string v) l)
-      ^ "}"
-
-  let member k = function Obj l -> List.assoc_opt k l | _ -> None
-
-  exception Bad of string
-
-  let parse s =
-    let len = String.length s in
-    let pos = ref 0 in
-    let error msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < len then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> error (Printf.sprintf "expected '%c'" c)
-    in
-    let literal word v =
-      if !pos + String.length word <= len && String.sub s !pos (String.length word) = word
-      then begin
-        pos := !pos + String.length word;
-        v
-      end
-      else error ("expected " ^ word)
-    in
-    let utf8_of_code b code =
-      if code < 0x80 then Buffer.add_char b (Char.chr code)
-      else if code < 0x800 then begin
-        Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-        Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-      end
-      else if code < 0x10000 then begin
-        Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-        Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-        Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-      end
-      else begin
-        Buffer.add_char b (Char.chr (0xF0 lor (code lsr 18)));
-        Buffer.add_char b (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-        Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-        Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-      end
-    in
-    let hex4 () =
-      if !pos + 4 > len then error "truncated \\u escape";
-      let h = String.sub s !pos 4 in
-      pos := !pos + 4;
-      match int_of_string_opt ("0x" ^ h) with
-      | Some v -> v
-      | None -> error "bad \\u escape"
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> error "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' -> (
-          advance ();
-          (match peek () with
-           | Some '"' -> Buffer.add_char b '"'; advance ()
-           | Some '\\' -> Buffer.add_char b '\\'; advance ()
-           | Some '/' -> Buffer.add_char b '/'; advance ()
-           | Some 'b' -> Buffer.add_char b '\b'; advance ()
-           | Some 'f' -> Buffer.add_char b '\012'; advance ()
-           | Some 'n' -> Buffer.add_char b '\n'; advance ()
-           | Some 'r' -> Buffer.add_char b '\r'; advance ()
-           | Some 't' -> Buffer.add_char b '\t'; advance ()
-           | Some 'u' ->
-             advance ();
-             let c1 = hex4 () in
-             let code =
-               (* Combine a surrogate pair when the low half follows. *)
-               if c1 >= 0xD800 && c1 <= 0xDBFF && !pos + 6 <= len
-                  && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
-               then begin
-                 pos := !pos + 2;
-                 let c2 = hex4 () in
-                 if c2 >= 0xDC00 && c2 <= 0xDFFF then
-                   0x10000 + ((c1 - 0xD800) lsl 10) + (c2 - 0xDC00)
-                 else c1
-               end
-               else c1
-             in
-             utf8_of_code b code
-           | _ -> error "bad escape");
-          go ())
-        | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let parse_number () =
-      let start = !pos in
-      let consume pred =
-        while (match peek () with Some c -> pred c | None -> false) do
-          advance ()
-        done
-      in
-      (match peek () with Some '-' -> advance () | _ -> ());
-      consume (fun c -> c >= '0' && c <= '9');
-      (match peek () with
-       | Some '.' ->
-         advance ();
-         consume (fun c -> c >= '0' && c <= '9')
-       | _ -> ());
-      (match peek () with
-       | Some ('e' | 'E') ->
-         advance ();
-         (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-         consume (fun c -> c >= '0' && c <= '9')
-       | _ -> ());
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> error "bad number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> error "unexpected end of input"
-      | Some 'n' -> literal "null" Null
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some '"' -> Str (parse_string ())
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let items = ref [ parse_value () ] in
-          skip_ws ();
-          while peek () = Some ',' do
-            advance ();
-            items := parse_value () :: !items;
-            skip_ws ()
-          done;
-          expect ']';
-          Arr (List.rev !items)
-        end
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let field () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            (k, v)
-          in
-          let fields = ref [ field () ] in
-          skip_ws ();
-          while peek () = Some ',' do
-            advance ();
-            fields := field () :: !fields;
-            skip_ws ()
-          done;
-          expect '}';
-          Obj (List.rev !fields)
-        end
-      | Some _ -> Num (parse_number ())
-    in
-    match
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> len then error "trailing garbage";
-      v
-    with
-    | v -> Ok v
-    | exception Bad msg -> Error msg
-end
 
 (* ------------------------------------------------------------------ *)
 (* Incident <-> JSON *)

@@ -26,7 +26,11 @@
       fired.
     - {b Incident reports}: the whole finding as one {!incident} value,
       renderable as an aligned, diff-marked text tape ({!to_text}) or as
-      JSON ({!to_json} / {!of_json}). *)
+      JSON ({!to_json} / {!of_json}).
+
+    Incidents are filed only by the NXE ([Nxe.report.incident]); the
+    attack suites get theirs from a group run through the bridge
+    ([Bunshin_attack.Bridge.run_runs]), which also joins the detections. *)
 
 type syscall_rec = {
   r_pos : int;          (** slot index in the channel's syscall stream *)
@@ -162,20 +166,6 @@ val refine_with_detections :
     that variant with basis {!Tie_broken_by_detection}.  An array shorter
     than the variant count treats the missing entries as [None]. *)
 
-val incident_of_runs :
-  ?depth:int ->
-  ?us_per_kinstr:float ->
-  Bunshin_ir.Interp.run list ->
-  incident option
-(** Build an incident straight from per-variant interpreter runs, without
-    an NXE in the loop — what the attack suites use.  Each run's timeline
-    becomes its virtual synchronized-syscall stream exactly as the bridge
-    would emit it (including the trailing report write of a [Detected]
-    run); the incident sits at the first position where the streams
-    disagree.  [None] when the streams are identical.  [depth] bounds the
-    per-variant tape (default 16); [us_per_kinstr] (default 10.0) converts
-    instruction steps to the µs timestamps. *)
-
 (** {1 Rendering} *)
 
 val to_text : incident -> string
@@ -190,27 +180,3 @@ val to_json : incident -> string
 val of_json : string -> (incident, string) result
 (** Inverse of {!to_json}: [of_json (to_json i)] returns an incident equal
     to [i]. *)
-
-(** {1 JSON} *)
-
-(** A minimal JSON reader/printer — enough to round-trip incidents and to
-    validate exporter output (the CLI uses it to check the Chrome-trace
-    JSON it writes actually parses).  No dependency beyond the stdlib. *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val parse : string -> (t, string) result
-  (** Strict recursive-descent parse of one JSON value (surrounding
-      whitespace allowed, trailing garbage rejected). *)
-
-  val to_string : t -> string
-
-  val member : string -> t -> t option
-  (** Object field lookup; [None] on non-objects. *)
-end

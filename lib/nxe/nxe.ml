@@ -392,6 +392,7 @@ type t = {
   names : string array;
   mutable failed : alert option;
   mutable failed_at : float; (* node-0 time of the abort *)
+  mutable killed : (unit -> unit) option; (* the first kill's alarm, raised when reaped *)
   mutable chan_count : int;
   mutable all_chans : chan list;
   mutable all_dets : det list;
@@ -1125,6 +1126,18 @@ let handle_fault nxe ~variant ~cause =
     end
   end
 
+(* A variant killed by a fatal signal (a sanitizer aborting after its
+   report, a crash) stops executing.  Its stream simply ends there, which
+   the monitor catches as a divergence if a peer goes on; the kill is kept
+   so that the group still aborts when every stream agreed to the end. *)
+let killed nxe chan ~variant signal =
+  nxe.v_dead.(variant) <- true;
+  if Option.is_none nxe.killed then begin
+    let pos = if variant = 0 then chan.leader_pos else chan.cursors.(variant - 1) in
+    let got = Printf.sprintf "<killed by %s>" signal in
+    nxe.killed <- Some (fun () -> diverge nxe chan ~pos ~variant ~expected:"<exit>" ~got ())
+  end
+
 (* Injections fire at per-variant ordinals of the synchronized-syscall
    stream, counted across all of the variant's threads in issue order.
    Latches ([f_done]) survive a restart, so a restarted variant replays its
@@ -1710,6 +1723,7 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~pth ~det ~in_main_init ops () 
         | Trace.Idle d -> M.sleep m d
         | Trace.Marker Trace.Main_entered -> in_main := true
         | Trace.Marker Trace.About_to_exit -> in_main := false
+        | Trace.Marker (Trace.Killed signal) -> killed nxe chan ~variant signal
         | Trace.Sys sc ->
           if !in_main && Sc.is_synchronized sc then do_sys nxe ~variant ~chan sc
           else ph_compute m Pr.Phase.Syscall_service (Sc.base_cost sc)
@@ -2065,6 +2079,7 @@ let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitiviti
       restart_hook = (fun _ -> ());
       fault_incidents = [];
       fault_abort_incident = None;
+      killed = None;
       executed = 0;
       h_heartbeat;
       profile;
@@ -2168,6 +2183,10 @@ let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitiviti
      (* After an abort, threads stuck on application locks are "killed" by
         the monitor; any other deadlock is a real bug. *)
      if not (aborted nxe) then raise (M.Deadlock msg));
+  (* Reaping: a variant killed by a signal is an alarm even when no stream
+     diverged, so variants that all detect or crash at the same point of
+     their streams abort too. *)
+  (match nxe.killed with Some alarm when not (aborted nxe) -> alarm () | _ -> ());
   let per_proc v f init =
     Hashtbl.fold (fun (_, v') proc acc -> if v' = v then f acc proc else acc) nxe.proc_reg init
   in

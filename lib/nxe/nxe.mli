@@ -12,7 +12,9 @@
       bounded ring buffer, except for the selected (IO-write) syscalls,
       which always lockstep (Figure 2).
     - {b Divergence detection}: argument or sequence mismatch aborts all
-      variants and raises an alert (the variant monitor's job).
+      variants and raises an alert (the variant monitor's job).  So does
+      a variant killed by a signal ({!Bunshin_program.Trace.Killed}), when
+      the monitor reaps it, even if every stream agreed to the end.
     - {b Execution groups}: each fork creates a new group whose child of
       the leader is the new leader (§3.3); each spawned thread gets its own
       syscall channel so scheduler interleaving cannot produce false

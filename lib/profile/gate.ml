@@ -4,7 +4,7 @@
    against a committed baseline under per-metric thresholds; any breach is
    a regression and the CLI turns it into a non-zero exit. *)
 
-module Json = Bunshin_forensics.Forensics.Json
+module Json = Bunshin_util.Json
 
 let schema_version = 1
 

@@ -1,3 +1,4 @@
+module Json = Bunshin_util.Json
 module M = Bunshin_machine.Machine
 module Sc = Bunshin_syscall.Syscall
 module Trace = Bunshin_program.Trace
@@ -446,25 +447,12 @@ let attribution_to_text a =
     a.at_variants;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let jf v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null"
 
 let attribution_to_json a =
   let buf = Buffer.create 2048 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  p "{\"workload\":\"%s\",\"variants\":%d,\"total_time_us\":%s," (json_escape a.at_workload)
+  p "{\"workload\":\"%s\",\"variants\":%d,\"total_time_us\":%s," (Json.escape a.at_workload)
     a.at_n (jf a.at_total_time);
   p "\"sync_points\":%d,\"dropped_sync_points\":%d,\"per_variant\":[" a.at_sync_points
     a.at_dropped;
@@ -472,7 +460,7 @@ let attribution_to_json a =
     (fun i v ->
       if i > 0 then p ",";
       p "{\"index\":%d,\"name\":\"%s\",\"wall_us\":%s,\"thread_time_us\":%s,\"cpu_us\":%s,"
-        v.va_index (json_escape v.va_name) (jf v.va_wall) (jf v.va_thread_time) (jf v.va_cpu);
+        v.va_index (Json.escape v.va_name) (jf v.va_wall) (jf v.va_thread_time) (jf v.va_cpu);
       p "\"straggler_count\":%d,\"straggler_wait_us\":%s,\"phase_sum_us\":%s,\"phases\":{"
         v.va_straggler_count (jf v.va_straggler_wait) (jf v.va_phase_sum);
       List.iteri

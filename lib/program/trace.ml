@@ -1,6 +1,6 @@
 module Sc = Bunshin_syscall.Syscall
 
-type marker = Main_entered | About_to_exit
+type marker = Main_entered | About_to_exit | Killed of string
 
 type op =
   | Work of { func : string; cost : float }

@@ -11,6 +11,9 @@ module Sc := Bunshin_syscall.Syscall
 type marker =
   | Main_entered   (** NXE synchronization starts here (§3.3) *)
   | About_to_exit  (** NXE synchronization stops here (first exit handler) *)
+  | Killed of string
+      (** the process dies here by the named fatal signal (a sanitizer's
+          abort after its report, a crash); the NXE treats it as an alarm *)
 
 type op =
   | Work of { func : string; cost : float }

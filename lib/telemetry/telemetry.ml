@@ -1,4 +1,5 @@
 module Stats = Bunshin_util.Stats
+module Json = Bunshin_util.Json
 
 type phase = Begin | End | Instant | Complete of float
 
@@ -409,21 +410,6 @@ let register_hist s name h =
 (* ------------------------------------------------------------------ *)
 (* Exporters *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_float f =
   if Float.is_nan f then "0"
   else if f = infinity then "1e308"
@@ -434,13 +420,13 @@ let json_float f =
 let json_args args =
   "{"
   ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)) args)
+      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)) args)
   ^ "}"
 
 let render_event e =
   let base =
     Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ts\":%s,\"pid\":%d,\"tid\":%d"
-      (json_escape e.ev_name) (json_escape e.ev_cat) (json_float e.ev_ts) e.ev_pid e.ev_tid
+      (Json.escape e.ev_name) (Json.escape e.ev_cat) (json_float e.ev_ts) e.ev_pid e.ev_tid
   in
   let ph =
     match e.ev_phase with
@@ -456,12 +442,12 @@ let to_chrome_json s =
   let meta_proc (pid, name) =
     Printf.sprintf
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-      pid (json_escape name)
+      pid (Json.escape name)
   in
   let meta_track ((pid, tid), name) =
     Printf.sprintf
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-      pid tid (json_escape name)
+      pid tid (Json.escape name)
   in
   let metas =
     List.map meta_proc (List.rev s.proc_names) @ List.map meta_track (List.rev s.track_names)
@@ -487,14 +473,14 @@ let metrics_to_json s =
   let pick f = List.filter_map f all in
   let counters =
     pick (function
-      | name, C c -> Some (Printf.sprintf "\"%s\":%d" (json_escape name) (Counter.value c))
+      | name, C c -> Some (Printf.sprintf "\"%s\":%d" (Json.escape name) (Counter.value c))
       | _ -> None)
   in
   let gauges =
     pick (function
       | name, G g ->
         Some
-          (Printf.sprintf "\"%s\":{\"last\":%s,\"max\":%s,\"samples\":%d}" (json_escape name)
+          (Printf.sprintf "\"%s\":{\"last\":%s,\"max\":%s,\"samples\":%d}" (Json.escape name)
              (json_float (Gauge.last g)) (json_float (Gauge.max_value g)) (Gauge.samples g))
       | _ -> None)
   in
@@ -504,7 +490,7 @@ let metrics_to_json s =
         Some
           (Printf.sprintf
              "\"%s\":{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p95\":%s,\"p99\":%s,\"p999\":%s,\"buckets\":%s}"
-             (json_escape name) (Hist.count h) (json_float (Hist.sum h))
+             (Json.escape name) (Hist.count h) (json_float (Hist.sum h))
              (json_float (Hist.min_value h)) (json_float (Hist.max_value h))
              (json_float (Hist.quantile h 50.0)) (json_float (Hist.quantile h 95.0))
              (json_float (Hist.quantile h 99.0)) (json_float (Hist.quantile h 99.9))

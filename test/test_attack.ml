@@ -340,6 +340,345 @@ let test_micro_ripe_weaker_defenses () =
       Alcotest.(check bool) (Format.asprintf "%a cfi" Rir.pp_combo c) false o.Rir.ro_cfi_detects)
     (Lazy.force micro_outcomes)
 
+(* ------------------------------------------------------------------ *)
+(* One monitor: every attack verdict and incident comes from the NXE *)
+
+module Bridge = Bunshin_attack.Bridge
+module Nvariant = Bunshin_attack.Nvariant
+module Cluster = Bunshin_cluster.Cluster
+module Nxe = Bunshin_nxe.Nxe
+module Interp = Bunshin_ir.Interp
+module Ast = Bunshin_ir.Ast
+module Inst = Bunshin_sanitizer.Instrument
+module Slicer = Bunshin_slicer.Slicer
+
+(* Each case's verdict flags and [Cluster.incident_signature] as the
+   suites reported them before they ran the NXE, when an engine-free
+   replica of the monitor decided.  CVE flags: full sanitizer, variant A,
+   variant B, diverged, Bunshin detects, benign clean. *)
+let cve_pins =
+  [
+    ( "nginx-1.4.0",
+      (true, true, false, true, true, true),
+      Some
+        "chan=0 pos=0 blamed=0 basis=tie-detect class=argument \
+         expected=\"write(1, 0)\" got=\"write(2, 2989)\" \
+         v0=issued:0:write(2,2989) \
+         v1=issued:0:write(1,0) \
+         tape0=[0:write(2,2989)] tape1=[0:write(1,0)] \
+         site=asan/ngx_http_parse_chunked/san.fail.6" );
+    ( "cpython-2.7.10",
+      (true, true, false, false, true, true),
+      Some
+        "chan=0 pos=0 blamed=0 basis=tie-detect class=premature-exit \
+         expected=\"<exit>\" got=\"write(2, 2989)\" \
+         v0=issued:0:write(2,2989) \
+         v1=exited \
+         tape0=[0:write(2,2989)] tape1=[] \
+         site=asan/zipimport_get_data/san.fail.6" );
+    ( "php-5.6.6",
+      (true, true, false, false, true, true),
+      Some
+        "chan=0 pos=0 blamed=0 basis=tie-detect class=premature-exit \
+         expected=\"<exit>\" got=\"write(2, 2989)\" \
+         v0=issued:0:write(2,2989) \
+         v1=exited \
+         tape0=[0:write(2,2989)] tape1=[] \
+         site=asan/php_unserialize_object/san.fail.7" );
+    ( "openssl-1.0.1a",
+      (true, true, false, true, true, true),
+      Some
+        "chan=0 pos=0 blamed=0 basis=tie-detect class=argument \
+         expected=\"write(5, 42)\" got=\"write(2, 2989)\" \
+         v0=issued:0:write(2,2989) \
+         v1=issued:0:write(5,42) \
+         tape0=[0:write(2,2989)] tape1=[0:write(5,42)] \
+         site=asan/tls1_process_heartbeat/san.fail.20" );
+    ( "httpd-2.4.10",
+      (true, true, false, false, true, true),
+      Some
+        "chan=0 pos=0 blamed=0 basis=tie-detect class=premature-exit \
+         expected=\"<exit>\" got=\"write(2, 2989)\" \
+         v0=issued:0:write(2,2989) \
+         v1=exited \
+         tape0=[0:write(2,2989)] tape1=[] \
+         site=ubsan/cache_select_url/san.fail.4" );
+  ]
+
+(* micro-RIPE flags: vanilla succeeds, ASan, Bunshin, cookie, CFI, benign
+   clean. *)
+let ripe_pins =
+  [
+    ( "stack/adjacent-func-ptr/direct",
+      (true, true, true, false, false, true),
+      Some
+        "chan=0 pos=0 blamed=0 basis=tie-detect class=argument \
+         expected=\"write(1, 666)\" got=\"write(2, 2989)\" \
+         v0=issued:0:write(2,2989) \
+         v1=issued:0:write(1,666) \
+         tape0=[0:write(2,2989)] tape1=[0:write(1,666)] \
+         site=asan/smash/san.fail.17" );
+    ( "stack/struct-func-ptr/direct",
+      (true, false, false, false, false, true),
+      None );
+    ( "stack/auth-flag/direct",
+      (true, true, true, false, false, true),
+      Some
+        "chan=0 pos=0 blamed=0 basis=tie-detect class=argument \
+         expected=\"write(1, 777)\" got=\"write(2, 2989)\" \
+         v0=issued:0:write(2,2989) \
+         v1=issued:0:write(1,777) \
+         tape0=[0:write(2,2989)] tape1=[0:write(1,777)] \
+         site=asan/smash/san.fail.17" );
+    ( "heap/adjacent-func-ptr/direct",
+      (true, true, true, false, false, true),
+      Some
+        "chan=0 pos=0 blamed=0 basis=tie-detect class=argument \
+         expected=\"write(1, 666)\" got=\"write(2, 2989)\" \
+         v0=issued:0:write(2,2989) \
+         v1=issued:0:write(1,666) \
+         tape0=[0:write(2,2989)] tape1=[0:write(1,666)] \
+         site=asan/smash/san.fail.17" );
+    ( "heap/struct-func-ptr/direct",
+      (true, false, false, false, false, true),
+      None );
+    ( "heap/auth-flag/direct",
+      (true, true, true, false, false, true),
+      Some
+        "chan=0 pos=0 blamed=0 basis=tie-detect class=argument \
+         expected=\"write(1, 777)\" got=\"write(2, 2989)\" \
+         v0=issued:0:write(2,2989) \
+         v1=issued:0:write(1,777) \
+         tape0=[0:write(2,2989)] tape1=[0:write(1,777)] \
+         site=asan/smash/san.fail.17" );
+    ( "bss/adjacent-func-ptr/direct",
+      (true, true, true, false, false, true),
+      Some
+        "chan=0 pos=0 blamed=0 basis=tie-detect class=argument \
+         expected=\"write(1, 666)\" got=\"write(2, 2989)\" \
+         v0=issued:0:write(2,2989) \
+         v1=issued:0:write(1,666) \
+         tape0=[0:write(2,2989)] tape1=[0:write(1,666)] \
+         site=asan/smash/san.fail.13" );
+    ( "bss/struct-func-ptr/direct",
+      (true, false, false, false, false, true),
+      None );
+    ( "bss/auth-flag/direct",
+      (true, true, true, false, false, true),
+      Some
+        "chan=0 pos=0 blamed=0 basis=tie-detect class=argument \
+         expected=\"write(1, 777)\" got=\"write(2, 2989)\" \
+         v0=issued:0:write(2,2989) \
+         v1=issued:0:write(1,777) \
+         tape0=[0:write(2,2989)] tape1=[0:write(1,777)] \
+         site=asan/smash/san.fail.13" );
+    ( "data/adjacent-func-ptr/direct",
+      (true, true, true, false, false, true),
+      Some
+        "chan=0 pos=0 blamed=0 basis=tie-detect class=argument \
+         expected=\"write(1, 666)\" got=\"write(2, 2989)\" \
+         v0=issued:0:write(2,2989) \
+         v1=issued:0:write(1,666) \
+         tape0=[0:write(2,2989)] tape1=[0:write(1,666)] \
+         site=asan/smash/san.fail.13" );
+    ( "data/struct-func-ptr/direct",
+      (true, false, false, false, false, true),
+      None );
+    ( "data/auth-flag/direct",
+      (true, true, true, false, false, true),
+      Some
+        "chan=0 pos=0 blamed=0 basis=tie-detect class=argument \
+         expected=\"write(1, 777)\" got=\"write(2, 2989)\" \
+         v0=issued:0:write(2,2989) \
+         v1=issued:0:write(1,777) \
+         tape0=[0:write(2,2989)] tape1=[0:write(1,777)] \
+         site=asan/smash/san.fail.13" );
+    ( "bss/adjacent-func-ptr/indirect",
+      (true, true, true, false, false, true),
+      Some
+        "chan=0 pos=0 blamed=0 basis=tie-detect class=argument \
+         expected=\"write(1, 666)\" got=\"write(2, 2989)\" \
+         v0=issued:0:write(2,2989) \
+         v1=issued:0:write(1,666) \
+         tape0=[0:write(2,2989)] tape1=[0:write(1,666)] \
+         site=asan/smash/san.fail.22" );
+    ( "data/adjacent-func-ptr/indirect",
+      (true, true, true, false, false, true),
+      Some
+        "chan=0 pos=0 blamed=0 basis=tie-detect class=argument \
+         expected=\"write(1, 666)\" got=\"write(2, 2989)\" \
+         v0=issued:0:write(2,2989) \
+         v1=issued:0:write(1,666) \
+         tape0=[0:write(2,2989)] tape1=[0:write(1,666)] \
+         site=asan/smash/san.fail.22" );
+  ]
+
+let flags = Alcotest.(pair bool (pair bool (pair bool (pair bool (pair bool bool)))))
+let flags_of (a, b, c, d, e, f) = (a, (b, (c, (d, (e, f)))))
+let signature = Option.map Cluster.incident_signature
+
+let pin name pins =
+  match List.find_opt (fun (n, _, _) -> n = name) pins with
+  | Some (_, pinned, pinned_sig) -> (pinned, pinned_sig)
+  | None -> Alcotest.fail (name ^ " has no pin")
+
+let test_monitor_cve_pinned () =
+  List.iter
+    (fun case ->
+      let name = case.Cve.c_program in
+      let pinned, pinned_sig = pin name cve_pins in
+      let v = Cve.evaluate case in
+      Alcotest.check flags (name ^ " verdict") (flags_of pinned)
+        (flags_of
+           ( v.Cve.v_full_sanitizer, v.Cve.v_variant_a, v.Cve.v_variant_b, v.Cve.v_diverged,
+             v.Cve.v_bunshin_detects, v.Cve.v_benign_clean ));
+      Alcotest.(check (option string)) (name ^ " incident") pinned_sig (signature v.Cve.v_incident))
+    Cve.cases
+
+let test_monitor_ripe_pinned () =
+  Alcotest.(check int) "one pin per combination" (List.length Rir.combos) (List.length ripe_pins);
+  List.iter
+    (fun (c, o) ->
+      let name = Format.asprintf "%a" Rir.pp_combo c in
+      let pinned, pinned_sig = pin name ripe_pins in
+      Alcotest.check flags (name ^ " verdict") (flags_of pinned)
+        (flags_of
+           ( o.Rir.ro_vanilla_succeeds, o.Rir.ro_asan_detects, o.Rir.ro_bunshin_detects,
+             o.Rir.ro_cookie_detects, o.Rir.ro_cfi_detects, o.Rir.ro_benign_clean ));
+      Alcotest.(check (option string)) (name ^ " incident") pinned_sig (signature o.Rir.ro_incident))
+    (Lazy.force micro_outcomes)
+
+(* The two variants of a case, interpreted on [args]: the CVE split is
+   [Cve.variants]; the micro-RIPE split ([smash]'s checks in A, the rest
+   in B) is rebuilt here, since [Ripe_ir] does not expose it. *)
+let cve_runs case args =
+  List.map
+    (fun m -> Interp.run m ~entry:case.Cve.c_entry ~args)
+    (Cve.variants case)
+
+let ripe_runs c args =
+  let m = Rir.program c in
+  let asan = Inst.apply_exn [ San.asan ] m in
+  let others =
+    List.filter_map
+      (fun f -> if f.Ast.f_name = "smash" then None else Some f.Ast.f_name)
+      m.Ast.m_funcs
+  in
+  List.map
+    (fun in_funcs ->
+      Interp.run (Slicer.remove_checks ~in_funcs asan) ~entry:"main" ~args:(args m))
+    [ others; [ "smash" ] ]
+
+let detected r = match r.Interp.outcome with Interp.Detected _ -> true | _ -> false
+let crashed r = match r.Interp.outcome with Interp.Crashed _ -> true | _ -> false
+
+(* The hand-written predicate the suites used before: a report in either
+   variant, or event streams that differ.  The engine also flags a crash
+   ("identical copies"); no case here crashes with equal streams. *)
+let old_sanitizer_predicate = function
+  | [ a; b ] -> detected a || detected b || not (Interp.events_equal a b)
+  | _ -> assert false
+
+let test_monitor_matches_old_predicate () =
+  List.iter
+    (fun case ->
+      let v = Cve.evaluate case in
+      Alcotest.(check bool) (case.Cve.c_program ^ " engine = predicate")
+        (old_sanitizer_predicate (cve_runs case case.Cve.c_exploit_args))
+        v.Cve.v_bunshin_detects)
+    Cve.cases;
+  List.iter
+    (fun (c, o) ->
+      Alcotest.(check bool)
+        (Format.asprintf "%a engine = predicate" Rir.pp_combo c)
+        (old_sanitizer_predicate (ripe_runs c (Rir.exploit_args c)))
+        o.Rir.ro_bunshin_detects)
+    (Lazy.force micro_outcomes)
+
+let test_monitor_benign_silent () =
+  (* The variants' group run on benign input ends with every variant
+     finished: no false alarm from the monitor, in any case. *)
+  let silent label runs =
+    let r = Bridge.run_runs runs in
+    Alcotest.(check bool) (label ^ " all finished") true (r.Nxe.outcome = `All_finished);
+    Alcotest.(check bool) (label ^ " no incident") true (r.Nxe.incident = None);
+    Alcotest.(check bool) (label ^ " syncs") true (r.Nxe.synced_syscalls > 0)
+  in
+  List.iter
+    (fun case -> silent case.Cve.c_program (cve_runs case case.Cve.c_benign))
+    Cve.cases;
+  List.iter
+    (fun c ->
+      silent (Format.asprintf "%a" Rir.pp_combo c) (ripe_runs c (fun _ -> Rir.benign_args)))
+    Rir.combos
+
+(* Two copies of one variant agree on every slot, so only the reaped kill
+   can raise the alarm: the group aborts exactly when the copy detected or
+   crashed.  This covers variants that all fire a check before any output
+   (the CVE A variants' report is their first syscall). *)
+let test_monitor_identical_copies () =
+  let kills = ref [] in
+  let copies label r =
+    let g = Bridge.run_runs [ r; r ] in
+    let signal =
+      match r.Interp.outcome with
+      | Interp.Detected _ -> Some "SIGABRT"
+      | Interp.Crashed Interp.Div_by_zero -> Some "SIGFPE"
+      | Interp.Crashed _ -> Some "SIGSEGV"
+      | Interp.Finished _ | Interp.Fuel_exhausted -> None
+    in
+    let got =
+      match g.Nxe.outcome with `Aborted a -> Some a.Nxe.al_got | `All_finished -> None
+    in
+    Alcotest.(check (option string))
+      (label ^ " alarm")
+      (Option.map (Printf.sprintf "<killed by %s>") signal)
+      got;
+    Alcotest.(check bool) (label ^ " incident iff alarm") (got <> None) (g.Nxe.incident <> None);
+    Option.iter (fun s -> kills := s :: !kills) signal
+  in
+  List.iter
+    (fun case ->
+      List.iteri
+        (fun i r -> copies (Printf.sprintf "%s v%d" case.Cve.c_program i) r)
+        (cve_runs case case.Cve.c_exploit_args))
+    Cve.cases;
+  List.iter
+    (fun c ->
+      List.iteri
+        (fun i r -> copies (Format.asprintf "%a v%d" Rir.pp_combo c i) r)
+        (ripe_runs c (Rir.exploit_args c)))
+    Rir.combos;
+  Alcotest.(check bool) "detections covered" true (List.mem "SIGABRT" !kills);
+  Alcotest.(check bool) "crashes covered" true (List.mem "SIGSEGV" !kills)
+
+(* Layout-seed grid: the engine's verdict equals the old N-variant
+   predicate — a divergence or a crash — on every pair, including the
+   diagonal where both variants share one layout and the attack escapes. *)
+let test_monitor_nvariant_grid () =
+  let m = Nvariant.demo_modul () in
+  let config seed = { Interp.default_config with layout_seed = seed } in
+  let what = Interp.address_of_func m "evil" in
+  let pairs = ref 0 and detections = ref 0 in
+  for seed_a = 30 to 45 do
+    let where = Interp.address_of_global ~config:(config seed_a) m "dispatch_table" in
+    let run seed = Interp.run ~config:(config seed) m ~entry:"main" ~args:[ where; what ] in
+    let a = run seed_a in
+    for seed_b = 30 to 60 do
+      let b = run seed_b in
+      let v = Nvariant.evaluate ~seed_a ~seed_b () in
+      let want = (not (Interp.events_equal a b)) || crashed a || crashed b in
+      Alcotest.(check bool) (Printf.sprintf "seeds %d/%d" seed_a seed_b) want v.Nvariant.nv_detected;
+      Alcotest.(check bool)
+        (Printf.sprintf "seeds %d/%d benign" seed_a seed_b)
+        true v.Nvariant.nv_benign_clean;
+      incr pairs;
+      if want then incr detections
+    done
+  done;
+  Alcotest.(check (pair int int)) "pairs, detections" (496, 480) (!pairs, !detections);
+  Alcotest.(check bool) "shared layout escapes" true (Nvariant.single_layout_escapes ())
+
 let () =
   Alcotest.run ~and_exit:false "bunshin_micro_ripe"
     [
@@ -353,5 +692,14 @@ let () =
             test_micro_ripe_detections_carry_incidents;
           Alcotest.test_case "benign clean" `Quick test_micro_ripe_benign_clean;
           Alcotest.test_case "weaker defenses" `Quick test_micro_ripe_weaker_defenses;
+        ] );
+      ( "monitor",
+        [
+          Alcotest.test_case "cve pinned" `Quick test_monitor_cve_pinned;
+          Alcotest.test_case "micro-ripe pinned" `Quick test_monitor_ripe_pinned;
+          Alcotest.test_case "engine = old predicate" `Quick test_monitor_matches_old_predicate;
+          Alcotest.test_case "benign group runs silent" `Quick test_monitor_benign_silent;
+          Alcotest.test_case "identical copies" `Quick test_monitor_identical_copies;
+          Alcotest.test_case "nvariant layout grid" `Quick test_monitor_nvariant_grid;
         ] );
     ]

@@ -358,22 +358,11 @@ let test_model_validates_measurement () =
 
 let bridge_cve () = List.hd Bunshin.Cve.cases
 
-let bridge_variants case =
-  let san = Sanitizer.asan in
-  let inst = Instrument.apply_exn [ san ] case.Bunshin.Cve.c_modul in
-  let others =
-    List.filter
-      (fun f -> f <> case.Bunshin.Cve.c_vuln_func)
-      (List.map (fun f -> f.Ir.f_name) case.Bunshin.Cve.c_modul.Ir.m_funcs)
-  in
-  [ Slicer.remove_checks ~in_funcs:others inst;
-    Slicer.remove_checks ~in_funcs:[ case.Bunshin.Cve.c_vuln_func ] inst ]
-
 let test_bridge_benign_runs_clean () =
   let case = bridge_cve () in
   let r =
     Bunshin.Bridge.run_ir_variants ~entry:case.Bunshin.Cve.c_entry
-      ~args:case.Bunshin.Cve.c_benign (bridge_variants case)
+      ~args:case.Bunshin.Cve.c_benign (Bunshin.Cve.variants case)
   in
   Alcotest.(check bool) "no divergence on benign input" true (r.Nxe.outcome = `All_finished);
   Alcotest.(check bool) "some syscalls synced" true (r.Nxe.synced_syscalls > 0)
@@ -385,7 +374,7 @@ let test_bridge_exploit_aborts_under_nxe () =
   let case = bridge_cve () in
   let r =
     Bunshin.Bridge.run_ir_variants ~entry:case.Bunshin.Cve.c_entry
-      ~args:case.Bunshin.Cve.c_exploit_args (bridge_variants case)
+      ~args:case.Bunshin.Cve.c_exploit_args (Bunshin.Cve.variants case)
   in
   Alcotest.(check bool) "monitor aborts" true
     (match r.Nxe.outcome with `Aborted _ -> true | `All_finished -> false)

@@ -8,6 +8,9 @@ module San = Bunshin_sanitizer.Sanitizer
 module Inst = Bunshin_sanitizer.Instrument
 module Sc = Bunshin_syscall.Syscall
 module F = Bunshin_forensics.Forensics
+module Nxe = Bunshin_nxe.Nxe
+module Bridge = Bunshin_attack.Bridge
+module Json = Bunshin_util.Json
 
 let rec_ ?(pos = 0) ?(time = 0.0) name args =
   { F.r_pos = pos; r_name = name; r_args = args; r_time = time }
@@ -159,7 +162,7 @@ let test_pass_of_handler () =
   Alcotest.(check int) "non-sink block" (-1) (F.check_id_of_block "entry")
 
 (* ------------------------------------------------------------------ *)
-(* Incidents from interpreter runs *)
+(* Incidents from interpreter runs, filed by the NXE through the bridge *)
 
 let print_prog () =
   let b = B.create "p" in
@@ -168,17 +171,23 @@ let print_prog () =
   B.ret b (Some (B.cst 0));
   B.finish b
 
+let group_incident runs =
+  let report = Bridge.run_runs runs in
+  Alcotest.(check bool) "incident iff aborted" (report.Nxe.outcome <> `All_finished)
+    (report.Nxe.incident <> None);
+  report.Nxe.incident
+
 let test_incident_of_identical_runs () =
   let m = print_prog () in
   let r = Interp.run m ~entry:"main" ~args:[ 7L ] in
-  Alcotest.(check bool) "no incident" true (F.incident_of_runs [ r; r ] = None)
+  Alcotest.(check bool) "no incident" true (group_incident [ r; r ] = None)
 
 let test_incident_of_divergent_runs () =
   let m = print_prog () in
   let r1 = Interp.run m ~entry:"main" ~args:[ 7L ] in
   let r2 = Interp.run m ~entry:"main" ~args:[ 8L ] in
-  (* Three variants, one outlier: majority blame without any NXE. *)
-  match F.incident_of_runs [ r1; r1; r2 ] with
+  (* Three variants, one outlier: the monitor blames it by majority. *)
+  match group_incident [ r1; r1; r2 ] with
   | None -> Alcotest.fail "streams diverge, incident expected"
   | Some inc ->
     Alcotest.(check int) "divergent slot" 0 inc.F.inc_position;
@@ -189,9 +198,9 @@ let test_incident_of_divergent_runs () =
     Alcotest.(check int) "one tape per variant" 3 (Array.length inc.F.inc_tapes)
 
 let test_incident_with_detection_join () =
-  (* The §5.3 story end to end, without the NXE: the ASan variant issues
-     the report write, the unchecked variant does not; the 2-variant tie
-     is broken by the detection and the check site is attributed. *)
+  (* The §5.3 story end to end: the ASan variant issues the report write,
+     the unchecked variant does not; the bridge joins the detection in, so
+     the 2-variant tie is broken and the check site is attributed. *)
   let m = overflow_prog () in
   let inst = Inst.apply_exn [ San.asan ] m in
   let ra = Interp.run inst ~entry:"main" ~args:[ 10L ] in
@@ -199,13 +208,9 @@ let test_incident_with_detection_join () =
   (match ra.Interp.outcome with
    | Interp.Detected _ -> ()
    | _ -> Alcotest.fail "asan variant should detect");
-  match F.incident_of_runs [ ra; rb ] with
+  match group_incident [ ra; rb ] with
   | None -> Alcotest.fail "report write diverges the streams"
   | Some inc ->
-    let det r =
-      match r.Interp.outcome with Interp.Detected d -> Some d | _ -> None
-    in
-    let inc = F.refine_with_detections inc [| det ra; det rb |] in
     Alcotest.(check int) "detecting variant blamed" 0 inc.F.inc_blamed;
     Alcotest.(check bool) "tie broken by detection" true
       (inc.F.inc_basis = F.Tie_broken_by_detection);
@@ -261,7 +266,7 @@ let test_json_roundtrip_real () =
   let m = print_prog () in
   let r1 = Interp.run m ~entry:"main" ~args:[ 7L ] in
   let r2 = Interp.run m ~entry:"main" ~args:[ 8L ] in
-  match F.incident_of_runs [ r1; r2 ] with
+  match group_incident [ r1; r2 ] with
   | None -> Alcotest.fail "incident expected"
   | Some inc -> (
     match F.of_json (F.to_json inc) with
@@ -272,7 +277,114 @@ let test_json_rejects_garbage () =
   Alcotest.(check bool) "not json" true (F.of_json "][" |> Result.is_error);
   Alcotest.(check bool) "wrong shape" true (F.of_json "{\"x\": 1}" |> Result.is_error);
   Alcotest.(check bool) "trailing garbage" true
-    (match F.Json.parse "{} junk" with Error _ -> true | Ok _ -> false)
+    (match Json.parse "{} junk" with Error _ -> true | Ok _ -> false)
+
+let test_json_unicode_escapes () =
+  let parses doc = match Json.parse doc with Ok v -> Some v | Error _ -> None in
+  Alcotest.(check bool) "four hex digits" true (parses {|"\u0041\u004a"|} = Some (Json.Str "AJ"));
+  Alcotest.(check bool) "two-byte utf-8" true (parses {|"\u00e9"|} = Some (Json.Str "\xc3\xa9"));
+  Alcotest.(check bool) "surrogate pair" true
+    (parses {|"\ud83d\ude00"|} = Some (Json.Str "\xf0\x9f\x98\x80"));
+  (* [int_of_string] reads "0x0_41" as 0x41: the escape must not. *)
+  List.iter
+    (fun doc -> Alcotest.(check bool) doc true (parses doc = None))
+    [ {|"\u0_41"|}; {|"\u_041"|}; {|"\u+041"|}; {|"\u 041"|}; {|"\u04g1"|}; {|"\u041"|} ]
+
+(* Random JSON values with finite numbers and arbitrary byte strings. *)
+let json_gen =
+  let open QCheck.Gen in
+  let num =
+    oneof
+      [
+        map float_of_int (int_range (-1_000_000) 1_000_000);
+        map (fun f -> if Float.is_finite f then f else 0.5) float;
+      ]
+  in
+  let scalar =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun f -> Json.Num f) num;
+        map (fun s -> Json.Str s) (string_size (int_bound 12));
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self depth ->
+         if depth = 0 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (depth - 1))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 4)
+                      (pair (string_size (int_bound 6)) (self (depth - 1)))) );
+             ])
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"parse (to_string v) = Ok v" ~count:1000
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
+
+(* Documents the repository really emits: an incident, every committed
+   bench baseline, and a Chrome trace of a traced group run. *)
+let json_seeds =
+  lazy
+    (let m = print_prog () in
+     let r1 = Interp.run m ~entry:"main" ~args:[ 7L ] in
+     let r2 = Interp.run m ~entry:"main" ~args:[ 8L ] in
+     let incident =
+       match (Bridge.run_runs [ r1; r1; r2 ]).Nxe.incident with
+       | Some inc -> F.to_json inc
+       | None -> Alcotest.fail "incident expected"
+     in
+     let baselines =
+       Sys.readdir ".."
+       |> Array.to_list
+       |> List.filter (fun f ->
+              String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
+       |> List.sort compare
+       |> List.map (fun f -> In_channel.with_open_bin (Filename.concat ".." f) In_channel.input_all)
+     in
+     if baselines = [] then Alcotest.fail "no BENCH_*.json baseline beside the tests";
+     let chrome =
+       let sink = Bunshin_telemetry.Telemetry.create () in
+       let config = { Nxe.default_config with Nxe.telemetry = Some sink } in
+       ignore (Bridge.run_runs ~config [ r1; r1 ]);
+       Bunshin_telemetry.Telemetry.to_chrome_json sink
+     in
+     Array.of_list ((incident :: chrome :: baselines)))
+
+let json_alphabet = "{}[]:,\"\\/ u0123456789abcdefABCDEF.eE+-_ntrl\n\t\x00\xc3\xff"
+
+let json_mutant seed =
+  let rng = Bunshin_util.Rng.create seed in
+  let seeds = Lazy.force json_seeds in
+  let b = ref (Bytes.of_string seeds.(Bunshin_util.Rng.int rng (Array.length seeds))) in
+  for _ = 1 to Bunshin_util.Rng.int_in rng 1 4 do
+    let n = Bytes.length !b in
+    let at = Bunshin_util.Rng.int rng (max 1 n) in
+    let ch () = json_alphabet.[Bunshin_util.Rng.int rng (String.length json_alphabet)] in
+    b :=
+      match Bunshin_util.Rng.int rng 4 with
+      | 0 when n > 0 -> Bytes.set !b at (ch ()); !b
+      | 1 when n > 0 -> Bytes.cat (Bytes.sub !b 0 at) (Bytes.sub !b (at + 1) (n - at - 1))
+      | 2 -> Bytes.cat (Bytes.sub !b 0 at) (Bytes.cat (Bytes.make 1 (ch ())) (Bytes.sub !b at (n - at)))
+      | _ -> Bytes.sub !b 0 at (* truncate *)
+  done;
+  Bytes.to_string !b
+
+let prop_json_mutants_never_raise =
+  QCheck.Test.make ~name:"parse and of_json never raise on mutants" ~count:2000
+    (QCheck.make ~print:json_mutant QCheck.Gen.int)
+    (fun seed ->
+      let doc = json_mutant seed in
+      (match Json.parse doc with Ok _ | Error _ -> ());
+      (match F.of_json doc with Ok _ | Error _ -> ());
+      true)
 
 (* ------------------------------------------------------------------ *)
 
@@ -311,5 +423,8 @@ let () =
           Alcotest.test_case "round trip extremes" `Quick test_json_roundtrip_extremes;
           Alcotest.test_case "round trip real incident" `Quick test_json_roundtrip_real;
           Alcotest.test_case "rejects garbage" `Quick test_json_rejects_garbage;
+          Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escapes;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_json_round_trip;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_json_mutants_never_raise;
         ] );
     ]

@@ -1,6 +1,5 @@
-(* Tests for Bunshin_machine: event heap, fibers, scheduling, cache model. *)
+(* Tests for Bunshin_machine: timer heap, fibers, scheduling, cache model. *)
 
-module Heap = Bunshin_machine.Event_heap
 module M = Bunshin_machine.Machine
 
 let cfg ?(cores = 4) ?(quantum = 1.0) ?(ctx = 0.0) ?(llc = 1e9) ?(penalty = 0.5) () =
@@ -14,49 +13,45 @@ let cfg ?(cores = 4) ?(quantum = 1.0) ?(ctx = 0.0) ?(llc = 1e9) ?(penalty = 0.5)
 let check_time = Alcotest.(check (float 1e-6))
 
 (* ------------------------------------------------------------------ *)
-(* Event heap *)
+(* Timer heap ([M.post]), drained the way a co-simulation driver does *)
 
-let test_heap_order () =
-  let h = Heap.create () in
-  Heap.push h 3.0 "c";
-  Heap.push h 1.0 "a";
-  Heap.push h 2.0 "b";
-  let pop () = match Heap.pop h with Some (_, x) -> x | None -> "?" in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ first; second; third ];
-  Alcotest.(check bool) "empty" true (Heap.is_empty h)
+let drain m =
+  while M.next_event_time m < infinity do
+    M.step_event m
+  done
 
-let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  Heap.push h 1.0 "first";
-  Heap.push h 1.0 "second";
-  Heap.push h 1.0 "third";
-  let pop () = match Heap.pop h with Some (_, x) -> x | None -> "?" in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  Alcotest.(check (list string)) "insertion order" [ "first"; "second"; "third" ]
-    [ first; second; third ]
+let test_post_order () =
+  let m = M.create ~config:(cfg ()) () in
+  let fired = ref [] in
+  List.iter
+    (fun (at, x) -> M.post m ~at (fun () -> fired := x :: !fired))
+    [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
+  drain m;
+  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] (List.rev !fired);
+  check_time "clock at the last timer" 3.0 (M.now m)
 
-let test_heap_many () =
-  let h = Heap.create () in
+let test_post_fifo_ties () =
+  let m = M.create ~config:(cfg ()) () in
+  let fired = ref [] in
+  List.iter (fun x -> M.post m ~at:1.0 (fun () -> fired := x :: !fired)) [ "first"; "second"; "third" ];
+  drain m;
+  Alcotest.(check (list string)) "posting order" [ "first"; "second"; "third" ]
+    (List.rev !fired)
+
+let test_post_many () =
+  let m = M.create ~config:(cfg ()) () in
   let rng = Bunshin_util.Rng.create 5 in
-  for i = 0 to 999 do
-    Heap.push h (Bunshin_util.Rng.float rng 100.0) i
+  let fired = ref [] in
+  for _ = 0 to 999 do
+    let at = Bunshin_util.Rng.float rng 100.0 in
+    M.post m ~at (fun () ->
+        check_time "fires at its time" at (M.now m);
+        fired := at :: !fired)
   done;
-  Alcotest.(check int) "size" 1000 (Heap.size h);
-  let last = ref neg_infinity in
-  let sorted = ref true in
-  for _ = 1 to 1000 do
-    match Heap.pop h with
-    | Some (time, _) ->
-      if time < !last then sorted := false;
-      last := time
-    | None -> sorted := false
-  done;
-  Alcotest.(check bool) "monotone" true !sorted
+  drain m;
+  let fired = List.rev !fired in
+  Alcotest.(check int) "all fired" 1000 (List.length fired);
+  Alcotest.(check (list (float 0.0))) "time order" (List.sort compare fired) fired
 
 (* ------------------------------------------------------------------ *)
 (* Basic execution *)
@@ -793,9 +788,9 @@ let () =
     [
       ( "heap",
         [
-          Alcotest.test_case "order" `Quick test_heap_order;
-          Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
-          Alcotest.test_case "many" `Quick test_heap_many;
+          Alcotest.test_case "order" `Quick test_post_order;
+          Alcotest.test_case "fifo ties" `Quick test_post_fifo_ties;
+          Alcotest.test_case "many" `Quick test_post_many;
         ] );
       ( "execution",
         [

@@ -172,6 +172,36 @@ let test_divergence_third_variant () =
   | `Aborted a -> Alcotest.(check int) "variant 2" 2 a.Nxe.al_variant
   | `All_finished -> ()
 
+let test_killed_variants () =
+  (* Variants that all die the same way agree on every slot; the monitor
+     still aborts when it reaps them, whatever the fault policy.  The ops
+     after a kill never run: their writes differ, yet the alarm is the kill. *)
+  let dies last = basic_trace ~units:3 () @ [ Trace.Marker (Trace.Killed "SIGABRT"); last ] in
+  let quarantine =
+    { Nxe.default_config with fault_policy = { Nxe.default_policy with policy = Nxe.Quarantine } }
+  in
+  List.iter
+    (fun (label, config) ->
+      let r =
+        Nxe.run_traces ~config ~names:(names 2)
+          [ dies (wr ~args:[ 1L; 7L ] ()); dies (wr ~args:[ 1L; 8L ] ()) ]
+      in
+      match r.Nxe.outcome with
+      | `Aborted a ->
+        Alcotest.(check (pair string string))
+          (label ^ " alert") ("<exit>", "<killed by SIGABRT>") (a.Nxe.al_expected, a.Nxe.al_got);
+        Alcotest.(check int) (label ^ " at stream end") 3 a.Nxe.al_position;
+        Alcotest.(check int) (label ^ " synced") 3 r.Nxe.synced_syscalls;
+        Alcotest.(check bool) (label ^ " incident") true (r.Nxe.incident <> None)
+      | `All_finished -> Alcotest.fail (label ^ ": identical kills not caught"))
+    [ ("strict", Nxe.default_config); ("selective", Nxe.selective); ("quarantine", quarantine) ];
+  (* A peer that goes on past the kill: the ordinary early-exit divergence. *)
+  let lone = basic_trace ~units:2 () @ [ Trace.Marker (Trace.Killed "SIGSEGV") ] in
+  match (Nxe.run_traces ~names:(names 2) [ basic_trace ~units:3 (); lone ]).Nxe.outcome with
+  | `Aborted a ->
+    Alcotest.(check (pair int string)) "lone kill" (2, "<exit>") (a.Nxe.al_position, a.Nxe.al_got)
+  | `All_finished -> Alcotest.fail "lone kill not caught"
+
 (* ------------------------------------------------------------------ *)
 (* Sanitizer-introduced syscalls (§3.3) *)
 
@@ -542,6 +572,7 @@ let () =
           Alcotest.test_case "leader extra syscall" `Quick test_sequence_divergence_leader_extra;
           Alcotest.test_case "abort stops all" `Quick test_divergence_aborts_all_variants_quickly;
           Alcotest.test_case "third variant blamed" `Quick test_divergence_third_variant;
+          Alcotest.test_case "killed variants" `Quick test_killed_variants;
         ] );
       ( "sanitizer-syscalls",
         [

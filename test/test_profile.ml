@@ -6,7 +6,7 @@
 open Bunshin
 module E = Experiments
 module Collector = Profile.Collector
-module Json = Forensics.Json
+module Json = Bunshin_util.Json
 
 let bzip2 () = Spec.find "bzip2"
 let small_server () = Server.make Server.Lighttpd ~file_kb:1 ~connections:16 ~requests:40
