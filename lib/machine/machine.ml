@@ -68,10 +68,13 @@ and thread = {
   mutable self_opt : thread option;
       (* [Some self], built once at spawn, so entering the fiber does not
          allocate an option per resume *)
+  mutable self_ev : payload;
+      (* [Th self], built once at spawn, so pushing the thread's events
+         allocates nothing *)
   (* --- pending-burst payload (at most one burst is in flight per thread,
      so the Burst_end event needs no allocated record: the event heap
-     stores only (time, seq, kind, thread) and the burst parameters live
-     here and in [f]) --- *)
+     stores only (time, key, payload) and the burst parameters live here
+     and in [f]) --- *)
   mutable b_ci : int;      (* core the burst runs on *)
   (* --- phase accounting --- *)
   mutable p_run : int;     (* bucket charged while Running *)
@@ -99,6 +102,10 @@ and thread_floats = {
   mutable t_rdy1 : float;  (* when that wait ended (dispatch time) *)
 }
 
+(* What an event-heap entry fires: a thread's sleep wake or burst end, or
+   a timer callback ([post]). *)
+and payload = Th of thread | Fn of (unit -> unit)
+
 type tid = thread
 
 let dummy_proc =
@@ -109,7 +116,10 @@ let new_floats now =
   { remaining = 0.0; cpu = 0.0; finish_time = 0.0; eff_arg = 0.0; b_slice = 0.0;
     b_eff = 0.0; b_ctx = 0.0; spawn_time = now; p_since = now; t_rdy0 = now; t_rdy1 = now }
 
-(* Placeholder filling empty queue/heap slots: never dispatched, never woken. *)
+(* Placeholder filling empty heap slots. *)
+let no_payload = Fn ignore
+
+(* Placeholder filling empty queue slots: never dispatched, never woken. *)
 let dummy_thread =
   {
     id = -1;
@@ -121,6 +131,7 @@ let dummy_thread =
     k = Live;
     wake_pending = false;
     self_opt = None;
+    self_ev = no_payload;
     b_ci = -1;
     p_run = 0;
     p_wait = 0;
@@ -203,36 +214,28 @@ type tel = {
   mutable t_last_pressure : float;
 }
 
-(* Event kinds in the flat heap. *)
+(* Thread-event kinds, the low bit of a thread event's key. *)
 let ev_burst = 0
 let ev_wake = 1
 
+(* A timer's key is [timer_bit + seq], above every thread event's key. *)
+let timer_bit = 1 lsl 61
+
 type t = {
   cfg : config;
-  (* Flat binary event heap, struct-of-arrays: the priority is (time, key)
-     where [key = seq * 2 + kind] packs the unique insertion sequence and
-     the event kind into one word — seq occupies the high bits, so key
-     order equals seq order and the tie-break is unchanged.  Burst
-     parameters live on the thread itself (see [b_*] fields), so pushing
-     or popping an event allocates nothing.  Pop order equals sorted
-     (time, seq) order — exactly the order the old record-based heap
-     gave. *)
+  (* Flat binary event heap, struct-of-arrays: the priority is (time, key).
+     A thread event's key is [2 * seq + kind] and a timer's is
+     [timer_bit + seq], where [seq] is the unique insertion sequence.  So
+     at equal times thread events pop before timers, and each class pops
+     in posting order.  Burst parameters live on the thread itself (see
+     [b_*] fields) and a thread event's payload is its [self_ev], so
+     pushing or popping a thread event allocates nothing. *)
   mutable h_time : float array;
   mutable h_key : int array;
-  mutable h_th : thread array;
+  mutable h_ev : payload array;
   mutable h_len : int;
   mutable h_next_seq : int;
-  (* Timer heap: timed callbacks posted from outside fibers ([post]).  A
-     separate struct-of-arrays min-heap ordered by (time, seq) — kept apart
-     from the event heap so the hot path above stays three parallel arrays
-     with no closure column.  Every existing single-machine path leaves it
-     empty ([tm_len = 0]), so the extra branches in the run loop are
-     perfectly predicted and schedules are bit-identical to before. *)
-  mutable tm_time : float array;
-  mutable tm_seq : int array;
-  mutable tm_fn : (unit -> unit) array;
-  mutable tm_len : int;
-  mutable tm_next_seq : int;
+  mutable n_timers : int; (* [Fn] entries in the heap *)
   (* Progress flag for co-simulation: set whenever the scheduler does real
      work (resumes a fiber or starts a burst), read/reset by
      [dispatch_runnable] so a cluster driver can interleave several
@@ -297,14 +300,10 @@ let create ?(config = default_config) ?telemetry () =
     cfg = config;
     h_time = Array.make 64 0.0;
     h_key = Array.make 64 0;
-    h_th = Array.make 64 dummy_thread;
+    h_ev = Array.make 64 no_payload;
     h_len = 0;
     h_next_seq = 0;
-    tm_time = Array.make 8 0.0;
-    tm_seq = Array.make 8 0;
-    tm_fn = Array.make 8 ignore;
-    tm_len = 0;
-    tm_next_seq = 0;
+    n_timers = 0;
     progress = false;
     runq = Tq.create ();
     cores = Array.init config.cores (fun _ -> { c_last = -1; c_busy = false });
@@ -341,30 +340,34 @@ let heap_swap t i j =
   let ky = t.h_key.(i) in
   t.h_key.(i) <- t.h_key.(j);
   t.h_key.(j) <- ky;
-  let th = t.h_th.(i) in
-  t.h_th.(i) <- t.h_th.(j);
-  t.h_th.(j) <- th
+  let ev = t.h_ev.(i) in
+  t.h_ev.(i) <- t.h_ev.(j);
+  t.h_ev.(j) <- ev
 
 let heap_grow t =
   let cap = Array.length t.h_time in
   let ncap = 2 * cap in
   let time = Array.make ncap 0.0
   and key = Array.make ncap 0
-  and th = Array.make ncap dummy_thread in
+  and ev = Array.make ncap no_payload in
   Array.blit t.h_time 0 time 0 t.h_len;
   Array.blit t.h_key 0 key 0 t.h_len;
-  Array.blit t.h_th 0 th 0 t.h_len;
+  Array.blit t.h_ev 0 ev 0 t.h_len;
   t.h_time <- time;
   t.h_key <- key;
-  t.h_th <- th
+  t.h_ev <- ev
 
-let heap_push t time kind th =
+let next_seq t =
+  let seq = t.h_next_seq in
+  t.h_next_seq <- seq + 1;
+  seq
+
+let heap_push t time key ev =
   if t.h_len = Array.length t.h_time then heap_grow t;
   let i = ref t.h_len in
   t.h_time.(!i) <- time;
-  t.h_key.(!i) <- (2 * t.h_next_seq) + kind;
-  t.h_th.(!i) <- th;
-  t.h_next_seq <- t.h_next_seq + 1;
+  t.h_key.(!i) <- key;
+  t.h_ev.(!i) <- ev;
   t.h_len <- t.h_len + 1;
   while !i > 0 && heap_before t !i ((!i - 1) / 2) do
     let p = (!i - 1) / 2 in
@@ -378,8 +381,8 @@ let heap_drop t =
   if t.h_len > 0 then begin
     t.h_time.(0) <- t.h_time.(t.h_len);
     t.h_key.(0) <- t.h_key.(t.h_len);
-    t.h_th.(0) <- t.h_th.(t.h_len);
-    t.h_th.(t.h_len) <- dummy_thread;
+    t.h_ev.(0) <- t.h_ev.(t.h_len);
+    t.h_ev.(t.h_len) <- no_payload;
     let i = ref 0 in
     let continue = ref true in
     while !continue do
@@ -394,77 +397,12 @@ let heap_drop t =
       else continue := false
     done
   end
-  else t.h_th.(0) <- dummy_thread
-
-(* ------------------------------------------------------------------ *)
-(* Timer heap: (time, seq)-ordered callbacks, same discipline as the event
-   heap (seq breaks ties, so same-time timers fire in posting order). *)
-
-let timer_before t i j =
-  t.tm_time.(i) < t.tm_time.(j)
-  || (t.tm_time.(i) = t.tm_time.(j) && t.tm_seq.(i) < t.tm_seq.(j))
-
-let timer_swap t i j =
-  let tm = t.tm_time.(i) in
-  t.tm_time.(i) <- t.tm_time.(j);
-  t.tm_time.(j) <- tm;
-  let sq = t.tm_seq.(i) in
-  t.tm_seq.(i) <- t.tm_seq.(j);
-  t.tm_seq.(j) <- sq;
-  let fn = t.tm_fn.(i) in
-  t.tm_fn.(i) <- t.tm_fn.(j);
-  t.tm_fn.(j) <- fn
-
-let timer_grow t =
-  let cap = Array.length t.tm_time in
-  let ncap = 2 * cap in
-  let time = Array.make ncap 0.0
-  and seq = Array.make ncap 0
-  and fn = Array.make ncap ignore in
-  Array.blit t.tm_time 0 time 0 t.tm_len;
-  Array.blit t.tm_seq 0 seq 0 t.tm_len;
-  Array.blit t.tm_fn 0 fn 0 t.tm_len;
-  t.tm_time <- time;
-  t.tm_seq <- seq;
-  t.tm_fn <- fn
+  else t.h_ev.(0) <- no_payload
 
 let post t ~at fn =
   let at = if at > t.mf.clock then at else t.mf.clock in
-  if t.tm_len = Array.length t.tm_time then timer_grow t;
-  let i = ref t.tm_len in
-  t.tm_time.(!i) <- at;
-  t.tm_seq.(!i) <- t.tm_next_seq;
-  t.tm_fn.(!i) <- fn;
-  t.tm_next_seq <- t.tm_next_seq + 1;
-  t.tm_len <- t.tm_len + 1;
-  while !i > 0 && timer_before t !i ((!i - 1) / 2) do
-    let p = (!i - 1) / 2 in
-    timer_swap t !i p;
-    i := p
-  done
-
-let timer_drop t =
-  t.tm_len <- t.tm_len - 1;
-  if t.tm_len > 0 then begin
-    t.tm_time.(0) <- t.tm_time.(t.tm_len);
-    t.tm_seq.(0) <- t.tm_seq.(t.tm_len);
-    t.tm_fn.(0) <- t.tm_fn.(t.tm_len);
-    t.tm_fn.(t.tm_len) <- ignore;
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < t.tm_len && timer_before t l !smallest then smallest := l;
-      if r < t.tm_len && timer_before t r !smallest then smallest := r;
-      if !smallest <> !i then begin
-        timer_swap t !smallest !i;
-        i := !smallest
-      end
-      else continue := false
-    done
-  end
-  else t.tm_fn.(0) <- ignore
+  t.n_timers <- t.n_timers + 1;
+  heap_push t at (timer_bit + next_seq t) (Fn fn)
 
 (* ------------------------------------------------------------------ *)
 (* State transitions *)
@@ -480,8 +418,6 @@ let new_proc t ?(cache_sensitivity = default_sensitivity) ~name ~working_set () 
   t.procs <- p :: t.procs;
   t.pressure_dirty <- true;
   p
-
-let proc_name p = p.pname
 
 (* Close the thread's current state interval: charge it to the bucket its
    (old) state selects, then restart the interval at the current clock.
@@ -548,6 +484,7 @@ let spawn t ?(daemon = false) proc ~name body =
       k = Not_started;
       wake_pending = false;
       self_opt = None;
+      self_ev = no_payload;
       b_ci = -1;
       p_run = slot_compute;
       p_wait = slot_wait;
@@ -556,6 +493,7 @@ let spawn t ?(daemon = false) proc ~name body =
     }
   in
   th.self_opt <- Some th;
+  th.self_ev <- Th th;
   t.next_tid <- t.next_tid + 1;
   t.threads <- th :: t.threads;
   proc.proc_threads <- th :: proc.proc_threads;
@@ -682,8 +620,8 @@ let slice_of t th = if th.f.remaining <= t.cfg.quantum then th.f.remaining else 
    - the thread's last core is free and still its own: the dispatcher
      places it there (at most one core ever has [c_last = th.id]) with no
      context switch.
-   - the burst ends strictly before the event-heap and timer tops and not
-     past [max_time]: it would be the next event popped, with no tie.
+   - the burst ends strictly before the event-heap top and not past
+     [max_time]: it would be the next event popped, with no tie.
 
    A refused slice has changed only idempotent state (the pressure peak
    and the forced sensitivity), and the caller performs [E_compute] with
@@ -705,9 +643,7 @@ let inline_slice t th =
   let effective = 0.0 +. (slice *. mult) in
   let f = th.f and mf = t.mf in
   let time = mf.clock +. effective in
-  if (t.h_len = 0 || time < t.h_time.(0))
-     && (t.tm_len = 0 || time < t.tm_time.(0))
-     && time <= t.cfg.max_time
+  if (t.h_len = 0 || time < t.h_time.(0)) && time <= t.cfg.max_time
   then begin
     (* make_ready and start_burst *)
     charge t th;
@@ -758,7 +694,7 @@ let handler t th =
         th.k <- Suspended k;
         charge t th;
         set_state t th Sleeping;
-        heap_push t (t.mf.clock +. th.f.eff_arg) ev_wake th)
+        heap_push t (t.mf.clock +. th.f.eff_arg) ((2 * next_seq t) + ev_wake) th.self_ev)
   in
   let on_park : ((unit, unit) continuation -> unit) option =
     Some
@@ -875,7 +811,7 @@ let start_burst t th ci =
   f.b_eff <- effective;
   f.b_ctx <- ctx;
   t.budget.(ci) <- t.budget.(ci) -. slice;
-  heap_push t (t.mf.clock +. effective) ev_burst th
+  heap_push t (t.mf.clock +. effective) ((2 * next_seq t) + ev_burst) th.self_ev
 
 let dispatch t =
   (* Each round: walk the current run queue once, resuming zero-cost fibers
@@ -966,35 +902,26 @@ let handle_burst_end t th =
   else if f.remaining > 1e-12 then make_ready t th
   else resume_fiber t th
 
-(* Pop and process the earliest pending event or timer.  Caller guarantees
-   [t.h_len > 0 || t.tm_len > 0].  Equal-time ties go to the event heap —
-   with no timers pending (every single-machine path) this is exactly the
-   old run-loop body, so existing schedules are bit-identical. *)
+(* Pop and process the earliest heap entry.  Caller guarantees
+   [t.h_len > 0]. *)
 let process_next t =
   let mf = t.mf in
-  let use_timer =
-    t.tm_len > 0 && (t.h_len = 0 || t.tm_time.(0) < t.h_time.(0))
-  in
-  if use_timer then begin
-    let time = t.tm_time.(0) and fn = t.tm_fn.(0) in
-    timer_drop t;
-    if time > mf.clock then mf.clock <- time;
-    if mf.clock > t.cfg.max_time then
-      raise (Deadlock (Printf.sprintf "max_time %.0f exceeded" t.cfg.max_time));
+  let time = t.h_time.(0) in
+  let key = t.h_key.(0) in
+  let ev = t.h_ev.(0) in
+  heap_drop t;
+  (* Entry times are never behind the clock (every push is at
+     [clock + positive] or clamped to the clock, and pops come in key
+     order), so this is [Float.max] without the function call. *)
+  if time > mf.clock then mf.clock <- time;
+  if mf.clock > t.cfg.max_time then
+    raise (Deadlock (Printf.sprintf "max_time %.0f exceeded" t.cfg.max_time));
+  match ev with
+  | Fn fn ->
+    t.n_timers <- t.n_timers - 1;
     fn ()
-  end
-  else begin
-    let time = t.h_time.(0) in
-    let kind = t.h_key.(0) land 1 in
-    let th = t.h_th.(0) in
-    heap_drop t;
-    (* Event times are never behind the clock (every push is at
-       [clock + positive] and pops come in key order), so this is
-       [Float.max] without the function call. *)
-    if time > mf.clock then mf.clock <- time;
-    if mf.clock > t.cfg.max_time then
-      raise (Deadlock (Printf.sprintf "max_time %.0f exceeded" t.cfg.max_time));
-    if kind = ev_wake then begin
+  | Th th ->
+    if key land 1 = ev_wake then begin
       if th.state = Sleeping then begin
         charge t th;
         set_state t th Ready;
@@ -1002,7 +929,6 @@ let process_next t =
       end
     end
     else handle_burst_end t th
-  end
 
 let run t =
   let rec loop () =
@@ -1011,9 +937,9 @@ let run t =
     else begin
       (* All non-daemon threads Blocked (none Ready/Running/Sleeping) and no
          timer can ever wake them: nothing can make progress. *)
-      if t.nd_blocked = t.nd_unfinished && t.tm_len = 0 then
+      if t.nd_blocked = t.nd_unfinished && t.n_timers = 0 then
         raise (Deadlock ("threads blocked forever: " ^ stuck_names t));
-      if t.h_len = 0 && t.tm_len = 0 then
+      if t.h_len = 0 then
         (* No events and dispatch made no progress: every runnable path is
            exhausted, so remaining non-daemon threads are stuck. *)
         raise (Deadlock "no pending events but non-daemon threads remain")
@@ -1036,14 +962,10 @@ let dispatch_runnable t =
   dispatch t;
   t.progress
 
-let next_event_time t =
-  let he = if t.h_len > 0 then t.h_time.(0) else infinity in
-  let te = if t.tm_len > 0 then t.tm_time.(0) else infinity in
-  if te < he then te else he
+let next_event_time t = if t.h_len > 0 then t.h_time.(0) else infinity
 
 let step_event t =
-  if t.h_len = 0 && t.tm_len = 0 then
-    invalid_arg "Machine.step_event: no pending events"
+  if t.h_len = 0 then invalid_arg "Machine.step_event: no pending events"
   else process_next t
 
 let unfinished_nondaemon t = t.nd_unfinished
@@ -1131,7 +1053,6 @@ let thread_phase _t th slot =
   th.p_acc.(slot)
 
 let thread_phases _t th = Array.copy th.p_acc
-let thread_spawn_time _t th = th.f.spawn_time
 
 (* Lifetime covered by the buckets: up to finish for finished threads, up
    to the last charge point otherwise — so phases always sum to it. *)
@@ -1144,10 +1065,6 @@ let proc_phases _t p =
     (fun th -> Array.iteri (fun i v -> acc.(i) <- acc.(i) +. v) th.p_acc)
     p.proc_threads;
   acc
-
-let proc_phase t p slot =
-  check_slot "proc_phase" slot;
-  (proc_phases t p).(slot)
 
 let proc_accounted_time t p =
   List.fold_left (fun acc th -> acc +. thread_accounted_time t th) 0.0 p.proc_threads
@@ -1173,32 +1090,14 @@ module Waitq = struct
       signal m wq
     done
 
-  (* Batched release: drain every queue, in queue order then array order —
-     exactly the wake order of [Array.iter (broadcast m) qs] — but as one
-     primitive, with the telemetry test hoisted out of the per-thread loop.
-     One leader publish releasing N-1 followers costs one call and N-1
-     array pushes, with no per-wake dispatch in between: the woken set
-     lands on the run queue atomically w.r.t. the scheduler. *)
+  (* [Array.iter (broadcast m) qs] without the closure, which would
+     allocate on every leader publish.  No fiber runs between two wakes,
+     so every woken thread is on the run queue before the scheduler
+     dispatches again. *)
   let broadcast_many (m : mach) (qs : t array) =
-    match m.tel with
-    | Some _ ->
-      for i = 0 to Array.length qs - 1 do
-        broadcast m qs.(i)
-      done
-    | None ->
-      for i = 0 to Array.length qs - 1 do
-        let wq = qs.(i) in
-        while not (Tq.is_empty wq) do
-          let th = Tq.take wq in
-          match th.state with
-          | Blocked ->
-            charge m th;
-            set_state m th Ready;
-            Tq.push m.runq th
-          | Ready | Running | Sleeping -> th.wake_pending <- true
-          | Finished -> ()
-        done
-      done
+    for i = 0 to Array.length qs - 1 do
+      broadcast m qs.(i)
+    done
 
   let waiters wq = Tq.length wq
 end

@@ -53,8 +53,6 @@ val new_proc :
     at most once.  It is forced by the scheduler, so it must be a pure
     computation that performs no machine operation. *)
 
-val proc_name : proc -> string
-
 val spawn : t -> ?daemon:bool -> proc -> name:string -> (unit -> unit) -> tid
 (** Create a thread in [proc] running [body].  Daemon threads (background
     load generators) do not keep the simulation alive.  [body] executes when
@@ -68,7 +66,7 @@ val compute : t -> float -> unit
     when the machine's state proves the burst would be the next event —
     no telemetry sink, a non-daemon caller, an empty run queue, the
     caller's last core free and still its own, and the burst ending
-    strictly before every pending event and timer — the burst finishes
+    strictly before every pending event — the burst finishes
     without suspending the fiber: [compute] returns with the clock
     advanced while no other fiber ran in between.  The schedule, the
     stats and the phase buckets are the ones the scheduled path gives;
@@ -119,31 +117,31 @@ val run : t -> unit
 
 (** {1 Co-simulation hooks}
 
-    Used by the cluster layer ([lib/cluster]) to drive several machines
-    against one global clock: settle every machine's runnable work with
-    {!dispatch_runnable}, then {!step_event} whichever machine holds the
-    globally earliest pending event.  All hooks piggyback on the existing
-    event heap plus a timer heap that every single-machine path leaves
-    empty, so {!run} schedules are bit-identical to before these hooks
-    existed. *)
+    Used by the lockstep engine over a network ([Nxe.run_machines]) to
+    drive several machines against one global clock: settle every
+    machine's runnable work with {!dispatch_runnable}, then {!step_event}
+    whichever machine holds the globally earliest pending event.  Timers
+    ({!post}) and thread events share each machine's one event heap. *)
 
 val post : t -> at:float -> (unit -> unit) -> unit
 (** Schedule [fn] to run in scheduler context (not a fiber) at simulated
     time [at] (clamped to now).  Same-time timers fire in posting order;
-    a timer tied with a heap event fires after it.  The callback may wake
-    threads, spawn, or {!post} again — message delivery in [lib/net] is
-    built on this. *)
+    a timer tied with a thread's sleep wake or burst end fires after it.
+    Under {!run}, a pending timer keeps blocked threads from counting as
+    a {!Deadlock}.  The callback may wake threads, spawn, or {!post}
+    again — message delivery in [lib/net] is built on this. *)
 
 val dispatch_runnable : t -> bool
 (** Run the scheduler's dispatch loop once; [true] if any fiber was resumed
-    or any CPU burst started.  Does not consume heap events or timers. *)
+    or any CPU burst started.  Does not consume events. *)
 
 val next_event_time : t -> float
-(** Time of the earliest pending heap event or timer; [infinity] if none. *)
+(** Time of the earliest pending event (timers included); [infinity] if
+    none. *)
 
 val step_event : t -> unit
-(** Pop and process exactly one event or timer (advancing this machine's
-    clock to it).  Does not dispatch afterwards — the co-simulation driver
+(** Pop and process exactly one event (advancing this machine's clock to
+    it).  Does not dispatch afterwards — the co-simulation driver
     interleaves {!dispatch_runnable} across machines itself.
     @raise Invalid_argument when nothing is pending. *)
 
@@ -186,7 +184,7 @@ val proc_finish_time : t -> proc -> float
     Blocked time to the current {e wait phase} (default {!slot_wait}),
     Sleeping time to {!slot_idle}; the context-switch share of a burst is
     reattributed to {!slot_sched}.  By construction a finished thread's
-    buckets sum {e exactly} to its lifetime ({!thread_accounted_time}).
+    buckets sum {e exactly} to its lifetime ({!proc_accounted_time}).
     The accounting never touches scheduler state, so schedules are
     bit-identical whether or not anyone reads it. *)
 
@@ -235,19 +233,13 @@ val thread_phase : t -> tid -> int -> float
 val thread_phases : t -> tid -> float array
 (** A copy of the thread's buckets, us. *)
 
-val thread_spawn_time : t -> tid -> float
-
-val thread_accounted_time : t -> tid -> float
-(** Lifetime the buckets cover: spawn to finish for a finished thread,
-    spawn to the last charge point otherwise.  [thread_phases] sums to
-    this exactly. *)
-
-val proc_phase : t -> proc -> int -> float
 val proc_phases : t -> proc -> float array
 (** Bucket-wise sum over the process's threads. *)
 
 val proc_accounted_time : t -> proc -> float
-(** Sum of {!thread_accounted_time} over the process's threads. *)
+(** Lifetime the process's buckets cover: the sum over its threads of
+    spawn to finish for a finished thread, spawn to the last charge point
+    otherwise.  [proc_phases] sums to this exactly. *)
 
 val last_ready_wait : t -> float * float
 (** [(ready_at, dispatched_at)] of the calling thread's most recent
@@ -275,12 +267,10 @@ module Waitq : sig
   (** Wake all waiting threads. *)
 
   val broadcast_many : mach -> t array -> unit
-  (** Wake all waiting threads of every queue, in queue order then array
-      order — exactly the wake order of [Array.iter (broadcast m) qs] —
-      as one batched scheduler operation.  One publisher releasing N
-      waiters across N queues costs one call, with no per-wake dispatch
-      in between; the woken set lands on the run queue before the
-      scheduler runs again. *)
+  (** [Array.iter (broadcast m) qs]: wake all waiting threads of every
+      queue, in queue order then array order.  One publisher releasing N
+      waiters across N queues costs one call, and the woken set lands on
+      the run queue before the scheduler runs again. *)
 
   val waiters : t -> int
 end

@@ -405,9 +405,6 @@ type t = {
   proc_reg : (string * int, M.proc) Hashtbl.t;   (* (proc path, variant) *)
   mutable synced : int;
   mutable locksteps : int;
-  gap_sum : float array; (* one cell: a float array stores it unboxed *)
-  mutable gap_count : int;
-  mutable gap_max : int;
   mutable order_len : int;
   mutable replays : int;
   mutable pending_signals : (float * int) list; (* delivery time, handler idx *)
@@ -1252,12 +1249,7 @@ let leader_sync nxe chan sc =
   chan.leader_pos <- pos + 1;
   nxe.synced <- nxe.synced + 1;
   let gap = pos - min_live_cursor nxe chan in
-  if Array.length chan.cursors > 0 then begin
-    nxe.gap_sum.(0) <- nxe.gap_sum.(0) +. float_of_int gap;
-    nxe.gap_count <- nxe.gap_count + 1;
-    Tel.Hist.observe nxe.h_gap (float_of_int gap);
-    if gap > nxe.gap_max then nxe.gap_max <- gap
-  end;
+  if Array.length chan.cursors > 0 then Tel.Hist.observe nxe.h_gap (float_of_int gap);
   wake_followers nxe chan;
   (* Which slots rendezvous: the lockstep mode in-process, the ship mode's
      sensitive set over the Net. *)
@@ -2057,9 +2049,6 @@ let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitiviti
       proc_reg = Hashtbl.create 8;
       synced = 0;
       locksteps = 0;
-      gap_sum = [| 0.0 |];
-      gap_count = 0;
-      gap_max = 0;
       order_len = 0;
       replays = 0;
       pending_signals = List.mapi (fun i (t, _) -> (t, i)) signals;
@@ -2273,9 +2262,9 @@ let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitiviti
       synced_syscalls = nxe.synced;
       executed_syscalls = nxe.executed;
       lockstep_syscalls = nxe.locksteps;
-      avg_syscall_gap =
-        (if nxe.gap_count = 0 then 0.0 else nxe.gap_sum.(0) /. float_of_int nxe.gap_count);
-      max_syscall_gap = nxe.gap_max;
+      avg_syscall_gap = Tel.Hist.mean nxe.h_gap;
+      (* A publish with no live follower observes gap -1; the max floors at 0. *)
+      max_syscall_gap = Int.max 0 (int_of_float (Tel.Hist.max_value nxe.h_gap));
       order_list_length = nxe.order_len;
       det_replays = nxe.replays;
       channels = nxe.chan_count;

@@ -39,6 +39,23 @@ module Gauge = struct
   let samples g = g.g_n
 end
 
+(* Rank the same way Stats.percentile does (rank over n-1 intervals), then
+   name the bucket holding that rank: the estimate sits at most one bucket
+   width above the exact sample quantile.  [counts] holds [n] samples, one
+   entry per bound plus the overflow bucket, whose rank answers [top]. *)
+let bucket_quantile bounds counts n top p =
+  if n = 0 then 0.0
+  else begin
+    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int (n - 1))) in
+    let rank = if rank < 0 then 0 else if rank > n - 1 then n - 1 else rank in
+    let k = Array.length bounds in
+    let rec walk i acc =
+      let acc = acc + counts.(i) in
+      if i = k then top else if acc > rank then bounds.(i) else walk (i + 1) acc
+    in
+    walk 0 0
+  end
+
 module Hist = struct
   (* An all-float record stores its fields unboxed, so [observe] writes
      them without allocating. *)
@@ -88,53 +105,7 @@ module Hist = struct
     let k = Array.length h.bounds in
     List.init k (fun i -> (h.bounds.(i), h.counts.(i))) @ [ (infinity, h.counts.(k)) ]
 
-  (* Rank the same way Stats.percentile does (rank over n-1 intervals),
-     then name the bucket holding that rank: the estimate sits at most
-     one bucket width above the exact sample quantile. *)
-  let quantile h p =
-    if h.h_n = 0 then 0.0
-    else begin
-      let rank = int_of_float (ceil (p /. 100.0 *. float_of_int (h.h_n - 1))) in
-      let rank = if rank < 0 then 0 else if rank > h.h_n - 1 then h.h_n - 1 else rank in
-      let k = Array.length h.bounds in
-      let acc = ref 0 and i = ref 0 and res = ref h.mo.h_max in
-      (try
-         while !i <= k do
-           acc := !acc + h.counts.(!i);
-           if !acc > rank then begin
-             res := (if !i < k then h.bounds.(!i) else h.mo.h_max);
-             raise Exit
-           end;
-           incr i
-         done
-       with Exit -> ());
-      !res
-    end
-
-  (* Multi-quantile from one cumulative pass over the counts (the
-     bucketed analogue of Stats.percentiles' single sort): each result
-     is exactly what [quantile] returns for that p. *)
-  let quantiles h ps =
-    if h.h_n = 0 then List.map (fun _ -> 0.0) ps
-    else begin
-      let k = Array.length h.bounds in
-      let cum = Array.make (k + 1) 0 in
-      let acc = ref 0 in
-      for i = 0 to k do
-        acc := !acc + h.counts.(i);
-        cum.(i) <- !acc
-      done;
-      List.map
-        (fun p ->
-          let rank = int_of_float (ceil (p /. 100.0 *. float_of_int (h.h_n - 1))) in
-          let rank = if rank < 0 then 0 else if rank > h.h_n - 1 then h.h_n - 1 else rank in
-          let i = ref 0 in
-          while cum.(!i) <= rank do
-            incr i
-          done;
-          if !i < k then h.bounds.(!i) else h.mo.h_max)
-        ps
-    end
+  let quantile h p = bucket_quantile h.bounds h.counts h.h_n h.mo.h_max p
 end
 
 (* ------------------------------------------------------------------ *)
@@ -189,85 +160,63 @@ module Slo = struct
       w.sl_slot <- slot
     end
 
-  let observe w ~now x =
-    advance w ~now;
+  (* The bucket [x] falls in: the first bound at or above it, or [k] for
+     the overflow bucket. *)
+  let bucket_index w x =
     let k = Array.length w.sl_bounds in
     let i = ref 0 in
     while !i < k && x > w.sl_bounds.(!i) do
       incr i
     done;
+    !i
+
+  let observe w ~now x =
+    advance w ~now;
+    let i = bucket_index w x in
     let s = w.sl_slot mod w.sl_subs in
     let row = w.sl_counts.(s) in
-    row.(!i) <- row.(!i) + 1;
+    row.(i) <- row.(i) + 1;
     if x > w.sl_max.(s) then w.sl_max.(s) <- x
 
-  let fold_buckets w f init =
-    let k = Array.length w.sl_bounds in
-    let acc = ref init in
-    for b = 0 to k do
-      let c = ref 0 in
-      for s = 0 to w.sl_subs - 1 do
-        c := !c + w.sl_counts.(s).(b)
-      done;
-      acc := f !acc b !c
-    done;
-    !acc
-
-  let count w ~now =
+  (* Advance to [now], then sum each bucket's counts over the sub-windows. *)
+  let live_counts w ~now =
     advance w ~now;
-    fold_buckets w (fun acc _ c -> acc + c) 0
+    let m = Array.make (Array.length w.sl_bounds + 1) 0 in
+    Array.iter (fun row -> Array.iteri (fun b c -> m.(b) <- m.(b) + c) row) w.sl_counts;
+    m
+
+  let count w ~now = Array.fold_left ( + ) 0 (live_counts w ~now)
 
   let quantile w ~now p =
-    advance w ~now;
-    let n = fold_buckets w (fun acc _ c -> acc + c) 0 in
-    if n = 0 then 0.0
-    else begin
-      let rank = int_of_float (ceil (p /. 100.0 *. float_of_int (n - 1))) in
-      let rank = if rank < 0 then 0 else if rank > n - 1 then n - 1 else rank in
-      let k = Array.length w.sl_bounds in
-      let live_max =
-        Array.fold_left (fun acc m -> if m > acc then m else acc) neg_infinity w.sl_max
-      in
-      let acc = ref 0 and res = ref live_max and found = ref false in
-      for b = 0 to k do
-        if not !found then begin
-          acc := !acc + fold_buckets w (fun a b' c -> if b' = b then a + c else a) 0;
-          if !acc > rank then begin
-            found := true;
-            res := (if b < k then w.sl_bounds.(b) else live_max)
-          end
-        end
-      done;
-      !res
-    end
+    let m = live_counts w ~now in
+    let live_max =
+      Array.fold_left (fun acc x -> if x > acc then x else acc) neg_infinity w.sl_max
+    in
+    bucket_quantile w.sl_bounds m (Array.fold_left ( + ) 0 m) live_max p
 
   let quantiles w ~now ps = List.map (fun p -> quantile w ~now p) ps
 
   let bucket_width_at w x =
     let k = Array.length w.sl_bounds in
-    let i = ref 0 in
-    while !i < k && x > w.sl_bounds.(!i) do
-      incr i
-    done;
-    if !i >= k then w.sl_bounds.(k - 1)
-    else if !i = 0 then w.sl_bounds.(0)
-    else w.sl_bounds.(!i) -. w.sl_bounds.(!i - 1)
+    let i = bucket_index w x in
+    if i >= k then w.sl_bounds.(k - 1)
+    else if i = 0 then w.sl_bounds.(0)
+    else w.sl_bounds.(i) -. w.sl_bounds.(i - 1)
 
   type target = { slo_quantile : float; slo_limit_us : float }
 
   let breach_fraction w ~now target =
-    advance w ~now;
+    let m = live_counts w ~now in
     let n = ref 0 and bad = ref 0 in
     let k = Array.length w.sl_bounds in
-    ignore
-      (fold_buckets w
-         (fun () b c ->
-           n := !n + c;
-           (* bucket b spans (bounds.(b-1), bounds.(b)]; it breaches when
-              its lower edge is already at or above the limit *)
-           let lower = if b = 0 then 0.0 else w.sl_bounds.(b - 1) in
-           if b = k || lower >= target.slo_limit_us then bad := !bad + c)
-         ());
+    Array.iteri
+      (fun b c ->
+        n := !n + c;
+        (* bucket b spans (bounds.(b-1), bounds.(b)]; it breaches when its
+           lower edge is already at or above the limit *)
+        let lower = if b = 0 then 0.0 else w.sl_bounds.(b - 1) in
+        if b = k || lower >= target.slo_limit_us then bad := !bad + c)
+      m;
     if !n = 0 then 0.0 else float_of_int !bad /. float_of_int !n
 
   let burn_rate w ~now target =

@@ -147,12 +147,6 @@ module Hist : sig
       bucket holding the rank-[p] observation — i.e. an estimate no more
       than one bucket width above the exact sample quantile.  Ranks that
       land in the overflow bucket return {!max_value}; 0. when empty. *)
-
-  val quantiles : t -> float list -> float list
-  (** [quantiles h ps]: every requested quantile from ONE cumulative
-      pass over the buckets (the bucketed analogue of
-      {!Bunshin_util.Stats.percentiles}); each element equals
-      [quantile h p] exactly. *)
 end
 
 val counter : sink -> string -> Counter.t
@@ -173,7 +167,7 @@ val register_hist : sink -> string -> Hist.t -> string
     Live tail percentiles over a sliding time window, in bounded memory:
     a ring of [sub_windows] log-bucketed sub-histograms, each covering
     [sub_us] of simulated time.  Advancing time recycles expired
-    sub-windows in place, so a monitor allocates nothing after creation
+    sub-windows in place, so recording allocates nothing after creation
     and always answers from the last [sub_windows * sub_us]
     microseconds.  Quantiles carry the same one-bucket-width error bound
     as {!Hist.quantile} (pinned against [Stats.percentile] in the test

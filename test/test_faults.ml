@@ -127,6 +127,24 @@ let test_quarantine_incident_forensics () =
         (F.of_json (F.to_json inc) = Ok inc)
   | l -> Alcotest.failf "expected exactly one incident, got %d" (List.length l)
 
+(* A follower that dies before the leader's first publish leaves no live
+   follower at any publish: each one observes gap -1, and the report's
+   max gap stays at its floor of 0. *)
+let test_gap_without_live_follower () =
+  let trace ~lead =
+    List.concat
+      (List.init units (fun i -> [ work (if lead && i = 0 then 50.0 else 5.0); rd i ]))
+  in
+  let faults = Faults.make [ { Faults.i_variant = 1; i_at = 0; i_kind = Faults.Die } ] in
+  let r =
+    Nxe.run_traces ~config:(config Nxe.Quarantine) ~faults ~names:(names 2)
+      [ trace ~lead:true; trace ~lead:false ]
+  in
+  Alcotest.(check bool) "leader finished" true (finished r);
+  Alcotest.(check (list int)) "v1 quarantined" [ 1 ] (Nxe.quarantined_variants r);
+  check_time "mean gap" (-1.0) r.Nxe.avg_syscall_gap;
+  Alcotest.(check int) "max gap floored" 0 r.Nxe.max_syscall_gap
+
 let test_die_quarantine_loses_coverage () =
   let r = run ~config:(config Nxe.Quarantine) ~faults:die_v2 () in
   Alcotest.(check bool) "group finished without v2" true (finished r);
@@ -301,6 +319,7 @@ let () =
           Alcotest.test_case "stall detected, N-1 finish" `Quick test_stall_quarantine;
           Alcotest.test_case "incident forensics" `Quick test_quarantine_incident_forensics;
           Alcotest.test_case "death loses coverage" `Quick test_die_quarantine_loses_coverage;
+          Alcotest.test_case "gap with no live follower" `Quick test_gap_without_live_follower;
         ] );
       ( "policies",
         [

@@ -1,4 +1,4 @@
-(* Tests for Bunshin_machine: timer heap, fibers, scheduling, cache model. *)
+(* Tests for Bunshin_machine: event heap, fibers, scheduling, cache model. *)
 
 module M = Bunshin_machine.Machine
 
@@ -13,7 +13,8 @@ let cfg ?(cores = 4) ?(quantum = 1.0) ?(ctx = 0.0) ?(llc = 1e9) ?(penalty = 0.5)
 let check_time = Alcotest.(check (float 1e-6))
 
 (* ------------------------------------------------------------------ *)
-(* Timer heap ([M.post]), drained the way a co-simulation driver does *)
+(* Event heap: timers ([M.post]), drained the way a co-simulation driver
+   does, and their order against thread events *)
 
 let drain m =
   while M.next_event_time m < infinity do
@@ -52,6 +53,80 @@ let test_post_many () =
   let fired = List.rev !fired in
   Alcotest.(check int) "all fired" 1000 (List.length fired);
   Alcotest.(check (list (float 0.0))) "time order" (List.sort compare fired) fired
+
+(* The co-simulation driver's loop on one machine: settle the runnable
+   work, then step the earliest event, until every thread has finished. *)
+let step_run m =
+  while M.unfinished_nondaemon m > 0 do
+    while M.dispatch_runnable m do
+      ()
+    done;
+    if M.unfinished_nondaemon m > 0 then M.step_event m
+  done
+
+(* A thread event and a timer due at the same time: the thread event pops
+   first, whichever kind it is and whichever loop drives the machine. *)
+let test_thread_event_before_timer () =
+  List.iter
+    (fun (driver, drive) ->
+      List.iter
+        (fun (kind, wait) ->
+          let m = M.create ~config:(cfg ~quantum:250.0 ()) () in
+          let p = M.new_proc m ~name:"p" ~working_set:1.0 () in
+          let log = ref [] in
+          ignore
+            (M.spawn m p ~name:"t" (fun () ->
+                 wait m 5.0;
+                 log := "thread" :: !log;
+                 M.sleep m 1.0));
+          M.post m ~at:5.0 (fun () -> log := "timer" :: !log);
+          drive m;
+          Alcotest.(check (list string))
+            (kind ^ " under " ^ driver) [ "thread"; "timer" ] (List.rev !log))
+        [ ("sleep wake", M.sleep); ("burst end", M.compute) ])
+    [ ("run", M.run); ("step_event", step_run) ]
+
+(* Same-time timers fire in posting order, after the thread events due
+   then, when thread events were pushed between the posts. *)
+let test_timer_ties_post_order () =
+  let m = M.create ~config:(cfg ~quantum:250.0 ()) () in
+  let p = M.new_proc m ~name:"p" ~working_set:1.0 () in
+  let log = ref [] in
+  let note x () = log := x :: !log in
+  M.post m ~at:10.0 (note "timer0");
+  ignore
+    (M.spawn m p ~name:"a" (fun () ->
+         M.post m ~at:10.0 (note "timer1");
+         M.sleep m 10.0;
+         note "a" ();
+         M.sleep m 5.0));
+  ignore
+    (M.spawn m p ~name:"b" (fun () ->
+         M.post m ~at:10.0 (note "timer2");
+         M.compute m 10.0;
+         note "b" ();
+         M.sleep m 5.0));
+  M.run m;
+  Alcotest.(check (list string))
+    "thread events, then timers in posting order"
+    [ "a"; "b"; "timer0"; "timer1"; "timer2" ]
+    (List.rev !log)
+
+(* Under [run], a thread blocked on a wait queue that a pending timer will
+   signal is not deadlocked; without the timer, the same program is. *)
+let test_pending_timer_not_deadlock () =
+  let program ~timer =
+    let m = M.create ~config:(cfg ()) () in
+    let p = M.new_proc m ~name:"p" ~working_set:1.0 () in
+    let wq = M.Waitq.create () in
+    ignore (M.spawn m p ~name:"waiter" (fun () -> M.Waitq.wait m wq));
+    if timer then M.post m ~at:50.0 (fun () -> M.Waitq.signal m wq);
+    M.run m;
+    M.now m
+  in
+  check_time "woken by the timer" 50.0 (program ~timer:true);
+  Alcotest.check_raises "no timer" (M.Deadlock "threads blocked forever: waiter") (fun () ->
+      ignore (program ~timer:false))
 
 (* ------------------------------------------------------------------ *)
 (* Basic execution *)
@@ -791,6 +866,9 @@ let () =
           Alcotest.test_case "order" `Quick test_post_order;
           Alcotest.test_case "fifo ties" `Quick test_post_fifo_ties;
           Alcotest.test_case "many" `Quick test_post_many;
+          Alcotest.test_case "thread before timer" `Quick test_thread_event_before_timer;
+          Alcotest.test_case "timer ties post order" `Quick test_timer_ties_post_order;
+          Alcotest.test_case "timer averts deadlock" `Quick test_pending_timer_not_deadlock;
         ] );
       ( "execution",
         [

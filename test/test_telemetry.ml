@@ -461,6 +461,68 @@ let test_slo_breach_and_burn () =
   Alcotest.(check (float 1e-9)) "no breach, no burn" 0.0
     (Slo.burn_rate w ~now:100.0 tight)
 
+(* An oracle for the bucketed estimators, on samples of which a third sit
+   exactly on a bucket bound (a bound belongs to its own bucket) and some
+   lie past the last bound.  Bucket [b] spans (bounds.(b-1), bounds.(b)]. *)
+let oracle_samples () =
+  let bounds = Array.of_list Tel.Hist.default_buckets in
+  let k = Array.length bounds in
+  let rng = Rng.create 11 in
+  let samples =
+    List.init 301 (fun i ->
+        if i mod 3 = 0 then bounds.(i / 3 mod k) else Rng.float rng (2.0 *. bounds.(k - 1)))
+  in
+  let bucket x =
+    let rec go b = if b < k && x > bounds.(b) then go (b + 1) else b in
+    go 0
+  in
+  (bounds, samples, bucket)
+
+(* Both quantile estimators name the bucket of the rank-[p] sample, the
+   sorted sample at index ceil(p/100 * (n-1)): its bucket's upper bound,
+   or the largest sample when that bucket is the overflow.  Every rank is
+   asked for. *)
+let test_quantile_rank_oracle () =
+  let bounds, samples, bucket = oracle_samples () in
+  let k = Array.length bounds in
+  let sorted = Array.of_list (List.sort compare samples) in
+  let n = Array.length sorted in
+  let h = Tel.Hist.create () and w = Slo.window () in
+  List.iter
+    (fun x ->
+      Tel.Hist.observe h x;
+      Slo.observe w ~now:0.0 x)
+    samples;
+  for r = 0 to n - 1 do
+    let p = 100.0 *. float_of_int r /. float_of_int (n - 1) in
+    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int (n - 1))) in
+    let b = bucket sorted.(rank) in
+    let want = if b < k then bounds.(b) else sorted.(n - 1) in
+    Alcotest.(check (float 0.0)) (Printf.sprintf "hist p%g" p) want (Tel.Hist.quantile h p);
+    Alcotest.(check (float 0.0)) (Printf.sprintf "slo p%g" p) want (Slo.quantile w ~now:0.0 p)
+  done
+
+(* A sample breaches when its whole bucket lies at or above the limit, or
+   when it overflows the last bound; limits on and between bounds. *)
+let test_breach_edge_oracle () =
+  let bounds, samples, bucket = oracle_samples () in
+  let k = Array.length bounds in
+  let w = Slo.window () in
+  List.iter (Slo.observe w ~now:0.0) samples;
+  let breaches limit x =
+    let b = bucket x in
+    b = k || (if b = 0 then 0.0 else bounds.(b - 1)) >= limit
+  in
+  List.iter
+    (fun limit ->
+      let bad = List.length (List.filter (breaches limit) samples) in
+      let want = float_of_int bad /. float_of_int (List.length samples) in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "limit %g" limit)
+        want
+        (Slo.breach_fraction w ~now:0.0 { Slo.slo_quantile = 99.0; slo_limit_us = limit }))
+    (Array.to_list bounds @ [ 0.5; 3.0; 700.0; 20000.0 ])
+
 let test_slo_validation () =
   (match Slo.window ~sub_windows:0 () with
    | _ -> Alcotest.fail "zero sub-windows accepted"
@@ -529,6 +591,8 @@ let () =
           Alcotest.test_case "breach and burn" `Quick test_slo_breach_and_burn;
           Alcotest.test_case "validation" `Quick test_slo_validation;
           Alcotest.test_case "prometheus format" `Quick test_prometheus_format;
+          Alcotest.test_case "quantile rank oracle" `Quick test_quantile_rank_oracle;
+          Alcotest.test_case "breach edge oracle" `Quick test_breach_edge_oracle;
         ] );
       ( "neutrality",
         [
