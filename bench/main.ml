@@ -1572,7 +1572,7 @@ let serve_data () =
         ("workload", Table.Left); ("x knee", Table.Right); ("offered", Table.Right);
         ("thrpt", Table.Right); ("done", Table.Right); ("rej%", Table.Right);
         ("p50", Table.Right); ("p99", Table.Right); ("p999", Table.Right);
-        ("batch/wake", Table.Right); ("grps", Table.Right);
+        ("batch/wake", Table.Right); ("grps", Table.Right); ("w/req", Table.Right);
       ]
   in
   let suites = ref [] in
@@ -1588,7 +1588,11 @@ let serve_data () =
       (fun mult ->
         let keep = mult >= 2.0 in
         let config = { config with Serve.keep_reports = keep } in
+        (* Allocation per offered request: a deterministic count, so each
+           group run's fixed cost is pinned, not only its per-sync cost. *)
+        let mw0 = Gc.minor_words () in
         let r = Serve.run ~config src ~offered_rps:(mult *. knee) ~requests in
+        let words_per_request = (Gc.minor_words () -. mw0) /. float_of_int requests in
         (* Conservation is structural (Serve.run faults on a double or
            missing resolution); neutrality is re-proven here on the
            saturated point: every retained pooled report must be
@@ -1618,7 +1622,7 @@ let serve_data () =
             Printf.sprintf "%.1f" (100.0 *. r.Serve.sv_rejection_rate);
             Printf.sprintf "%.1f" r.Serve.sv_p50; Printf.sprintf "%.1f" r.Serve.sv_p99;
             Printf.sprintf "%.1f" r.Serve.sv_p999; Printf.sprintf "%.1f" batch_factor;
-            string_of_int r.Serve.sv_peak_groups;
+            string_of_int r.Serve.sv_peak_groups; Printf.sprintf "%.0f" words_per_request;
           ];
         suites :=
           ( Printf.sprintf "%s_x%g" (Server.kind_name kind) mult,
@@ -1632,6 +1636,7 @@ let serve_data () =
               ("rejection_rate_pct", 100.0 *. r.Serve.sv_rejection_rate);
               ("batch_factor", batch_factor);
               ("peak_groups", float_of_int r.Serve.sv_peak_groups);
+              ("minor_words_per_request", words_per_request);
             ] )
           :: !suites)
       mults
@@ -1731,6 +1736,9 @@ let gate_specs =
         Gate.threshold ~tolerance:0.01 "p999_us";
         Gate.threshold ~tolerance:0.01 "rejection_rate_pct";
         Gate.threshold ~direction:Gate.Higher_is_better ~tolerance:0.01 "batch_factor";
+        (* A deterministic count, with the tolerance of nxe's
+           minor_words_per_sync. *)
+        Gate.threshold ~tolerance:0.1 "minor_words_per_request";
       ] );
   ]
 
@@ -2024,10 +2032,10 @@ let () =
     let t0 = Unix.gettimeofday () in
     List.iter (fun (_, f) -> f ()) sections;
     Printf.printf "\nTotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0)
-  | names ->
-    List.iter
-      (fun n ->
-        match List.assoc_opt n sections with
-        | Some f -> f ()
-        | None -> Printf.eprintf "unknown section %s (try 'list')\n" n)
-      names
+  | names -> (
+    (* Every name is checked before any section runs. *)
+    match List.find_opt (fun n -> not (List.mem_assoc n sections)) names with
+    | Some n ->
+      Printf.eprintf "unknown section %s (try 'list')\n" n;
+      exit 2
+    | None -> List.iter (fun n -> List.assoc n sections ()) names)

@@ -298,9 +298,9 @@ let create ?(config = default_config) ?telemetry () =
   in
   {
     cfg = config;
-    h_time = Array.make 64 0.0;
-    h_key = Array.make 64 0;
-    h_ev = Array.make 64 no_payload;
+    h_time = Array.make 8 0.0;
+    h_key = Array.make 8 0;
+    h_ev = Array.make 8 no_payload;
     h_len = 0;
     h_next_seq = 0;
     n_timers = 0;

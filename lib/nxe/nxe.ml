@@ -437,7 +437,7 @@ type t = {
 let ensure_slot nxe chan =
   let cap = Array.length chan.sl_ready in
   if chan.sl_len = cap then begin
-    let ncap = max 16 (2 * cap) in
+    let ncap = max 4 (2 * cap) in
     let grow_sc a = let b = Array.make ncap dummy_sc in Array.blit a 0 b 0 cap; b in
     let grow_b a = let b = Array.make ncap false in Array.blit a 0 b 0 cap; b in
     let grow_i a = let b = Array.make ncap 0 in Array.blit a 0 b 0 cap; b in
@@ -690,7 +690,7 @@ let get_proc nxe path variant =
     let p =
       M.new_proc (machine_of nxe variant)
         ~cache_sensitivity:nxe.sensitivities.(variant)
-        ~name:(Printf.sprintf "%s:%s" nxe.names.(variant) path)
+        ~name:(nxe.names.(variant) ^ ":" ^ path)
         ~working_set:nxe.working_sets.(variant) ()
     in
     Hashtbl.replace nxe.proc_reg (path, variant) p;
@@ -1699,14 +1699,17 @@ and do_sys nxe ~variant ~chan sc =
 (* ------------------------------------------------------------------ *)
 (* Thread executor *)
 
-let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~pth ~det ~in_main_init ops () =
+let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~det ~in_main_init ops () =
   let m = machine_of nxe variant in
   let in_main = ref in_main_init in
   let spawn_count = ref 0 in
   let fork_count = ref 0 in
-  (* Resolved once per thread: shared-counter ops below touch only the
-     int-keyed table, never the string-keyed registry. *)
-  let cnts = counter_table nxe ppath variant in
+  (* The process's lock and shared-counter tables, resolved from the
+     registries on the thread's first op that uses them (most threads use
+     neither) and then held: later ops touch only the int-keyed tables,
+     never the string-keyed registries. *)
+  let pth = lazy (get_pth nxe ppath variant) in
+  let cnts = lazy (counter_table nxe ppath variant) in
   List.iter
     (fun op ->
       if (not (aborted nxe)) && not nxe.v_dead.(variant) then
@@ -1723,10 +1726,10 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~pth ~det ~in_main_init ops () 
           (* An unguarded shared write: the interleaving across this
              variant's threads decides the value later syscalls expose. *)
           M.compute m 0.05;
-          let r = counter_ref cnts id in
+          let r = counter_ref (Lazy.force cnts) id in
           r := Int64.add !r 1L
         | Trace.Sys_shared (sc, id) ->
-          let v = !(counter_ref cnts id) in
+          let v = !(counter_ref (Lazy.force cnts) id) in
           let sc = Sc.with_args sc (sc.Sc.args @ [ v ]) in
           if !in_main && Sc.is_synchronized sc then do_sys nxe ~variant ~chan sc
           else ph_compute m Pr.Phase.Syscall_service (Sc.base_cost sc)
@@ -1737,6 +1740,7 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~pth ~det ~in_main_init ops () 
              leader -> followers like a syscall result; otherwise the
              follower reads its stale local copy. *)
           M.compute m 2.0 (* page-fault / access cost *);
+          let cnts = Lazy.force cnts in
           let dst = counter_ref cnts counter in
           if variant = 0 then begin
             let reads = counter_ref cnts (1000 + region) in
@@ -1755,16 +1759,16 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~pth ~det ~in_main_init ops () 
           else dst := 0L (* stale local copy *)
         | Trace.Lock id ->
           det_order_op nxe det ~variant ~chan;
-          pth_wait m (fun () -> Pthreads.lock m pth id)
-        | Trace.Unlock id -> Pthreads.unlock m pth id
+          pth_wait m (fun () -> Pthreads.lock m (Lazy.force pth) id)
+        | Trace.Unlock id -> Pthreads.unlock m (Lazy.force pth) id
         | Trace.Barrier (id, expected) ->
           det_order_op nxe det ~variant ~chan;
-          pth_wait m (fun () -> Pthreads.barrier m pth id expected)
+          pth_wait m (fun () -> Pthreads.barrier m (Lazy.force pth) id expected)
         | Trace.Spawn sub ->
           let k = !spawn_count in
           incr spawn_count;
           ph_compute m Pr.Phase.Syscall_service sc_clone_cost;
-          let child = get_chan nxe (Printf.sprintf "%s/s%d" chan.ch_path k) in
+          let child = get_chan nxe (chan.ch_path ^ "/s" ^ string_of_int k) in
           (match nxe.tel with
            | Some tel ->
              Tel.Counter.incr tel.t_spawns;
@@ -1773,30 +1777,28 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~pth ~det ~in_main_init ops () 
            | None -> ());
           nxe.live_threads.(variant) <- nxe.live_threads.(variant) + 1;
           ignore
-            (M.spawn m proc ~name:(Printf.sprintf "%s:t%s" nxe.names.(variant) child.ch_path)
-               (exec_ops nxe ~variant ~chan:child ~ppath ~proc ~pth ~det
-                  ~in_main_init:!in_main sub))
+            (M.spawn m proc ~name:(nxe.names.(variant) ^ ":t" ^ child.ch_path)
+               (exec_ops nxe ~variant ~chan:child ~ppath ~proc ~det ~in_main_init:!in_main sub))
         | Trace.Fork sub ->
           let k = !fork_count in
           incr fork_count;
           ph_compute m Pr.Phase.Syscall_service sc_fork_cost;
           (* The child of the leader becomes the leader of the new execution
              group; followers' children become its followers (§3.3). *)
-          let cpath = Printf.sprintf "%s/f%d" ppath k in
+          let cpath = ppath ^ "/f" ^ string_of_int k in
           let cproc = get_proc nxe cpath variant in
-          let cchan = get_chan nxe (Printf.sprintf "%s/f%d" chan.ch_path k) in
+          let cchan = get_chan nxe (chan.ch_path ^ "/f" ^ string_of_int k) in
           (match nxe.tel with
            | Some tel ->
              Tel.Counter.incr tel.t_forks;
              Tel.instant tel.t_dom ~tid:(lane nxe chan ~variant)
                ~args:[ ("group", cchan.ch_path) ] ~ts:(M.now m) ~cat:"nxe" "fork"
            | None -> ());
-          let cpth = get_pth nxe cpath variant in
           let cdet = get_det nxe cpath in
           nxe.live_threads.(variant) <- nxe.live_threads.(variant) + 1;
           ignore
-            (M.spawn m cproc ~name:(Printf.sprintf "%s:p%s" nxe.names.(variant) cpath)
-               (exec_ops nxe ~variant ~chan:cchan ~ppath:cpath ~proc:cproc ~pth:cpth ~det:cdet
+            (M.spawn m cproc ~name:(nxe.names.(variant) ^ ":p" ^ cpath)
+               (exec_ops nxe ~variant ~chan:cchan ~ppath:cpath ~proc:cproc ~det:cdet
                   ~in_main_init:!in_main sub)))
     ops;
   (* Thread exit: channel end-of-stream bookkeeping. *)
@@ -1932,6 +1934,17 @@ let validate ~who ~net ~n ~names ~(config : config) ~faults ~coverage ~profile t
     if place.(0) <> 0 then bad "the leader (variant 0) must be on node 0";
     place
 
+(* Bounds of the always-on histograms: gap in ring slots, lockstep wait
+   and watchdog silence in machine us.  Bounds are immutable, so every run
+   shares them. *)
+let gap_bounds = Tel.Hist.bounds [ 0.; 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256. ]
+
+let wait_bounds =
+  Tel.Hist.bounds [ 0.5; 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000.; 5000. ]
+
+let heartbeat_bounds =
+  Tel.Hist.bounds [ 1.; 5.; 10.; 25.; 50.; 100.; 250.; 500.; 1000.; 5000.; 10000. ]
+
 let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitivities ~signals
     ~faults ~coverage ~profile ~names traces =
   let n = List.length traces in
@@ -1972,20 +1985,11 @@ let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitiviti
       config.telemetry
   in
   (* Always-on: these feed [report.histograms], so they must not depend on
-     whether a sink is attached.  Gap is in ring slots, wait in machine us. *)
-  let h_gap =
-    Tel.Hist.create ~buckets:[ 0.; 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256. ] ()
-  in
-  let h_wait =
-    Tel.Hist.create
-      ~buckets:[ 0.5; 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000.; 5000. ]
-      ()
-  in
-  let h_heartbeat =
-    Tel.Hist.create
-      ~buckets:[ 1.; 5.; 10.; 25.; 50.; 100.; 250.; 500.; 1000.; 5000.; 10000. ]
-      ()
-  in
+     whether a sink is attached.  Each run gets fresh counts over the
+     shared bounds. *)
+  let h_gap = Tel.Hist.of_bounds gap_bounds in
+  let h_wait = Tel.Hist.of_bounds wait_bounds in
+  let h_heartbeat = Tel.Hist.of_bounds heartbeat_bounds in
   (match config.telemetry with
    | Some sink ->
      ignore (Tel.register_hist sink "nxe.syscall_gap" h_gap);
@@ -2081,12 +2085,11 @@ let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitiviti
   in
   let start_main variant ~suffix =
     let proc = get_proc nxe "root" variant in
-    let pth = get_pth nxe "root" variant in
     let trace = nxe.traces_arr.(variant) in
     ignore
       (M.spawn (machine_of nxe variant) proc
-         ~name:(Printf.sprintf "%s:main%s" nxe.names.(variant) suffix)
-         (exec_ops nxe ~variant ~chan:root_chan ~ppath:"root" ~proc ~pth ~det:root_det
+         ~name:(nxe.names.(variant) ^ ":main" ^ suffix)
+         (exec_ops nxe ~variant ~chan:root_chan ~ppath:"root" ~proc ~det:root_det
             ~in_main_init:(not (has_marker trace)) trace))
   in
   for variant = 0 to n - 1 do
@@ -2179,14 +2182,16 @@ let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitiviti
   let per_proc v f init =
     Hashtbl.fold (fun (_, v') proc acc -> if v' = v then f acc proc else acc) nxe.proc_reg init
   in
-  let variant_finish =
-    List.init n (fun v ->
-        per_proc v (fun acc p -> Float.max acc (M.proc_finish_time (machine_of nxe v) p)) 0.0)
-  in
-  let variant_cpu =
-    List.init n (fun v ->
-        per_proc v (fun acc p -> acc +. M.proc_cpu_time (machine_of nxe v) p) 0.0)
-  in
+  (* Each variant's finish (latest) and cpu (sum) over its processes, in
+     one pass.  The registry's visit order is the per-variant folds' order,
+     so every sum adds the same terms in the same order. *)
+  let vf = Array.make n 0.0 and vc = Array.make n 0.0 in
+  Hashtbl.iter
+    (fun (_, v) p ->
+      let m = machine_of nxe v in
+      vf.(v) <- Float.max vf.(v) (M.proc_finish_time m p);
+      vc.(v) <- vc.(v) +. M.proc_cpu_time m p)
+    nxe.proc_reg;
   let total_time =
     Array.fold_left (fun acc m -> Float.max acc (M.stats m).M.total_time) 0.0 machines
   in
@@ -2195,7 +2200,6 @@ let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitiviti
      is never in [proc_reg], so it cannot pollute any variant's totals). *)
   (match nxe.profile with
    | Some c ->
-     let vf = Array.of_list variant_finish and vc = Array.of_list variant_cpu in
      for v = 0 to n - 1 do
        let m = machine_of nxe v in
        let phases = Array.make M.phase_slots 0.0 in
@@ -2257,8 +2261,8 @@ let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitiviti
       outcome = (match nxe.failed with None -> `All_finished | Some a -> `Aborted a);
       incident;
       total_time;
-      variant_finish;
-      variant_cpu;
+      variant_finish = Array.to_list vf;
+      variant_cpu = Array.to_list vc;
       synced_syscalls = nxe.synced;
       executed_syscalls = nxe.executed;
       lockstep_syscalls = nxe.locksteps;

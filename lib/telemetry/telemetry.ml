@@ -71,16 +71,21 @@ module Hist = struct
   let default_buckets =
     [ 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000.; 2000.; 5000.; 10000. ]
 
-  let create ?(buckets = default_buckets) () =
+  (* Validated bounds are an empty histogram that nothing observes (the
+     type is abstract outside).  A histogram made from them shares the
+     bounds array, which nothing writes, and copies the all-zero counts. *)
+  type bounds = t
+
+  let fresh_moments () = { h_sum = 0.0; h_min = infinity; h_max = neg_infinity }
+
+  let bounds buckets =
     (* Stats.histogram's own normaliser, so bucketing here can never drift
        from the pure list-based version. *)
     let bounds = Array.of_list (Stats.bucket_bounds buckets) in
-    {
-      bounds;
-      counts = Array.make (Array.length bounds + 1) 0;
-      h_n = 0;
-      mo = { h_sum = 0.0; h_min = infinity; h_max = neg_infinity };
-    }
+    { bounds; counts = Array.make (Array.length bounds + 1) 0; h_n = 0; mo = fresh_moments () }
+
+  let of_bounds proto = { proto with counts = Array.copy proto.counts; mo = fresh_moments () }
+  let create ?(buckets = default_buckets) () = of_bounds (bounds buckets)
 
   let observe h x =
     let k = Array.length h.bounds in
@@ -103,7 +108,11 @@ module Hist = struct
 
   let dump h =
     let k = Array.length h.bounds in
-    List.init k (fun i -> (h.bounds.(i), h.counts.(i))) @ [ (infinity, h.counts.(k)) ]
+    let acc = ref [ (infinity, h.counts.(k)) ] in
+    for i = k - 1 downto 0 do
+      acc := (h.bounds.(i), h.counts.(i)) :: !acc
+    done;
+    !acc
 
   let quantile h p = bucket_quantile h.bounds h.counts h.h_n h.mo.h_max p
 end

@@ -18,9 +18,10 @@
     {b Metrics} are registered by name on the sink: monotonic counters,
     last/max gauges, and fixed-bucket histograms.  A histogram can also be
     created standalone (see {!Hist.create}) and registered later — the NXE
-    uses this to keep its syscall-gap and lockstep-wait distributions
-    always-on (they feed [Nxe.report]) and merely {e share} them with the
-    sink when tracing is enabled. *)
+    uses this to keep its syscall-gap, lockstep-wait and heartbeat
+    distributions always-on (they feed [Nxe.report]) and merely {e share}
+    them with the sink when tracing is enabled.  It makes them once per
+    group run with {!Hist.of_bounds}, over bounds normalised once. *)
 
 type sink
 (** A trace session: bounded event ring + metrics registry. *)
@@ -120,13 +121,26 @@ module Hist : sig
   val default_buckets : float list
   (** A 1-2-5 log scale from 1 to 10^4 — suited to µs-scale latencies. *)
 
-  val create : ?buckets:float list -> unit -> t
+  type bounds
+  (** Bucket bounds validated, sorted and deduplicated once.  They are
+      immutable, so histograms made from one [bounds] value share it:
+      code that makes the same histogram over and over (the NXE, once per
+      group run) normalises its bounds once, at module initialisation. *)
+
+  val bounds : float list -> bounds
   (** Bounds are sorted and deduplicated; non-finite bounds are rejected.
       The bounds go through {!Bunshin_util.Stats.bucket_bounds}, the
-      normaliser [Stats.histogram] itself uses, so the two cannot drift;
-      no throwaway histogram is built.
+      normaliser [Stats.histogram] itself uses, so the two cannot drift.
       @raise Invalid_argument on an empty or non-finite bucket list, with
       [Stats.histogram]'s message. *)
+
+  val of_bounds : bounds -> t
+  (** An empty histogram over [bounds]: it allocates only its own counts
+      and moments, never the bounds. *)
+
+  val create : ?buckets:float list -> unit -> t
+  (** [of_bounds (bounds buckets)], normalising [buckets] on every call.
+      @raise Invalid_argument as {!bounds}. *)
 
   val observe : t -> float -> unit
   val count : t -> int

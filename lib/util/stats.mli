@@ -28,7 +28,7 @@ val sum : float list -> float
 
 val bucket_bounds : float list -> float list
 (** The bucket normaliser of {!histogram}: the bounds sorted and
-    deduplicated.  [Telemetry.Hist.create] calls it too, so the two
+    deduplicated.  [Telemetry.Hist.bounds] calls it too, so the two
     bucket the same way.
     @raise Invalid_argument on an empty list or a non-finite bound. *)
 

@@ -8,6 +8,9 @@ module Program = Bunshin_program.Program
 module San = Bunshin_sanitizer.Sanitizer
 module Cost = Bunshin_sanitizer.Cost_model
 module Nxe = Bunshin_nxe.Nxe
+module Faults = Bunshin_faults.Faults
+module Serve = Bunshin_serve.Serve
+module Server = Bunshin_workloads.Server
 
 let work c = Trace.Work { func = "f"; cost = c }
 let wr ?(args = [ 1L; 64L ]) () = Trace.Sys (Sc.write ~args ())
@@ -548,6 +551,95 @@ let prop_strict_selective_same_verdict =
 
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
+(* ------------------------------------------------------------------ *)
+(* Fixed cost of a group run.  The histogram bounds are shared by every
+   run; the lock and shared-counter tables are made on a process's first
+   op that uses them.  These tests pin that nothing else is shared, and
+   that a restart still starts the victim from fresh tables. *)
+
+(* Two threads that each take lock 1, bump shared counter 7 and write its
+   value, four times. *)
+let locked_counter_trace () =
+  let step tag =
+    [
+      Trace.Lock 1;
+      Trace.Incr 7;
+      Trace.Sys_shared (Sc.write ~args:[ 1L; tag ] (), 7);
+      Trace.Unlock 1;
+      work 3.0;
+    ]
+  in
+  let worker base = List.concat (List.init 4 (fun i -> step (Int64.of_int (base + i)))) in
+  Trace.Spawn (worker 100) :: worker 0
+
+let test_back_to_back_runs () =
+  let a () = Nxe.report_signature (run ~config:Nxe.selective 3 (locked_counter_trace ())) in
+  let first = a () in
+  (* B exits holding lock 1 with counter 7 at 1: a table kept from B
+     would block A's first lock or shift its written values. *)
+  let b =
+    run 2
+      [ work 2.0; Trace.Lock 1; Trace.Incr 7; Trace.Sys_shared (Sc.write ~args:[ 1L; 0L ] (), 7) ]
+  in
+  Alcotest.(check bool) "B finished" true (finished b);
+  Alcotest.(check string) "A again" first (a ())
+
+(* The victim dies at its fourth write, holding lock 1 with counter 7
+   bumped.  The restart must give it a fresh lock table and fresh
+   counters, or its replay blocks on the held lock or diverges.  The
+   pinned signature is the one the engine gave when it built both tables
+   at thread start. *)
+let test_restart_fresh_tables () =
+  let config =
+    {
+      Nxe.default_config with
+      fault_policy =
+        { Nxe.policy = Nxe.Restart_once; heartbeat_timeout = infinity; restart_backoff = 20.0 };
+    }
+  in
+  let faults = Faults.make [ { Faults.i_variant = 2; i_at = 3; i_kind = Faults.Die } ] in
+  let r =
+    Nxe.run_traces ~config ~faults ~names:(names 3)
+      (List.init 3 (fun _ -> locked_counter_trace ()))
+  in
+  Alcotest.(check bool) "finished" true (finished r);
+  Alcotest.(check bool) "victim recovered" true
+    (match List.nth r.Nxe.variant_status 2 with Nxe.Recovered _ -> true | _ -> false);
+  Alcotest.(check string) "signature"
+    "finished t=0x1.88p+6 syn=8 exe=8 lock=8 gap=0x0p+0/0 ord=8 rep=20 ch=2 \
+     fin=[0x1.db3333333332fp+5;0x1.df3333333332fp+5;0x1.88p+6;] \
+     cpu=[0x1.27fffffffffffp+6;0x1.e6cccccccccccp+5;0x1.6c99999999999p+6;] \
+     st=[H;H;R@0x1.4999999999997p+5->0x1.88p+6(<benign death>);] \
+     hist=[syscall_gap:0x0p+0*8,0x1p+0*0,0x1p+1*0,0x1p+2*0,0x1p+3*0,0x1p+4*0,0x1p+5*0,\
+     0x1p+6*0,0x1p+7*0,0x1p+8*0,infinity*0,;lockstep_wait_us:0x1p-1*6,0x1p+0*0,0x1p+1*5,\
+     0x1.4p+2*10,0x1.4p+3*0,0x1.4p+4*0,0x1.9p+5*0,0x1.9p+6*0,0x1.9p+7*0,0x1.f4p+8*0,\
+     0x1.f4p+9*0,0x1.388p+12*0,infinity*0,;heartbeat_wait_us:0x1p+0*0,0x1.4p+2*0,\
+     0x1.4p+3*0,0x1.9p+4*0,0x1.9p+5*0,0x1.9p+6*0,0x1.f4p+7*0,0x1.f4p+8*0,0x1.f4p+9*0,\
+     0x1.388p+12*0,0x1.388p+13*0,infinity*0,;]"
+    (Nxe.report_signature r)
+
+(* Minor words of one call, after a warm-up call. *)
+let words f =
+  ignore (f ());
+  let w0 = Gc.minor_words () in
+  ignore (f ());
+  Gc.minor_words () -. w0
+
+let test_fixed_cost_bounded () =
+  let at_most what bound w =
+    Alcotest.(check bool) (Printf.sprintf "%s: %.0f words <= %.0f" what w bound) true (w <= bound)
+  in
+  let names = names 3 in
+  at_most "empty run" 2000.0
+    (words (fun () -> Nxe.run_traces ~config:Nxe.selective ~names [ []; []; [] ]));
+  let src =
+    Serve.jittered ~jitter:0.3 ~seed:102
+      (Serve.server_source ~n:3 Server.Lighttpd ~file_kb:1 ~connections:16)
+  in
+  let traces = src.Serve.src_request ~req_id:0 in
+  at_most "lighttpd request" 2400.0
+    (words (fun () -> Nxe.run_traces ~config:Nxe.selective ~names:src.Serve.src_names traces))
+
 let () =
   Alcotest.run "bunshin_nxe"
     [
@@ -611,4 +703,10 @@ let () =
             prop_random_threaded_traces_clean;
             prop_strict_selective_same_verdict;
           ] );
+      ( "fixed cost",
+        [
+          Alcotest.test_case "back-to-back runs" `Quick test_back_to_back_runs;
+          Alcotest.test_case "restart fresh tables" `Quick test_restart_fresh_tables;
+          Alcotest.test_case "words per run bounded" `Quick test_fixed_cost_bounded;
+        ] );
     ]
