@@ -35,7 +35,11 @@ cat BENCH_interp.json
 #   just regenerated (catches a same-machine regression without tripping on
 #   hardware differences); the step counts are deterministic and pinned.
 # - profile: the attribution numbers are simulated time — deterministic —
-#   so they are gated tightly against the committed baseline.
+#   so they are gated tightly against the committed baseline; so is the
+#   host allocation of one bzip2 ASan `Profile.measure`
+#   (`minor_words_per_run`, tolerance 0.1), a deterministic count that
+#   covers generating, factoring and running one profiled trace, so a
+#   regression of that path fails the gate.
 # - nxe: runs the quick `bench nxe' section fresh (which also asserts the
 #   hot path's per-sync allocation budget); the synchronized-syscall counts
 #   and simulated times are pinned exactly (bit-identical schedules), the

@@ -2337,8 +2337,23 @@ let run_builds ?config ?machine_config ?on_machine ?faults ?coverage ?profile
           let rng = Bunshin_util.Rng.create (Hashtbl.hash (seed, variant, func)) in
           Bunshin_util.Rng.float_in rng (1.0 -. jitter) (1.0 +. jitter))
   in
+  (* The builds of one program share its workload body and its seed-0 work
+     weights: each is generated once per group, keyed on the program's
+     physical identity, and the body is factored once per build. *)
+  let shared = ref [] in
+  let shared_of (p : Program.t) =
+    match List.assq_opt p !shared with
+    | Some s -> s
+    | None ->
+      let s = (Program.generate p ~seed, Program.work_weights p) in
+      shared := (p, s) :: !shared;
+      s
+  in
   let built =
-    List.mapi (fun i b -> Program.build_trace_factored ?jitter:(jitter_of i) b ~seed) builds
+    List.mapi
+      (fun i b ->
+        Program.factor_trace ?jitter:(jitter_of i) b (fst (shared_of b.Program.prog)))
+      builds
   in
   (* Per-(variant, function) sanitizer fractions let the executor split
      check execution out of compute without extra compute calls; each comes
@@ -2361,6 +2376,10 @@ let run_builds ?config ?machine_config ?on_machine ?faults ?coverage ?profile
   run_traces ?config ?machine_config ?on_machine ?faults ?coverage ?profile
     ~working_sets:(List.map Program.build_working_set builds)
     ~sensitivities:
-      (List.map (fun b -> lazy (1.0 /. (1.0 +. Program.overhead_of_build b))) builds)
+      (List.map
+         (fun b ->
+           let ww = snd (shared_of b.Program.prog) in
+           lazy (1.0 /. (1.0 +. Program.overhead_with ww b)))
+         builds)
     ~names:(List.mapi (fun i b -> Printf.sprintf "v%d-%s" i b.Program.prog.Program.name) builds)
     (List.map fst built)

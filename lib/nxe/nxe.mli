@@ -281,13 +281,18 @@ val run_builds :
   seed:int ->
   Bunshin_program.Program.build list ->
   report
-(** Generate each build's trace (same seed, hence synchronizable syscall
-    streams) and run them under the engine.  [jitter] (default 0) applies a
-    per-variant multiplicative compute skew of up to the given fraction —
-    diversified binaries never run cycle-identical, and this skew is what
-    lockstep synchronization actually waits on.  Each variant's cache
-    sensitivity is [1 / (1 + Program.overhead_of_build b)], computed only
-    if the group over-subscribes the LLC. *)
+(** Build each build's trace (same seed, hence synchronizable syscall
+    streams) and run them under the engine.  Each variant's trace is
+    [Program.build_trace_factored] of its build, but the workload body is
+    generated once per distinct program in the group (compared
+    physically, [b.prog == b'.prog]) and factored once per build
+    ({!Bunshin_program.Program.factor_trace}).  [jitter] (default 0)
+    applies a per-variant multiplicative compute skew of up to the given
+    fraction — diversified binaries never run cycle-identical, and this
+    skew is what lockstep synchronization actually waits on.  Each
+    variant's cache sensitivity is [1 / (1 + Program.overhead_of_build b)],
+    computed only if the group over-subscribes the LLC, from seed-0 work
+    weights generated at most once per program. *)
 
 (** {2 Networked groups: the Net transport}
 

@@ -74,9 +74,8 @@ let share_of_factor cf = if cf <= 1.0 then 0.0 else (cf -. 1.0) /. cf
 
 let sanitizer_slot = Phase.slot Phase.Sanitizer
 
-(* [factor] gives each function's cost factor; the executor resolves its
-   sanitizer share once per function. *)
-let exec_trace m build ~factor trace =
+(* [work fname cost] runs one Work op on [m]. *)
+let exec_trace m build ~work trace =
   (* One lazy for the main process and its forked children: the machine
      forces it only under LLC over-subscription, and
      [Program.overhead_of_build] regenerates the program's seed-0 trace. *)
@@ -95,15 +94,6 @@ let exec_trace m build ~factor trace =
       Hashtbl.replace counters id r;
       r
   in
-  let fracs : float Program.Func_tbl.t = Program.Func_tbl.create 64 in
-  let frac fname =
-    match Program.Func_tbl.find fracs fname with
-    | f -> f
-    | exception Not_found ->
-      let f = share_of_factor (factor fname) in
-      Program.Func_tbl.add fracs fname f;
-      f
-  in
   (* Phase-tagged wrappers: identical compute/wait calls (the schedule is
      untouched), only the accounting bucket differs. *)
   let compute_as phase cost =
@@ -115,14 +105,6 @@ let exec_trace m build ~factor trace =
     let prev = M.set_wait_phase m (Phase.slot phase) in
     f ();
     ignore (M.set_wait_phase m prev)
-  in
-  (* A baseline build's factors are all 1.0: no share to look up. *)
-  let work =
-    if build.Program.sanitizers = [] then fun _ cost -> M.compute m cost
-    else fun fname cost ->
-      let f = frac fname in
-      if f <= 0.0 then M.compute m cost
-      else ignore (M.compute_share m cost ~from_:M.slot_compute ~to_:sanitizer_slot f)
   in
   let rec run_ops ops () =
     List.iter
@@ -165,20 +147,44 @@ let exec_trace m build ~factor trace =
   ignore (M.spawn m proc ~name:"main" (run_ops trace));
   proc
 
-(* The executor takes each function's factor from the one the trace
-   builder resolved, so [cost_factor] runs once per distinct function. *)
+(* Each function's sanitizer share comes from the factor the trace
+   builder resolved, once per distinct function, and is carved out of its
+   compute into the sanitizer bucket. *)
 let exec_build m build ~seed =
   let trace, factors = Program.build_trace_factored build ~seed in
-  exec_trace m build ~factor:(Program.factor factors) trace
+  (* A baseline build's factors are all 1.0: no share to look up. *)
+  let work =
+    if build.Program.sanitizers = [] then fun _ cost -> M.compute m cost
+    else begin
+      let fracs : float Program.Func_tbl.t = Program.Func_tbl.create 64 in
+      let frac fname =
+        match Program.Func_tbl.find fracs fname with
+        | f -> f
+        | exception Not_found ->
+          let f = share_of_factor (Program.factor factors fname) in
+          Program.Func_tbl.add fracs fname f;
+          f
+      in
+      fun fname cost ->
+        let f = frac fname in
+        if f <= 0.0 then M.compute m cost
+        else ignore (M.compute_share m cost ~from_:M.slot_compute ~to_:sanitizer_slot f)
+    end
+  in
+  exec_trace m build ~work trace
 
+(* A measurement reads only the machine's clock and the trace's Work per
+   function, never the phase buckets, so each Work op is a plain compute:
+   the same bursts, hence the same schedule and total time, without the
+   share lookup or the carve-out. *)
 let measure ?machine_config build ~seed =
   let m =
     match machine_config with
     | Some config -> M.create ~config ()
     | None -> M.create ()
   in
-  let trace, factors = Program.build_trace_factored build ~seed in
-  ignore (exec_trace m build ~factor:(Program.factor factors) trace);
+  let trace = Program.build_trace build ~seed in
+  ignore (exec_trace m build ~work:(fun _ cost -> M.compute m cost) trace);
   M.run m;
   {
     prog_name = build.Program.prog.Program.name;

@@ -20,12 +20,15 @@ val measure :
   ?machine_config:Bunshin_machine.Machine.config -> Bunshin_program.Program.build ->
   seed:int -> t
 (** Execute the build's trace (threads, locks, syscalls and all) on a fresh
-    machine and collect its profile.  The trace is built once, in one walk
-    ({!Bunshin_program.Program.build_trace_factored}), and [by_func] is the
-    per-function Work of the very trace the machine ran.  Each function's
-    sanitizer share is {!share_of_factor} of the factor that walk
-    resolved, so [cost_factor] runs once per distinct function.  The
-    build's cache sensitivity
+    machine and collect its profile: [total_time], and a lazy [by_func]
+    that is the per-function Work of the very trace the machine ran.  The
+    trace is built once, in one walk
+    ({!Bunshin_program.Program.build_trace}).  Nothing outside [measure]
+    can read the run's phase buckets, so each Work op runs as a plain
+    [Machine.compute], without {!exec_build}'s per-function sanitizer
+    share or its carve-out; the bursts, the schedule and [total_time] are
+    those of [exec_build] followed by [Machine.run] on a fresh machine of
+    the same config.  The build's cache sensitivity
     ({!Bunshin_program.Program.overhead_of_build}, one more trace
     generation) is computed only if the run over-subscribes the LLC. *)
 
@@ -54,9 +57,11 @@ val exec_build :
     barriers, syscall service costs — no NXE synchronization) and return
     its process handle.  Call [Machine.run] afterwards.  Ops are
     phase-tagged (see {!Phase}), so the machine's per-thread buckets
-    decompose the run; the sanitizer share of each function's compute is
-    reattributed to {!Phase.Sanitizer} post-hoc — burst boundaries, and
-    hence the schedule, are identical to an untagged run. *)
+    decompose the run.  The sanitizer share of each function's compute
+    ({!share_of_factor} of the factor the trace builder resolved, looked up
+    once per function) is reattributed to {!Phase.Sanitizer} post-hoc —
+    burst boundaries, and hence the schedule, are identical to an untagged
+    run, and to {!measure}'s. *)
 
 (** {1 Overhead attribution} *)
 

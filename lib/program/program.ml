@@ -58,13 +58,31 @@ let checked_fraction b fname =
       float_of_int !mine /. float_of_int b.block_split
     end
 
+(* A build's summed check cost and family residual on one code profile. *)
+type group_costs = { check : float; residual : float }
+
+let group_costs sans p =
+  { check = San.group_check_cost sans p; residual = San.group_residual sans p }
+
+(* [group_costs] once per distinct code profile, compared physically: a
+   program's functions share their profile records, and the residual
+   sorts and filters the sanitizers by family. *)
+let costs_by_profile sans =
+  let memo = ref [] in
+  fun p ->
+    match List.assq_opt p !memo with
+    | Some c -> c
+    | None ->
+      let c = group_costs sans p in
+      memo := (p, c) :: !memo;
+      c
+
+let factor_with costs b fname =
+  let c = costs (profile_of b fname) in
+  1.0 +. (checked_fraction b fname *. c.check) +. c.residual
+
 let cost_factor b fname =
-  if b.sanitizers = [] then 1.0
-  else begin
-    let p = profile_of b fname in
-    let checks = checked_fraction b fname *. San.group_check_cost b.sanitizers p in
-    1.0 +. checks +. San.group_residual b.sanitizers p
-  end
+  if b.sanitizers = [] then 1.0 else factor_with (group_costs b.sanitizers) b fname
 
 (* One runtime per family issues the phase syscalls; dedup so that 19 UBSan
    sub-sanitizers do not scan /proc 19 times. *)
@@ -103,22 +121,24 @@ let factor fs fname =
   | e -> e.cf
   | exception Not_found -> cost_factor fs.fs_build fname
 
-let build_trace_factored ?jitter b ~seed =
-  let body = b.prog.gen_trace (Bunshin_util.Rng.create seed) in
+let generate prog ~seed = prog.gen_trace (Bunshin_util.Rng.create seed)
+
+let factor_trace ?jitter b body =
   let tbl = Func_tbl.create 64 in
-  (* [cost_factor] scans the functions, the checked units and every
-     sanitizer's cost model, so it is resolved once per function: a trace
-     has ~1,000 Work ops over at most 120 functions.  A baseline build's
-     factor is 1.0 everywhere, and [c *. 1.0 = c], so it multiplies by
-     nothing; without [jitter] neither does the second factor. *)
+  (* The factor is resolved once per function (a trace has ~1,000 Work ops
+     over at most 120 functions), and its group costs once per code
+     profile.  A baseline build's factor is 1.0 everywhere, and
+     [c *. 1.0 = c], so it multiplies by nothing; without [jitter] neither
+     does the second factor. *)
   let scaled = b.sanitizers <> [] and jittered = Option.is_some jitter in
+  let costs = costs_by_profile b.sanitizers in
   let scale fname =
     match Func_tbl.find tbl fname with
     | e -> e
     | exception Not_found ->
       let e =
         {
-          cf = (if scaled then cost_factor b fname else 1.0);
+          cf = (if scaled then factor_with costs b fname else 1.0);
           jf = (match jitter with Some j -> j fname | None -> 1.0);
         }
       in
@@ -164,24 +184,37 @@ let build_trace_factored ?jitter b ~seed =
   let trace = sys San.Pre_main @ (Trace.Marker Trace.Main_entered :: walk true body) in
   (trace, { fs_build = b; fs_tbl = tbl })
 
+let build_trace_factored ?jitter b ~seed = factor_trace ?jitter b (generate b.prog ~seed)
+
 let build_trace b ~seed = fst (build_trace_factored b ~seed)
 
 let build_working_set b = b.prog.working_set *. San.group_ws_multiplier b.sanitizers
 
 let build_ram_overhead b = San.group_ram_overhead b.sanitizers
 
-let overhead_of_build b =
+(* The seed-0 workload's work per function and its total, generated the
+   first time a sanitized build's overhead needs them. *)
+type work_weights = ((string * float) list * float) Lazy.t
+
+let work_weights prog =
+  lazy
+    (let weights = Trace.work_by_func (generate prog ~seed:0) in
+     (weights, List.fold_left (fun acc (_, w) -> acc +. w) 0.0 weights))
+
+let overhead_with ww b =
   (* Weight each function by its share of baseline work in the seed-0
      workload.  A baseline build's factors are all 1.0, so it has no
      overhead and no trace to generate. *)
   if b.sanitizers = [] then 0.0
   else begin
-    let base = b.prog.gen_trace (Bunshin_util.Rng.create 0) in
-    let weights = Trace.work_by_func base in
-    let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 weights in
+    let weights, total = Lazy.force ww in
     if total <= 0.0 then 0.0
-    else
+    else begin
+      let costs = costs_by_profile b.sanitizers in
       List.fold_left
-        (fun acc (fname, w) -> acc +. (w /. total *. (cost_factor b fname -. 1.0)))
+        (fun acc (fname, w) -> acc +. (w /. total *. (factor_with costs b fname -. 1.0)))
         0.0 weights
+    end
   end
+
+let overhead_of_build b = overhead_with (work_weights b.prog) b

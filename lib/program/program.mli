@@ -65,23 +65,45 @@ module Func_tbl : Hashtbl.S with type key = string
     per-op lookups of the trace builder and the executors. *)
 
 type factors
-(** The per-function factors one {!build_trace_factored} call resolved.
-    Owned by the caller; nothing is kept between calls. *)
+(** The per-function factors one {!factor_trace} call resolved.  Owned by
+    the caller; nothing is kept between calls. *)
 
-val build_trace_factored :
-  ?jitter:(string -> float) -> build -> seed:int -> Trace.t * factors
-(** {!build_trace} in one walk over the generated ops, and the factors it
-    resolved.  The walk multiplies each Work op's cost by the function's
-    {!cost_factor} and then, if given, by [jitter fname]:
+(** {2 Generating and factoring}
+
+    A build's trace is made in two steps.  {!generate} runs the program's
+    workload: it depends on the program and the seed only, and is most of
+    the cost.  {!factor_trace} then applies one build to that body.  The
+    body is only read, so the builds of one program at one seed can share
+    a single generation: a group keys the body on the physical identity of
+    the build's {!t} ([b.prog == b'.prog]) and factors it once per build
+    ([Nxe.run_builds] does).  Two distinct [t] values are never assumed to
+    share a workload, even when they are structurally equal. *)
+
+val generate : t -> seed:int -> Trace.t
+(** [generate prog ~seed] is [prog.gen_trace (Rng.create seed)]: the
+    workload body every build of [prog] at [seed] factors. *)
+
+val factor_trace : ?jitter:(string -> float) -> build -> Trace.t -> Trace.t * factors
+(** [factor_trace ?jitter b body] is the build's trace of [body], which
+    must be [generate b.prog ~seed], in one walk over its ops, and the
+    factors it resolved.  The walk multiplies each Work op's cost by the
+    function's {!cost_factor} and then, if given, by [jitter fname]:
     [(c *. cost_factor) *. jitter], which is the cost of [Trace.map_cost]
     with the factor followed by [Trace.map_cost] with the jitter.  It
     weaves the runtime's in-execution syscalls in after every 500 us of
     factored, pre-jitter work on the main body (not inside Spawn/Fork
     bodies), and splices the pre-main and post-exit phases around it.
-    [cost_factor] and [jitter] are each called once per distinct function
-    of the trace (a baseline build skips [cost_factor], and without
-    [jitter] there is no second multiplication).  The walk costs O(1) per
-    op plus one string-keyed lookup per Work op. *)
+    [cost_factor] and [jitter] are each resolved once per distinct
+    function of the trace, and the sanitizers' group check and residual
+    costs once per distinct code profile (a baseline build skips the
+    factor, and without [jitter] there is no second multiplication).  The
+    walk costs O(1) per op plus one string-keyed lookup per Work op, and
+    [body] is left as it was. *)
+
+val build_trace_factored :
+  ?jitter:(string -> float) -> build -> seed:int -> Trace.t * factors
+(** [build_trace_factored ?jitter b ~seed] is
+    [factor_trace ?jitter b (generate b.prog ~seed)]. *)
 
 val factor : factors -> string -> float
 (** [factor fs fname] is {!cost_factor} of the build for [fname]: the
@@ -104,7 +126,21 @@ val overhead_of_build : build -> float
     baseline (result 0, no work), each call generates the program's whole
     seed-0 workload trace and sums its work per function, as dear as one
     {!build_trace}; the profiler and the engines therefore derive a
-    build's cache sensitivity from it lazily. *)
+    build's cache sensitivity from it lazily.
+    [overhead_of_build b] is [overhead_with (work_weights b.prog) b]. *)
+
+type work_weights
+(** A program's seed-0 work per function, generated on first use. *)
+
+val work_weights : t -> work_weights
+(** [work_weights prog] generates nothing yet: the seed-0 workload is
+    generated and summed the first time {!overhead_with} needs it, once
+    for every build that shares the value. *)
+
+val overhead_with : work_weights -> build -> float
+(** [overhead_with (work_weights b.prog) b] is {!overhead_of_build}[ b],
+    bit for bit; the builds of one program can share one [work_weights],
+    so a group generates the seed-0 workload at most once per program. *)
 
 val cost_factor : build -> string -> float
 (** Work-cost multiplier this build applies to the named function

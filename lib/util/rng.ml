@@ -85,7 +85,12 @@ let choice t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choice: empty array";
   arr.(int t (Array.length arr))
 
-type 'a weighted = { items : 'a array; cum : float array }
+(* [guide.(j)] is the first element whose prefix sum falls in bucket [j]
+   or a later one, where a value [x] falls in bucket [bucket scale x]:
+   the prefix sums are cut into [n] buckets of equal width. *)
+type 'a weighted = { items : 'a array; cum : float array; scale : float; guide : int array }
+
+let bucket scale x = int_of_float (x *. scale)
 
 let weighted pairs =
   let n = Array.length pairs in
@@ -101,20 +106,38 @@ let weighted pairs =
     pairs;
   if !acc <= 0.0 then invalid_arg "Rng.weighted: weights sum to zero";
   if not (Float.is_finite !acc) then invalid_arg "Rng.weighted: weights overflow";
-  { items = Array.map fst pairs; cum }
+  (* A total so small that [n /. total] overflows gets one bucket. *)
+  let scale =
+    let s = float_of_int n /. !acc in
+    if Float.is_finite s then s else 0.0
+  in
+  let guide = Array.make n 0 in
+  let i = ref 0 in
+  for j = 0 to n - 1 do
+    while !i < n - 1 && bucket scale cum.(!i) < j do
+      incr i
+    done;
+    guide.(j) <- !i
+  done;
+  { items = Array.map fst pairs; cum; scale; guide }
 
-(* The first prefix sum above [target], the last element if none is.  The
-   prefix sums are non-decreasing, so binary search returns exactly what
-   a left-to-right scan accumulating the same sums would. *)
+(* The first prefix sum above [target], the last element if none is: what
+   a left-to-right scan accumulating the same sums returns.  Rounded
+   multiplication by [scale >= 0] and truncation are both monotone, so a
+   prefix sum in an earlier bucket than [target] is below it: the answer
+   is never before [guide.(bucket target)], and the walk forward from
+   there only passes sums at or below [target].  A target past the last
+   bucket (rounding at the top) starts from the last bucket's entry, which
+   is earlier still. *)
 let draw t w =
   let n = Array.length w.cum in
   let target = float t w.cum.(n - 1) in
-  let lo = ref 0 and hi = ref (n - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if target < w.cum.(mid) then hi := mid else lo := mid + 1
+  let j = bucket w.scale target in
+  let i = ref w.guide.(if j < n then j else n - 1) in
+  while !i < n - 1 && w.cum.(!i) <= target do
+    incr i
   done;
-  w.items.(!lo)
+  w.items.(!i)
 
 let weighted_choice t pairs = draw t (weighted pairs)
 

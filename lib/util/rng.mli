@@ -52,20 +52,26 @@ val choice : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 
 type 'a weighted
-(** A cumulative-weight table over a fixed set of weighted elements.
-    Building it costs O(n); each {!draw} from it costs O(log n).  Build it
-    once per generated trace, not once per draw. *)
+(** A cumulative-weight table over a fixed set of weighted elements, with
+    a guide that maps each of [n] equal-width slices of the total to the
+    first element that can end in it.  Building it costs O(n); a {!draw}
+    costs one multiplication, one guide read and a short forward walk.
+    Build it once per generated trace, not once per draw. *)
 
 val weighted : ('a * float) array -> 'a weighted
 (** [weighted pairs] tabulates the prefix sums of the weights, left to
-    right.  @raise Invalid_argument if [pairs] is empty, a weight is
-    negative, NaN or infinite, or the weights sum to zero or overflow. *)
+    right, and their guide.  @raise Invalid_argument if [pairs] is empty,
+    a weight is negative, NaN or infinite, or the weights sum to zero or
+    overflow. *)
 
 val draw : t -> 'a weighted -> 'a
 (** Element drawn proportionally to its weight, with one uniform draw in
     [\[0, total)]: the first element whose prefix sum exceeds it, or the
     last element when rounding leaves none.  This is the element a linear
-    scan over the same pairs returns. *)
+    scan over the same pairs returns, and the element a binary search of
+    the prefix sums returns, for every weight table and every generator
+    state; the guide changes how the element is found, never which one,
+    and the draw consumes exactly one raw output, as both of those do. *)
 
 val weighted_choice : t -> ('a * float) array -> 'a
 (** [weighted_choice t pairs] is [draw t (weighted pairs)]: a one-off

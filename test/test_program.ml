@@ -236,8 +236,84 @@ let test_nxe_sensitivity_computed_lazily () =
          [ b; b; b ]);
     !calls
   in
-  Alcotest.(check int) "fits: one trace per variant" 3 (traces 1.0);
-  Alcotest.(check int) "over-subscribed: one more per variant" 6 (traces 20.0)
+  Alcotest.(check int) "fits: one body for the three builds" 1 (traces 1.0);
+  Alcotest.(check int) "over-subscribed: one more for the three sensitivities" 2
+    (traces 20.0)
+
+(* A group over two distinct programs: the builds of each share one
+   generated body (and, over-subscribed, one seed-0 generation for their
+   sensitivities), and each variant runs exactly [Program.build_trace] of
+   its own build.  The second program's Work costs 1.5x the first's, with
+   the same syscalls, so the group finishes and running either body in the
+   other's place shows in the variants' CPU times. *)
+let test_nxe_group_shares_body_per_program () =
+  List.iter
+    (fun (ws, per_program) ->
+      let p1, calls1 = counting_program ~working_set:ws in
+      let p2, calls2 =
+        let p, calls = counting_program ~working_set:ws in
+        let gen_trace r = Trace.scale 1.5 (p.Program.gen_trace r) in
+        ({ p with Program.name = "toy2"; gen_trace }, calls)
+      in
+      let builds =
+        [
+          Program.full [ San.asan ] p1;
+          Program.full [ San.asan ] p2;
+          Program.variant [ San.asan ] ~checked:[ "parse" ] p1;
+          Program.baseline p2;
+        ]
+      in
+      let desktop = Bunshin.Experiments.desktop in
+      let got = Bunshin_nxe.Nxe.run_builds ~machine_config:desktop ~seed:7 builds in
+      let label = Printf.sprintf "working set %g" ws in
+      Alcotest.(check (pair int int))
+        (label ^ ": generations per program")
+        (per_program, per_program) (!calls1, !calls2);
+      let want =
+        Bunshin_nxe.Nxe.run_traces ~machine_config:desktop
+          ~working_sets:(List.map Program.build_working_set builds)
+          ~sensitivities:
+            (List.map (fun b -> lazy (1.0 /. (1.0 +. Program.overhead_of_build b))) builds)
+          ~names:
+            (List.mapi
+               (fun i (b : Program.build) -> Printf.sprintf "v%d-%s" i b.Program.prog.Program.name)
+               builds)
+          (List.map (fun b -> Program.build_trace b ~seed:7) builds)
+      in
+      Alcotest.(check bool)
+        (label ^ ": finished") true
+        (got.Bunshin_nxe.Nxe.outcome = `All_finished);
+      Alcotest.(check string)
+        (label ^ ": each variant runs its build's trace")
+        (Bunshin_nxe.Nxe.report_signature want)
+        (Bunshin_nxe.Nxe.report_signature got))
+    [ (1.0, 1); (20.0, 2) ]
+
+(* [measure] runs Work ops as plain computes; [exec_build] carves each
+   function's sanitizer share out of them.  Both give the same bursts, so
+   the same total time, bit for bit. *)
+let test_measure_equals_exec_build () =
+  let spec name = (Bunshin_workloads.Spec.find name).Bunshin_workloads.Bench.prog in
+  let bzip2 = spec "bzip2" and gcc = spec "gcc" in
+  let half =
+    List.filteri (fun i _ -> i mod 2 = 0)
+      (List.map (fun (f : Program.func) -> f.Program.fn_name) bzip2.Program.funcs)
+  in
+  List.iter
+    (fun (label, b) ->
+      let config = Bunshin.Experiments.desktop in
+      let m = M.create ~config () in
+      ignore (Profile.exec_build m b ~seed:2);
+      M.run m;
+      let want = (M.stats m).M.total_time in
+      let got = (Profile.measure ~machine_config:config b ~seed:2).Profile.total_time in
+      Alcotest.(check bool) (label ^ ": ran") true (want > 0.0);
+      Alcotest.(check int64) label (Int64.bits_of_float want) (Int64.bits_of_float got))
+    [
+      ("bzip2 ASan", Program.full [ San.asan ] bzip2);
+      ("gcc ASan", Program.full [ San.asan ] gcc);
+      ("bzip2 UBSan variant", Program.variant San.ubsan_subs ~checked:half bzip2);
+    ]
 
 let test_profile_multithreaded_trace () =
   (* Two worker threads guarded by a lock: executor must not deadlock and
@@ -682,6 +758,8 @@ let () =
           Alcotest.test_case "multithreaded trace" `Quick test_profile_multithreaded_trace;
           Alcotest.test_case "computes lazily" `Quick test_profile_computes_lazily;
           Alcotest.test_case "nxe sensitivity lazy" `Quick test_nxe_sensitivity_computed_lazily;
+          Alcotest.test_case "nxe body per program" `Quick test_nxe_group_shares_body_per_program;
+          Alcotest.test_case "measure equals exec_build" `Quick test_measure_equals_exec_build;
         ] );
       ( "variant-generator",
         [

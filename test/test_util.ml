@@ -446,17 +446,39 @@ let scan_weighted_choice t pairs =
   in
   scan 0 0.0
 
-(* Weights mix zeros, a few repeated values and arbitrary ones, so ties
-   between prefix sums and runs of equal sums both occur. *)
+(* Three kinds of table:
+   - zeros, a few repeated values and arbitrary ones, so ties between
+     prefix sums and runs of equal sums both occur;
+   - weights from 1e-9 to 1e9 (log-uniform, zeros mixed in), so a huge
+     weight swallows the small ones after it and the guide's buckets hold
+     anything from no prefix sum to dozens;
+   - the SPEC models' tables (Spec.func_weights): one hot item, then
+     12-120 items decaying geometrically by 0.92 and normalised to the rest
+     of the total. *)
 let weights_gen =
-  QCheck.Gen.(
+  let open QCheck.Gen in
+  let mixed =
     list_size (1 -- 150)
       (frequency
          [
            (2, return 0.0);
            (3, oneofl [ 1.0; 0.5; 3.25 ]);
            (5, float_range 0.0 100.0);
-         ]))
+         ])
+  in
+  let wide =
+    list_size (1 -- 150)
+      (frequency [ (1, return 0.0); (9, map (fun e -> 10.0 ** e) (float_range (-9.0) 9.0)) ])
+  in
+  let spec =
+    map2
+      (fun n hot ->
+        let raw = List.init (n - 1) (fun i -> 0.92 ** float_of_int i) in
+        let total = List.fold_left ( +. ) 0.0 raw in
+        hot :: List.map (fun w -> (1.0 -. hot) *. w /. total) raw)
+      (12 -- 120) (float_range 0.05 0.99)
+  in
+  frequency [ (2, mixed); (1, wide); (1, spec) ]
 
 let prop_weighted_draw_matches_scan =
   QCheck.Test.make ~name:"rng: table draw matches linear scan" ~count:300
