@@ -1128,11 +1128,12 @@ let nxe_section () = write_bench_json "BENCH_nxe.json" (nxe_data ())
 (* Distributed NXE: the DMON / dMVX trade-off curve — bytes on the wire
    and run-time overhead of naive full-remote-lockstep vs selective
    cross-checking vs selective + local result replication, at 2-4 nodes.
-   Everything in this section is simulated (wire bytes, message counts,
+   Everything in the table is simulated (wire bytes, message counts,
    simulated wall time): one seed, one bit-stable schedule, so the gate
    pins the whole table tightly.  The overhead column is the distributed
    run's simulated wall time against the same fleet packed onto a single
-   node (no wire). *)
+   node (no wire).  The JSON adds one host count per case, the
+   co-simulation's minor words per synchronized syscall. *)
 
 let net_modes =
   [
@@ -1152,7 +1153,12 @@ let net_run ~variants ~nodes ~ship mk_trace =
    | `Aborted _ ->
      Printf.eprintf "net bench: workload aborted (false divergence)\n";
      exit 1);
+  (* The rerun checks determinism and measures the host's allocation: the
+     minor words of one whole run per synchronized syscall, as the nxe
+     section measures its local runs. *)
+  let mw0 = Gc.minor_words () in
   let r2 = run1 () in
+  let mwords = Gc.minor_words () -. mw0 in
   if
     r2.Cluster.bytes_on_wire <> r.Cluster.bytes_on_wire
     || r2.Cluster.msgs_on_wire <> r.Cluster.msgs_on_wire
@@ -1162,7 +1168,8 @@ let net_run ~variants ~nodes ~ship mk_trace =
       r2.Cluster.bytes_on_wire r.Cluster.bytes_on_wire;
     exit 1
   end;
-  r
+  let synced = r.Cluster.synced_syscalls in
+  (r, if synced = 0 then 0.0 else mwords /. float_of_int synced)
 
 (* Verdict parity: the same injected argument divergence must produce a
    structurally identical alert in all three ship modes and in the local
@@ -1259,13 +1266,13 @@ let net_data () =
   let suites = ref [] in
   List.iter
     (fun (wname, mk_trace) ->
-      let solo = net_run ~variants ~nodes:1 ~ship:Cluster.Selective_replicated mk_trace in
+      let solo, _ = net_run ~variants ~nodes:1 ~ship:Cluster.Selective_replicated mk_trace in
       List.iter
         (fun nodes ->
           let naive_bytes = ref 0 in
           List.iter
             (fun (mname, ship) ->
-              let r = net_run ~variants ~nodes ~ship mk_trace in
+              let r, words_per_sync = net_run ~variants ~nodes ~ship mk_trace in
               if ship = Cluster.Full_remote_lockstep then
                 naive_bytes := r.Cluster.bytes_on_wire;
               let reduction =
@@ -1311,6 +1318,7 @@ let net_data () =
                     ("replicated_results", float_of_int r.Cluster.replicated_results);
                     ("sim_total_time_us", r.Cluster.total_time);
                     ("overhead_pct", overhead);
+                    ("minor_words_per_sync", words_per_sync);
                   ] )
                 :: !suites)
             net_modes)
@@ -1696,14 +1704,17 @@ let gate_specs =
     ( "net",
       net_data,
       [
-        (* Everything in the net section is simulated — bytes, message
-           counts and synced slots are exact integers of a bit-stable
-           schedule, pinned; the times carry only JSON rounding slack. *)
+        (* Bytes, message counts and synced slots are exact integers of a
+           bit-stable schedule, pinned; the simulated times carry only
+           JSON rounding slack. *)
         Gate.threshold ~tolerance:0.0 "synced_syscalls";
         Gate.threshold ~tolerance:0.0 "bytes_on_wire";
         Gate.threshold ~tolerance:0.0 "msgs_on_wire";
         Gate.threshold ~tolerance:0.01 "sim_total_time_us";
         Gate.threshold ~tolerance:0.01 "overhead_pct";
+        (* The host pin: a deterministic count of the co-simulation's minor
+           words, with the tolerance of nxe's minor_words_per_sync. *)
+        Gate.threshold ~tolerance:0.1 "minor_words_per_sync";
       ] );
     ( "slo",
       slo_data,

@@ -46,7 +46,9 @@ cat BENCH_interp.json
 #   wall-clock sync rate with the same tolerance as the interp gate.
 # - net: re-runs the cluster traffic matrix (which itself asserts the >=5x
 #   dense-workload byte reduction of selective+replication vs naive, and
-#   cross-mode verdict parity) and pins the deterministic wire/time numbers.
+#   cross-mode verdict parity) and pins the deterministic wire/time
+#   numbers, and the co-simulation's host allocation per synced syscall
+#   (`minor_words_per_sync`, tolerance 0.1), a deterministic count.
 # - slo: re-runs the causal-tracing matrix fresh — which itself asserts
 #   that enabling the tracer leaves the run bit-identical, that the span
 #   ring stays inside the NXE's per-sync allocation budget, and that the

@@ -237,9 +237,9 @@ type t = {
   mutable h_next_seq : int;
   mutable n_timers : int; (* [Fn] entries in the heap *)
   (* Progress flag for co-simulation: set whenever the scheduler does real
-     work (resumes a fiber or starts a burst), read/reset by
-     [dispatch_runnable] so a cluster driver can interleave several
-     machines until none can advance without consuming an event. *)
+     work (resumes a fiber or starts a burst), read/reset by the group
+     loop's settle pass (and [dispatch_runnable]) so several machines
+     interleave until none can advance without consuming an event. *)
   mutable progress : bool;
   runq : Tq.q;
   cores : core array;
@@ -258,9 +258,13 @@ type t = {
   mutable nd_unfinished : int;
   mutable nd_blocked : int;
   mutable pressure_dirty : bool;
-  (* Inside [run]: the only driver under which [compute] may finish a
-     burst inline (the co-simulation hooks never set it). *)
+  (* Set while [compute] may finish a burst inline: throughout [run], and
+     under [run_group] only while the loop steps this machine's own event
+     ([dispatch_runnable] and [step_event] never set it). *)
   mutable in_run : bool;
+  (* The machines [run_group] drives, this one included; empty otherwise.
+     An inline burst must also end before anything any of them can do. *)
+  mutable peers : t array;
   mutable n_inline : int; (* burst slices finished inline by [compute] *)
   mutable n_sched : int;  (* burst slices started through the event heap *)
   tel : tel option;
@@ -319,6 +323,7 @@ let create ?(config = default_config) ?telemetry () =
     nd_blocked = 0;
     pressure_dirty = true;
     in_run = false;
+    peers = [||];
     n_inline = 0;
     n_sched = 0;
     tel;
@@ -611,8 +616,12 @@ let slice_of t th = if th.f.remaining <= t.cfg.quantum then th.f.remaining else 
    that this round trip can do nothing else, [compute] performs the same
    float operations in the same order without suspending (DESIGN.md §14):
 
-   - [in_run]: only [run] drives the machine.  Under the co-simulation
-     hooks another node's earlier event can post a timer here.
+   - [in_run]: [run] drives the machine, or [run_group] is stepping this
+     machine's own event.  Under [run_group] every other machine of the
+     group must also have an empty run queue and a heap top strictly
+     after the slice end: then the loop would settle nothing and step
+     this Burst_end next, where a peer's earlier event could post a timer
+     here or a peer's runnable fiber could act first.
    - no telemetry: the burst span and pressure samples stay scheduled.
    - not a daemon: the run loop's termination and deadlock checks could
      otherwise fire while the burst is in flight.
@@ -643,7 +652,15 @@ let inline_slice t th =
   let effective = 0.0 +. (slice *. mult) in
   let f = th.f and mf = t.mf in
   let time = mf.clock +. effective in
-  if (t.h_len = 0 || time < t.h_time.(0)) && time <= t.cfg.max_time
+  let peers = t.peers in
+  let quiet = ref true and k = ref 0 in
+  while !quiet && !k < Array.length peers do
+    let p = peers.(!k) in
+    if p != t && ((not (Tq.is_empty p.runq)) || (p.h_len > 0 && p.h_time.(0) <= time)) then
+      quiet := false;
+    incr k
+  done;
+  if !quiet && (t.h_len = 0 || time < t.h_time.(0)) && time <= t.cfg.max_time
   then begin
     (* make_ready and start_burst *)
     charge t th;
@@ -953,9 +970,65 @@ let run t =
   Fun.protect ~finally:(fun () -> t.in_run <- false) loop
 
 (* ------------------------------------------------------------------ *)
-(* Co-simulation hooks: a cluster driver owns several machines and advances
-   them against one global clock — settle every machine's runnable work,
-   then step whichever machine holds the globally earliest event. *)
+(* Co-simulation: several machines against one global clock.  Settle
+   every machine's runnable work, then step whichever machine holds the
+   globally earliest event. *)
+
+(* Dispatch the machines in index order until none progresses.  A machine
+   with an empty run queue is skipped: its dispatch would do nothing. *)
+let rec settle ms =
+  let progressed = ref false in
+  for k = 0 to Array.length ms - 1 do
+    let m = ms.(k) in
+    if not (Tq.is_empty m.runq) then begin
+      m.progress <- false;
+      dispatch m;
+      if m.progress then progressed := true
+    end
+  done;
+  if !progressed then settle ms
+
+let run_group ms =
+  let nm = Array.length ms in
+  let loop () =
+    let running = ref true in
+    while !running do
+      settle ms;
+      let unfinished = ref 0 in
+      for k = 0 to nm - 1 do
+        unfinished := !unfinished + ms.(k).nd_unfinished
+      done;
+      if !unfinished = 0 then running := false
+      else begin
+        (* The earliest heap top, ties to the lowest index. *)
+        let best = ref (-1) and bt = ref infinity in
+        for k = 0 to nm - 1 do
+          let m = ms.(k) in
+          if m.h_len > 0 && m.h_time.(0) < !bt then begin
+            bt := m.h_time.(0);
+            best := k
+          end
+        done;
+        if !best < 0 then
+          raise
+            (Deadlock
+               ("cluster: " ^ String.concat "; " (Array.to_list (Array.map stuck_names ms))));
+        let m = ms.(!best) in
+        m.in_run <- true;
+        process_next m;
+        m.in_run <- false
+      end
+    done
+  in
+  Array.iter (fun m -> m.peers <- ms) ms;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun m ->
+          m.in_run <- false;
+          m.peers <- [||])
+        ms)
+    loop
 
 let dispatch_runnable t =
   t.progress <- false;
@@ -969,7 +1042,6 @@ let step_event t =
   else process_next t
 
 let unfinished_nondaemon t = t.nd_unfinished
-let stuck_description t = stuck_names t
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)

@@ -62,8 +62,9 @@ val spawn : t -> ?daemon:bool -> proc -> name:string -> (unit -> unit) -> tid
 (** {1 Fiber operations} — valid only inside a thread body. *)
 
 val compute : t -> float -> unit
-(** Consume CPU for the given cost (pre cache inflation).  Under {!run},
-    when the machine's state proves the burst would be the next event —
+(** Consume CPU for the given cost (pre cache inflation).  Under {!run}
+    (and, with further conditions, {!run_group}), when the machine's
+    state proves the burst would be the next event —
     no telemetry sink, a non-daemon caller, an empty run queue, the
     caller's last core free and still its own, and the burst ending
     strictly before every pending event — the burst finishes
@@ -115,13 +116,12 @@ val run : t -> unit
 (** Execute until every non-daemon thread finishes.
     @raise Deadlock when progress becomes impossible. *)
 
-(** {1 Co-simulation hooks}
+(** {1 Co-simulation}
 
-    Used by the lockstep engine over a network ([Nxe.run_machines]) to
-    drive several machines against one global clock: settle every
-    machine's runnable work with {!dispatch_runnable}, then {!step_event}
-    whichever machine holds the globally earliest pending event.  Timers
-    ({!post}) and thread events share each machine's one event heap. *)
+    Several machines advanced against one global clock: the lockstep
+    engine over a network ([Nxe.run_net]) runs one machine per node.
+    Timers ({!post}) and thread events share each machine's one event
+    heap. *)
 
 val post : t -> at:float -> (unit -> unit) -> unit
 (** Schedule [fn] to run in scheduler context (not a fiber) at simulated
@@ -130,6 +130,35 @@ val post : t -> at:float -> (unit -> unit) -> unit
     Under {!run}, a pending timer keeps blocked threads from counting as
     a {!Deadlock}.  The callback may wake threads, spawn, or {!post}
     again — message delivery in [lib/net] is built on this. *)
+
+val run_group : t array -> unit
+(** Execute the machines together until none has an unfinished
+    non-daemon thread.  Each round first settles: it dispatches the
+    machines in index order, skipping a machine whose run queue is empty
+    (its dispatch would do nothing), and repeats the pass until no
+    dispatch resumed a fiber or started a burst.  It then pops the
+    earliest pending event of all the machines, ties to the lowest
+    index, and processes it on its machine, which advances that
+    machine's clock.  One array therefore gives one total,
+    deterministic order.
+
+    Under [run_group] a {!compute} finishes inline only in a fiber that
+    the loop resumed while stepping that machine's own event (a burst
+    end), when the conditions {!compute} states hold on that machine and
+    every other machine has an empty run queue and no pending event at
+    or before the slice's end: the loop would then settle nothing and
+    pop this slice's end next, whichever machine it searched.  A compute in a fiber resumed while settling is always
+    scheduled, because the rest of the pass could run another machine's
+    fiber first.
+
+    @raise Deadlock ["cluster: "] followed by each machine's blocked
+    non-daemon threads (machines separated by ["; "]) when threads are
+    unfinished and no machine has a pending event.  Unlike {!run}'s rule,
+    any pending event (a daemon's sleep included) keeps the group going.
+    Also raised when an event passes [max_time]. *)
+
+(** Single steps, for a driver with its own stop rule (a test that drains
+    in-flight deliveries after the last thread finished). *)
 
 val dispatch_runnable : t -> bool
 (** Run the scheduler's dispatch loop once; [true] if any fiber was resumed
@@ -141,15 +170,12 @@ val next_event_time : t -> float
 
 val step_event : t -> unit
 (** Pop and process exactly one event (advancing this machine's clock to
-    it).  Does not dispatch afterwards — the co-simulation driver
-    interleaves {!dispatch_runnable} across machines itself.
+    it).  Does not dispatch afterwards.  A burst never finishes inline
+    under these steps.
     @raise Invalid_argument when nothing is pending. *)
 
 val unfinished_nondaemon : t -> int
 (** Non-daemon threads not yet finished — the driver's termination test. *)
-
-val stuck_description : t -> string
-(** Names of blocked non-daemon threads, for cluster deadlock messages. *)
 
 type stats = {
   total_time : float;          (** time when the last non-daemon thread ended *)

@@ -537,8 +537,21 @@ let wake_all nxe qs =
   | None -> M.Waitq.broadcast_many nxe.machines.(0) qs
   | Some _ -> Array.iteri (fun i q -> M.Waitq.broadcast (machine_of nxe (i + 1)) q) qs
 
-(* One leader publish releases every parked follower. *)
-let wake_followers nxe chan = wake_all nxe chan.fol_q
+(* Wake the followers of [qs] (indexed by follower) placed on node [k]. *)
+let wake_node nxe qs k =
+  let m = nxe.machines.(k) in
+  for i = 0 to Array.length qs - 1 do
+    if nxe.place.(i + 1) = k then M.Waitq.broadcast m qs.(i)
+  done
+
+(* The leader's publish, release and order-append wakes: only followers
+   on node 0 can be waiting for what these change.  A follower on node
+   k > 0 waits on its node's delivery watermarks, which only a Net
+   delivery moves, and each delivery wakes that node's followers. *)
+let wake_local nxe qs =
+  match nxe.wire with
+  | None -> M.Waitq.broadcast_many nxe.machines.(0) qs
+  | Some _ -> wake_node nxe qs 0
 
 (* Kick every parked thread so condition loops re-evaluate: used on abort
    and whenever a quarantine or restart changes who is being waited for. *)
@@ -791,12 +804,6 @@ let node_active nxe k =
     then act := true
   done;
   !act
-
-(* Wake the followers of [qs] (indexed by follower) placed on node [k]. *)
-let wake_node nxe qs k =
-  Array.iteri
-    (fun i q -> if nxe.place.(i + 1) = k then M.Waitq.broadcast nxe.machines.(k) q)
-    qs
 
 (* µs of CPU to marshal one message, charged to the sender. *)
 let msg_cost = 0.5
@@ -1250,7 +1257,7 @@ let leader_sync nxe chan sc =
   nxe.synced <- nxe.synced + 1;
   let gap = pos - min_live_cursor nxe chan in
   if Array.length chan.cursors > 0 then Tel.Hist.observe nxe.h_gap (float_of_int gap);
-  wake_followers nxe chan;
+  wake_local nxe chan.fol_q;
   (* Which slots rendezvous: the lockstep mode in-process, the ship mode's
      sensitive set over the Net. *)
   let lockstep =
@@ -1351,7 +1358,7 @@ let leader_sync nxe chan sc =
           closes the root (fetches happen after this release). *)
        close_root tc chan pos ~t1:(M.now m)
      | None -> ());
-    wake_followers nxe chan
+    wake_local nxe chan.fol_q
   end;
   match nxe.tel with
   | Some tel -> Tel.span_end tel.t_dom ~tid ~ts:(M.now m) ~cat:"nxe" "publish"
@@ -1617,7 +1624,7 @@ let det_order_op nxe det ~variant ~chan =
       Vec.push det.d_order ltid;
       nxe.order_len <- nxe.order_len + 1;
       touch nxe 0;
-      wake_all nxe det.d_qs;
+      wake_local nxe det.d_qs;
       match nxe.wire with
       | Some w ->
         for k = 1 to Array.length nxe.machines - 1 do
@@ -1806,9 +1813,11 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~det ~in_main_init ops () =
   if variant = 0 then begin
     chan.leader_done <- true;
     (* Whatever is still batched must reach the remote nodes, or their
-       followers would wait forever on a watermark no one will advance. *)
+       followers would wait forever on a watermark no one will advance.
+       The exit wakes every node: [leader_done] ends a remote follower's
+       wait too ([drained]), and no delivery carries it. *)
     (match nxe.wire with Some w -> flush_all nxe w | None -> ());
-    wake_followers nxe chan
+    wake_all nxe chan.fol_q
   end
   else begin
     chan.fol_done.(variant - 1) <- true;
@@ -1827,49 +1836,13 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~det ~in_main_init ops () =
 
 (* ------------------------------------------------------------------ *)
 (* The run loop.  In-process, the one machine runs to completion.  Over
-   the Net the nodes co-simulate: settle every machine (dispatch runnable
-   fibers until none makes progress), then step whichever machine holds
-   the globally earliest pending event, ties broken by node index — a
-   total deterministic order, so one seed gives one bit-stable schedule. *)
+   the Net the nodes co-simulate ([M.run_group]): settle every machine,
+   then step whichever holds the globally earliest pending event, ties
+   broken by node index — a total deterministic order, so one seed gives
+   one bit-stable schedule. *)
 
 let run_machines nxe =
-  let ms = nxe.machines in
-  match nxe.wire with
-  | None -> M.run ms.(0)
-  | Some _ ->
-    let nm = Array.length ms in
-    let settle () =
-      let progressed = ref true in
-      while !progressed do
-        progressed := false;
-        for k = 0 to nm - 1 do
-          if M.dispatch_runnable ms.(k) then progressed := true
-        done
-      done
-    in
-    let unfinished () = Array.fold_left (fun s m -> s + M.unfinished_nondaemon m) 0 ms in
-    let continue_ = ref true in
-    while !continue_ do
-      settle ();
-      if unfinished () = 0 then continue_ := false
-      else begin
-        let best = ref (-1) in
-        let bt = ref infinity in
-        for k = 0 to nm - 1 do
-          let t = M.next_event_time ms.(k) in
-          if t < !bt then begin
-            bt := t;
-            best := k
-          end
-        done;
-        if !best < 0 then
-          raise
-            (M.Deadlock
-               ("cluster: "
-               ^ String.concat "; " (List.map M.stuck_description (Array.to_list ms))))
-        else M.step_event ms.(!best)
-      end
-    done
+  match nxe.wire with None -> M.run nxe.machines.(0) | Some _ -> M.run_group nxe.machines
 
 (* ------------------------------------------------------------------ *)
 (* Entry points *)

@@ -246,6 +246,28 @@ let test_sequence_divergence_remote () =
       | None -> Alcotest.failf "%s did not abort" (Cluster.mode_name ship))
     modes
 
+let test_leader_exit_wakes_remote_follower () =
+  (* The remote follower reaches its extra write while the leader still
+     works, so it parks on its node's delivery watermark.  No delivery
+     follows: only the leader's exit wake, which reaches every node, lets
+     it see the drained stream and report the extra syscall. *)
+  let leader = [ work 10.0; wr ~args:[ 1L; 5L ] (); work 1000.0 ] in
+  let follower = [ work 10.0; wr ~args:[ 1L; 5L ] (); wr ~args:[ 1L; 6L ] () ] in
+  List.iter
+    (fun ship ->
+      let tag = Cluster.mode_name ship in
+      let r =
+        Cluster.run_traces ~config:(cfg ~nodes:2 ~ship ()) ~names:(names 2)
+          [ leader; follower ]
+      in
+      match alert r with
+      | Some a ->
+        Alcotest.(check int) (tag ^ ": variant 1") 1 a.Nxe.al_variant;
+        Alcotest.(check string) (tag ^ ": expected end-of-stream") "<exit>" a.Nxe.al_expected;
+        Alcotest.(check string) (tag ^ ": extra syscall") "write" a.Nxe.al_got
+      | None -> Alcotest.failf "%s did not abort" tag)
+    modes
+
 let test_incident_tape_window () =
   (* A divergence past the recorder depth: in every ship mode, each
      variant's incident tape is the 16-slot window that ends at the
@@ -646,6 +668,97 @@ let prop_one_node_cluster_is_local_engine =
              && r.Cluster.outcome = local_sel.Nxe.outcome)
            [ Cluster.Selective; Cluster.Selective_replicated ])
 
+(* ------------------------------------------------------------------ *)
+(* Property: bursts finished inline across nodes are exact *)
+
+(* A telemetry sink keeps every burst on the scheduled path, so a fleet
+   run with and without one compares the group loop's inline bursts
+   against the schedule they stand for.  Faults land on a follower, which
+   round-robin placement puts off node 0 whenever there is a second node;
+   they run under the quarantine policy with a watchdog. *)
+type fleet = {
+  f_n : int;
+  f_nodes : int;
+  f_ship : Cluster.ship_mode;
+  f_main : op list;
+  f_spawn : op list option;
+  f_skew : float list;
+  f_fault : [ `Stall | `Corrupt ] option;
+  f_fault_at : int;
+}
+
+let gen_fleet =
+  let open QCheck.Gen in
+  let* f_n = 2 -- 4 in
+  let* f_nodes = 1 -- 4 in
+  let* f_ship = oneofl modes in
+  let* f_main = list_size (1 -- 16) gen_op in
+  let* f_spawn = opt (list_size (1 -- 8) gen_op) in
+  let* f_skew = list_repeat f_n (float_range 0.8 1.25) in
+  let* f_fault = opt (oneofl [ `Stall; `Corrupt ]) in
+  let* f_fault_at = 0 -- 6 in
+  return { f_n; f_nodes; f_ship; f_main; f_spawn; f_skew; f_fault; f_fault_at }
+
+let print_fleet f =
+  Printf.sprintf "n=%d nodes=%d %s main=%d ops spawn=%s fault=%s@%d" f.f_n f.f_nodes
+    (Cluster.mode_name f.f_ship) (List.length f.f_main)
+    (match f.f_spawn with Some s -> string_of_int (List.length s) | None -> "-")
+    (match f.f_fault with Some `Stall -> "stall" | Some `Corrupt -> "corrupt" | None -> "-")
+    f.f_fault_at
+
+let fleet_run f ~sink =
+  let traces =
+    List.map
+      (fun skew ->
+        let skewed ops = Trace.map_cost (fun _ cost -> cost *. skew) (trace_of_ops ops) in
+        match f.f_spawn with
+        | Some sub -> Trace.Spawn (skewed sub) :: skewed f.f_main
+        | None -> skewed f.f_main)
+      f.f_skew
+  in
+  let faults, policy =
+    match f.f_fault with
+    | None -> (Faults.none, Nxe.default_policy)
+    | Some kind ->
+      let i_kind =
+        match kind with
+        | `Stall -> Faults.Stall
+        | `Corrupt -> Faults.Corrupt { c_arg = 1; c_delta = 7L }
+      in
+      ( Faults.make [ { Faults.i_variant = 1; i_at = f.f_fault_at; i_kind } ],
+        { Nxe.policy = Nxe.Quarantine; heartbeat_timeout = 2000.0; restart_backoff = 50.0 } )
+  in
+  let engine =
+    { Nxe.default_config with
+      fault_policy = policy;
+      telemetry = (if sink then Some (Tel.create ()) else None) }
+  in
+  Cluster.run_traces ~config:(cfg ~nodes:f.f_nodes ~ship:f.f_ship ()) ~engine ~faults
+    ~names:(names f.f_n) traces
+
+let wire_str (r : Cluster.report) =
+  let t = r.Cluster.traffic in
+  Printf.sprintf "%s %s t=%s fin=[%s] cpu=[%s] bytes=%d msgs=%d tf=%d,%d,%d,%d,%d,%d links=[%s]"
+    (alert_str r.Cluster.outcome)
+    (Option.value ~default:"-" (signature r.Cluster.incident))
+    (h r.Cluster.total_time) (hs r.Cluster.variant_finish) (hs r.Cluster.variant_cpu)
+    r.Cluster.bytes_on_wire r.Cluster.msgs_on_wire Cluster.(t.tf_ship) Cluster.(t.tf_batch)
+    Cluster.(t.tf_release) Cluster.(t.tf_ack) Cluster.(t.tf_flow) Cluster.(t.tf_order)
+    (String.concat ";"
+       (List.map
+          (fun (name, (s : Net.stats)) ->
+            Printf.sprintf "%s:%d/%d/%d" name s.Net.s_msgs s.Net.s_bytes s.Net.s_retransmits)
+          r.Cluster.link_stats))
+
+let prop_inline_bursts_across_nodes_exact =
+  QCheck.Test.make ~name:"cluster: inline bursts across nodes equal scheduled ones" ~count:150
+    (QCheck.make ~print:print_fleet gen_fleet)
+    (fun f ->
+      let plain = fleet_run f ~sink:false and traced = fleet_run f ~sink:true in
+      let a = wire_str plain and b = wire_str traced in
+      if a <> b then QCheck.Test.fail_reportf "without sink %s\n   with sink %s" a b
+      else plain.Cluster.outcome = traced.Cluster.outcome)
+
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -672,6 +785,8 @@ let () =
           Alcotest.test_case "argument divergence mode-independent" `Quick
             test_divergence_verdict_mode_independent;
           Alcotest.test_case "sequence divergence remote" `Quick test_sequence_divergence_remote;
+          Alcotest.test_case "leader exit wakes remote follower" `Quick
+            test_leader_exit_wakes_remote_follower;
           Alcotest.test_case "abort stops remote tail" `Quick test_abort_stops_remote_tail;
           Alcotest.test_case "incident tape window" `Quick test_incident_tape_window;
         ] );
@@ -693,5 +808,6 @@ let () =
             prop_ship_modes_observation_equivalent;
             prop_cluster_matches_local_engine;
             prop_one_node_cluster_is_local_engine;
+            prop_inline_bursts_across_nodes_exact;
           ] );
     ]

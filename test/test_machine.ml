@@ -84,7 +84,7 @@ let test_thread_event_before_timer () =
           Alcotest.(check (list string))
             (kind ^ " under " ^ driver) [ "thread"; "timer" ] (List.rev !log))
         [ ("sleep wake", M.sleep); ("burst end", M.compute) ])
-    [ ("run", M.run); ("step_event", step_run) ]
+    [ ("run", M.run); ("step_event", step_run); ("run_group", fun m -> M.run_group [| m |]) ]
 
 (* Same-time timers fire in posting order, after the thread events due
    then, when thread events were pushed between the posts. *)
@@ -111,6 +111,19 @@ let test_timer_ties_post_order () =
     "thread events, then timers in posting order"
     [ "a"; "b"; "timer0"; "timer1"; "timer2" ]
     (List.rev !log)
+
+(* [run_group] declares a deadlock only when no machine has a pending
+   event, and names each machine's blocked threads. *)
+let test_group_deadlock_message () =
+  let a = M.create ~config:(cfg ()) () and b = M.create ~config:(cfg ()) () in
+  let pa = M.new_proc a ~name:"pa" ~working_set:1.0 ()
+  and pb = M.new_proc b ~name:"pb" ~working_set:1.0 () in
+  let wq = M.Waitq.create () in
+  ignore (M.spawn a pa ~name:"sleeper" (fun () -> M.sleep a 50.0));
+  ignore (M.spawn b pb ~name:"waiter" (fun () -> M.Waitq.wait b wq));
+  Alcotest.check_raises "blocked on the second machine" (M.Deadlock "cluster: ; waiter")
+    (fun () -> M.run_group [| a; b |]);
+  check_time "the sleep ran first" 50.0 (M.now a)
 
 (* Under [run], a thread blocked on a wait queue that a pending timer will
    signal is not deadlocked; without the timer, the same program is. *)
@@ -856,6 +869,53 @@ let test_nxe_run_bursts () =
   | Some m -> check_bursts "bzip2 x3 group run" ~inline:269 ~scheduled:3519 m
   | None -> Alcotest.fail "on_machine not called"
 
+(* [run_group] on two machines: a compute finishes inline only when its
+   slice would be the next event of the whole group.  With a sink every
+   burst stays scheduled, and the log and clocks must not change. *)
+let run_pair ?telemetry () =
+  let mk () = M.create ~config:(cfg ~quantum:250.0 ()) ?telemetry () in
+  let a = mk () and b = mk () in
+  let pa = M.new_proc a ~name:"pa" ~working_set:1.0 ()
+  and pb = M.new_proc b ~name:"pb" ~working_set:1.0 () in
+  let log = ref [] in
+  let note m x = log := Printf.sprintf "%s@%h" x (M.now m) :: !log in
+  let wq = M.Waitq.create () in
+  M.post b ~at:100.0 (fun () -> note b "timer");
+  ignore
+    (M.spawn b pb ~name:"b" (fun () ->
+         M.Waitq.wait b wq;
+         M.compute b 1.0;
+         note b "b"));
+  ignore
+    (M.spawn a pa ~name:"a" (fun () ->
+         (* Resumed while the loop settles: scheduled. *)
+         M.compute a 5.0;
+         (* Resumed by its burst end, and ends at 15, before b's timer: inline. *)
+         M.compute a 10.0;
+         M.Waitq.signal b wq;
+         (* b is runnable on the other machine: scheduled. *)
+         M.compute a 10.0;
+         (* Would end at 225, after b's pending timer at 100: scheduled. *)
+         M.compute a 200.0;
+         note a "a"));
+  M.run_group [| a; b |];
+  (a, b, List.rev !log)
+
+let test_group_bursts () =
+  let a, b, log = run_pair () in
+  check_bursts "machine a" ~inline:1 ~scheduled:3 a;
+  check_bursts "machine b" ~inline:0 ~scheduled:1 b;
+  let a', b', log' = run_pair ~telemetry:(Bunshin_telemetry.Telemetry.create ()) () in
+  check_bursts "machine a with a sink" ~inline:0 ~scheduled:4 a';
+  check_bursts "machine b with a sink" ~inline:0 ~scheduled:1 b';
+  Alcotest.(check (list string))
+    "log"
+    (List.map (fun (x, t) -> Printf.sprintf "%s@%h" x t) [ ("b", 1.0); ("timer", 100.0); ("a", 225.0) ])
+    log;
+  Alcotest.(check (list string)) "same log with a sink" log log';
+  check_time "a's clock" 225.0 (M.now a);
+  check_time "b's clock" 100.0 (M.now b)
+
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -869,6 +929,7 @@ let () =
           Alcotest.test_case "thread before timer" `Quick test_thread_event_before_timer;
           Alcotest.test_case "timer ties post order" `Quick test_timer_ties_post_order;
           Alcotest.test_case "timer averts deadlock" `Quick test_pending_timer_not_deadlock;
+          Alcotest.test_case "group deadlock message" `Quick test_group_deadlock_message;
         ] );
       ( "execution",
         [
@@ -917,6 +978,7 @@ let () =
           Alcotest.test_case "lone thread counts" `Quick test_lone_thread_bursts;
           Alcotest.test_case "profile run counts" `Quick test_profile_run_bursts;
           Alcotest.test_case "nxe group counts" `Quick test_nxe_run_bursts;
+          Alcotest.test_case "group loop counts" `Quick test_group_bursts;
         ]
         @ qcheck [ prop_inline_equals_scheduled; prop_compute_share_equals_carve_out ] );
     ]
