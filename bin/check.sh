@@ -18,6 +18,13 @@ dune build @all
 echo "== dune runtest"
 dune runtest
 
+# Same outputs: every command of bin/outputs.list (the paper's tables and
+# figures from bench/main.exe, and CLI runs) must print and write the
+# bytes whose digests bin/outputs.manifest records; the script names each
+# command whose digest moved.
+echo "== same outputs (bin/outputs.sh)"
+bin/outputs.sh
+
 # Bench smoke: the interpreter microbenchmark in quick mode doubles as a
 # fast/reference differential check (it exits non-zero on divergence).
 echo "== bench smoke (interp --quick)"

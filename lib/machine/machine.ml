@@ -236,11 +236,10 @@ type t = {
   mutable h_len : int;
   mutable h_next_seq : int;
   mutable n_timers : int; (* [Fn] entries in the heap *)
-  (* Progress flag for co-simulation: set whenever the scheduler does real
-     work (resumes a fiber or starts a burst), read/reset by the group
-     loop's settle pass (and [dispatch_runnable]) so several machines
-     interleave until none can advance without consuming an event. *)
-  mutable progress : bool;
+  (* Set where a thread joins the run queue or a burst end frees a core,
+     cleared when [dispatch] returns.  Without it the machine's dispatch
+     could place or resume nothing, so the run loop's settle skips it. *)
+  mutable dispatch_due : bool;
   runq : Tq.q;
   cores : core array;
   budget : float array; (* per core: quantum left before the next switch *)
@@ -258,12 +257,13 @@ type t = {
   mutable nd_unfinished : int;
   mutable nd_blocked : int;
   mutable pressure_dirty : bool;
-  (* Set while [compute] may finish a burst inline: throughout [run], and
-     under [run_group] only while the loop steps this machine's own event
-     ([dispatch_runnable] and [step_event] never set it). *)
+  (* Set while [compute] may finish a burst inline: throughout a
+     one-machine [run_group], and in a larger group only while the loop
+     steps this machine's own event. *)
   mutable in_run : bool;
-  (* The machines [run_group] drives, this one included; empty otherwise.
-     An inline burst must also end before anything any of them can do. *)
+  (* The machines the last [run_group] drove, this one included.  An
+     inline burst must also end before anything any of them can do.  Both
+     fields are set when a run starts and read only while it runs. *)
   mutable peers : t array;
   mutable n_inline : int; (* burst slices finished inline by [compute] *)
   mutable n_sched : int;  (* burst slices started through the event heap *)
@@ -308,7 +308,7 @@ let create ?(config = default_config) ?telemetry () =
     h_len = 0;
     h_next_seq = 0;
     n_timers = 0;
-    progress = false;
+    dispatch_due = false;
     runq = Tq.create ();
     cores = Array.init config.cores (fun _ -> { c_last = -1; c_busy = false });
     budget = Array.make config.cores 0.0;
@@ -475,7 +475,8 @@ let set_state t th st =
 let make_ready t th =
   charge t th;
   set_state t th Ready;
-  Tq.push t.runq th
+  Tq.push t.runq th;
+  t.dispatch_due <- true
 
 let spawn t ?(daemon = false) proc ~name body =
   let th =
@@ -506,6 +507,7 @@ let spawn t ?(daemon = false) proc ~name body =
   proc.p_active <- proc.p_active + 1;
   if proc.p_active = 1 then t.pressure_dirty <- true;
   Tq.push t.runq th;
+  t.dispatch_due <- true;
   th
 
 let current_thread t =
@@ -537,9 +539,7 @@ let yield t =
 let wake t th =
   match th.state with
   | Blocked ->
-    charge t th;
-    set_state t th Ready;
-    Tq.push t.runq th;
+    make_ready t th;
     (match t.tel with
      | Some tel ->
        Tel.Counter.incr tel.t_wakes;
@@ -616,12 +616,12 @@ let slice_of t th = if th.f.remaining <= t.cfg.quantum then th.f.remaining else 
    that this round trip can do nothing else, [compute] performs the same
    float operations in the same order without suspending (DESIGN.md §14):
 
-   - [in_run]: [run] drives the machine, or [run_group] is stepping this
-     machine's own event.  Under [run_group] every other machine of the
-     group must also have an empty run queue and a heap top strictly
-     after the slice end: then the loop would settle nothing and step
-     this Burst_end next, where a peer's earlier event could post a timer
-     here or a peer's runnable fiber could act first.
+   - [in_run]: the machine runs alone, or the group loop is stepping its
+     own event.  In a larger group every other machine must also have an
+     empty run queue and a heap top strictly after the slice end: then
+     the loop would settle nothing and step this Burst_end next, where a
+     peer's earlier event could post a timer here or a peer's runnable
+     fiber could act first.
    - no telemetry: the burst span and pressure samples stay scheduled.
    - not a daemon: the run loop's termination and deadlock checks could
      otherwise fire while the burst is in flight.
@@ -751,7 +751,6 @@ let handler t th =
   }
 
 let resume_fiber t th =
-  t.progress <- true;
   let saved = t.current in
   t.current <- th.self_opt;
   if th.state = Ready then begin
@@ -795,7 +794,6 @@ let free_core_for t th =
   end
 
 let start_burst t th ci =
-  t.progress <- true;
   t.n_sched <- t.n_sched + 1;
   let core = t.cores.(ci) and f = th.f in
   let ctx =
@@ -877,7 +875,8 @@ let dispatch t =
         end
       end
     done
-  done
+  done;
+  t.dispatch_due <- false
 
 (* Cold path: only called to build the Deadlock message, with the same
    name order the old full-walk check produced. *)
@@ -895,6 +894,7 @@ let handle_burst_end t th =
   and effective = f.b_eff
   and ctx = f.b_ctx in
   t.cores.(ci).c_busy <- false;
+  t.dispatch_due <- true;
   f.remaining <- f.remaining -. slice;
   f.cpu <- f.cpu +. effective;
   (* Charge the whole burst to the running bucket first, then carve the
@@ -939,109 +939,79 @@ let process_next t =
     fn ()
   | Th th ->
     if key land 1 = ev_wake then begin
-      if th.state = Sleeping then begin
-        charge t th;
-        set_state t th Ready;
-        Tq.push t.runq th
-      end
+      if th.state = Sleeping then make_ready t th
     end
     else handle_burst_end t th
 
-let run t =
-  let rec loop () =
-    dispatch t;
-    if t.nd_unfinished = 0 then ()
-    else begin
-      (* All non-daemon threads Blocked (none Ready/Running/Sleeping) and no
-         timer can ever wake them: nothing can make progress. *)
-      if t.nd_blocked = t.nd_unfinished && t.n_timers = 0 then
-        raise (Deadlock ("threads blocked forever: " ^ stuck_names t));
-      if t.h_len = 0 then
-        (* No events and dispatch made no progress: every runnable path is
-           exhausted, so remaining non-daemon threads are stuck. *)
-        raise (Deadlock "no pending events but non-daemon threads remain")
-      else begin
-        process_next t;
-        loop ()
-      end
-    end
-  in
-  t.in_run <- true;
-  Fun.protect ~finally:(fun () -> t.in_run <- false) loop
-
 (* ------------------------------------------------------------------ *)
-(* Co-simulation: several machines against one global clock.  Settle
-   every machine's runnable work, then step whichever machine holds the
-   globally earliest event. *)
+(* The run loop: one machine, or several against one global clock (the
+   nodes of a networked group).  Settle every machine's runnable work,
+   then step whichever machine holds the globally earliest event. *)
 
-(* Dispatch the machines in index order until none progresses.  A machine
-   with an empty run queue is skipped: its dispatch would do nothing. *)
-let rec settle ms =
-  let progressed = ref false in
-  for k = 0 to Array.length ms - 1 do
-    let m = ms.(k) in
-    if not (Tq.is_empty m.runq) then begin
-      m.progress <- false;
-      dispatch m;
-      if m.progress then progressed := true
-    end
-  done;
-  if !progressed then settle ms
+(* Dispatch, in index order, every machine that is due; repeat the pass
+   while one was, since its fibers may have made an earlier machine due. *)
+let settle ms =
+  let resettle = ref true in
+  while !resettle do
+    resettle := false;
+    for k = 0 to Array.length ms - 1 do
+      let m = ms.(k) in
+      if m.dispatch_due then begin
+        dispatch m;
+        resettle := true
+      end
+    done
+  done
 
 let run_group ms =
   let nm = Array.length ms in
-  let loop () =
-    let running = ref true in
-    while !running do
-      settle ms;
-      let unfinished = ref 0 in
-      for k = 0 to nm - 1 do
-        unfinished := !unfinished + ms.(k).nd_unfinished
-      done;
-      if !unfinished = 0 then running := false
+  let solo = nm = 1 in
+  for k = 0 to nm - 1 do
+    let m = ms.(k) in
+    m.peers <- ms;
+    m.in_run <- solo
+  done;
+  let running = ref true in
+  while !running do
+    settle ms;
+    (* Sum the deadlock counts, and find the earliest heap top, ties to
+       the lowest index. *)
+    let unfinished = ref 0 and blocked = ref 0 and timers = ref 0 in
+    let best = ref (-1) and bt = ref infinity in
+    for k = 0 to nm - 1 do
+      let m = ms.(k) in
+      unfinished := !unfinished + m.nd_unfinished;
+      blocked := !blocked + m.nd_blocked;
+      timers := !timers + m.n_timers;
+      if m.h_len > 0 && m.h_time.(0) < !bt then begin
+        bt := m.h_time.(0);
+        best := k
+      end
+    done;
+    if !unfinished = 0 then running := false
+    else if !blocked = !unfinished && !timers = 0 then
+      (* Every unfinished non-daemon thread is Blocked, and no timer is
+         left to wake one: only a daemon could still run. *)
+      raise
+        (Deadlock
+           ("threads blocked forever: "
+           ^ String.concat "; " (Array.to_list (Array.map stuck_names ms))))
+    else if !best < 0 then
+      (* Cannot happen after a settle: a thread left Ready waits for a
+         core whose burst end is pending.  Checked since [ms.(-1)] is not. *)
+      raise (Deadlock "no pending events but non-daemon threads remain")
+    else begin
+      let m = ms.(!best) in
+      if solo then process_next m
       else begin
-        (* The earliest heap top, ties to the lowest index. *)
-        let best = ref (-1) and bt = ref infinity in
-        for k = 0 to nm - 1 do
-          let m = ms.(k) in
-          if m.h_len > 0 && m.h_time.(0) < !bt then begin
-            bt := m.h_time.(0);
-            best := k
-          end
-        done;
-        if !best < 0 then
-          raise
-            (Deadlock
-               ("cluster: " ^ String.concat "; " (Array.to_list (Array.map stuck_names ms))));
-        let m = ms.(!best) in
         m.in_run <- true;
         process_next m;
         m.in_run <- false
       end
-    done
-  in
-  Array.iter (fun m -> m.peers <- ms) ms;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun m ->
-          m.in_run <- false;
-          m.peers <- [||])
-        ms)
-    loop
+    end
+  done
 
-let dispatch_runnable t =
-  t.progress <- false;
-  dispatch t;
-  t.progress
-
-let next_event_time t = if t.h_len > 0 then t.h_time.(0) else infinity
-
-let step_event t =
-  if t.h_len = 0 then invalid_arg "Machine.step_event: no pending events"
-  else process_next t
-
-let unfinished_nondaemon t = t.nd_unfinished
+let run t = run_group [| t |]
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)

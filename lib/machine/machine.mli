@@ -62,12 +62,12 @@ val spawn : t -> ?daemon:bool -> proc -> name:string -> (unit -> unit) -> tid
 (** {1 Fiber operations} — valid only inside a thread body. *)
 
 val compute : t -> float -> unit
-(** Consume CPU for the given cost (pre cache inflation).  Under {!run}
-    (and, with further conditions, {!run_group}), when the machine's
-    state proves the burst would be the next event —
-    no telemetry sink, a non-daemon caller, an empty run queue, the
-    caller's last core free and still its own, and the burst ending
-    strictly before every pending event — the burst finishes
+(** Consume CPU for the given cost (pre cache inflation).  When the
+    machine's state proves the burst would be the next event — no
+    telemetry sink, a non-daemon caller, an empty run queue, the
+    caller's last core free and still its own, the burst ending strictly
+    before every pending event, and in a group of several machines the
+    further conditions of {!section-running} — the burst finishes
     without suspending the fiber: [compute] returns with the clock
     advanced while no other fiber ran in between.  The schedule, the
     stats and the phase buckets are the ones the scheduled path gives;
@@ -105,77 +105,61 @@ val cancel : t -> tid -> unit
 val cancel_proc : t -> proc -> unit
 (** {!cancel} every thread of the process. *)
 
-(** {1 Running} *)
+(** {1:running Running}
+
+    One loop runs a machine alone ({!run}) or several machines against
+    one global clock ({!run_group}; the lockstep engine over a network,
+    [Nxe.run_net], runs one machine per node).
+
+    - {e Event order.}  Each machine keeps one event heap: its threads'
+      sleep wakes and burst ends, and its timers ({!post}).  Entries pop
+      in time order; at equal times thread events pop before timers, and
+      each class pops in posting order.  Across machines the loop steps
+      the earliest heap top, ties to the lowest index, and processing it
+      advances that machine's clock.  One array therefore gives one
+      total, deterministic order.
+    - {e Settle.}  Before each step the loop dispatches, in index order,
+      every machine on which a thread joined the run queue or a burst
+      end freed a core since its last dispatch, and repeats the pass
+      while it dispatched one, since a fiber on one machine may wake a
+      thread on another.  A dispatch resumes runnable fibers and places
+      bursts on free cores, at that machine's own clock.
+    - {e Stop and deadlock.}  The loop returns once no machine has an
+      unfinished non-daemon thread.  It raises {!Deadlock} as soon as
+      every unfinished non-daemon thread on every machine is blocked and
+      no machine has a pending timer: from then on only daemons could
+      run, and nothing waits for them.
+    - {e Inline bursts.}  In a one-machine run, {!compute} may finish a
+      burst inline in any fiber.  In a larger group only a fiber that
+      the loop resumed while stepping that machine's own event (a burst
+      end) qualifies, and only when every other machine has an empty run
+      queue and no pending event at or before the slice's end: the loop
+      would then settle nothing and pop this slice's end next, whichever
+      machine it searched.  A compute in a fiber resumed while the group
+      settles stays scheduled, because the rest of the pass could run
+      another machine's fiber first. *)
 
 exception Deadlock of string
-(** Raised when non-daemon threads are all blocked with nothing pending —
-    the simulation equivalent of a hung process group.  The message lists
-    the stuck threads. *)
+(** Raised when progress becomes impossible.  The message is
+    ["threads blocked forever: "] followed by each machine's blocked
+    non-daemon threads (names joined by [", "], machines by ["; "]), or
+    ["max_time N exceeded"] when an event passes [max_time]. *)
 
 val run : t -> unit
-(** Execute until every non-daemon thread finishes.
-    @raise Deadlock when progress becomes impossible. *)
+(** [run t] is [run_group [| t |]]: execute until every non-daemon thread
+    finishes.  @raise Deadlock as described above. *)
 
-(** {1 Co-simulation}
-
-    Several machines advanced against one global clock: the lockstep
-    engine over a network ([Nxe.run_net]) runs one machine per node.
-    Timers ({!post}) and thread events share each machine's one event
-    heap. *)
+val run_group : t array -> unit
+(** Execute the machines together until none has an unfinished
+    non-daemon thread.  @raise Deadlock as described above. *)
 
 val post : t -> at:float -> (unit -> unit) -> unit
 (** Schedule [fn] to run in scheduler context (not a fiber) at simulated
     time [at] (clamped to now).  Same-time timers fire in posting order;
     a timer tied with a thread's sleep wake or burst end fires after it.
-    Under {!run}, a pending timer keeps blocked threads from counting as
-    a {!Deadlock}.  The callback may wake threads, spawn, or {!post}
+    A pending timer keeps blocked threads from counting as a
+    {!Deadlock}.  The callback may wake threads, spawn, or {!post}
     again — message delivery in [lib/net] is built on this. *)
-
-val run_group : t array -> unit
-(** Execute the machines together until none has an unfinished
-    non-daemon thread.  Each round first settles: it dispatches the
-    machines in index order, skipping a machine whose run queue is empty
-    (its dispatch would do nothing), and repeats the pass until no
-    dispatch resumed a fiber or started a burst.  It then pops the
-    earliest pending event of all the machines, ties to the lowest
-    index, and processes it on its machine, which advances that
-    machine's clock.  One array therefore gives one total,
-    deterministic order.
-
-    Under [run_group] a {!compute} finishes inline only in a fiber that
-    the loop resumed while stepping that machine's own event (a burst
-    end), when the conditions {!compute} states hold on that machine and
-    every other machine has an empty run queue and no pending event at
-    or before the slice's end: the loop would then settle nothing and
-    pop this slice's end next, whichever machine it searched.  A compute in a fiber resumed while settling is always
-    scheduled, because the rest of the pass could run another machine's
-    fiber first.
-
-    @raise Deadlock ["cluster: "] followed by each machine's blocked
-    non-daemon threads (machines separated by ["; "]) when threads are
-    unfinished and no machine has a pending event.  Unlike {!run}'s rule,
-    any pending event (a daemon's sleep included) keeps the group going.
-    Also raised when an event passes [max_time]. *)
-
-(** Single steps, for a driver with its own stop rule (a test that drains
-    in-flight deliveries after the last thread finished). *)
-
-val dispatch_runnable : t -> bool
-(** Run the scheduler's dispatch loop once; [true] if any fiber was resumed
-    or any CPU burst started.  Does not consume events. *)
-
-val next_event_time : t -> float
-(** Time of the earliest pending event (timers included); [infinity] if
-    none. *)
-
-val step_event : t -> unit
-(** Pop and process exactly one event (advancing this machine's clock to
-    it).  Does not dispatch afterwards.  A burst never finishes inline
-    under these steps.
-    @raise Invalid_argument when nothing is pending. *)
-
-val unfinished_nondaemon : t -> int
-(** Non-daemon threads not yet finished — the driver's termination test. *)
 
 type stats = {
   total_time : float;          (** time when the last non-daemon thread ended *)

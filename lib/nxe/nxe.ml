@@ -1835,16 +1835,6 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~det ~in_main_init ops () =
     | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* The run loop.  In-process, the one machine runs to completion.  Over
-   the Net the nodes co-simulate ([M.run_group]): settle every machine,
-   then step whichever holds the globally earliest pending event, ties
-   broken by node index — a total deterministic order, so one seed gives
-   one bit-stable schedule. *)
-
-let run_machines nxe =
-  match nxe.wire with None -> M.run nxe.machines.(0) | Some _ -> M.run_group nxe.machines
-
-(* ------------------------------------------------------------------ *)
 (* Entry points *)
 
 (* One validation for both transports; returns the variant -> node
@@ -2142,7 +2132,8 @@ let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitiviti
              end
            done))
   end;
-  (match run_machines nxe with
+  (* In-process the group has one machine; over the Net, one per node. *)
+  (match M.run_group nxe.machines with
    | () -> ()
    | exception M.Deadlock msg ->
      (* After an abort, threads stuck on application locks are "killed" by

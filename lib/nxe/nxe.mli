@@ -301,7 +301,7 @@ val run_builds :
     (the DMON / dMVX architecture).  The leader always runs on node 0 and
     publishes the same slot ring; a follower on node 0 reads it directly,
     while a follower on node [k > 0] sees a slot only once a link has
-    delivered it there, so its timing includes the wire.  Five things
+    delivered it there, so its timing includes the wire.  Four things
     differ from the in-process transport, and nothing else:
     - which slots rendezvous: the ship mode's sensitive set, not
       [config.mode];
@@ -312,9 +312,12 @@ val run_builds :
       exit, and batch weak-determinism order pushes (each its own
       message in naive mode);
     - incident tapes of a divergence end at the divergent slot, so the
-      verdict is ship-mode-independent;
-    - the run loop co-simulates the nodes, advancing whichever holds the
-      globally earliest event (ties by node index).
+      verdict is ship-mode-independent.
+
+    Both transports run the same loop ({!Bunshin_machine.Machine.run_group}
+    over one machine in-process, one per node here), which advances
+    whichever node holds the globally earliest event (ties by node
+    index).
 
     Monitor-plane signalling (abort, quarantine, end-of-stream wakes,
     heartbeats) is shared state outside the byte accounting.  [Fork],

@@ -13,23 +13,27 @@ let cfg ?(cores = 4) ?(quantum = 1.0) ?(ctx = 0.0) ?(llc = 1e9) ?(penalty = 0.5)
 let check_time = Alcotest.(check (float 1e-6))
 
 (* ------------------------------------------------------------------ *)
-(* Event heap: timers ([M.post]), drained the way a co-simulation driver
-   does, and their order against thread events *)
+(* Event heap: timers ([M.post]) and their order against thread events *)
 
+(* Run until every timer has fired: a non-daemon thread that sleeps past
+   the last one keeps the run going. *)
 let drain m =
-  while M.next_event_time m < infinity do
-    M.step_event m
-  done
+  let p = M.new_proc m ~name:"drain" ~working_set:0.0 () in
+  ignore (M.spawn m p ~name:"sleeper" (fun () -> M.sleep m 1000.0));
+  M.run m
 
 let test_post_order () =
   let m = M.create ~config:(cfg ()) () in
-  let fired = ref [] in
+  let fired = ref [] and last = ref 0.0 in
   List.iter
-    (fun (at, x) -> M.post m ~at (fun () -> fired := x :: !fired))
+    (fun (at, x) ->
+      M.post m ~at (fun () ->
+          fired := x :: !fired;
+          last := M.now m))
     [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
   drain m;
   Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] (List.rev !fired);
-  check_time "clock at the last timer" 3.0 (M.now m)
+  check_time "clock at the last timer" 3.0 !last
 
 let test_post_fifo_ties () =
   let m = M.create ~config:(cfg ()) () in
@@ -54,18 +58,8 @@ let test_post_many () =
   Alcotest.(check int) "all fired" 1000 (List.length fired);
   Alcotest.(check (list (float 0.0))) "time order" (List.sort compare fired) fired
 
-(* The co-simulation driver's loop on one machine: settle the runnable
-   work, then step the earliest event, until every thread has finished. *)
-let step_run m =
-  while M.unfinished_nondaemon m > 0 do
-    while M.dispatch_runnable m do
-      ()
-    done;
-    if M.unfinished_nondaemon m > 0 then M.step_event m
-  done
-
 (* A thread event and a timer due at the same time: the thread event pops
-   first, whichever kind it is and whichever loop drives the machine. *)
+   first, whichever kind it is, alone or beside an idle machine. *)
 let test_thread_event_before_timer () =
   List.iter
     (fun (driver, drive) ->
@@ -84,7 +78,11 @@ let test_thread_event_before_timer () =
           Alcotest.(check (list string))
             (kind ^ " under " ^ driver) [ "thread"; "timer" ] (List.rev !log))
         [ ("sleep wake", M.sleep); ("burst end", M.compute) ])
-    [ ("run", M.run); ("step_event", step_run); ("run_group", fun m -> M.run_group [| m |]) ]
+    [
+      ("run", M.run);
+      ("run_group", fun m -> M.run_group [| m |]);
+      ("a group of two", fun m -> M.run_group [| M.create (); m |]);
+    ]
 
 (* Same-time timers fire in posting order, after the thread events due
    then, when thread events were pushed between the posts. *)
@@ -112,8 +110,8 @@ let test_timer_ties_post_order () =
     [ "a"; "b"; "timer0"; "timer1"; "timer2" ]
     (List.rev !log)
 
-(* [run_group] declares a deadlock only when no machine has a pending
-   event, and names each machine's blocked threads. *)
+(* A group deadlocks once its sleeping threads are done, and the message
+   names each machine's blocked threads. *)
 let test_group_deadlock_message () =
   let a = M.create ~config:(cfg ()) () and b = M.create ~config:(cfg ()) () in
   let pa = M.new_proc a ~name:"pa" ~working_set:1.0 ()
@@ -121,9 +119,70 @@ let test_group_deadlock_message () =
   let wq = M.Waitq.create () in
   ignore (M.spawn a pa ~name:"sleeper" (fun () -> M.sleep a 50.0));
   ignore (M.spawn b pb ~name:"waiter" (fun () -> M.Waitq.wait b wq));
-  Alcotest.check_raises "blocked on the second machine" (M.Deadlock "cluster: ; waiter")
-    (fun () -> M.run_group [| a; b |]);
+  Alcotest.check_raises "blocked on the second machine"
+    (M.Deadlock "threads blocked forever: ; waiter") (fun () -> M.run_group [| a; b |]);
   check_time "the sleep ran first" 50.0 (M.now a)
+
+(* The deadlock rule sums over the machines: a daemon that sleeps in a
+   loop keeps events pending but posts no timer, so a group whose only
+   non-daemon thread is blocked stops at once, as one machine does.  A
+   pending timer on any machine keeps the group going. *)
+let test_group_deadlock_daemon () =
+  let config = { (cfg ()) with M.max_time = 1000.0 } in
+  let program ms ~waiter_on =
+    let procs = Array.map (fun m -> M.new_proc m ~name:"p" ~working_set:1.0 ()) ms in
+    let a = ms.(0) and b = ms.(waiter_on) in
+    let wq = M.Waitq.create () and woken = ref false in
+    ignore
+      (M.spawn a procs.(0) ~daemon:true ~name:"ticker" (fun () ->
+           while true do
+             M.sleep a 10.0
+           done));
+    ignore
+      (M.spawn b procs.(waiter_on) ~name:"waiter" (fun () ->
+           M.Waitq.wait b wq;
+           woken := true));
+    (wq, woken)
+  in
+  let a = M.create ~config () and b = M.create ~config () in
+  ignore (program [| a; b |] ~waiter_on:1);
+  Alcotest.check_raises "two machines" (M.Deadlock "threads blocked forever: ; waiter")
+    (fun () -> M.run_group [| a; b |]);
+  check_time "first clock" 0.0 (M.now a);
+  check_time "second clock" 0.0 (M.now b);
+  let m = M.create ~config () in
+  ignore (program [| m |] ~waiter_on:0);
+  Alcotest.check_raises "one machine" (M.Deadlock "threads blocked forever: waiter") (fun () ->
+      M.run m);
+  check_time "its clock" 0.0 (M.now m);
+  let a = M.create ~config () and b = M.create ~config () in
+  let wq, woken = program [| a; b |] ~waiter_on:1 in
+  M.post b ~at:50.0 (fun () -> M.Waitq.signal b wq);
+  M.run_group [| a; b |];
+  Alcotest.(check bool) "woken by the second machine's timer" true !woken;
+  check_time "at the timer" 50.0 (M.now b)
+
+(* A fiber on a later machine can make an earlier machine runnable while
+   the loop settles: the loop settles again before it steps an event. *)
+let test_group_settle_order () =
+  let a = M.create ~config:(cfg ~quantum:250.0 ()) ()
+  and b = M.create ~config:(cfg ~quantum:250.0 ()) () in
+  let pa = M.new_proc a ~name:"pa" ~working_set:1.0 ()
+  and pb = M.new_proc b ~name:"pb" ~working_set:1.0 () in
+  let log = ref [] in
+  let note m x = log := Printf.sprintf "%s@%g" x (M.now m) :: !log in
+  let wq = M.Waitq.create () in
+  ignore
+    (M.spawn a pa ~name:"a" (fun () ->
+         M.Waitq.wait a wq;
+         note a "a"));
+  ignore
+    (M.spawn b pb ~name:"b" (fun () ->
+         M.Waitq.signal a wq;
+         M.compute b 1.0;
+         note b "b"));
+  M.run_group [| a; b |];
+  Alcotest.(check (list string)) "a runs before b's burst ends" [ "a@0"; "b@1" ] (List.rev !log)
 
 (* Under [run], a thread blocked on a wait queue that a pending timer will
    signal is not deadlocked; without the timer, the same program is. *)
@@ -916,6 +975,60 @@ let test_group_bursts () =
   check_time "a's clock" 225.0 (M.now a);
   check_time "b's clock" 100.0 (M.now b)
 
+(* In a group of two or more machines, a compute in a fiber that the loop
+   resumed while settling stays scheduled, even where every other
+   condition for an inline burst holds.  Here b's "main" is resumed after
+   its sleep and computes 5 on its own idle core; then it wakes a's
+   thread, whose fiber wakes b's "hog", and computes 5 more.  Scheduled,
+   the first burst ends as an event, a's thread runs in the next settle
+   before main's second burst starts, and the hog's working set then
+   over-subscribes b's LLC, inflating that burst.  Inline, the second
+   burst would start before the hog woke. *)
+let run_settle_probe ?telemetry () =
+  let a = M.create ?telemetry ~config:(cfg ~quantum:250.0 ()) ()
+  and b = M.create ?telemetry ~config:(cfg ~cores:2 ~quantum:250.0 ~llc:1.0 ()) () in
+  let pa = M.new_proc a ~name:"pa" ~working_set:0.5 ()
+  and pm = M.new_proc b ~name:"pm" ~working_set:0.5 ()
+  and ph = M.new_proc b ~name:"ph" ~working_set:10.0 () in
+  let wa = M.Waitq.create () and wh = M.Waitq.create () in
+  let log = ref [] in
+  let note m x = log := (x, M.now m) :: !log in
+  ignore
+    (M.spawn a pa ~name:"a" (fun () ->
+         M.Waitq.wait a wa;
+         M.Waitq.signal b wh;
+         note a "a"));
+  ignore
+    (M.spawn b pm ~name:"main" (fun () ->
+         (* Scheduled: the thread has no core yet. *)
+         M.compute b 1.0;
+         M.sleep b 10.0;
+         (* Resumed while the loop settles: scheduled. *)
+         M.compute b 5.0;
+         M.Waitq.signal a wa;
+         (* a's thread is runnable: scheduled. *)
+         M.compute b 5.0;
+         note b "main"));
+  ignore
+    (M.spawn b ph ~name:"hog" (fun () ->
+         M.Waitq.wait b wh;
+         M.compute b 1.0;
+         note b "hog"));
+  M.run_group [| a; b |];
+  (b, List.rev !log)
+
+let test_group_settle_scheduled () =
+  let b, log = run_settle_probe () in
+  check_bursts "machine b" ~inline:0 ~scheduled:4 b;
+  let _, log' = run_settle_probe ~telemetry:(Bunshin_telemetry.Telemetry.create ()) () in
+  let mult = 1.0 +. (0.5 *. (1.0 -. (1.0 /. 10.5))) in
+  Alcotest.(check (list string)) "order" [ "a"; "hog"; "main" ] (List.map fst log);
+  List.iter2
+    (fun (x, t) want -> check_time x want t)
+    log
+    [ 0.0; 16.0 +. mult; 16.0 +. (5.0 *. mult) ];
+  Alcotest.(check bool) "same log with a sink" true (log = log')
+
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -930,6 +1043,8 @@ let () =
           Alcotest.test_case "timer ties post order" `Quick test_timer_ties_post_order;
           Alcotest.test_case "timer averts deadlock" `Quick test_pending_timer_not_deadlock;
           Alcotest.test_case "group deadlock message" `Quick test_group_deadlock_message;
+          Alcotest.test_case "group deadlock daemon" `Quick test_group_deadlock_daemon;
+          Alcotest.test_case "group settle order" `Quick test_group_settle_order;
         ] );
       ( "execution",
         [
@@ -979,6 +1094,7 @@ let () =
           Alcotest.test_case "profile run counts" `Quick test_profile_run_bursts;
           Alcotest.test_case "nxe group counts" `Quick test_nxe_run_bursts;
           Alcotest.test_case "group loop counts" `Quick test_group_bursts;
+          Alcotest.test_case "group settle stays scheduled" `Quick test_group_settle_scheduled;
         ]
         @ qcheck [ prop_inline_equals_scheduled; prop_compute_share_equals_carve_out ] );
     ]

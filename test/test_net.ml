@@ -7,30 +7,12 @@ module Tel = Bunshin_telemetry.Telemetry
 let p ?(latency = 50.0) ?(rate = 100.0) ?(loss = 0.0) ?(rto = 200.0) () =
   { Net.latency_us = latency; bytes_per_us = rate; loss; retransmit_us = rto }
 
-(* Run a machine pair until both drain, collecting link deliveries. *)
+(* Run a machine pair until every delivery has landed: a non-daemon
+   thread on [dst] sleeps past the last one. *)
 let run2 src dst =
-  let ms = [| src; dst |] in
-  let continue_ = ref true in
-  while !continue_ do
-    let progressed = ref true in
-    while !progressed do
-      progressed := false;
-      Array.iter (fun m -> if M.dispatch_runnable m then progressed := true) ms
-    done;
-    let best = ref (-1) and bt = ref infinity in
-    Array.iteri
-      (fun i m ->
-        let t = M.next_event_time m in
-        if t < !bt then begin bt := t; best := i end)
-      ms;
-    if !best >= 0 then M.step_event ms.(!best)
-    else begin
-      (* No pending events anywhere: in-flight deliveries have drained. *)
-      if Array.fold_left (fun a m -> a + M.unfinished_nondaemon m) 0 ms > 0 then
-        failwith "net test: stuck";
-      continue_ := false
-    end
-  done
+  let p = M.new_proc dst ~name:"drain" ~working_set:0.0 () in
+  ignore (M.spawn dst p ~name:"sleeper" (fun () -> M.sleep dst 1e6));
+  M.run_group [| src; dst |]
 
 let test_fifo_latency () =
   (* Two back-to-back messages: the second serializes behind the first,

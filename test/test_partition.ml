@@ -11,6 +11,16 @@ let test_lpt_basic () =
   Alcotest.(check (float 1e-9)) "total preserved" 30.0 (r.P.loads.(0) +. r.P.loads.(1));
   Alcotest.(check bool) "reasonable makespan" true (P.makespan r <= 17.0)
 
+(* LPT puts each item in the lightest bin, ties to the lowest index. *)
+let test_lpt_tie_rule () =
+  let labels r = Array.to_list (Array.map (List.map (fun i -> i.P.label)) r.P.bins) in
+  Alcotest.(check (list (list string)))
+    "equal items" [ [ "u0" ]; [ "u1" ]; [ "u2" ] ]
+    (labels (P.lpt 3 (items_of [ 5.0; 5.0; 5.0 ])));
+  Alcotest.(check (list (list string)))
+    "tied loads" [ [ "u0"; "u3" ]; [ "u1"; "u2" ] ]
+    (labels (P.lpt 2 (items_of [ 6.0; 4.0; 2.0; 2.0 ])))
+
 let test_round_robin () =
   let items = items_of [ 1.0; 2.0; 3.0; 4.0 ] in
   let r = P.round_robin 2 items in
@@ -174,6 +184,7 @@ let () =
           Alcotest.test_case "single bin" `Quick test_single_bin;
           Alcotest.test_case "more bins than items" `Quick test_more_bins_than_items;
           Alcotest.test_case "hot-function outlier" `Quick test_hot_function_outlier;
+          Alcotest.test_case "lpt tie rule" `Quick test_lpt_tie_rule;
         ] );
       ( "properties",
         qcheck
