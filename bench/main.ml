@@ -1408,10 +1408,10 @@ let profile_section () = write_bench_json "BENCH_profile.json" (profile_data ())
    critical-path attribution on single-node and clustered runs.  Every
    number is simulated time, hence deterministic and tightly gated.  The
    section also enforces two structural guarantees of the tracing layer:
-   attaching the recorder must leave the run's report untouched (spot
-   check here, full bit-identity in the golden tests), and the NXE hot
-   path must stay inside the PR-7 allocation budget with the span ring
-   active. *)
+   attaching a sink, whose recorder is the tracer, must leave the run's
+   report untouched (spot check here, full bit-identity in the golden
+   tests), and the NXE hot path must stay inside the PR-7 allocation
+   budget with the sink attached. *)
 
 let slo_quantile_ps = [ 50.0; 95.0; 99.0; 99.9 ]
 
@@ -1453,19 +1453,20 @@ let slo_data () =
   in
   let suites = ref [] in
   let measure ~sname ~nodes ~slo_limit run_with =
-    (* Identical run minus the recorder: the schedule and counts the
-       tracer claims to merely observe. *)
+    (* Identical run minus the sink: the schedule and counts the tracer
+       claims to merely observe. *)
     let base_synced, base_time, _ = run_with None in
-    let tc = Trace_ctx.create () in
+    let sink = Telemetry.create () in
+    let tc = Telemetry.recorder sink in
     let mw0 = Gc.minor_words () in
-    let synced, total_time, n = run_with (Some tc) in
+    let synced, total_time, n = run_with (Some sink) in
     let mwords = Gc.minor_words () -. mw0 in
     if synced <> base_synced || total_time <> base_time then begin
       Printf.eprintf "slo bench: tracer perturbed the run on %s (%d/%f vs %d/%f)\n" sname
         synced total_time base_synced base_time;
       exit 1
     end;
-    (* PR-7 budget with the span ring active (same bar as the nxe bench;
+    (* PR-7 budget with the sink attached (same bar as the nxe bench;
        single-node only — cluster runs allocate in the net layer). *)
     if nodes = 1 && synced > 100 && mwords /. float_of_int synced > 120.0 *. float_of_int n
     then begin
@@ -1534,23 +1535,23 @@ let slo_data () =
       :: !suites
   in
   let dense_trace = nxe_dense_trace () in
-  measure ~sname:"bzip2_dense" ~nodes:1 ~slo_limit:12.0 (fun tracer ->
-      let config = { Nxe.selective with tracer } in
+  measure ~sname:"bzip2_dense" ~nodes:1 ~slo_limit:12.0 (fun telemetry ->
+      let config = { Nxe.selective with telemetry } in
       let names = List.init 3 (Printf.sprintf "v%d") in
       let r = Nxe.run_traces ~config ~names (List.init 3 (fun _ -> dense_trace)) in
       (r.Nxe.synced_syscalls, r.Nxe.total_time, 3));
   let server = Server.make Server.Lighttpd ~file_kb:1 ~connections:16 ~requests in
   let server_trace = Program.build_trace (Program.baseline server.Bench.prog) ~seed:E.ref_seed in
   measure ~sname:"lighttpd" ~nodes:1 ~slo_limit:(Server.slo_target_us Server.Lighttpd)
-    (fun tracer ->
-      let config = { Nxe.selective with tracer } in
+    (fun telemetry ->
+      let config = { Nxe.selective with telemetry } in
       let names = List.init 3 (Printf.sprintf "v%d") in
       let r = Nxe.run_traces ~config ~names (List.init 3 (fun _ -> server_trace)) in
       (r.Nxe.synced_syscalls, r.Nxe.total_time, 3));
   measure ~sname:"lighttpd" ~nodes:4 ~slo_limit:(Server.slo_target_us Server.Lighttpd)
-    (fun tracer ->
+    (fun telemetry ->
       let config = { Cluster.default_config with nodes = 4; ship = Cluster.Selective } in
-      let engine = { Nxe.default_config with tracer } in
+      let engine = { Nxe.default_config with telemetry } in
       let names = List.init 3 (Printf.sprintf "v%d") in
       let r = Cluster.run_traces ~config ~engine ~names (List.init 3 (fun _ -> server_trace)) in
       (r.Cluster.synced_syscalls, r.Cluster.total_time, 3));

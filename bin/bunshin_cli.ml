@@ -98,15 +98,15 @@ let lockstep_arg =
 let spans_flag =
   Arg.(value & flag
        & info [ "spans" ]
-           ~doc:"Attach the causal-span recorder and print the first span trees plus \
-                 the critical-path attribution table (pure observation: the run's \
-                 report is bit-identical either way).")
+           ~doc:"Attach a telemetry sink, whose span recorder is the tracer, and print \
+                 the first span trees plus the critical-path attribution table (pure \
+                 observation: the run's report is bit-identical either way).")
 
 let spans_out_arg =
   Arg.(value & opt (some string) None
        & info [ "spans-out" ] ~docv:"FILE"
            ~doc:"Write every recorded causal span as a JSON array to FILE (implies \
-                 the recorder is attached).")
+                 the sink is attached).")
 
 let write_file file contents =
   try Out_channel.with_open_text file (fun oc -> Out_channel.output_string oc contents)
@@ -314,8 +314,9 @@ let profile_cmd =
          Printf.printf "attribution written to %s\n" file);
       match (trace, config.Nxe.telemetry) with
       | Some file, Some sink ->
-        write_file file (Telemetry.to_chrome_json sink);
-        Printf.printf "trace written to %s (%d events)\n" file (Telemetry.event_count sink)
+        let tc = Telemetry.recorder sink in
+        write_file file (Trace_ctx.to_chrome_json tc);
+        Printf.printf "trace written to %s (%d events)\n" file (Trace_ctx.used tc)
       | _ -> ()
     end
   in
@@ -600,8 +601,8 @@ let trace_cmd =
   let run bench n config nodes out metrics_file print_metrics spans spans_out =
     if nodes < 1 then invalid_arg "trace: --nodes must be >= 1";
     let sink = Telemetry.create () in
-    let tracer = if spans || spans_out <> None then Some (Trace_ctx.create ()) else None in
-    let config = { config with Nxe.telemetry = Some sink; tracer } in
+    let tc = Telemetry.recorder sink in
+    let config = { config with Nxe.telemetry = Some sink } in
     (* Stage 1: the benchmark as N identical baseline builds under the NXE —
        populates the machine and nxe clock domains. *)
     let builds = List.init n (fun _ -> Program.baseline bench.Bench.prog) in
@@ -638,7 +639,7 @@ let trace_cmd =
        Printf.printf "ir stage: %s (benign input), %.0f us, synced %d syscalls\n"
          case.Cve.c_program ir.Nxe.total_time ir.Nxe.synced_syscalls
      | [] -> ());
-    let chrome = Telemetry.to_chrome_json sink in
+    let chrome = Trace_ctx.to_chrome_json tc in
     (* Exporter self-check: the emitted trace must actually be JSON, or
        chrome://tracing will reject the file with no useful message. *)
     (match Json.parse chrome with
@@ -648,12 +649,10 @@ let trace_cmd =
        exit 1);
     write_file out chrome;
     write_file metrics_file (Telemetry.metrics_to_json sink);
-    Printf.printf "wrote %s (%d events, %d dropped) and %s\n" out
-      (Telemetry.event_count sink) (Telemetry.dropped_events sink) metrics_file;
+    Printf.printf "wrote %s (%d events, %d dropped) and %s\n" out (Trace_ctx.used tc)
+      (Trace_ctx.dropped tc) metrics_file;
     if print_metrics then print_string (Telemetry.metrics_to_text sink);
-    Option.iter
-      (fun tc -> span_report ~label:bench.Bench.name tc ~show:spans ~spans_out)
-      tracer
+    span_report ~label:bench.Bench.name tc ~show:spans ~spans_out
   in
   Cmd.v
     (Cmd.info "trace"
@@ -910,10 +909,10 @@ let cluster_cmd =
     print_incidents ~json (r.Cluster.fault_incidents @ Option.to_list r.Cluster.incident)
   in
   let run bench n nodes ship compare diverge chaos policy heartbeat json spans spans_out =
-    let tracer =
+    let sink =
       (* With --compare, three runs would interleave in one recorder; keep
          span capture to the single-run path. *)
-      if (spans || spans_out <> None) && not compare then Some (Trace_ctx.create ())
+      if (spans || spans_out <> None) && not compare then Some (Telemetry.create ())
       else None
     in
     let base = Program.build_trace (Program.baseline bench.Bench.prog) ~seed:Experiments.ref_seed in
@@ -929,7 +928,7 @@ let cluster_cmd =
     Option.iter (Format.printf "%a@." Faults.pp_plan) faults;
     let engine =
       { Nxe.default_config with
-        tracer;
+        telemetry = sink;
         fault_policy =
           (* The watchdog only matters when faults are injected; leave it
              off otherwise so a long syscall-free stretch is not a stall. *)
@@ -945,8 +944,9 @@ let cluster_cmd =
         (Cluster.mode_name ship);
       report_one ~names ~syscalls ~json (run1 ship);
       Option.iter
-        (fun tc -> span_report ~label:bench.Bench.name tc ~show:spans ~spans_out)
-        tracer
+        (fun sink ->
+          span_report ~label:bench.Bench.name (Telemetry.recorder sink) ~show:spans ~spans_out)
+        sink
     end
     else begin
       let all = [ Cluster.Full_remote_lockstep; Cluster.Selective; Cluster.Selective_replicated ] in
@@ -1052,12 +1052,12 @@ let slo_cmd =
     if nodes < 1 then invalid_arg "slo: --nodes must be >= 1";
     let bench = Server.make kind ~file_kb ~connections:16 ~requests in
     let sink = Telemetry.create () in
-    let tc = Trace_ctx.create () in
+    let tc = Telemetry.recorder sink in
     let label =
       Printf.sprintf "%s x%d (%s)" bench.Bench.name n
         (if nodes = 1 then "single node" else Printf.sprintf "%d nodes" nodes)
     in
-    let engine = { Nxe.selective with telemetry = Some sink; tracer = Some tc } in
+    let engine = { Nxe.selective with telemetry = Some sink } in
     let total_time =
       if nodes = 1 then begin
         let builds = List.init n (fun _ -> Program.baseline bench.Bench.prog) in

@@ -57,11 +57,11 @@ cat BENCH_interp.json
 #   numbers, and the co-simulation's host allocation per synced syscall
 #   (`minor_words_per_sync`, tolerance 0.1), a deterministic count.
 # - slo: re-runs the causal-tracing matrix fresh — which itself asserts
-#   that enabling the tracer leaves the run bit-identical, that the span
-#   ring stays inside the NXE's per-sync allocation budget, and that the
-#   live windowed p99 agrees with the post-hoc exact percentile within one
-#   log-bucket width — and pins the deterministic latency quantiles, burn
-#   rates and attribution shares.
+#   that attaching a sink (its recorder is the tracer) leaves the run
+#   bit-identical, that the recorder stays inside the NXE's per-sync
+#   allocation budget, and that the live windowed p99 agrees with the
+#   post-hoc exact percentile within one log-bucket width — and pins the
+#   deterministic latency quantiles, burn rates and attribution shares.
 # - serve: re-runs the open-loop offered-load sweep over the NXE group pool
 #   — which itself re-proves neutrality (pooled group reports bit-identical
 #   to solo replays on the saturated point) — and pins request conservation

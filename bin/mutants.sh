@@ -7,13 +7,17 @@
 # For each mutant the script copies the tree, without _build and .git, to
 # a temporary directory, replaces the one occurrence of TEXT in FILE,
 # requires `dune build` to succeed there and runs `dune runtest`.  The
-# mutant is killed when the suite fails.  The unmutated copy is run first,
-# so a suite that already fails cannot make every mutant look killed.
+# mutant is killed when the suite fails.  A mutant the suite lets through
+# meets a second oracle: bin/outputs.sh in the mutant's tree, which kills
+# it when a digest of bin/outputs.manifest moves.  The unmutated copy is
+# run through both first, so a suite or manifest that already fails
+# cannot make every mutant look killed.
 #
 # Usage: bin/mutants.sh
 #
-# Prints killed or survived per mutant, with the first failing test, then
-# the kill rate per library (the directory under lib/).  Exits 1 if a
+# Prints killed or survived per mutant, with the first failing test (or
+# "outputs: COMMAND" for the first command whose digest moved), then the
+# kill rate per library (the directory under lib/).  Exits 1 if a
 # mutant survived or an entry is malformed: not four fields, a duplicate
 # name, a missing FILE, TEXT not found exactly once, or a mutant that does
 # not build.  Each mutant rebuilds the tree (about 20 s), so bin/check.sh
@@ -76,10 +80,10 @@ copy_tree() {
 
 echo "== unmutated tree"
 copy_tree
-if ! (dune build --root "$work/tree" && dune runtest --root "$work/tree") \
-  >"$work/log" 2>&1; then
+if ! (dune build --root "$work/tree" && dune runtest --root "$work/tree" &&
+  "$work/tree/bin/outputs.sh") >"$work/log" 2>&1; then
   tail -20 "$work/log"
-  echo "mutants: the unmutated suite fails; no mutant can be judged" >&2
+  echo "mutants: the unmutated suite or manifest fails; no mutant can be judged" >&2
   exit 1
 fi
 
@@ -96,17 +100,19 @@ while [ "$n" -le "$count" ]; do
     head -20 "$work/log"
     bad "$n" "$name does not build"
     verdict=unbuilt
-  elif dune runtest --root "$work/tree" >"$work/log" 2>&1; then
+  elif dune runtest --root "$work/tree" >"$work/log" 2>&1 &&
+    "$work/tree/bin/outputs.sh" >"$work/log" 2>&1; then
     verdict=survived
     survivors=$((survivors + 1))
   else
     verdict=killed
   fi
-  # Alcotest marks a failed case "[FAIL]"; the golden runners print "FAIL".
+  # Alcotest marks a failed case "[FAIL]"; the golden runners print "FAIL";
+  # the manifest check names each moved command "moved: ".
   first=
   [ "$verdict" = killed ] &&
-    first=$(grep -m 1 -e '\[FAIL\]' -e '^FAIL ' "$work/log" |
-      sed -e 's/.*\[FAIL\] *//' -e 's/^FAIL //' | tr -s ' ')
+    first=$(grep -m 1 -e '\[FAIL\]' -e '^FAIL ' -e '^moved: ' "$work/log" |
+      sed -e 's/.*\[FAIL\] *//' -e 's/^FAIL //' -e 's/^moved: /outputs: /' | tr -s ' ')
   printf '%-9s %-34s %s\n' "$verdict" "$name" "$first"
   echo "$(library "$file") $verdict" >>"$work/results"
   n=$((n + 1))

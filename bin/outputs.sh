@@ -23,7 +23,7 @@ case ${1:-check} in
   *) echo "usage: $0 [update]" >&2; exit 2 ;;
 esac
 
-dune build bin/bunshin_cli.exe bench/main.exe
+dune build bin/bunshin_cli.exe bench/main.exe @examples/all
 work=$(mktemp -d "${TMPDIR:-/tmp}/outputs.XXXXXX")
 trap 'rm -rf "$work"' EXIT INT TERM
 out=_build/outputs
@@ -33,6 +33,7 @@ digest() {
   case $1 in
     bench) exe=_build/default/bench/main.exe ;;
     cli) exe=_build/default/bin/bunshin_cli.exe ;;
+    example) exe=_build/default/examples/$2.exe; shift ;;
     *) echo "outputs: unknown tool '$1' in $list" >&2; exit 2 ;;
   esac
   shift

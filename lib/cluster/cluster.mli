@@ -126,9 +126,10 @@ val run_traces :
   report
 (** Execute one trace per variant across the cluster.  Variant 0 is the
     leader.  [engine] (default {!Nxe.default_config}) holds the engine
-    settings: the ring, weak determinism, telemetry, tracer and fault
-    policy; its [mode] and [sync_shared_memory] are unused here.  With a
-    [tracer], every synchronized syscall becomes one trace rooted at the
+    settings: the ring, weak determinism, telemetry and fault policy; its
+    [mode] and [sync_shared_memory] are unused here.  With a telemetry
+    sink, whose recorder is the tracer, every synchronized syscall
+    becomes one trace rooted at the
     leader's publish, with per-variant arrivals, scheduler waits and the
     link messages that shipped the slot as children, across all nodes
     (context rides in the 8 reserved header bytes of every message, see

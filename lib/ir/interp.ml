@@ -1,5 +1,6 @@
 open Ast
 module Tel = Bunshin_telemetry.Telemetry
+module Tx = Bunshin_trace_ctx.Trace_ctx
 module P = Precompile
 module Vec = Bunshin_util.Vec
 
@@ -75,9 +76,11 @@ let func_addr_base = 0x4000_0000L
 type access = Read | Write
 
 (* Trace handle: the interpreter's clock is the instruction counter, so its
-   events live in their own telemetry domain, never mixed with machine µs. *)
+   entries live in their own clock domain of the sink's recorder, never
+   mixed with machine µs. *)
 type itel = {
-  i_dom : Tel.domain;
+  i_rec : Tx.t;             (* the sink's span store *)
+  i_dom : int;              (* this run's domain in it *)
   i_hits : Tel.Counter.t;   (* check intrinsics evaluated *)
   i_fails : Tel.Counter.t;  (* of those, how many returned "unsafe" *)
   i_detect : Tel.Counter.t; (* report handlers fired *)
@@ -88,8 +91,10 @@ let make_itel telemetry =
     (fun dom ->
       let sink = Tel.domain_sink dom in
       let p = Tel.domain_name dom in
+      Tel.name_track dom ~tid:0 "calls";
       {
-        i_dom = dom;
+        i_rec = Tel.recorder sink;
+        i_dom = Tel.domain_id dom;
         i_hits = Tel.counter sink (p ^ ".check_hits");
         i_fails = Tel.counter sink (p ^ ".check_fails");
         i_detect = Tel.counter sink (p ^ ".detections");
@@ -346,9 +351,8 @@ let call_intrinsic_raw st ~in_func ~in_block name args =
     (match st.tel with
      | Some tel ->
        Tel.Counter.incr tel.i_detect;
-       Tel.instant tel.i_dom
-         ~args:[ ("handler", name); ("func", in_func); ("block", in_block) ]
-         ~ts:(float_of_int st.steps) ~cat:"interp" "detected"
+       Tx.mark tel.i_rec ~domain:tel.i_dom ~tid:0 ~variant:(-1) ~key:"handler" ~text:name
+         ~value:nan ~ts:(float_of_int st.steps) "detected"
      | None -> ());
     raise (Trap (Detected { d_handler = name; d_func = in_func; d_block = in_block }))
   end
@@ -532,15 +536,17 @@ let rec exec_call st ~depth ~caller ~caller_block fname (args : rvalue list) : r
     (match st.tel with
      | None -> run_block None (entry_block f)
      | Some tel ->
-       (* Span per function activation on the instruction-step clock; the
-          end event must also fire when a Trap unwinds through us. *)
-       Tel.span_begin tel.i_dom ~ts:(float_of_int st.steps) ~cat:"interp" fname;
+       (* Span per function activation on the instruction-step clock; it
+          must also close when a Trap unwinds through us. *)
+       let id =
+         Tx.open_slice tel.i_rec ~domain:tel.i_dom ~tid:0 ~t0:(float_of_int st.steps) fname
+       in
        (match run_block None (entry_block f) with
         | r ->
-          Tel.span_end tel.i_dom ~ts:(float_of_int st.steps) ~cat:"interp" fname;
+          Tx.finish tel.i_rec id ~t1:(float_of_int st.steps);
           r
         | exception e ->
-          Tel.span_end tel.i_dom ~ts:(float_of_int st.steps) ~cat:"interp" fname;
+          Tx.finish tel.i_rec id ~t1:(float_of_int st.steps);
           raise e))
 
 let run_reference ?(config = default_config) ?telemetry ?phases modul ~entry ~args =
@@ -777,9 +783,8 @@ let fcall_intrinsic_raw fst ~in_func ~in_block intr (args : P.rvalue array) : P.
     (match fst.f_tel with
      | Some tel ->
        Tel.Counter.incr tel.i_detect;
-       Tel.instant tel.i_dom
-         ~args:[ ("handler", name); ("func", in_func); ("block", in_block) ]
-         ~ts:(float_of_int fst.f_steps) ~cat:"interp" "detected"
+       Tx.mark tel.i_rec ~domain:tel.i_dom ~tid:0 ~variant:(-1) ~key:"handler" ~text:name
+         ~value:nan ~ts:(float_of_int fst.f_steps) "detected"
      | None -> ());
     raise (Trap (Detected { d_handler = name; d_func = in_func; d_block = in_block }))
   | P.ISyscall name ->
@@ -885,13 +890,16 @@ let rec fexec_call fst ~depth fidx (args : P.rvalue array) : P.rvalue =
   match fst.f_tel with
   | None -> fexec_body fst ~depth f args
   | Some tel ->
-    Tel.span_begin tel.i_dom ~ts:(float_of_int fst.f_steps) ~cat:"interp" f.P.pf_name;
+    let id =
+      Tx.open_slice tel.i_rec ~domain:tel.i_dom ~tid:0 ~t0:(float_of_int fst.f_steps)
+        f.P.pf_name
+    in
     (match fexec_body fst ~depth f args with
      | r ->
-       Tel.span_end tel.i_dom ~ts:(float_of_int fst.f_steps) ~cat:"interp" f.P.pf_name;
+       Tx.finish tel.i_rec id ~t1:(float_of_int fst.f_steps);
        r
      | exception e ->
-       Tel.span_end tel.i_dom ~ts:(float_of_int fst.f_steps) ~cat:"interp" f.P.pf_name;
+       Tx.finish tel.i_rec id ~t1:(float_of_int fst.f_steps);
        raise e)
 
 and fexec_body fst ~depth (f : P.pfunc) (args : P.rvalue array) : P.rvalue =

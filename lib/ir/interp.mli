@@ -123,10 +123,11 @@ val run :
     once themselves and call {!run_compiled} per run.
 
     [telemetry] attaches the run to a trace domain whose clock is the
-    {e instruction counter} (not machine time): one span per function
-    activation (category ["interp"]), a ["detected"] instant when a report
-    handler fires, and counters [<domain>.check_hits] / [.check_fails] /
-    [.detections] on the domain's sink.  Omitted, every instrumentation
+    {e instruction counter} (not machine time).  The sink's recorder gets
+    one slice per function activation on the domain's ["calls"] track and
+    a ["detected"] mark naming the handler when a report handler fires;
+    the sink gets counters [<domain>.check_hits] / [.check_fails] /
+    [.detections].  Omitted, every instrumentation
     point is a no-op and the {!run} result is identical.
     @raise Invalid_argument if [entry] does not exist or arity mismatches. *)
 

@@ -1,6 +1,7 @@
 open Effect
 open Effect.Deep
 module Tel = Bunshin_telemetry.Telemetry
+module Tx = Bunshin_trace_ctx.Trace_ctx
 
 type config = {
   cores : int;
@@ -205,7 +206,8 @@ type machine_floats = {
 (* Telemetry handles, resolved once at creation so the per-event cost is a
    field read; [tel = None] keeps every instrumentation point a no-op. *)
 type tel = {
-  t_dom : Tel.domain;
+  t_rec : Tx.t; (* the sink's span store *)
+  t_dom : int; (* this machine's domain in it *)
   t_sched_tid : int; (* lane for scheduler-level instants (park/wake/pressure) *)
   t_ctx : Tel.Counter.t;
   t_parks : Tel.Counter.t;
@@ -290,7 +292,8 @@ let create ?(config = default_config) ?telemetry () =
         let sched_tid = config.cores in
         Tel.name_track dom ~tid:sched_tid "scheduler";
         {
-          t_dom = dom;
+          t_rec = Tel.recorder sink;
+          t_dom = Tel.domain_id dom;
           t_sched_tid = sched_tid;
           t_ctx = Tel.counter sink "machine.ctx_switches";
           t_parks = Tel.counter sink "machine.parks";
@@ -543,8 +546,8 @@ let wake t th =
     (match t.tel with
      | Some tel ->
        Tel.Counter.incr tel.t_wakes;
-       Tel.instant tel.t_dom ~tid:tel.t_sched_tid ~args:[ ("thread", th.tname) ]
-         ~ts:t.mf.clock ~cat:"machine" "wake"
+       Tx.mark tel.t_rec ~domain:tel.t_dom ~tid:tel.t_sched_tid ~variant:(-1) ~key:"thread"
+         ~text:th.tname ~value:nan ~ts:t.mf.clock "wake"
      | None -> ())
   | Ready | Running | Sleeping -> th.wake_pending <- true
   | Finished -> ()
@@ -587,9 +590,8 @@ let trace_pressure t tel pressure =
   Tel.Gauge.set tel.t_pressure pressure;
   if Float.abs (pressure -. tel.t_last_pressure) > 1e-9 then begin
     tel.t_last_pressure <- pressure;
-    Tel.instant tel.t_dom ~tid:tel.t_sched_tid
-      ~args:[ ("pressure", Printf.sprintf "%.3f" pressure) ]
-      ~ts:t.mf.clock ~cat:"machine" "cache_pressure"
+    Tx.mark tel.t_rec ~domain:tel.t_dom ~tid:tel.t_sched_tid ~variant:(-1) ~key:"" ~text:""
+      ~value:pressure ~ts:t.mf.clock "cache_pressure"
   end
 
 let multiplier t th =
@@ -722,8 +724,8 @@ let handler t th =
         match t.tel with
         | Some tel ->
           Tel.Counter.incr tel.t_parks;
-          Tel.instant tel.t_dom ~tid:tel.t_sched_tid ~args:[ ("thread", th.tname) ]
-            ~ts:t.mf.clock ~cat:"machine" "park"
+          Tx.mark tel.t_rec ~domain:tel.t_dom ~tid:tel.t_sched_tid ~variant:(-1) ~key:"thread"
+            ~text:th.tname ~value:nan ~ts:t.mf.clock "park"
         | None -> ())
   in
   let on_yield : ((unit, unit) continuation -> unit) option =
@@ -803,8 +805,8 @@ let start_burst t th ci =
       (match t.tel with
        | Some tel ->
          Tel.Counter.incr tel.t_ctx;
-         Tel.instant tel.t_dom ~tid:ci ~args:[ ("to", th.tname) ] ~ts:t.mf.clock
-           ~cat:"machine" "ctx_switch"
+         Tx.mark tel.t_rec ~domain:tel.t_dom ~tid:ci ~variant:(-1) ~key:"to" ~text:th.tname
+           ~value:nan ~ts:t.mf.clock "ctx_switch"
        | None -> ());
       t.cfg.ctx_switch_cost
     end
@@ -912,8 +914,8 @@ let handle_burst_end t th =
    | Some tel ->
      (* One complete span per CPU burst, on the core's lane: the trace
         shows exactly how the scheduler packed threads onto cores. *)
-     Tel.span_complete tel.t_dom ~tid:ci ~ts:(t.mf.clock -. effective) ~dur:effective
-       ~cat:"machine" th.tname
+     Tx.slice tel.t_rec ~domain:tel.t_dom ~tid:ci ~t0:(t.mf.clock -. effective)
+       ~t1:t.mf.clock th.tname
    | None -> ());
   if th.state = Finished then () (* cancelled mid-burst: free the core only *)
   else if f.remaining > 1e-12 then make_ready t th

@@ -31,11 +31,14 @@ val default_config : config
 
 val create : ?config:config -> ?telemetry:Bunshin_telemetry.Telemetry.sink -> unit -> t
 (** [telemetry] attaches the machine to a trace sink: it opens a ["machine"]
-    clock domain (simulated µs) with one track per core plus a scheduler
-    track, and records CPU bursts as complete spans, context switches,
-    park/wake instants, and cache-pressure samples
-    ([machine.cache_pressure] gauge).  Without it every instrumentation
-    point is a no-op — the schedule is identical either way. *)
+    clock domain (simulated µs) in the sink's recorder
+    ({!Bunshin_telemetry.Telemetry.recorder}) with one track per core plus
+    a scheduler track, and records there each CPU burst as a slice on its
+    core's track, context switches, park/wake instants and cache-pressure
+    changes as marks (the [machine.cache_pressure] gauge samples every
+    burst).  A sink keeps every burst scheduled (see {!compute}).  Without
+    it every instrumentation point is a no-op — the schedule is identical
+    either way. *)
 
 val now : t -> float
 (** Current simulated time. *)

@@ -56,7 +56,7 @@ type t = {
   mutable n_next : int;
 }
 
-let create ?(seed = 0) ?telemetry ?tracer () =
+let create ?(seed = 0) ?telemetry () =
   let rtt = Tel.Hist.create () in
   (match telemetry with
    | Some sink -> ignore (Tel.register_hist sink "net_rtt_us" rtt)
@@ -64,7 +64,7 @@ let create ?(seed = 0) ?telemetry ?tracer () =
   {
     n_seed = seed;
     n_sink = telemetry;
-    n_tracer = tracer;
+    n_tracer = Option.map Tel.recorder telemetry;
     n_rtt = rtt;
     n_links = [];
     n_next = 0;

@@ -27,7 +27,6 @@
 
 module M := Bunshin_machine.Machine
 module Tel := Bunshin_telemetry.Telemetry
-module Tx := Bunshin_trace_ctx.Trace_ctx
 
 type params = {
   latency_us : float;      (** one-way propagation delay, µs; must be > 0 *)
@@ -53,18 +52,17 @@ type stats = {
   s_retransmits : int; (** lost transmissions that were recovered *)
 }
 
-val create : ?seed:int -> ?telemetry:Tel.sink -> ?tracer:Tx.t -> unit -> t
+val create : ?seed:int -> ?telemetry:Tel.sink -> unit -> t
 (** [seed] (default 0) drives loss draws.  With [telemetry], the interned
     counters [net.bytes_sent] / [net.msgs_sent] (global) and
     [net.<link>.bytes_sent] / [net.<link>.msgs_sent] (per link, resolved
     once at {!link} creation) are registered on the sink, and the always-on
     {!rtt_hist} is shared with it under [net_rtt_us] — all visible in
-    [bunshin trace --metrics].  Without it, accounting still accumulates in
-    {!stats}; the delivery schedule is identical either way.  With
-    [tracer], {!send_traced} records one causal
+    [bunshin trace --metrics], and {!send_traced} records one causal
     {!Bunshin_trace_ctx.Trace_ctx.Net_msg} span per context-carrying
-    message — again pure observation, with the same schedule, stats and
-    byte counts either way. *)
+    message in the sink's recorder.  Without it, accounting still
+    accumulates in {!stats}.  Telemetry is pure observation: the delivery
+    schedule, stats and byte counts are identical either way. *)
 
 val link : t -> ?params:params -> src:M.t -> dst:M.t -> string -> link
 (** [link net ~src ~dst name]: new unidirectional link.
@@ -91,7 +89,7 @@ val send : t -> link -> bytes:int -> (unit -> unit) -> unit
     bytes-on-wire. *)
 
 val send_traced : t -> link -> bytes:int -> span:int -> node:int -> (unit -> unit) -> unit
-(** {!send}, carrying causal-trace context: when the net has a tracer and
+(** {!send}, carrying causal-trace context: when the net has a sink and
     [span >= 0], records a {!Bunshin_trace_ctx.Trace_ctx.Net_msg} span
     under parent [span] covering send -> delivery, annotated with the
     three delay components the critical-path walk distinguishes

@@ -31,7 +31,6 @@ type config = {
   sync_shared_memory : bool;
   telemetry : Tel.sink option;
   fault_policy : fault_policy;
-  tracer : Tx.t option;
 }
 
 let default_config =
@@ -42,7 +41,6 @@ let default_config =
     sync_shared_memory = true;
     telemetry = None;
     fault_policy = default_policy;
-    tracer = None;
   }
 
 let selective = { default_config with mode = Selective_lockstep }
@@ -204,7 +202,7 @@ let report_signature r =
 (* 24 bytes of transport/session header plus 8 bytes of causal-trace
    context (trace id + span id, 32-bit each) piggybacked on EVERY message
    unconditionally — the header reserves the field whether or not a
-   tracer is attached, so enabling tracing cannot change bytes-on-wire,
+   sink is attached, so enabling tracing cannot change bytes-on-wire,
    schedules, or reports (the bit-identity guarantee). *)
 let msg_hdr = 32
 let io_payload = 4096
@@ -279,7 +277,7 @@ let sc_fork_cost = Sc.base_cost (Sc.fork ())
      sl_sigdel   cached "is this a signal-delivery marker" so the fetch
        spin tests a bool, not a string
      sl_trace/sl_span   causal-trace context stamped by the leader at
-       publish time ([-1] without a tracer): the propagated ids that let
+       publish time ([-1] without a sink): the propagated ids that let
        followers — and, through link messages, remote nodes — attach
        their spans to the same rendezvous tree
      sl_ship     Net only: lockstep ship time, for the RTT histogram
@@ -334,7 +332,8 @@ type det = {
    histograms below are NOT here — they are always-on (they feed
    [report.histograms]) so enabling tracing cannot change the report. *)
 type tel = {
-  t_dom : Tel.domain;
+  t_rec : Tx.t; (* the sink's span store *)
+  t_dom : int; (* this run's "nxe" domain in it *)
   t_publish : Tel.Counter.t;
   t_fetch : Tel.Counter.t;
   t_locksteps : Tel.Counter.t;
@@ -385,6 +384,7 @@ type t = {
   place : int array; (* variant -> node; all 0 in-process *)
   wire : wire option;
   tel : tel option;
+  tracer : Tx.t option; (* the sink's recorder: causal spans *)
   h_gap : Tel.Hist.t;  (* leader run-ahead distance, slots *)
   h_wait : Tel.Hist.t; (* blocked time at sync points, us *)
   working_sets : float array;
@@ -484,7 +484,7 @@ let do_work nxe ~variant fname cost =
   in
   if f <= 0.0 then M.compute m cost
   else begin
-    match nxe.cfg.tracer with
+    match nxe.tracer with
     | None -> ignore (M.compute_share m cost ~from_:M.slot_compute ~to_:sanitizer_slot f)
     | Some tc ->
       let w0 = M.now m in
@@ -524,8 +524,12 @@ let fetch_compute m ~blocked =
   end
 
 (* Chrome-trace lane for (channel, variant): one track per logical thread
-   per variant, so publish/fetch spans line up visually. *)
+   per variant, so a variant's event marks line up visually. *)
 let lane nxe chan ~variant = (chan.ch_id * nxe.n) + variant
+
+(* An NXE event instant in the sink's recorder. *)
+let note tel ~tid ~variant ~key ~text ~ts name =
+  Tx.mark tel.t_rec ~domain:tel.t_dom ~tid ~variant ~key ~text ~value:nan ~ts name
 
 (* Wake every follower queue of [qs] (indexed by follower).  A wait queue
    belongs to the machine its waiters run on: in-process that is one
@@ -571,14 +575,8 @@ let fail nxe alert =
     (match nxe.tel with
      | Some tel ->
        Tel.Counter.incr tel.t_alerts;
-       Tel.instant tel.t_dom
-         ~args:
-           [
-             ("variant", string_of_int alert.al_variant);
-             ("expected", alert.al_expected);
-             ("got", alert.al_got);
-           ]
-         ~ts:now ~cat:"nxe" "divergence"
+       note tel ~tid:0 ~variant:alert.al_variant ~key:"got" ~text:alert.al_got ~ts:now
+         "divergence"
      | None -> ());
     broadcast_all nxe
   end
@@ -645,7 +643,7 @@ let get_chan nxe path =
     (match nxe.tel with
      | Some tel ->
        for v = 0 to nxe.n - 1 do
-         Tel.name_track tel.t_dom ~tid:(lane nxe c ~variant:v)
+         Tx.name_track tel.t_rec ~domain:tel.t_dom ~tid:(lane nxe c ~variant:v)
            (Printf.sprintf "%s v%d" path v)
        done
      | None -> ());
@@ -736,8 +734,8 @@ let min_live_cursor ?(known = false) nxe chan =
    follower's consume — fetches happen post-release, so only that boundary
    lets fetch spans nest inside the root.  Spans carry the node of the
    variant that records them.  All recording is pure observation: nothing
-   here touches the schedule, and with [config.tracer = None] every site
-   compiles to a no-op test. *)
+   here touches the schedule, and without a sink every site compiles to a
+   no-op test. *)
 
 (* Every live follower has consumed [pos].  A quarantined follower is
    done on every channel, including those created after its quarantine. *)
@@ -775,7 +773,7 @@ let consume ?arrived_at nxe m chan ~variant ~pos ~blocked =
   fetch_compute m ~blocked;
   chan.cursors.(variant - 1) <- pos + 1;
   touch nxe variant;
-  match nxe.cfg.tracer with
+  match nxe.tracer with
   | Some tc when chan.sl_span.(pos) >= 0 ->
     (match arrived_at with
      | Some t1 ->
@@ -979,14 +977,14 @@ let vote_at chan ~pos v =
     else if exited then F.Exited
     else F.Pending
 
-(* Net divergence evidence must be ship-mode-independent: when a batched
-   check fails, the leader (and followers on other nodes) may have run far
-   ahead of the diverging slot, so a live recorder snapshot would show
-   run-ahead entries naive lockstep can never contain.  Rebuild the window
-   ending at the divergence instead — recorded entries where the recorder
-   still holds them, slot-stream reconstructions for positions the variant
-   already passed (a passed check means it issued exactly the leader's
-   syscall there). *)
+(* Divergence evidence must not depend on how far anyone ran ahead: under
+   selective lockstep the leader, and over the Net followers on other
+   nodes, may be past the diverging slot when the check fails, so a live
+   recorder snapshot would show run-ahead entries strict lockstep can
+   never contain.  Rebuild the window ending at the divergence instead —
+   recorded entries where the recorder still holds them, slot-stream
+   reconstructions for positions the variant already passed (a passed
+   check means it issued exactly the leader's syscall there). *)
 let divergence_tape chan ~pos v =
   let lo = max 0 (pos - recorder_depth + 1) in
   let recorded = F.Tape.to_list chan.tapes.(v) in
@@ -1003,15 +1001,13 @@ let divergence_tape chan ~pos v =
            end
            else []))
 
-(* Incident tapes: the live recorders, except for a divergence over the
-   Net, which gets the window ending at the divergent slot.  Fault
-   incidents always keep the live tapes: each variant's actual progress is
-   the evidence there. *)
+(* Incident tapes, one rule on both transports: a divergence gets the
+   window ending at the divergent slot.  Fault incidents keep the live
+   tapes: each variant's actual progress is the evidence there. *)
 let incident_for nxe ~chan ~pos ~flagged ~expected ~got ?mismatch_override ~time () =
   let tapes =
-    match (nxe.wire, mismatch_override) with
-    | Some _, None -> Array.init nxe.n (divergence_tape chan ~pos)
-    | _ -> Array.init nxe.n (fun v -> F.Tape.to_list chan.tapes.(v))
+    if mismatch_override = None then Array.init nxe.n (divergence_tape chan ~pos)
+    else Array.init nxe.n (fun v -> F.Tape.to_list chan.tapes.(v))
   in
   F.build ?mismatch_override ~channel:chan.ch_id ~position:pos ~flagged ~expected ~got
     ~time
@@ -1060,7 +1056,7 @@ let quarantine nxe ~variant ~cause =
     (* A slot the leader released past the victim's cursor may have waited
        only on the victim's consume: it retires now, and nothing else
        would close its root. *)
-    (match nxe.cfg.tracer with
+    (match nxe.tracer with
      | Some tc ->
        List.iter
          (fun c ->
@@ -1075,9 +1071,7 @@ let quarantine nxe ~variant ~cause =
     (match nxe.tel with
      | Some tel ->
        Tel.Counter.incr tel.t_quarantines;
-       Tel.instant tel.t_dom
-         ~args:[ ("variant", string_of_int variant); ("cause", cause_string cause) ]
-         ~ts:now ~cat:"nxe" "quarantine"
+       note tel ~tid:0 ~variant ~key:"cause" ~text:inc.F.inc_got ~ts:now "quarantine"
      | None -> ());
     broadcast_all nxe
   end
@@ -1156,9 +1150,7 @@ let apply_faults nxe ~variant sc =
       match nxe.tel with
       | Some tel ->
         Tel.Counter.incr tel.t_faults;
-        Tel.instant tel.t_dom
-          ~args:[ ("variant", string_of_int variant) ]
-          ~ts:(M.now m) ~cat:"nxe" "fault:injected"
+        note tel ~tid:0 ~variant ~key:"" ~text:"" ~ts:(M.now m) "fault:injected"
       | None -> ()
     in
     let sc = ref sc in
@@ -1211,13 +1203,7 @@ let checkin_cost = 0.3
 
 let leader_sync nxe chan sc =
   let m = nxe.machines.(0) in
-  let tid = lane nxe chan ~variant:0 in
-  (match nxe.tel with
-   | Some tel ->
-     Tel.Counter.incr tel.t_publish;
-     Tel.span_begin tel.t_dom ~tid ~args:[ ("sc", sc.Sc.name) ] ~ts:(M.now m) ~cat:"nxe"
-       "publish"
-   | None -> ());
+  (match nxe.tel with Some tel -> Tel.Counter.incr tel.t_publish | None -> ());
   let pub_t0 = M.now m in
   ph_compute m Pr.Phase.Publish checkin_cost;
   let pos = chan.leader_pos in
@@ -1231,7 +1217,7 @@ let leader_sync nxe chan sc =
   chan.sl_lastv.(pos) <- 0;
   chan.sl_sigdel.(pos) <- sc.Sc.name = "signal_delivery";
   (match nxe.wire with Some _ -> chan.sl_ship.(pos) <- 0.0 | None -> ());
-  (match nxe.cfg.tracer with
+  (match nxe.tracer with
    | Some tc ->
      (* The rendezvous root: opens at the leader's check-in (widened back
         to the first arrival at completion), closes at full retirement.
@@ -1297,7 +1283,7 @@ let leader_sync nxe chan sc =
        slot's arrival scalars are final — name the straggler. *)
     if not (aborted nxe) then begin
       let wait = Float.max 0.0 (chan.sl_last.(pos) -. chan.sl_first.(pos)) in
-      (match nxe.cfg.tracer with
+      (match nxe.tracer with
        | Some tc ->
          Tx.extend_t0 tc chan.sl_span.(pos) ~t0:chan.sl_first.(pos);
          if !blocked then begin
@@ -1307,21 +1293,11 @@ let leader_sync nxe chan sc =
                 ~variant:0 ~chan:chan.ch_id ~pos ~t0:wait_from ~t1:(M.now m))
          end
        | None -> ());
-      (match nxe.profile with
-       | Some c ->
-         Pr.Collector.record c ~chan:chan.ch_id ~pos ~time:(M.now m)
-           ~straggler:chan.sl_lastv.(pos) ~wait
-       | None -> ());
-      match nxe.tel with
-      | Some tel when wait > 0.0 ->
-        Tel.instant tel.t_dom ~tid
-          ~args:
-            [
-              ("straggler", string_of_int chan.sl_lastv.(pos));
-              ("wait_us", Printf.sprintf "%.3f" wait);
-            ]
-          ~ts:(M.now m) ~cat:"nxe" "straggler"
-      | _ -> ()
+      match nxe.profile with
+      | Some c ->
+        Pr.Collector.record c ~chan:chan.ch_id ~pos ~time:(M.now m)
+          ~straggler:chan.sl_lastv.(pos) ~wait
+      | None -> ()
     end
   end
   else begin
@@ -1346,11 +1322,11 @@ let leader_sync nxe chan sc =
     touch nxe 0;
     (match nxe.tel with
      | Some tel when lockstep ->
-       Tel.instant tel.t_dom ~tid ~args:[ ("sc", sc.Sc.name) ] ~ts:(M.now m) ~cat:"nxe"
-         "lockstep:release"
+       note tel ~tid:(lane nxe chan ~variant:0) ~variant:0 ~key:"sc" ~text:sc.Sc.name
+         ~ts:(M.now m) "lockstep:release"
      | _ -> ());
     (match nxe.wire with Some w -> release_slot nxe w chan ~pos ~lockstep sc | None -> ());
-    (match nxe.cfg.tracer with
+    (match nxe.tracer with
      | Some tc ->
        Tx.extend_t0 tc chan.sl_span.(pos) ~t0:chan.sl_first.(pos);
        (* With no live follower left the leader's release IS the
@@ -1359,10 +1335,7 @@ let leader_sync nxe chan sc =
        close_root tc chan pos ~t1:(M.now m)
      | None -> ());
     wake_local nxe chan.fol_q
-  end;
-  match nxe.tel with
-  | Some tel -> Tel.span_end tel.t_dom ~tid ~ts:(M.now m) ~cat:"nxe" "publish"
-  | None -> ()
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The follower's side of a slot.  A follower on node 0 sees the ring
@@ -1400,7 +1373,7 @@ let arrive chan pos ~variant t =
 let send_ack nxe w chan ~variant ~node ~pos ~rdy =
   let i = variant - 1 in
   let arr =
-    match nxe.cfg.tracer with
+    match nxe.tracer with
     | Some tc when chan.sl_span.(pos) >= 0 ->
       trace_ready_wait nxe tc chan pos ~variant rdy;
       Tx.start tc Tx.Arrival ~trace:chan.sl_trace.(pos) ~parent:chan.sl_span.(pos) ~node
@@ -1416,7 +1389,7 @@ let send_ack nxe w chan ~variant ~node ~pos ~rdy =
       if chan.sl_ship.(pos) > 0.0 then Net.observe_rtt w.links (t0 -. chan.sl_ship.(pos));
       if cursor_now > chan.kn.(i) then chan.kn.(i) <- cursor_now;
       w.remote_checked <- w.remote_checked + 1;
-      (match nxe.cfg.tracer with Some tc when arr >= 0 -> Tx.finish tc arr ~t1:t0 | _ -> ());
+      (match nxe.tracer with Some tc when arr >= 0 -> Tx.finish tc arr ~t1:t0 | _ -> ());
       M.Waitq.broadcast nxe.machines.(0) chan.leader_q)
 
 (* Arrival at a released-on-delivery slot — a batched one on a remote
@@ -1425,7 +1398,7 @@ let send_ack nxe w chan ~variant ~node ~pos ~rdy =
    straggler; record_child drops its inverted interval) plus the dispatch
    wait that ended the block. *)
 let trace_arrival nxe chan pos ~variant ~wait_from ~rdy =
-  match nxe.cfg.tracer with
+  match nxe.tracer with
   | Some tc when chan.sl_span.(pos) >= 0 ->
     let node = nxe.place.(variant) in
     ignore
@@ -1458,7 +1431,7 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
      compute below would overwrite the machine's last-wait stamps.  The
      slot's span context is only valid past the wait (leader published). *)
   let rdy =
-    match nxe.cfg.tracer with
+    match nxe.tracer with
     | Some _ when !blocked_for_slot -> M.last_ready_wait m
     | _ -> (0.0, 0.0)
   in
@@ -1482,7 +1455,7 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
       ph_compute m Pr.Phase.Fetch fetch_cost;
       chan.cursors.(i) <- pos + 1;
       touch nxe variant;
-      (match nxe.cfg.tracer with
+      (match nxe.tracer with
        | Some tc -> close_root tc chan pos ~t1:(M.now m)
        | None -> ());
       M.Waitq.signal m chan.leader_q;
@@ -1525,11 +1498,6 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
               was late. *)
            arrive chan pos ~variant wait_from;
            trace_arrival nxe chan pos ~variant ~wait_from ~rdy;
-           (match nxe.tel with
-            | Some tel ->
-              Tel.instant tel.t_dom ~tid:(lane nxe chan ~variant)
-                ~args:[ ("sc", sc.Sc.name) ] ~ts:(M.now m) ~cat:"nxe" "lockstep:arrive"
-            | None -> ());
            M.Waitq.signal m chan.leader_q);
         let blocked = ref false in
         let ready_from = M.now m in
@@ -1539,7 +1507,7 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
         done;
         if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. ready_from);
         if not (aborted nxe) then begin
-          (match nxe.cfg.tracer with
+          (match nxe.tracer with
            | Some tc when !blocked && chan.sl_span.(pos) >= 0 ->
              trace_sched_wait nxe tc chan pos ~variant
            | _ -> ());
@@ -1551,16 +1519,8 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
   end
 
 let follower_sync ?on_signal nxe chan ~variant sc =
-  match nxe.tel with
-  | None -> follower_sync_body ?on_signal nxe chan ~variant sc
-  | Some tel ->
-    let m = machine_of nxe variant in
-    let tid = lane nxe chan ~variant in
-    Tel.Counter.incr tel.t_fetch;
-    Tel.span_begin tel.t_dom ~tid ~args:[ ("sc", sc.Sc.name) ] ~ts:(M.now m) ~cat:"nxe"
-      "fetch";
-    follower_sync_body ?on_signal nxe chan ~variant sc;
-    Tel.span_end tel.t_dom ~tid ~ts:(M.now m) ~cat:"nxe" "fetch"
+  (match nxe.tel with Some tel -> Tel.Counter.incr tel.t_fetch | None -> ());
+  follower_sync_body ?on_signal nxe chan ~variant sc
 
 (* Shared-memory propagation (in-process only): like follower_sync, but
    the slot carries content to adopt rather than arguments to compare. *)
@@ -1650,7 +1610,7 @@ let det_order_op nxe det ~variant ~chan =
         (match nxe.tel with
          | Some tel ->
            Tel.Counter.incr tel.t_replays;
-           Tel.instant tel.t_dom ~tid:(lane nxe chan ~variant) ~ts:(M.now m) ~cat:"nxe"
+           note tel ~tid:(lane nxe chan ~variant) ~variant ~key:"" ~text:"" ~ts:(M.now m)
              "det:replay"
          | None -> ());
         M.Waitq.broadcast m det.d_qs.(i)
@@ -1779,8 +1739,8 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~det ~in_main_init ops () =
           (match nxe.tel with
            | Some tel ->
              Tel.Counter.incr tel.t_spawns;
-             Tel.instant tel.t_dom ~tid:(lane nxe chan ~variant)
-               ~args:[ ("child", child.ch_path) ] ~ts:(M.now m) ~cat:"nxe" "spawn"
+             note tel ~tid:(lane nxe chan ~variant) ~variant ~key:"child" ~text:child.ch_path
+               ~ts:(M.now m) "spawn"
            | None -> ());
           nxe.live_threads.(variant) <- nxe.live_threads.(variant) + 1;
           ignore
@@ -1798,8 +1758,8 @@ let rec exec_ops nxe ~variant ~chan ~ppath ~proc ~det ~in_main_init ops () =
           (match nxe.tel with
            | Some tel ->
              Tel.Counter.incr tel.t_forks;
-             Tel.instant tel.t_dom ~tid:(lane nxe chan ~variant)
-               ~args:[ ("group", cchan.ch_path) ] ~ts:(M.now m) ~cat:"nxe" "fork"
+             note tel ~tid:(lane nxe chan ~variant) ~variant ~key:"group" ~text:cchan.ch_path
+               ~ts:(M.now m) "fork"
            | None -> ());
           let cdet = get_det nxe cpath in
           nxe.live_threads.(variant) <- nxe.live_threads.(variant) + 1;
@@ -1933,7 +1893,8 @@ let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitiviti
     Option.map
       (fun sink ->
         {
-          t_dom = Tel.domain sink ~name:"nxe";
+          t_rec = Tel.recorder sink;
+          t_dom = Tel.domain_id (Tel.domain sink ~name:"nxe");
           t_publish = Tel.counter sink "nxe.slot_publish";
           t_fetch = Tel.counter sink "nxe.slot_fetch";
           t_locksteps = Tel.counter sink "nxe.locksteps";
@@ -1962,9 +1923,7 @@ let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitiviti
   let wire =
     Option.map
       (fun w ->
-        let links =
-          Net.create ?telemetry:config.telemetry ?tracer:config.tracer ()
-        in
+        let links = Net.create ?telemetry:config.telemetry () in
         let link src dst =
           Net.link links ~params:w.link ~src:machines.(src) ~dst:machines.(dst)
             (Printf.sprintf "n%d-n%d" src dst)
@@ -1999,6 +1958,7 @@ let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitiviti
       place;
       wire;
       tel;
+      tracer = Option.map Tel.recorder config.telemetry;
       h_gap;
       h_wait;
       working_sets;
@@ -2089,9 +2049,7 @@ let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitiviti
         (match nxe.tel with
          | Some tel ->
            Tel.Counter.incr tel.t_restarts;
-           Tel.instant tel.t_dom
-             ~args:[ ("variant", string_of_int variant) ]
-             ~ts:(M.now machines.(0)) ~cat:"nxe" "restart"
+           note tel ~tid:0 ~variant ~key:"" ~text:"" ~ts:(M.now machines.(0)) "restart"
          | None -> ());
         start_main variant ~suffix:":restart";
         broadcast_all nxe

@@ -97,31 +97,25 @@ type config = {
       (** §3.3's poisoned-page mechanism: copy externally-shared mapped
           content from the leader to followers on access *)
   telemetry : Bunshin_telemetry.Telemetry.sink option;
-      (** attach a trace sink: the engine opens an ["nxe"] clock domain
-          (machine µs) with one track per (channel, variant), records
-          publish/fetch spans, lockstep arrive/release, divergence, fork,
-          spawn and weak-determinism replay events, and shares its
-          syscall-gap / lockstep-wait histograms with the sink (as
-          ["nxe.syscall_gap"] / ["nxe.lockstep_wait_us"]).  The sink is
-          also handed to the underlying machine (see
-          {!Bunshin_machine.Machine.create}).  [None] (the default) makes
-          every instrumentation point a no-op; the {!report} is identical
-          either way.  With faults in play the sink additionally sees
-          ["nxe.faults_injected"] / ["nxe.quarantines"] / ["nxe.restarts"]
-          counters and the ["nxe.heartbeat_wait_us"] histogram. *)
+      (** attach a trace sink, whose recorder
+          ({!Bunshin_telemetry.Telemetry.recorder}) is the tracer: every
+          synchronized syscall becomes one causal
+          {!Bunshin_trace_ctx.Trace_ctx.Rendezvous} tree (publish,
+          per-variant arrival, lockstep wait, scheduler waits,
+          post-release fetches), each span carrying its variant's node;
+          sanitizer checks become one-span trees.  The engine also opens
+          an ["nxe"] clock domain (machine µs) with one track per
+          (channel, variant) for its release, divergence, quarantine,
+          fault, restart, fork, spawn and replay instants; counts
+          ["nxe.*"] events on the sink and shares its syscall-gap,
+          lockstep-wait and heartbeat histograms with it.  The sink also
+          goes to the machines (see {!Bunshin_machine.Machine.create})
+          and, over the Net, to the links.  Pure observation: the
+          {!report} and the schedule are identical without a sink
+          ([None], the default, makes every site a no-op test). *)
   fault_policy : fault_policy;
       (** what to do when a variant dies benignly or stops heartbeating
           (see {!recovery}); {!default_policy} in {!default_config} *)
-  tracer : Bunshin_trace_ctx.Trace_ctx.t option;
-      (** attach a causal-span recorder: every synchronized syscall
-          becomes one {!Bunshin_trace_ctx.Trace_ctx.Rendezvous} tree
-          (publish, per-variant arrival, lockstep wait, scheduler waits,
-          post-release fetches), and sanitizer checks become standalone
-          spans.  Each span carries the node of the variant that recorded
-          it (always 0 in-process).  Pure observation into preallocated
-          columns — the {!report}, the schedule and the per-sync
-          allocation budget are unchanged (pinned by the golden and bench
-          tests).  [None] (default) compiles every site to a no-op test. *)
 }
 (** The slot costs are constants of the engine, in simulated
     microseconds (the unit of {!M.config} quanta and of every time in

@@ -1,17 +1,6 @@
 module Stats = Bunshin_util.Stats
 module Json = Bunshin_util.Json
-
-type phase = Begin | End | Instant | Complete of float
-
-type event = {
-  ev_name : string;
-  ev_cat : string;
-  ev_phase : phase;
-  ev_ts : float;
-  ev_pid : int;
-  ev_tid : int;
-  ev_args : (string * string) list;
-}
+module Tx = Bunshin_trace_ctx.Trace_ctx
 
 (* ------------------------------------------------------------------ *)
 (* Metrics *)
@@ -237,90 +226,26 @@ end
 type metric = C of Counter.t | G of Gauge.t | H of Hist.t
 
 (* ------------------------------------------------------------------ *)
-(* Sink: bounded event ring + metrics registry *)
+(* Sink: span recorder + metrics registry *)
 
 type sink = {
-  cap : int;
-  ring : event array;
-  mutable start : int; (* index of the oldest event *)
-  mutable len : int;
-  mutable dropped : int;
-  mutable next_pid : int;
-  mutable proc_names : (int * string) list;        (* newest first *)
-  mutable track_names : ((int * int) * string) list;
+  recorder : Tx.t;
   metrics : (string, metric) Hashtbl.t;
   mutable metric_order : string list; (* reverse registration order *)
 }
 
-type domain = { d_sink : sink; d_pid : int; d_name : string }
-
-let dummy_event =
-  { ev_name = ""; ev_cat = ""; ev_phase = Instant; ev_ts = 0.0; ev_pid = 0; ev_tid = 0;
-    ev_args = [] }
+type domain = { d_sink : sink; d_id : int; d_name : string }
 
 let create ?(capacity = 65536) () =
   if capacity < 1 then invalid_arg "Telemetry.create: capacity must be positive";
-  {
-    cap = capacity;
-    ring = Array.make capacity dummy_event;
-    start = 0;
-    len = 0;
-    dropped = 0;
-    next_pid = 0;
-    proc_names = [];
-    track_names = [];
-    metrics = Hashtbl.create 32;
-    metric_order = [];
-  }
+  { recorder = Tx.create ~capacity (); metrics = Hashtbl.create 32; metric_order = [] }
 
-let capacity s = s.cap
-
-let domain s ~name =
-  let pid = s.next_pid in
-  s.next_pid <- pid + 1;
-  s.proc_names <- (pid, name) :: s.proc_names;
-  { d_sink = s; d_pid = pid; d_name = name }
-
+let recorder s = s.recorder
+let domain s ~name = { d_sink = s; d_id = Tx.domain s.recorder ~name; d_name = name }
 let domain_sink d = d.d_sink
 let domain_name d = d.d_name
-
-let push s ev =
-  if s.len < s.cap then begin
-    s.ring.((s.start + s.len) mod s.cap) <- ev;
-    s.len <- s.len + 1
-  end
-  else begin
-    (* Full: evict the oldest, keep the newest — the tail of a run is what
-       a trace reader usually wants. *)
-    s.ring.(s.start) <- ev;
-    s.start <- (s.start + 1) mod s.cap;
-    s.dropped <- s.dropped + 1
-  end
-
-let emit d phase ?(tid = 0) ?(args = []) ~ts ~cat name =
-  push d.d_sink
-    { ev_name = name; ev_cat = cat; ev_phase = phase; ev_ts = ts; ev_pid = d.d_pid;
-      ev_tid = tid; ev_args = args }
-
-let span_begin d ?tid ?args ~ts ~cat name = emit d Begin ?tid ?args ~ts ~cat name
-let span_end d ?tid ~ts ~cat name = emit d End ?tid ~ts ~cat name
-let span_complete d ?tid ?args ~ts ~dur ~cat name = emit d (Complete dur) ?tid ?args ~ts ~cat name
-let instant d ?tid ?args ~ts ~cat name = emit d Instant ?tid ?args ~ts ~cat name
-
-let name_track d ~tid name =
-  let s = d.d_sink in
-  s.track_names <- ((d.d_pid, tid), name) :: List.remove_assoc (d.d_pid, tid) s.track_names
-
-let events s = List.init s.len (fun i -> s.ring.((s.start + i) mod s.cap))
-let event_count s = s.len
-
-let recent s n =
-  if n < 0 then invalid_arg "Telemetry.recent: negative window";
-  let n = min n s.len in
-  let first = s.len - n in
-  List.init n (fun i -> s.ring.((s.start + first + i) mod s.cap))
-
-let dropped_events s = s.dropped
+let domain_id d = d.d_id
+let name_track d ~tid name = Tx.name_track d.d_sink.recorder ~domain:d.d_id ~tid name
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
@@ -368,50 +293,7 @@ let register_hist s name h =
 (* ------------------------------------------------------------------ *)
 (* Exporters *)
 
-let json_float f =
-  if Float.is_nan f then "0"
-  else if f = infinity then "1e308"
-  else if f = neg_infinity then "-1e308"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.12g" f
-
-let json_args args =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)) args)
-  ^ "}"
-
-let render_event e =
-  let base =
-    Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ts\":%s,\"pid\":%d,\"tid\":%d"
-      (Json.escape e.ev_name) (Json.escape e.ev_cat) (json_float e.ev_ts) e.ev_pid e.ev_tid
-  in
-  let ph =
-    match e.ev_phase with
-    | Begin -> ",\"ph\":\"B\""
-    | End -> ",\"ph\":\"E\""
-    | Instant -> ",\"ph\":\"i\",\"s\":\"t\""
-    | Complete dur -> Printf.sprintf ",\"ph\":\"X\",\"dur\":%s" (json_float dur)
-  in
-  let args = if e.ev_args = [] then "" else ",\"args\":" ^ json_args e.ev_args in
-  base ^ ph ^ args ^ "}"
-
-let to_chrome_json s =
-  let meta_proc (pid, name) =
-    Printf.sprintf
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-      pid (Json.escape name)
-  in
-  let meta_track ((pid, tid), name) =
-    Printf.sprintf
-      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-      pid tid (Json.escape name)
-  in
-  let metas =
-    List.map meta_proc (List.rev s.proc_names) @ List.map meta_track (List.rev s.track_names)
-  in
-  let body = String.concat ",\n" (metas @ List.map render_event (events s)) in
-  "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n" ^ body ^ "\n]}\n"
+let json_float = Json.compact_float
 
 (* Sorted by name, not registration order: exports are diffable across runs
    whose code paths registered metrics in different orders. *)

@@ -1,19 +1,18 @@
-(** Structured telemetry for the engine: a low-overhead event tracer plus a
-    metrics registry, with Chrome [trace_event] and flat JSON/text exporters.
+(** Structured telemetry for the engine: a metrics registry with flat
+    JSON, text and Prometheus exporters, plus the run's one span store.
 
     The design goal is that telemetry is {e behavior-neutral}: every
     instrumentation point in the engine takes a nullable sink and compiles
-    to a no-op when it is absent, and the event store is a bounded ring —
-    a hot run can never grow memory or change scheduling because tracing
-    is on.  Overflowing the ring drops the {e oldest} events and counts
-    them in {!dropped_events}, so truncation is always visible.
+    to a no-op when it is absent, and the span store is bounded — a hot
+    run can never grow memory or change scheduling because tracing is on.
 
-    {b Clock domains.}  Events carry raw timestamps from whatever clock
-    their layer runs on: the machine layers (machine, NXE) stamp events in
-    simulated machine time (µs), while the IR interpreter stamps them in
-    instruction steps.  Each clock domain is a separate {!domain} (a
-    Chrome-trace process), so mixed-domain sessions render side by side
-    without ever comparing timestamps across domains.
+    {b Spans.}  A sink owns one {!Bunshin_trace_ctx.Trace_ctx} recorder
+    ({!recorder}), the tracer of every layer it is attached to; its
+    [to_chrome_json] exports them all.  Entries carry raw timestamps from
+    their layer's clock — simulated µs for the machine and NXE,
+    instruction steps for the interpreter — so each clock is a separate
+    {!domain} (a Chrome-trace process) and no timestamps are compared
+    across domains.
 
     {b Metrics} are registered by name on the sink: monotonic counters,
     last/max gauges, and fixed-bucket histograms.  A histogram can also be
@@ -24,70 +23,27 @@
     group run with {!Hist.of_bounds}, over bounds normalised once. *)
 
 type sink
-(** A trace session: bounded event ring + metrics registry. *)
 
 type domain
 (** A named clock domain inside a sink (a Chrome-trace process). *)
 
 val create : ?capacity:int -> unit -> sink
-(** New sink whose event ring holds [capacity] events (default 65536).
+(** New sink whose recorder holds [capacity] entries (default 65536).
     @raise Invalid_argument if [capacity < 1]. *)
 
-val capacity : sink -> int
+val recorder : sink -> Bunshin_trace_ctx.Trace_ctx.t
+(** The sink's span store. *)
 
 val domain : sink -> name:string -> domain
-(** Allocate a fresh domain (pid) named [name]. *)
+(** A fresh domain named [name] in the sink's recorder. *)
 
 val domain_sink : domain -> sink
 val domain_name : domain -> string
+val domain_id : domain -> int (** its id in the recorder *)
 
-(** {1 Events} *)
-
-type phase =
-  | Begin             (** span open ([ph:"B"]) *)
-  | End               (** span close ([ph:"E"]) *)
-  | Instant           (** point event ([ph:"i"]) *)
-  | Complete of float (** whole span with the given duration ([ph:"X"]) *)
-
-type event = {
-  ev_name : string;
-  ev_cat : string;                 (** layer: ["nxe"], ["machine"], ["interp"] *)
-  ev_phase : phase;
-  ev_ts : float;                   (** in the domain's clock units *)
-  ev_pid : int;                    (** domain id *)
-  ev_tid : int;                    (** track (lane) within the domain *)
-  ev_args : (string * string) list;
-}
-
-val span_begin :
-  domain -> ?tid:int -> ?args:(string * string) list -> ts:float -> cat:string -> string -> unit
-
-val span_end : domain -> ?tid:int -> ts:float -> cat:string -> string -> unit
-
-val span_complete :
-  domain -> ?tid:int -> ?args:(string * string) list -> ts:float -> dur:float -> cat:string ->
-  string -> unit
-
-val instant :
-  domain -> ?tid:int -> ?args:(string * string) list -> ts:float -> cat:string -> string -> unit
 
 val name_track : domain -> tid:int -> string -> unit
-(** Label a track ([thread_name] metadata; idempotent, last write wins). *)
-
-val events : sink -> event list
-(** Surviving events, oldest first. *)
-
-val recent : sink -> int -> event list
-(** [recent s n]: the last [n] surviving events, oldest first (newest
-    last) — i.e. the tail of {!events}.  Events already evicted from the
-    ring are gone (see {!dropped_events}), so after an overflow the window
-    starts at the oldest survivor; [n] larger than {!event_count} returns
-    everything.
-    @raise Invalid_argument if [n < 0]. *)
-
-val event_count : sink -> int
-val dropped_events : sink -> int
-(** Events evicted from the ring since {!create}. *)
+(** Label a track ([thread_name] metadata; last write wins). *)
 
 (** {1 Metrics} *)
 
@@ -232,11 +188,6 @@ module Slo : sig
 end
 
 (** {1 Exporters} *)
-
-val to_chrome_json : sink -> string
-(** Chrome [trace_event] JSON (object format, [traceEvents] array plus
-    process/thread-name metadata) — loadable in [chrome://tracing] and
-    Perfetto. *)
 
 val metrics_to_json : sink -> string
 (** Flat dump: [{"counters":{...},"gauges":{...},"histograms":{...}}]. *)

@@ -1,7 +1,10 @@
-(* Causal span recorder.  Spans live in preallocated struct-of-arrays
-   columns (PR-7 discipline: no records, no strings, no per-span
-   allocation); analysis functions at the bottom allocate freely but run
-   only after the simulation.  See trace_ctx.mli for the model. *)
+(* Span recorder.  Spans live in preallocated struct-of-arrays columns
+   (PR-7 discipline: no records, no per-span allocation; names and texts
+   are strings the caller already holds); analysis functions and the
+   exporter at the bottom allocate freely but run only after the
+   simulation.  See trace_ctx.mli for the model. *)
+
+module Json = Bunshin_util.Json
 
 type kind =
   | Rendezvous
@@ -12,26 +15,8 @@ type kind =
   | Sanitizer
   | Sched_wait
   | Net_msg
-
-let kind_code = function
-  | Rendezvous -> 0
-  | Publish -> 1
-  | Fetch -> 2
-  | Arrival -> 3
-  | Lockstep_wait -> 4
-  | Sanitizer -> 5
-  | Sched_wait -> 6
-  | Net_msg -> 7
-
-let kind_of_code = function
-  | 0 -> Rendezvous
-  | 1 -> Publish
-  | 2 -> Fetch
-  | 3 -> Arrival
-  | 4 -> Lockstep_wait
-  | 5 -> Sanitizer
-  | 6 -> Sched_wait
-  | _ -> Net_msg
+  | Slice
+  | Mark
 
 let kind_name = function
   | Rendezvous -> "rendezvous"
@@ -42,13 +27,19 @@ let kind_name = function
   | Sanitizer -> "sanitizer"
   | Sched_wait -> "sched_wait"
   | Net_msg -> "net_msg"
+  | Slice -> "slice"
+  | Mark -> "mark"
 
+(* An entry outside every tree (trace -1) keeps its clock domain in the
+   node column, its track in the channel column, its name, detail key and
+   detail text in the string columns, and a mark's value in [s_a0] (NaN
+   for none). *)
 type t = {
   cap : int;
   mutable len : int;
   mutable drop : int;
   mutable next_trace : int;
-  s_kind : int array;
+  s_kind : kind array; (* constant constructors: stored unboxed *)
   s_trace : int array;
   s_parent : int array;
   s_node : int array;
@@ -60,6 +51,11 @@ type t = {
   s_a0 : float array;
   s_a1 : float array;
   s_a2 : float array;
+  s_name : string array;
+  s_key : string array;
+  s_text : string array;
+  mutable domains : string list; (* newest first *)
+  mutable tracks : ((int * int) * string) list; (* newest first *)
 }
 
 let create ?(capacity = 65536) () =
@@ -69,7 +65,7 @@ let create ?(capacity = 65536) () =
     len = 0;
     drop = 0;
     next_trace = 0;
-    s_kind = Array.make capacity 0;
+    s_kind = Array.make capacity Rendezvous;
     s_trace = Array.make capacity (-1);
     s_parent = Array.make capacity (-1);
     s_node = Array.make capacity 0;
@@ -81,12 +77,12 @@ let create ?(capacity = 65536) () =
     s_a0 = Array.make capacity 0.0;
     s_a1 = Array.make capacity 0.0;
     s_a2 = Array.make capacity 0.0;
+    s_name = Array.make capacity "";
+    s_key = Array.make capacity "";
+    s_text = Array.make capacity "";
+    domains = [];
+    tracks = [];
   }
-
-let reset tc =
-  tc.len <- 0;
-  tc.drop <- 0;
-  tc.next_trace <- 0
 
 let used tc = tc.len
 let dropped tc = tc.drop
@@ -96,6 +92,9 @@ let new_trace tc =
   tc.next_trace <- id + 1;
   id
 
+(* The store never evicts, so each slot is written once: the columns'
+   initial values (open, no annotations, no name) stand for unset
+   fields. *)
 let start tc kind ~trace ~parent ~node ~variant ~chan ~pos ~t0 =
   if tc.len >= tc.cap then begin
     tc.drop <- tc.drop + 1;
@@ -104,7 +103,7 @@ let start tc kind ~trace ~parent ~node ~variant ~chan ~pos ~t0 =
   else begin
     let id = tc.len in
     tc.len <- id + 1;
-    tc.s_kind.(id) <- kind_code kind;
+    tc.s_kind.(id) <- kind;
     tc.s_trace.(id) <- trace;
     tc.s_parent.(id) <- parent;
     tc.s_node.(id) <- node;
@@ -112,10 +111,6 @@ let start tc kind ~trace ~parent ~node ~variant ~chan ~pos ~t0 =
     tc.s_chan.(id) <- chan;
     tc.s_pos.(id) <- pos;
     tc.s_t0.(id) <- t0;
-    tc.s_t1.(id) <- nan;
-    tc.s_a0.(id) <- 0.0;
-    tc.s_a1.(id) <- 0.0;
-    tc.s_a2.(id) <- 0.0;
     id
   end
 
@@ -152,6 +147,37 @@ let record_child tc kind ~parent ~node ~variant ~chan ~pos ~t0 ~t1 =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Entries outside every tree *)
+
+let domain tc ~name =
+  tc.domains <- name :: tc.domains;
+  List.length tc.domains - 1
+
+let name_track tc ~domain ~tid name =
+  tc.tracks <- ((domain, tid), name) :: List.remove_assoc (domain, tid) tc.tracks
+
+let entry tc kind ~domain ~tid ~variant ~t0 name =
+  let id =
+    start tc kind ~trace:(-1) ~parent:(-1) ~node:domain ~variant ~chan:tid ~pos:(-1) ~t0
+  in
+  if id >= 0 then tc.s_name.(id) <- name;
+  id
+
+let open_slice tc ~domain ~tid ~t0 name = entry tc Slice ~domain ~tid ~variant:(-1) ~t0 name
+
+let slice tc ~domain ~tid ~t0 ~t1 name =
+  finish tc (entry tc Slice ~domain ~tid ~variant:(-1) ~t0 name) ~t1
+
+let mark tc ~domain ~tid ~variant ~key ~text ~value ~ts name =
+  let id = entry tc Mark ~domain ~tid ~variant ~t0:ts name in
+  if id >= 0 then begin
+    tc.s_t1.(id) <- ts;
+    tc.s_a0.(id) <- value;
+    tc.s_key.(id) <- key;
+    tc.s_text.(id) <- text
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Post-run analysis *)
 
 type span = {
@@ -176,7 +202,7 @@ let span tc id =
   if id < 0 || id >= tc.len then invalid_arg "Trace_ctx.span: id out of range";
   {
     sp_id = id;
-    sp_kind = kind_of_code tc.s_kind.(id);
+    sp_kind = tc.s_kind.(id);
     sp_trace = tc.s_trace.(id);
     sp_parent = tc.s_parent.(id);
     sp_node = tc.s_node.(id);
@@ -288,7 +314,7 @@ let deciding_child ?(at_root = false) tc children =
   let pick level =
     List.iter
       (fun id ->
-        let k = kind_of_code tc.s_kind.(id) in
+        let k = tc.s_kind.(id) in
         let ok =
           match level with
           | 0 -> k <> Lockstep_wait && k <> Fetch && not (at_root && k = Net_msg)
@@ -315,7 +341,7 @@ let critical_paths tc =
     if p >= 0 && p < tc.len then children.(p) <- id :: children.(p)
   done;
   let classify id =
-    let k = kind_of_code tc.s_kind.(id) in
+    let k = tc.s_kind.(id) in
     let dur =
       let t1 = tc.s_t1.(id) in
       if Float.is_finite t1 then t1 -. tc.s_t0.(id) else 0.0
@@ -331,7 +357,8 @@ let critical_paths tc =
       (c, dur)
     | Sched_wait | Lockstep_wait -> (Sched tc.s_node.(id), dur)
     | Publish -> (Publish_cost, dur)
-    | Arrival | Fetch | Sanitizer | Rendezvous -> (Straggler tc.s_variant.(id), dur)
+    | Arrival | Fetch | Sanitizer | Rendezvous | Slice | Mark ->
+      (Straggler tc.s_variant.(id), dur)
   in
   (* Follow deciding children down from the root, collecting one
      (cause, duration) per chain element; the chain ends at a leaf, at an
@@ -352,7 +379,7 @@ let critical_paths tc =
   for id = 0 to tc.len - 1 do
     if
       tc.s_parent.(id) < 0
-      && kind_of_code tc.s_kind.(id) = Rendezvous
+      && tc.s_kind.(id) = Rendezvous
       && Float.is_finite tc.s_t1.(id)
     then begin
       let root_children = children.(id) in
@@ -363,7 +390,7 @@ let critical_paths tc =
         let best = ref (-1) and best_t1 = ref neg_infinity in
         List.iter
           (fun c ->
-            if kind_of_code tc.s_kind.(c) = Net_msg && tc.s_node.(c) = node
+            if tc.s_kind.(c) = Net_msg && tc.s_node.(c) = node
             then begin
               let t1 = tc.s_t1.(c) in
               if Float.is_finite t1 && t1 <= t_end && t1 >= !best_t1 then begin
@@ -375,14 +402,14 @@ let critical_paths tc =
         if !best < 0 then [] else [ classify !best ]
       in
       let rec chain acc cid =
-        if kind_of_code tc.s_kind.(cid) = Arrival then begin
+        if tc.s_kind.(cid) = Arrival then begin
           let t1 = tc.s_t1.(cid) in
           let dur = if Float.is_finite t1 then t1 -. tc.s_t0.(cid) else 0.0 in
           let acks =
             List.filter_map
               (fun c ->
                 if
-                  kind_of_code tc.s_kind.(c) = Net_msg
+                  tc.s_kind.(c) = Net_msg
                   && Float.is_finite tc.s_t1.(c)
                 then Some (classify c)
                 else None)
@@ -401,7 +428,7 @@ let critical_paths tc =
           match deciding_child tc children.(cid) with
           | -1 -> acc
           | c ->
-            if kind_of_code tc.s_kind.(c) = Rendezvous then acc else chain acc c
+            if tc.s_kind.(c) = Rendezvous then acc else chain acc c
         end
       in
       let cause, edge =
@@ -498,17 +525,103 @@ let spans_to_json tc =
   let buf = Buffer.create 4096 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   p "[";
+  let first = ref true in
   for id = 0 to tc.len - 1 do
-    if id > 0 then p ",";
-    let t1 = tc.s_t1.(id) in
-    p
-      "\n  {\"id\":%d,\"kind\":\"%s\",\"trace\":%d,\"parent\":%d,\"node\":%d,\"variant\":%d,\"chan\":%d,\"pos\":%d,\"t0\":%.3f,\"t1\":%s,\"a0\":%.3f,\"a1\":%.3f,\"a2\":%.3f}"
-      id
-      (kind_name (kind_of_code tc.s_kind.(id)))
-      tc.s_trace.(id) tc.s_parent.(id) tc.s_node.(id) tc.s_variant.(id) tc.s_chan.(id)
-      tc.s_pos.(id) tc.s_t0.(id)
-      (if Float.is_finite t1 then Printf.sprintf "%.3f" t1 else "null")
-      tc.s_a0.(id) tc.s_a1.(id) tc.s_a2.(id)
+    if tc.s_trace.(id) >= 0 then begin
+      if not !first then p ",";
+      first := false;
+      let t1 = tc.s_t1.(id) in
+      p
+        "\n  {\"id\":%d,\"kind\":\"%s\",\"trace\":%d,\"parent\":%d,\"node\":%d,\"variant\":%d,\"chan\":%d,\"pos\":%d,\"t0\":%.3f,\"t1\":%s,\"a0\":%.3f,\"a1\":%.3f,\"a2\":%.3f}"
+        id
+        (kind_name tc.s_kind.(id))
+        tc.s_trace.(id) tc.s_parent.(id) tc.s_node.(id) tc.s_variant.(id) tc.s_chan.(id)
+        tc.s_pos.(id) tc.s_t0.(id)
+        (if Float.is_finite t1 then Printf.sprintf "%.3f" t1 else "null")
+        tc.s_a0.(id) tc.s_a1.(id) tc.s_a2.(id)
+    end
   done;
   p "\n]\n";
+  Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
+(* Chrome trace_event export *)
+
+(* Entries outside the trees are complete ("X") and instant ("i") events
+   on their domain's tracks.  A causal span is an async pair ("b"/"e")
+   keyed by its trace id, in one extra process after the domains: its
+   track is [variant + 1] (0 for a span without a variant), and its args
+   name the span and its parent so a reader can rebuild the tree.  Open
+   spans are left out. *)
+let to_chrome_json tc =
+  let buf = Buffer.create (256 + (128 * tc.len)) in
+  let p fmt = Printf.bprintf buf fmt in
+  let first = ref true in
+  let next () = if !first then first := false else Buffer.add_string buf ",\n" in
+  let num = Json.compact_float and esc = Json.escape in
+  let domain_names = Array.of_list (List.rev tc.domains) in
+  let spans_pid = Array.length domain_names in
+  let meta kind pid tid name =
+    next ();
+    p "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}" kind
+      pid tid (esc name)
+  in
+  p "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  Array.iteri (fun pid name -> meta "process_name" pid 0 name) domain_names;
+  List.iter
+    (fun ((pid, tid), name) -> meta "thread_name" pid tid name)
+    (List.rev tc.tracks);
+  let top_lane = ref (-1) in
+  for id = 0 to tc.len - 1 do
+    if tc.s_trace.(id) >= 0 then top_lane := max !top_lane (tc.s_variant.(id) + 1)
+  done;
+  if !top_lane >= 0 then meta "process_name" spans_pid 0 "spans";
+  for lane = 0 to !top_lane do
+    meta "thread_name" spans_pid lane
+      (if lane = 0 then "group" else Printf.sprintf "v%d" (lane - 1))
+  done;
+  for id = 0 to tc.len - 1 do
+    let t0 = tc.s_t0.(id) and t1 = tc.s_t1.(id) in
+    let kind = tc.s_kind.(id) in
+    let causal = tc.s_trace.(id) >= 0 in
+    let pid, tid, cat, name =
+      if causal then (spans_pid, tc.s_variant.(id) + 1, "span", kind_name kind)
+      else (tc.s_node.(id), tc.s_chan.(id), domain_names.(tc.s_node.(id)), tc.s_name.(id))
+    in
+    let head ph =
+      next ();
+      p "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"pid\":%d,\"tid\":%d" (esc name)
+        (esc cat) ph pid tid
+    in
+    if kind = Mark then begin
+      head "i";
+      p ",\"s\":\"t\",\"ts\":%s,\"args\":{" (num t0);
+      let sep = ref "" in
+      let arg fmt =
+        Buffer.add_string buf !sep;
+        sep := ",";
+        p fmt
+      in
+      if tc.s_variant.(id) >= 0 then arg "\"variant\":%d" tc.s_variant.(id);
+      if tc.s_key.(id) <> "" then
+        arg "\"%s\":\"%s\"" (esc tc.s_key.(id)) (esc tc.s_text.(id));
+      if not (Float.is_nan tc.s_a0.(id)) then arg "\"value\":%s" (num tc.s_a0.(id));
+      p "}}"
+    end
+    else if Float.is_finite t1 then
+      if causal then begin
+        head "b";
+        p ",\"id\":%d,\"ts\":%s,\"args\":{\"span\":%d,\"parent\":%d" tc.s_trace.(id)
+          (num t0) id tc.s_parent.(id);
+        p ",\"node\":%d,\"variant\":%d,\"chan\":%d,\"pos\":%d}}" tc.s_node.(id)
+          tc.s_variant.(id) tc.s_chan.(id) tc.s_pos.(id);
+        head "e";
+        p ",\"id\":%d,\"ts\":%s,\"args\":{\"span\":%d}}" tc.s_trace.(id) (num t1) id
+      end
+      else begin
+        head "X";
+        p ",\"ts\":%s,\"dur\":%s}" (num t0) (num (t1 -. t0))
+      end
+  done;
+  p "\n]}\n";
   Buffer.contents buf

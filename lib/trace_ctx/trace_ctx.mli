@@ -1,18 +1,24 @@
-(** Causal spans for the NXE and the cluster: every synchronized syscall
-    becomes one trace (a tree of spans) connecting the leader's publish,
-    each variant's arrival, the link messages that shipped the slot, and
-    the scheduler waits in between — across all K nodes of a cluster run.
+(** The one span store of a traced run: a telemetry sink owns one
+    recorder ([Telemetry.recorder]), every layer that traces writes into
+    it, and {!to_chrome_json} exports it.  It holds
+    - {e causal spans}: each synchronized syscall becomes one trace (a
+      tree of spans) connecting the leader's publish, each variant's
+      arrival, the link messages that shipped the slot, and the scheduler
+      waits in between — across all K nodes of a cluster run, in
+      simulated µs;
+    - {e entries outside every tree} (trace id [-1]): the machine's
+      bursts and scheduler instants, the interpreter's calls and
+      detections, the NXE's event instants — each on a track of a named
+      clock {!domain} (µs for machine and NXE, instruction steps for an
+      [interp:vK] domain).
 
-    The recorder is allocation-disciplined in the PR-7 sense: spans live
-    in preallocated struct-of-arrays columns, ids are ints, and recording
-    a span is a handful of array writes.  When the ring fills, recording
-    stops (spans are dropped, counted in [dropped]) rather than evicting
-    — so every recorded non-root span's parent is also recorded, and the
-    captured prefix is always a forest of well-formed trees.
-
-    Times are simulated microseconds, like everywhere else in the stack.
-    Recording is pure observation: attaching a recorder must not change
-    any schedule, report, or incident (pinned by the golden tests). *)
+    Entries live in preallocated struct-of-arrays columns, ids are ints,
+    names and texts are strings the caller already holds, and recording
+    is a handful of array writes.  When the store fills, recording stops
+    (counted in [dropped]) rather than evicting — so every recorded
+    non-root span's parent is also recorded.  Recording is pure
+    observation: it must not change any schedule, report, or incident
+    (pinned by the golden tests). *)
 
 type kind =
   | Rendezvous
@@ -31,18 +37,23 @@ type kind =
   | Net_msg
       (** a link message: send -> delivery; annotations a0/a1/a2 split
           the delay into serialization / propagation / retransmit-extra *)
+  | Slice  (** outside every tree: a named interval on a domain track *)
+  | Mark  (** outside every tree: a named instant on a domain track *)
 
 val kind_name : kind -> string
 
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Preallocate a recorder; [capacity] (default 65536) bounds the total
-    spans captured per run. *)
+(** Preallocate a recorder; [capacity] (default 65536) bounds the
+    entries it keeps, causal spans and the rest together.
+    @raise Invalid_argument if [capacity < 1]. *)
 
-val reset : t -> unit
 val used : t -> int
+(** Entries recorded, of both kinds. *)
+
 val dropped : t -> int
+(** Entries refused because the store was full. *)
 
 val new_trace : t -> int
 (** Fresh trace id (one per synchronized rendezvous). *)
@@ -105,6 +116,33 @@ val record_child :
     [-1]/dropped or already closed before [t1] — a wait that outlives a
     rendezvous did not delay it, so it belongs to no tree. *)
 
+(** {1 Entries outside every tree}
+
+    These never join a trace: {!traces}, {!tree} and the critical-path
+    walk ignore them.  Ids are [-1] once the store is full. *)
+
+val domain : t -> name:string -> int
+(** A fresh clock domain (a Chrome process) named [name]; returns its id.
+    Names need not be unique: each machine of a cluster gets its own
+    ["machine"] domain. *)
+
+val name_track : t -> domain:int -> tid:int -> string -> unit
+(** Label a track of a domain (last write wins). *)
+
+val slice : t -> domain:int -> tid:int -> t0:float -> t1:float -> string -> unit
+(** A closed interval named by the last argument, such as a CPU burst. *)
+
+val open_slice : t -> domain:int -> tid:int -> t0:float -> string -> int
+(** An interval closed later with {!finish}, such as an interpreted call:
+    the caller keeps the returned id on its own stack. *)
+
+val mark :
+  t -> domain:int -> tid:int -> variant:int -> key:string -> text:string -> value:float ->
+  ts:float -> string -> unit
+(** An instant named by the last argument.  [variant] ([-1] for none),
+    the detail [key]/[text] pair ([key = ""] for none) and [value] ([nan]
+    for none) become its Chrome args. *)
+
 (** {1 Post-run analysis} (allocates freely; never on the hot path) *)
 
 type span = {
@@ -130,8 +168,13 @@ val span_t0 : t -> int -> float
 
 val span : t -> int -> span
 val spans : t -> span list
+(** Every entry, of both kinds, in recording order.  An entry outside
+    every tree has trace [-1], its domain in [sp_node] and its track in
+    [sp_chan]. *)
+
 val traces : t -> int list
-(** Distinct trace ids, in recording order. *)
+(** Distinct trace ids, in recording order: entries outside every tree
+    carry none. *)
 
 val tree : t -> int -> span list
 (** All spans of one trace, in recording order (parents first). *)
@@ -197,4 +240,14 @@ val tree_to_text : t -> int -> string
 (** Render one trace's span tree, indented, for the CLI. *)
 
 val spans_to_json : t -> string
-(** All spans as a JSON array (self-describing field names). *)
+(** The causal spans as a JSON array (self-describing field names). *)
+
+val to_chrome_json : t -> string
+(** Chrome [trace_event] JSON (object format, for [chrome://tracing] and
+    Perfetto).  Each domain is a process and each labelled track a
+    thread; closed slices are complete ([X]) events and marks instants
+    ([i]).  Consecutive rendezvous trees of a channel overlap in time, so
+    they cannot share a lane: each closed causal span is instead an async
+    [b]/[e] pair keyed by its trace id, on track [variant + 1] of one more
+    process, ["spans"], with args naming the span and its parent.  Open
+    spans are left out. *)

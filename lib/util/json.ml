@@ -21,6 +21,13 @@ let escape s =
     s;
   Buffer.contents b
 
+let compact_float f =
+  if Float.is_nan f then "0"
+  else if f = infinity then "1e308"
+  else if f = neg_infinity then "-1e308"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.12g" f
+
 let num_str f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.17g" f

@@ -1,9 +1,9 @@
 (** A minimal JSON reader/printer, with no dependency beyond the stdlib:
     enough to round-trip incidents, to read and scale the bench baselines,
     and to validate exporter output (the CLI checks that the Chrome-trace
-    and attribution JSON it writes actually parse).  The telemetry and
-    profile exporters render their own documents but escape strings with
-    {!escape}. *)
+    and attribution JSON it writes actually parse).  The telemetry, span
+    and profile exporters render their own documents but escape strings
+    with {!escape}. *)
 
 type t =
   | Null
@@ -18,6 +18,10 @@ val escape : string -> string
     quote, the backslash, newline, carriage return and tab get their
     two-character escapes; other control characters become a
     four-hex-digit [u] escape; every other byte passes through. *)
+
+val compact_float : float -> string
+(** An exporter number: at most 12 significant digits, NaN as [0] and
+    the infinities as [±1e308]. *)
 
 val parse : string -> (t, string) result
 (** Strict recursive-descent parse of one JSON value (surrounding

@@ -665,7 +665,11 @@ let prop_one_node_cluster_is_local_engine =
              let r = cluster ship in
              agree (Cluster.mode_name ship ^ " vs selective") (local_scalars local_sel)
                (cluster_scalars r)
-             && r.Cluster.outcome = local_sel.Nxe.outcome)
+             && r.Cluster.outcome = local_sel.Nxe.outcome
+             && agree
+                  (Cluster.mode_name ship ^ " incident vs selective")
+                  (Option.value ~default:"-" (signature local_sel.Nxe.incident))
+                  (Option.value ~default:"-" (signature r.Cluster.incident)))
            [ Cluster.Selective; Cluster.Selective_replicated ])
 
 (* ------------------------------------------------------------------ *)

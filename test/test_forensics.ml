@@ -354,7 +354,7 @@ let json_seeds =
        let sink = Bunshin_telemetry.Telemetry.create () in
        let config = { Nxe.default_config with Nxe.telemetry = Some sink } in
        ignore (Bridge.run_runs ~config [ r1; r1 ]);
-       Bunshin_telemetry.Telemetry.to_chrome_json sink
+       Bunshin_trace_ctx.Trace_ctx.to_chrome_json (Bunshin_telemetry.Telemetry.recorder sink)
      in
      Array.of_list ((incident :: chrome :: baselines)))
 

@@ -9,6 +9,7 @@ module San = Bunshin_sanitizer.Sanitizer
 module Cost = Bunshin_sanitizer.Cost_model
 module Nxe = Bunshin_nxe.Nxe
 module Faults = Bunshin_faults.Faults
+module F = Bunshin_forensics.Forensics
 module Serve = Bunshin_serve.Serve
 module Server = Bunshin_workloads.Server
 
@@ -174,6 +175,35 @@ let test_divergence_third_variant () =
   match r.Nxe.outcome with
   | `Aborted a -> Alcotest.(check int) "variant 2" 2 a.Nxe.al_variant
   | `All_finished -> ()
+
+(* Under selective lockstep the leader runs ahead through unselected
+   reads, so it has already issued its second read when the slower v1's
+   first one diverges.  The incident's tapes still end at the divergent
+   slot: the same window the Net transport reports. *)
+let test_selective_incident_tape_ends_at_divergence () =
+  let trace lag first =
+    [ work lag; rd ~args:[ 3L; first ] (); work 5.0; rd ~args:[ 3L; 32L ] () ]
+  in
+  let r =
+    Nxe.run_traces ~config:Nxe.selective ~names:(names 3)
+      [ trace 5.0 49L; trace 30.0 50L; trace 5.0 49L ]
+  in
+  check_aborted "v1 diverges" r;
+  match r.Nxe.incident with
+  | None -> Alcotest.fail "divergence must attach an incident"
+  | Some inc ->
+    Alcotest.(check int) "divergent slot" 0 inc.F.inc_position;
+    Alcotest.(check int) "v1 blamed" 1 inc.F.inc_blamed;
+    Alcotest.(check (list int)) "leader tape ends at the divergence" [ 0 ]
+      (List.map (fun rc -> rc.F.r_pos) inc.F.inc_tapes.(0));
+    Array.iteri
+      (fun v tape ->
+        List.iter
+          (fun rc ->
+            if rc.F.r_pos > 0 then
+              Alcotest.failf "v%d tape holds slot %d past the divergence" v rc.F.r_pos)
+          tape)
+      inc.F.inc_tapes
 
 let test_killed_variants () =
   (* Variants that all die the same way agree on every slot; the monitor
@@ -665,6 +695,8 @@ let () =
           Alcotest.test_case "abort stops all" `Quick test_divergence_aborts_all_variants_quickly;
           Alcotest.test_case "third variant blamed" `Quick test_divergence_third_variant;
           Alcotest.test_case "killed variants" `Quick test_killed_variants;
+          Alcotest.test_case "selective incident tape ends at divergence" `Quick
+            test_selective_incident_tape_ends_at_divergence;
         ] );
       ( "sanitizer-syscalls",
         [

@@ -1,6 +1,6 @@
-(* Tests for the telemetry subsystem: event ring semantics, metrics,
-   exporters, and — most importantly — that attaching a sink never changes
-   what the engine reports. *)
+(* Tests for the telemetry subsystem: the sink's span recorder and its
+   Chrome export, metrics, exporters, and — most importantly — that
+   attaching a sink never changes what the engine reports. *)
 
 open Bunshin
 module Tel = Telemetry
@@ -129,73 +129,44 @@ let json_valid s =
   (not !fail) && !pos = n
 
 (* ------------------------------------------------------------------ *)
-(* Event ring *)
+(* The sink's span recorder *)
+
+(* The traceEvents of a Chrome export, parsed. *)
+let chrome_events tc =
+  match Json.parse (Trace_ctx.to_chrome_json tc) with
+  | Ok doc -> (
+    match Json.member "traceEvents" doc with
+    | Some (Json.Arr l) -> l
+    | _ -> Alcotest.fail "no traceEvents array")
+  | Error e -> Alcotest.fail ("Chrome export does not parse: " ^ e)
+
+let field_str k e = match Json.member k e with Some (Json.Str s) -> s | _ -> ""
+let field_num k e = match Json.member k e with Some (Json.Num f) -> f | _ -> nan
+let field_int k e = int_of_float (field_num k e)
+let arg_int k e = match Json.member "args" e with Some a -> field_int k a | None -> min_int
+let arg_str k e = match Json.member "args" e with Some a -> field_str k a | None -> ""
 
 let test_span_nesting () =
   let sink = Tel.create () in
-  let d = Tel.domain sink ~name:"test" in
-  Tel.span_begin d ~ts:0.0 ~cat:"c" "outer";
-  Tel.span_begin d ~ts:1.0 ~cat:"c" "inner";
-  Tel.instant d ~ts:1.5 ~cat:"c" "mark";
-  Tel.span_end d ~ts:2.0 ~cat:"c" "inner";
-  Tel.span_end d ~ts:3.0 ~cat:"c" "outer";
-  let evs = Tel.events sink in
-  Alcotest.(check int) "5 events" 5 (List.length evs);
-  Alcotest.(check (list string)) "order preserved"
-    [ "outer"; "inner"; "mark"; "inner"; "outer" ]
-    (List.map (fun e -> e.Tel.ev_name) evs);
-  let phases = List.map (fun e -> e.Tel.ev_phase) evs in
-  Alcotest.(check bool) "phases" true
-    (phases = [ Tel.Begin; Tel.Begin; Tel.Instant; Tel.End; Tel.End ]);
-  Alcotest.(check bool) "timestamps ascend" true
-    (let ts = List.map (fun e -> e.Tel.ev_ts) evs in
-     List.sort compare ts = ts)
-
-let test_ring_truncation () =
-  let sink = Tel.create ~capacity:4 () in
-  let d = Tel.domain sink ~name:"t" in
-  for i = 1 to 10 do
-    Tel.instant d ~ts:(float_of_int i) ~cat:"c" (Printf.sprintf "e%d" i)
-  done;
-  Alcotest.(check int) "capacity" 4 (Tel.capacity sink);
-  Alcotest.(check int) "ring holds 4" 4 (Tel.event_count sink);
-  Alcotest.(check int) "6 dropped" 6 (Tel.dropped_events sink);
-  Alcotest.(check (list string)) "oldest evicted, newest kept"
-    [ "e7"; "e8"; "e9"; "e10" ]
-    (List.map (fun e -> e.Tel.ev_name) (Tel.events sink))
-
-let test_recent () =
-  let sink = Tel.create ~capacity:8 () in
-  let d = Tel.domain sink ~name:"t" in
-  let names evs = List.map (fun e -> e.Tel.ev_name) evs in
-  Alcotest.(check (list string)) "empty sink" [] (names (Tel.recent sink 3));
-  for i = 1 to 5 do
-    Tel.instant d ~ts:(float_of_int i) ~cat:"c" (Printf.sprintf "e%d" i)
-  done;
-  Alcotest.(check (list string)) "last 2" [ "e4"; "e5" ] (names (Tel.recent sink 2));
-  Alcotest.(check (list string)) "n = count" (names (Tel.events sink))
-    (names (Tel.recent sink 5));
-  Alcotest.(check (list string)) "n past count clamps" (names (Tel.events sink))
-    (names (Tel.recent sink 100));
-  Alcotest.(check (list string)) "n = 0" [] (names (Tel.recent sink 0));
-  Alcotest.check_raises "negative n"
-    (Invalid_argument "Telemetry.recent: negative window") (fun () ->
-      ignore (Tel.recent sink (-1)))
-
-let test_recent_after_eviction () =
-  (* The window must stay correct once the ring has wrapped: recent n is
-     the tail of what [events] still holds, not of everything emitted. *)
-  let sink = Tel.create ~capacity:4 () in
-  let d = Tel.domain sink ~name:"t" in
-  for i = 1 to 10 do
-    Tel.instant d ~ts:(float_of_int i) ~cat:"c" (Printf.sprintf "e%d" i)
-  done;
-  let names evs = List.map (fun e -> e.Tel.ev_name) evs in
-  Alcotest.(check (list string)) "last 2 of the surviving 4" [ "e9"; "e10" ]
-    (names (Tel.recent sink 2));
-  Alcotest.(check (list string)) "window clamps to survivors"
-    [ "e7"; "e8"; "e9"; "e10" ]
-    (names (Tel.recent sink 9))
+  let tc = Tel.recorder sink in
+  let d = Tel.domain_id (Tel.domain sink ~name:"test") in
+  let outer = Trace_ctx.open_slice tc ~domain:d ~tid:0 ~t0:0.0 "outer" in
+  let inner = Trace_ctx.open_slice tc ~domain:d ~tid:0 ~t0:1.0 "inner" in
+  Trace_ctx.mark tc ~domain:d ~tid:0 ~variant:(-1) ~key:"k" ~text:"v" ~value:nan ~ts:1.5 "mark";
+  Trace_ctx.finish tc inner ~t1:2.0;
+  Trace_ctx.finish tc outer ~t1:3.0;
+  Alcotest.(check (list int)) "entries carry no trace" [] (Trace_ctx.traces tc);
+  let evs = List.filter (fun e -> field_str "ph" e <> "M") (chrome_events tc) in
+  Alcotest.(check (list string)) "recording order kept" [ "outer"; "inner"; "mark" ]
+    (List.map (field_str "name") evs);
+  Alcotest.(check (list string)) "phases" [ "X"; "X"; "i" ] (List.map (field_str "ph") evs);
+  Alcotest.(check (list (float 1e-9))) "starts" [ 0.0; 1.0; 1.5 ]
+    (List.map (field_num "ts") evs);
+  Alcotest.(check (list (float 1e-9))) "inner nests in outer" [ 3.0; 1.0 ]
+    (List.filter_map
+       (fun e -> if field_str "ph" e = "X" then Some (field_num "dur" e) else None)
+       evs);
+  Alcotest.(check string) "mark detail" "v" (arg_str "k" (List.nth evs 2))
 
 let test_bad_capacity () =
   Alcotest.check_raises "capacity 0"
@@ -277,17 +248,18 @@ let traced_session () =
 
 let test_chrome_json_valid () =
   let sink, _ = traced_session () in
-  let s = Tel.to_chrome_json sink in
+  let s = Trace_ctx.to_chrome_json (Tel.recorder sink) in
   Alcotest.(check bool) "trace JSON parses" true (json_valid s);
   Alcotest.(check bool) "metrics JSON parses" true (json_valid (Tel.metrics_to_json sink))
 
 let test_trace_covers_layers () =
   let sink, _ = traced_session () in
   let cats =
-    List.sort_uniq compare (List.map (fun e -> e.Tel.ev_cat) (Tel.events sink))
+    List.sort_uniq compare (List.map (field_str "cat") (chrome_events (Tel.recorder sink)))
   in
-  Alcotest.(check bool) "machine spans present" true (List.mem "machine" cats);
-  Alcotest.(check bool) "nxe spans present" true (List.mem "nxe" cats);
+  Alcotest.(check bool) "machine entries present" true (List.mem "machine" cats);
+  Alcotest.(check bool) "nxe entries present" true (List.mem "nxe" cats);
+  Alcotest.(check bool) "causal spans present" true (List.mem "span" cats);
   Alcotest.(check bool) "publishes counted" true
     (Tel.Counter.value (Tel.counter sink "nxe.slot_publish") > 0);
   Alcotest.(check bool) "text dump mentions hists" true
@@ -311,8 +283,10 @@ let test_interp_domain () =
       [ inst; inst ]
   in
   Alcotest.(check bool) "benign run clean" true (r.Nxe.outcome = `All_finished);
-  Alcotest.(check bool) "interp spans present" true
-    (List.exists (fun e -> e.Tel.ev_cat = "interp") (Tel.events sink));
+  Alcotest.(check bool) "interp calls present" true
+    (List.exists
+       (fun e -> field_str "cat" e = "interp:v0" && field_str "ph" e = "X")
+       (chrome_events (Tel.recorder sink)));
   Alcotest.(check bool) "check hits counted" true
     (Tel.Counter.value (Tel.counter sink "interp:v0.check_hits") > 0)
 
@@ -333,7 +307,7 @@ let str_index hay ne =
    anonymous tid numbers and the per-variant decomposition is unreadable. *)
 let test_variant_lanes_named () =
   let sink, _ = traced_session () in
-  let chrome = Tel.to_chrome_json sink in
+  let chrome = Trace_ctx.to_chrome_json (Tel.recorder sink) in
   Alcotest.(check bool) "has thread_name metadata" true
     (str_contains chrome "{\"name\":\"thread_name\",\"ph\":\"M\"");
   List.iter
@@ -341,6 +315,122 @@ let test_variant_lanes_named () =
       Alcotest.(check bool) (Printf.sprintf "lane for variant %d labeled" v) true
         (str_contains chrome (Printf.sprintf " v%d\"}}" v)))
     [ 0; 1 ]
+
+(* The three stages of [bunshin trace bzip2 -n 3 --nodes 3] — local NXE,
+   a 3-node cluster and an IR run — recorded into one sink: the Chrome
+   file must parse, name its processes and every track that holds an
+   event, keep complete events nested per track, and put each causal tree
+   on its own async id with every span inside its parent. *)
+let test_chrome_structure () =
+  let sink = Tel.create () in
+  let config = { Nxe.default_config with Nxe.telemetry = Some sink } in
+  let prog = (find_bench "bzip2").Bench.prog in
+  let n = 3 in
+  ignore
+    (Experiments.nxe_run ~config ~seed:Experiments.ref_seed
+       (List.init n (fun _ -> Program.baseline prog)));
+  let trace = Program.build_trace (Program.baseline prog) ~seed:Experiments.ref_seed in
+  ignore
+    (Cluster.run_traces ~config:{ Cluster.default_config with nodes = 3 } ~engine:config
+       ~names:(List.init n (Printf.sprintf "v%d"))
+       (List.init n (fun _ -> trace)));
+  let case = List.hd Cve.cases in
+  let inst = Instrument.apply_exn [ Sanitizer.asan ] case.Cve.c_modul in
+  ignore
+    (Bridge.run_ir_variants ~config ~entry:case.Cve.c_entry ~args:case.Cve.c_benign
+       [ inst; inst ]);
+  let tc = Tel.recorder sink in
+  Alcotest.(check int) "nothing dropped" 0 (Trace_ctx.dropped tc);
+  let evs = chrome_events tc in
+  let ph e = field_str "ph" e in
+  let meta kind = List.filter (fun e -> ph e = "M" && field_str "name" e = kind) evs in
+  let procs = List.map (fun e -> (field_int "pid" e, arg_str "name" e)) (meta "process_name") in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("process " ^ name ^ " named") true
+        (List.exists (fun (_, n) -> n = name) procs))
+    [ "machine"; "nxe"; "interp:v0"; "interp:v1"; "spans" ];
+  let tracks = List.map (fun e -> (field_int "pid" e, field_int "tid" e)) (meta "thread_name") in
+  let body = List.filter (fun e -> ph e <> "M") evs in
+  List.iter
+    (fun e ->
+      let track = (field_int "pid" e, field_int "tid" e) in
+      if not (List.mem track tracks) then
+        Alcotest.failf "%s on unnamed track %d/%d" (field_str "name" e) (fst track) (snd track))
+    body;
+  let eps = 1e-6 in
+  (* Complete events, per track: sorted by start (longest first), each
+     must end before the innermost open one does, or start after it. *)
+  let by_track = Hashtbl.create 64 in
+  List.iter
+    (fun e ->
+      if ph e = "X" then begin
+        let k = (field_int "pid" e, field_int "tid" e) in
+        let t0 = field_num "ts" e in
+        Hashtbl.replace by_track k
+          ((t0, t0 +. field_num "dur" e)
+          :: Option.value ~default:[] (Hashtbl.find_opt by_track k))
+      end)
+    body;
+  Hashtbl.iter
+    (fun (pid, tid) ivs ->
+      let sorted = List.sort (fun (a0, a1) (b0, b1) -> compare (a0, -.a1) (b0, -.b1)) ivs in
+      ignore
+        (List.fold_left
+           (fun stack (t0, t1) ->
+             let rec pop = function e :: rest when e <= t0 +. eps -> pop rest | s -> s in
+             match pop stack with
+             | e :: _ when t1 > e +. eps ->
+               Alcotest.failf "track %d/%d: [%g, %g] overlaps a span ending at %g" pid tid t0
+                 t1 e
+             | st -> t1 :: st)
+           [] sorted))
+    by_track;
+  (* Async pairs: one b and one e per span, each span inside its parent. *)
+  let opened = Hashtbl.create 256 and closed = Hashtbl.create 256 in
+  List.iter
+    (fun e ->
+      let span = arg_int "span" e in
+      match ph e with
+      | "b" ->
+        if Hashtbl.mem opened span then Alcotest.failf "span %d begins twice" span;
+        Hashtbl.replace opened span
+          (field_int "id" e, arg_int "parent" e, field_num "ts" e, field_str "name" e)
+      | "e" ->
+        if Hashtbl.mem closed span then Alcotest.failf "span %d ends twice" span;
+        Hashtbl.replace closed span (field_int "id" e, field_num "ts" e)
+      | _ -> ())
+    body;
+  Alcotest.(check int) "b/e balance" (Hashtbl.length opened) (Hashtbl.length closed);
+  let interval span =
+    match (Hashtbl.find_opt opened span, Hashtbl.find_opt closed span) with
+    | Some (id, _, t0, _), Some (id', t1) when id = id' && t1 +. eps >= t0 -> (id, t0, t1)
+    | _ -> Alcotest.failf "span %d: no matching b/e on one id" span
+  in
+  Hashtbl.iter
+    (fun span (id, parent, _, _) ->
+      let _, t0, t1 = interval span in
+      if Hashtbl.mem opened parent then begin
+        let pid, p0, p1 = interval parent in
+        if pid <> id || t0 +. eps < p0 || t1 > p1 +. eps then
+          Alcotest.failf "span %d [%g, %g] of id %d outside parent %d [%g, %g] of id %d" span
+            t0 t1 id parent p0 p1 pid
+      end)
+    opened;
+  let roots =
+    Hashtbl.fold
+      (fun _ (_, parent, _, name) n -> if parent < 0 && name = "rendezvous" then n + 1 else n)
+      opened 0
+  in
+  let closed_roots =
+    List.length
+      (List.filter
+         (fun sp ->
+           sp.Trace_ctx.sp_kind = Trace_ctx.Rendezvous && Float.is_finite sp.Trace_ctx.sp_t1)
+         (Trace_ctx.spans tc))
+  in
+  Alcotest.(check bool) "rendezvous recorded" true (closed_roots > 0);
+  Alcotest.(check int) "each closed root exported once" closed_roots roots
 
 (* Metric keys export in sorted order regardless of registration order, so
    two runs whose code paths registered metrics differently still diff
@@ -563,9 +653,6 @@ let () =
       ( "ring",
         [
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
-          Alcotest.test_case "truncation drops oldest" `Quick test_ring_truncation;
-          Alcotest.test_case "recent window" `Quick test_recent;
-          Alcotest.test_case "recent after eviction" `Quick test_recent_after_eviction;
           Alcotest.test_case "bad capacity" `Quick test_bad_capacity;
         ] );
       ( "metrics",
@@ -581,6 +668,7 @@ let () =
           Alcotest.test_case "trace covers layers" `Quick test_trace_covers_layers;
           Alcotest.test_case "interp domain" `Quick test_interp_domain;
           Alcotest.test_case "variant lanes named" `Quick test_variant_lanes_named;
+          Alcotest.test_case "chrome file structure" `Quick test_chrome_structure;
           Alcotest.test_case "metrics keys sorted" `Quick test_metrics_sorted;
         ] );
       ( "slo",

@@ -1,16 +1,20 @@
-(* Tests for the causal-span recorder (lib/trace_ctx) and its engine
-   integration: span-tree well-formedness over random cluster configs,
-   cross-node connectivity, neutrality (attaching a recorder changes no
-   report and no incident signature), and the critical-path attribution's
-   straggler cross-check against the lib/profile collector. *)
+(* Tests for the span recorder (lib/trace_ctx) and its engine
+   integration: the nesting and critical-path rules on hand-built trees,
+   the Chrome export, span-tree well-formedness over random cluster
+   configs, cross-node connectivity, neutrality (attaching a sink changes
+   no report and no incident signature), and the critical-path
+   attribution's straggler cross-check against the lib/profile
+   collector. *)
 
 module Trace = Bunshin_program.Trace
 module Sc = Bunshin_syscall.Syscall
 module Nxe = Bunshin_nxe.Nxe
 module Cluster = Bunshin_cluster.Cluster
 module Tx = Bunshin_trace_ctx.Trace_ctx
+module Tel = Bunshin_telemetry.Telemetry
 module Profile = Bunshin_profile.Profile
 module Faults = Bunshin_faults.Faults
+module Json = Bunshin_util.Json
 
 let work c = Trace.Work { func = "f"; cost = c }
 let wr i = Trace.Sys (Sc.write ~args:[ 1L; Int64.of_int i ] ())
@@ -26,6 +30,12 @@ let skewed_traces ?(units = 20) ?(base = 30.0) ?(skew = 0.4) n =
 
 let ok_or_fail = function Ok () -> () | Error e -> Alcotest.fail e
 
+(* A sink and its recorder: the tracer of every run the sink is attached
+   to. *)
+let traced () =
+  let sink = Tel.create () in
+  (sink, Tel.recorder sink)
+
 (* The dominant straggler according to the trace recorder: the first
    [Straggler] entry of the aggregated attribution (sorted by attributed
    time, descending); [-1] when no rendezvous was compute-bound. *)
@@ -38,14 +48,138 @@ let top_straggler_of_paths paths =
   first (Tx.attribute paths)
 
 (* ------------------------------------------------------------------ *)
+(* Hand-built trees *)
+
+(* A rendezvous root on channel 0, slot [pos], open over [t0, t1]. *)
+let root tc ~pos ~t0 ~t1 =
+  Tx.record tc Tx.Rendezvous ~trace:(Tx.new_trace tc) ~parent:(-1) ~node:0 ~variant:(-1)
+    ~chan:0 ~pos ~t0 ~t1
+
+(* A link message under [parent] to [node], its delay all propagation. *)
+let link tc ~parent ~node ~t0 ~t1 =
+  let id =
+    Tx.record_child tc Tx.Net_msg ~parent ~node ~variant:(-1) ~chan:(-1) ~pos:(-1) ~t0 ~t1
+  in
+  Tx.annotate tc id ~a0:0.0 ~a1:(t1 -. t0) ~a2:0.0
+
+let arrival tc ~parent ~node ~variant ~t1 =
+  ignore
+    (Tx.record_child tc Tx.Arrival ~parent ~node ~variant ~chan:0 ~pos:0 ~t0:0.0 ~t1)
+
+let only_path tc =
+  match Tx.critical_paths tc with
+  | [ p ] -> p
+  | ps -> Alcotest.failf "%d critical paths, want 1" (List.length ps)
+
+let test_child_clamped () =
+  let tc = Tx.create () in
+  let r = root tc ~pos:0 ~t0:10.0 ~t1:100.0 in
+  let early =
+    Tx.record_child tc Tx.Arrival ~parent:r ~node:0 ~variant:1 ~chan:0 ~pos:0 ~t0:0.0 ~t1:50.0
+  in
+  Alcotest.(check (float 0.0)) "opening pulled up to the parent's" 10.0
+    (Tx.span tc early).Tx.sp_t0;
+  Alcotest.(check int) "a child outliving its closed parent is skipped" (-1)
+    (Tx.record_child tc Tx.Arrival ~parent:r ~node:0 ~variant:2 ~chan:0 ~pos:0 ~t0:20.0
+       ~t1:120.0);
+  ok_or_fail (Tx.well_formed tc)
+
+(* A remote straggler: v1 on node 1 arrives at 50, gated by a ship leg
+   delivered at 20.  A release leg to the same node, delivered at 90 after
+   the arrival, is no ship leg.  The chain's edges are v1's own 30 µs and
+   the ship leg's 20 µs, so the larger one, the straggler, decides. *)
+let test_arrival_nets_out_ship_leg () =
+  let tc = Tx.create () in
+  let r = root tc ~pos:0 ~t0:0.0 ~t1:100.0 in
+  arrival tc ~parent:r ~node:1 ~variant:1 ~t1:50.0;
+  link tc ~parent:r ~node:1 ~t0:0.0 ~t1:20.0;
+  link tc ~parent:r ~node:1 ~t0:60.0 ~t1:90.0;
+  let p = only_path tc in
+  Alcotest.(check string) "cause" "straggler v1" (Tx.cause_name p.Tx.pa_cause);
+  Alcotest.(check (float 1e-9)) "edge is the arrival net of its ship leg" 30.0 p.Tx.pa_edge_us;
+  Alcotest.(check (float 1e-9)) "latency" 100.0 p.Tx.pa_latency
+
+(* The same shape with a slow wire: the ship leg takes 40 of the
+   arrival's 50 µs, so the link decides. *)
+let test_slow_ship_leg_decides () =
+  let tc = Tx.create () in
+  let r = root tc ~pos:0 ~t0:0.0 ~t1:100.0 in
+  arrival tc ~parent:r ~node:1 ~variant:1 ~t1:50.0;
+  link tc ~parent:r ~node:1 ~t0:0.0 ~t1:40.0;
+  let p = only_path tc in
+  Alcotest.(check string) "cause" "link latency" (Tx.cause_name p.Tx.pa_cause);
+  Alcotest.(check (float 1e-9)) "edge" 40.0 p.Tx.pa_edge_us
+
+(* A root-direct release leg outlives every arrival; it never decides. *)
+let test_release_leg_never_decides () =
+  let tc = Tx.create () in
+  let r = root tc ~pos:0 ~t0:0.0 ~t1:100.0 in
+  arrival tc ~parent:r ~node:0 ~variant:1 ~t1:30.0;
+  link tc ~parent:r ~node:1 ~t0:40.0 ~t1:90.0;
+  Alcotest.(check string) "cause" "straggler v1" (Tx.cause_name (only_path tc).Tx.pa_cause)
+
+(* Entries outside the trees: no trace id, no critical path, and in the
+   Chrome export complete and instant events on their domain's track. *)
+let test_entries_outside_trees () =
+  let tc = Tx.create () in
+  let d = Tx.domain tc ~name:"machine" in
+  Tx.name_track tc ~domain:d ~tid:0 "core0";
+  Tx.slice tc ~domain:d ~tid:0 ~t0:0.0 ~t1:4.0 "v0:main";
+  ignore (root tc ~pos:0 ~t0:1.0 ~t1:3.0);
+  Tx.mark tc ~domain:d ~tid:0 ~variant:(-1) ~key:"" ~text:"" ~value:1.5 ~ts:2.0 "cache_pressure";
+  Alcotest.(check (list int)) "one trace" [ 0 ] (Tx.traces tc);
+  Alcotest.(check int) "every entry kept" 3 (Tx.used tc);
+  Alcotest.(check int) "one critical path" 1 (List.length (Tx.critical_paths tc));
+  ok_or_fail (Tx.well_formed tc)
+
+(* A full store refuses new entries and keeps the old ones, so the
+   captured prefix stays a forest of whole trees. *)
+let test_full_store_keeps_prefix () =
+  let tc = Tx.create ~capacity:2 () in
+  let r = root tc ~pos:0 ~t0:0.0 ~t1:10.0 in
+  arrival tc ~parent:r ~node:0 ~variant:1 ~t1:5.0;
+  let d = Tx.domain tc ~name:"machine" in
+  Tx.slice tc ~domain:d ~tid:0 ~t0:0.0 ~t1:1.0 "late";
+  Alcotest.(check int) "open refused" (-1) (Tx.open_slice tc ~domain:d ~tid:0 ~t0:2.0 "x");
+  Alcotest.(check int) "store full" 2 (Tx.used tc);
+  Alcotest.(check int) "refusals counted" 2 (Tx.dropped tc);
+  Alcotest.(check (list string)) "oldest kept" [ "rendezvous"; "arrival" ]
+    (List.map (fun sp -> Tx.kind_name sp.Tx.sp_kind) (Tx.spans tc));
+  ok_or_fail (Tx.well_formed tc)
+
+(* Consecutive roots of a channel overlap, so the export keys each tree
+   by its trace id: one async b/e pair per span, never a complete event
+   on a shared lane. *)
+let test_chrome_keys_trees_by_trace () =
+  let tc = Tx.create () in
+  let r0 = root tc ~pos:0 ~t0:0.0 ~t1:10.0 in
+  let r1 = root tc ~pos:1 ~t0:5.0 ~t1:15.0 in
+  arrival tc ~parent:r0 ~node:0 ~variant:1 ~t1:8.0;
+  arrival tc ~parent:r1 ~node:0 ~variant:1 ~t1:12.0;
+  let events =
+    match Json.parse (Tx.to_chrome_json tc) with
+    | Ok doc -> (
+      match Json.member "traceEvents" doc with Some (Json.Arr l) -> l | _ -> [])
+    | Error e -> Alcotest.fail e
+  in
+  let str k e = match Json.member k e with Some (Json.Str s) -> s | _ -> "" in
+  let num k e = match Json.member k e with Some (Json.Num f) -> f | _ -> nan in
+  let phase ph = List.filter (fun e -> str "ph" e = ph) events in
+  Alcotest.(check int) "no complete events" 0 (List.length (phase "X"));
+  Alcotest.(check (list (pair string (float 0.0)))) "begins keyed by trace"
+    [ ("rendezvous", 0.0); ("rendezvous", 1.0); ("arrival", 0.0); ("arrival", 1.0) ]
+    (List.map (fun e -> (str "name" e, num "id" e)) (phase "b"));
+  Alcotest.(check int) "one end per begin" 4 (List.length (phase "e"))
+
+(* ------------------------------------------------------------------ *)
 (* Single-host engine *)
 
 let test_nxe_spans_well_formed () =
-  let tc = Tx.create () in
+  let sink, tc = traced () in
   let n = 3 in
   let r =
     Nxe.run_traces
-      ~config:{ Nxe.selective with Nxe.tracer = Some tc }
+      ~config:{ Nxe.selective with Nxe.telemetry = Some sink }
       ~names:(names n) (skewed_traces n)
   in
   Alcotest.(check bool) "finished" true (r.Nxe.outcome = `All_finished);
@@ -77,11 +211,11 @@ let check_quarantine_then_spawn base =
     [ work 5.0; rd 0; work 5.0; rd 1; work 5.0; wr 2; work 5.0 ]
     @ [ Trace.Spawn (List.concat (List.init 4 (fun i -> [ work 5.0; rd (10 + i) ]))) ]
   in
-  let tc = Tx.create () in
+  let sink, tc = traced () in
   let config =
     {
       base with
-      Nxe.tracer = Some tc;
+      Nxe.telemetry = Some sink;
       fault_policy =
         { Nxe.policy = Nxe.Quarantine; heartbeat_timeout = 100.0; restart_backoff = 50.0 };
     }
@@ -128,11 +262,11 @@ let check_roots_after_run_ahead policy =
   let trace =
     List.concat (List.init 5 (fun i -> [ work 5.0; rd i ])) @ [ work 5.0; wr 9; work 5.0 ]
   in
-  let tc = Tx.create () in
+  let sink, tc = traced () in
   let config =
     {
       Nxe.selective with
-      Nxe.tracer = Some tc;
+      Nxe.telemetry = Some sink;
       fault_policy = { Nxe.policy; heartbeat_timeout = 100.0; restart_backoff = 50.0 };
     }
   in
@@ -169,14 +303,14 @@ let test_nxe_roots_finished_once_on_restart () = check_roots_after_run_ahead Nxe
 
 let test_nxe_report_neutral () =
   let n = 3 in
-  let run tracer =
+  let run telemetry =
     Nxe.run_traces
-      ~config:{ Nxe.selective with Nxe.tracer }
+      ~config:{ Nxe.selective with Nxe.telemetry }
       ~names:(names n) (skewed_traces n)
   in
   let plain = run None in
-  let tc = Tx.create () in
-  let traced = run (Some tc) in
+  let sink, tc = traced () in
+  let traced = run (Some sink) in
   Alcotest.(check bool) "report bit-identical with tracing on" true (plain = traced);
   Alcotest.(check bool) "recorder saw the run" true (Tx.used tc > 0)
 
@@ -185,11 +319,11 @@ let test_straggler_matches_profiler_single_node () =
      straggler and the critical-path attribution's dominant straggler
      must name the same variant (the designed one). *)
   let n = 3 in
-  let tc = Tx.create () in
+  let sink, tc = traced () in
   let collector = Profile.Collector.create n in
   let r =
     Nxe.run_traces
-      ~config:{ Nxe.selective with Nxe.tracer = Some tc }
+      ~config:{ Nxe.selective with Nxe.telemetry = Some sink }
       ~profile:collector ~names:(names n) (skewed_traces n)
   in
   Alcotest.(check bool) "finished" true (r.Nxe.outcome = `All_finished);
@@ -203,9 +337,9 @@ let test_straggler_matches_profiler_single_node () =
 
 let test_cluster_trees_span_all_nodes () =
   let n = 3 in
-  let tc = Tx.create () in
+  let sink, tc = traced () in
   let config = { Cluster.default_config with Cluster.nodes = 4; ship = Cluster.Selective } in
-  let engine = { Nxe.default_config with tracer = Some tc } in
+  let engine = { Nxe.default_config with telemetry = Some sink } in
   let r = Cluster.run_traces ~config ~engine ~names:(names n) (skewed_traces n) in
   Alcotest.(check bool) "finished" true (r.Cluster.outcome = `All_finished);
   ok_or_fail (Tx.well_formed tc);
@@ -231,14 +365,14 @@ let test_cluster_trees_span_all_nodes () =
 
 let test_cluster_report_neutral () =
   let n = 3 in
-  let run tracer =
+  let run telemetry =
     let config = { Cluster.default_config with Cluster.nodes = 3; ship = Cluster.Selective } in
-    Cluster.run_traces ~config ~engine:{ Nxe.default_config with tracer } ~names:(names n)
+    Cluster.run_traces ~config ~engine:{ Nxe.default_config with telemetry } ~names:(names n)
       (skewed_traces ~units:10 n)
   in
   let plain = run None in
-  let tc = Tx.create () in
-  let traced = run (Some tc) in
+  let sink, tc = traced () in
+  let traced = run (Some sink) in
   Alcotest.(check bool) "cluster report bit-identical with tracing on" true
     (plain = traced);
   Alcotest.(check bool) "recorder saw the run" true (Tx.used tc > 0)
@@ -248,9 +382,9 @@ let test_cluster_incident_signature_neutral () =
      incident signature — whether or not the span recorder is attached. *)
   let leader = [ work 10.0; wr 42 ] in
   let follower = [ work 10.0; Trace.Sys (Sc.write ~args:[ 1L; 666L ] ()) ] in
-  let run tracer =
+  let run telemetry =
     let config = { Cluster.default_config with Cluster.nodes = 2; ship = Cluster.Selective } in
-    Cluster.run_traces ~config ~engine:{ Nxe.default_config with tracer } ~names:(names 2)
+    Cluster.run_traces ~config ~engine:{ Nxe.default_config with telemetry } ~names:(names 2)
       [ leader; follower ]
   in
   let signature r =
@@ -259,7 +393,7 @@ let test_cluster_incident_signature_neutral () =
     | None -> Alcotest.fail "divergence must attach forensics"
   in
   let plain = run None in
-  let traced = run (Some (Tx.create ())) in
+  let traced = run (Some (Tel.create ())) in
   Alcotest.(check bool) "both aborted" true
     (plain.Cluster.outcome <> `All_finished && traced.Cluster.outcome <> `All_finished);
   Alcotest.(check string) "incident signature identical with tracing on"
@@ -278,9 +412,9 @@ let test_cluster_straggler_matches_profiler () =
       (traces ())
   in
   Alcotest.(check bool) "local finished" true (local.Nxe.outcome = `All_finished);
-  let tc = Tx.create () in
+  let sink, tc = traced () in
   let config = { Cluster.default_config with Cluster.nodes = 4; ship = Cluster.Selective } in
-  let engine = { Nxe.default_config with tracer = Some tc } in
+  let engine = { Nxe.default_config with telemetry = Some sink } in
   let r = Cluster.run_traces ~config ~engine ~names:(names n) (traces ()) in
   Alcotest.(check bool) "cluster finished" true (r.Cluster.outcome = `All_finished);
   let profiled = Profile.Collector.top_straggler collector in
@@ -304,10 +438,10 @@ let prop_cluster_spans_well_formed =
         | _ -> Cluster.Selective_replicated
       in
       let batch_slots = 1 + ((units * n) mod 16) in
-      let tc = Tx.create () in
+      let sink, tc = traced () in
       let config = { Cluster.default_config with Cluster.nodes; ship; batch_slots } in
       let r =
-        Cluster.run_traces ~config ~engine:{ Nxe.default_config with tracer = Some tc }
+        Cluster.run_traces ~config ~engine:{ Nxe.default_config with telemetry = Some sink }
           ~names:(names n)
           (skewed_traces ~units ~skew:(0.1 *. float_of_int (1 + (units mod 5))) n)
       in
@@ -320,6 +454,17 @@ let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 let () =
   Alcotest.run "trace_ctx"
     [
+      ( "recorder",
+        [
+          Alcotest.test_case "child clamped to its parent" `Quick test_child_clamped;
+          Alcotest.test_case "arrival nets out its ship leg" `Quick
+            test_arrival_nets_out_ship_leg;
+          Alcotest.test_case "slow ship leg decides" `Quick test_slow_ship_leg_decides;
+          Alcotest.test_case "release leg never decides" `Quick test_release_leg_never_decides;
+          Alcotest.test_case "entries outside trees" `Quick test_entries_outside_trees;
+          Alcotest.test_case "full store keeps prefix" `Quick test_full_store_keeps_prefix;
+          Alcotest.test_case "chrome keys trees by trace" `Quick test_chrome_keys_trees_by_trace;
+        ] );
       ( "nxe",
         [
           Alcotest.test_case "spans well-formed" `Quick test_nxe_spans_well_formed;
