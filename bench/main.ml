@@ -1415,17 +1415,6 @@ let profile_section () = write_bench_json "BENCH_profile.json" (profile_data ())
 
 let slo_quantile_ps = [ 50.0; 95.0; 99.0; 99.9 ]
 
-(* Closed rendezvous roots as (completion, latency), completion order —
-   the sample stream a live monitoring hook would see. *)
-let slo_rendezvous_samples tc =
-  List.filter_map
-    (fun sp ->
-      if sp.Trace_ctx.sp_kind = Trace_ctx.Rendezvous && Float.is_finite sp.Trace_ctx.sp_t1
-      then Some (sp.Trace_ctx.sp_t1, sp.Trace_ctx.sp_t1 -. sp.Trace_ctx.sp_t0)
-      else None)
-    (Trace_ctx.spans tc)
-  |> List.sort compare
-
 let slo_cause_shares paths =
   let attrs = Trace_ctx.attribute paths in
   let share pred =
@@ -1475,7 +1464,7 @@ let slo_data () =
         (mwords /. float_of_int synced);
       exit 1
     end;
-    let samples = slo_rendezvous_samples tc in
+    let samples = Trace_ctx.rendezvous_samples tc in
     let lats = Array.of_list (List.map snd samples) in
     let exact =
       match Stats.percentiles lats slo_quantile_ps with

@@ -1074,17 +1074,7 @@ let slo_cmd =
         r.Cluster.total_time
       end
     in
-    (* Feed the windowed monitor in rendezvous-completion order — exactly
-       the sample stream a live hook inside the engine would see. *)
-    let samples =
-      List.filter_map
-        (fun sp ->
-          if sp.Trace_ctx.sp_kind = Trace_ctx.Rendezvous && Float.is_finite sp.Trace_ctx.sp_t1
-          then Some (sp.Trace_ctx.sp_t1, sp.Trace_ctx.sp_t1 -. sp.Trace_ctx.sp_t0)
-          else None)
-        (Trace_ctx.spans tc)
-      |> List.sort compare
-    in
+    let samples = Trace_ctx.rendezvous_samples tc in
     let w = Telemetry.Slo.window ~sub_windows ~sub_us () in
     List.iter (fun (t1, lat) -> Telemetry.Slo.observe w ~now:t1 lat) samples;
     let now = match List.rev samples with (t1, _) :: _ -> t1 | [] -> total_time in

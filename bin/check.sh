@@ -15,6 +15,11 @@ fi
 echo "== dune build @all"
 dune build @all
 
+# Lean public surface: every value a lib/*/*.mli exports has a caller
+# outside the tests, or a reason in bin/exports.allow.
+echo "== exports (bin/exports.sh)"
+bin/exports.sh
+
 echo "== dune runtest"
 dune runtest
 

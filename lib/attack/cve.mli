@@ -36,9 +36,6 @@ type case = {
 val cases : case list
 (** The five Table 4 rows. *)
 
-val sanitizer_of : case -> Bunshin_sanitizer.Sanitizer.t
-(** The sanitizer named by [c_sanitizer].
-    @raise Invalid_argument on an unknown name. *)
 
 val variants : case -> Ast.modul list
 (** The case's 2-variant check distribution: instrument with the case

@@ -59,7 +59,6 @@ module Load = Bunshin_workloads.Load
 module Serve = Bunshin_serve.Serve
 module Experiments = Experiments
 module Bridge = Bunshin_attack.Bridge
-module Model = Model
 module Nvariant = Bunshin_attack.Nvariant
 module Ripe_ir = Bunshin_attack.Ripe_ir
 module Window = Bunshin_attack.Window

@@ -19,8 +19,6 @@ val ref_seed : int
 val desktop : Bunshin_machine.Machine.config
 (** The 4-core Xeon E5-1620 testbed. *)
 
-val server12 : Bunshin_machine.Machine.config
-(** The 12-core Xeon E5-2658 testbed used for the scalability study. *)
 
 (** {1 §5.2 — NXE efficiency (Figures 3 and 4)} *)
 

@@ -24,7 +24,7 @@ let plan ~seed ~variants ?(syscalls = 8) ?(count = 1) ?(followers_only = true) (
   let injections =
     List.init count (fun _ ->
         let i_variant =
-          if followers_only then 1 + Rng.int rng (variants - 1) else Rng.int rng variants
+          if followers_only then Rng.int_in rng 1 (variants - 1) else Rng.int rng variants
         in
         let i_at = Rng.int rng syscalls in
         let i_kind =
@@ -33,10 +33,10 @@ let plan ~seed ~variants ?(syscalls = 8) ?(count = 1) ?(followers_only = true) (
           | 1 -> Die
           | 2 ->
             Delay
-              { d_each = Rng.float_in rng 5.0 50.0; d_count = 1 + Rng.int rng 4 }
+              { d_each = Rng.float_in rng 5.0 50.0; d_count = Rng.int_in rng 1 4 }
           | _ ->
             Corrupt
-              { c_arg = Rng.int rng 2; c_delta = Int64.of_int (1 + Rng.int rng 0xFFFF) }
+              { c_arg = Rng.int rng 2; c_delta = Int64.of_int (Rng.int_in rng 1 0xFFFF) }
         in
         { i_variant; i_at; i_kind })
   in

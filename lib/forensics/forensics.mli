@@ -39,8 +39,6 @@ type syscall_rec = {
   r_time : float;       (** machine time (µs) the slot was published/fetched *)
 }
 
-val pp_rec : Format.formatter -> syscall_rec -> unit
-
 (** {1 Flight recorder} *)
 
 module Tape : sig
@@ -106,23 +104,16 @@ val classify : votes:vote array -> blamed:int -> mismatch
 
 type check_site = {
   cs_variant : int;   (** variant whose check fired *)
-  cs_pass : string;   (** sanitizer pass, from the handler prefix: "asan", ... *)
+  cs_pass : string;
+      (** sanitizer pass owning the report handler ([__asan_report_store]
+          -> ["asan"]); [""] for names outside
+          {!Bunshin_ir.Runtime_api.report_prefixes}, and ["ir"] for the
+          interpreter's bare ["unreachable"] *)
   cs_handler : string;(** report handler, e.g. [__asan_report_store] *)
   cs_func : string;   (** function containing the failed check *)
   cs_block : string;  (** sink block label, e.g. [san.fail.3] *)
-  cs_check_id : int;  (** the [N] of [san.fail.N]; -1 when not a check sink *)
+  cs_check_id : int;  (** the [N] of [san.fail.N]; -1 for any other label *)
 }
-
-val pass_of_handler : string -> string
-(** Sanitizer pass owning a report handler ([__asan_report_store] ->
-    ["asan"]); [""] for names outside {!Bunshin_ir.Runtime_api.report_prefixes}
-    (the interpreter's bare ["unreachable"] maps to ["ir"]). *)
-
-val check_id_of_block : string -> int
-(** Parse the check id out of an instrumentation sink label
-    ([san.fail.3] -> 3); -1 for any other label. *)
-
-val check_site_of_detection : variant:int -> Bunshin_ir.Interp.detection -> check_site
 
 (** {1 Incidents} *)
 

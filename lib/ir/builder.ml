@@ -5,7 +5,6 @@ type t = {
   mutable cur_func : func option;
   mutable cur_block : block option;
   mutable reg_counter : int;
-  mutable label_counter : int;
 }
 
 let create name =
@@ -14,7 +13,6 @@ let create name =
     cur_func = None;
     cur_block = None;
     reg_counter = 0;
-    label_counter = 0;
   }
 
 let finish t =
@@ -51,22 +49,11 @@ let start_func t ~name ~params =
   t.cur_block <- None;
   start_block t "entry"
 
-let position_at t label =
-  let f = current_func t in
-  match find_block f label with
-  | Some b -> t.cur_block <- Some b
-  | None -> invalid_arg ("Builder.position_at: no block " ^ label)
-
 let fresh_reg t stem =
   t.reg_counter <- t.reg_counter + 1;
   Printf.sprintf "%s.%d" stem t.reg_counter
 
-let fresh_label t stem =
-  t.label_counter <- t.label_counter + 1;
-  Printf.sprintf "%s.%d" stem t.label_counter
-
 let cst n = Int (Int64.of_int n)
-let cst64 n = Int n
 
 let emit t instr =
   let b = current_block t in

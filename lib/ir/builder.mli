@@ -24,17 +24,7 @@ val start_func : t -> name:string -> params:reg list -> unit
 val start_block : t -> label -> unit
 (** Create block [label] in the current function and make it current. *)
 
-val position_at : t -> label -> unit
-(** Move the insertion point to an existing block. *)
-
-val fresh_reg : t -> string -> reg
-(** Fresh register name with the given stem. *)
-
-val fresh_label : t -> string -> label
-(** Fresh label with the given stem. *)
-
 val cst : int -> value
-val cst64 : int64 -> value
 
 (** {1 Instruction emitters} — each appends to the current block. *)
 

@@ -46,9 +46,3 @@ let reachable t =
     in
     dfs entry.b_label;
     !order
-
-let unreachable_blocks t =
-  let r = reachable t in
-  List.filter_map
-    (fun b -> if List.mem b.b_label r then None else Some b.b_label)
-    t.func.f_blocks

@@ -15,6 +15,3 @@ val is_branch_target : t -> label -> bool
 
 val reachable : t -> label list
 (** Labels reachable from the entry block, in reverse post-order. *)
-
-val unreachable_blocks : t -> label list
-(** Blocks present in the function but not reachable from entry. *)

@@ -52,20 +52,6 @@ let dominates t a b =
   | None -> true (* unreachable blocks never execute *)
   | Some set -> SS.mem a set
 
-let idom t b =
-  match Hashtbl.find_opt t.doms b with
-  | None -> None
-  | Some set ->
-    let strict = SS.remove b set in
-    (* The immediate dominator is the strict dominator dominated by all the
-       others. *)
-    SS.fold
-      (fun cand acc ->
-        match acc with
-        | Some best -> if dominates t best cand then Some cand else acc
-        | None -> Some cand)
-      strict None
-
 let dominance_violations f =
   let t = of_func f in
   let defs : (reg, label * int) Hashtbl.t = Hashtbl.create 32 in

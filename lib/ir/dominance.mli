@@ -11,10 +11,6 @@ val dominates : t -> Ast.label -> Ast.label -> bool
     Reflexive.  Unreachable blocks are dominated by everything (they never
     execute). *)
 
-val idom : t -> Ast.label -> Ast.label option
-(** Immediate dominator; [None] for the entry block and unreachable
-    blocks. *)
-
 val dominance_violations : Ast.func -> string list
 (** Human-readable SSA violations: uses not dominated by their defs.  Phi
     operands are checked at the end of the corresponding predecessor. *)

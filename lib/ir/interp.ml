@@ -50,10 +50,13 @@ type config = {
 let default_config =
   { fuel = 1_000_000; max_depth = 10_000; redzone = 1; undef_as = 0L; layout_seed = 0 }
 
-(* Bound on the bump allocators' next address, in slots.  The largest heap
+(* Bound on the bump allocators' next address, in slots: a run's globals,
+   allocas and [malloc]s together end below it.  An allocation that would
+   reach past it, counting its redzone, ends the run with [Crashed
+   Heap_exhausted] in both engines, before any of its slots is mapped,
+   instead of growing the host process without limit.  The largest heap
    any current caller builds is ~450k slots (the full-mode alloc_heavy
-   bench kernel); past the bound a run ends with [Heap_exhausted] instead
-   of growing the host process without limit. *)
+   bench kernel).  A constant of the model, not a [config] field. *)
 let heap_limit = 1 lsl 22
 
 (* Where interpreter steps go, by intrinsic class.  Purely additive
@@ -67,7 +70,6 @@ type phase_counts = {
   mutable pc_syscalls : int; (* modelled syscalls *)
 }
 
-let phase_counts () = { pc_steps = 0; pc_checks = 0; pc_runtime = 0; pc_syscalls = 0 }
 
 exception Trap of outcome
 

@@ -30,7 +30,7 @@ type crash =
   | Bad_indirect_call of int64  (** indirect call to a non-function value *)
   | Stack_overflow_sim          (** call depth limit *)
   | Heap_exhausted
-      (** an allocation would take the heap past {!heap_limit}; like
+      (** an allocation would take the heap past 2{^ 22} slots; like
           [Stack_overflow_sim], an artifact of the model, not a memory
           error of the program *)
 
@@ -82,15 +82,6 @@ type config = {
 
 val default_config : config
 
-val heap_limit : int
-(** Bound on the allocators' next address, in slots (2{^ 22}): a run's
-    globals, allocas and [malloc]s together end below it.  An allocation
-    that would reach past it, counting its redzone, ends the run with
-    [Crashed Heap_exhausted] in both engines, before any of its slots is
-    mapped.  The largest heap a current caller builds, the full-mode
-    [alloc_heavy] kernel of [bench interp], reaches about 450k slots.  A
-    constant of the model, not a {!config} field. *)
-
 (** Step attribution for the overhead profiler: where the run's
     instructions went, by intrinsic class.  Counts {e accumulate} across
     runs sharing the record.  Attaching one is pure accounting — outcome,
@@ -103,9 +94,6 @@ type phase_counts = {
   mutable pc_runtime : int;  (** allocator / report / print runtime calls *)
   mutable pc_syscalls : int; (** modelled syscalls *)
 }
-
-val phase_counts : unit -> phase_counts
-(** A fresh all-zero record. *)
 
 val run :
   ?config:config ->

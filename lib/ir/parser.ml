@@ -232,5 +232,3 @@ let parse source =
     if !cur_func <> None then Error "unterminated function at end of input" else Ok m
   with Err msg -> Error msg
 
-let parse_exn source =
-  match parse source with Ok m -> m | Error e -> invalid_arg ("Parser.parse_exn: " ^ e)

@@ -5,5 +5,3 @@
 val parse : string -> (Ast.modul, string) result
 (** Parse a whole module.  The error string carries a line number. *)
 
-val parse_exn : string -> Ast.modul
-(** @raise Invalid_argument with the parse error. *)

@@ -70,8 +70,6 @@ val intr_is_helper : intr -> bool
 (** The eight check helpers of [Runtime_api.helpers] — the ones the
     per-variant telemetry counters track. *)
 
-val classify_intrinsic : string -> intr
-
 type callee = CFunc of int | CIntr of intr
 
 type ptarget = TBlock of int | TUnknown of string

@@ -3,9 +3,5 @@
 
 open Ast
 
-val string_of_value : value -> string
-val string_of_instr : instr -> string
-val string_of_term : terminator -> string
-val string_of_block : block -> string
 val string_of_func : func -> string
 val string_of_modul : modul -> string

@@ -6,7 +6,7 @@
     [Hashtbl.replace]s.  This module replaces both tables with chunked
     arrays, the way ASan's flat shadow works (one metadata byte per
     application byte at a fixed stride): a page table indexed by
-    [addr lsr page_bits], where each present page carries
+    the address's high bits, where each present page carries
 
     - a {b tag byte} per slot classifying the region
       ([tag_unmapped] / [tag_live] / [tag_redzone]);
@@ -30,9 +30,6 @@
 
     Pages are materialised only by {!map_range}, i.e. only for address
     ranges an allocation actually covers. *)
-
-val page_bits : int
-val page_slots : int
 
 val page_mask : int
 (** [addr land page_mask] is the slot offset within its page. *)

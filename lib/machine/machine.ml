@@ -553,7 +553,6 @@ let wake t th =
   | Finished -> ()
 
 let thread_name _t th = th.tname
-let thread_finished _t th = th.state = Finished
 
 (* Forcible termination, the monitor's kill(2): the thread never runs
    again, its pending events become no-ops, and its finish time is the
@@ -1095,8 +1094,6 @@ let compute_share t d ~from_ ~to_ share =
 let thread_phase _t th slot =
   check_slot "thread_phase" slot;
   th.p_acc.(slot)
-
-let thread_phases _t th = Array.copy th.p_acc
 
 (* Lifetime covered by the buckets: up to finish for finished threads, up
    to the last charge point otherwise — so phases always sum to it. *)

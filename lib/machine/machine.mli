@@ -94,19 +94,15 @@ val wake : t -> tid -> unit
 (** Unblock a parked thread (or pre-arm its next {!park}). *)
 
 val thread_name : t -> tid -> string
-val thread_finished : t -> tid -> bool
-
-val cancel : t -> tid -> unit
-(** Forcibly terminate a thread — the monitor's kill(2).  The thread's
-    state becomes [Finished] at the current time: it never runs again, its
-    pending sleep/burst events are discarded when they fire, and it no
-    longer keeps the simulation alive or contributes to later finish
-    times.  Cancelling an already-finished thread, or the currently
-    running thread, is a no-op (a fiber cannot unwind itself — make it
-    observe a flag and return instead). *)
 
 val cancel_proc : t -> proc -> unit
-(** {!cancel} every thread of the process. *)
+(** Forcibly terminate every thread of the process — the monitor's
+    kill(2).  Each thread's state becomes [Finished] at the current time:
+    it never runs again, its pending sleep/burst events are discarded when
+    they fire, and it no longer keeps the simulation alive or contributes
+    to later finish times.  An already-finished thread, and the currently
+    running thread, are left alone (a fiber cannot unwind itself — make it
+    observe a flag and return instead). *)
 
 (** {1:running Running}
 
@@ -243,8 +239,7 @@ val compute_share : t -> float -> from_:int -> to_:int -> float -> float
     slot, before computing. *)
 
 val thread_phase : t -> tid -> int -> float
-val thread_phases : t -> tid -> float array
-(** A copy of the thread's buckets, us. *)
+(** One of the thread's buckets, us. *)
 
 val proc_phases : t -> proc -> float array
 (** Bucket-wise sum over the process's threads. *)

@@ -71,9 +71,6 @@ val link : t -> ?params:params -> src:M.t -> dst:M.t -> string -> link
 
 val link_name : link -> string
 
-val transmission_us : params -> int -> float
-(** Pure serialization time for a payload of the given size. *)
-
 val send : t -> link -> bytes:int -> (unit -> unit) -> unit
 (** [send net l ~bytes deliver] queues a message: it departs when the link
     is free, and [deliver] runs on the destination machine (in scheduler

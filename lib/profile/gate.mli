@@ -9,8 +9,6 @@
     a breach, or a suite/metric that vanished from the fresh run, fails
     the gate — [bench diff] turns that into a non-zero exit. *)
 
-val schema_version : int
-
 type direction =
   | Lower_is_better   (** times: regression when fresh > baseline * (1+tol) *)
   | Higher_is_better  (** rates: regression when fresh < baseline * (1-tol) *)

@@ -322,13 +322,6 @@ module Collector = struct
   let sync_points c = c.recorded
   let dropped c = max 0 (c.recorded - c.cap)
 
-  let top_straggler c =
-    let best = ref (-1) and best_n = ref 0 in
-    Array.iteri
-      (fun v k -> if k > !best_n then begin best := v; best_n := k end)
-      c.straggler_count;
-    !best
-
   (* Surviving ring contents, oldest first. *)
   let recent c =
     let kept = min c.recorded c.cap in

@@ -133,14 +133,6 @@ module Collector : sig
 
   val dropped : t -> int
 
-  val top_straggler : t -> int
-  (** The variant that arrived last at the most rendezvous ([-1] when no
-      sync point was recorded) — the cross-check the causal tracer's
-      critical-path attribution must agree with on single-node runs. *)
-
-  val recent : t -> sync_point list
-  (** Surviving ring contents, oldest first. *)
-
   val check_fraction : t -> variant:int -> string -> float
   (** Per-variant sanitizer share of the named function's compute
       (0. when unknown). *)

@@ -27,9 +27,6 @@ let rec fold f acc trace =
 
 let length t = fold (fun n _ -> n + 1) 0 t
 
-let total_work t =
-  fold (fun acc op -> match op with Work w -> acc +. w.cost | _ -> acc) 0.0 t
-
 let work_by_func t =
   let tbl = Hashtbl.create 16 in
   let add name cost =
@@ -46,9 +43,6 @@ let work_by_func t =
   fold (fun () op -> match op with Work w -> add w.func w.cost | _ -> ()) () t;
   Hashtbl.fold (fun k sum acc -> (k, !sum) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let syscall_count t =
-  fold (fun n op -> match op with Sys _ | Sys_shared _ -> n + 1 | _ -> n) 0 t
 
 let rec map_cost f t =
   List.map

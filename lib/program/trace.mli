@@ -48,22 +48,12 @@ and t = op list
 val length : t -> int
 (** Total number of ops, including nested spawned/forked traces. *)
 
-val total_work : t -> float
-(** Sum of all Work costs, including nested traces. *)
-
 val work_by_func : t -> (string * float) list
 (** Total Work cost per function name (including nested traces), sorted by
     name. *)
 
-val syscall_count : t -> int
-(** Number of Sys ops, including nested traces. *)
-
-val map_cost : (string -> float -> float) -> t -> t
-(** Rewrite Work costs (recursing into Spawn/Fork) — the instrumentation
-    cost transformation. *)
-
 val scale : float -> t -> t
-(** Uniformly scale all Work costs. *)
+(** Uniformly scale all Work costs, recursing into Spawn/Fork. *)
 
 val concat : t list -> t
 

@@ -15,24 +15,6 @@ let typical_profile =
     alloc_intensity = 2.0;
   }
 
-let memory_bound_profile =
-  {
-    mem_op_density = 0.55;
-    arith_density = 0.25;
-    ptr_density = 0.10;
-    branch_density = 0.05;
-    alloc_intensity = 0.2;
-  }
-
-let control_bound_profile =
-  {
-    mem_op_density = 0.25;
-    arith_density = 0.20;
-    ptr_density = 0.20;
-    branch_density = 0.25;
-    alloc_intensity = 6.0;
-  }
-
 type t = {
   check_cost : code_profile -> float;
   residual_cost : code_profile -> float;

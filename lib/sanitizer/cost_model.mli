@@ -23,12 +23,6 @@ type code_profile = {
 val typical_profile : code_profile
 (** A SPEC-like average mix; used for calibration tests. *)
 
-val memory_bound_profile : code_profile
-(** lbm/hmmer-like: dominated by array accesses. *)
-
-val control_bound_profile : code_profile
-(** gcc/perlbench-like: branches and calls dominate. *)
-
 type t = {
   check_cost : code_profile -> float;
       (** distributable slowdown fraction from sanity checks *)

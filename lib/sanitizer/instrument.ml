@@ -240,23 +240,3 @@ let apply sans ?only m =
 
 let apply_exn sans ?only m =
   match apply sans ?only m with Ok m' -> m' | Error e -> invalid_arg ("Instrument.apply: " ^ e)
-
-(* ------------------------------------------------------------------ *)
-
-let sink_count m =
-  List.fold_left
-    (fun acc f ->
-      List.fold_left
-        (fun acc b ->
-          match b.b_term with
-          | Unreachable
-            when List.exists
-                   (function
-                     | Call (_, callee, _) -> Runtime_api.is_report_handler callee
-                     | _ -> false)
-                   b.b_instrs -> acc + 1
-          | _ -> acc)
-        acc f.f_blocks)
-    0 m.m_funcs
-
-let inserted_check_count baseline instrumented = sink_count instrumented - sink_count baseline

@@ -30,10 +30,3 @@ val apply :
 val apply_exn : Sanitizer.t list -> ?only:string list -> Ast.modul -> Ast.modul
 (** @raise Invalid_argument on conflict. *)
 
-val asan_metadata_global : string
-val msan_metadata_global : string
-
-val inserted_check_count : Ast.modul -> Ast.modul -> int
-(** [inserted_check_count baseline instrumented]: number of check sites
-    added (counted as report-handler sink blocks present in the second
-    module but not the first). *)

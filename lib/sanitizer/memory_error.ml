@@ -66,10 +66,3 @@ let of_hazard = function
   | Bunshin_ir.Interp.Uninit_read _ -> Uninitialized_read
   | Bunshin_ir.Interp.Double_free _ -> Double_free
   | Bunshin_ir.Interp.Bad_free _ -> Use_after_free
-
-let of_crash = function
-  | Bunshin_ir.Interp.Div_by_zero -> Some (Undefined Div_by_zero)
-  | Bunshin_ir.Interp.Null_deref -> Some (Undefined Null_dereference)
-  | Bunshin_ir.Interp.Wild_pointer _ -> Some Out_of_bounds_write
-  | Bunshin_ir.Interp.Bad_indirect_call _ -> Some Out_of_bounds_write
-  | Bunshin_ir.Interp.Stack_overflow_sim | Bunshin_ir.Interp.Heap_exhausted -> None

@@ -33,5 +33,3 @@ val main_causes : t -> string list
 val of_hazard : Bunshin_ir.Interp.hazard -> t
 (** Classify a hazard observed by the IR interpreter. *)
 
-val of_crash : Bunshin_ir.Interp.crash -> t option
-(** Classify an interpreter crash; [None] for simulation artifacts. *)

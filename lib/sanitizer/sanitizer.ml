@@ -306,7 +306,6 @@ let make_ubsan_sub (nm, weight, drv, det) =
   }
 
 let ubsan_subs = List.map make_ubsan_sub ubsan_table
-let ubsan_sub_names = List.map (fun (n, _, _, _) -> n) ubsan_table
 let find_ubsan_sub n = List.find_opt (fun s -> s.id = Ubsan_sub n) ubsan_subs
 
 let all = [ asan; msan; softbound; cets; cpi; cfi; safecode; stack_cookie ] @ ubsan_subs
@@ -348,8 +347,6 @@ let group_ws_multiplier sans =
       in
       acc *. worst)
     1.0 families
-
-let ubsan_combined_cost profile = group_cost ubsan_subs profile
 
 let coverage_row err =
   List.filter_map (fun s -> if s.detects err then Some s.sname else None)

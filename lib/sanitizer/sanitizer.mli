@@ -67,14 +67,9 @@ val ubsan_subs : t list
 (** The 19 sub-sanitizers that make up UBSan, each individually cheap
     (<= 40% at the typical profile) but expensive in aggregate (§5.5). *)
 
-val ubsan_sub_names : string list
 val find_ubsan_sub : string -> t option
 
 val all : t list
-
-val ubsan_combined_cost : Cost_model.code_profile -> float
-(** Slowdown of enforcing all 19 subs in one binary: sum of check costs
-    plus a single shared residual — the ~228% of §5.5. *)
 
 val group_cost : t list -> Cost_model.code_profile -> float
 (** Cost of enforcing a conflict-free group in one variant: check costs

@@ -28,9 +28,6 @@ let sinks_of_func f =
 
 let discover m = List.concat_map sinks_of_func m.m_funcs
 
-let per_function_check_count m =
-  List.map (fun f -> (f.f_name, List.length (sinks_of_func f))) m.m_funcs
-
 (* ------------------------------------------------------------------ *)
 (* Removal *)
 

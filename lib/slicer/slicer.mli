@@ -30,9 +30,6 @@ type sink = {
 val discover : Ast.modul -> sink list
 (** All sink points in the module, in function/block order. *)
 
-val per_function_check_count : Ast.modul -> (string * int) list
-(** Number of sinks per function, for every function (0 included). *)
-
 val remove_checks :
   ?in_funcs:string list ->
   ?handler_matches:(string -> bool) ->

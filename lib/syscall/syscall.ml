@@ -92,7 +92,6 @@ let lookup name =
   | None -> (-1, Info)
 
 let classify name = snd (lookup name)
-let number_of name = fst (lookup name)
 
 let make ?(args = []) name =
   let number, klass = lookup name in
@@ -108,12 +107,6 @@ let is_lockstep_selected t =
   match t.klass with
   | Io_write -> true
   | Io_read | File_meta | Memory | Process | Thread | Sync | Signal | Time | Info | Virtual ->
-    false
-
-let is_memory_mgmt t =
-  match t.klass with
-  | Memory -> true
-  | Io_read | Io_write | File_meta | Process | Thread | Sync | Signal | Time | Info | Virtual ->
     false
 
 let is_synchronized t =
@@ -155,12 +148,8 @@ let open_ ?args () = make ?args "open"
 let close ?args () = make ?args "close"
 let mmap ?args () = make ?args "mmap"
 let munmap ?args () = make ?args "munmap"
-let brk ?args () = make ?args "brk"
 let futex ?args () = make ?args "futex"
 let clone_thread ?args () = make ?args "clone_thread"
 let fork ?args () = make ?args "fork"
-let exit_group ?args () = make ?args "exit_group"
 let accept ?args () = make ?args "accept"
 let send ?args () = make ?args "sendto"
-let recv ?args () = make ?args "recvfrom"
-let gettimeofday_vdso () = make "gettimeofday_vdso"

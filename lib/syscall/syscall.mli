@@ -30,9 +30,6 @@ type t = {
 val classify : string -> klass
 (** Class of a syscall by name; unknown names map to [Info]. *)
 
-val number_of : string -> int
-(** x86-64 table number, or -1 when not in the modelled subset. *)
-
 val make : ?args:int64 list -> string -> t
 (** Build a syscall record, classifying and numbering by name.  Names use
     the kernel spelling ([write], [mmap], ...). *)
@@ -46,10 +43,6 @@ val is_lockstep_selected : t -> bool
 (** True for the syscalls the selective-lockstep mode still synchronizes
     strictly: the write-flavoured IO calls through which information leaks
     must pass (§3.3). *)
-
-val is_memory_mgmt : t -> bool
-(** True for syscalls the NXE ignores because sanitizers issue them for
-    metadata management at unpredictable points. *)
 
 val is_synchronized : t -> bool
 (** Whether the NXE synchronizes this syscall at all (everything except
@@ -72,12 +65,8 @@ val open_ : ?args:int64 list -> unit -> t
 val close : ?args:int64 list -> unit -> t
 val mmap : ?args:int64 list -> unit -> t
 val munmap : ?args:int64 list -> unit -> t
-val brk : ?args:int64 list -> unit -> t
 val futex : ?args:int64 list -> unit -> t
 val clone_thread : ?args:int64 list -> unit -> t
 val fork : ?args:int64 list -> unit -> t
-val exit_group : ?args:int64 list -> unit -> t
 val accept : ?args:int64 list -> unit -> t
 val send : ?args:int64 list -> unit -> t
-val recv : ?args:int64 list -> unit -> t
-val gettimeofday_vdso : unit -> t

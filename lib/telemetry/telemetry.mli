@@ -74,9 +74,6 @@ module Hist : sig
 
   type t
 
-  val default_buckets : float list
-  (** A 1-2-5 log scale from 1 to 10^4 — suited to µs-scale latencies. *)
-
   type bounds
   (** Bucket bounds validated, sorted and deduplicated once.  They are
       immutable, so histograms made from one [bounds] value share it:
@@ -96,14 +93,13 @@ module Hist : sig
 
   val create : ?buckets:float list -> unit -> t
   (** [of_bounds (bounds buckets)], normalising [buckets] on every call.
-      @raise Invalid_argument as {!bounds}. *)
+      The default is a 1-2-5 log scale from 1 to 10^4, suited to µs-scale
+      latencies.  @raise Invalid_argument as {!bounds}. *)
 
   val observe : t -> float -> unit
   val count : t -> int
   val sum : t -> float
   val mean : t -> float (** 0. when empty *)
-
-  val min_value : t -> float (** 0. when empty *)
 
   val max_value : t -> float (** 0. when empty *)
 
@@ -148,7 +144,7 @@ module Slo : sig
 
   val window : ?sub_windows:int -> ?sub_us:float -> ?buckets:float list -> unit -> window
   (** Default: 8 sub-windows of 10,000 µs each over
-      {!Hist.default_buckets}.
+      {!Hist.create}'s default buckets.
       @raise Invalid_argument on a non-positive ring or span. *)
 
   val span_us : window -> float

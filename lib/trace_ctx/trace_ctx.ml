@@ -1,6 +1,9 @@
-(* Span recorder.  Spans live in preallocated struct-of-arrays columns
-   (PR-7 discipline: no records, no per-span allocation; names and texts
-   are strings the caller already holds); analysis functions and the
+(* Span recorder.  Spans live in struct-of-arrays columns (the lockstep
+   hot path's discipline: no records, no per-span allocation; names and
+   texts are strings the caller already holds).  The columns start at
+   [initial_slots] and double on demand up to the capacity; a grown
+   column has at least 2048 slots, so the major heap takes it directly
+   and recording still costs no minor word.  Analysis functions and the
    exporter at the bottom allocate freely but run only after the
    simulation.  See trace_ctx.mli for the model. *)
 
@@ -39,50 +42,79 @@ type t = {
   mutable len : int;
   mutable drop : int;
   mutable next_trace : int;
-  s_kind : kind array; (* constant constructors: stored unboxed *)
-  s_trace : int array;
-  s_parent : int array;
-  s_node : int array;
-  s_variant : int array;
-  s_chan : int array;
-  s_pos : int array;
-  s_t0 : float array;
-  s_t1 : float array; (* nan while open *)
-  s_a0 : float array;
-  s_a1 : float array;
-  s_a2 : float array;
-  s_name : string array;
-  s_key : string array;
-  s_text : string array;
+  mutable s_kind : kind array; (* constant constructors: stored unboxed *)
+  mutable s_trace : int array;
+  mutable s_parent : int array;
+  mutable s_node : int array;
+  mutable s_variant : int array;
+  mutable s_chan : int array;
+  mutable s_pos : int array;
+  mutable s_t0 : float array;
+  mutable s_t1 : float array; (* nan while open *)
+  mutable s_a0 : float array;
+  mutable s_a1 : float array;
+  mutable s_a2 : float array;
+  mutable s_name : string array;
+  mutable s_key : string array;
+  mutable s_text : string array;
   mutable domains : string list; (* newest first *)
   mutable tracks : ((int * int) * string) list; (* newest first *)
 }
 
+let initial_slots = 1024
+
 let create ?(capacity = 65536) () =
   if capacity < 1 then invalid_arg "Trace_ctx.create: capacity must be positive";
+  let n = min capacity initial_slots in
   {
     cap = capacity;
     len = 0;
     drop = 0;
     next_trace = 0;
-    s_kind = Array.make capacity Rendezvous;
-    s_trace = Array.make capacity (-1);
-    s_parent = Array.make capacity (-1);
-    s_node = Array.make capacity 0;
-    s_variant = Array.make capacity (-1);
-    s_chan = Array.make capacity (-1);
-    s_pos = Array.make capacity (-1);
-    s_t0 = Array.make capacity 0.0;
-    s_t1 = Array.make capacity nan;
-    s_a0 = Array.make capacity 0.0;
-    s_a1 = Array.make capacity 0.0;
-    s_a2 = Array.make capacity 0.0;
-    s_name = Array.make capacity "";
-    s_key = Array.make capacity "";
-    s_text = Array.make capacity "";
+    s_kind = Array.make n Rendezvous;
+    s_trace = Array.make n (-1);
+    s_parent = Array.make n (-1);
+    s_node = Array.make n 0;
+    s_variant = Array.make n (-1);
+    s_chan = Array.make n (-1);
+    s_pos = Array.make n (-1);
+    s_t0 = Array.make n 0.0;
+    s_t1 = Array.make n nan;
+    s_a0 = Array.make n 0.0;
+    s_a1 = Array.make n 0.0;
+    s_a2 = Array.make n 0.0;
+    s_name = Array.make n "";
+    s_key = Array.make n "";
+    s_text = Array.make n "";
     domains = [];
     tracks = [];
   }
+
+(* Double every column, up to the capacity; the new slots hold the
+   initial values [create] gives, which stand for unset fields. *)
+let grow tc =
+  let n = Array.length tc.s_kind in
+  let n' = min tc.cap (2 * n) in
+  let ext a fill =
+    let b = Array.make n' fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  tc.s_kind <- ext tc.s_kind Rendezvous;
+  tc.s_trace <- ext tc.s_trace (-1);
+  tc.s_parent <- ext tc.s_parent (-1);
+  tc.s_node <- ext tc.s_node 0;
+  tc.s_variant <- ext tc.s_variant (-1);
+  tc.s_chan <- ext tc.s_chan (-1);
+  tc.s_pos <- ext tc.s_pos (-1);
+  tc.s_t0 <- ext tc.s_t0 0.0;
+  tc.s_t1 <- ext tc.s_t1 nan;
+  tc.s_a0 <- ext tc.s_a0 0.0;
+  tc.s_a1 <- ext tc.s_a1 0.0;
+  tc.s_a2 <- ext tc.s_a2 0.0;
+  tc.s_name <- ext tc.s_name "";
+  tc.s_key <- ext tc.s_key "";
+  tc.s_text <- ext tc.s_text ""
 
 let used tc = tc.len
 let dropped tc = tc.drop
@@ -102,6 +134,7 @@ let start tc kind ~trace ~parent ~node ~variant ~chan ~pos ~t0 =
   end
   else begin
     let id = tc.len in
+    if id = Array.length tc.s_kind then grow tc;
     tc.len <- id + 1;
     tc.s_kind.(id) <- kind;
     tc.s_trace.(id) <- trace;
@@ -218,6 +251,15 @@ let span tc id =
 
 let spans tc = List.init tc.len (fun id -> span tc id)
 
+let rendezvous_samples tc =
+  let acc = ref [] in
+  for id = tc.len - 1 downto 0 do
+    let t1 = tc.s_t1.(id) in
+    if tc.s_kind.(id) = Rendezvous && Float.is_finite t1 then
+      acc := (t1, t1 -. tc.s_t0.(id)) :: !acc
+  done;
+  List.sort compare !acc
+
 let traces tc =
   let seen = Hashtbl.create 64 in
   let out = ref [] in
@@ -234,14 +276,6 @@ let tree tc trace =
   List.filter_map
     (fun id -> if tc.s_trace.(id) = trace then Some (span tc id) else None)
     (List.init tc.len (fun i -> i))
-
-let nodes_spanned tc trace =
-  let seen = Hashtbl.create 8 in
-  for id = 0 to tc.len - 1 do
-    if tc.s_trace.(id) = trace && not (Hashtbl.mem seen tc.s_node.(id)) then
-      Hashtbl.add seen tc.s_node.(id) ()
-  done;
-  Hashtbl.length seen
 
 let well_formed tc =
   let eps = 1e-6 in

@@ -45,8 +45,10 @@ val kind_name : kind -> string
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Preallocate a recorder; [capacity] (default 65536) bounds the
-    entries it keeps, causal spans and the rest together.
+(** A recorder whose [capacity] (default 65536) bounds the entries it
+    keeps, causal spans and the rest together.  Its columns start at 1024
+    entries (fewer when [capacity] is smaller) and double as they fill,
+    up to [capacity]; an entry past it is dropped and counted.
     @raise Invalid_argument if [capacity < 1]. *)
 
 val used : t -> int
@@ -172,6 +174,11 @@ val spans : t -> span list
     every tree has trace [-1], its domain in [sp_node] and its track in
     [sp_chan]. *)
 
+val rendezvous_samples : t -> (float * float) list
+(** Closed rendezvous roots as (completion, latency) pairs, sorted, so in
+    completion order: the sample stream a live monitoring hook inside the
+    engine would see. *)
+
 val traces : t -> int list
 (** Distinct trace ids, in recording order: entries outside every tree
     carry none. *)
@@ -179,8 +186,6 @@ val traces : t -> int list
 val tree : t -> int -> span list
 (** All spans of one trace, in recording order (parents first). *)
 
-val nodes_spanned : t -> int -> int
-(** Number of distinct nodes appearing in a trace's spans. *)
 
 val well_formed : t -> (unit, string) result
 (** The qcheck property: ids unique and acyclic (parents precede
@@ -209,8 +214,6 @@ type cause =
   | Link_retransmit  (** dominated by loss-recovery delay *)
   | Sched of int  (** scheduler wait on node [n] *)
   | Publish_cost  (** the leader's own publish dominated *)
-
-val cause_name : cause -> string
 
 type path = {
   pa_trace : int;

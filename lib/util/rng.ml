@@ -57,29 +57,12 @@ let chance t p =
   else if p >= 1.0 then true
   else float t 1.0 < p
 
-let gaussian t ~mean ~stddev =
-  let rec draw () =
-    let u1 = float t 1.0 in
-    if u1 <= 1e-300 then draw () else u1
-  in
-  let u1 = draw () in
-  let u2 = float t 1.0 in
-  let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
-  mean +. (stddev *. z)
-
 let exponential t ~mean =
   let rec draw () =
     let u = float t 1.0 in
     if u <= 1e-300 then draw () else u
   in
   -.mean *. log (draw ())
-
-let pareto t ~shape ~scale =
-  let rec draw () =
-    let u = float t 1.0 in
-    if u <= 1e-300 then draw () else u
-  in
-  scale /. (draw () ** (1.0 /. shape))
 
 let choice t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choice: empty array";
@@ -138,8 +121,6 @@ let draw t w =
     incr i
   done;
   w.items.(!i)
-
-let weighted_choice t pairs = draw t (weighted pairs)
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

@@ -39,14 +39,8 @@ val bool : t -> bool
 val chance : t -> float -> bool
 (** [chance t p] is [true] with probability [p] (clamped to [\[0,1\]]). *)
 
-val gaussian : t -> mean:float -> stddev:float -> float
-(** Box-Muller normal deviate. *)
-
 val exponential : t -> mean:float -> float
 (** Exponential deviate with the given mean. *)
-
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto deviate; heavy-tailed sizes (e.g. file sizes, function costs). *)
 
 val choice : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
@@ -73,12 +67,6 @@ val draw : t -> 'a weighted -> 'a
     state; the guide changes how the element is found, never which one,
     and the draw consumes exactly one raw output, as both of those do. *)
 
-val weighted_choice : t -> ('a * float) array -> 'a
-(** [weighted_choice t pairs] is [draw t (weighted pairs)]: a one-off
-    draw that pays for building the table. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
 val sample : t -> int -> 'a array -> 'a array
-(** [sample t k arr] draws [k] distinct elements (k <= length). *)
+(** [sample t k arr] draws [k] distinct elements (k <= length): the first
+    [k] of a Fisher-Yates shuffle of a copy of [arr]. *)

@@ -4,20 +4,6 @@ let mean = function
   | [] -> 0.0
   | xs -> sum xs /. float_of_int (List.length xs)
 
-let geomean = function
-  | [] -> 0.0
-  | xs ->
-    let logs = List.map (fun x -> if x <= 0.0 then invalid_arg "Stats.geomean: non-positive" else log x) xs in
-    exp (mean logs)
-
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let m = mean xs in
-    let var = mean (List.map (fun x -> (x -. m) ** 2.0) xs) in
-    sqrt var
-
 let sorted xs = List.sort compare xs
 
 let median xs =

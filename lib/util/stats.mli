@@ -3,12 +3,6 @@
 val mean : float list -> float
 (** Arithmetic mean; 0. on the empty list. *)
 
-val geomean : float list -> float
-(** Geometric mean of positive values; 0. on the empty list. *)
-
-val stddev : float list -> float
-(** Population standard deviation; 0. for fewer than two samples. *)
-
 val median : float list -> float
 (** Median (average of middle two for even length); 0. on the empty list. *)
 

@@ -14,11 +14,3 @@ let keep_set ~budget ~overhead_profile =
   in
   List.rev kept
 
-let achieved_cost ~kept ~overhead_profile =
-  let t = total overhead_profile in
-  if t <= 0.0 then 0.0
-  else
-    List.fold_left
-      (fun acc (f, w) -> if List.mem f kept then acc +. w else acc)
-      0.0 overhead_profile
-    /. t

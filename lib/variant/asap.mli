@@ -15,7 +15,3 @@ val keep_set :
   budget:float -> overhead_profile:(string * float) list -> string list
 (** Functions whose checks fit the budget (a fraction, 0..1, of the full
     check overhead), chosen cheapest-first — ASAP's cost ranking. *)
-
-val achieved_cost :
-  kept:string list -> overhead_profile:(string * float) list -> float
-(** Fraction of the full check overhead the kept set actually costs. *)

@@ -109,16 +109,5 @@ let make kind ~file_kb ~connections ~requests =
    sync point's budget is a small multiple of the raw syscall cost (the
    paper's overhead target is "low single-digit percent" on
    syscall-dominated servers), scaled up for nginx whose four workers
-   contend for the leader's ring.  [slo_error_budget] is the tolerated
-   breach fraction backing burn-rate alerts (1% of rendezvous may miss). *)
+   contend for the leader's ring. *)
 let slo_target_us = function Lighttpd -> 12.0 | Nginx -> 20.0
-let slo_error_budget = 0.01
-
-let per_request_us ~kind ~file_kb ~requests ~total_time =
-  (* Per-request processing time: the run's span is set by the busiest
-     worker, which serves ceil(requests/workers) requests serially
-     (matching [make]'s remainder distribution); the shared-wire
-     transmission gap is not processing. *)
-  let per_worker = (requests + workers kind - 1) / workers kind in
-  (total_time /. float_of_int per_worker)
-  -. (network_gap_us ~file_kb *. float_of_int (workers kind))

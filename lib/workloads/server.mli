@@ -27,11 +27,6 @@ val request_ops :
     into the syscall arguments, so distinct requests are distinct syscall
     streams (the serving front-end builds per-request traces from this). *)
 
-val per_request_us :
-  kind:kind -> file_kb:int -> requests:int -> total_time:float -> float
-(** Mean processing time per request, the Table 2 metric: wall time scaled
-    by worker parallelism, minus the wire-transmission gap (the testbed's
-    1 Gb/s link is the bottleneck for large files, not the CPU). *)
 
 val network_gap_us : file_kb:int -> float
 val kind_name : kind -> string
@@ -43,7 +38,3 @@ val slo_target_us : kind -> float
     syscall cost (nginx's is looser — four workers contend for the
     leader's ring). *)
 
-val slo_error_budget : float
-(** Tolerated breach fraction behind burn-rate computation: a burn rate
-    of 1.0 means breaches exactly consume the budget (1% of rendezvous);
-    above 1.0 the SLO is being spent faster than provisioned. *)

@@ -140,10 +140,3 @@ let find name =
   match List.find_opt (fun b -> b.Bench.name = name) all with
   | Some b -> b
   | None -> raise Not_found
-
-let hot_function_share b =
-  let trace = b.Bench.prog.Program.gen_trace (Rng.create 0) in
-  let by_func = Trace.work_by_func trace in
-  let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 by_func in
-  if total <= 0.0 then 0.0
-  else List.fold_left (fun acc (_, w) -> Float.max acc (w /. total)) 0.0 by_func

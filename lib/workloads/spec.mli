@@ -16,6 +16,3 @@ val find : string -> Bench.t
 
 val names : string list
 
-val hot_function_share : Bench.t -> float
-(** Fraction of baseline work spent in the hottest function (seed-0
-    workload) — ~0.95+ for the outliers. *)

@@ -583,7 +583,7 @@ let print_k1_case c =
 let k1_traces c =
   List.mapi
     (fun v skew ->
-      let skewed ops = Trace.map_cost (fun _ cost -> cost *. skew) (trace_of_ops ops) in
+      let skewed ops = Trace.scale skew (trace_of_ops ops) in
       let main = skewed c.k_main in
       let main =
         match c.k_diverge with
@@ -714,7 +714,7 @@ let fleet_run f ~sink =
   let traces =
     List.map
       (fun skew ->
-        let skewed ops = Trace.map_cost (fun _ cost -> cost *. skew) (trace_of_ops ops) in
+        let skewed ops = Trace.scale skew (trace_of_ops ops) in
         match f.f_spawn with
         | Some sub -> Trace.Spawn (skewed sub) :: skewed f.f_main
         | None -> skewed f.f_main)

@@ -131,9 +131,21 @@ let uninit_prog () =
   B.ret b None;
   B.finish b
 
+(* The check site an incident gets when exactly [variant] of two detected
+   [d]. *)
+let check_site_of_detection ~variant d =
+  let inc =
+    F.build ~channel:0 ~position:0 ~flagged:1 ~expected:"write(1)" ~got:"write(2)" ~time:0.0
+      ~votes:[| issued "write" [ 1L ]; issued "write" [ 2L ] |] ~tapes:[| []; [] |] ()
+  in
+  let dets = Array.init 2 (fun v -> if v = variant then Some d else None) in
+  match (F.refine_with_detections inc dets).F.inc_check_site with
+  | Some cs -> cs
+  | None -> Alcotest.fail "no check site attributed"
+
 let test_check_site_asan () =
   let _, d = detect_with San.asan (overflow_prog ()) [ 10L ] in
-  let cs = F.check_site_of_detection ~variant:1 d in
+  let cs = check_site_of_detection ~variant:1 d in
   Alcotest.(check int) "variant" 1 cs.F.cs_variant;
   Alcotest.(check string) "pass" "asan" cs.F.cs_pass;
   Alcotest.(check string) "handler" "__asan_report_store" cs.F.cs_handler;
@@ -145,21 +157,26 @@ let test_check_site_asan () =
 
 let test_check_site_msan () =
   let _, d = detect_with San.msan (uninit_prog ()) [] in
-  let cs = F.check_site_of_detection ~variant:0 d in
+  let cs = check_site_of_detection ~variant:0 d in
   Alcotest.(check string) "pass" "msan" cs.F.cs_pass;
   Alcotest.(check string) "handler" "__msan_report" cs.F.cs_handler;
   Alcotest.(check string) "func" "main" cs.F.cs_func;
   Alcotest.(check bool) "check id parsed" true (cs.F.cs_check_id >= 0)
 
 let test_pass_of_handler () =
-  Alcotest.(check string) "asan" "asan" (F.pass_of_handler "__asan_report_load");
-  Alcotest.(check string) "msan" "msan" (F.pass_of_handler "__msan_report");
-  Alcotest.(check string) "stack cookie" "stackcookie"
-    (F.pass_of_handler "__stackcookie_report");
-  Alcotest.(check string) "interpreter trap" "ir" (F.pass_of_handler "unreachable");
-  Alcotest.(check string) "unknown" "" (F.pass_of_handler "somebody_else");
-  Alcotest.(check int) "block id" 7 (F.check_id_of_block "san.fail.7");
-  Alcotest.(check int) "non-sink block" (-1) (F.check_id_of_block "entry")
+  let site handler block =
+    check_site_of_detection ~variant:0
+      { Interp.d_handler = handler; d_func = "main"; d_block = block }
+  in
+  let pass_of_handler h = (site h "entry").F.cs_pass in
+  let check_id_of_block b = (site "__asan_report_load" b).F.cs_check_id in
+  Alcotest.(check string) "asan" "asan" (pass_of_handler "__asan_report_load");
+  Alcotest.(check string) "msan" "msan" (pass_of_handler "__msan_report");
+  Alcotest.(check string) "stack cookie" "stackcookie" (pass_of_handler "__stackcookie_report");
+  Alcotest.(check string) "interpreter trap" "ir" (pass_of_handler "unreachable");
+  Alcotest.(check string) "unknown" "" (pass_of_handler "somebody_else");
+  Alcotest.(check int) "block id" 7 (check_id_of_block "san.fail.7");
+  Alcotest.(check int) "non-sink block" (-1) (check_id_of_block "entry")
 
 (* ------------------------------------------------------------------ *)
 (* Incidents from interpreter runs, filed by the NXE through the bridge *)

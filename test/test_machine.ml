@@ -291,25 +291,28 @@ let test_wake_before_park_not_lost () =
   in
   t1 := Some target;
   ignore (M.spawn m p ~name:"early-waker" (fun () -> M.wake m target));
+  (* A lost wake would leave the parker blocked: [run] raises Deadlock. *)
   M.run m;
-  Alcotest.(check bool) "finished" true (M.thread_finished m target)
+  Alcotest.(check bool) "parker finished after its compute" true
+    (M.proc_finish_time m p >= 100.0)
 
 (* ------------------------------------------------------------------ *)
 (* Forcible termination — the monitor's kill(2). *)
 
 let test_cancel_parked_thread () =
   let m = M.create ~config:(cfg ()) () in
-  let p = M.new_proc m ~name:"p" ~working_set:1.0 () in
-  let victim = M.spawn m p ~name:"victim" (fun () -> M.park m) in
+  let pv = M.new_proc m ~name:"victim-proc" ~working_set:1.0 () in
+  let pm = M.new_proc m ~name:"monitor-proc" ~working_set:1.0 () in
+  ignore (M.spawn m pv ~name:"victim" (fun () -> M.park m));
   ignore
-    (M.spawn m p ~name:"monitor" (fun () ->
+    (M.spawn m pm ~name:"monitor" (fun () ->
          M.compute m 30.0;
-         M.cancel m victim;
+         M.cancel_proc m pv;
          (* Cancelling an already-finished thread is a no-op. *)
-         M.cancel m victim));
+         M.cancel_proc m pv));
   (* Without the cancel this run deadlocks on the parked victim. *)
   M.run m;
-  Alcotest.(check bool) "victim finished" true (M.thread_finished m victim);
+  check_time "victim finished at cancel time" 30.0 (M.proc_finish_time m pv);
   check_time "ends at cancel time" 30.0 (M.stats m).M.total_time
 
 let test_cancel_discards_pending_events () =
@@ -317,27 +320,24 @@ let test_cancel_discards_pending_events () =
      the heap; cancellation must turn those into no-ops (the Burst_end
      only frees its core) and neither fiber may ever resume. *)
   let m = M.create ~config:(cfg ()) () in
-  let p = M.new_proc m ~name:"p" ~working_set:1.0 () in
+  let pv = M.new_proc m ~name:"victim-proc" ~working_set:1.0 () in
+  let pm = M.new_proc m ~name:"monitor-proc" ~working_set:1.0 () in
   let resumed = ref false in
-  let burst =
-    M.spawn m p ~name:"burst" (fun () ->
-        M.compute m 1000.0;
-        resumed := true)
-  in
-  let sleeper =
-    M.spawn m p ~name:"sleeper" (fun () ->
-        M.sleep m 1000.0;
-        resumed := true)
-  in
   ignore
-    (M.spawn m p ~name:"monitor" (fun () ->
+    (M.spawn m pv ~name:"burst" (fun () ->
+         M.compute m 1000.0;
+         resumed := true));
+  ignore
+    (M.spawn m pv ~name:"sleeper" (fun () ->
+         M.sleep m 1000.0;
+         resumed := true));
+  ignore
+    (M.spawn m pm ~name:"monitor" (fun () ->
          M.compute m 10.5;
-         M.cancel m burst;
-         M.cancel m sleeper));
+         M.cancel_proc m pv));
   M.run m;
   Alcotest.(check bool) "no fiber resumed" false !resumed;
-  Alcotest.(check bool) "both finished" true
-    (M.thread_finished m burst && M.thread_finished m sleeper);
+  check_time "both finished at cancel time" 10.5 (M.proc_finish_time m pv);
   check_time "ends at cancel, not at burst/sleep end" 10.5 (M.stats m).M.total_time
 
 let test_cancel_self_is_noop () =
@@ -346,15 +346,12 @@ let test_cancel_self_is_noop () =
   let m = M.create ~config:(cfg ()) () in
   let p = M.new_proc m ~name:"p" ~working_set:1.0 () in
   let finished_body = ref false in
-  let t = ref None in
-  let th =
-    M.spawn m p ~name:"self" (fun () ->
-        M.compute m 5.0;
-        M.cancel m (Option.get !t);
-        M.compute m 5.0;
-        finished_body := true)
-  in
-  t := Some th;
+  ignore
+    (M.spawn m p ~name:"self" (fun () ->
+         M.compute m 5.0;
+         M.cancel_proc m p;
+         M.compute m 5.0;
+         finished_body := true));
   M.run m;
   Alcotest.(check bool) "body ran to completion" true !finished_body;
   check_time "full compute" 10.0 (M.stats m).M.total_time
@@ -363,15 +360,14 @@ let test_cancel_proc_kills_all_threads () =
   let m = M.create ~config:(cfg ()) () in
   let pa = M.new_proc m ~name:"victim-proc" ~working_set:1.0 () in
   let pb = M.new_proc m ~name:"monitor-proc" ~working_set:1.0 () in
-  let v1 = M.spawn m pa ~name:"v1" (fun () -> M.park m) in
-  let v2 = M.spawn m pa ~name:"v2" (fun () -> M.sleep m 500.0) in
+  ignore (M.spawn m pa ~name:"v1" (fun () -> M.park m));
+  ignore (M.spawn m pa ~name:"v2" (fun () -> M.sleep m 500.0));
   ignore
     (M.spawn m pb ~name:"monitor" (fun () ->
          M.compute m 20.0;
          M.cancel_proc m pa));
   M.run m;
-  Alcotest.(check bool) "all victim threads finished" true
-    (M.thread_finished m v1 && M.thread_finished m v2);
+  check_time "all victim threads finished at cancel" 20.0 (M.proc_finish_time m pa);
   check_time "ends at cancel" 20.0 (M.stats m).M.total_time
 
 let test_deadlock_detection () =
@@ -878,7 +874,7 @@ let run_carve ~primitive ?telemetry p =
   M.run m;
   ( M.stats m,
     List.rev_map
-      (fun tid -> Array.to_list (Array.map (Printf.sprintf "%h") (M.thread_phases m tid)))
+      (fun tid -> List.init M.phase_slots (fun i -> Printf.sprintf "%h" (M.thread_phase m tid i)))
       !tids )
 
 let prop_compute_share_equals_carve_out =

@@ -157,8 +157,20 @@ let test_validation () =
     (fun () -> Net.send net l ~bytes:(-1) ignore)
 
 let test_transmission_us () =
-  Alcotest.(check (float 1e-9)) "pure serialization" 8.2
-    (Net.transmission_us Net.default_params 1024)
+  (* An idle default link delivers a 1 KB response after the server
+     model's wire gap for it (8.2 us) plus the one-way latency. *)
+  let src = M.create () and dst = M.create () in
+  let net = Net.create () in
+  let l = Net.link net ~params:Net.default_params ~src ~dst "l" in
+  let arrival = ref 0.0 in
+  let proc = M.new_proc src ~name:"sender" ~working_set:8.0 () in
+  ignore
+    (M.spawn src proc ~name:"send" (fun () ->
+         Net.send net l ~bytes:1024 (fun () -> arrival := M.now dst)));
+  run2 src dst;
+  Alcotest.(check (float 1e-9)) "latency + serialization"
+    (Net.default_params.Net.latency_us +. Bunshin_workloads.Server.network_gap_us ~file_kb:1)
+    !arrival
 
 let () =
   Alcotest.run "net"

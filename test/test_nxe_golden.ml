@@ -124,7 +124,7 @@ let rich_trace () =
       rd [ 3L; 8L ];
       wr [ 1L; 9L ];
       Trace.Marker Trace.About_to_exit;
-      Trace.Sys (Sc.exit_group ());
+      Trace.Sys (Sc.make "exit_group");
     ]
 
 let asym_traces () =
@@ -262,25 +262,6 @@ let scenarios =
 (* ------------------------------------------------------------------ *)
 (* Harness *)
 
-let regen_dir = Sys.getenv_opt "BUNSHIN_REGEN_GOLDEN"
-
-let golden_path name =
-  match regen_dir with
-  | Some d -> Filename.concat d (name ^ ".golden")
-  | None -> Filename.concat "golden" (name ^ ".golden")
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
 let () =
   let failures = ref [] in
   let fail s = failures := s :: !failures in
@@ -297,23 +278,7 @@ let () =
       in
       if with_tel <> base then
         fail (s.s_name ^ ": telemetry-attached report differs from bare run");
-      (match regen_dir with
-       | Some _ -> write_file (golden_path s.s_name) base
-       | None ->
-         let path = golden_path s.s_name in
-         if not (Sys.file_exists path) then fail (s.s_name ^ ": missing golden " ^ path)
-         else begin
-           let want = read_file path in
-           if want <> base then begin
-             fail (s.s_name ^ ": report drifted from golden");
-             (* Leave the fresh rendering in the build dir for diffing. *)
-             write_file (s.s_name ^ ".fresh") base
-           end
-         end);
+      Result.iter_error (fun e -> fail (s.s_name ^ ": report " ^ e)) (Golden.check s.s_name base);
       print_string ("golden " ^ s.s_name ^ ": checked\n"))
     scenarios;
-  match !failures with
-  | [] -> if regen_dir <> None then print_string "goldens regenerated\n"
-  | fs ->
-    List.iter (fun f -> prerr_endline ("FAIL " ^ f)) fs;
-    exit 1
+  Golden.finish !failures

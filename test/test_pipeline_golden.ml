@@ -87,27 +87,10 @@ let render name =
 (* ------------------------------------------------------------------ *)
 (* Harness *)
 
-let regen_dir = Sys.getenv_opt "BUNSHIN_REGEN_GOLDEN"
-
-let golden_path name =
-  Filename.concat (Option.value ~default:"golden" regen_dir) ("pipeline_" ^ name ^ ".golden")
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let write_file path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
-
 let test_model name () =
-  let fresh = render name in
-  let path = golden_path name in
-  match regen_dir with
-  | Some _ -> write_file path fresh
-  | None ->
-    if not (Sys.file_exists path) then Alcotest.failf "missing golden %s" path;
-    if read_file path <> fresh then begin
-      (* Leave the fresh rendering in the build dir for diffing. *)
-      write_file ("pipeline_" ^ name ^ ".fresh") fresh;
-      Alcotest.failf "%s: pipeline drifted from %s" name path
-    end
+  match Golden.check ("pipeline_" ^ name) (render name) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: pipeline %s" name e
 
 let () =
   Alcotest.run "bunshin_pipeline_golden"

@@ -139,7 +139,7 @@ let test_ring_overflow_counted () =
   done;
   Alcotest.(check int) "all recorded" 10 (Collector.sync_points c);
   Alcotest.(check int) "dropped = recorded - capacity" 6 (Collector.dropped c);
-  let recent = Collector.recent c in
+  let recent = (Profile.attribution c).Profile.at_recent in
   Alcotest.(check int) "ring keeps capacity" 4 (List.length recent);
   Alcotest.(check int) "oldest surviving first" 6
     (match recent with sp :: _ -> sp.Collector.sp_pos | [] -> -1)
@@ -152,7 +152,7 @@ let test_interp_phase_counts () =
   let len = in_channel_length ic in
   let src = really_input_string ic len in
   close_in ic;
-  let m = Ir_parser.parse_exn src in
+  let m = match Ir_parser.parse src with Ok m -> m | Error e -> Alcotest.fail e in
   let instrumented =
     match Instrument.apply [ Sanitizer.asan ] m with
     | Ok m' -> m'
@@ -160,9 +160,12 @@ let test_interp_phase_counts () =
   in
   let args = [ 4L ] in
   let baseline = Interp.run instrumented ~entry:"main" ~args in
-  let pc_fast = Interp.phase_counts () in
+  let phase_counts () =
+    { Interp.pc_steps = 0; pc_checks = 0; pc_runtime = 0; pc_syscalls = 0 }
+  in
+  let pc_fast = phase_counts () in
   let fast = Interp.run ~phases:pc_fast instrumented ~entry:"main" ~args in
-  let pc_ref = Interp.phase_counts () in
+  let pc_ref = phase_counts () in
   let refr = Interp.run_reference ~phases:pc_ref instrumented ~entry:"main" ~args in
   Alcotest.(check bool) "result unchanged by phases" true (baseline = fast);
   Alcotest.(check bool) "engines agree on run" true (fast = refr);

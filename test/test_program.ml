@@ -11,13 +11,33 @@ module Profile = Bunshin_profile.Profile
 module Variant = Bunshin_variant.Variant
 module M = Bunshin_machine.Machine
 
+(* lbm/hmmer-like: dominated by array accesses. *)
+let memory_bound_profile =
+  {
+    Cost.mem_op_density = 0.55;
+    arith_density = 0.25;
+    ptr_density = 0.10;
+    branch_density = 0.05;
+    alloc_intensity = 0.2;
+  }
+
+(* gcc/perlbench-like: branches and calls dominate. *)
+let control_bound_profile =
+  {
+    Cost.mem_op_density = 0.25;
+    arith_density = 0.20;
+    ptr_density = 0.20;
+    branch_density = 0.25;
+    alloc_intensity = 6.0;
+  }
+
 (* A small synthetic program: two functions with distinct profiles, some
    syscalls, deterministic workload. *)
 let toy_program ?(phases = 10) () =
   let funcs =
     [
-      { Program.fn_name = "parse"; fn_profile = Cost.control_bound_profile };
-      { Program.fn_name = "crunch"; fn_profile = Cost.memory_bound_profile };
+      { Program.fn_name = "parse"; fn_profile = control_bound_profile };
+      { Program.fn_name = "crunch"; fn_profile = memory_bound_profile };
     ]
   in
   let gen_trace _rng =
@@ -37,8 +57,8 @@ let toy_program ?(phases = 10) () =
 let test_trace_accounting () =
   let t = (toy_program ()).Program.gen_trace (Rng.create 0) in
   Alcotest.(check int) "ops" 30 (Trace.length t);
-  Alcotest.(check (float 1e-9)) "work" 1000.0 (Trace.total_work t);
-  Alcotest.(check int) "syscalls" 10 (Trace.syscall_count t);
+  Alcotest.(check (float 1e-9)) "work" 1000.0 (Trace_sum.total_work t);
+  Alcotest.(check int) "syscalls" 10 (Trace_sum.syscall_count t);
   Alcotest.(check (list (pair string (float 1e-9))))
     "by func"
     [ ("crunch", 800.0); ("parse", 200.0) ]
@@ -52,14 +72,15 @@ let test_trace_nested_accounting () =
       Trace.Fork [ Trace.Work { func = "c"; cost = 3.0 } ];
     ]
   in
-  Alcotest.(check (float 1e-9)) "nested work" 6.0 (Trace.total_work t);
-  Alcotest.(check int) "nested syscalls" 1 (Trace.syscall_count t);
+  Alcotest.(check int) "nested ops" 6 (Trace.length t);
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "nested work" [ ("a", 1.0); ("b", 2.0); ("c", 3.0) ] (Trace.work_by_func t);
   Alcotest.(check (list string)) "functions" [ "a"; "b"; "c" ] (Trace.functions t)
 
 let test_trace_map_cost_recurses () =
   let t = [ Trace.Spawn [ Trace.Work { func = "b"; cost = 2.0 } ] ] in
   let t' = Trace.scale 3.0 t in
-  Alcotest.(check (float 1e-9)) "scaled" 6.0 (Trace.total_work t')
+  Alcotest.(check (float 1e-9)) "scaled" 6.0 (Trace_sum.total_work t')
 
 (* ------------------------------------------------------------------ *)
 (* Builds *)
@@ -67,16 +88,16 @@ let test_trace_map_cost_recurses () =
 let test_baseline_build_is_clean () =
   let prog = toy_program () in
   let t = Program.build_trace (Program.baseline prog) ~seed:1 in
-  Alcotest.(check (float 1e-9)) "no inflation" 1000.0 (Trace.total_work t);
+  Alcotest.(check (float 1e-9)) "no inflation" 1000.0 (Trace_sum.total_work t);
   (* Only the program's own syscalls plus markers. *)
-  Alcotest.(check int) "no extra syscalls" 10 (Trace.syscall_count t)
+  Alcotest.(check int) "no extra syscalls" 10 (Trace_sum.syscall_count t)
 
 let test_full_asan_build_inflates () =
   let prog = toy_program () in
   let t = Program.build_trace (Program.full [ San.asan ] prog) ~seed:1 in
-  Alcotest.(check bool) "inflated" true (Trace.total_work t > 1500.0);
+  Alcotest.(check bool) "inflated" true (Trace_sum.total_work t > 1500.0);
   (* Sanitizer runtime syscalls woven in. *)
-  Alcotest.(check bool) "extra syscalls" true (Trace.syscall_count t > 10)
+  Alcotest.(check bool) "extra syscalls" true (Trace_sum.syscall_count t > 10)
 
 let test_full_conflicting_rejected () =
   Alcotest.(check bool) "raises" true
@@ -93,14 +114,14 @@ let test_variant_checks_subset_cheaper () =
   in
   let base = Program.build_trace (Program.baseline prog) ~seed:1 in
   Alcotest.(check bool) "partial between baseline and full" true
-    (Trace.total_work partial > Trace.total_work base
-    && Trace.total_work partial < Trace.total_work full)
+    (Trace_sum.total_work partial > Trace_sum.total_work base
+    && Trace_sum.total_work partial < Trace_sum.total_work full)
 
 let test_variant_residual_still_paid () =
   (* Even a variant with zero checked functions pays the residual. *)
   let prog = toy_program () in
   let none = Program.build_trace (Program.variant [ San.asan ] ~checked:[] prog) ~seed:1 in
-  Alcotest.(check bool) "residual inflation" true (Trace.total_work none > 1000.0)
+  Alcotest.(check bool) "residual inflation" true (Trace_sum.total_work none > 1000.0)
 
 let test_build_working_set_inflation () =
   let prog = toy_program () in
@@ -483,9 +504,9 @@ let prop_check_distribution_always_covers =
 (* One-pass trace building against the multi-pass reference.  The
    references below are the earlier implementations, kept verbatim in
    behaviour: generators that build one list per unit and concatenate,
-   and a build that scales costs with [Trace.map_cost], weaves the
+   and a build that scales costs with [map_cost], weaves the
    runtime's in-execution syscalls in a second pass, splices the phases
-   with [@], and applies a variant's jitter in a last [Trace.map_cost]. *)
+   with [@], and applies a variant's jitter in a last [map_cost]. *)
 
 module Bench = Bunshin_workloads.Bench
 
@@ -566,11 +587,21 @@ let ref_runtime_syscalls sans phase =
   in
   List.concat_map (fun s -> San.introduced_syscalls s phase) reps
 
+let rec map_cost f t =
+  List.map
+    (fun op ->
+      match op with
+      | Trace.Work w -> Trace.Work { w with cost = f w.func w.cost }
+      | Trace.Spawn sub -> Trace.Spawn (map_cost f sub)
+      | Trace.Fork sub -> Trace.Fork (map_cost f sub)
+      | op -> op)
+    t
+
 let ref_build_trace (b : Program.build) ~seed =
   let body = b.Program.prog.Program.gen_trace (Rng.create seed) in
   let body =
     if b.Program.sanitizers = [] then body
-    else Trace.map_cost (fun f c -> c *. Program.cost_factor b f) body
+    else map_cost (fun f c -> c *. Program.cost_factor b f) body
   in
   let extra = ref_runtime_syscalls b.Program.sanitizers San.In_execution in
   let body =
@@ -596,7 +627,7 @@ let ref_build_trace (b : Program.build) ~seed =
   @ (Trace.Marker Trace.About_to_exit :: sys San.Post_exit)
 
 let ref_jitter jitter trace =
-  match jitter with None -> trace | Some j -> Trace.map_cost (fun f c -> c *. j f) trace
+  match jitter with None -> trace | Some j -> map_cost (fun f c -> c *. j f) trace
 
 (* Structural equality with every float compared bit for bit. *)
 let rec same_trace a b =
@@ -637,7 +668,7 @@ let gen_worker rng =
     Rng.int_in rng 1 4 )
 
 let program_of ~name funcs gen_trace =
-  let profiles = [| Cost.typical_profile; Cost.memory_bound_profile; Cost.control_bound_profile |] in
+  let profiles = [| Cost.typical_profile; memory_bound_profile; control_bound_profile |] in
   {
     Program.name;
     funcs =

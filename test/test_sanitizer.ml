@@ -29,12 +29,7 @@ let test_hazard_classification () =
   Alcotest.(check string) "oob write" (Err.name Err.Out_of_bounds_write)
     (Err.name (Err.of_hazard (Interp.Oob_write 0L)));
   Alcotest.(check string) "uaf" (Err.name Err.Use_after_free)
-    (Err.name (Err.of_hazard (Interp.Uaf_read 0L)));
-  Alcotest.(check bool) "crash div0" true
-    (Err.of_crash Interp.Div_by_zero = Some (Err.Undefined Err.Div_by_zero));
-  Alcotest.(check bool) "sim artifact" true (Err.of_crash Interp.Stack_overflow_sim = None);
-  Alcotest.(check bool) "heap limit is a sim artifact" true
-    (Err.of_crash Interp.Heap_exhausted = None)
+    (Err.name (Err.of_hazard (Interp.Uaf_read 0L)))
 
 (* ------------------------------------------------------------------ *)
 (* Registry: conflicts and groups *)
@@ -59,7 +54,7 @@ let test_collectively_enforceable () =
 let test_ubsan_has_19_subs () =
   Alcotest.(check int) "19 subs" 19 (List.length San.ubsan_subs);
   Alcotest.(check int) "names unique" 19
-    (List.length (List.sort_uniq compare San.ubsan_sub_names))
+    (List.length (List.sort_uniq compare (List.map San.name San.ubsan_subs)))
 
 let test_find_ubsan_sub () =
   Alcotest.(check bool) "found" true (San.find_ubsan_sub "shift" <> None);
@@ -75,8 +70,14 @@ let test_asan_cost_near_107 () =
   Alcotest.(check bool) (Printf.sprintf "0.8 <= %.3f <= 1.3" oh) true (oh >= 0.8 && oh <= 1.3)
 
 let test_asan_memory_bound_is_outlier_heavy () =
+  (* lbm, one of the paper's ASan outliers, is dominated by array accesses. *)
+  let lbm = Bunshin_workloads.Spec.find "lbm" in
+  let membound_profile =
+    (List.hd lbm.Bunshin_workloads.Bench.prog.Bunshin_program.Program.funcs)
+      .Bunshin_program.Program.fn_profile
+  in
   let typical = Cost.total San.asan.San.cost Cost.typical_profile in
-  let membound = Cost.total San.asan.San.cost Cost.memory_bound_profile in
+  let membound = Cost.total San.asan.San.cost membound_profile in
   Alcotest.(check bool) "memory-bound costs more" true (membound > typical)
 
 let test_ubsan_subs_individually_cheap () =
@@ -89,7 +90,7 @@ let test_ubsan_subs_individually_cheap () =
     San.ubsan_subs
 
 let test_ubsan_combined_228 () =
-  let combined = San.ubsan_combined_cost Cost.typical_profile in
+  let combined = San.group_cost San.ubsan_subs Cost.typical_profile in
   Alcotest.(check bool) (Printf.sprintf "2.0 <= %.3f <= 2.5" combined) true
     (combined >= 2.0 && combined <= 2.5)
 
@@ -100,7 +101,7 @@ let test_ubsan_synergy_negative () =
     Bunshin_util.Stats.sum
       (List.map (fun s -> Cost.total s.San.cost Cost.typical_profile) San.ubsan_subs)
   in
-  let combined = San.ubsan_combined_cost Cost.typical_profile in
+  let combined = San.group_cost San.ubsan_subs Cost.typical_profile in
   Alcotest.(check bool) "sum > combined" true (sum > combined)
 
 let test_softbound_cets_sum () =
@@ -301,12 +302,13 @@ let test_check_count () =
   let base = heap_prog () in
   let inst = Inst.apply_exn [ San.asan ] base in
   (* One store + one load = two ASan checks (malloc is not an access). *)
-  Alcotest.(check int) "two checks" 2 (Inst.inserted_check_count base inst)
+  let checks m = List.length (Bunshin_slicer.Slicer.discover m) in
+  Alcotest.(check int) "two checks" 2 (checks inst - checks base)
 
 let test_metadata_globals_added () =
   let inst = Inst.apply_exn [ San.asan ] (heap_prog ()) in
   Alcotest.(check bool) "asan ctr global" true
-    (List.exists (fun g -> g.Ast.g_name = Inst.asan_metadata_global) inst.Ast.m_globals)
+    (List.exists (fun g -> g.Ast.g_name = "__asan_shadow_ctr") inst.Ast.m_globals)
 
 let test_instrument_phi_labels_fixed () =
   (* A loop whose body gets split by checks must still verify and run:

@@ -29,13 +29,13 @@ let test_make_nondivisible_requests () =
      sub-traces) must carry every request. *)
   let t = server_trace Server.Nginx 10 in
   Alcotest.(check int) "nginx 10 requests -> 30 syscalls" (10 * syscalls_per_request)
-    (Trace.syscall_count t);
+    (Trace_sum.syscall_count t);
   let t = server_trace Server.Nginx 3 in
   Alcotest.(check int) "fewer requests than workers" (3 * syscalls_per_request)
-    (Trace.syscall_count t);
+    (Trace_sum.syscall_count t);
   let t = server_trace Server.Lighttpd 7 in
   Alcotest.(check int) "single worker unchanged" (7 * syscalls_per_request)
-    (Trace.syscall_count t)
+    (Trace_sum.syscall_count t)
 
 let test_make_executed_syscalls () =
   (* The same count must survive execution: two identical variants of the
@@ -45,14 +45,6 @@ let test_make_executed_syscalls () =
   Alcotest.(check bool) "finished" true (r.Nxe.outcome = `All_finished);
   Alcotest.(check int) "executed = generated" (10 * syscalls_per_request)
     r.Nxe.synced_syscalls
-
-let test_per_request_us_ceiling () =
-  (* The span is set by the busiest worker: ceil(10/4) = 3 requests, not
-     10/4 = 2 — using the truncated count inflated per-request time. *)
-  let v =
-    Server.per_request_us ~kind:Server.Nginx ~file_kb:1 ~requests:10 ~total_time:300.0
-  in
-  Alcotest.(check (float 1e-9)) "300/3 - 4*8.2" ((300.0 /. 3.0) -. (8.2 *. 4.0)) v
 
 let test_make_validates_arguments () =
   Alcotest.check_raises "connections = 0"
@@ -267,7 +259,6 @@ let () =
         [
           Alcotest.test_case "non-divisible requests" `Quick test_make_nondivisible_requests;
           Alcotest.test_case "executed syscalls" `Quick test_make_executed_syscalls;
-          Alcotest.test_case "per_request_us ceiling" `Quick test_per_request_us_ceiling;
           Alcotest.test_case "argument validation" `Quick test_make_validates_arguments;
         ] );
       ( "pool",

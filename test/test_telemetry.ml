@@ -176,17 +176,24 @@ let test_bad_capacity () =
 (* ------------------------------------------------------------------ *)
 (* Metrics *)
 
+let str_contains hay ne =
+  let nh = String.length hay and nn = String.length ne in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = ne || go (i + 1)) in
+  go 0
+
 let test_hist_matches_stats () =
   (* The two histogram implementations must agree bucket by bucket. *)
   let buckets = [ 5.0; 1.0; 2.0; 1.0 ] (* unsorted, duplicated *) in
   let samples = [ 0.0; 1.0; 1.5; 2.0; 2.5; 5.0; 99.0; -3.0 ] in
-  let h = Tel.Hist.create ~buckets () in
+  let sink = Tel.create () in
+  let h = Tel.hist ~buckets sink "h" in
   List.iter (Tel.Hist.observe h) samples;
   Alcotest.(check bool) "same dump" true
     (Tel.Hist.dump h = Stats.histogram ~buckets samples);
   Alcotest.(check int) "count" (List.length samples) (Tel.Hist.count h);
   Alcotest.(check (float 1e-9)) "mean" (Stats.mean samples) (Tel.Hist.mean h);
-  Alcotest.(check (float 1e-9)) "min" (-3.0) (Tel.Hist.min_value h);
+  Alcotest.(check bool) "min and max exported" true
+    (str_contains (Tel.metrics_to_text sink) "min -3  max 99\n");
   Alcotest.(check (float 1e-9)) "max" 99.0 (Tel.Hist.max_value h)
 
 let test_hist_empty () =
@@ -289,11 +296,6 @@ let test_interp_domain () =
        (chrome_events (Tel.recorder sink)));
   Alcotest.(check bool) "check hits counted" true
     (Tel.Counter.value (Tel.counter sink "interp:v0.check_hits") > 0)
-
-let str_contains hay ne =
-  let nh = String.length hay and nn = String.length ne in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = ne || go (i + 1)) in
-  go 0
 
 let str_index hay ne =
   let nh = String.length hay and nn = String.length ne in
@@ -555,7 +557,10 @@ let test_slo_breach_and_burn () =
    exactly on a bucket bound (a bound belongs to its own bucket) and some
    lie past the last bound.  Bucket [b] spans (bounds.(b-1), bounds.(b)]. *)
 let oracle_samples () =
-  let bounds = Array.of_list Tel.Hist.default_buckets in
+  (* [Hist.create]'s and [Slo.window]'s default buckets. *)
+  let bounds =
+    [| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000.; 2000.; 5000.; 10000. |]
+  in
   let k = Array.length bounds in
   let rng = Rng.create 11 in
   let samples =
