@@ -1674,9 +1674,9 @@ let gate_specs =
         Gate.threshold ~tolerance:0.05 "max_solo_pct";
         Gate.threshold ~tolerance:0.05 "straggler_wait_us";
         Gate.threshold ~tolerance:0.0 "phase_err_pct";
-        (* A deterministic count, with the tolerance of nxe's
-           minor_words_per_sync. *)
-        Gate.threshold ~tolerance:0.1 "minor_words_per_run";
+        (* A deterministic count, pinned exactly (the tolerance is JSON
+           rendering slack only). *)
+        Gate.threshold ~tolerance:0.001 "minor_words_per_run";
       ] );
     ( "nxe",
       nxe_data,
@@ -1685,11 +1685,12 @@ let gate_specs =
            (the sim-time tolerance only covers JSON rendering rounding).
            The sync rate is wall clock — 0.6 matches the interp gate's
            wall tolerance; the allocation rate is a deterministic count
-           of the program's minor words, pinned tightly. *)
+           of the program's minor words, pinned exactly (JSON rendering
+           slack only). *)
         Gate.threshold ~tolerance:0.0 "synced_syscalls";
         Gate.threshold ~tolerance:0.01 "sim_total_time_us";
         Gate.threshold ~direction:Gate.Higher_is_better ~tolerance:0.6 "syncs_per_s";
-        Gate.threshold ~tolerance:0.1 "minor_words_per_sync";
+        Gate.threshold ~tolerance:0.001 "minor_words_per_sync";
       ] );
     ( "net",
       net_data,
@@ -1703,8 +1704,8 @@ let gate_specs =
         Gate.threshold ~tolerance:0.01 "sim_total_time_us";
         Gate.threshold ~tolerance:0.01 "overhead_pct";
         (* The host pin: a deterministic count of the co-simulation's minor
-           words, with the tolerance of nxe's minor_words_per_sync. *)
-        Gate.threshold ~tolerance:0.1 "minor_words_per_sync";
+           words, pinned like nxe's minor_words_per_sync. *)
+        Gate.threshold ~tolerance:0.001 "minor_words_per_sync";
       ] );
     ( "slo",
       slo_data,
@@ -1737,9 +1738,8 @@ let gate_specs =
         Gate.threshold ~tolerance:0.01 "p999_us";
         Gate.threshold ~tolerance:0.01 "rejection_rate_pct";
         Gate.threshold ~direction:Gate.Higher_is_better ~tolerance:0.01 "batch_factor";
-        (* A deterministic count, with the tolerance of nxe's
-           minor_words_per_sync. *)
-        Gate.threshold ~tolerance:0.1 "minor_words_per_request";
+        (* A deterministic count, pinned like nxe's minor_words_per_sync. *)
+        Gate.threshold ~tolerance:0.001 "minor_words_per_request";
       ] );
   ]
 

@@ -857,24 +857,6 @@ let cluster_cmd =
                    workload's longest syscall-free compute stretch.")
   in
   let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Emit incidents as JSON.") in
-  let mutate_kth_syscall ~k trace =
-    let seen = ref 0 in
-    List.map
-      (function
-        | Trace.Sys sc when sc.Syscall.args <> [] ->
-          let here = !seen in
-          incr seen;
-          if here = k then
-            let args =
-              match sc.Syscall.args with
-              | a :: x :: rest -> a :: Int64.add x 500L :: rest
-              | l -> l
-            in
-            Trace.Sys (Syscall.make ~args sc.Syscall.name)
-          else Trace.Sys sc
-        | op -> op)
-      trace
-  in
   let report_one ~names ~syscalls ~json r =
     (match r.Cluster.outcome with
      | `All_finished ->
@@ -921,7 +903,7 @@ let cluster_cmd =
     in
     let traces =
       List.init n (fun i ->
-          match diverge with Some k when i = n - 1 -> mutate_kth_syscall ~k base | _ -> base)
+          match diverge with Some k when i = n - 1 -> Trace.perturb_syscall ~k base | _ -> base)
     in
     let names = List.init n (fun i -> Printf.sprintf "v%d" i) in
     let faults = Option.map (fun seed -> Faults.plan ~seed ~variants:n ~syscalls ()) chaos in

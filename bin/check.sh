@@ -49,7 +49,7 @@ cat BENCH_interp.json
 # - profile: the attribution numbers are simulated time — deterministic —
 #   so they are gated tightly against the committed baseline; so is the
 #   host allocation of one bzip2 ASan `Profile.measure`
-#   (`minor_words_per_run`, tolerance 0.1), a deterministic count that
+#   (`minor_words_per_run`, tolerance 0.001), a deterministic count that
 #   covers generating, factoring and running one profiled trace, so a
 #   regression of that path fails the gate.
 # - nxe: runs the quick `bench nxe' section fresh (which also asserts the
@@ -60,7 +60,7 @@ cat BENCH_interp.json
 #   dense-workload byte reduction of selective+replication vs naive, and
 #   cross-mode verdict parity) and pins the deterministic wire/time
 #   numbers, and the co-simulation's host allocation per synced syscall
-#   (`minor_words_per_sync`, tolerance 0.1), a deterministic count.
+#   (`minor_words_per_sync`, tolerance 0.001), a deterministic count.
 # - slo: re-runs the causal-tracing matrix fresh — which itself asserts
 #   that attaching a sink (its recorder is the tracer) leaves the run
 #   bit-identical, that the recorder stays inside the NXE's per-sync

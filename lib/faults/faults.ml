@@ -14,18 +14,14 @@ let none = { p_seed = 0; p_injections = [] }
 
 let make ?(seed = 0) injections = { p_seed = seed; p_injections = injections }
 
-let plan ~seed ~variants ?(syscalls = 8) ?(count = 1) ?(followers_only = true) () =
-  if variants < 1 then invalid_arg "Faults.plan: variants must be >= 1";
-  if followers_only && variants < 2 then
-    invalid_arg "Faults.plan: followers_only needs at least 2 variants";
+let plan ~seed ~variants ?(syscalls = 8) ?(count = 1) () =
+  if variants < 2 then invalid_arg "Faults.plan: variants must be >= 2";
   if syscalls < 1 then invalid_arg "Faults.plan: syscalls must be >= 1";
   if count < 0 then invalid_arg "Faults.plan: count must be >= 0";
   let rng = Rng.create seed in
   let injections =
     List.init count (fun _ ->
-        let i_variant =
-          if followers_only then Rng.int_in rng 1 (variants - 1) else Rng.int rng variants
-        in
+        let i_variant = Rng.int_in rng 1 (variants - 1) in
         let i_at = Rng.int rng syscalls in
         let i_kind =
           match Rng.int rng 4 with

@@ -44,15 +44,14 @@ val make : ?seed:int -> injection list -> plan
 (** Wrap explicit injections ([seed] is only bookkeeping here). *)
 
 val plan :
-  seed:int -> variants:int -> ?syscalls:int -> ?count:int -> ?followers_only:bool ->
-  unit -> plan
+  seed:int -> variants:int -> ?syscalls:int -> ?count:int -> unit -> plan
 (** A seeded random plan: [count] (default 1) injections over victims drawn
-    from the group ([followers_only], default [true], excludes the leader —
-    leader faults always abort, there is no follower promotion), positions
-    drawn from [0, syscalls) (default 8), kinds and parameters drawn from
-    the same stream.  Identical arguments give identical plans.
-    @raise Invalid_argument if [variants < 2] with [followers_only], or
-    [variants < 1], or [syscalls < 1], or [count < 0]. *)
+    from the followers (never the leader: leader faults always abort, there
+    is no follower promotion), positions drawn from [0, syscalls) (default
+    8), kinds and parameters drawn from the same stream.  Identical
+    arguments give identical plans.
+    @raise Invalid_argument if [variants < 2], [syscalls < 1] or
+    [count < 0]. *)
 
 val describe : injection -> string
 (** One-line human description, e.g. ["stall v2 at syscall #4"]. *)

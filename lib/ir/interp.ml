@@ -59,18 +59,6 @@ let default_config =
    bench kernel).  A constant of the model, not a [config] field. *)
 let heap_limit = 1 lsl 22
 
-(* Where interpreter steps go, by intrinsic class.  Purely additive
-   accounting for the overhead-attribution profiler: attaching a record
-   changes no outcome, event, hazard or step count, and both engines
-   classify identically (the differential suite runs with one attached). *)
-type phase_counts = {
-  mutable pc_steps : int;    (* instructions retired (the run's [steps]) *)
-  mutable pc_checks : int;   (* check-helper intrinsic calls *)
-  mutable pc_runtime : int;  (* allocator / report / print runtime calls *)
-  mutable pc_syscalls : int; (* modelled syscalls *)
-}
-
-
 exception Trap of outcome
 
 let func_addr_base = 0x4000_0000L
@@ -149,7 +137,6 @@ type state = {
   mutable hazards_rev : hazard list;
   mutable steps : int;
   tel : itel option;
-  ph : phase_counts option;
 }
 
 (* The timeline is the single event record; the [events] list of a run is
@@ -185,7 +172,7 @@ let allocate st size =
   st.next_addr <- base + size + st.cfg.redzone;
   a
 
-let init_state ?telemetry ?phases cfg modul =
+let init_state ?telemetry cfg modul =
   let st =
     {
       cfg;
@@ -208,7 +195,6 @@ let init_state ?telemetry ?phases cfg modul =
       hazards_rev = [];
       steps = 0;
       tel = make_itel telemetry;
-      ph = phases;
     }
   in
   List.iteri
@@ -411,13 +397,6 @@ let call_intrinsic_raw st ~in_func ~in_block name args =
   else invalid_arg ("Interp: unknown intrinsic " ^ name)
 
 let call_intrinsic st ~in_func ~in_block name args =
-  (match st.ph with
-   | Some pc ->
-     if List.mem name Runtime_api.helpers then pc.pc_checks <- pc.pc_checks + 1
-     else if String.starts_with ~prefix:Runtime_api.syscall_prefix name then
-       pc.pc_syscalls <- pc.pc_syscalls + 1
-     else pc.pc_runtime <- pc.pc_runtime + 1
-   | None -> ());
   match st.tel with
   | Some tel when List.mem name Runtime_api.helpers ->
     let r = call_intrinsic_raw st ~in_func ~in_block name args in
@@ -551,11 +530,11 @@ let rec exec_call st ~depth ~caller ~caller_block fname (args : rvalue list) : r
           Tx.finish tel.i_rec id ~t1:(float_of_int st.steps);
           raise e))
 
-let run_reference ?(config = default_config) ?telemetry ?phases modul ~entry ~args =
+let run_reference ?(config = default_config) ?telemetry modul ~entry ~args =
   (match find_func modul entry with
    | Some _ -> ()
    | None -> invalid_arg ("Interp.run: no such function " ^ entry));
-  let st = init_state ?telemetry ?phases config modul in
+  let st = init_state ?telemetry config modul in
   let outcome =
     try
       init_globals st;
@@ -566,7 +545,6 @@ let run_reference ?(config = default_config) ?telemetry ?phases modul ~entry ~ar
       Finished (Some (to_int st v))
     with Trap o -> o
   in
-  (match phases with Some pc -> pc.pc_steps <- pc.pc_steps + st.steps | None -> ());
   let timeline = List.rev st.timeline_rev in
   {
     outcome;
@@ -598,7 +576,6 @@ type fstate = {
   mutable f_hazards_rev : hazard list;
   mutable f_steps : int;
   f_tel : itel option;
-  f_ph : phase_counts option;
 }
 
 (* Unbound-slot sentinel: compilation never emits a negative function
@@ -624,7 +601,7 @@ let fallocate fst size =
   fst.f_next <- base + size + fst.f_cfg.redzone;
   a
 
-let finit_state ?telemetry ?phases cfg (pm : P.t) =
+let finit_state ?telemetry cfg (pm : P.t) =
   {
     f_cfg = cfg;
     f_pm = pm;
@@ -642,7 +619,6 @@ let finit_state ?telemetry ?phases cfg (pm : P.t) =
     f_hazards_rev = [];
     f_steps = 0;
     f_tel = make_itel telemetry;
-    f_ph = phases;
   }
 
 (* As in the reference engine, globals are allocated inside the run. *)
@@ -844,14 +820,6 @@ let fcall_intrinsic_raw fst ~in_func ~in_block intr (args : P.rvalue array) : P.
   | P.IUnknown name -> invalid_arg ("Interp: unknown intrinsic " ^ name)
 
 let fcall_intrinsic fst ~in_func ~in_block intr args =
-  (match fst.f_ph with
-   | Some pc ->
-     if P.intr_is_helper intr then pc.pc_checks <- pc.pc_checks + 1
-     else (
-       match intr with
-       | P.ISyscall _ -> pc.pc_syscalls <- pc.pc_syscalls + 1
-       | _ -> pc.pc_runtime <- pc.pc_runtime + 1)
-   | None -> ());
   match fst.f_tel with
   | Some tel when P.intr_is_helper intr ->
     let r = fcall_intrinsic_raw fst ~in_func ~in_block intr args in
@@ -1068,13 +1036,13 @@ and ffinish frame_allocs result =
 
 let compile = P.compile
 
-let run_compiled ?(config = default_config) ?telemetry ?phases (pm : P.t) ~entry ~args =
+let run_compiled ?(config = default_config) ?telemetry (pm : P.t) ~entry ~args =
   let fidx =
     match Hashtbl.find_opt pm.P.p_func_index entry with
     | Some i -> i
     | None -> invalid_arg ("Interp.run: no such function " ^ entry)
   in
-  let fst = finit_state ?telemetry ?phases config pm in
+  let fst = finit_state ?telemetry config pm in
   let outcome =
     try
       finit_globals fst;
@@ -1082,7 +1050,6 @@ let run_compiled ?(config = default_config) ?telemetry ?phases (pm : P.t) ~entry
       Finished (Some (fto_int fst (fexec_call fst ~depth:0 fidx args)))
     with Trap o -> o
   in
-  (match phases with Some pc -> pc.pc_steps <- pc.pc_steps + fst.f_steps | None -> ());
   let timeline = List.rev fst.f_timeline_rev in
   {
     outcome;
@@ -1092,8 +1059,8 @@ let run_compiled ?(config = default_config) ?telemetry ?phases (pm : P.t) ~entry
     steps = fst.f_steps;
   }
 
-let run ?config ?telemetry ?phases modul ~entry ~args =
-  run_compiled ?config ?telemetry ?phases (P.compile modul) ~entry ~args
+let run ?config ?telemetry modul ~entry ~args =
+  run_compiled ?config ?telemetry (P.compile modul) ~entry ~args
 
 let events_equal a b = a.events = b.events
 

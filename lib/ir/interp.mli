@@ -82,23 +82,9 @@ type config = {
 
 val default_config : config
 
-(** Step attribution for the overhead profiler: where the run's
-    instructions went, by intrinsic class.  Counts {e accumulate} across
-    runs sharing the record.  Attaching one is pure accounting — outcome,
-    events, timeline, hazards and step count are unchanged, and both
-    engines classify identically (the differential suite runs with one
-    attached). *)
-type phase_counts = {
-  mutable pc_steps : int;    (** instructions retired (the runs' [steps]) *)
-  mutable pc_checks : int;   (** check-helper intrinsic calls *)
-  mutable pc_runtime : int;  (** allocator / report / print runtime calls *)
-  mutable pc_syscalls : int; (** modelled syscalls *)
-}
-
 val run :
   ?config:config ->
   ?telemetry:Bunshin_telemetry.Telemetry.domain ->
-  ?phases:phase_counts ->
   modul ->
   entry:string ->
   args:int64 list ->
@@ -127,7 +113,6 @@ val compile : modul -> Precompile.t
 val run_compiled :
   ?config:config ->
   ?telemetry:Bunshin_telemetry.Telemetry.domain ->
-  ?phases:phase_counts ->
   Precompile.t ->
   entry:string ->
   args:int64 list ->
@@ -139,7 +124,6 @@ val run_compiled :
 val run_reference :
   ?config:config ->
   ?telemetry:Bunshin_telemetry.Telemetry.domain ->
-  ?phases:phase_counts ->
   modul ->
   entry:string ->
   args:int64 list ->

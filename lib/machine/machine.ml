@@ -1072,11 +1072,10 @@ let move_charged th ~from_ ~to_ amount =
     th.p_acc.(to_) <- th.p_acc.(to_) +. a
   end
 
-let reattribute t ?th ~from_ ~to_ amount =
+let reattribute t ~from_ ~to_ amount =
   check_slot "reattribute" from_;
   check_slot "reattribute" to_;
-  let th = match th with Some th -> th | None -> current_thread t in
-  move_charged th ~from_ ~to_ amount
+  move_charged (current_thread t) ~from_ ~to_ amount
 
 (* The carve-out of the phase-splitting clients (the profiler's Work op,
    the NXE's Work op and its bundled fetch+resched): inside this module

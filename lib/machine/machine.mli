@@ -222,10 +222,10 @@ val set_phase : t -> int -> int
 val set_wait_phase : t -> int -> int
 (** Same for Blocked time. *)
 
-val reattribute : t -> ?th:tid -> from_:int -> to_:int -> float -> unit
+val reattribute : t -> from_:int -> to_:int -> float -> unit
 (** Move up to the given amount of already-charged time between two buckets
-    of [th] (default: the calling thread).  Clamped at the source bucket's
-    balance, so buckets never go negative and the sum is preserved. *)
+    of the calling thread.  Clamped at the source bucket's balance, so
+    buckets never go negative and the sum is preserved. *)
 
 val compute_share : t -> float -> from_:int -> to_:int -> float -> float
 (** [compute_share t d ~from_ ~to_ share] (fiber op) is {!compute} [t d]

@@ -58,4 +58,18 @@ let scale k t = map_cost (fun _ c -> k *. c) t
 
 let concat = List.concat
 
+let perturb_syscall ~k t =
+  let seen = ref 0 in
+  List.map
+    (fun op ->
+      match op with
+      | Sys ({ Sc.args = a :: rest; _ } as sc) -> (
+        let here = !seen in
+        incr seen;
+        match rest with
+        | x :: tail when here = k -> Sys (Sc.with_args sc (a :: Int64.add x 500L :: tail))
+        | _ -> op)
+      | _ -> op)
+    t
+
 let functions t = List.map fst (work_by_func t)

@@ -57,5 +57,12 @@ val scale : float -> t -> t
 
 val concat : t list -> t
 
+val perturb_syscall : k:int -> t -> t
+(** An injected compromise: add 500 to the second argument of the [k]-th
+    (from 0) [Sys] op of the top level of [t] that has arguments.
+    A one-argument syscall counts but keeps its argument; nested traces
+    and [Sys_shared] ops are left alone, and so is [t] when it has [k] or
+    fewer such syscalls. *)
+
 val functions : t -> string list
 (** Distinct function names appearing in Work ops, sorted. *)

@@ -509,7 +509,6 @@ let ripe_pins =
 
 let flags = Alcotest.(pair bool (pair bool (pair bool (pair bool (pair bool bool)))))
 let flags_of (a, b, c, d, e, f) = (a, (b, (c, (d, (e, f)))))
-let signature = Option.map Cluster.incident_signature
 
 let pin name pins =
   match List.find_opt (fun (n, _, _) -> n = name) pins with
@@ -526,7 +525,8 @@ let test_monitor_cve_pinned () =
         (flags_of
            ( v.Cve.v_full_sanitizer, v.Cve.v_variant_a, v.Cve.v_variant_b, v.Cve.v_diverged,
              v.Cve.v_bunshin_detects, v.Cve.v_benign_clean ));
-      Alcotest.(check (option string)) (name ^ " incident") pinned_sig (signature v.Cve.v_incident))
+      Alcotest.(check (option string)) (name ^ " incident") pinned_sig
+        (Kit.signature v.Cve.v_incident))
     Cve.cases
 
 let test_monitor_ripe_pinned () =
@@ -539,7 +539,8 @@ let test_monitor_ripe_pinned () =
         (flags_of
            ( o.Rir.ro_vanilla_succeeds, o.Rir.ro_asan_detects, o.Rir.ro_bunshin_detects,
              o.Rir.ro_cookie_detects, o.Rir.ro_cfi_detects, o.Rir.ro_benign_clean ));
-      Alcotest.(check (option string)) (name ^ " incident") pinned_sig (signature o.Rir.ro_incident))
+      Alcotest.(check (option string)) (name ^ " incident") pinned_sig
+        (Kit.signature o.Rir.ro_incident))
     (Lazy.force micro_outcomes)
 
 (* The two variants of a case, interpreted on [args]: the CVE split is

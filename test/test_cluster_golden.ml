@@ -17,42 +17,25 @@
      BUNSHIN_REGEN_GOLDEN=test/golden dune exec test/test_cluster_golden.exe *)
 
 module M = Bunshin_machine.Machine
-module Sc = Bunshin_syscall.Syscall
 module Trace = Bunshin_program.Trace
 module Nxe = Bunshin_nxe.Nxe
 module Cluster = Bunshin_cluster.Cluster
 module Net = Bunshin_net.Net
-module F = Bunshin_forensics.Forensics
 module Faults = Bunshin_faults.Faults
 module Tel = Bunshin_telemetry.Telemetry
 
 (* ------------------------------------------------------------------ *)
 (* Canonical report rendering *)
 
-let fl f = Printf.sprintf "%h" f
-
-let sc_str = function
-  | None -> "-"
-  | Some sc -> Format.asprintf "%a" Sc.pp sc
+open Kit
 
 let render (r : Cluster.report) =
   let b = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  (match r.Cluster.outcome with
-   | `All_finished -> line "outcome: all_finished"
-   | `Aborted a ->
-     line "outcome: aborted chan=%d pos=%d variant=%d" a.Nxe.al_channel a.Nxe.al_position
-       a.Nxe.al_variant;
-     line "  expected: %s" a.Nxe.al_expected;
-     line "  got: %s" a.Nxe.al_got;
-     line "  expected_sc: %s" (sc_str a.Nxe.al_expected_sc);
-     line "  got_sc: %s" (sc_str a.Nxe.al_got_sc));
-  (match r.Cluster.incident with
-   | None -> line "incident: -"
-   | Some inc -> line "incident: %s" (F.to_json inc));
+  let line fmt = line b fmt in
+  render_verdict b r.Cluster.outcome r.Cluster.incident;
   line "total_time: %s" (fl r.Cluster.total_time);
-  line "variant_finish: %s" (String.concat " " (List.map fl r.Cluster.variant_finish));
-  line "variant_cpu: %s" (String.concat " " (List.map fl r.Cluster.variant_cpu));
+  line "variant_finish: %s" (fls r.Cluster.variant_finish);
+  line "variant_cpu: %s" (fls r.Cluster.variant_cpu);
   line "synced_syscalls: %d" r.Cluster.synced_syscalls;
   line "executed_syscalls: %d" r.Cluster.executed_syscalls;
   line "lockstep_syscalls: %d" r.Cluster.lockstep_syscalls;
@@ -62,20 +45,8 @@ let render (r : Cluster.report) =
   line "det_replays: %d" r.Cluster.det_replays;
   line "channels: %d" r.Cluster.channels;
   line "placement: %s" (String.concat " " (List.map string_of_int r.Cluster.placement));
-  List.iteri
-    (fun v st ->
-      match st with
-      | Nxe.Healthy -> line "variant_status[%d]: healthy" v
-      | Nxe.Quarantined { q_time; q_cause; q_restarts } ->
-        line "variant_status[%d]: quarantined t=%s cause=%s restarts=%d" v (fl q_time)
-          (Nxe.cause_string q_cause) q_restarts
-      | Nxe.Recovered { q_time; q_cause; r_time } ->
-        line "variant_status[%d]: recovered q=%s cause=%s r=%s" v (fl q_time)
-          (Nxe.cause_string q_cause) (fl r_time))
-    r.Cluster.variant_status;
-  line "coverage_loss: %s" (String.concat "," r.Cluster.coverage_loss);
-  List.iteri (fun i inc -> line "fault_incident[%d]: %s" i (F.to_json inc))
-    r.Cluster.fault_incidents;
+  render_health b ~status:r.Cluster.variant_status ~coverage_loss:r.Cluster.coverage_loss
+    ~fault_incidents:r.Cluster.fault_incidents;
   line "bytes_on_wire: %d" r.Cluster.bytes_on_wire;
   line "msgs_on_wire: %d" r.Cluster.msgs_on_wire;
   let t = r.Cluster.traffic in
@@ -87,12 +58,7 @@ let render (r : Cluster.report) =
       line "link %s: msgs=%d bytes=%d retransmits=%d" name st.Net.s_msgs st.Net.s_bytes
         st.Net.s_retransmits)
     r.Cluster.link_stats;
-  List.iter
-    (fun (name, cells) ->
-      line "hist %s: %s" name
-        (String.concat " "
-           (List.map (fun (ub, c) -> Printf.sprintf "%s:%d" (fl ub) c) cells)))
-    r.Cluster.histograms;
+  render_histograms b r.Cluster.histograms;
   List.iteri
     (fun i (st : M.stats) ->
       line "node[%d]: total=%s ctx=%d pressure_peak=%s" i (fl st.M.total_time)
@@ -103,32 +69,20 @@ let render (r : Cluster.report) =
 (* ------------------------------------------------------------------ *)
 (* Scenario corpus *)
 
-let work c = Trace.Work { func = "f"; cost = c }
-let wr args = Trace.Sys (Sc.write ~args ())
-let rd args = Trace.Sys (Sc.read ~args ())
-let names n = List.init n (fun i -> Printf.sprintf "v%d" i)
-
 (* Read-heavy mix with periodic writes: exercises batching, lockstep and
    replication in one stream. *)
 let mixed_trace () =
   List.concat
     (List.init 12 (fun i ->
-         [ work 8.0; rd [ 3L; Int64.of_int i ] ]
-         @ (if i mod 4 = 0 then [ wr [ 1L; Int64.of_int i ] ] else [])))
+         [ work 8.0; rd i ]
+         @ (if i mod 4 = 0 then [ wr i ] else [])))
 
 (* Locks under spawned threads: weak-determinism order crosses the wire. *)
 let mt_trace () =
   let worker tag =
-    [ work 12.0; Trace.Lock 0; work 2.0; Trace.Unlock 0; wr [ 1L; tag ] ]
+    [ work 12.0; Trace.Lock 0; work 2.0; Trace.Unlock 0; wr tag ]
   in
-  [ Trace.Spawn (worker 10L) ] @ worker 0L
-
-let diverge_at ~pos ~tag n =
-  List.init n (fun v ->
-      List.concat
-        (List.init 8 (fun i ->
-             let x = if v = n - 1 && i = pos then tag else Int64.of_int i in
-             [ work 4.0; wr [ 1L; x ] ])))
+  [ Trace.Spawn (worker 10) ] @ worker 0
 
 let quarantine_policy =
   { Nxe.policy = Nxe.Quarantine; heartbeat_timeout = 400.0; restart_backoff = 50.0 }
@@ -161,16 +115,14 @@ let scenarios =
         run ~ship:Cluster.Full_remote_lockstep telemetry ~names:(names 2)
           (List.init 2 (fun _ -> mt_trace ())));
     sc "cluster_diverge_arg" (fun ~telemetry ->
-        run ~ship:Cluster.Selective telemetry ~names:(names 3) (diverge_at ~pos:5 ~tag:777L 3));
+        run ~ship:Cluster.Selective telemetry ~names:(names 3) (diverge_at ~pos:5 ~tag:777 3));
     sc "cluster_remote_quarantine" (fun ~telemetry ->
         (* The stalled follower sits on node 1: N−1 completion with the
            same coverage-loss accounting the local engine produces. *)
-        let faults =
-          Faults.make [ { Faults.i_variant = 1; i_at = 2; i_kind = Faults.Stall } ]
-        in
+        let faults = Faults.make [ { Faults.i_variant = 1; i_at = 2; i_kind = Faults.Stall } ] in
         run ~fault_policy:quarantine_policy ~faults
           ~coverage:[ [ "asan"; "msan" ]; [ "msan" ]; [ "asan" ] ]
-          telemetry ~names:(names 3) (diverge_at ~pos:(-1) ~tag:0L 3));
+          telemetry ~names:(names 3) (diverge_at ~pos:(-1) ~tag:0 3));
   ]
 
 (* ------------------------------------------------------------------ *)

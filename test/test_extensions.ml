@@ -229,13 +229,7 @@ let test_racy_program_diverges_regardless () =
 (* ------------------------------------------------------------------ *)
 (* Asynchronous signal delivery at equivalent points *)
 
-let signal_body =
-  List.concat
-    (List.init 6 (fun i ->
-         [
-           Trace.Work { func = "f"; cost = 40.0 };
-           Trace.Sys (Bunshin.Syscall.read ~args:[ 3L; Int64.of_int i ] ());
-         ]))
+let signal_body = List.concat (List.init 6 (fun i -> [ Kit.work 40.0; Kit.rd i ]))
 
 let sigusr1_handler =
   [

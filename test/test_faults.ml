@@ -3,22 +3,11 @@
    degradation, restart, and the fail-stop policy.  Companion to
    test_nxe.ml, which covers the fault-free engine. *)
 
-module M = Bunshin_machine.Machine
-module Sc = Bunshin_syscall.Syscall
-module Trace = Bunshin_program.Trace
 module Nxe = Bunshin_nxe.Nxe
 module Faults = Bunshin_faults.Faults
 module F = Bunshin_forensics.Forensics
 
-let work c = Trace.Work { func = "f"; cost = c }
-let rd i = Trace.Sys (Sc.read ~args:[ 3L; Int64.of_int i ] ())
-
-(* The standard chaos workload: 12 synchronized syscalls per variant. *)
-let units = 12
-let chaos_trace () = List.concat (List.init units (fun i -> [ work 5.0; rd i ]))
-let names n = List.init n (fun i -> Printf.sprintf "v%d" i)
-
-let coverage3 = [ [ "asan"; "ubsan" ]; [ "asan"; "msan" ]; [ "msan"; "lowfat" ] ]
+open Kit
 
 let policy ?(hb = 100.0) ?(backoff = 20.0) p =
   { Nxe.policy = p; heartbeat_timeout = hb; restart_backoff = backoff }
@@ -30,10 +19,8 @@ let run ?(n = 3) ?(coverage = coverage3) ~config ~faults () =
   Nxe.run_traces ~config ~faults ~coverage ~names:(names n)
     (List.init n (fun _ -> chaos_trace ()))
 
-let stall_v1 = Faults.make [ { Faults.i_variant = 1; i_at = 4; i_kind = Faults.Stall } ]
 let die_v2 = Faults.make [ { Faults.i_variant = 2; i_at = 7; i_kind = Faults.Die } ]
 
-let finished r = r.Nxe.outcome = `All_finished
 let check_time = Alcotest.(check (float 1e-6))
 
 (* ------------------------------------------------------------------ *)
@@ -57,8 +44,7 @@ let test_plan_deterministic () =
     (List.length (List.sort_uniq compare plans) > 1)
 
 let test_plan_validation () =
-  let invalid f = match f () with _ -> false | exception Invalid_argument _ -> true in
-  Alcotest.(check bool) "followers_only needs 2 variants" true
+  Alcotest.(check bool) "variants >= 2" true
     (invalid (fun () -> Faults.plan ~seed:0 ~variants:1 ()));
   Alcotest.(check bool) "syscalls >= 1" true
     (invalid (fun () -> Faults.plan ~seed:0 ~variants:3 ~syscalls:0 ()));
@@ -68,7 +54,6 @@ let test_plan_validation () =
     (String.length (Faults.describe { Faults.i_variant = 2; i_at = 4; i_kind = Faults.Stall }) > 0)
 
 let test_run_validation () =
-  let invalid f = match f () with _ -> false | exception Invalid_argument _ -> true in
   let bad_victim = Faults.make [ { Faults.i_variant = 9; i_at = 0; i_kind = Faults.Die } ] in
   Alcotest.(check bool) "victim out of range" true
     (invalid (fun () -> run ~config:(config Nxe.Quarantine) ~faults:bad_victim ()));
@@ -86,7 +71,7 @@ let test_run_validation () =
 
 let test_stall_quarantine () =
   let r = run ~config:(config Nxe.Quarantine) ~faults:stall_v1 () in
-  Alcotest.(check bool) "group finished without v1" true (finished r);
+  Alcotest.(check bool) "group finished without v1" true (finished r.Nxe.outcome);
   Alcotest.(check (list int)) "v1 quarantined" [ 1 ] (Nxe.quarantined_variants r);
   (match List.nth r.Nxe.variant_status 1 with
   | Nxe.Quarantined { q_time; q_cause = Nxe.Missed_heartbeat silence; q_restarts } ->
@@ -95,7 +80,7 @@ let test_stall_quarantine () =
       Alcotest.(check int) "no restarts under Quarantine" 0 q_restarts
   | _ -> Alcotest.fail "expected Quarantined/Missed_heartbeat");
   (* The survivors executed their FULL streams: degradation, not abort. *)
-  Alcotest.(check int) "leader executed everything" units r.Nxe.executed_syscalls;
+  Alcotest.(check int) "leader executed everything" chaos_units r.Nxe.executed_syscalls;
   check_time "run ends when the survivors do" 203.0 r.Nxe.total_time;
   (* One benign Fault_isolation incident, none fatal. *)
   Alcotest.(check int) "one incident" 1 (List.length r.Nxe.fault_incidents);
@@ -133,28 +118,28 @@ let test_quarantine_incident_forensics () =
 let test_gap_without_live_follower () =
   let trace ~lead =
     List.concat
-      (List.init units (fun i -> [ work (if lead && i = 0 then 50.0 else 5.0); rd i ]))
+      (List.init chaos_units (fun i -> [ work (if lead && i = 0 then 50.0 else 5.0); rd i ]))
   in
   let faults = Faults.make [ { Faults.i_variant = 1; i_at = 0; i_kind = Faults.Die } ] in
   let r =
     Nxe.run_traces ~config:(config Nxe.Quarantine) ~faults ~names:(names 2)
       [ trace ~lead:true; trace ~lead:false ]
   in
-  Alcotest.(check bool) "leader finished" true (finished r);
+  Alcotest.(check bool) "leader finished" true (finished r.Nxe.outcome);
   Alcotest.(check (list int)) "v1 quarantined" [ 1 ] (Nxe.quarantined_variants r);
   check_time "mean gap" (-1.0) r.Nxe.avg_syscall_gap;
   Alcotest.(check int) "max gap floored" 0 r.Nxe.max_syscall_gap
 
 let test_die_quarantine_loses_coverage () =
   let r = run ~config:(config Nxe.Quarantine) ~faults:die_v2 () in
-  Alcotest.(check bool) "group finished without v2" true (finished r);
+  Alcotest.(check bool) "group finished without v2" true (finished r.Nxe.outcome);
   Alcotest.(check (list int)) "v2 quarantined" [ 2 ] (Nxe.quarantined_variants r);
   (match List.nth r.Nxe.variant_status 2 with
   | Nxe.Quarantined { q_cause = Nxe.Benign_death; _ } -> ()
   | _ -> Alcotest.fail "expected Quarantined/Benign_death");
   (* v2 was the only lowfat carrier: its retirement is a measurable hole. *)
   Alcotest.(check (list string)) "lowfat lost" [ "lowfat" ] r.Nxe.coverage_loss;
-  Alcotest.(check int) "leader unaffected" units r.Nxe.executed_syscalls
+  Alcotest.(check int) "leader unaffected" chaos_units r.Nxe.executed_syscalls
 
 (* ------------------------------------------------------------------ *)
 (* Abort_on_fault: fail-stop on the same seed *)
@@ -165,7 +150,7 @@ let test_stall_abort_on_fault () =
   | `Aborted a -> Alcotest.(check int) "hung variant named" 1 a.Nxe.al_variant
   | `All_finished -> Alcotest.fail "fail-stop policy must abort");
   (* The abort cuts the leader short: only the pre-fault window ran. *)
-  Alcotest.(check bool) "leader stopped early" true (r.Nxe.executed_syscalls < units);
+  Alcotest.(check bool) "leader stopped early" true (r.Nxe.executed_syscalls < chaos_units);
   check_time "torn down at detection" 150.0 r.Nxe.total_time;
   (* Fatal faults go in report.incident, not the benign list. *)
   Alcotest.(check bool) "abort incident present" true
@@ -210,7 +195,7 @@ let test_delay_survives () =
   List.iter
     (fun p ->
       let r = run ~config:(config p) ~faults () in
-      Alcotest.(check bool) "finished" true (finished r);
+      Alcotest.(check bool) "finished" true (finished r.Nxe.outcome);
       Alcotest.(check (list int)) "no quarantine" [] (Nxe.quarantined_variants r);
       Alcotest.(check bool) "all healthy" true
         (List.for_all (fun s -> s = Nxe.Healthy) r.Nxe.variant_status))
@@ -221,7 +206,7 @@ let test_delay_survives () =
 
 let test_restart_once_recovers () =
   let r = run ~config:(config Nxe.Restart_once) ~faults:stall_v1 () in
-  Alcotest.(check bool) "group finished" true (finished r);
+  Alcotest.(check bool) "group finished" true (finished r.Nxe.outcome);
   Alcotest.(check (list int)) "not quarantined at the end" [] (Nxe.quarantined_variants r);
   (match List.nth r.Nxe.variant_status 1 with
   | Nxe.Recovered { q_time; r_time; _ } ->
@@ -239,13 +224,13 @@ let test_watchdog_off_stall_just_slows () =
   (* heartbeat_timeout = infinity (the default): a stalled follower is
      never declared hung; the run waits out the stall and completes. *)
   let r = run ~config:(config ~hb:infinity Nxe.Quarantine) ~faults:stall_v1 () in
-  Alcotest.(check bool) "finished eventually" true (finished r);
+  Alcotest.(check bool) "finished eventually" true (finished r.Nxe.outcome);
   Alcotest.(check (list int)) "no quarantine" [] (Nxe.quarantined_variants r);
   Alcotest.(check bool) "paid the stall" true (r.Nxe.total_time >= 1e9)
 
 let test_no_faults_reports_are_clean () =
   let r = run ~config:(config Nxe.Quarantine) ~faults:Faults.none () in
-  Alcotest.(check bool) "finished" true (finished r);
+  Alcotest.(check bool) "finished" true (finished r.Nxe.outcome);
   Alcotest.(check bool) "all healthy" true
     (List.for_all (fun s -> s = Nxe.Healthy) r.Nxe.variant_status);
   Alcotest.(check int) "no incidents" 0 (List.length r.Nxe.fault_incidents);
@@ -259,9 +244,8 @@ let test_divergence_still_detected_with_quarantined_peer () =
      The degraded 2-variant group must still catch it and blame v2. *)
   let diverging =
     List.concat
-      (List.init units (fun i ->
-           let arg = if i >= 9 then 6660L else Int64.of_int i in
-           [ work 5.0; Trace.Sys (Sc.read ~args:[ 3L; arg ] ()) ]))
+      (List.init chaos_units (fun i ->
+           [ work 5.0; rd (if i >= 9 then 6660 else i) ]))
   in
   let r =
     Nxe.run_traces

@@ -115,14 +115,9 @@ let test_builder_duplicate_label () =
 let test_printer_smoke () =
   let m = prog_branch () in
   let s = Printer.string_of_modul m in
-  let contains needle =
-    let nh = String.length s and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub s i nn = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "has define" true (contains "define @main(%n)");
-  Alcotest.(check bool) "has condbr" true (contains "condbr");
-  Alcotest.(check bool) "has call" true (contains "call @print(1)")
+  Alcotest.(check bool) "has define" true (Kit.contains s "define @main(%n)");
+  Alcotest.(check bool) "has condbr" true (Kit.contains s "condbr");
+  Alcotest.(check bool) "has call" true (Kit.contains s "call @print(1)")
 
 (* ------------------------------------------------------------------ *)
 (* Verifier *)
@@ -587,8 +582,6 @@ let prop_verifier_accepts_builder_output =
     QCheck.(pair (int_range 0 100) (int_range 0 100))
     (fun (a, b) -> Result.is_ok (Verify.check (prog_add a b)))
 
-let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
-
 let () =
   ignore prog_loop_sum;
   Alcotest.run ~and_exit:false "bunshin_ir"
@@ -648,7 +641,7 @@ let () =
           Alcotest.test_case "missing entry" `Quick test_interp_missing_entry;
         ] );
       ( "properties",
-        qcheck
+        Kit.qcheck
           [
             prop_add_matches_int64;
             prop_interp_deterministic;
@@ -1157,7 +1150,7 @@ let () =
           Alcotest.test_case "telemetry parity" `Quick test_diff_telemetry;
         ] );
       ( "properties",
-        qcheck [ prop_diff_random_seeds; prop_diff_random_alloc ] );
+        Kit.qcheck [ prop_diff_random_seeds; prop_diff_random_alloc ] );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1231,7 +1224,7 @@ let test_wild_forged_pointer () =
 
 (* main(n) allocates through [alloc], stores to the result and loads it
    back. *)
-let heap_prog name alloc =
+let alloc_prog name alloc =
   let b = B.create name in
   B.start_func b ~name:"main" ~params:[ "n" ];
   let p = alloc b in
@@ -1247,13 +1240,13 @@ let test_heap_limit () =
       ((Interp.run m ~entry:"main" ~args).Interp.outcome = Interp.Crashed Interp.Heap_exhausted);
     assert_differential ("heap limit via " ^ name) m [ args ]
   in
-  let malloc = heap_prog "huge_malloc" (fun b -> B.call b Runtime_api.malloc [ Ast.Reg "n" ]) in
+  let malloc = alloc_prog "huge_malloc" (fun b -> B.call b Runtime_api.malloc [ Ast.Reg "n" ]) in
   List.iter
     (fun n -> exhausted (Printf.sprintf "malloc(%Ld)" n) malloc [ n ])
     [ Int64.of_int heap_limit; 10_000_000_000L; Int64.of_int max_int ];
-  exhausted "alloca" (heap_prog "huge_alloca" (fun b -> B.alloca b heap_limit)) [ 0L ];
+  exhausted "alloca" (alloc_prog "huge_alloca" (fun b -> B.alloca b heap_limit)) [ 0L ];
   exhausted "global"
-    (heap_prog "huge_global" (fun b ->
+    (alloc_prog "huge_global" (fun b ->
          B.add_global b ~name:"g" ~size:heap_limit ();
          Ast.Global "g"))
     [ 0L ];

@@ -1025,8 +1025,6 @@ let test_group_settle_scheduled () =
     [ 0.0; 16.0 +. mult; 16.0 +. (5.0 *. mult) ];
   Alcotest.(check bool) "same log with a sink" true (log = log')
 
-let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
-
 let () =
   Alcotest.run ~and_exit:false "bunshin_machine"
     [
@@ -1083,7 +1081,7 @@ let () =
         ] );
       ( "determinism",
         [ Alcotest.test_case "identical runs" `Quick test_determinism ]
-        @ qcheck [ prop_total_at_least_critical_path; prop_work_conservation ] );
+        @ Kit.qcheck [ prop_total_at_least_critical_path; prop_work_conservation ] );
       ( "inline",
         [
           Alcotest.test_case "lone thread counts" `Quick test_lone_thread_bursts;
@@ -1092,7 +1090,7 @@ let () =
           Alcotest.test_case "group loop counts" `Quick test_group_bursts;
           Alcotest.test_case "group settle stays scheduled" `Quick test_group_settle_scheduled;
         ]
-        @ qcheck [ prop_inline_equals_scheduled; prop_compute_share_equals_carve_out ] );
+        @ Kit.qcheck [ prop_inline_equals_scheduled; prop_compute_share_equals_carve_out ] );
     ]
 
 (* Appended: scheduler affinity and timeslice-budget behaviour. *)

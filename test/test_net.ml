@@ -128,19 +128,11 @@ let test_telemetry_counters () =
   let without = run None in
   Alcotest.(check bool) "schedule identical" true (with_tel = without);
   let text = Tel.metrics_to_text sink in
-  let contains sub =
-    let n = String.length text and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub text i m = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "global bytes counter" true (contains "net.bytes_sent");
-  Alcotest.(check bool) "global msgs counter" true (contains "net.msgs_sent");
-  Alcotest.(check bool) "per-link bytes counter" true (contains "net.lk.bytes_sent");
+  Alcotest.(check bool) "global bytes counter" true (Kit.contains text "net.bytes_sent");
+  Alcotest.(check bool) "global msgs counter" true (Kit.contains text "net.msgs_sent");
+  Alcotest.(check bool) "per-link bytes counter" true (Kit.contains text "net.lk.bytes_sent");
   Alcotest.(check bool) "rtt hist registered" true
-    (Tel.metrics_to_json sink |> fun j ->
-     let n = String.length j and m = String.length "net_rtt_us" in
-     let rec go i = i + m <= n && (String.sub j i m = "net_rtt_us" || go (i + 1)) in
-     go 0)
+    (Kit.contains (Tel.metrics_to_json sink) "net_rtt_us")
 
 let test_validation () =
   let src = M.create () and dst = M.create () in

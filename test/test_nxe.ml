@@ -13,20 +13,10 @@ module F = Bunshin_forensics.Forensics
 module Serve = Bunshin_serve.Serve
 module Server = Bunshin_workloads.Server
 
-let work c = Trace.Work { func = "f"; cost = c }
-let wr ?(args = [ 1L; 64L ]) () = Trace.Sys (Sc.write ~args ())
-let rd ?(args = [ 3L; 64L ]) () = Trace.Sys (Sc.read ~args ())
-
-(* A CPU+syscall mix trace. *)
-let basic_trace ?(units = 20) () =
-  List.concat (List.init units (fun i -> [ work 50.0; wr ~args:[ 1L; Int64.of_int i ] () ]))
-
-let names n = List.init n (fun i -> Printf.sprintf "v%d" i)
+open Kit
 
 let run ?config ?machine_config n trace =
   Nxe.run_traces ?config ?machine_config ~names:(names n) (List.init n (fun _ -> trace))
-
-let finished r = r.Nxe.outcome = `All_finished
 
 let check_aborted msg r =
   Alcotest.(check bool) msg true
@@ -36,19 +26,19 @@ let check_aborted msg r =
 (* Basic synchronization *)
 
 let test_identical_variants_finish () =
-  let r = run 3 (basic_trace ()) in
-  Alcotest.(check bool) "all finished" true (finished r);
+  let r = run 3 (basic_trace 20) in
+  Alcotest.(check bool) "all finished" true (finished r.Nxe.outcome);
   Alcotest.(check int) "synced all writes" 20 r.Nxe.synced_syscalls;
   Alcotest.(check int) "one channel" 1 r.Nxe.channels
 
 let test_single_variant_degenerates () =
-  let r = run 1 (basic_trace ()) in
-  Alcotest.(check bool) "finished" true (finished r);
+  let r = run 1 (basic_trace 20) in
+  Alcotest.(check bool) "finished" true (finished r.Nxe.outcome);
   Alcotest.(check bool) "time sane" true (r.Nxe.total_time >= 1000.0)
 
 let test_sync_overhead_small () =
   (* NXE overhead over a solo run should be modest for a CPU-heavy trace. *)
-  let trace = basic_trace ~units:50 () in
+  let trace = basic_trace 50 in
   let solo = run 1 trace in
   let nxe3 = run 3 trace in
   let oh =
@@ -59,25 +49,23 @@ let test_sync_overhead_small () =
 
 let test_selective_not_slower_than_strict () =
   (* A read-heavy trace: selective mode skips lockstep on reads. *)
-  let trace =
-    List.concat
-      (List.init 40 (fun i -> [ work 10.0; rd ~args:[ 3L; Int64.of_int i ] () ]))
-  in
+  let trace = List.concat (List.init 40 (fun i -> [ work 10.0; rd i ])) in
   let strict = run ~config:Nxe.default_config 3 trace in
   let sel = run ~config:Nxe.selective 3 trace in
-  Alcotest.(check bool) "both finish" true (finished strict && finished sel);
+  Alcotest.(check bool) "both finish" true
+    (finished strict.Nxe.outcome && finished sel.Nxe.outcome);
   Alcotest.(check bool)
     (Printf.sprintf "selective %.1f <= strict %.1f" sel.Nxe.total_time strict.Nxe.total_time)
     true
     (sel.Nxe.total_time <= strict.Nxe.total_time +. 1e-6)
 
 let test_selective_still_locksteps_writes () =
-  let trace = basic_trace () in
+  let trace = basic_trace 20 in
   let r = run ~config:Nxe.selective 3 trace in
   Alcotest.(check int) "all writes locksteped" 20 r.Nxe.lockstep_syscalls
 
 let test_strict_locksteps_everything () =
-  let trace = List.concat (List.init 10 (fun _ -> [ work 5.0; rd () ])) in
+  let trace = List.concat (List.init 10 (fun _ -> [ work 5.0; rd 64 ])) in
   let r = run ~config:Nxe.default_config 2 trace in
   Alcotest.(check int) "all synced locksteped" r.Nxe.synced_syscalls r.Nxe.lockstep_syscalls
 
@@ -85,8 +73,8 @@ let test_strict_locksteps_everything () =
 (* Divergence detection *)
 
 let test_argument_divergence_detected () =
-  let leader = [ work 10.0; wr ~args:[ 1L; 42L ] () ] in
-  let follower = [ work 10.0; wr ~args:[ 1L; 666L ] () ] in
+  let leader = [ work 10.0; wr 42 ] in
+  let follower = [ work 10.0; wr 666 ] in
   let r = Nxe.run_traces ~names:(names 2) [ leader; follower ] in
   check_aborted "argument mismatch aborts" r;
   match r.Nxe.outcome with
@@ -107,11 +95,9 @@ let test_argument_divergence_detected () =
 let test_selective_alert_carries_syscalls () =
   (* Same content guarantee under selective lockstep: the write still
      locksteps, and the alert names both sides' syscalls. *)
-  let leader = [ work 10.0; wr ~args:[ 1L; 42L ] () ] in
-  let follower = [ work 10.0; wr ~args:[ 1L; 666L ] () ] in
-  let r =
-    Nxe.run_traces ~config:Nxe.selective ~names:(names 2) [ leader; follower ]
-  in
+  let leader = [ work 10.0; wr 42 ] in
+  let follower = [ work 10.0; wr 666 ] in
+  let r = Nxe.run_traces ~config:Nxe.selective ~names:(names 2) [ leader; follower ] in
   check_aborted "selective argument mismatch aborts" r;
   match r.Nxe.outcome with
   | `Aborted a ->
@@ -126,8 +112,8 @@ let test_selective_alert_carries_syscalls () =
 let test_sequence_alert_syscall_content () =
   (* A follower's extra syscall: got is the extra call, expected is
      end-of-stream (None). *)
-  let leader = [ work 10.0; wr ~args:[ 1L; 5L ] () ] in
-  let follower = [ work 10.0; wr ~args:[ 1L; 5L ] (); rd ~args:[ 3L; 9L ] () ] in
+  let leader = [ work 10.0; wr 5 ] in
+  let follower = [ work 10.0; wr 5; rd 9 ] in
   let r = Nxe.run_traces ~names:(names 2) [ leader; follower ] in
   check_aborted "extra follower syscall aborts" r;
   match r.Nxe.outcome with
@@ -141,35 +127,35 @@ let test_sequence_alert_syscall_content () =
   | `All_finished -> ()
 
 let test_syscall_name_divergence_detected () =
-  let leader = [ work 10.0; wr () ] in
-  let follower = [ work 10.0; rd () ] in
+  let leader = [ work 10.0; wr 64 ] in
+  let follower = [ work 10.0; rd 64 ] in
   let r = Nxe.run_traces ~names:(names 2) [ leader; follower ] in
   check_aborted "name mismatch aborts" r
 
 let test_sequence_divergence_follower_extra () =
-  let leader = [ work 10.0; wr () ] in
-  let follower = [ work 10.0; wr (); wr () ] in
+  let leader = [ work 10.0; wr 64 ] in
+  let follower = [ work 10.0; wr 64; wr 64 ] in
   let r = Nxe.run_traces ~names:(names 2) [ leader; follower ] in
   check_aborted "extra follower syscall aborts" r
 
 let test_sequence_divergence_leader_extra () =
-  let leader = [ work 10.0; wr (); wr () ] in
-  let follower = [ work 10.0; wr () ] in
+  let leader = [ work 10.0; wr 64; wr 64 ] in
+  let follower = [ work 10.0; wr 64 ] in
   let r = Nxe.run_traces ~names:(names 2) [ leader; follower ] in
   check_aborted "extra leader syscall aborts" r
 
 let test_divergence_aborts_all_variants_quickly () =
   (* After the alert, the long tail of variant work is skipped. *)
   let tail = List.init 100 (fun _ -> work 100.0) in
-  let leader = (work 1.0 :: wr ~args:[ 1L; 1L ] () :: tail) in
-  let follower = (work 1.0 :: wr ~args:[ 1L; 2L ] () :: tail) in
+  let leader = (work 1.0 :: wr 1 :: tail) in
+  let follower = (work 1.0 :: wr 2 :: tail) in
   let r = Nxe.run_traces ~names:(names 2) [ leader; follower ] in
   check_aborted "aborted" r;
   Alcotest.(check bool) "stopped early" true (r.Nxe.total_time < 5000.0)
 
 let test_divergence_third_variant () =
-  let good = [ work 5.0; wr ~args:[ 1L; 7L ] () ] in
-  let bad = [ work 5.0; wr ~args:[ 1L; 8L ] () ] in
+  let good = [ work 5.0; wr 7 ] in
+  let bad = [ work 5.0; wr 8 ] in
   let r = Nxe.run_traces ~names:(names 3) [ good; good; bad ] in
   check_aborted "aborted" r;
   match r.Nxe.outcome with
@@ -182,11 +168,11 @@ let test_divergence_third_variant () =
    slot: the same window the Net transport reports. *)
 let test_selective_incident_tape_ends_at_divergence () =
   let trace lag first =
-    [ work lag; rd ~args:[ 3L; first ] (); work 5.0; rd ~args:[ 3L; 32L ] () ]
+    [ work lag; rd first; work 5.0; rd 32 ]
   in
   let r =
     Nxe.run_traces ~config:Nxe.selective ~names:(names 3)
-      [ trace 5.0 49L; trace 30.0 50L; trace 5.0 49L ]
+      [ trace 5.0 49; trace 30.0 50; trace 5.0 49 ]
   in
   check_aborted "v1 diverges" r;
   match r.Nxe.incident with
@@ -209,7 +195,7 @@ let test_killed_variants () =
   (* Variants that all die the same way agree on every slot; the monitor
      still aborts when it reaps them, whatever the fault policy.  The ops
      after a kill never run: their writes differ, yet the alarm is the kill. *)
-  let dies last = basic_trace ~units:3 () @ [ Trace.Marker (Trace.Killed "SIGABRT"); last ] in
+  let dies last = basic_trace 3 @ [ Trace.Marker (Trace.Killed "SIGABRT"); last ] in
   let quarantine =
     { Nxe.default_config with fault_policy = { Nxe.default_policy with policy = Nxe.Quarantine } }
   in
@@ -217,7 +203,7 @@ let test_killed_variants () =
     (fun (label, config) ->
       let r =
         Nxe.run_traces ~config ~names:(names 2)
-          [ dies (wr ~args:[ 1L; 7L ] ()); dies (wr ~args:[ 1L; 8L ] ()) ]
+          [ dies (wr 7); dies (wr 8) ]
       in
       match r.Nxe.outcome with
       | `Aborted a ->
@@ -229,8 +215,8 @@ let test_killed_variants () =
       | `All_finished -> Alcotest.fail (label ^ ": identical kills not caught"))
     [ ("strict", Nxe.default_config); ("selective", Nxe.selective); ("quarantine", quarantine) ];
   (* A peer that goes on past the kill: the ordinary early-exit divergence. *)
-  let lone = basic_trace ~units:2 () @ [ Trace.Marker (Trace.Killed "SIGSEGV") ] in
-  match (Nxe.run_traces ~names:(names 2) [ basic_trace ~units:3 (); lone ]).Nxe.outcome with
+  let lone = basic_trace 2 @ [ Trace.Marker (Trace.Killed "SIGSEGV") ] in
+  match (Nxe.run_traces ~names:(names 2) [ basic_trace 3; lone ]).Nxe.outcome with
   | `Aborted a ->
     Alcotest.(check (pair int string)) "lone kill" (2, "<exit>") (a.Nxe.al_position, a.Nxe.al_got)
   | `All_finished -> Alcotest.fail "lone kill not caught"
@@ -241,41 +227,39 @@ let test_killed_variants () =
 let test_memory_syscalls_not_compared () =
   (* One variant issues extra mmaps mid-stream (sanitizer metadata): no
      false alert. *)
-  let leader = [ work 10.0; wr (); work 10.0; wr ~args:[ 1L; 2L ] () ] in
+  let leader = [ work 10.0; wr 64; work 10.0; wr 2 ] in
   let follower =
     [
       work 10.0;
       Trace.Sys (Sc.mmap ());
-      wr ();
+      wr 64;
       Trace.Sys (Sc.munmap ());
       work 10.0;
-      wr ~args:[ 1L; 2L ] ();
+      wr 2;
     ]
   in
   let r = Nxe.run_traces ~names:(names 2) [ leader; follower ] in
-  Alcotest.(check bool) "no false alert" true (finished r)
+  Alcotest.(check bool) "no false alert" true (finished r.Nxe.outcome)
 
 let test_vdso_not_synchronized () =
-  let leader = [ work 10.0; Trace.Sys (Sc.make "gettimeofday_vdso"); wr () ] in
-  let follower = [ work 10.0; wr () ] in
+  let leader = [ work 10.0; Trace.Sys (Sc.make "gettimeofday_vdso"); wr 64 ] in
+  let follower = [ work 10.0; wr 64 ] in
   let r = Nxe.run_traces ~names:(names 2) [ leader; follower ] in
-  Alcotest.(check bool) "vdso ignored" true (finished r)
+  Alcotest.(check bool) "vdso ignored" true (finished r.Nxe.outcome)
 
 let test_pre_main_and_post_exit_not_synchronized () =
   (* Differently-sanitized builds: ASan variant scans /proc before main and
      writes a report at exit; baseline does neither.  The markers fence
      synchronization so no alert fires — the paper's empirical claim. *)
-  let body = [ work 10.0; wr (); work 10.0 ] in
+  let body = [ work 10.0; wr 64; work 10.0 ] in
   let asan_like =
     [ Trace.Sys (Sc.make "openat"); Trace.Sys (Sc.read ()); Trace.Sys (Sc.mmap ()) ]
     @ (Trace.Marker Trace.Main_entered :: body)
-    @ [ Trace.Marker Trace.About_to_exit; wr ~args:[ 2L; 999L ] () ]
+    @ [ Trace.Marker Trace.About_to_exit; Trace.Sys (Sc.write ~args:[ 2L; 999L ] ()) ]
   in
-  let plain =
-    (Trace.Marker Trace.Main_entered :: body) @ [ Trace.Marker Trace.About_to_exit ]
-  in
+  let plain = (Trace.Marker Trace.Main_entered :: body) @ [ Trace.Marker Trace.About_to_exit ] in
   let r = Nxe.run_traces ~names:(names 2) [ asan_like; plain ] in
-  Alcotest.(check bool) "no false alert across phases" true (finished r);
+  Alcotest.(check bool) "no false alert across phases" true (finished r.Nxe.outcome);
   Alcotest.(check int) "only the body write synced" 1 r.Nxe.synced_syscalls
 
 let test_differently_sanitized_builds_no_false_alert () =
@@ -286,31 +270,26 @@ let test_differently_sanitized_builds_no_false_alert () =
       Program.name = "p";
       funcs = [ { Program.fn_name = "f"; fn_profile = Cost.typical_profile } ];
       working_set = 1.0;
-      gen_trace =
-        (fun _ ->
-          List.concat
-            (List.init 8 (fun i -> [ work 100.0; wr ~args:[ 1L; Int64.of_int i ] () ])));
+      gen_trace = (fun _ -> List.concat (List.init 8 (fun i -> [ work 100.0; wr i ])));
     }
   in
   let builds =
     [ Program.full [ San.asan ] prog; Program.full [ San.msan ] prog; Program.baseline prog ]
   in
   let r = Nxe.run_builds ~seed:3 builds in
-  Alcotest.(check bool) "no false alert" true (finished r)
+  Alcotest.(check bool) "no false alert" true (finished r.Nxe.outcome)
 
 (* ------------------------------------------------------------------ *)
 (* Ring buffer and syscall gap *)
 
 let test_strict_gap_at_most_one () =
-  let r = run ~config:Nxe.default_config 3 (basic_trace ()) in
+  let r = run ~config:Nxe.default_config 3 (basic_trace 20) in
   Alcotest.(check bool) "gap <= 1" true (r.Nxe.max_syscall_gap <= 1)
 
 (* Same syscall stream, follower computes 5x slower (e.g. a heavily
    instrumented variant): the leader runs ahead through the ring. *)
 let asymmetric_traces () =
-  let mk cost =
-    List.concat (List.init 30 (fun i -> [ work cost; rd ~args:[ 3L; Int64.of_int i ] () ]))
-  in
+  let mk cost = List.concat (List.init 30 (fun i -> [ work cost; rd i ])) in
   [ mk 2.0; mk 10.0 ]
 
 let test_selective_gap_can_grow () =
@@ -319,7 +298,7 @@ let test_selective_gap_can_grow () =
       ~config:{ Nxe.selective with ring_capacity = 16 }
       ~names:(names 2) (asymmetric_traces ())
   in
-  Alcotest.(check bool) "finished" true (finished r);
+  Alcotest.(check bool) "finished" true (finished r.Nxe.outcome);
   Alcotest.(check bool)
     (Printf.sprintf "gap %d > 1" r.Nxe.max_syscall_gap)
     true (r.Nxe.max_syscall_gap > 1)
@@ -330,7 +309,7 @@ let test_ring_capacity_bounds_gap () =
       ~config:{ Nxe.selective with ring_capacity = 4 }
       ~names:(names 2) (asymmetric_traces ())
   in
-  Alcotest.(check bool) "finished" true (finished r);
+  Alcotest.(check bool) "finished" true (finished r.Nxe.outcome);
   Alcotest.(check bool)
     (Printf.sprintf "gap %d <= 5" r.Nxe.max_syscall_gap)
     true (r.Nxe.max_syscall_gap <= 5)
@@ -351,7 +330,7 @@ let test_ring_capacity_validated () =
                 (Nxe.run_traces
                    ~config:{ base with Nxe.ring_capacity = cap }
                    ~names:(names 2)
-                   [ basic_trace (); basic_trace () ])))
+                   [ basic_trace 20; basic_trace 20 ])))
         [ Nxe.default_config; Nxe.selective ])
     [ 0; -3 ]
 
@@ -364,7 +343,7 @@ let test_capacity_one_tightest_ring () =
       ~config:{ Nxe.selective with ring_capacity = 1 }
       ~names:(names 2) (asymmetric_traces ())
   in
-  Alcotest.(check bool) "finished" true (finished r);
+  Alcotest.(check bool) "finished" true (finished r.Nxe.outcome);
   Alcotest.(check bool)
     (Printf.sprintf "gap %d <= 2" r.Nxe.max_syscall_gap)
     true
@@ -373,7 +352,7 @@ let test_capacity_one_tightest_ring () =
 let test_strict_mode_keeps_slow_follower_close () =
   (* In strict mode the same asymmetric pair never drifts. *)
   let r = Nxe.run_traces ~config:Nxe.default_config ~names:(names 2) (asymmetric_traces ()) in
-  Alcotest.(check bool) "finished" true (finished r);
+  Alcotest.(check bool) "finished" true (finished r.Nxe.outcome);
   Alcotest.(check bool) "gap <= 1" true (r.Nxe.max_syscall_gap <= 1)
 
 (* ------------------------------------------------------------------ *)
@@ -386,14 +365,14 @@ let mt_trace () =
       Trace.Lock 0;
       work 5.0;
       Trace.Unlock 0;
-      Trace.Sys (Sc.write ~args:[ 1L; tag ] ());
+      wr tag;
     ]
   in
-  [ Trace.Spawn (worker 10L); Trace.Spawn (worker 20L) ] @ worker 0L
+  [ Trace.Spawn (worker 10); Trace.Spawn (worker 20) ] @ worker 0
 
 let test_multithreaded_channels () =
   let r = run 2 (mt_trace ()) in
-  Alcotest.(check bool) "finished" true (finished r);
+  Alcotest.(check bool) "finished" true (finished r.Nxe.outcome);
   Alcotest.(check int) "three channels" 3 r.Nxe.channels;
   Alcotest.(check int) "three writes synced" 3 r.Nxe.synced_syscalls
 
@@ -406,7 +385,7 @@ let test_weak_determinism_replays () =
 let test_weak_determinism_off () =
   let cfg = { Nxe.default_config with weak_determinism = false } in
   let r = run ~config:cfg 2 (mt_trace ()) in
-  Alcotest.(check bool) "finished" true (finished r);
+  Alcotest.(check bool) "finished" true (finished r.Nxe.outcome);
   Alcotest.(check int) "no ordering recorded" 0 r.Nxe.order_list_length
 
 let test_weak_determinism_costs () =
@@ -423,39 +402,39 @@ let test_barrier_participates () =
   let worker = [ work 5.0; Trace.Barrier (0, 3) ] in
   let trace = [ Trace.Spawn worker; Trace.Spawn worker ] @ worker in
   let r = run 2 trace in
-  Alcotest.(check bool) "finished" true (finished r);
+  Alcotest.(check bool) "finished" true (finished r.Nxe.outcome);
   Alcotest.(check int) "3 barrier arrivals ordered" 3 r.Nxe.order_list_length
 
 let test_fork_new_execution_group () =
-  let child = [ work 10.0; wr ~args:[ 1L; 77L ] () ] in
-  let trace = [ work 5.0; Trace.Fork child; work 5.0; wr ~args:[ 1L; 1L ] () ] in
+  let child = [ work 10.0; wr 77 ] in
+  let trace = [ work 5.0; Trace.Fork child; work 5.0; wr 1 ] in
   let r = run 2 trace in
-  Alcotest.(check bool) "finished" true (finished r);
+  Alcotest.(check bool) "finished" true (finished r.Nxe.outcome);
   Alcotest.(check int) "parent + child channels" 2 r.Nxe.channels;
   Alcotest.(check int) "both writes synced" 2 r.Nxe.synced_syscalls
 
 let test_fork_child_divergence_detected () =
-  let child_ok = [ work 10.0; wr ~args:[ 1L; 77L ] () ] in
-  let child_bad = [ work 10.0; wr ~args:[ 1L; 78L ] () ] in
-  let leader = [ Trace.Fork child_ok; wr ~args:[ 1L; 1L ] () ] in
-  let follower = [ Trace.Fork child_bad; wr ~args:[ 1L; 1L ] () ] in
+  let child_ok = [ work 10.0; wr 77 ] in
+  let child_bad = [ work 10.0; wr 78 ] in
+  let leader = [ Trace.Fork child_ok; wr 1 ] in
+  let follower = [ Trace.Fork child_bad; wr 1 ] in
   let r = Nxe.run_traces ~names:(names 2) [ leader; follower ] in
   check_aborted "child divergence aborts" r
 
 let test_daemon_style_processes_independent () =
   (* Server pattern: children handle different "connections" concurrently;
      each child pair synchronizes on its own channel. *)
-  let child i = [ work 10.0; wr ~args:[ 1L; Int64.of_int i ] () ] in
+  let child i = [ work 10.0; wr i ] in
   let trace = List.init 4 (fun i -> Trace.Fork (child i)) @ [ work 1.0 ] in
   let r = run 3 trace in
-  Alcotest.(check bool) "finished" true (finished r);
+  Alcotest.(check bool) "finished" true (finished r.Nxe.outcome);
   Alcotest.(check int) "five channels" 5 r.Nxe.channels
 
 (* ------------------------------------------------------------------ *)
 (* Scalability shape *)
 
 let test_more_variants_more_overhead () =
-  let trace = basic_trace ~units:30 () in
+  let trace = basic_trace 30 in
   let mcfg cores = { M.default_config with cores; llc_capacity = 8.0 } in
   let time n =
     (Nxe.run_traces ~machine_config:(mcfg 12) ~working_sets:(List.init n (fun _ -> 4.0))
@@ -470,60 +449,27 @@ let test_more_variants_more_overhead () =
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
-(* Random structured traces: generate a tree of ops (work, syscalls,
-   locks, barriers, spawns) and check the engine's liveness and
+(* Random structured traces (the kit's ops: work, syscalls, locked
+   sections; spawned threads): the engine's liveness and
    no-false-positive guarantees on identical variants. *)
-let gen_trace_ops =
-  let open QCheck.Gen in
-  let leaf =
-    frequency
-      [
-        (4, map (fun c -> `Work (float_of_int (1 + c))) (int_bound 30));
-        (2, map (fun i -> `Read i) (int_bound 100));
-        (1, map (fun i -> `Write i) (int_bound 100));
-        (2, map (fun l -> `Locked l) (int_bound 2));
-      ]
-  in
-  list_size (1 -- 25) leaf
-
-let trace_of_ops ?(spawn = false) ops =
-  let body =
-    List.concat_map
-      (function
-        | `Work c -> [ work c ]
-        | `Read i -> [ rd ~args:[ 3L; Int64.of_int i ] () ]
-        | `Write i -> [ wr ~args:[ 1L; Int64.of_int i ] () ]
-        | `Locked l ->
-          [ Trace.Lock l; Trace.Work { func = "crit"; cost = 1.0 }; Trace.Unlock l ])
-      ops
-  in
-  if spawn then Trace.Spawn body :: body else body
-
 let prop_random_traces_identical_clean =
-  QCheck.Test.make ~name:"nxe: random identical variants stay clean" ~count:60
-    (QCheck.make gen_trace_ops)
-    (fun ops ->
+  QCheck.Test.make ~name:"nxe: random identical variants stay clean" ~count:60 ops (fun ops ->
       let t = trace_of_ops ops in
       let strict = run 3 t in
       let sel = run ~config:Nxe.selective 3 t in
-      finished strict && finished sel)
+      finished strict.Nxe.outcome && finished sel.Nxe.outcome)
 
 let prop_random_threaded_traces_clean =
-  QCheck.Test.make ~name:"nxe: random threaded variants stay clean" ~count:40
-    (QCheck.make gen_trace_ops)
-    (fun ops ->
-      let t = trace_of_ops ~spawn:true ops in
-      finished (run 2 t))
+  QCheck.Test.make ~name:"nxe: random threaded variants stay clean" ~count:40 ops (fun ops ->
+      let t = trace_of_ops ops in
+      finished (run 2 (Trace.Spawn t :: t)).Nxe.outcome)
 
 let prop_identical_variants_never_alert =
   QCheck.Test.make ~name:"nxe: identical variants never alert" ~count:40
     QCheck.(pair (int_range 1 4) (int_range 1 15))
     (fun (n, units) ->
-      let trace =
-        List.concat
-          (List.init units (fun i -> [ work 5.0; wr ~args:[ 1L; Int64.of_int i ] () ]))
-      in
-      finished (run n trace))
+      let trace = List.concat (List.init units (fun i -> [ work 5.0; wr i ])) in
+      finished (run n trace).Nxe.outcome)
 
 let prop_divergent_args_always_alert =
   QCheck.Test.make ~name:"nxe: any arg difference alerts" ~count:40
@@ -532,54 +478,24 @@ let prop_divergent_args_always_alert =
       let mk tag =
         List.concat
           (List.init 10 (fun i ->
-               let v = if i = pos then tag else Int64.of_int i in
-               [ work 2.0; wr ~args:[ 1L; v ] () ]))
+               [ work 2.0; wr (if i = pos then tag else i) ]))
       in
-      let r =
-        Nxe.run_traces ~names:(names 2)
-          [ mk 1000L; mk (Int64.of_int (1001 + salt)) ]
-      in
+      let r = Nxe.run_traces ~names:(names 2) [ mk 1000; mk (1001 + salt) ] in
       match r.Nxe.outcome with `Aborted a -> a.Nxe.al_position = pos | `All_finished -> false)
 
 (* Strict and selective lockstep must reach the same divergence verdict on
-   the same traces (first slice of the protocol-invariant work, ROADMAP
-   item 5): selective mode changes WHEN the leader may run ahead, never
-   WHAT counts as a divergence, so an injected argument mutation aborts
-   both modes at the same (channel, position, variant) — and a clean
-   corpus aborts neither. *)
-let mutate_kth_syscall ~k ~delta trace =
-  let seen = ref 0 in
-  List.map
-    (function
-      | Trace.Sys sc when sc.Sc.args <> [] ->
-        let here = !seen in
-        incr seen;
-        if here = k then
-          let args =
-            match sc.Sc.args with a :: x :: rest -> a :: Int64.add x delta :: rest | l -> l
-          in
-          Trace.Sys (Sc.make ~args sc.Sc.name)
-        else Trace.Sys sc
-      | op -> op)
-    trace
-
-let verdict r =
-  match r.Nxe.outcome with
-  | `All_finished -> None
-  | `Aborted a -> Some (a.Nxe.al_channel, a.Nxe.al_position, a.Nxe.al_variant)
-
+   the same traces: selective mode changes WHEN the leader may run ahead,
+   never WHAT counts as a divergence, so an injected argument perturbation
+   aborts both modes with the same verdict — and a clean corpus aborts
+   neither. *)
 let prop_strict_selective_same_verdict =
   QCheck.Test.make ~name:"nxe: strict and selective agree on the verdict" ~count:60
-    QCheck.(triple (QCheck.make gen_trace_ops) (int_range 0 20) bool)
+    QCheck.(triple ops (int_range 0 20) bool)
     (fun (ops, k, clean) ->
       let base = trace_of_ops ops in
-      let follower = if clean then base else mutate_kth_syscall ~k ~delta:500L base in
+      let follower = if clean then base else Trace.perturb_syscall ~k base in
       let run cfg = Nxe.run_traces ~config:cfg ~names:(names 2) [ base; follower ] in
-      let s = verdict (run Nxe.default_config) in
-      let l = verdict (run Nxe.selective) in
-      s = l)
-
-let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
+      verdict (run Nxe.default_config).Nxe.outcome = verdict (run Nxe.selective).Nxe.outcome)
 
 (* ------------------------------------------------------------------ *)
 (* Fixed cost of a group run.  The histogram bounds are shared by every
@@ -611,7 +527,7 @@ let test_back_to_back_runs () =
     run 2
       [ work 2.0; Trace.Lock 1; Trace.Incr 7; Trace.Sys_shared (Sc.write ~args:[ 1L; 0L ] (), 7) ]
   in
-  Alcotest.(check bool) "B finished" true (finished b);
+  Alcotest.(check bool) "B finished" true (finished b.Nxe.outcome);
   Alcotest.(check string) "A again" first (a ())
 
 (* The victim dies at its fourth write, holding lock 1 with counter 7
@@ -632,7 +548,7 @@ let test_restart_fresh_tables () =
     Nxe.run_traces ~config ~faults ~names:(names 3)
       (List.init 3 (fun _ -> locked_counter_trace ()))
   in
-  Alcotest.(check bool) "finished" true (finished r);
+  Alcotest.(check bool) "finished" true (finished r.Nxe.outcome);
   Alcotest.(check bool) "victim recovered" true
     (match List.nth r.Nxe.variant_status 2 with Nxe.Recovered _ -> true | _ -> false);
   Alcotest.(check string) "signature"
@@ -659,9 +575,8 @@ let test_fixed_cost_bounded () =
   let at_most what bound w =
     Alcotest.(check bool) (Printf.sprintf "%s: %.0f words <= %.0f" what w bound) true (w <= bound)
   in
-  let names = names 3 in
   at_most "empty run" 2000.0
-    (words (fun () -> Nxe.run_traces ~config:Nxe.selective ~names [ []; []; [] ]));
+    (words (fun () -> Nxe.run_traces ~config:Nxe.selective ~names:(names 3) [ []; []; [] ]));
   let src =
     Serve.jittered ~jitter:0.3 ~seed:102
       (Serve.server_source ~n:3 Server.Lighttpd ~file_kb:1 ~connections:16)

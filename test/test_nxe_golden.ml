@@ -24,7 +24,6 @@ module Program = Bunshin_program.Program
 module San = Bunshin_sanitizer.Sanitizer
 module Cost = Bunshin_sanitizer.Cost_model
 module Nxe = Bunshin_nxe.Nxe
-module F = Bunshin_forensics.Forensics
 module Faults = Bunshin_faults.Faults
 module Pr = Bunshin_profile.Profile
 module Tel = Bunshin_telemetry.Telemetry
@@ -32,30 +31,15 @@ module Tel = Bunshin_telemetry.Telemetry
 (* ------------------------------------------------------------------ *)
 (* Canonical report rendering *)
 
-let fl f = Printf.sprintf "%h" f (* hex float: bit-exact round trip *)
-
-let sc_str = function
-  | None -> "-"
-  | Some sc -> Format.asprintf "%a" Sc.pp sc
+open Kit
 
 let render (r : Nxe.report) =
   let b = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  (match r.Nxe.outcome with
-   | `All_finished -> line "outcome: all_finished"
-   | `Aborted a ->
-     line "outcome: aborted chan=%d pos=%d variant=%d" a.Nxe.al_channel a.Nxe.al_position
-       a.Nxe.al_variant;
-     line "  expected: %s" a.Nxe.al_expected;
-     line "  got: %s" a.Nxe.al_got;
-     line "  expected_sc: %s" (sc_str a.Nxe.al_expected_sc);
-     line "  got_sc: %s" (sc_str a.Nxe.al_got_sc));
-  (match r.Nxe.incident with
-   | None -> line "incident: -"
-   | Some inc -> line "incident: %s" (F.to_json inc));
+  let line fmt = line b fmt in
+  render_verdict b r.Nxe.outcome r.Nxe.incident;
   line "total_time: %s" (fl r.Nxe.total_time);
-  line "variant_finish: %s" (String.concat " " (List.map fl r.Nxe.variant_finish));
-  line "variant_cpu: %s" (String.concat " " (List.map fl r.Nxe.variant_cpu));
+  line "variant_finish: %s" (fls r.Nxe.variant_finish);
+  line "variant_cpu: %s" (fls r.Nxe.variant_cpu);
   line "synced_syscalls: %d" r.Nxe.synced_syscalls;
   line "executed_syscalls: %d" r.Nxe.executed_syscalls;
   line "lockstep_syscalls: %d" r.Nxe.lockstep_syscalls;
@@ -64,26 +48,9 @@ let render (r : Nxe.report) =
   line "order_list_length: %d" r.Nxe.order_list_length;
   line "det_replays: %d" r.Nxe.det_replays;
   line "channels: %d" r.Nxe.channels;
-  List.iteri
-    (fun v st ->
-      match st with
-      | Nxe.Healthy -> line "variant_status[%d]: healthy" v
-      | Nxe.Quarantined { q_time; q_cause; q_restarts } ->
-        line "variant_status[%d]: quarantined t=%s cause=%s restarts=%d" v (fl q_time)
-          (Nxe.cause_string q_cause) q_restarts
-      | Nxe.Recovered { q_time; q_cause; r_time } ->
-        line "variant_status[%d]: recovered q=%s cause=%s r=%s" v (fl q_time)
-          (Nxe.cause_string q_cause) (fl r_time))
-    r.Nxe.variant_status;
-  line "coverage_loss: %s" (String.concat "," r.Nxe.coverage_loss);
-  List.iteri (fun i inc -> line "fault_incident[%d]: %s" i (F.to_json inc))
-    r.Nxe.fault_incidents;
-  List.iter
-    (fun (name, cells) ->
-      line "hist %s: %s" name
-        (String.concat " "
-           (List.map (fun (ub, c) -> Printf.sprintf "%s:%d" (fl ub) c) cells)))
-    r.Nxe.histograms;
+  render_health b ~status:r.Nxe.variant_status ~coverage_loss:r.Nxe.coverage_loss
+    ~fault_incidents:r.Nxe.fault_incidents;
+  render_histograms b r.Nxe.histograms;
   line "machine: total=%s ctx=%d pressure_peak=%s" (fl r.Nxe.machine_stats.M.total_time)
     r.Nxe.machine_stats.M.context_switches
     (fl r.Nxe.machine_stats.M.cache_pressure_peak);
@@ -92,15 +59,10 @@ let render (r : Nxe.report) =
 (* ------------------------------------------------------------------ *)
 (* Scenario corpus *)
 
-let work c = Trace.Work { func = "f"; cost = c }
-let wr args = Trace.Sys (Sc.write ~args ())
-let rd args = Trace.Sys (Sc.read ~args ())
-let names n = List.init n (fun i -> Printf.sprintf "v%d" i)
-
 (* A trace exercising most op kinds: locks, barrier, spawned threads,
    shared counters, shared-memory reads, a fork and sync fences. *)
 let rich_trace () =
-  let child = [ work 6.0; wr [ 1L; 70L ] ] in
+  let child = [ work 6.0; wr 70 ] in
   let worker tag =
     [
       work 12.0;
@@ -121,8 +83,8 @@ let rich_trace () =
       Trace.Idle 4.0;
       Trace.Fork child;
       work 5.0;
-      rd [ 3L; 8L ];
-      wr [ 1L; 9L ];
+      rd 8;
+      wr 9;
       Trace.Marker Trace.About_to_exit;
       Trace.Sys (Sc.make "exit_group");
     ]
@@ -131,17 +93,9 @@ let asym_traces () =
   let mk cost =
     List.concat
       (List.init 18 (fun i ->
-           [ work cost; rd [ 3L; Int64.of_int i ]; wr [ 1L; Int64.of_int i ] ]))
+           [ work cost; rd i; wr i ]))
   in
   [ mk 2.0; mk 9.0 ]
-
-(* [diverge_at ~pos:(-1)] is a clean identical-variant corpus. *)
-let diverge_at ~pos ~tag n =
-  List.init n (fun v ->
-      List.concat
-        (List.init 8 (fun i ->
-             let x = if v = n - 1 && i = pos then tag else Int64.of_int i in
-             [ work 4.0; wr [ 1L; x ] ])))
 
 let small_prog =
   {
@@ -150,7 +104,7 @@ let small_prog =
     working_set = 1.0;
     gen_trace =
       (fun _ ->
-        List.concat (List.init 10 (fun i -> [ work 40.0; wr [ 1L; Int64.of_int i ] ])));
+        List.concat (List.init 10 (fun i -> [ work 40.0; wr i ])));
   }
 
 let stall_policy policy =
@@ -191,38 +145,32 @@ let scenarios =
           ?profile ~names:(names 2) (asym_traces ()));
     sc "strict_diverge_arg" 3 (fun ~profile ~telemetry ->
         Nxe.run_traces ~config:(base_cfg telemetry) ?profile ~names:(names 3)
-          (diverge_at ~pos:3 ~tag:999L 3));
+          (diverge_at ~pos:3 ~tag:999 3));
     sc "selective_diverge_arg" 3 (fun ~profile ~telemetry ->
         Nxe.run_traces
           ~config:{ (base_cfg telemetry) with mode = Nxe.Selective_lockstep }
-          ?profile ~names:(names 3) (diverge_at ~pos:5 ~tag:777L 3));
+          ?profile ~names:(names 3) (diverge_at ~pos:5 ~tag:777 3));
     sc "strict_diverge_seq" 2 (fun ~profile ~telemetry ->
-        let l = [ work 4.0; wr [ 1L; 1L ] ] in
+        let l = [ work 4.0; wr 1 ] in
         Nxe.run_traces ~config:(base_cfg telemetry) ?profile ~names:(names 2)
-          [ l; l @ [ rd [ 3L; 2L ] ] ]);
+          [ l; l @ [ rd 2 ] ]);
     sc "quarantine_stall" 3 (fun ~profile ~telemetry ->
-        let faults =
-          Faults.make [ { Faults.i_variant = 1; i_at = 2; i_kind = Faults.Stall } ]
-        in
+        let faults = Faults.make [ { Faults.i_variant = 1; i_at = 2; i_kind = Faults.Stall } ] in
         Nxe.run_traces
           ~config:{ (base_cfg telemetry) with fault_policy = stall_policy Nxe.Quarantine }
           ~faults
           ~coverage:[ [ "asan"; "msan" ]; [ "msan" ]; [ "asan" ] ]
-          ?profile ~names:(names 3) (diverge_at ~pos:(-1) ~tag:0L 3));
+          ?profile ~names:(names 3) (diverge_at ~pos:(-1) ~tag:0 3));
     sc "restart_die" 3 (fun ~profile ~telemetry ->
-        let faults =
-          Faults.make [ { Faults.i_variant = 2; i_at = 1; i_kind = Faults.Die } ]
-        in
+        let faults = Faults.make [ { Faults.i_variant = 2; i_at = 1; i_kind = Faults.Die } ] in
         Nxe.run_traces
           ~config:
             { (base_cfg telemetry) with fault_policy = stall_policy Nxe.Restart_once }
-          ~faults ?profile ~names:(names 3) (diverge_at ~pos:(-1) ~tag:0L 3));
+          ~faults ?profile ~names:(names 3) (diverge_at ~pos:(-1) ~tag:0 3));
     sc "abort_on_death" 2 (fun ~profile ~telemetry ->
-        let faults =
-          Faults.make [ { Faults.i_variant = 1; i_at = 1; i_kind = Faults.Die } ]
-        in
+        let faults = Faults.make [ { Faults.i_variant = 1; i_at = 1; i_kind = Faults.Die } ] in
         Nxe.run_traces ~config:(base_cfg telemetry) ~faults ?profile ~names:(names 2)
-          (diverge_at ~pos:(-1) ~tag:0L 2));
+          (diverge_at ~pos:(-1) ~tag:0 2));
     sc "delay_corrupt" 2 (fun ~profile ~telemetry ->
         let faults =
           Faults.make
@@ -234,12 +182,12 @@ let scenarios =
             ]
         in
         Nxe.run_traces ~config:(base_cfg telemetry) ~faults ?profile ~names:(names 2)
-          (diverge_at ~pos:(-1) ~tag:0L 2));
+          (diverge_at ~pos:(-1) ~tag:0 2));
     sc "signals" 2 (fun ~profile ~telemetry ->
-        let handler = [ work 3.0; wr [ 2L; 123L ] ] in
+        let handler = [ work 3.0; Trace.Sys (Sc.write ~args:[ 2L; 123L ] ()) ] in
         Nxe.run_traces ~config:(base_cfg telemetry)
           ~signals:[ (30.0, handler) ]
-          ?profile ~names:(names 2) (diverge_at ~pos:(-1) ~tag:0L 2));
+          ?profile ~names:(names 2) (diverge_at ~pos:(-1) ~tag:0 2));
     sc "shared_mem_off" 2 (fun ~profile ~telemetry ->
         Nxe.run_traces
           ~config:{ (base_cfg telemetry) with sync_shared_memory = false }
@@ -273,9 +221,7 @@ let () =
       in
       if with_profile <> base then
         fail (s.s_name ^ ": profile-attached report differs from bare run");
-      let with_tel =
-        render (s.s_run ~profile:None ~telemetry:(Some (Tel.create ())))
-      in
+      let with_tel = render (s.s_run ~profile:None ~telemetry:(Some (Tel.create ()))) in
       if with_tel <> base then
         fail (s.s_name ^ ": telemetry-attached report differs from bare run");
       Result.iter_error (fun e -> fail (s.s_name ^ ": report " ^ e)) (Golden.check s.s_name base);

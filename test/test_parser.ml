@@ -209,8 +209,8 @@ let prop_declared_errors_only =
                 | exception Invalid_argument _ -> None
               in
               match
-                ( run (Interp.run ~config ?telemetry:None ?phases:None),
-                  run (Interp.run_reference ~config ?telemetry:None ?phases:None) )
+                ( run (Interp.run ~config ?telemetry:None),
+                  run (Interp.run_reference ~config ?telemetry:None) )
               with
               | Some a, Some b ->
                 a.Interp.outcome = b.Interp.outcome

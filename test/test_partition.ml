@@ -62,10 +62,7 @@ let test_exact_three_way () =
 
 let test_exact_guard () =
   Alcotest.(check bool) "too many items rejected" true
-    (try
-       ignore (P.exact 2 (items_of (List.init 25 (fun i -> float_of_int i))));
-       false
-     with Invalid_argument _ -> true)
+    (Kit.invalid (fun () -> P.exact 2 (items_of (List.init 25 (fun i -> float_of_int i)))))
 
 let test_best_never_worse_than_lpt () =
   let items = items_of [ 10.0; 9.0; 8.0; 7.0; 6.0; 5.0; 4.0; 3.0; 2.0; 1.0 ] in
@@ -163,8 +160,6 @@ let prop_best_matches_exact_small =
       let e = P.makespan (P.exact n items) in
       b <= (e *. 1.15) +. 1e-6)
 
-let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
-
 let () =
   Alcotest.run "bunshin_partition"
     [
@@ -187,7 +182,7 @@ let () =
           Alcotest.test_case "lpt tie rule" `Quick test_lpt_tie_rule;
         ] );
       ( "properties",
-        qcheck
+        Kit.qcheck
           [
             prop_valid "lpt" P.lpt;
             prop_valid "kk" P.karmarkar_karp;

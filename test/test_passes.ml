@@ -8,25 +8,12 @@ module Inst = Bunshin_sanitizer.Instrument
 module Slicer = Bunshin_slicer.Slicer
 module Asap = Bunshin_variant.Asap
 
-let heap_prog () =
-  let b = B.create "heap" in
-  B.start_func b ~name:"main" ~params:[ "idx" ];
-  let p = B.call b "malloc" [ B.cst 4 ] in
-  let q = B.gep b p (Ast.Reg "idx") in
-  B.store b (B.cst 7) q;
-  let v = B.load b q in
-  B.call_void b "print" [ v ];
-  B.ret b (Some (B.cst 0));
-  B.finish b
-
-let run_main m args = Interp.run m ~entry:"main" ~args
-
 (* ------------------------------------------------------------------ *)
 (* Simplify *)
 
 let test_simplify_restores_block_structure () =
   (* instrument -> remove -> simplify gives back the baseline's shape. *)
-  let base = heap_prog () in
+  let base = Kit.heap_prog () in
   let inst = Inst.apply_exn [ San.asan ] base in
   let removed = Slicer.remove_checks inst in
   let clean = Simplify.modul removed in
@@ -37,12 +24,12 @@ let test_simplify_restores_block_structure () =
     (Simplify.block_count clean)
 
 let test_simplify_preserves_behaviour () =
-  let base = heap_prog () in
+  let base = Kit.heap_prog () in
   let clean = Simplify.modul (Slicer.remove_checks (Inst.apply_exn [ San.asan ] base)) in
   List.iter
     (fun idx ->
-      let r0 = run_main base [ Int64.of_int idx ] in
-      let r1 = run_main clean [ Int64.of_int idx ] in
+      let r0 = Kit.run_main base [ Int64.of_int idx ] in
+      let r1 = Kit.run_main clean [ Int64.of_int idx ] in
       Alcotest.(check bool) (Printf.sprintf "idx %d" idx) true (Interp.events_equal r0 r1))
     [ 0; 1; 2; 3 ]
 
@@ -107,13 +94,13 @@ let prop_simplify_behaviour_preserved =
   QCheck.Test.make ~name:"simplify: removal+cleanup ~ baseline" ~count:80
     QCheck.(int_range 0 3)
     (fun idx ->
-      let base = heap_prog () in
+      let base = Kit.heap_prog () in
       let clean =
         Simplify.modul (Slicer.remove_checks (Inst.apply_exn [ San.asan ] base))
       in
       Interp.events_equal
-        (run_main base [ Int64.of_int idx ])
-        (run_main clean [ Int64.of_int idx ]))
+        (Kit.run_main base [ Int64.of_int idx ])
+        (Kit.run_main clean [ Int64.of_int idx ]))
 
 (* ------------------------------------------------------------------ *)
 (* ASAP *)
@@ -176,8 +163,6 @@ let prop_asap_monotone_in_budget =
       let k2 = Asap.keep_set ~budget:hi ~overhead_profile:profile in
       List.for_all (fun f -> List.mem f k2) k1)
 
-let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
-
 let () =
   Alcotest.run "bunshin_passes"
     [
@@ -197,5 +182,5 @@ let () =
           Alcotest.test_case "misses exploit" `Quick test_asap_misses_exploit_bunshin_catches;
         ] );
       ( "properties",
-        qcheck [ prop_simplify_behaviour_preserved; prop_asap_monotone_in_budget ] );
+        Kit.qcheck [ prop_simplify_behaviour_preserved; prop_asap_monotone_in_budget ] );
     ]

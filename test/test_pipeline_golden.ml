@@ -18,15 +18,10 @@
      BUNSHIN_REGEN_GOLDEN=test/golden dune exec test/test_pipeline_golden.exe *)
 
 open Bunshin
+open Kit
 module E = Experiments
 
 let models = [ "bzip2"; "gcc"; "hmmer"; "perlbench" ]
-
-let fl f = Printf.sprintf "%h" f
-
-let fls xs = String.concat " " (List.map fl xs)
-
-let line b fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt
 
 let render_plan b tag (plan : Variant.plan) =
   List.iter

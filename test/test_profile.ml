@@ -145,38 +145,6 @@ let test_ring_overflow_counted () =
     (match recent with sp :: _ -> sp.Collector.sp_pos | [] -> -1)
 
 (* ------------------------------------------------------------------ *)
-(* Interpreter phase counts: engines agree, result unchanged. *)
-
-let test_interp_phase_counts () =
-  let ic = open_in "../examples/ir/overflow_demo.bir" in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  let m = match Ir_parser.parse src with Ok m -> m | Error e -> Alcotest.fail e in
-  let instrumented =
-    match Instrument.apply [ Sanitizer.asan ] m with
-    | Ok m' -> m'
-    | Error _ -> Alcotest.fail "instrumentation failed"
-  in
-  let args = [ 4L ] in
-  let baseline = Interp.run instrumented ~entry:"main" ~args in
-  let phase_counts () =
-    { Interp.pc_steps = 0; pc_checks = 0; pc_runtime = 0; pc_syscalls = 0 }
-  in
-  let pc_fast = phase_counts () in
-  let fast = Interp.run ~phases:pc_fast instrumented ~entry:"main" ~args in
-  let pc_ref = phase_counts () in
-  let refr = Interp.run_reference ~phases:pc_ref instrumented ~entry:"main" ~args in
-  Alcotest.(check bool) "result unchanged by phases" true (baseline = fast);
-  Alcotest.(check bool) "engines agree on run" true (fast = refr);
-  Alcotest.(check int) "steps agree" pc_ref.Interp.pc_steps pc_fast.Interp.pc_steps;
-  Alcotest.(check int) "checks agree" pc_ref.Interp.pc_checks pc_fast.Interp.pc_checks;
-  Alcotest.(check int) "runtime agrees" pc_ref.Interp.pc_runtime pc_fast.Interp.pc_runtime;
-  Alcotest.(check int) "syscalls agree" pc_ref.Interp.pc_syscalls pc_fast.Interp.pc_syscalls;
-  Alcotest.(check bool) "sanitized run evaluates checks" true (pc_fast.Interp.pc_checks > 0);
-  Alcotest.(check int) "steps recorded" fast.Interp.steps pc_fast.Interp.pc_steps
-
-(* ------------------------------------------------------------------ *)
 (* Serialization round-trip (satellite: to_string/of_string) *)
 
 let test_profile_roundtrip () =
@@ -262,17 +230,12 @@ let test_collapsed_exporter () =
       | _ -> Alcotest.fail ("malformed collapsed line: " ^ line))
     lines
 
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let test_text_exporter () =
   let attr = small_attr () in
   let txt = Profile.attribution_to_text attr in
   List.iter
     (fun needle ->
-      Alcotest.(check bool) ("text mentions " ^ needle) true (contains txt needle))
+      Alcotest.(check bool) ("text mentions " ^ needle) true (Kit.contains txt needle))
     [ "workload: bzip2"; "sync points:"; "straggler at"; "phase sum" ]
 
 (* ------------------------------------------------------------------ *)
@@ -373,8 +336,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_collector_validation;
           Alcotest.test_case "ring overflow counted" `Quick test_ring_overflow_counted;
         ] );
-      ( "interp",
-        [ Alcotest.test_case "phase counts" `Quick test_interp_phase_counts ] );
       ( "serialization",
         [ Alcotest.test_case "round-trip and errors" `Quick test_profile_roundtrip ] );
       ( "exporters",

@@ -101,10 +101,7 @@ let test_full_asan_build_inflates () =
 
 let test_full_conflicting_rejected () =
   Alcotest.(check bool) "raises" true
-    (try
-       ignore (Program.full [ San.asan; San.msan ] (toy_program ()));
-       false
-     with Invalid_argument _ -> true)
+    (Kit.invalid (fun () -> Program.full [ San.asan; San.msan ] (toy_program ())))
 
 let test_variant_checks_subset_cheaper () =
   let prog = toy_program () in
@@ -399,21 +396,31 @@ let test_check_distribution_balances () =
   Alcotest.(check bool) (Printf.sprintf "spread %.1f small" spread) true (spread <= 12.0)
 
 let test_sanitizer_distribution_conflict_repair () =
-  (* ASan and MSan conflict: with n=2 they must land in different variants. *)
   let prog = toy_program () in
-  match Variant.unify ~n:2 [ [ San.asan ]; [ San.msan ] ] prog with
-  | Error e -> Alcotest.fail e
-  | Ok plan ->
-    List.iter
-      (fun s ->
-        Alcotest.(check bool) "each variant conflict-free" true
-          (San.collectively_enforceable s.Variant.vs_sanitizers))
-      plan.Variant.pl_specs;
-    let names =
-      List.concat_map (fun s -> List.map San.name s.Variant.vs_sanitizers) plan.Variant.pl_specs
-    in
-    Alcotest.(check bool) "both present" true
-      (List.mem "ASan" names && List.mem "MSan" names)
+  let plan_of = function Ok plan -> plan | Error e -> Alcotest.fail e in
+  (* ASan and MSan conflict: with n=2 they must land in different variants. *)
+  let plan = plan_of (Variant.unify ~n:2 [ [ San.asan ]; [ San.msan ] ] prog) in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) "each variant conflict-free" true
+        (San.collectively_enforceable s.Variant.vs_sanitizers))
+    plan.Variant.pl_specs;
+  let sans =
+    List.concat_map (fun s -> List.map San.name s.Variant.vs_sanitizers) plan.Variant.pl_specs
+  in
+  Alcotest.(check bool) "both present" true (List.mem "ASan" sans && List.mem "MSan" sans);
+  (* The partition balances SoftBound (11) against ASan (10) + MSan (1),
+     which conflict; the repair moves the lighter MSan over to SoftBound. *)
+  let units = [ ([ San.asan ], 10.0); ([ San.msan ], 1.0); ([ San.softbound ], 11.0) ] in
+  let plan = plan_of (Variant.sanitizer_distribution ~n:2 ~units prog) in
+  Alcotest.(check (list (pair (list string) (float 1e-9))))
+    "the lighter unit moves" [ ([ "ASan" ], 10.0); ([ "MSan"; "SoftBound" ], 12.0) ]
+    (List.sort compare
+       (List.map
+          (fun s ->
+            (List.sort compare (List.map San.name s.Variant.vs_sanitizers),
+             s.Variant.vs_predicted_load))
+          plan.Variant.pl_specs))
 
 let test_sanitizer_distribution_impossible () =
   (* Two conflicting sanitizers cannot share a single variant. *)
@@ -517,15 +524,15 @@ let ref_cpu_trace ~funcs ~units ~unit_cost ~syscall_every rng =
     (List.init units (fun i ->
          let fname = Rng.draw rng weighted in
          let jitter = Rng.float_in rng 0.85 1.15 in
-         let work = Trace.Work { func = fname; cost = unit_cost *. jitter } in
+         let unit_op = Trace.Work { func = fname; cost = unit_cost *. jitter } in
          let regular =
            if syscall_every > 0 && (i + 1) mod syscall_every = 0 then
              let sc =
                if (i / syscall_every) mod 12 = 11 then Sc.write ~args:[ 1L; Int64.of_int i ] ()
                else Sc.read ~args:[ 3L; Int64.of_int i ] ()
              in
-             [ work; Trace.Sys sc ]
-           else [ work ]
+             [ unit_op; Trace.Sys sc ]
+           else [ unit_op ]
          in
          if syscall_every > 0 && (i + 1) mod burst_every = 0 then
            (* 24 reads per phase burst, the generator's [phase_burst_reads]. *)
@@ -546,8 +553,10 @@ let ref_worker_trace ~funcs ~units ~unit_cost ~stall ~racy ~lock_every ~barrier_
     (List.init units (fun i ->
          let fname = Rng.draw rng weighted in
          let jitter = Rng.float_in rng 0.85 1.15 in
-         let work = Trace.Work { func = fname; cost = unit_cost *. jitter } in
-         let ops = ref (if stall > 0.0 then [ work; Trace.Idle (unit_cost *. stall) ] else [ work ]) in
+         let unit_op = Trace.Work { func = fname; cost = unit_cost *. jitter } in
+         let ops =
+           ref (if stall > 0.0 then [ unit_op; Trace.Idle (unit_cost *. stall) ] else [ unit_op ])
+         in
          if racy && (i + 1) mod 10 = 0 then
            ops := !ops @ [ Trace.Incr 9; Trace.Sys_shared (Sc.read ~args:[ 3L ] (), 9) ];
          if lock_every > 0 && (i + 1) mod lock_every = 0 then begin
@@ -758,8 +767,6 @@ let prop_build_matches_reference =
             (builds_of rng prog))
         [ cpu; threaded ])
 
-let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
-
 let () =
   Alcotest.run "bunshin_program"
     [
@@ -803,7 +810,7 @@ let () =
           Alcotest.test_case "end-to-end pipeline" `Quick test_end_to_end_generator_pipeline;
         ] );
       ( "properties",
-        qcheck
+        Kit.qcheck
           [
             prop_check_distribution_always_covers;
             prop_generators_match_reference;

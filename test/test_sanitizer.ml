@@ -142,43 +142,29 @@ let test_introduced_syscall_phases () =
 (* ------------------------------------------------------------------ *)
 (* IR instrumentation *)
 
-(* main(idx) { p = malloc(4); p[idx] = 7; print(p[idx]); return 0 } *)
-let heap_prog () =
-  let b = B.create "heap" in
-  B.start_func b ~name:"main" ~params:[ "idx" ];
-  let p = B.call b "malloc" [ B.cst 4 ] in
-  let q = B.gep b p (Ast.Reg "idx") in
-  B.store b (B.cst 7) q;
-  let v = B.load b q in
-  B.call_void b "print" [ v ];
-  B.ret b (Some (B.cst 0));
-  B.finish b
-
-let run_main ?config m args = Interp.run ?config m ~entry:"main" ~args
-
 let test_asan_instrument_valid_ir () =
-  let m = Inst.apply_exn [ San.asan ] (heap_prog ()) in
+  let m = Inst.apply_exn [ San.asan ] (Kit.heap_prog ()) in
   Verify.check_exn m
 
 let test_asan_benign_behavior_preserved () =
-  let base = heap_prog () in
+  let base = Kit.heap_prog () in
   let inst = Inst.apply_exn [ San.asan ] base in
-  let r0 = run_main base [ 2L ] in
-  let r1 = run_main inst [ 2L ] in
+  let r0 = Kit.run_main base [ 2L ] in
+  let r1 = Kit.run_main inst [ 2L ] in
   Alcotest.(check bool) "same events" true (Interp.events_equal r0 r1);
   Alcotest.(check bool) "finished" true
     (match r1.Interp.outcome with Interp.Finished _ -> true | _ -> false)
 
 let test_asan_detects_oob () =
-  let inst = Inst.apply_exn [ San.asan ] (heap_prog ()) in
-  let r = run_main inst [ 4L ] in
+  let inst = Inst.apply_exn [ San.asan ] (Kit.heap_prog ()) in
+  let r = Kit.run_main inst [ 4L ] in
   Alcotest.(check bool) "detected oob store" true
     (match r.Interp.outcome with
      | Interp.Detected d -> d.Interp.d_handler = "__asan_report_store"
      | _ -> false)
 
 let test_uninstrumented_misses_oob () =
-  let r = run_main (heap_prog ()) [ 4L ] in
+  let r = Kit.run_main (Kit.heap_prog ()) [ 4L ] in
   Alcotest.(check bool) "silent corruption" true
     (match r.Interp.outcome with Interp.Finished _ -> true | _ -> false)
 
@@ -190,7 +176,7 @@ let test_asan_detects_double_free () =
   B.call_void b "free" [ p ];
   B.ret b None;
   let inst = Inst.apply_exn [ San.asan ] (B.finish b) in
-  let r = run_main inst [] in
+  let r = Kit.run_main inst [] in
   Alcotest.(check bool) "detected" true
     (match r.Interp.outcome with
      | Interp.Detected d -> d.Interp.d_handler = "__asan_report_free"
@@ -205,14 +191,14 @@ let test_msan_detects_uninit () =
   B.ret b None;
   let m = B.finish b in
   let inst = Inst.apply_exn [ San.msan ] m in
-  let r = run_main inst [] in
+  let r = Kit.run_main inst [] in
   Alcotest.(check bool) "detected" true
     (match r.Interp.outcome with
      | Interp.Detected d -> d.Interp.d_handler = "__msan_report"
      | _ -> false);
   (* ASan does NOT catch uninitialised reads. *)
   let asan_inst = Inst.apply_exn [ San.asan ] m in
-  let r2 = run_main asan_inst [] in
+  let r2 = Kit.run_main asan_inst [] in
   Alcotest.(check bool) "asan misses it" true
     (match r2.Interp.outcome with Interp.Finished _ -> true | _ -> false)
 
@@ -225,9 +211,9 @@ let test_ubsan_div_by_zero () =
   let m = B.finish b in
   let sub = Option.get (San.find_ubsan_sub "integer-divide-by-zero") in
   let inst = Inst.apply_exn [ sub ] m in
-  let ok = run_main inst [ 4L ] in
+  let ok = Kit.run_main inst [ 4L ] in
   Alcotest.(check bool) "benign" true (ok.Interp.events = [ Interp.Output 25L ]);
-  let bad = run_main inst [ 0L ] in
+  let bad = Kit.run_main inst [ 0L ] in
   Alcotest.(check bool) "detected before SIGFPE" true
     (match bad.Interp.outcome with
      | Interp.Detected d -> d.Interp.d_handler = "__ubsan_report_divrem"
@@ -241,16 +227,16 @@ let test_ubsan_signed_overflow () =
   B.ret b None;
   let sub = Option.get (San.find_ubsan_sub "signed-integer-overflow") in
   let inst = Inst.apply_exn [ sub ] (B.finish b) in
-  let ok = run_main inst [ 5L ] in
+  let ok = Kit.run_main inst [ 5L ] in
   Alcotest.(check bool) "benign" true (ok.Interp.events = [ Interp.Output 6L ]);
-  let bad = run_main inst [ Int64.max_int ] in
+  let bad = Kit.run_main inst [ Int64.max_int ] in
   Alcotest.(check bool) "overflow detected" true
     (match bad.Interp.outcome with
      | Interp.Detected d -> d.Interp.d_handler = "__ubsan_report_overflow"
      | _ -> false)
 
 let test_conflicting_instrumentation_rejected () =
-  match Inst.apply [ San.asan; San.msan ] (heap_prog ()) with
+  match Inst.apply [ San.asan; San.msan ] (Kit.heap_prog ()) with
   | Ok _ -> Alcotest.fail "expected conflict error"
   | Error msg -> Alcotest.(check bool) "mentions conflict" true (String.length msg > 0)
 
@@ -267,12 +253,12 @@ let test_compatible_pair_composes () =
   B.ret b None;
   let inst = Inst.apply_exn [ San.asan; sub ] (B.finish b) in
   Verify.check_exn inst;
-  let oob = run_main inst [ 9L; 1L ] in
+  let oob = Kit.run_main inst [ 9L; 1L ] in
   Alcotest.(check bool) "asan fires" true
     (match oob.Interp.outcome with
      | Interp.Detected d -> d.Interp.d_handler = "__asan_report_store"
      | _ -> false);
-  let div0 = run_main inst [ 1L; 0L ] in
+  let div0 = Kit.run_main inst [ 1L; 0L ] in
   Alcotest.(check bool) "ubsan fires" true
     (match div0.Interp.outcome with
      | Interp.Detected d -> d.Interp.d_handler = "__ubsan_report_divrem"
@@ -292,21 +278,21 @@ let test_only_restricts_functions () =
   let m = B.finish b in
   let inst = Inst.apply_exn [ San.asan ] ~only:[ "helper" ] m in
   (* OOB store in main is unchecked; the load in helper is checked. *)
-  let r = run_main inst [ 2L ] in
+  let r = Kit.run_main inst [ 2L ] in
   Alcotest.(check bool) "helper check fires on oob ptr" true
     (match r.Interp.outcome with
      | Interp.Detected d -> d.Interp.d_func = "helper"
      | _ -> false)
 
 let test_check_count () =
-  let base = heap_prog () in
+  let base = Kit.heap_prog () in
   let inst = Inst.apply_exn [ San.asan ] base in
   (* One store + one load = two ASan checks (malloc is not an access). *)
   let checks m = List.length (Bunshin_slicer.Slicer.discover m) in
   Alcotest.(check int) "two checks" 2 (checks inst - checks base)
 
 let test_metadata_globals_added () =
-  let inst = Inst.apply_exn [ San.asan ] (heap_prog ()) in
+  let inst = Inst.apply_exn [ San.asan ] (Kit.heap_prog ()) in
   Alcotest.(check bool) "asan ctr global" true
     (List.exists (fun g -> g.Ast.g_name = "__asan_shadow_ctr") inst.Ast.m_globals)
 
@@ -350,8 +336,8 @@ let test_instrument_phi_labels_fixed () =
   Verify.check_exn m;
   let inst = Inst.apply_exn [ San.asan ] m in
   Verify.check_exn inst;
-  let r0 = run_main m [] in
-  let r1 = run_main inst [] in
+  let r0 = Kit.run_main m [] in
+  let r1 = Kit.run_main inst [] in
   Alcotest.(check bool) "loop behaves" true (Interp.events_equal r0 r1);
   Alcotest.(check bool) "3 iterations" true
     (r0.Interp.events = [ Interp.Output 0L; Interp.Output 1L; Interp.Output 2L ])
@@ -366,6 +352,16 @@ let uaf_prog () =
   B.call_void b "free" [ p ];
   let v = B.load b p in
   B.ret b (Some v);
+  B.finish b
+
+(* The only use after free is a store. *)
+let uaf_store_prog () =
+  let b = B.create "uaf_store" in
+  B.start_func b ~name:"main" ~params:[];
+  let p = B.call b "malloc" [ B.cst 2 ] in
+  B.call_void b "free" [ p ];
+  B.store b (B.cst 5) p;
+  B.ret b None;
   B.finish b
 
 let oob_prog () =
@@ -391,6 +387,8 @@ let test_cets_temporal_only () =
   (* CETS flags the use-after-free (at the free or the stale access)... *)
   Alcotest.(check bool) "cets catches uaf" true
     (detected_by [ San.cets ] (uaf_prog ()) <> None);
+  Alcotest.(check (option string)) "cets catches a store after free" (Some "__cets_report")
+    (detected_by [ San.cets ] (uaf_store_prog ()));
   (* ...but not a pure spatial overflow into the redzone. *)
   Alcotest.(check bool) "cets misses oob into redzone" true
     (detected_by [ San.cets ] (oob_prog ()) = None)
@@ -407,22 +405,20 @@ let prop_instrument_preserves_benign_behavior =
   QCheck.Test.make ~name:"instrument: benign behaviour preserved (asan)" ~count:100
     QCheck.(int_range 0 3)
     (fun idx ->
-      let base = heap_prog () in
+      let base = Kit.heap_prog () in
       let inst = Inst.apply_exn [ San.asan ] base in
-      let r0 = run_main base [ Int64.of_int idx ] in
-      let r1 = run_main inst [ Int64.of_int idx ] in
+      let r0 = Kit.run_main base [ Int64.of_int idx ] in
+      let r1 = Kit.run_main inst [ Int64.of_int idx ] in
       Interp.events_equal r0 r1)
 
 let prop_instrument_detects_all_oob =
   QCheck.Test.make ~name:"instrument: all oob indexes detected (asan)" ~count:100
     QCheck.(int_range 4 64)
     (fun idx ->
-      let inst = Inst.apply_exn [ San.asan ] (heap_prog ()) in
-      match (run_main inst [ Int64.of_int idx ]).Interp.outcome with
+      let inst = Inst.apply_exn [ San.asan ] (Kit.heap_prog ()) in
+      match (Kit.run_main inst [ Int64.of_int idx ]).Interp.outcome with
       | Interp.Detected _ -> true
       | _ -> false)
-
-let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
   Alcotest.run ~and_exit:false "bunshin_sanitizer"
@@ -473,7 +469,7 @@ let () =
           Alcotest.test_case "softbound+cets combo" `Quick test_softbound_cets_combo_covers_both;
         ] );
       ( "properties",
-        qcheck [ prop_instrument_preserves_benign_behavior; prop_instrument_detects_all_oob ] );
+        Kit.qcheck [ prop_instrument_preserves_benign_behavior; prop_instrument_detects_all_oob ] );
     ]
 
 (* Appended: stack-cookie and CFI pass tests (extension batch 2). *)
@@ -491,11 +487,11 @@ let test_stack_cookie_detects_smash () =
   let inst = Inst.apply_exn [ San.stack_cookie ] (stack_smash_prog ()) in
   Verify.check_exn inst;
   (* In-bounds write: clean. *)
-  (match (run_main inst [ 2L ]).Interp.outcome with
+  (match (Kit.run_main inst [ 2L ]).Interp.outcome with
    | Interp.Finished _ -> ()
    | _ -> Alcotest.fail "benign should finish");
   (* n=5 lands on the canary slot (4 slots + 1 redzone): detected at ret. *)
-  let r = run_main inst [ 5L ] in
+  let r = Kit.run_main inst [ 5L ] in
   Alcotest.(check bool) "smash detected" true
     (match r.Interp.outcome with
      | Interp.Detected d -> d.Interp.d_handler = "__stackcookie_report"
@@ -505,12 +501,12 @@ let test_stack_cookie_misses_redzone_poke () =
   (* n=4 corrupts only the redzone, not the canary: cookies miss it
      (ASan's redzones are strictly stronger on this shape). *)
   let inst = Inst.apply_exn [ San.stack_cookie ] (stack_smash_prog ()) in
-  let r = run_main inst [ 4L ] in
+  let r = Kit.run_main inst [ 4L ] in
   Alcotest.(check bool) "cookie misses" true
     (match r.Interp.outcome with Interp.Finished _ -> true | _ -> false);
   let asan = Inst.apply_exn [ San.asan ] (stack_smash_prog ()) in
   Alcotest.(check bool) "asan catches" true
-    (match (run_main asan [ 4L ]).Interp.outcome with
+    (match (Kit.run_main asan [ 4L ]).Interp.outcome with
      | Interp.Detected _ -> true
      | _ -> false)
 
@@ -519,7 +515,7 @@ let test_stack_cookie_removable () =
   let inst = Inst.apply_exn [ San.stack_cookie ] base in
   let removed = Bunshin_slicer.Slicer.remove_checks inst in
   Verify.check_exn removed;
-  let r0 = run_main base [ 2L ] and r1 = run_main removed [ 2L ] in
+  let r0 = Kit.run_main base [ 2L ] and r1 = Kit.run_main removed [ 2L ] in
   Alcotest.(check bool) "behaviour restored" true (Interp.events_equal r0 r1);
   Alcotest.(check int) "no sinks left" 0
     (List.length (Bunshin_slicer.Slicer.discover removed))
@@ -551,13 +547,13 @@ let test_cfi_blocks_data_target () =
   let inst = Inst.apply_exn [ San.cfi ] m in
   Verify.check_exn inst;
   (* Corrupt the pointer with non-code data: CFI fires before the call. *)
-  let r = run_main inst [ 0xDEADL ] in
+  let r = Kit.run_main inst [ 0xDEADL ] in
   Alcotest.(check bool) "cfi detected" true
     (match r.Interp.outcome with
      | Interp.Detected d -> d.Interp.d_handler = "__cfi_report"
      | _ -> false);
   (* Without CFI the same input is a hard crash (bad indirect call). *)
-  let r0 = run_main m [ 0xDEADL ] in
+  let r0 = Kit.run_main m [ 0xDEADL ] in
   Alcotest.(check bool) "uninstrumented crashes" true
     (match r0.Interp.outcome with
      | Interp.Crashed (Interp.Bad_indirect_call _) -> true
@@ -569,12 +565,12 @@ let test_cfi_misses_whole_function_reuse () =
   let m = hijack_prog () in
   let gadget = Interp.address_of_func m "gadget" in
   let inst = Inst.apply_exn [ San.cfi ] m in
-  let r = run_main inst [ gadget ] in
+  let r = Kit.run_main inst [ gadget ] in
   Alcotest.(check bool) "gadget runs" true (List.mem (Interp.Output 666L) r.Interp.events)
 
 let test_safecode_detects_oob () =
-  let inst = Inst.apply_exn [ San.safecode ] (heap_prog ()) in
-  let r = run_main inst [ 4L ] in
+  let inst = Inst.apply_exn [ San.safecode ] (Kit.heap_prog ()) in
+  let r = Kit.run_main inst [ 4L ] in
   Alcotest.(check bool) "safecode fires" true
     (match r.Interp.outcome with
      | Interp.Detected d -> d.Interp.d_handler = "__safecode_report"

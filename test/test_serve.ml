@@ -3,8 +3,6 @@
    (Server.make request accounting and argument validation). *)
 
 module Rng = Bunshin_util.Rng
-module M = Bunshin_machine.Machine
-module Trace = Bunshin_program.Trace
 module Program = Bunshin_program.Program
 module Server = Bunshin_workloads.Server
 module Bench = Bunshin_workloads.Bench
@@ -92,8 +90,7 @@ let test_run_deterministic () =
 
 let test_run_validates_arguments () =
   let s = src () in
-  let bad f = Alcotest.(check bool) "rejected" true (try ignore (f ()); false
-    with Invalid_argument _ -> true) in
+  let bad f = Alcotest.(check bool) "rejected" true (Kit.invalid f) in
   bad (fun () -> Serve.run s ~offered_rps:0.0 ~requests:10);
   bad (fun () -> Serve.run s ~offered_rps:1e5 ~requests:0);
   bad (fun () ->
@@ -250,8 +247,6 @@ let prop_neutrality =
           = Nxe.report_signature (Serve.solo_report ~config s ~req_id:rid))
         r.Serve.sv_reports)
 
-let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
-
 let () =
   Alcotest.run ~and_exit:false "bunshin_serve"
     [
@@ -276,5 +271,5 @@ let () =
           Alcotest.test_case "under faults" `Quick test_neutrality_under_faults;
           Alcotest.test_case "compile once" `Quick test_ir_source_compiles_once;
         ] );
-      ("properties", qcheck [ prop_conservation; prop_neutrality ]);
+      ("properties", Kit.qcheck [ prop_conservation; prop_neutrality ]);
     ]

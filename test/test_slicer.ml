@@ -7,20 +7,6 @@ module San = Bunshin_sanitizer.Sanitizer
 module Inst = Bunshin_sanitizer.Instrument
 module Slicer = Bunshin_slicer.Slicer
 
-let run_main ?config m args = Interp.run ?config m ~entry:"main" ~args
-
-(* main(idx) { p = malloc(4); p[idx] = 7; print(p[idx]); ret 0 } *)
-let heap_prog () =
-  let b = B.create "heap" in
-  B.start_func b ~name:"main" ~params:[ "idx" ];
-  let p = B.call b "malloc" [ B.cst 4 ] in
-  let q = B.gep b p (Ast.Reg "idx") in
-  B.store b (B.cst 7) q;
-  let v = B.load b q in
-  B.call_void b "print" [ v ];
-  B.ret b (Some (B.cst 0));
-  B.finish b
-
 (* Two functions, each with one checked access. *)
 let two_func_prog () =
   let b = B.create "two" in
@@ -43,13 +29,13 @@ let two_func_prog () =
 (* Discovery *)
 
 let test_discover_counts () =
-  let base = heap_prog () in
+  let base = Kit.heap_prog () in
   Alcotest.(check int) "baseline has no sinks" 0 (List.length (Slicer.discover base));
   let inst = Inst.apply_exn [ San.asan ] base in
   Alcotest.(check int) "asan adds two sinks" 2 (List.length (Slicer.discover inst))
 
 let test_discover_identifies_handler () =
-  let inst = Inst.apply_exn [ San.asan ] (heap_prog ()) in
+  let inst = Inst.apply_exn [ San.asan ] (Kit.heap_prog ()) in
   let handlers = List.map (fun s -> s.Slicer.sk_handler) (Slicer.discover inst) in
   Alcotest.(check (list string)) "handlers" [ "__asan_report_store"; "__asan_report_load" ]
     handlers
@@ -57,7 +43,7 @@ let test_discover_identifies_handler () =
 let test_discover_ignores_metadata () =
   (* MSan metadata (counter update per store) contains stores but no report
      handler: it must not be discovered. *)
-  let inst = Inst.apply_exn [ San.msan ] (heap_prog ()) in
+  let inst = Inst.apply_exn [ San.msan ] (Kit.heap_prog ()) in
   let sinks = Slicer.discover inst in
   Alcotest.(check bool) "only msan checks" true
     (List.for_all (fun s -> s.Slicer.sk_handler = "__msan_report") sinks)
@@ -80,51 +66,87 @@ let test_per_function_counts () =
 (* ------------------------------------------------------------------ *)
 (* Removal *)
 
+(* The ASan build of [heap_prog], with main's return rewritten to branch on
+   the first check's condition: a condition that another block's
+   terminator also reads, so removal must keep its definition. *)
+let asan_condition_read_by_terminator () =
+  let inst = Inst.apply_exn [ San.asan ] (Kit.heap_prog ()) in
+  let main = List.hd inst.Ast.m_funcs in
+  let sinks = List.map (fun s -> s.Slicer.sk_block) (Slicer.discover inst) in
+  let cond =
+    List.find_map
+      (fun bl ->
+        match bl.Ast.b_term with
+        | Ast.CondBr (Ast.Reg c, _, fail) when List.mem fail sinks -> Some c
+        | _ -> None)
+      main.Ast.f_blocks
+    |> Option.get
+  in
+  let exit =
+    List.find (fun bl -> match bl.Ast.b_term with Ast.Ret _ -> true | _ -> false) main.Ast.f_blocks
+  in
+  let ret label = { Ast.b_label = label; b_instrs = []; b_term = exit.Ast.b_term } in
+  exit.Ast.b_term <- Ast.CondBr (Ast.Reg cond, "ret.a", "ret.b");
+  main.Ast.f_blocks <- main.Ast.f_blocks @ [ ret "ret.a"; ret "ret.b" ];
+  inst
+
 let test_remove_restores_benign_behavior () =
-  let base = heap_prog () in
-  let inst = Inst.apply_exn [ San.asan ] base in
-  let removed = Slicer.remove_checks inst in
-  Verify.check_exn removed;
-  let r0 = run_main base [ 2L ] in
-  let r1 = run_main removed [ 2L ] in
-  Alcotest.(check bool) "benign events equal" true (Interp.events_equal r0 r1)
+  let base = Kit.heap_prog () in
+  List.iter
+    (fun (build, inst) ->
+      let removed = Slicer.remove_checks inst in
+      Verify.check_exn removed;
+      List.iter
+        (fun idx ->
+          Alcotest.(check bool) (Printf.sprintf "%s: benign events equal at %Ld" build idx) true
+            (Interp.events_equal (Kit.run_main base [ idx ]) (Kit.run_main removed [ idx ])))
+        [ 0L; 2L; 3L ])
+    [
+      ("asan", Inst.apply_exn [ San.asan ] base);
+      ("condition read by a terminator", asan_condition_read_by_terminator ());
+    ]
 
 let test_remove_disables_detection () =
-  let inst = Inst.apply_exn [ San.asan ] (heap_prog ()) in
+  let inst = Inst.apply_exn [ San.asan ] (Kit.heap_prog ()) in
   let removed = Slicer.remove_checks inst in
-  let r = run_main removed [ 4L ] in
+  let r = Kit.run_main removed [ 4L ] in
   (* Like the baseline: silent corruption, no detection. *)
   Alcotest.(check bool) "no longer detected" true
     (match r.Interp.outcome with Interp.Finished _ -> true | _ -> false)
 
 let test_remove_removes_all_sinks () =
-  let inst = Inst.apply_exn [ San.asan ] (heap_prog ()) in
+  let inst = Inst.apply_exn [ San.asan ] (Kit.heap_prog ()) in
   let removed = Slicer.remove_checks inst in
   Alcotest.(check int) "no sinks left" 0 (List.length (Slicer.discover removed))
 
 let test_remove_keeps_metadata () =
-  (* The ASan shadow-counter updates are metadata maintenance; removal must
-     keep them (the paper: removing them breaks sanitizer correctness). *)
-  let inst = Inst.apply_exn [ San.asan ] (heap_prog ()) in
-  let removed = Slicer.remove_checks inst in
-  let touches_metadata_global m =
-    List.exists
-      (fun f ->
-        List.exists
-          (fun bl ->
-            List.exists
-              (fun i ->
-                List.exists
-                  (function Ast.Global g -> g = "__asan_shadow_ctr" | _ -> false)
-                  (Ast.uses_of_instr i))
-              bl.Ast.b_instrs)
-          f.Ast.f_blocks)
-      m.Ast.m_funcs
+  (* The shadow-counter updates of ASan (per allocation) and MSan (per
+     store) are metadata maintenance; removal must keep them (the paper:
+     removing them breaks sanitizer correctness). *)
+  let count p m =
+    List.fold_left
+      (fun n f ->
+        List.fold_left
+          (fun n bl -> n + List.length (List.filter p bl.Ast.b_instrs))
+          n f.Ast.f_blocks)
+      0 m.Ast.m_funcs
   in
-  Alcotest.(check bool) "metadata stores survive" true (touches_metadata_global removed)
+  let update glob = function Ast.Store (_, Ast.Global g) -> g = glob | _ -> false in
+  let base = Kit.heap_prog () in
+  let asan = Inst.apply_exn [ San.asan ] base in
+  let asan_updates = count (update "__asan_shadow_ctr") asan in
+  Alcotest.(check bool) "asan updates its metadata" true (asan_updates > 0);
+  Alcotest.(check int) "asan metadata stores survive" asan_updates
+    (count (update "__asan_shadow_ctr") (Slicer.remove_checks asan));
+  let msan = Inst.apply_exn [ San.msan ] base in
+  let stores = count (function Ast.Store _ -> true | _ -> false) base in
+  Alcotest.(check int) "one msan update per store" stores
+    (count (update "__msan_shadow_ctr") msan);
+  Alcotest.(check int) "msan metadata stores survive" stores
+    (count (update "__msan_shadow_ctr") (Slicer.remove_checks msan))
 
 let test_remove_instruction_count () =
-  let base = heap_prog () in
+  let base = Kit.heap_prog () in
   let inst = Inst.apply_exn [ San.asan ] base in
   let removed = Slicer.remove_checks inst in
   let n = Slicer.removed_instruction_count inst removed in
@@ -139,7 +161,7 @@ let test_remove_only_selected_functions () =
   Alcotest.(check (list (pair string int)))
     "writer keeps its check" [ ("reader", 0); ("writer", 1); ("main", 0) ] counts;
   (* The surviving check still works: oob write via writer is detected. *)
-  let r = run_main removed [ 5L ] in
+  let r = Kit.run_main removed [ 5L ] in
   Alcotest.(check bool) "writer check fires" true
     (match r.Interp.outcome with
      | Interp.Detected d -> d.Interp.d_func = "writer"
@@ -164,18 +186,18 @@ let test_remove_by_handler () =
   in
   Verify.check_exn stripped;
   (* ASan check gone: oob store into the redzone is silent now. *)
-  let oob = run_main stripped [ 4L; 1L ] in
+  let oob = Kit.run_main stripped [ 4L; 1L ] in
   Alcotest.(check bool) "asan check gone" true
     (match oob.Interp.outcome with Interp.Finished _ -> true | _ -> false);
   (* UBSan check kept: div-by-zero still detected. *)
-  let div0 = run_main stripped [ 1L; 0L ] in
+  let div0 = Kit.run_main stripped [ 1L; 0L ] in
   Alcotest.(check bool) "ubsan kept" true
     (match div0.Interp.outcome with
      | Interp.Detected d -> d.Interp.d_handler = "__ubsan_report_divrem"
      | _ -> false)
 
 let test_remove_idempotent () =
-  let inst = Inst.apply_exn [ San.asan ] (heap_prog ()) in
+  let inst = Inst.apply_exn [ San.asan ] (Kit.heap_prog ()) in
   let once = Slicer.remove_checks inst in
   let twice = Slicer.remove_checks once in
   Alcotest.(check int) "second pass removes nothing" 0
@@ -191,7 +213,7 @@ let test_check_distribution_union_covers () =
   let variant_a = Slicer.remove_checks ~in_funcs:[ "writer" ] inst in
   let variant_b = Slicer.remove_checks ~in_funcs:[ "reader" ] inst in
   let detected m idx =
-    match (run_main m [ Int64.of_int idx ]).Interp.outcome with
+    match (Kit.run_main m [ Int64.of_int idx ]).Interp.outcome with
     | Interp.Detected _ -> true
     | _ -> false
   in
@@ -266,15 +288,15 @@ let prop_generated_pipeline_roundtrip =
     (fun ops ->
       let base = build_program ops in
       Verify.check_exn base;
-      let r0 = run_main base [] in
+      let r0 = Kit.run_main base [] in
       List.for_all
         (fun sans ->
           let inst = Inst.apply_exn sans base in
           Verify.check_exn inst;
           let removed = Slicer.remove_checks inst in
           Verify.check_exn removed;
-          let r1 = run_main inst [] in
-          let r2 = run_main removed [] in
+          let r1 = Kit.run_main inst [] in
+          let r2 = Kit.run_main removed [] in
           (* Benign by construction: instrumentation must be transparent and
              removal must restore the baseline exactly. *)
           Interp.events_equal r0 r1 && Interp.events_equal r0 r2
@@ -409,32 +431,30 @@ let prop_remove_after_instrument_is_identity_on_behavior =
   QCheck.Test.make ~name:"slicer: instrument;remove ~ baseline (events)" ~count:100
     QCheck.(pair (int_range 0 3) (int_range (-5) 5))
     (fun (idx, _salt) ->
-      let base = heap_prog () in
+      let base = Kit.heap_prog () in
       let inst = Inst.apply_exn [ San.asan ] base in
       let removed = Slicer.remove_checks inst in
-      let r0 = run_main base [ Int64.of_int idx ] in
-      let r1 = run_main removed [ Int64.of_int idx ] in
+      let r0 = Kit.run_main base [ Int64.of_int idx ] in
+      let r1 = Kit.run_main removed [ Int64.of_int idx ] in
       Interp.events_equal r0 r1)
 
 let prop_partial_removal_never_detects_more =
   QCheck.Test.make ~name:"slicer: removal never adds detections" ~count:60
     QCheck.(int_range 0 10)
     (fun idx ->
-      let inst = Inst.apply_exn [ San.asan ] (heap_prog ()) in
+      let inst = Inst.apply_exn [ San.asan ] (Kit.heap_prog ()) in
       let removed = Slicer.remove_checks inst in
       let was_detected =
-        match (run_main inst [ Int64.of_int idx ]).Interp.outcome with
+        match (Kit.run_main inst [ Int64.of_int idx ]).Interp.outcome with
         | Interp.Detected _ -> true
         | _ -> false
       in
       let now_detected =
-        match (run_main removed [ Int64.of_int idx ]).Interp.outcome with
+        match (Kit.run_main removed [ Int64.of_int idx ]).Interp.outcome with
         | Interp.Detected _ -> true
         | _ -> false
       in
       (not now_detected) || was_detected)
-
-let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
   Alcotest.run "bunshin_slicer"
@@ -460,7 +480,7 @@ let () =
           Alcotest.test_case "never leaks Not_found" `Quick test_remove_never_leaks_not_found;
         ] );
       ( "properties",
-        qcheck
+        Kit.qcheck
           [
             prop_remove_after_instrument_is_identity_on_behavior;
             prop_partial_removal_never_detects_more;

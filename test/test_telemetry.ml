@@ -234,9 +234,8 @@ let test_registry () =
   Alcotest.(check (float 1e-9)) "gauge last" 1.0 (Tel.Gauge.last g);
   Alcotest.(check (float 1e-9)) "gauge max" 3.0 (Tel.Gauge.max_value g);
   Alcotest.(check int) "gauge samples" 2 (Tel.Gauge.samples g);
-  (match Tel.gauge sink "hits" with
-   | _ -> Alcotest.fail "kind mismatch not rejected"
-   | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "kind mismatch rejected" true
+    (Kit.invalid (fun () -> Tel.gauge sink "hits"));
   let h1 = Tel.Hist.create ~buckets:[ 1.0 ] () in
   let h2 = Tel.Hist.create ~buckets:[ 1.0 ] () in
   Alcotest.(check string) "first name" "h" (Tel.register_hist sink "h" h1);
@@ -272,13 +271,8 @@ let test_trace_covers_layers () =
   Alcotest.(check bool) "text dump mentions hists" true
     (let txt = Tel.metrics_to_text sink in
      String.length txt > 0
-     &&
-     let contains ne =
-       let nh = String.length txt and nn = String.length ne in
-       let rec go i = i + nn <= nh && (String.sub txt i nn = ne || go (i + 1)) in
-       go 0
-     in
-     contains "nxe.syscall_gap" && contains "nxe.lockstep_wait_us")
+     && Kit.contains txt "nxe.syscall_gap"
+     && Kit.contains txt "nxe.lockstep_wait_us")
 
 let test_interp_domain () =
   let sink = Tel.create () in
@@ -334,7 +328,7 @@ let test_chrome_structure () =
   let trace = Program.build_trace (Program.baseline prog) ~seed:Experiments.ref_seed in
   ignore
     (Cluster.run_traces ~config:{ Cluster.default_config with nodes = 3 } ~engine:config
-       ~names:(List.init n (Printf.sprintf "v%d"))
+       ~names:(Kit.names n)
        (List.init n (fun _ -> trace)));
   let case = List.hd Cve.cases in
   let inst = Instrument.apply_exn [ Sanitizer.asan ] case.Cve.c_modul in
@@ -490,11 +484,6 @@ let test_report_histograms_always_on () =
 
 module Slo = Tel.Slo
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
 let test_slo_count_and_rotation () =
   let w = Slo.window ~sub_windows:4 ~sub_us:100.0 () in
   Alcotest.(check (float 1e-9)) "span" 400.0 (Slo.span_us w);
@@ -619,12 +608,10 @@ let test_breach_edge_oracle () =
     (Array.to_list bounds @ [ 0.5; 3.0; 700.0; 20000.0 ])
 
 let test_slo_validation () =
-  (match Slo.window ~sub_windows:0 () with
-   | _ -> Alcotest.fail "zero sub-windows accepted"
-   | exception Invalid_argument _ -> ());
-  match Slo.window ~sub_us:0.0 () with
-  | _ -> Alcotest.fail "zero sub-window span accepted"
-  | exception Invalid_argument _ -> ()
+  Alcotest.(check bool) "zero sub-windows rejected" true
+    (Kit.invalid (fun () -> Slo.window ~sub_windows:0 ()));
+  Alcotest.(check bool) "zero sub-window span rejected" true
+    (Kit.invalid (fun () -> Slo.window ~sub_us:0.0 ()))
 
 let test_prometheus_format () =
   let sink = Tel.create () in
@@ -638,7 +625,7 @@ let test_prometheus_format () =
   List.iter
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "contains %S" needle) true
-        (contains out needle))
+        (Kit.contains out needle))
     [
       (* names sanitized to [a-zA-Z0-9_:] *)
       "# TYPE net_bytes_sent counter\nnet_bytes_sent 3\n";

@@ -7,7 +7,6 @@
    collector. *)
 
 module Trace = Bunshin_program.Trace
-module Sc = Bunshin_syscall.Syscall
 module Nxe = Bunshin_nxe.Nxe
 module Cluster = Bunshin_cluster.Cluster
 module Tx = Bunshin_trace_ctx.Trace_ctx
@@ -16,9 +15,7 @@ module Profile = Bunshin_profile.Profile
 module Faults = Bunshin_faults.Faults
 module Json = Bunshin_util.Json
 
-let work c = Trace.Work { func = "f"; cost = c }
-let wr i = Trace.Sys (Sc.write ~args:[ 1L; Int64.of_int i ] ())
-let names n = List.init n (fun i -> Printf.sprintf "v%d" i)
+open Kit
 
 (* Variant [v] pays [base * (1 + skew*v)] of compute per synchronized
    write: [v = n-1] is the designed straggler. *)
@@ -70,9 +67,7 @@ let root tc ~pos ~t0 ~t1 =
 
 (* A link message under [parent] to [node], its delay all propagation. *)
 let link tc ~parent ~node ~t0 ~t1 =
-  let id =
-    Tx.record_child tc Tx.Net_msg ~parent ~node ~variant:(-1) ~chan:(-1) ~pos:(-1) ~t0 ~t1
-  in
+  let id = Tx.record_child tc Tx.Net_msg ~parent ~node ~variant:(-1) ~chan:(-1) ~pos:(-1) ~t0 ~t1 in
   Tx.annotate tc id ~a0:0.0 ~a1:(t1 -. t0) ~a2:0.0
 
 let arrival tc ~parent ~node ~variant ~t1 =
@@ -250,7 +245,6 @@ let test_nxe_spans_well_formed () =
    survivors finish, and the retired victim holds no rendezvous root open,
    on either channel. *)
 let check_quarantine_then_spawn base =
-  let rd i = Trace.Sys (Sc.read ~args:[ 3L; Int64.of_int i ] ()) in
   let trace =
     [ work 5.0; rd 0; work 5.0; rd 1; work 5.0; wr 2; work 5.0 ]
     @ [ Trace.Spawn (List.concat (List.init 4 (fun i -> [ work 5.0; rd (10 + i) ]))) ]
@@ -302,7 +296,6 @@ let test_nxe_strict_spawn_after_quarantine () =
    every slot from the start, and no root may be finished a second time:
    every root opened before the quarantine keeps the close time it had. *)
 let check_roots_after_run_ahead policy =
-  let rd i = Trace.Sys (Sc.read ~args:[ 3L; Int64.of_int i ] ()) in
   let trace =
     List.concat (List.init 5 (fun i -> [ work 5.0; rd i ])) @ [ work 5.0; wr 9; work 5.0 ]
   in
@@ -426,23 +419,19 @@ let test_cluster_incident_signature_neutral () =
   (* A remote argument divergence must produce the same verdict — same
      incident signature — whether or not the span recorder is attached. *)
   let leader = [ work 10.0; wr 42 ] in
-  let follower = [ work 10.0; Trace.Sys (Sc.write ~args:[ 1L; 666L ] ()) ] in
+  let follower = [ work 10.0; wr 666 ] in
   let run telemetry =
     let config = { Cluster.default_config with Cluster.nodes = 2; ship = Cluster.Selective } in
     Cluster.run_traces ~config ~engine:{ Nxe.default_config with telemetry } ~names:(names 2)
       [ leader; follower ]
   in
-  let signature r =
-    match r.Cluster.incident with
-    | Some inc -> Cluster.incident_signature inc
-    | None -> Alcotest.fail "divergence must attach forensics"
-  in
   let plain = run None in
   let traced = run (Some (Tel.create ())) in
-  Alcotest.(check bool) "both aborted" true
-    (plain.Cluster.outcome <> `All_finished && traced.Cluster.outcome <> `All_finished);
-  Alcotest.(check string) "incident signature identical with tracing on"
-    (signature plain) (signature traced)
+  Alcotest.(check bool) "both aborted with forensics" true
+    (plain.Cluster.outcome <> `All_finished && traced.Cluster.outcome <> `All_finished
+    && plain.Cluster.incident <> None);
+  Alcotest.(check (option string)) "incident signature identical with tracing on"
+    (signature plain.Cluster.incident) (signature traced.Cluster.incident)
 
 let test_cluster_straggler_matches_profiler () =
   (* The acceptance cross-check: with compute skew large enough to
@@ -471,30 +460,24 @@ let test_cluster_straggler_matches_profiler () =
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
+(* Every random fleet's span forest is well-formed, with one trace per
+   synchronized syscall, at batch sizes from 1 to 16 slots. *)
 let prop_cluster_spans_well_formed =
   QCheck.Test.make ~name:"trace_ctx: cluster span forest well-formed" ~count:30
-    QCheck.(
-      quad (int_range 1 4) (int_range 0 2) (int_range 2 4) (int_range 3 10))
-    (fun (nodes, ship_ix, n, units) ->
-      let ship =
-        match ship_ix with
-        | 0 -> Cluster.Full_remote_lockstep
-        | 1 -> Cluster.Selective
-        | _ -> Cluster.Selective_replicated
-      in
-      let batch_slots = 1 + ((units * n) mod 16) in
+    (fleet ~diverge:false ~fault:false ())
+    (fun f ->
+      let batch_slots = 1 + ((List.length f.f_main * f.f_n) mod 16) in
       let sink, tc = traced () in
-      let config = { Cluster.default_config with Cluster.nodes; ship; batch_slots } in
+      let config =
+        { Cluster.default_config with Cluster.nodes = f.f_nodes; ship = f.f_ship; batch_slots }
+      in
       let r =
         Cluster.run_traces ~config ~engine:{ Nxe.default_config with telemetry = Some sink }
-          ~names:(names n)
-          (skewed_traces ~units ~skew:(0.1 *. float_of_int (1 + (units mod 5))) n)
+          ~names:(names f.f_n) (fleet_traces f)
       in
       r.Cluster.outcome = `All_finished
       && Tx.well_formed tc = Ok ()
       && List.length (Tx.traces tc) = r.Cluster.synced_syscalls)
-
-let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
   Alcotest.run "trace_ctx"

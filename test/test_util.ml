@@ -7,11 +7,6 @@ module Table = Bunshin_util.Table
 let check_float = Alcotest.(check (float 1e-9))
 let check_close msg eps expected actual = Alcotest.(check (float eps)) msg expected actual
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
 (* ------------------------------------------------------------------ *)
 (* Rng *)
 
@@ -188,10 +183,7 @@ let test_rng_weighted_rejects_bad_weights () =
      makes an earlier element unreachable.  Both are rejected when the
      table is built. *)
   let rejects name pairs =
-    Alcotest.(check bool) name true
-      (match Rng.weighted pairs with
-       | _ -> false
-       | exception Invalid_argument _ -> true)
+    Alcotest.(check bool) name true (Kit.invalid (fun () -> Rng.weighted pairs))
   in
   rejects "nan" [| ("a", 1.0); ("b", nan); ("c", 1.0) |];
   rejects "negative" [| ("a", 2.0); ("b", -1.0); ("c", 1.0) |];
@@ -333,8 +325,8 @@ let test_table_renders_rows () =
   Table.add_row t [ "b"; "22" ];
   let s = Table.render t in
   Alcotest.(check bool) "has title" true (String.length s > 0 && String.sub s 0 1 = "T");
-  Alcotest.(check bool) "contains alpha" true (contains s "alpha");
-  Alcotest.(check bool) "contains 22" true (contains s "22")
+  Alcotest.(check bool) "contains alpha" true (Kit.contains s "alpha");
+  Alcotest.(check bool) "contains 22" true (Kit.contains s "22")
 
 let test_table_wrong_arity () =
   let t = Table.create [ ("a", Table.Left); ("b", Table.Left) ] in
@@ -463,8 +455,6 @@ let prop_weighted_draw_matches_scan =
       let a = Rng.create seed and b = Rng.create seed in
       List.for_all (fun _ -> Rng.draw a table = scan_weighted_choice b pairs) (List.init 1000 Fun.id))
 
-let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
-
 let () =
   Alcotest.run "bunshin_util"
     [
@@ -517,7 +507,7 @@ let () =
           Alcotest.test_case "separator" `Quick test_table_separator;
         ] );
       ( "properties",
-        qcheck
+        Kit.qcheck
           [
             prop_rng_int_in_range;
             prop_shuffle_preserves_multiset;
