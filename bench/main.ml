@@ -390,22 +390,18 @@ let fig8 () =
 let fig9 () =
   section "Figure 9: 2-variant NXE under background load (stress-ng model)";
   let benches = [ "bzip2"; "mcf"; "milc"; "astar"; "omnetpp"; "gcc" ] in
-  let levels = [ 0.02; 0.5; 0.99 ] in
+  let all = List.map (fun name -> (name, E.load_sensitivity (Spec.find name))) benches in
+  let levels = List.map fst (snd (List.hd all)) in
   let t =
     Table.create
       (("benchmark", Table.Left)
       :: List.map (fun l -> (Printf.sprintf "%.0f%% load" (l *. 100.), Table.Right)) levels)
   in
-  let all =
-    List.map
-      (fun name ->
-        let series = E.load_sensitivity ~levels (Spec.find name) in
-        Table.add_row t (name :: List.map (fun (_, oh) -> pct oh) series);
-        series)
-      benches
-  in
+  List.iter
+    (fun (name, series) -> Table.add_row t (name :: List.map (fun (_, oh) -> pct oh) series))
+    all;
   Table.add_sep t;
-  let avg_at l = Stats.mean (List.map (fun series -> List.assoc l series) all) in
+  let avg_at l = Stats.mean (List.map (fun (_, series) -> List.assoc l series) all) in
   Table.add_row t ("average" :: List.map (fun l -> pct (avg_at l)) levels);
   Table.add_row t ("paper avg" :: [ "8.1%"; "10.23%"; "13.46%" ]);
   Table.print t
@@ -560,7 +556,7 @@ let asap () =
   in
   List.iter
     (fun name ->
-      let r = E.asap_comparison ~budget:0.5 (Spec.find name) in
+      let r = E.asap_comparison (Spec.find name) in
       Table.add_row t
         [
           r.E.ac_bench; pct r.E.ac_budget; pct r.E.ac_asap_overhead; pct r.E.ac_asap_coverage;
@@ -977,29 +973,36 @@ type nxe_measure = {
   nm_minor_words_per_sync : float;
 }
 
-let nxe_measure ~batches ~runs mk_traces config =
-  let traces = mk_traces () in
-  let names = List.mapi (fun i _ -> Printf.sprintf "v%d" i) traces in
-  let run1 () = Nxe.run_traces ~config ~names traces in
+(* Run a workload, then rerun it: the rerun's minor words are the host
+   allocation of one whole run, registration included (a single run, not
+   best-of, so the figure is an honest per-run one).  A first run that
+   [aborted] (a false divergence) or a rerun that is not the [same] ends
+   the bench. *)
+let run_and_rerun ~section ~aborted ~same run1 =
   let r0 = run1 () in
-  (match r0.Nxe.outcome with
-   | `All_finished -> ()
-   | `Aborted _ ->
-     Printf.eprintf "nxe bench: workload aborted (false divergence)\n";
-     exit 1);
-  (* Steady-state allocation: minor words consumed by a whole run divided
-     by its synchronized syscalls.  Measured on a single run (not best-of)
-     so the number is an honest per-run figure including registration. *)
+  if aborted r0 then begin
+    Printf.eprintf "%s bench: workload aborted (false divergence)\n" section;
+    exit 1
+  end;
   let mw0 = Gc.minor_words () in
   let r1 = run1 () in
   let mwords = Gc.minor_words () -. mw0 in
-  if r1.Nxe.synced_syscalls <> r0.Nxe.synced_syscalls
-     || r1.Nxe.total_time <> r0.Nxe.total_time
-  then begin
-    Printf.eprintf "nxe bench: non-deterministic run (synced %d vs %d)\n"
-      r1.Nxe.synced_syscalls r0.Nxe.synced_syscalls;
+  if not (same r0 r1) then begin
+    Printf.eprintf "%s bench: non-deterministic run\n" section;
     exit 1
   end;
+  (r0, mwords)
+
+let nxe_measure ~batches ~runs traces config =
+  let names = List.mapi (fun i _ -> Printf.sprintf "v%d" i) traces in
+  let run1 () = Nxe.run_traces ~config ~names traces in
+  let r0, mwords =
+    run_and_rerun ~section:"nxe"
+      ~aborted:(fun r -> match r.Nxe.outcome with `All_finished -> false | `Aborted _ -> true)
+      ~same:(fun a b ->
+        a.Nxe.synced_syscalls = b.Nxe.synced_syscalls && a.Nxe.total_time = b.Nxe.total_time)
+      run1
+  in
   let best = ref infinity in
   for _ = 1 to batches do
     let t0 = Unix.gettimeofday () in
@@ -1030,35 +1033,32 @@ let nxe_dense_trace () =
   let rng = Rng.create 0xb21b2 in
   Bench.cpu_trace ~funcs:r_funcs ~units:3000 ~unit_cost:2.0 ~syscall_every:2 rng
 
+(* The traces the nxe and net sections run: bzip2 at the reference
+   seed, the syscall-dense bzip2, and lighttpd and nginx serving 64
+   connections, 60 requests in quick mode and 160 otherwise. *)
+let lockstep_traces ~quick =
+  let baseline (b : Bench.t) =
+    Program.build_trace (Program.baseline b.Bench.prog) ~seed:E.ref_seed
+  in
+  let server kind =
+    baseline (Server.make kind ~file_kb:1 ~connections:64 ~requests:(if quick then 60 else 160))
+  in
+  (baseline (Spec.find "bzip2"), nxe_dense_trace (), server Server.Lighttpd, server Server.Nginx)
+
 let nxe_data () =
   section "NXE lockstep: synchronized-syscalls/sec, 2-8 variants";
   let quick = !quick_mode in
   let batches = if quick then 2 else 4 in
   let runs = if quick then 1 else 3 in
-  let bzip2_trace =
-    let b = Spec.find "bzip2" in
-    let t = Program.build_trace (Program.baseline b.Bench.prog) ~seed:E.ref_seed in
-    fun () -> t
-  in
-  let dense_trace =
-    let t = nxe_dense_trace () in
-    fun () -> t
-  in
-  let server_trace kind =
-    let bench = Server.make kind ~file_kb:1 ~connections:64 ~requests:(if quick then 60 else 160) in
-    let t = Program.build_trace (Program.baseline bench.Bench.prog) ~seed:E.ref_seed in
-    fun () -> t
-  in
-  let lighttpd_trace = server_trace Server.Lighttpd in
-  let nginx_trace = server_trace Server.Nginx in
+  let bzip2, dense, lighttpd, nginx = lockstep_traces ~quick in
   let ns = if quick then [ 2; 3 ] else [ 2; 3; 4; 6; 8 ] in
   let workloads =
     [
-      ("bzip2", bzip2_trace, Nxe.default_config);
-      ("bzip2_dense", dense_trace, Nxe.default_config);
-      ("bzip2_dense_sel", dense_trace, Nxe.selective);
-      ("lighttpd", lighttpd_trace, Nxe.default_config);
-      ("nginx", nginx_trace, Nxe.default_config);
+      ("bzip2", bzip2, Nxe.default_config);
+      ("bzip2_dense", dense, Nxe.default_config);
+      ("bzip2_dense_sel", dense, Nxe.selective);
+      ("lighttpd", lighttpd, Nxe.default_config);
+      ("nginx", nginx, Nxe.default_config);
     ]
   in
   let t =
@@ -1071,11 +1071,10 @@ let nxe_data () =
   in
   let suites = ref [] in
   List.iter
-    (fun (wname, mk_trace, config) ->
+    (fun (wname, trace, config) ->
       List.iter
         (fun n ->
-          let mk_traces () = List.init n (fun _ -> mk_trace ()) in
-          let m = nxe_measure ~batches ~runs mk_traces config in
+          let m = nxe_measure ~batches ~runs (List.init n (fun _ -> trace)) config in
           let sname = Printf.sprintf "%s_n%d" wname n in
           (* Allocation budget: the hot path is supposed to be free of
              per-event allocation, so a synchronized syscall on the dense
@@ -1142,32 +1141,23 @@ let net_modes =
     ("repl", Cluster.Selective_replicated);
   ]
 
-let net_run ~variants ~nodes ~ship mk_trace =
-  let traces = List.init variants (fun _ -> mk_trace ()) in
+(* The host allocation is per synchronized syscall, as in the nxe
+   section. *)
+let net_run ~variants ~nodes ~ship trace =
+  let traces = List.init variants (fun _ -> trace) in
   let names = List.mapi (fun i _ -> Printf.sprintf "v%d" i) traces in
   let config = { Cluster.default_config with nodes; ship } in
   let run1 () = Cluster.run_traces ~config ~names traces in
-  let r = run1 () in
-  (match r.Cluster.outcome with
-   | `All_finished -> ()
-   | `Aborted _ ->
-     Printf.eprintf "net bench: workload aborted (false divergence)\n";
-     exit 1);
-  (* The rerun checks determinism and measures the host's allocation: the
-     minor words of one whole run per synchronized syscall, as the nxe
-     section measures its local runs. *)
-  let mw0 = Gc.minor_words () in
-  let r2 = run1 () in
-  let mwords = Gc.minor_words () -. mw0 in
-  if
-    r2.Cluster.bytes_on_wire <> r.Cluster.bytes_on_wire
-    || r2.Cluster.msgs_on_wire <> r.Cluster.msgs_on_wire
-    || r2.Cluster.total_time <> r.Cluster.total_time
-  then begin
-    Printf.eprintf "net bench: non-deterministic run (%d vs %d bytes on wire)\n"
-      r2.Cluster.bytes_on_wire r.Cluster.bytes_on_wire;
-    exit 1
-  end;
+  let r, mwords =
+    run_and_rerun ~section:"net"
+      ~aborted:(fun r ->
+        match r.Cluster.outcome with `All_finished -> false | `Aborted _ -> true)
+      ~same:(fun a b ->
+        a.Cluster.bytes_on_wire = b.Cluster.bytes_on_wire
+        && a.Cluster.msgs_on_wire = b.Cluster.msgs_on_wire
+        && a.Cluster.total_time = b.Cluster.total_time)
+      run1
+  in
   let synced = r.Cluster.synced_syscalls in
   (r, if synced = 0 then 0.0 else mwords /. float_of_int synced)
 
@@ -1229,29 +1219,9 @@ let net_data () =
   section "Distributed NXE: wire traffic vs overhead (naive / selective / +replication)";
   let quick = !quick_mode in
   let variants = 4 in
-  let bzip2_trace =
-    let b = Spec.find "bzip2" in
-    let t = Program.build_trace (Program.baseline b.Bench.prog) ~seed:E.ref_seed in
-    fun () -> t
-  in
-  let dense_trace =
-    let t = nxe_dense_trace () in
-    fun () -> t
-  in
-  let server_trace kind =
-    let bench =
-      Server.make kind ~file_kb:1 ~connections:64 ~requests:(if quick then 60 else 160)
-    in
-    let t = Program.build_trace (Program.baseline bench.Bench.prog) ~seed:E.ref_seed in
-    fun () -> t
-  in
+  let bzip2, dense, lighttpd, nginx = lockstep_traces ~quick in
   let workloads =
-    [
-      ("bzip2", bzip2_trace);
-      ("bzip2_dense", dense_trace);
-      ("lighttpd", server_trace Server.Lighttpd);
-      ("nginx", server_trace Server.Nginx);
-    ]
+    [ ("bzip2", bzip2); ("bzip2_dense", dense); ("lighttpd", lighttpd); ("nginx", nginx) ]
   in
   let ns = if quick then [ 2; 3 ] else [ 2; 3; 4 ] in
   let t =
@@ -1265,14 +1235,14 @@ let net_data () =
   in
   let suites = ref [] in
   List.iter
-    (fun (wname, mk_trace) ->
-      let solo, _ = net_run ~variants ~nodes:1 ~ship:Cluster.Selective_replicated mk_trace in
+    (fun (wname, trace) ->
+      let solo, _ = net_run ~variants ~nodes:1 ~ship:Cluster.Selective_replicated trace in
       List.iter
         (fun nodes ->
           let naive_bytes = ref 0 in
           List.iter
             (fun (mname, ship) ->
-              let r, words_per_sync = net_run ~variants ~nodes ~ship mk_trace in
+              let r, words_per_sync = net_run ~variants ~nodes ~ship trace in
               if ship = Cluster.Full_remote_lockstep then
                 naive_bytes := r.Cluster.bytes_on_wire;
               let reduction =

@@ -18,6 +18,13 @@ let find_bench name =
   | Some b -> Ok b
   | None -> Error (`Msg (Printf.sprintf "unknown benchmark %S (try `bunshin list')" name))
 
+(* [find_bench], and the lighttpd and nginx server models, which are not
+   in [bunshin list]. *)
+let find_bench_or_server = function
+  | "lighttpd" -> Ok (Server.make Server.Lighttpd ~file_kb:1 ~connections:16 ~requests:40)
+  | "nginx" -> Ok (Server.make Server.Nginx ~file_kb:1 ~connections:16 ~requests:40)
+  | name -> find_bench name
+
 let bench_arg =
   let bconv =
     Arg.conv ((fun s -> find_bench s), fun fmt b -> Format.fprintf fmt "%s" b.Bench.name)
@@ -164,10 +171,7 @@ let plan_of ?(block_split = 1) ?profile_file ~mode ~n ~sanitizer bench =
         (fun s -> ([ s ], Sanitizer.group_cost [ s ] Cost_model.typical_profile))
         Sanitizer.ubsan_subs
     in
-    Variant.sanitizer_distribution ~n ~units prog
-    |> Result.map_error (fun e -> `Msg e)
-    |> Result.map Fun.id
-    |> fun r -> (match r with Ok p -> Ok p | Error (`Msg e) -> Error (`Msg e))
+    Variant.sanitizer_distribution ~n ~units prog |> Result.map_error (fun e -> `Msg e)
   | Unify ->
     Variant.unify ~n [ [ Sanitizer.asan ]; [ Sanitizer.msan ]; Sanitizer.ubsan_subs ] prog
     |> Result.map_error (fun e -> `Msg e)
@@ -199,17 +203,8 @@ let profile_cmd =
   (* The attribution profiler also accepts the server workload models,
      which are not Spec benchmarks. *)
   let profile_bench_arg =
-    let find name =
-      match find_bench name with
-      | Ok b -> Ok b
-      | Error _ as e -> (
-        match name with
-        | "lighttpd" -> Ok (Server.make Server.Lighttpd ~file_kb:1 ~connections:16 ~requests:40)
-        | "nginx" -> Ok (Server.make Server.Nginx ~file_kb:1 ~connections:16 ~requests:40)
-        | _ -> e)
-    in
     let bconv =
-      Arg.conv ((fun s -> find s), fun fmt b -> Format.fprintf fmt "%s" b.Bench.name)
+      Arg.conv (find_bench_or_server, fun fmt b -> Format.fprintf fmt "%s" b.Bench.name)
     in
     Arg.(required & pos 0 (some bconv) None
          & info [] ~docv:"BENCH" ~doc:"Benchmark name (also: lighttpd, nginx).")
@@ -785,17 +780,10 @@ let chaos_cmd =
 
 let cluster_cmd =
   let bench_arg =
-    let find name =
-      match find_bench name with
-      | Ok b -> Ok b
-      | Error _ as e -> (
-        match name with
-        | "lighttpd" -> Ok (Server.make Server.Lighttpd ~file_kb:1 ~connections:16 ~requests:40)
-        | "nginx" -> Ok (Server.make Server.Nginx ~file_kb:1 ~connections:16 ~requests:40)
-        | _ -> e)
+    let bconv =
+      Arg.conv (find_bench_or_server, fun fmt b -> Format.fprintf fmt "%s" b.Bench.name)
     in
-    let bconv = Arg.conv ((fun s -> find s), fun fmt b -> Format.fprintf fmt "%s" b.Bench.name) in
-    let default = match find "bzip2" with Ok b -> b | Error _ -> assert false in
+    let default = match find_bench "bzip2" with Ok b -> b | Error _ -> assert false in
     Arg.(value & pos 0 bconv default
          & info [] ~docv:"BENCH" ~doc:"Benchmark name (also: lighttpd, nginx); default bzip2.")
   in

@@ -15,8 +15,9 @@ fi
 echo "== dune build @all"
 dune build @all
 
-# Lean public surface: every value a lib/*/*.mli exports has a caller
-# outside the tests, or a reason in bin/exports.allow.
+# Lean public surface: every value a lib/*/*.mli exports, and every
+# optional argument it declares, has a caller outside the tests, or a
+# reason in bin/exports.allow.
 echo "== exports (bin/exports.sh)"
 bin/exports.sh
 

@@ -37,7 +37,7 @@ let () =
   Printf.printf "exfiltration (writes) never completes: the selected lockstep class.\n";
 
   rule "3. ASAP's budget vs Bunshin's distribution";
-  let r = Experiments.asap_comparison ~budget:0.5 (Spec.find "bzip2") in
+  let r = Experiments.asap_comparison (Spec.find "bzip2") in
   Printf.printf "bzip2, 50%% check budget:\n";
   Printf.printf "  ASAP:    %s overhead, %s of functions still checked\n"
     (Stats.pct r.Experiments.ac_asap_overhead)

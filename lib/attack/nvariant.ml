@@ -45,7 +45,8 @@ let hijacked run = List.mem (Interp.Output 666L) run.Interp.events
 let finished run =
   match run.Interp.outcome with Interp.Finished _ -> true | _ -> false
 
-let evaluate ?(seed_a = 41) ?(seed_b = 42) () =
+let evaluate () =
+  let seed_a = 41 and seed_b = 42 in
   let m = demo_modul () in
   (* The attacker leaked variant A's layout: the dispatch-table slot
      address under seed_a, and the (layout-independent) code address of the

@@ -28,9 +28,10 @@ type verdict = {
           [`All_finished] *)
 }
 
-val evaluate : ?seed_a:int -> ?seed_b:int -> unit -> verdict
-(** Run the exploit (crafted against variant A's layout) on both variants
-    and report the monitor's view.  Defaults: two distinct layouts. *)
+val evaluate : unit -> verdict
+(** Run the exploit (crafted against variant A's layout) on both variants,
+    under two distinct layouts (seeds 41 and 42), and report the
+    monitor's view. *)
 
 val single_layout_escapes : unit -> bool
 (** Control experiment: with both variants sharing one layout the exploit

@@ -12,6 +12,7 @@ type result = {
 }
 
 let prefix_syscalls = 10
+let n_malicious = 16
 
 let benign_prefix () =
   List.concat
@@ -39,7 +40,7 @@ let mode_name config =
   | Nxe.Strict_lockstep -> "strict"
   | Nxe.Selective_lockstep -> "selective"
 
-let run ~mode ~payload ?(n_malicious = 16) () =
+let run ~mode ~payload =
   let leader = benign_prefix () @ malicious payload n_malicious in
   (* The follower is healthy: after the prefix it performs a long
      computation and then its own next (benign) syscall — at which point
@@ -69,8 +70,8 @@ let run ~mode ~payload ?(n_malicious = 16) () =
 
 let summary () =
   [
-    run ~mode:Nxe.default_config ~payload:Reads ();
-    run ~mode:Nxe.default_config ~payload:Writes ();
-    run ~mode:Nxe.selective ~payload:Reads ();
-    run ~mode:Nxe.selective ~payload:Writes ();
+    run ~mode:Nxe.default_config ~payload:Reads;
+    run ~mode:Nxe.default_config ~payload:Writes;
+    run ~mode:Nxe.selective ~payload:Reads;
+    run ~mode:Nxe.selective ~payload:Writes;
   ]

@@ -24,8 +24,9 @@ type result = {
   wr_executed : int;         (** malicious syscalls the leader completed *)
 }
 
-val run : mode:Bunshin_nxe.Nxe.config -> payload:payload -> ?n_malicious:int -> unit -> result
-(** Compromise the leader after a benign prefix and measure the damage. *)
+val run : mode:Bunshin_nxe.Nxe.config -> payload:payload -> result
+(** Compromise the leader after a benign prefix and measure the damage
+    done by a payload of 16 malicious syscalls. *)
 
 val summary : unit -> result list
-(** The four mode x payload combinations (default payload size 16). *)
+(** The four mode x payload combinations. *)

@@ -68,12 +68,9 @@ let mode_name = function
 (* The cluster is the engine over its Net transport: run, project the
    report. *)
 
-let run_traces ?(config = default_config) ?engine ?machine_config ?working_sets
-    ?sensitivities ?faults ?coverage ~names traces =
-  let r, w =
-    Nxe.run_net config ?config:engine ?machine_config ?working_sets ?sensitivities ?faults
-      ?coverage ~names traces
-  in
+let run_traces ?(config = default_config) ?engine ?working_sets ?faults ?coverage ~names
+    traces =
+  let r, w = Nxe.run_net config ?config:engine ?working_sets ?faults ?coverage ~names traces in
   {
     outcome = r.Nxe.outcome;
     incident = r.Nxe.incident;

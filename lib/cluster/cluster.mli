@@ -116,9 +116,7 @@ type report = {
 val run_traces :
   ?config:config ->
   ?engine:Nxe.config ->
-  ?machine_config:M.config ->
   ?working_sets:float list ->
-  ?sensitivities:float Lazy.t list ->
   ?faults:Faults.plan ->
   ?coverage:string list list ->
   names:string list ->
@@ -135,11 +133,10 @@ val run_traces :
     (context rides in the 8 reserved header bytes of every message, see
     the byte-model note in [net.mli]).  Schedules, reports, incident
     signatures and bytes-on-wire are bit-identical with or without it.
-    [working_sets] and [sensitivities] are as in
-    {!Nxe.run_traces}: a sensitivity is forced only if its node's LLC is
-    over-subscribed.  Traces may use [Work]/[Idle]/[Sys]/[Sys_shared]/[Incr]/
-    [Lock]/[Unlock]/[Barrier]/[Spawn]/[Marker]; [Fork], [Shared_read] and
-    signal delivery are single-host features and are rejected.
+    [working_sets] is as in {!Nxe.run_traces}.  Traces may use
+    [Work]/[Idle]/[Sys]/[Sys_shared]/[Incr]/[Lock]/[Unlock]/[Barrier]/
+    [Spawn]/[Marker]; [Fork], [Shared_read] and signal delivery are
+    single-host features and are rejected.
     @raise Invalid_argument on invalid config, placement, unsupported ops,
     a [ring_capacity] below the flow-ack period of 16, or the
     [Restart_once] policy. *)

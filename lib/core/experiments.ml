@@ -38,10 +38,10 @@ let nxe_run ?config ?(machine_config = desktop) ?on_machine ~seed builds =
 
 type efficiency = { ef_bench : string; ef_strict : float; ef_selective : float }
 
-let nxe_efficiency ?(n = 3) bench =
+let nxe_efficiency bench =
   let build = Program.baseline bench.Bench.prog in
   let solo = solo_time build ~seed:ref_seed in
-  let builds = List.init n (fun _ -> build) in
+  let builds = [ build; build; build ] in
   let time config = (nxe_run ~config ~seed:ref_seed builds).Nxe.total_time in
   {
     ef_bench = bench.Bench.name;
@@ -86,7 +86,7 @@ let server_latency kind ~file_kb ~connections =
 (* ------------------------------------------------------------------ *)
 (* §5.2 scalability (Figure 5). *)
 
-let scalability ?(ns = [ 2; 3; 4; 5; 6; 7; 8 ]) bench =
+let scalability bench =
   let build = Program.baseline bench.Bench.prog in
   let solo = solo_time ~machine_config:server12 build ~seed:ref_seed in
   List.map
@@ -94,7 +94,7 @@ let scalability ?(ns = [ 2; 3; 4; 5; 6; 7; 8 ]) bench =
       let builds = List.init n (fun _ -> build) in
       let r = nxe_run ~machine_config:server12 ~seed:ref_seed builds in
       (n, Stats.overhead ~baseline:solo ~measured:r.Nxe.total_time))
-    ns
+    [ 2; 3; 4; 5; 6; 7; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* Check distribution (§5.4 / Figure 6). *)
@@ -106,8 +106,9 @@ type distribution = {
   cd_bunshin_overhead : float;
 }
 
-let check_distribution ?(n = 3) ?(block_split = 1) ?(sanitizer = San.asan) bench =
+let check_distribution ?(n = 3) ?(block_split = 1) bench =
   let prog = bench.Bench.prog in
+  let sanitizer = San.asan in
   (* Figure 1 workflow: profile baseline and instrumented builds on the
      train workload, derive the overhead profile, partition, build. *)
   let base_build = Program.baseline prog in
@@ -141,12 +142,11 @@ let check_distribution ?(n = 3) ?(block_split = 1) ?(sanitizer = San.asan) bench
    slowest variant's solo overhead (lockstep converts skew into wait, not
    into extra work), never the sum of all variants' overheads. *)
 
-let attribution_run ?(config = Nxe.default_config) ?(machine_config = desktop)
-    ?(workload = "") ~seed builds =
+let attribution_run ?(config = Nxe.default_config) ?(workload = "") ~seed builds =
   let collector = Profile.Collector.create (List.length builds) in
   if workload <> "" then Profile.Collector.set_workload collector workload;
   let report =
-    Nxe.run_builds ~config ~machine_config ~profile:collector ~jitter:variant_jitter
+    Nxe.run_builds ~config ~machine_config:desktop ~profile:collector ~jitter:variant_jitter
       ~seed builds
   in
   (Profile.attribution collector, report)
@@ -163,30 +163,27 @@ type overhead_attribution = {
   oa_max_tracks_group : bool;     (* group closer to max than to sum *)
 }
 
-let overhead_attribution ?(n = 3) ?(config = Nxe.default_config)
-    ?(machine_config = desktop) ?(sanitizer = San.asan) bench =
+let overhead_attribution ?(n = 3) ?(config = Nxe.default_config) bench =
   let prog = bench.Bench.prog in
   (* Same Figure-1 workflow as check_distribution: train-profile, derive
      the overhead profile, partition checks across n variants. *)
   let base_build = Program.baseline prog in
-  let full_build = Program.full [ sanitizer ] prog in
-  let base_profile = Profile.measure ~machine_config base_build ~seed:train_seed in
-  let full_profile = Profile.measure ~machine_config full_build ~seed:train_seed in
+  let full_build = Program.full [ San.asan ] prog in
+  let base_profile = Profile.measure ~machine_config:desktop base_build ~seed:train_seed in
+  let full_profile = Profile.measure ~machine_config:desktop full_build ~seed:train_seed in
   let overhead_profile =
     Profile.overhead_by_func ~baseline:base_profile ~instrumented:full_profile
   in
-  let plan = Variant.check_distribution ~n ~sanitizer ~overhead_profile prog in
+  let plan = Variant.check_distribution ~n ~sanitizer:San.asan ~overhead_profile prog in
   let builds = Variant.builds plan in
-  let solo = solo_time ~machine_config base_build ~seed:ref_seed in
+  let solo = solo_time base_build ~seed:ref_seed in
   let solo_overheads =
     List.map
-      (fun b ->
-        Stats.overhead ~baseline:solo ~measured:(solo_time ~machine_config b ~seed:ref_seed))
+      (fun b -> Stats.overhead ~baseline:solo ~measured:(solo_time b ~seed:ref_seed))
       builds
   in
   let attr, report =
-    attribution_run ~config ~machine_config ~workload:bench.Bench.name ~seed:ref_seed
-      builds
+    attribution_run ~config ~workload:bench.Bench.name ~seed:ref_seed builds
   in
   let group = Stats.overhead ~baseline:solo ~measured:report.Nxe.total_time in
   let max_solo = List.fold_left Float.max 0.0 solo_overheads in
@@ -301,7 +298,7 @@ let syscall_gap bench =
 
 let loaded_config = desktop
 
-let load_sensitivity ?(levels = [ 0.02; 0.5; 0.99 ]) bench =
+let load_sensitivity bench =
   let build = Program.baseline bench.Bench.prog in
   let attach level m = Load.spawn_background m ~level ~tasks:8 ~working_set:0.8 () in
   let solo_under level =
@@ -319,7 +316,7 @@ let load_sensitivity ?(levels = [ 0.02; 0.5; 0.99 ]) bench =
           [ build; build ]
       in
       (level, Stats.overhead ~baseline:solo ~measured:r.Nxe.total_time))
-    levels
+    [ 0.02; 0.5; 0.99 ]
 
 type asap_comparison = {
   ac_bench : string;
@@ -330,7 +327,8 @@ type asap_comparison = {
   ac_bunshin_coverage : float;
 }
 
-let asap_comparison ?(budget = 0.5) bench =
+let asap_comparison bench =
+  let budget = 0.5 in
   let prog = bench.Bench.prog in
   let base_build = Program.baseline prog in
   let full_build = Program.full [ San.asan ] prog in
@@ -357,17 +355,14 @@ let asap_comparison ?(budget = 0.5) bench =
     ac_bunshin_coverage = 1.0;
   }
 
-let robustness ?benches () =
+let robustness () =
   let benches =
-    match benches with
-    | Some bs -> bs
-    | None ->
-      Bunshin_workloads.Spec.all
-      @ Bunshin_workloads.Multithreaded.supported
-      @ [
-          Server.make Server.Lighttpd ~file_kb:1 ~connections:64 ~requests:100;
-          Server.make Server.Nginx ~file_kb:1 ~connections:64 ~requests:100;
-        ]
+    Bunshin_workloads.Spec.all
+    @ Bunshin_workloads.Multithreaded.supported
+    @ [
+        Server.make Server.Lighttpd ~file_kb:1 ~connections:64 ~requests:100;
+        Server.make Server.Nginx ~file_kb:1 ~connections:64 ~requests:100;
+      ]
   in
   List.map
     (fun b ->

@@ -10,7 +10,6 @@
 
 module Bench := Bunshin_workloads.Bench
 module Server := Bunshin_workloads.Server
-module San := Bunshin_sanitizer.Sanitizer
 module Nxe := Bunshin_nxe.Nxe
 
 val train_seed : int
@@ -28,7 +27,7 @@ type efficiency = {
   ef_selective : float;  (** same, selective *)
 }
 
-val nxe_efficiency : ?n:int -> Bench.t -> efficiency
+val nxe_efficiency : Bench.t -> efficiency
 
 (** {1 §5.2 — server latency (Table 2)} *)
 
@@ -43,9 +42,9 @@ val server_latency :
 
 (** {1 §5.2 — scalability in N (Figure 5)} *)
 
-val scalability : ?ns:int list -> Bench.t -> (int * float) list
+val scalability : Bench.t -> (int * float) list
 (** Overhead of synchronizing [n] identical variants on the 12-core
-    machine, for each [n] (default 2..8). *)
+    machine, for each [n] in 2..8. *)
 
 (** {1 §5.3 — attack window (syscall distance)} *)
 
@@ -62,23 +61,23 @@ type distribution = {
   cd_bunshin_overhead : float;    (** N variants under the NXE *)
 }
 
-val check_distribution :
-  ?n:int -> ?block_split:int -> ?sanitizer:San.t -> Bench.t -> distribution
-(** [block_split] > 1 distributes at basic-block granularity (§6), which
-    rescues the hmmer/lbm single-hot-function outliers. *)
+val check_distribution : ?n:int -> ?block_split:int -> Bench.t -> distribution
+(** ASan's checks over [n] variants.  [block_split] > 1 distributes at
+    basic-block granularity (§6), which rescues the hmmer/lbm
+    single-hot-function outliers. *)
 
 (** {1 Overhead attribution (the [bunshin profile] engine)} *)
 
 val attribution_run :
   ?config:Nxe.config ->
-  ?machine_config:Bunshin_machine.Machine.config ->
   ?workload:string ->
   seed:int ->
   Bunshin_program.Program.build list ->
   Bunshin_profile.Profile.attribution * Nxe.report
-(** Run the builds under the NXE with an attribution collector attached
-    and decode it: per-variant phase decomposition plus the straggler
-    record of every lockstep rendezvous. *)
+(** Run the builds under the NXE on the {!desktop} machine with an
+    attribution collector attached and decode it: per-variant phase
+    decomposition plus the straggler record of every lockstep
+    rendezvous. *)
 
 type overhead_attribution = {
   oa_workload : string;
@@ -94,13 +93,11 @@ type overhead_attribution = {
           slowest variant's solo overhead than to the sum of all of them *)
 }
 
-val overhead_attribution :
-  ?n:int -> ?config:Nxe.config ->
-  ?machine_config:Bunshin_machine.Machine.config -> ?sanitizer:San.t ->
-  Bench.t -> overhead_attribution
-(** Check-distribute the benchmark over [n] variants (Figure-1 workflow),
-    run the group under the NXE with attribution on, and check the
-    max-vs-sum overhead rule against per-variant solo runs. *)
+val overhead_attribution : ?n:int -> ?config:Nxe.config -> Bench.t -> overhead_attribution
+(** Check-distribute the benchmark's ASan checks over [n] variants
+    (Figure-1 workflow), run the group under the NXE on the {!desktop}
+    machine with attribution on, and check the max-vs-sum overhead rule
+    against per-variant solo runs. *)
 
 (** {1 §5.5 — sanitizer distribution on UBSan (Figure 7)} *)
 
@@ -122,9 +119,9 @@ val unify_sanitizers : Bench.t -> unify option
 
 (** {1 §5.7 — background load (Figure 9) and single core} *)
 
-val load_sensitivity : ?levels:float list -> Bench.t -> (float * float) list
+val load_sensitivity : Bench.t -> (float * float) list
 (** [(level, overhead)] of a 2-variant NXE versus a solo run under the same
-    stress-ng-style background load. *)
+    stress-ng-style background load, at levels 0.02, 0.5 and 0.99. *)
 
 val single_core_overhead : Bench.t -> float
 (** Synchronization overhead of 2 variants when the machine has one core. *)
@@ -140,18 +137,18 @@ type asap_comparison = {
   ac_bunshin_coverage : float;  (** always 1.0: every check lives somewhere *)
 }
 
-val asap_comparison : ?budget:float -> Bench.t -> asap_comparison
+val asap_comparison : Bench.t -> asap_comparison
 (** Same performance target, opposite security outcome: ASAP prunes the
-    hottest checks to fit the budget; Bunshin keeps them all and splits
-    them across variants. *)
+    hottest checks to fit a budget of half the full check cost; Bunshin
+    keeps them all and splits them across variants. *)
 
 (** {1 §5.1 — NXE robustness} *)
 
-val robustness : ?benches:Bench.t list -> unit -> (string * bool) list
+val robustness : unit -> (string * bool) list
 (** Run 3 identical copies of each benchmark's baseline binary under strict
     lockstep and report whether the run completed without a (false)
-    divergence alert.  Defaults to SPEC + supported SPLASH/PARSEC + both
-    servers — the §5.1 sweep. *)
+    divergence alert: SPEC + supported SPLASH/PARSEC + both servers — the
+    §5.1 sweep. *)
 
 val unsupported_demo : unit -> (string * bool) list
 (** The other half of §5.1: each runnable-but-racy PARSEC member paired

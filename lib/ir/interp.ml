@@ -1059,8 +1059,7 @@ let run_compiled ?(config = default_config) ?telemetry (pm : P.t) ~entry ~args =
     steps = fst.f_steps;
   }
 
-let run ?config ?telemetry modul ~entry ~args =
-  run_compiled ?config ?telemetry (P.compile modul) ~entry ~args
+let run modul ~entry ~args = run_compiled (P.compile modul) ~entry ~args
 
 let events_equal a b = a.events = b.events
 

@@ -82,27 +82,15 @@ type config = {
 
 val default_config : config
 
-val run :
-  ?config:config ->
-  ?telemetry:Bunshin_telemetry.Telemetry.domain ->
-  modul ->
-  entry:string ->
-  args:int64 list ->
-  run
-(** Execute [entry] with the given integer arguments.
+val run : modul -> entry:string -> args:int64 list -> run
+(** Execute [entry] with the given integer arguments under
+    {!default_config}.
 
     This is the fast path: it precompiles the module ({!compile}) and runs
     the result ({!run_compiled}).  Callers executing the same module many
-    times (variant evaluation, attack campaigns, benchmarks) should compile
-    once themselves and call {!run_compiled} per run.
-
-    [telemetry] attaches the run to a trace domain whose clock is the
-    {e instruction counter} (not machine time).  The sink's recorder gets
-    one slice per function activation on the domain's ["calls"] track and
-    a ["detected"] mark naming the handler when a report handler fires;
-    the sink gets counters [<domain>.check_hits] / [.check_fails] /
-    [.detections].  Omitted, every instrumentation
-    point is a no-op and the {!run} result is identical.
+    times (variant evaluation, attack campaigns, benchmarks), or with
+    another config or a telemetry domain, compile once themselves and call
+    {!run_compiled} per run.
     @raise Invalid_argument if [entry] does not exist or arity mismatches. *)
 
 val compile : modul -> Precompile.t
@@ -117,9 +105,19 @@ val run_compiled :
   entry:string ->
   args:int64 list ->
   run
-(** Like {!run} on the module the argument was compiled from.  Identical
-    observable behaviour — outcome, events, timeline, hazards, step count,
-    layout randomization — for any [config]/[telemetry]/[args]. *)
+(** Run [entry] of a compiled module under [config] (default
+    {!default_config}); {!run} is [run_compiled (compile m)].  It agrees
+    with {!run_reference} on the same module bit for bit — outcome,
+    events, timeline, hazards, step count, layout randomization — for any
+    [config]/[telemetry]/[args].
+
+    [telemetry] attaches the run to a trace domain whose clock is the
+    {e instruction counter} (not machine time).  The sink's recorder gets
+    one slice per function activation on the domain's ["calls"] track and
+    a ["detected"] mark naming the handler when a report handler fires;
+    the sink gets counters [<domain>.check_hits] / [.check_fails] /
+    [.detections].  Omitted, every instrumentation point is a no-op and
+    the result is identical. *)
 
 val run_reference :
   ?config:config ->

@@ -48,7 +48,6 @@ type link = {
 }
 
 type t = {
-  n_seed : int;
   n_sink : Tel.sink option;
   n_tracer : Tx.t option;
   n_rtt : Tel.Hist.t;
@@ -56,13 +55,12 @@ type t = {
   mutable n_next : int;
 }
 
-let create ?(seed = 0) ?telemetry () =
+let create ?telemetry () =
   let rtt = Tel.Hist.create () in
   (match telemetry with
    | Some sink -> ignore (Tel.register_hist sink "net_rtt_us" rtt)
    | None -> ());
   {
-    n_seed = seed;
     n_sink = telemetry;
     n_tracer = Option.map Tel.recorder telemetry;
     n_rtt = rtt;
@@ -96,9 +94,9 @@ let link net ?(params = default_params) ~src ~dst name =
       l_params = params;
       l_src = src;
       l_dst = dst;
-      (* Independent loss stream per link, derived from the net seed and
-         the link's creation index — stable however links are used. *)
-      l_rng = Rng.create (net.n_seed lxor ((net.n_next + 1) * 0x9e3779b9));
+      (* Independent loss stream per link, derived from the link's
+         creation index — stable however links are used. *)
+      l_rng = Rng.create ((net.n_next + 1) * 0x9e3779b9);
       l_busy_until = 0.0;
       l_msgs = 0;
       l_bytes = 0;

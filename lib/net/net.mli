@@ -8,7 +8,7 @@
     running a callback on the destination machine via {!M.post} — so
     delivery is an ordinary timed event on the destination's heap and the
     global schedule of a multi-machine run stays reproducible and
-    bit-stable under a seed.
+    bit-stable.
 
     {b Units.}  As everywhere in the machine and NXE layers, all times are
     in {e simulated microseconds} and all rates are per-µs.  Link defaults
@@ -22,8 +22,8 @@
     that message {e and everything queued behind it} (in-order delivery is
     preserved by construction: arrival = serialization end + constant
     latency, and serialization ends are monotone per link).  Losses are
-    drawn from a per-link generator seeded at {!create}, so a given seed
-    yields a bit-identical delivery schedule. *)
+    drawn from a per-link generator seeded by the link's creation index,
+    so a run yields a bit-identical delivery schedule. *)
 
 module M := Bunshin_machine.Machine
 module Tel := Bunshin_telemetry.Telemetry
@@ -41,8 +41,8 @@ val default_params : params
     (8.2 µs/KB), no loss. *)
 
 type t
-(** A network: a set of links plus shared accounting (byte/message totals,
-    the loss seed, and the [net_rtt_us] histogram). *)
+(** A network: a set of links plus shared accounting (byte/message totals
+    and the [net_rtt_us] histogram). *)
 
 type link
 
@@ -52,8 +52,8 @@ type stats = {
   s_retransmits : int; (** lost transmissions that were recovered *)
 }
 
-val create : ?seed:int -> ?telemetry:Tel.sink -> unit -> t
-(** [seed] (default 0) drives loss draws.  With [telemetry], the interned
+val create : ?telemetry:Tel.sink -> unit -> t
+(** A network with no links yet.  With [telemetry], the interned
     counters [net.bytes_sent] / [net.msgs_sent] (global) and
     [net.<link>.bytes_sent] / [net.<link>.msgs_sent] (per link, resolved
     once at {!link} creation) are registered on the sink, and the always-on

@@ -384,7 +384,6 @@ type t = {
   place : int array; (* variant -> node; all 0 in-process *)
   wire : wire option;
   tel : tel option;
-  tracer : Tx.t option; (* the sink's recorder: causal spans *)
   h_gap : Tel.Hist.t;  (* leader run-ahead distance, slots *)
   h_wait : Tel.Hist.t; (* blocked time at sync points, us *)
   working_sets : float array;
@@ -484,9 +483,9 @@ let do_work nxe ~variant fname cost =
   in
   if f <= 0.0 then M.compute m cost
   else begin
-    match nxe.tracer with
+    match nxe.tel with
     | None -> ignore (M.compute_share m cost ~from_:M.slot_compute ~to_:sanitizer_slot f)
-    | Some tc ->
+    | Some { t_rec = tc; _ } ->
       let w0 = M.now m in
       let moved = M.compute_share m cost ~from_:M.slot_compute ~to_:sanitizer_slot f in
       (* Sanitizer checks run between sync points, so each check is its
@@ -773,8 +772,8 @@ let consume ?arrived_at nxe m chan ~variant ~pos ~blocked =
   fetch_compute m ~blocked;
   chan.cursors.(variant - 1) <- pos + 1;
   touch nxe variant;
-  match nxe.tracer with
-  | Some tc when chan.sl_span.(pos) >= 0 ->
+  match nxe.tel with
+  | Some { t_rec = tc; _ } when chan.sl_span.(pos) >= 0 ->
     (match arrived_at with
      | Some t1 ->
        ignore
@@ -1056,8 +1055,8 @@ let quarantine nxe ~variant ~cause =
     (* A slot the leader released past the victim's cursor may have waited
        only on the victim's consume: it retires now, and nothing else
        would close its root. *)
-    (match nxe.tracer with
-     | Some tc ->
+    (match nxe.tel with
+     | Some { t_rec = tc; _ } ->
        List.iter
          (fun c ->
            for pos = c.cursors.(variant - 1) to c.sl_len - 1 do
@@ -1217,8 +1216,8 @@ let leader_sync nxe chan sc =
   chan.sl_lastv.(pos) <- 0;
   chan.sl_sigdel.(pos) <- sc.Sc.name = "signal_delivery";
   (match nxe.wire with Some _ -> chan.sl_ship.(pos) <- 0.0 | None -> ());
-  (match nxe.tracer with
-   | Some tc ->
+  (match nxe.tel with
+   | Some { t_rec = tc; _ } ->
      (* The rendezvous root: opens at the leader's check-in (widened back
         to the first arrival at completion), closes at full retirement.
         The ids stamped into the slot are the propagated context every
@@ -1283,8 +1282,8 @@ let leader_sync nxe chan sc =
        slot's arrival scalars are final — name the straggler. *)
     if not (aborted nxe) then begin
       let wait = Float.max 0.0 (chan.sl_last.(pos) -. chan.sl_first.(pos)) in
-      (match nxe.tracer with
-       | Some tc ->
+      (match nxe.tel with
+       | Some { t_rec = tc; _ } ->
          Tx.extend_t0 tc chan.sl_span.(pos) ~t0:chan.sl_first.(pos);
          if !blocked then begin
            trace_sched_wait nxe tc chan pos ~variant:0;
@@ -1326,8 +1325,8 @@ let leader_sync nxe chan sc =
          ~ts:(M.now m) "lockstep:release"
      | _ -> ());
     (match nxe.wire with Some w -> release_slot nxe w chan ~pos ~lockstep sc | None -> ());
-    (match nxe.tracer with
-     | Some tc ->
+    (match nxe.tel with
+     | Some { t_rec = tc; _ } ->
        Tx.extend_t0 tc chan.sl_span.(pos) ~t0:chan.sl_first.(pos);
        (* With no live follower left the leader's release IS the
           retirement.  Otherwise the follower advancing the last cursor
@@ -1373,8 +1372,8 @@ let arrive chan pos ~variant t =
 let send_ack nxe w chan ~variant ~node ~pos ~rdy =
   let i = variant - 1 in
   let arr =
-    match nxe.tracer with
-    | Some tc when chan.sl_span.(pos) >= 0 ->
+    match nxe.tel with
+    | Some { t_rec = tc; _ } when chan.sl_span.(pos) >= 0 ->
       trace_ready_wait nxe tc chan pos ~variant rdy;
       Tx.start tc Tx.Arrival ~trace:chan.sl_trace.(pos) ~parent:chan.sl_span.(pos) ~node
         ~variant ~chan:chan.ch_id ~pos ~t0:(Tx.span_t0 tc chan.sl_span.(pos))
@@ -1389,7 +1388,9 @@ let send_ack nxe w chan ~variant ~node ~pos ~rdy =
       if chan.sl_ship.(pos) > 0.0 then Net.observe_rtt w.links (t0 -. chan.sl_ship.(pos));
       if cursor_now > chan.kn.(i) then chan.kn.(i) <- cursor_now;
       w.remote_checked <- w.remote_checked + 1;
-      (match nxe.tracer with Some tc when arr >= 0 -> Tx.finish tc arr ~t1:t0 | _ -> ());
+      (match nxe.tel with
+       | Some { t_rec = tc; _ } when arr >= 0 -> Tx.finish tc arr ~t1:t0
+       | _ -> ());
       M.Waitq.broadcast nxe.machines.(0) chan.leader_q)
 
 (* Arrival at a released-on-delivery slot — a batched one on a remote
@@ -1398,8 +1399,8 @@ let send_ack nxe w chan ~variant ~node ~pos ~rdy =
    straggler; record_child drops its inverted interval) plus the dispatch
    wait that ended the block. *)
 let trace_arrival nxe chan pos ~variant ~wait_from ~rdy =
-  match nxe.tracer with
-  | Some tc when chan.sl_span.(pos) >= 0 ->
+  match nxe.tel with
+  | Some { t_rec = tc; _ } when chan.sl_span.(pos) >= 0 ->
     let node = nxe.place.(variant) in
     ignore
       (Tx.record_child tc Tx.Arrival ~parent:chan.sl_span.(pos) ~node ~variant
@@ -1431,7 +1432,7 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
      compute below would overwrite the machine's last-wait stamps.  The
      slot's span context is only valid past the wait (leader published). *)
   let rdy =
-    match nxe.tracer with
+    match nxe.tel with
     | Some _ when !blocked_for_slot -> M.last_ready_wait m
     | _ -> (0.0, 0.0)
   in
@@ -1455,8 +1456,8 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
       ph_compute m Pr.Phase.Fetch fetch_cost;
       chan.cursors.(i) <- pos + 1;
       touch nxe variant;
-      (match nxe.tracer with
-       | Some tc -> close_root tc chan pos ~t1:(M.now m)
+      (match nxe.tel with
+       | Some { t_rec = tc; _ } -> close_root tc chan pos ~t1:(M.now m)
        | None -> ());
       M.Waitq.signal m chan.leader_q;
       (match chan.sl_sc.(pos).Sc.args with
@@ -1507,8 +1508,8 @@ let rec follower_sync_body ?(on_signal = fun _ -> ()) nxe chan ~variant sc =
         done;
         if !blocked then Tel.Hist.observe nxe.h_wait (M.now m -. ready_from);
         if not (aborted nxe) then begin
-          (match nxe.tracer with
-           | Some tc when !blocked && chan.sl_span.(pos) >= 0 ->
+          (match nxe.tel with
+           | Some { t_rec = tc; _ } when !blocked && chan.sl_span.(pos) >= 0 ->
              trace_sched_wait nxe tc chan pos ~variant
            | _ -> ());
           consume nxe m chan ~variant ~pos ~blocked:!blocked;
@@ -1958,7 +1959,6 @@ let run ~who ~net ~config ~machine_config ~on_machine ~working_sets ~sensitiviti
       place;
       wire;
       tel;
-      tracer = Option.map Tel.recorder config.telemetry;
       h_gap;
       h_wait;
       working_sets;
@@ -2214,11 +2214,12 @@ let run_traces ?(config = default_config) ?machine_config ?on_machine ?working_s
     (run ~who:"Nxe.run_traces" ~net:None ~config ~machine_config ~on_machine ~working_sets
        ~sensitivities ~signals ~faults ~coverage ~profile ~names traces)
 
-let run_net net ?(config = default_config) ?machine_config ?working_sets ?sensitivities
-    ?(faults = Faults.none) ?coverage ~names traces =
+let run_net net ?(config = default_config) ?working_sets ?(faults = Faults.none) ?coverage
+    ~names traces =
   let nxe, report =
-    run ~who:"Nxe.run_net" ~net:(Some net) ~config ~machine_config ~on_machine:None
-      ~working_sets ~sensitivities ~signals:[] ~faults ~coverage ~profile:None ~names traces
+    run ~who:"Nxe.run_net" ~net:(Some net) ~config ~machine_config:None ~on_machine:None
+      ~working_sets ~sensitivities:None ~signals:[] ~faults ~coverage ~profile:None ~names
+      traces
   in
   let w = Option.get nxe.wire in
   let totals = Net.totals w.links in
@@ -2243,8 +2244,7 @@ let run_net net ?(config = default_config) ?machine_config ?working_sets ?sensit
       node_stats = Array.to_list (Array.map M.stats nxe.machines);
     } )
 
-let run_builds ?config ?machine_config ?on_machine ?faults ?coverage ?profile
-    ?(jitter = 0.0) ~seed builds =
+let run_builds ?config ?machine_config ?on_machine ?profile ?(jitter = 0.0) ~seed builds =
   (* Per-variant compute skew: diversified binaries (distinct code layout,
      ASLR, different checks) never run cycle-identical.  The skew is
      systematic per (variant, function) — a function whose cache layout is
@@ -2295,7 +2295,7 @@ let run_builds ?config ?machine_config ?on_machine ?faults ?coverage ?profile
            b.Program.prog.Program.funcs)
        (List.combine builds built)
    | None -> ());
-  run_traces ?config ?machine_config ?on_machine ?faults ?coverage ?profile
+  run_traces ?config ?machine_config ?on_machine ?profile
     ~working_sets:(List.map Program.build_working_set builds)
     ~sensitivities:
       (List.map

@@ -268,22 +268,21 @@ val run_builds :
   ?config:config ->
   ?machine_config:M.config ->
   ?on_machine:(M.t -> unit) ->
-  ?faults:Bunshin_faults.Faults.plan ->
-  ?coverage:string list list ->
   ?profile:Bunshin_profile.Profile.Collector.t ->
   ?jitter:float ->
   seed:int ->
   Bunshin_program.Program.build list ->
   report
 (** Build each build's trace (same seed, hence synchronizable syscall
-    streams) and run them under the engine.  Each variant's trace is
-    [Program.build_trace_factored] of its build, but the workload body is
-    generated once per distinct program in the group (compared
-    physically, [b.prog == b'.prog]) and factored once per build
-    ({!Bunshin_program.Program.factor_trace}).  [jitter] (default 0)
-    applies a per-variant multiplicative compute skew of up to the given
-    fraction — diversified binaries never run cycle-identical, and this
-    skew is what lockstep synchronization actually waits on.  Each
+    streams) and run them under the engine, with no faults injected.
+    Each variant's trace is [Program.build_trace] of its build, jitter
+    aside, but the workload body is generated once per distinct program
+    in the group (compared physically, [b.prog == b'.prog]) and factored
+    once per build ({!Bunshin_program.Program.factor_trace}).  [jitter]
+    (default 0) applies a per-variant multiplicative compute skew of up
+    to the given fraction — diversified binaries never run
+    cycle-identical, and this skew is what lockstep synchronization
+    actually waits on.  Each
     variant's cache sensitivity is [1 / (1 + Program.overhead_of_build b)],
     computed only if the group over-subscribes the LLC, from seed-0 work
     weights generated at most once per program. *)
@@ -336,7 +335,7 @@ type net = {
 }
 (** Marshalling one message costs its sender 0.5 µs of CPU.  A remote
     follower flow-acks its consumption every 16 slots, and before it
-    parks with unacked consumption.  Link loss draws use seed 0. *)
+    parks with unacked consumption. *)
 
 (** Bytes on the wire per traffic kind, message headers included. *)
 type traffic = {
@@ -363,15 +362,15 @@ type net_report = {
 val run_net :
   net ->
   ?config:config ->
-  ?machine_config:M.config ->
   ?working_sets:float list ->
-  ?sensitivities:float Lazy.t list ->
   ?faults:Bunshin_faults.Faults.plan ->
   ?coverage:string list list ->
   names:string list ->
   Bunshin_program.Trace.t list ->
   report * net_report
-(** {!run_traces} over the Net transport.  In the {!report},
+(** {!run_traces} over the Net transport, one machine of
+    {!Bunshin_machine.Machine.default_config} per node, each variant's
+    cache sensitivity 1.0.  In the {!report},
     [total_time] is the latest finish over all nodes and [machine_stats]
     is node 0's; [config.mode] and [config.sync_shared_memory] are unused.
     @raise Invalid_argument as {!run_traces}, and on an invalid [net]

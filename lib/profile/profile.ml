@@ -72,10 +72,7 @@ end
    inflation, which scales both parts alike) belongs to the sanitizer. *)
 let share_of_factor cf = if cf <= 1.0 then 0.0 else (cf -. 1.0) /. cf
 
-let sanitizer_slot = Phase.slot Phase.Sanitizer
-
-(* [work fname cost] runs one Work op on [m]. *)
-let exec_trace m build ~work trace =
+let exec_trace m build trace =
   (* One lazy for the main process and its forked children: the machine
      forces it only under LLC over-subscription, and
      [Program.overhead_of_build] regenerates the program's seed-0 trace. *)
@@ -110,7 +107,7 @@ let exec_trace m build ~work trace =
     List.iter
       (fun op ->
         match op with
-        | Trace.Work w -> work w.func w.cost
+        | Trace.Work w -> M.compute m w.cost
         | Trace.Idle d -> M.sleep m d
         | Trace.Sys sc -> compute_as Phase.Syscall_service (Sc.base_cost sc)
         | Trace.Lock id -> wait_as Phase.Pthread_wait (fun () -> Pthreads.lock m st id)
@@ -147,36 +144,9 @@ let exec_trace m build ~work trace =
   ignore (M.spawn m proc ~name:"main" (run_ops trace));
   proc
 
-(* Each function's sanitizer share comes from the factor the trace
-   builder resolved, once per distinct function, and is carved out of its
-   compute into the sanitizer bucket. *)
-let exec_build m build ~seed =
-  let trace, factors = Program.build_trace_factored build ~seed in
-  (* A baseline build's factors are all 1.0: no share to look up. *)
-  let work =
-    if build.Program.sanitizers = [] then fun _ cost -> M.compute m cost
-    else begin
-      let fracs : float Program.Func_tbl.t = Program.Func_tbl.create 64 in
-      let frac fname =
-        match Program.Func_tbl.find fracs fname with
-        | f -> f
-        | exception Not_found ->
-          let f = share_of_factor (Program.factor factors fname) in
-          Program.Func_tbl.add fracs fname f;
-          f
-      in
-      fun fname cost ->
-        let f = frac fname in
-        if f <= 0.0 then M.compute m cost
-        else ignore (M.compute_share m cost ~from_:M.slot_compute ~to_:sanitizer_slot f)
-    end
-  in
-  exec_trace m build ~work trace
+let exec_build m build ~seed = exec_trace m build (Program.build_trace build ~seed)
 
-(* A measurement reads only the machine's clock and the trace's Work per
-   function, never the phase buckets, so each Work op is a plain compute:
-   the same bursts, hence the same schedule and total time, without the
-   share lookup or the carve-out. *)
+(* [exec_build] on a fresh machine, keeping the trace for [by_func]. *)
 let measure ?machine_config build ~seed =
   let m =
     match machine_config with
@@ -184,7 +154,7 @@ let measure ?machine_config build ~seed =
     | None -> M.create ()
   in
   let trace = Program.build_trace build ~seed in
-  ignore (exec_trace m build ~work:(fun _ cost -> M.compute m cost) trace);
+  ignore (exec_trace m build trace);
   M.run m;
   {
     prog_name = build.Program.prog.Program.name;
@@ -259,8 +229,7 @@ module Collector = struct
 
   type t = {
     n : int;
-    cap : int;
-    mutable recorded : int; (* total sync points seen; ring keeps the last cap *)
+    mutable recorded : int; (* total sync points seen; ring keeps the last [capacity] *)
     s_chan : int array;
     s_pos : int array;
     s_time : float array;
@@ -282,12 +251,12 @@ module Collector = struct
     mutable workload : string;
   }
 
-  let create ?(capacity = 4096) n =
+  let capacity = 4096
+
+  let create n =
     if n < 1 then invalid_arg "Profile.Collector.create: need at least one variant";
-    if capacity < 1 then invalid_arg "Profile.Collector.create: capacity must be >= 1";
     {
       n;
-      cap = capacity;
       recorded = 0;
       s_chan = Array.make capacity 0;
       s_pos = Array.make capacity 0;
@@ -309,7 +278,7 @@ module Collector = struct
   let variants c = c.n
 
   let record c ~chan ~pos ~time ~straggler ~wait =
-    let i = c.recorded mod c.cap in
+    let i = c.recorded mod capacity in
     c.s_chan.(i) <- chan;
     c.s_pos.(i) <- pos;
     c.s_time.(i) <- time;
@@ -320,13 +289,13 @@ module Collector = struct
     c.straggler_wait.(straggler) <- c.straggler_wait.(straggler) +. wait
 
   let sync_points c = c.recorded
-  let dropped c = max 0 (c.recorded - c.cap)
+  let dropped c = max 0 (c.recorded - capacity)
 
   (* Surviving ring contents, oldest first. *)
   let recent c =
-    let kept = min c.recorded c.cap in
+    let kept = min c.recorded capacity in
     List.init kept (fun k ->
-        let i = (c.recorded - kept + k) mod c.cap in
+        let i = (c.recorded - kept + k) mod capacity in
         {
           sp_chan = c.s_chan.(i);
           sp_pos = c.s_pos.(i);

@@ -19,16 +19,11 @@ type t = {
 val measure :
   ?machine_config:Bunshin_machine.Machine.config -> Bunshin_program.Program.build ->
   seed:int -> t
-(** Execute the build's trace (threads, locks, syscalls and all) on a fresh
-    machine and collect its profile: [total_time], and a lazy [by_func]
-    that is the per-function Work of the very trace the machine ran.  The
-    trace is built once, in one walk
-    ({!Bunshin_program.Program.build_trace}).  Nothing outside [measure]
-    can read the run's phase buckets, so each Work op runs as a plain
-    [Machine.compute], without {!exec_build}'s per-function sanitizer
-    share or its carve-out; the bursts, the schedule and [total_time] are
-    those of [exec_build] followed by [Machine.run] on a fresh machine of
-    the same config.  The build's cache sensitivity
+(** {!exec_build} on a fresh machine followed by [Machine.run], and the
+    run's profile: [total_time], and a lazy [by_func] that is the
+    per-function Work of the very trace the machine ran.  The trace is
+    built once, in one walk ({!Bunshin_program.Program.build_trace}).
+    The build's cache sensitivity
     ({!Bunshin_program.Program.overhead_of_build}, one more trace
     generation) is computed only if the run over-subscribes the LLC. *)
 
@@ -55,13 +50,9 @@ val exec_build :
   Bunshin_machine.Machine.proc
 (** Spawn the build's trace onto an existing machine (threads, locks,
     barriers, syscall service costs — no NXE synchronization) and return
-    its process handle.  Call [Machine.run] afterwards.  Ops are
-    phase-tagged (see {!Phase}), so the machine's per-thread buckets
-    decompose the run.  The sanitizer share of each function's compute
-    ({!share_of_factor} of the factor the trace builder resolved, looked up
-    once per function) is reattributed to {!Phase.Sanitizer} post-hoc —
-    burst boundaries, and hence the schedule, are identical to an untagged
-    run, and to {!measure}'s. *)
+    its process handle.  Call [Machine.run] afterwards.  Syscall service
+    and application lock waits are phase-tagged (see {!Phase}); each Work
+    op is a plain [Machine.compute], sanitizer share included. *)
 
 (** {1 Overhead attribution} *)
 
@@ -119,9 +110,9 @@ module Collector : sig
 
   type t
 
-  val create : ?capacity:int -> int -> t
-  (** [create n] for an [n]-variant run; [capacity] bounds the sync-point
-      ring (default 4096).  @raise Invalid_argument if [n < 1]. *)
+  val create : int -> t
+  (** [create n] for an [n]-variant run; the sync-point ring keeps the
+      last 4096 records.  @raise Invalid_argument if [n < 1]. *)
 
   val variants : t -> int
 

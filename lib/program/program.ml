@@ -184,9 +184,7 @@ let factor_trace ?jitter b body =
   let trace = sys San.Pre_main @ (Trace.Marker Trace.Main_entered :: walk true body) in
   (trace, { fs_build = b; fs_tbl = tbl })
 
-let build_trace_factored ?jitter b ~seed = factor_trace ?jitter b (generate b.prog ~seed)
-
-let build_trace b ~seed = fst (build_trace_factored b ~seed)
+let build_trace b ~seed = fst (factor_trace b (generate b.prog ~seed))
 
 let build_working_set b = b.prog.working_set *. San.group_ws_multiplier b.sanitizers
 

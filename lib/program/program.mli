@@ -58,7 +58,7 @@ val build_trace : build -> seed:int -> Trace.t
     (identical syscall sequence inside main), so the NXE can synchronize
     them; only costs and sanitizer-runtime syscalls differ.  Each Work op
     costs the workload's cost times {!cost_factor}.  [build_trace b ~seed]
-    is [fst (build_trace_factored b ~seed)]. *)
+    is [fst (factor_trace b (generate b.prog ~seed))]. *)
 
 module Func_tbl : Hashtbl.S with type key = string
 (** Hash tables keyed by function name, compared with [String.equal]: the
@@ -99,11 +99,6 @@ val factor_trace : ?jitter:(string -> float) -> build -> Trace.t -> Trace.t * fa
     factor, and without [jitter] there is no second multiplication).  The
     walk costs O(1) per op plus one string-keyed lookup per Work op, and
     [body] is left as it was. *)
-
-val build_trace_factored :
-  ?jitter:(string -> float) -> build -> seed:int -> Trace.t * factors
-(** [build_trace_factored ?jitter b ~seed] is
-    [factor_trace ?jitter b (generate b.prog ~seed)]. *)
 
 val factor : factors -> string -> float
 (** [factor fs fname] is {!cost_factor} of the build for [fname]: the

@@ -218,7 +218,7 @@ let ensure_global m name =
   if not (List.exists (fun g -> g.g_name = name) m.m_globals) then
     m.m_globals <- m.m_globals @ [ { g_name = name; g_size = 1; g_init = [| 0L |] } ]
 
-let apply sans ?only m =
+let apply sans m =
   if not (Sanitizer.collectively_enforceable sans) then
     Error
       (Printf.sprintf "conflicting sanitizers: {%s} cannot be linked into one binary"
@@ -226,17 +226,13 @@ let apply sans ?only m =
   else begin
     let m' = copy_modul m in
     let ctx = { counter = 0 } in
-    let selected fname = match only with None -> true | Some names -> List.mem fname names in
     if List.exists (fun s -> s.Sanitizer.id = Sanitizer.Asan) sans then
       ensure_global m' asan_metadata_global;
     if List.exists (fun s -> s.Sanitizer.id = Sanitizer.Msan) sans then
       ensure_global m' msan_metadata_global;
-    m'.m_funcs <-
-      List.map
-        (fun f -> if selected f.f_name then instrument_func ctx sans f else f)
-        m'.m_funcs;
+    m'.m_funcs <- List.map (instrument_func ctx sans) m'.m_funcs;
     Ok m'
   end
 
-let apply_exn sans ?only m =
-  match apply sans ?only m with Ok m' -> m' | Error e -> invalid_arg ("Instrument.apply: " ^ e)
+let apply_exn sans m =
+  match apply sans m with Ok m' -> m' | Error e -> invalid_arg ("Instrument.apply: " ^ e)

@@ -20,13 +20,11 @@
 
 open Bunshin_ir
 
-val apply :
-  Sanitizer.t list -> ?only:string list -> Ast.modul -> (Ast.modul, string) result
-(** Instrument a copy of the module with all given sanitizers.  [only]
-    restricts instrumentation to the named functions (used by check
-    distribution).  Fails when the set is not collectively enforceable —
-    the implementation-conflict case Bunshin exists to avoid. *)
+val apply : Sanitizer.t list -> Ast.modul -> (Ast.modul, string) result
+(** Instrument a copy of the module with all given sanitizers, in every
+    function.  Fails when the set is not collectively enforceable — the
+    implementation-conflict case Bunshin exists to avoid. *)
 
-val apply_exn : Sanitizer.t list -> ?only:string list -> Ast.modul -> Ast.modul
+val apply_exn : Sanitizer.t list -> Ast.modul -> Ast.modul
 (** @raise Invalid_argument on conflict. *)
 

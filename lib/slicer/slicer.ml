@@ -34,10 +34,8 @@ let discover m = List.concat_map sinks_of_func m.m_funcs
 (* An instruction location: (block label, index within block). *)
 type loc = string * int
 
-let remove_in_func ~handler_matches ~sink_filter f =
-  let sinks =
-    List.filter (fun s -> handler_matches s.sk_handler && sink_filter s) (sinks_of_func f)
-  in
+let remove_in_func ~sink_filter f =
+  let sinks = List.filter sink_filter (sinks_of_func f) in
   if sinks = [] then f
   else begin
     let sink_labels = List.map (fun s -> s.sk_block) sinks in
@@ -135,15 +133,11 @@ let remove_in_func ~handler_matches ~sink_filter f =
     { f with f_blocks = blocks }
   end
 
-let remove_checks ?in_funcs ?(handler_matches = fun _ -> true)
-    ?(sink_filter = fun _ -> true) m =
+let remove_checks ?in_funcs ?(sink_filter = fun _ -> true) m =
   let selected fname = match in_funcs with None -> true | Some names -> List.mem fname names in
   let m' = copy_modul m in
   m'.m_funcs <-
-    List.map
-      (fun f ->
-        if selected f.f_name then remove_in_func ~handler_matches ~sink_filter f else f)
-      m'.m_funcs;
+    List.map (fun f -> if selected f.f_name then remove_in_func ~sink_filter f else f) m'.m_funcs;
   m'
 
 let instruction_count m =

@@ -32,17 +32,14 @@ val discover : Ast.modul -> sink list
 
 val remove_checks :
   ?in_funcs:string list ->
-  ?handler_matches:(string -> bool) ->
   ?sink_filter:(sink -> bool) ->
   Ast.modul ->
   Ast.modul
 (** Return a copy with checks removed.  [in_funcs] limits removal to the
-    named functions (default: all); [handler_matches] limits removal to
-    checks whose report handler satisfies the predicate (default: all) —
-    used to strip one sanitizer's checks while keeping another's;
-    [sink_filter] selects individual sink sites (default: all), enabling
-    basic-block-granularity distribution (§6): partition a function's sinks
-    across variants instead of the whole function. *)
+    named functions (default: all); [sink_filter] selects individual sink
+    sites (default: all), enabling basic-block-granularity distribution
+    (§6): partition a function's sinks across variants instead of the
+    whole function. *)
 
 val removed_instruction_count : Ast.modul -> Ast.modul -> int
 (** [removed_instruction_count before after]: how many instructions the

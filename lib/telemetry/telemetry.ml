@@ -74,7 +74,8 @@ module Hist = struct
     { bounds; counts = Array.make (Array.length bounds + 1) 0; h_n = 0; mo = fresh_moments () }
 
   let of_bounds proto = { proto with counts = Array.copy proto.counts; mo = fresh_moments () }
-  let create ?(buckets = default_buckets) () = of_bounds (bounds buckets)
+  let default = bounds default_buckets
+  let create () = of_bounds default
 
   let observe h x =
     let k = Array.length h.bounds in
@@ -122,14 +123,11 @@ module Slo = struct
     mutable sl_any : bool; (* false until the first observation *)
   }
 
-  let window ?(sub_windows = 8) ?(sub_us = 10_000.0) ?buckets () =
+  let window ?(sub_windows = 8) ?(sub_us = 10_000.0) () =
     if sub_windows < 1 then invalid_arg "Slo.window: sub_windows must be positive";
     if not (sub_us > 0.0 && Float.is_finite sub_us) then
       invalid_arg "Slo.window: sub_us must be positive and finite";
-    let bounds =
-      let h = Hist.create ?buckets () in
-      h.Hist.bounds
-    in
+    let bounds = Hist.default.Hist.bounds in
     {
       sl_bounds = bounds;
       sl_counts = Array.init sub_windows (fun _ -> Array.make (Array.length bounds + 1) 0);
@@ -236,9 +234,7 @@ type sink = {
 
 type domain = { d_sink : sink; d_id : int; d_name : string }
 
-let create ?(capacity = 65536) () =
-  if capacity < 1 then invalid_arg "Telemetry.create: capacity must be positive";
-  { recorder = Tx.create ~capacity (); metrics = Hashtbl.create 32; metric_order = [] }
+let create () = { recorder = Tx.create (); metrics = Hashtbl.create 32; metric_order = [] }
 
 let recorder s = s.recorder
 let domain s ~name = { d_sink = s; d_id = Tx.domain s.recorder ~name; d_name = name }
@@ -272,12 +268,12 @@ let gauge s name =
     register s name (G g);
     g
 
-let hist ?buckets s name =
+let hist s name =
   match Hashtbl.find_opt s.metrics name with
   | Some (H h) -> h
   | Some _ -> invalid_arg (Printf.sprintf "Telemetry.hist: %s is not a histogram" name)
   | None ->
-    let h = Hist.create ?buckets () in
+    let h = Hist.create () in
     register s name (H h);
     h
 

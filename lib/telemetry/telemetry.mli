@@ -27,9 +27,8 @@ type sink
 type domain
 (** A named clock domain inside a sink (a Chrome-trace process). *)
 
-val create : ?capacity:int -> unit -> sink
-(** New sink whose recorder holds [capacity] entries (default 65536).
-    @raise Invalid_argument if [capacity < 1]. *)
+val create : unit -> sink
+(** New sink with an empty recorder ({!Bunshin_trace_ctx.Trace_ctx.create}). *)
 
 val recorder : sink -> Bunshin_trace_ctx.Trace_ctx.t
 (** The sink's span store. *)
@@ -91,10 +90,10 @@ module Hist : sig
   (** An empty histogram over [bounds]: it allocates only its own counts
       and moments, never the bounds. *)
 
-  val create : ?buckets:float list -> unit -> t
-  (** [of_bounds (bounds buckets)], normalising [buckets] on every call.
-      The default is a 1-2-5 log scale from 1 to 10^4, suited to µs-scale
-      latencies.  @raise Invalid_argument as {!bounds}. *)
+  val create : unit -> t
+  (** An empty histogram over the default bounds: a 1-2-5 log scale from
+      1 to 10^4, suited to µs-scale latencies.  Other bounds go through
+      {!bounds} and {!of_bounds}. *)
 
   val observe : t -> float -> unit
   val count : t -> int
@@ -121,8 +120,9 @@ val counter : sink -> string -> Counter.t
 
 val gauge : sink -> string -> Gauge.t
 
-val hist : ?buckets:float list -> sink -> string -> Hist.t
-(** Get or create; [buckets] only applies on creation. *)
+val hist : sink -> string -> Hist.t
+(** Get or create, over {!Hist.create}'s default bounds; a histogram over
+    other bounds is registered with {!register_hist}. *)
 
 val register_hist : sink -> string -> Hist.t -> string
 (** Share an externally-owned histogram under [name]; on collision the
@@ -142,8 +142,8 @@ val register_hist : sink -> string -> Hist.t -> string
 module Slo : sig
   type window
 
-  val window : ?sub_windows:int -> ?sub_us:float -> ?buckets:float list -> unit -> window
-  (** Default: 8 sub-windows of 10,000 µs each over
+  val window : ?sub_windows:int -> ?sub_us:float -> unit -> window
+  (** Default: 8 sub-windows of 10,000 µs each, always over
       {!Hist.create}'s default buckets.
       @raise Invalid_argument on a non-positive ring or span. *)
 

@@ -38,7 +38,6 @@ let kind_name = function
    detail text in the string columns, and a mark's value in [s_a0] (NaN
    for none). *)
 type t = {
-  cap : int;
   mutable len : int;
   mutable drop : int;
   mutable next_trace : int;
@@ -62,12 +61,11 @@ type t = {
 }
 
 let initial_slots = 1024
+let capacity = 65536
 
-let create ?(capacity = 65536) () =
-  if capacity < 1 then invalid_arg "Trace_ctx.create: capacity must be positive";
-  let n = min capacity initial_slots in
+let create () =
+  let n = initial_slots in
   {
-    cap = capacity;
     len = 0;
     drop = 0;
     next_trace = 0;
@@ -94,7 +92,7 @@ let create ?(capacity = 65536) () =
    initial values [create] gives, which stand for unset fields. *)
 let grow tc =
   let n = Array.length tc.s_kind in
-  let n' = min tc.cap (2 * n) in
+  let n' = min capacity (2 * n) in
   let ext a fill =
     let b = Array.make n' fill in
     Array.blit a 0 b 0 n;
@@ -128,7 +126,7 @@ let new_trace tc =
    initial values (open, no annotations, no name) stand for unset
    fields. *)
 let start tc kind ~trace ~parent ~node ~variant ~chan ~pos ~t0 =
-  if tc.len >= tc.cap then begin
+  if tc.len >= capacity then begin
     tc.drop <- tc.drop + 1;
     -1
   end

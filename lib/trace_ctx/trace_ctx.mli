@@ -44,12 +44,10 @@ val kind_name : kind -> string
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** A recorder whose [capacity] (default 65536) bounds the entries it
-    keeps, causal spans and the rest together.  Its columns start at 1024
-    entries (fewer when [capacity] is smaller) and double as they fill,
-    up to [capacity]; an entry past it is dropped and counted.
-    @raise Invalid_argument if [capacity < 1]. *)
+val create : unit -> t
+(** A recorder that keeps at most 65536 entries, causal spans and the
+    rest together.  Its columns start at 1024 entries and double as they
+    fill, up to that bound; an entry past it is dropped and counted. *)
 
 val used : t -> int
 (** Entries recorded, of both kinds. *)

@@ -3,16 +3,15 @@ type align = Left | Right
 type row = Cells of string list | Separator
 
 type t = {
-  title : string option;
   headers : string array;
   aligns : align array;
   mutable rows : row list; (* reversed *)
 }
 
-let create ?title columns =
+let create columns =
   let headers = Array.of_list (List.map fst columns) in
   let aligns = Array.of_list (List.map snd columns) in
-  { title; headers; aligns; rows = [] }
+  { headers; aligns; rows = [] }
 
 let add_row t cells =
   if List.length cells <> Array.length t.headers then
@@ -36,11 +35,6 @@ let render t =
     match align with Left -> s ^ fill | Right -> fill ^ s
   in
   let buf = Buffer.create 256 in
-  (match t.title with
-   | None -> ()
-   | Some title ->
-     Buffer.add_string buf title;
-     Buffer.add_char buf '\n');
   let sep_line () =
     for i = 0 to ncols - 1 do
       Buffer.add_string buf (String.make (widths.(i) + 2) '-');

@@ -7,8 +7,8 @@ type align = Left | Right
 
 type t
 
-val create : ?title:string -> (string * align) list -> t
-(** [create ~title columns] starts an empty table with the given header. *)
+val create : (string * align) list -> t
+(** [create columns] starts an empty table with the given header. *)
 
 val add_row : t -> string list -> unit
 (** Append one row; must have as many cells as there are columns. *)
@@ -17,7 +17,7 @@ val add_sep : t -> unit
 (** Append a horizontal separator row. *)
 
 val render : t -> string
-(** Full rendering, including title and header. *)
+(** Full rendering, header first. *)
 
 val print : t -> unit
 (** [render] to stdout followed by a newline. *)

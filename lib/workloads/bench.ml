@@ -60,7 +60,10 @@ let cpu_trace ~funcs ~units ~unit_cost ~syscall_every rng =
   in
   unit_ops 0
 
-let worker_trace ~funcs ~units ~unit_cost ~stall ~racy ~lock_every ~barrier_every ~threads
+(* Off-CPU time per work unit, as a fraction of the unit's cost. *)
+let stall = 0.5
+
+let worker_trace ~funcs ~units ~unit_cost ~racy ~lock_every ~barrier_every ~threads
     ~barrier_base rng =
   let weighted = Rng.weighted (Array.of_list funcs) in
   (* [b] counts the barriers emitted so far. *)
@@ -78,8 +81,7 @@ let worker_trace ~funcs ~units ~unit_cost ~stall ~racy ~lock_every ~barrier_ever
       end
       else work :: stalled i b
     end
-  and[@tail_mod_cons] stalled i b =
-    if stall > 0.0 then Trace.Idle (unit_cost *. stall) :: raced i b else raced i b
+  and[@tail_mod_cons] stalled i b = Trace.Idle (unit_cost *. stall) :: raced i b
   and[@tail_mod_cons] raced i b =
     if racy && (i + 1) mod 10 = 0 then
       (* The intentional data race: unguarded shared write whose value
@@ -93,12 +95,12 @@ let worker_trace ~funcs ~units ~unit_cost ~stall ~racy ~lock_every ~barrier_ever
   in
   unit_ops 0 0
 
-let threaded_trace ?(stall = 0.5) ?(racy = false) ~funcs ~threads ~units_per_thread
+let threaded_trace ?(racy = false) ~funcs ~threads ~units_per_thread
     ~unit_cost ~lock_every ~barrier_every rng =
   (* Distinct barrier id spaces per round are unnecessary: all threads use
      the same global barrier sequence, so one base works. *)
   let mk () =
-    worker_trace ~funcs ~units:units_per_thread ~unit_cost ~stall ~racy ~lock_every
+    worker_trace ~funcs ~units:units_per_thread ~unit_cost ~racy ~lock_every
       ~barrier_every ~threads ~barrier_base:0 rng
   in
   let workers = List.init (threads - 1) (fun _ -> Trace.Spawn (mk ())) in

@@ -31,7 +31,6 @@ val cpu_trace :
     [syscall_every] quanta.  Deterministic in the generator state. *)
 
 val threaded_trace :
-  ?stall:float ->
   ?racy:bool ->
   funcs:(string * float) list ->
   threads:int ->
@@ -43,9 +42,10 @@ val threaded_trace :
   Bunshin_program.Trace.t
 (** Pthread workload: main spawns [threads - 1] workers and works itself;
     critical sections guarded by a small set of mutexes; periodic global
-    barriers.  [stall] (default 0.5) adds off-CPU time per work unit —
-    memory stalls and imbalance keep real 4-thread benchmarks well below
-    4x CPU demand, which is what lets N variants share the testbed.
+    barriers.  Each work unit is followed by off-CPU time of half its
+    cost — memory stalls and imbalance keep real 4-thread benchmarks well
+    below 4x CPU demand, which is what lets N variants share the
+    testbed.
     [racy] (default false) adds unguarded shared-counter updates whose
     values leak into syscall arguments: the intentional data races that
     make canneal-style programs impossible to synchronize (5.1). *)

@@ -42,7 +42,8 @@ let heap_prog () =
   B.ret b (Some (B.cst 0));
   B.finish b
 
-let run_main ?config m args = Interp.run ?config m ~entry:"main" ~args
+let run_main ?config m args =
+  Interp.run_compiled ?config (Interp.compile m) ~entry:"main" ~args
 
 (* ------------------------------------------------------------------ *)
 (* Trace vocabulary *)

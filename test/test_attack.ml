@@ -647,31 +647,39 @@ let test_monitor_identical_copies () =
   Alcotest.(check bool) "detections covered" true (List.mem "SIGABRT" !kills);
   Alcotest.(check bool) "crashes covered" true (List.mem "SIGSEGV" !kills)
 
-(* Layout-seed grid: the engine's verdict equals the old N-variant
-   predicate — a divergence or a crash — on every pair, including the
-   diagonal where both variants share one layout and the attack escapes. *)
+(* Layout-seed grid: the group run of the exploit crafted against
+   variant A's layout aborts exactly when the old N-variant predicate — a
+   divergence or a crash — holds, on every pair, including the diagonal
+   where both variants share one layout and the attack escapes, and on a
+   few pairs far from the grid.  The benign input's group run never
+   aborts. *)
 let test_monitor_nvariant_grid () =
   let m = Nvariant.demo_modul () in
+  let pm = Interp.compile m in
   let config seed = { Interp.default_config with layout_seed = seed } in
+  let run seed args = Interp.run_compiled ~config:(config seed) pm ~entry:"main" ~args in
+  let aborts a b = (Bridge.run_runs [ a; b ]).Nxe.outcome <> `All_finished in
+  let finished r = match r.Interp.outcome with Interp.Finished _ -> true | _ -> false in
   let what = Interp.address_of_func m "evil" in
+  let grid =
+    List.concat_map (fun a -> List.init 31 (fun k -> (a, 30 + k))) (List.init 16 (( + ) 30))
+  in
   let pairs = ref 0 and detections = ref 0 in
-  for seed_a = 30 to 45 do
-    let where = Interp.address_of_global ~config:(config seed_a) m "dispatch_table" in
-    let run seed = Interp.run ~config:(config seed) m ~entry:"main" ~args:[ where; what ] in
-    let a = run seed_a in
-    for seed_b = 30 to 60 do
-      let b = run seed_b in
-      let v = Nvariant.evaluate ~seed_a ~seed_b () in
+  List.iter
+    (fun (seed_a, seed_b) ->
+      let where = Interp.address_of_global ~config:(config seed_a) m "dispatch_table" in
+      let a = run seed_a [ where; what ] and b = run seed_b [ where; what ] in
       let want = (not (Interp.events_equal a b)) || crashed a || crashed b in
-      Alcotest.(check bool) (Printf.sprintf "seeds %d/%d" seed_a seed_b) want v.Nvariant.nv_detected;
+      Alcotest.(check bool) (Printf.sprintf "seeds %d/%d" seed_a seed_b) want (aborts a b);
+      let benign_a = run seed_a [ 0L; 0L ] and benign_b = run seed_b [ 0L; 0L ] in
       Alcotest.(check bool)
         (Printf.sprintf "seeds %d/%d benign" seed_a seed_b)
-        true v.Nvariant.nv_benign_clean;
+        true
+        (finished benign_a && finished benign_b && not (aborts benign_a benign_b));
       incr pairs;
-      if want then incr detections
-    done
-  done;
-  Alcotest.(check (pair int int)) "pairs, detections" (496, 480) (!pairs, !detections);
+      if want then incr detections)
+    (grid @ [ (1, 2); (7, 13); (100, 200) ]);
+  Alcotest.(check (pair int int)) "pairs, detections" (499, 483) (!pairs, !detections);
   Alcotest.(check bool) "shared layout escapes" true (Nvariant.single_layout_escapes ())
 
 let () =

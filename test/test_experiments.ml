@@ -34,7 +34,7 @@ let test_single_core_band () =
   in_band "single-core" 0.90 1.30 (E.single_core_overhead (Spec.find "bzip2"))
 
 let test_scalability_monotone () =
-  let series = E.scalability ~ns:[ 2; 4; 6; 8 ] (Spec.find "gcc") in
+  let series = E.scalability (Spec.find "gcc") in
   let v n = List.assoc n series in
   Alcotest.(check bool) "2 <= 4" true (v 2 <= v 4 +. 0.01);
   Alcotest.(check bool) "4 <= 6" true (v 4 <= v 6 +. 0.01);
@@ -130,7 +130,7 @@ let test_unify_excludes_gcc () =
 (* §5.7: load *)
 
 let test_load_sensitivity_rises () =
-  let series = E.load_sensitivity ~levels:[ 0.02; 0.99 ] (Spec.find "gcc") in
+  let series = E.load_sensitivity (Spec.find "gcc") in
   let low = List.assoc 0.02 series and high = List.assoc 0.99 series in
   Alcotest.(check bool) (Printf.sprintf "rises: %.3f <= %.3f" low high) true
     (low <= high +. 0.02);
@@ -149,11 +149,11 @@ let test_experiments_deterministic () =
   Alcotest.(check (float 1e-12)) "efficiency" e1.E.ef_strict e2.E.ef_strict
 
 let test_robustness_subset () =
-  let results =
-    E.robustness
-      ~benches:[ Spec.find "bzip2"; Multithreaded.find "barnes"; Multithreaded.find "dedup" ]
-      ()
-  in
+  (* The §5.1 sweep: SPEC, the supported SPLASH/PARSEC members and both
+     servers. *)
+  let results = E.robustness () in
+  Alcotest.(check bool) "barnes and dedup swept" true
+    (List.mem_assoc "barnes" results && List.mem_assoc "dedup" results);
   List.iter
     (fun (name, clean) -> Alcotest.(check bool) (name ^ " clean") true clean)
     results

@@ -112,9 +112,10 @@ let test_layout_changes_addresses () =
 let test_layout_preserves_behaviour () =
   (* Benign runs are layout-independent in observable events. *)
   let m = Nvariant.demo_modul () in
+  let pm = Interp.compile m in
   let run seed =
-    Interp.run ~config:{ Interp.default_config with layout_seed = seed } m ~entry:"main"
-      ~args:[ 0L; 0L ]
+    Interp.run_compiled ~config:{ Interp.default_config with layout_seed = seed } pm
+      ~entry:"main" ~args:[ 0L; 0L ]
   in
   Alcotest.(check bool) "same events" true (Interp.events_equal (run 5) (run 9))
 
@@ -130,11 +131,19 @@ let test_nvariant_control () =
   Alcotest.(check bool) "single layout escapes" true (Nvariant.single_layout_escapes ())
 
 let test_nvariant_seed_pairs () =
-  (* The defense holds across several layout pairs. *)
+  (* The defense holds across several layout pairs: the exploit crafted
+     against A's layout aborts the two variants' group run. *)
+  let m = Nvariant.demo_modul () in
+  let pm = Interp.compile m in
+  let config seed = { Interp.default_config with layout_seed = seed } in
+  let run seed args = Interp.run_compiled ~config:(config seed) pm ~entry:"main" ~args in
+  let what = Interp.address_of_func m "evil" in
   List.iter
     (fun (a, b) ->
-      let v = Nvariant.evaluate ~seed_a:a ~seed_b:b () in
-      Alcotest.(check bool) (Printf.sprintf "detected %d/%d" a b) true v.Nvariant.nv_detected)
+      let where = Interp.address_of_global ~config:(config a) m "dispatch_table" in
+      let r = Bridge.run_runs [ run a [ where; what ]; run b [ where; what ] ] in
+      Alcotest.(check bool) (Printf.sprintf "detected %d/%d" a b) true
+        (r.Nxe.outcome <> `All_finished))
     [ (1, 2); (7, 13); (100, 200) ]
 
 (* ------------------------------------------------------------------ *)
@@ -143,13 +152,13 @@ let test_nvariant_seed_pairs () =
 let test_window_strict_zero () =
   List.iter
     (fun payload ->
-      let w = Window.run ~mode:Nxe.default_config ~payload () in
+      let w = Window.run ~mode:Nxe.default_config ~payload in
       Alcotest.(check int) "nothing executes" 0 w.Window.wr_executed;
       Alcotest.(check bool) "detected" true w.Window.wr_detected)
     [ Window.Reads; Window.Writes ]
 
 let test_window_selective_writes_blocked () =
-  let w = Window.run ~mode:Nxe.selective ~payload:Window.Writes () in
+  let w = Window.run ~mode:Nxe.selective ~payload:Window.Writes in
   Alcotest.(check int) "exfiltration blocked" 0 w.Window.wr_executed;
   Alcotest.(check bool) "detected" true w.Window.wr_detected
 
@@ -157,7 +166,7 @@ let test_window_selective_reads_leak () =
   (* Under-capacity: every read-class payload syscall executes before the
      healthy follower's divergence aborts the group.  Executed-payload
      accounting counts released slots, so this is exact, not a bound. *)
-  let w = Window.run ~mode:Nxe.selective ~payload:Window.Reads ~n_malicious:16 () in
+  let w = Window.run ~mode:Nxe.selective ~payload:Window.Reads in
   Alcotest.(check int) "all 16 execute" 16 w.Window.wr_executed;
   Alcotest.(check bool) "still detected" true w.Window.wr_detected
 
@@ -172,7 +181,7 @@ let test_window_capacity_bounds_damage () =
       let w =
         Window.run
           ~mode:{ Nxe.selective with Nxe.ring_capacity = cap }
-          ~payload:Window.Reads ~n_malicious:32 ()
+          ~payload:Window.Reads
       in
       Alcotest.(check int)
         (Printf.sprintf "exactly ring_capacity=%d execute" cap)

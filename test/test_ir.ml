@@ -13,7 +13,8 @@ let check_outcome msg expected actual =
   in
   Alcotest.(check string) msg (pp expected) (pp actual)
 
-let run ?config m ?(args = []) () = Interp.run ?config m ~entry:"main" ~args
+let run ?config m ?(args = []) () =
+  Interp.run_compiled ?config (Interp.compile m) ~entry:"main" ~args
 
 (* ------------------------------------------------------------------ *)
 (* Program constructors used across tests *)
@@ -536,8 +537,8 @@ let test_interp_undef_divergence () =
   B.call_void b "print" [ v ];
   B.ret b None;
   let m = B.finish b in
-  let r1 = Interp.run ~config:{ Interp.default_config with undef_as = 1L } m ~entry:"main" ~args:[] in
-  let r2 = Interp.run ~config:{ Interp.default_config with undef_as = 2L } m ~entry:"main" ~args:[] in
+  let r1 = run ~config:{ Interp.default_config with undef_as = 1L } m () in
+  let r2 = run ~config:{ Interp.default_config with undef_as = 2L } m () in
   Alcotest.(check bool) "diverged" false (Interp.events_equal r1 r2)
 
 let test_interp_select () =
@@ -1107,7 +1108,8 @@ let test_diff_telemetry () =
       ignore (run ~telemetry:dom ~entry:"main" ~args);
       Bunshin_telemetry.Telemetry.metrics_to_text sink
     in
-    ( engine (fun ~telemetry ~entry ~args -> Interp.run ~telemetry m ~entry ~args),
+    ( engine (fun ~telemetry ~entry ~args ->
+          Interp.run_compiled ~telemetry (Interp.compile m) ~entry ~args),
       engine (fun ~telemetry ~entry ~args -> Interp.run_reference ~telemetry m ~entry ~args) )
   in
   let m = Inst.apply_exn [ San.asan ] (prog_heap_rw 4) in
@@ -1124,7 +1126,7 @@ let prop_diff_random_seeds =
       let config = { Interp.default_config with layout_seed = seed } in
       let args = [ Int64.of_int n ] in
       runs_identical
-        (Interp.run ~config m ~entry:"main" ~args)
+        (Interp.run_compiled ~config (Interp.compile m) ~entry:"main" ~args)
         (Interp.run_reference ~config m ~entry:"main" ~args))
 
 let prop_diff_random_alloc =
@@ -1134,7 +1136,7 @@ let prop_diff_random_alloc =
       let m = Inst.apply_exn [ San.asan ] (prog_uaf ~double_free:true) in
       let config = { Interp.default_config with layout_seed = seed } in
       runs_identical
-        (Interp.run ~config m ~entry:"main" ~args:[])
+        (Interp.run_compiled ~config (Interp.compile m) ~entry:"main" ~args:[])
         (Interp.run_reference ~config m ~entry:"main" ~args:[]))
 
 let () =

@@ -209,7 +209,7 @@ let prop_declared_errors_only =
                 | exception Invalid_argument _ -> None
               in
               match
-                ( run (Interp.run ~config ?telemetry:None),
+                ( run (fun m -> Interp.run_compiled ~config (Interp.compile m)),
                   run (Interp.run_reference ~config ?telemetry:None) )
               with
               | Some a, Some b ->

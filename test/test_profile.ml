@@ -87,6 +87,22 @@ let test_straggler_accounting () =
         (sp.Collector.sp_straggler >= 0 && sp.Collector.sp_straggler < attr.Profile.at_n);
       Alcotest.(check bool) "wait non-negative" true (sp.Collector.sp_wait >= 0.0))
     attr.Profile.at_recent;
+  (* The ring dropped nothing here, so each variant's aggregates are those
+     of the records that name it the straggler. *)
+  Alcotest.(check int) "ring holds every sync point" 0 attr.Profile.at_dropped;
+  List.iter
+    (fun (v : Profile.variant_attr) ->
+      let mine =
+        List.filter
+          (fun (sp : Collector.sync_point) -> sp.Collector.sp_straggler = v.Profile.va_index)
+          attr.Profile.at_recent
+      in
+      Alcotest.(check int) "straggler count from the ring" (List.length mine)
+        v.Profile.va_straggler_count;
+      let wait = List.fold_left (fun acc sp -> acc +. sp.Collector.sp_wait) 0.0 mine in
+      Alcotest.(check (float 1e-6)) "straggler wait from the ring" wait
+        v.Profile.va_straggler_wait)
+    attr.Profile.at_variants;
   (* With per-variant compute skew, somebody other than the leader must be
      late at least once. *)
   let non_leader_straggles =
@@ -131,16 +147,17 @@ let test_collector_validation () =
     "Nxe.run_traces: profile collector variant count mismatch") (fun () ->
       ignore (Nxe.run_builds ~profile:c ~seed:E.ref_seed builds))
 
+(* The ring keeps the last 4,096 sync points. *)
 let test_ring_overflow_counted () =
-  let c = Collector.create ~capacity:4 2 in
-  for i = 0 to 9 do
+  let c = Collector.create 2 in
+  for i = 0 to 4095 + 6 do
     Collector.record c ~chan:0 ~pos:i ~time:(float_of_int i) ~straggler:(i mod 2)
       ~wait:1.0
   done;
-  Alcotest.(check int) "all recorded" 10 (Collector.sync_points c);
+  Alcotest.(check int) "all recorded" 4102 (Collector.sync_points c);
   Alcotest.(check int) "dropped = recorded - capacity" 6 (Collector.dropped c);
   let recent = (Profile.attribution c).Profile.at_recent in
-  Alcotest.(check int) "ring keeps capacity" 4 (List.length recent);
+  Alcotest.(check int) "ring keeps capacity" 4096 (List.length recent);
   Alcotest.(check int) "oldest surviving first" 6
     (match recent with sp :: _ -> sp.Collector.sp_pos | [] -> -1)
 

@@ -307,32 +307,6 @@ let test_nxe_group_shares_body_per_program () =
         (Bunshin_nxe.Nxe.report_signature got))
     [ (1.0, 1); (20.0, 2) ]
 
-(* [measure] runs Work ops as plain computes; [exec_build] carves each
-   function's sanitizer share out of them.  Both give the same bursts, so
-   the same total time, bit for bit. *)
-let test_measure_equals_exec_build () =
-  let spec name = (Bunshin_workloads.Spec.find name).Bunshin_workloads.Bench.prog in
-  let bzip2 = spec "bzip2" and gcc = spec "gcc" in
-  let half =
-    List.filteri (fun i _ -> i mod 2 = 0)
-      (List.map (fun (f : Program.func) -> f.Program.fn_name) bzip2.Program.funcs)
-  in
-  List.iter
-    (fun (label, b) ->
-      let config = Bunshin.Experiments.desktop in
-      let m = M.create ~config () in
-      ignore (Profile.exec_build m b ~seed:2);
-      M.run m;
-      let want = (M.stats m).M.total_time in
-      let got = (Profile.measure ~machine_config:config b ~seed:2).Profile.total_time in
-      Alcotest.(check bool) (label ^ ": ran") true (want > 0.0);
-      Alcotest.(check int64) label (Int64.bits_of_float want) (Int64.bits_of_float got))
-    [
-      ("bzip2 ASan", Program.full [ San.asan ] bzip2);
-      ("gcc ASan", Program.full [ San.asan ] gcc);
-      ("bzip2 UBSan variant", Program.variant San.ubsan_subs ~checked:half bzip2);
-    ]
-
 let test_profile_multithreaded_trace () =
   (* Two worker threads guarded by a lock: executor must not deadlock and
      must account both threads' work. *)
@@ -545,7 +519,8 @@ let ref_cpu_trace ~funcs ~units ~unit_cost ~syscall_every rng =
                     ]))
          else regular))
 
-let ref_worker_trace ~funcs ~units ~unit_cost ~stall ~racy ~lock_every ~barrier_every ~threads
+(* Every work unit is followed by an Idle of half its cost. *)
+let ref_worker_trace ~funcs ~units ~unit_cost ~racy ~lock_every ~barrier_every ~threads
     ~barrier_base rng =
   let weighted = Rng.weighted (Array.of_list funcs) in
   let barrier_counter = ref 0 in
@@ -554,9 +529,7 @@ let ref_worker_trace ~funcs ~units ~unit_cost ~stall ~racy ~lock_every ~barrier_
          let fname = Rng.draw rng weighted in
          let jitter = Rng.float_in rng 0.85 1.15 in
          let unit_op = Trace.Work { func = fname; cost = unit_cost *. jitter } in
-         let ops =
-           ref (if stall > 0.0 then [ unit_op; Trace.Idle (unit_cost *. stall) ] else [ unit_op ])
-         in
+         let ops = ref [ unit_op; Trace.Idle (unit_cost *. 0.5) ] in
          if racy && (i + 1) mod 10 = 0 then
            ops := !ops @ [ Trace.Incr 9; Trace.Sys_shared (Sc.read ~args:[ 3L ] (), 9) ];
          if lock_every > 0 && (i + 1) mod lock_every = 0 then begin
@@ -573,10 +546,10 @@ let ref_worker_trace ~funcs ~units ~unit_cost ~stall ~racy ~lock_every ~barrier_
          end;
          !ops))
 
-let ref_threaded_trace ?(stall = 0.5) ?(racy = false) ~funcs ~threads ~units_per_thread
+let ref_threaded_trace ?(racy = false) ~funcs ~threads ~units_per_thread
     ~unit_cost ~lock_every ~barrier_every rng =
   let mk () =
-    ref_worker_trace ~funcs ~units:units_per_thread ~unit_cost ~stall ~racy ~lock_every
+    ref_worker_trace ~funcs ~units:units_per_thread ~unit_cost ~racy ~lock_every
       ~barrier_every ~threads ~barrier_base:0 rng
   in
   let workers = List.init (threads - 1) (fun _ -> Trace.Spawn (mk ())) in
@@ -670,7 +643,6 @@ let gen_worker rng =
   ( funcs,
     Rng.int_in rng 0 60,
     1.0 +. Rng.float rng 60.0,
-    (if Rng.bool rng then 0.0 else Rng.float rng 1.0),
     Rng.bool rng,
     Rng.int_in rng 0 7,
     Rng.int_in rng 0 7,
@@ -715,11 +687,9 @@ let prop_generators_match_reference =
       let rng = Rng.create seed in
       let funcs, units, unit_cost, syscall_every = gen_cpu rng in
       let cpu gen = gen ~funcs ~units ~unit_cost ~syscall_every (Rng.create seed) in
-      let funcs, units, unit_cost, stall, racy, lock_every, barrier_every, threads =
-        gen_worker rng
-      in
+      let funcs, units, unit_cost, racy, lock_every, barrier_every, threads = gen_worker rng in
       let threaded gen =
-        gen ?stall:(Some stall) ?racy:(Some racy) ~funcs ~threads ~units_per_thread:units
+        gen ?racy:(Some racy) ~funcs ~threads ~units_per_thread:units
           ~unit_cost ~lock_every ~barrier_every (Rng.create seed)
       in
       same_trace (cpu Bench.cpu_trace) (cpu ref_cpu_trace)
@@ -731,9 +701,7 @@ let prop_build_matches_reference =
     (fun (pseed, tseed) ->
       let rng = Rng.create pseed in
       let funcs, units, unit_cost, syscall_every = gen_cpu rng in
-      let wfuncs, wunits, wcost, stall, racy, lock_every, barrier_every, threads =
-        gen_worker rng
-      in
+      let wfuncs, wunits, wcost, racy, lock_every, barrier_every, threads = gen_worker rng in
       (* A single-threaded CPU workload, and one that spawns worker
          threads, so Spawn bodies are rescaled but not woven. *)
       let cpu =
@@ -742,7 +710,7 @@ let prop_build_matches_reference =
       let threaded =
         program_of ~name:"threaded" wfuncs (fun r ->
             Bench.cpu_trace ~funcs:wfuncs ~units ~unit_cost ~syscall_every r
-            @ Bench.threaded_trace ~stall ~racy ~funcs:wfuncs ~threads ~units_per_thread:wunits
+            @ Bench.threaded_trace ~racy ~funcs:wfuncs ~threads ~units_per_thread:wunits
                 ~unit_cost:wcost ~lock_every ~barrier_every r)
       in
       List.for_all
@@ -751,7 +719,9 @@ let prop_build_matches_reference =
             (fun (tag, b) ->
               List.for_all
                 (fun jitter ->
-                  let got, factors = Program.build_trace_factored ?jitter b ~seed:tseed in
+                  let got, factors =
+                    Program.factor_trace ?jitter b (Program.generate b.Program.prog ~seed:tseed)
+                  in
                   let want = ref_jitter jitter (ref_build_trace b ~seed:tseed) in
                   let factors_ok =
                     List.for_all
@@ -797,7 +767,6 @@ let () =
           Alcotest.test_case "computes lazily" `Quick test_profile_computes_lazily;
           Alcotest.test_case "nxe sensitivity lazy" `Quick test_nxe_sensitivity_computed_lazily;
           Alcotest.test_case "nxe body per program" `Quick test_nxe_group_shares_body_per_program;
-          Alcotest.test_case "measure equals exec_build" `Quick test_measure_equals_exec_build;
         ] );
       ( "variant-generator",
         [

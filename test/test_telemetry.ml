@@ -168,11 +168,6 @@ let test_span_nesting () =
        evs);
   Alcotest.(check string) "mark detail" "v" (arg_str "k" (List.nth evs 2))
 
-let test_bad_capacity () =
-  Alcotest.check_raises "capacity 0"
-    (Invalid_argument "Telemetry.create: capacity must be positive") (fun () ->
-      ignore (Tel.create ~capacity:0 ()))
-
 (* ------------------------------------------------------------------ *)
 (* Metrics *)
 
@@ -186,7 +181,8 @@ let test_hist_matches_stats () =
   let buckets = [ 5.0; 1.0; 2.0; 1.0 ] (* unsorted, duplicated *) in
   let samples = [ 0.0; 1.0; 1.5; 2.0; 2.5; 5.0; 99.0; -3.0 ] in
   let sink = Tel.create () in
-  let h = Tel.hist ~buckets sink "h" in
+  let h = Tel.Hist.of_bounds (Tel.Hist.bounds buckets) in
+  ignore (Tel.register_hist sink "h" h);
   List.iter (Tel.Hist.observe h) samples;
   Alcotest.(check bool) "same dump" true
     (Tel.Hist.dump h = Stats.histogram ~buckets samples);
@@ -197,19 +193,19 @@ let test_hist_matches_stats () =
   Alcotest.(check (float 1e-9)) "max" 99.0 (Tel.Hist.max_value h)
 
 let test_hist_empty () =
-  let h = Tel.Hist.create ~buckets:[ 1.0 ] () in
+  let h = Tel.Hist.create () in
   Alcotest.(check int) "count 0" 0 (Tel.Hist.count h);
   Alcotest.(check (float 1e-9)) "mean 0" 0.0 (Tel.Hist.mean h);
   Alcotest.(check bool) "all buckets empty" true
     (List.for_all (fun (_, c) -> c = 0) (Tel.Hist.dump h))
 
-(* Hist.create and Stats.histogram share one bucket normaliser, so they
+(* Hist.bounds and Stats.histogram share one bucket normaliser, so they
    reject the same bucket lists with the same exception. *)
 let test_hist_rejects_bad_buckets () =
   List.iter
     (fun (name, buckets) ->
       let raised f = match f () with _ -> None | exception Invalid_argument m -> Some m in
-      let hist = raised (fun () -> ignore (Tel.Hist.create ~buckets ())) in
+      let hist = raised (fun () -> ignore (Tel.Hist.bounds buckets)) in
       let stats = raised (fun () -> ignore (Stats.histogram ~buckets [])) in
       Alcotest.(check bool) (name ^ " rejected") true (hist <> None);
       Alcotest.(check (option string)) (name ^ " same message") stats hist)
@@ -236,8 +232,8 @@ let test_registry () =
   Alcotest.(check int) "gauge samples" 2 (Tel.Gauge.samples g);
   Alcotest.(check bool) "kind mismatch rejected" true
     (Kit.invalid (fun () -> Tel.gauge sink "hits"));
-  let h1 = Tel.Hist.create ~buckets:[ 1.0 ] () in
-  let h2 = Tel.Hist.create ~buckets:[ 1.0 ] () in
+  let h1 = Tel.Hist.create () in
+  let h2 = Tel.Hist.create () in
   Alcotest.(check string) "first name" "h" (Tel.register_hist sink "h" h1);
   Alcotest.(check string) "collision suffixed" "h#2" (Tel.register_hist sink "h" h2)
 
@@ -488,10 +484,12 @@ let test_slo_count_and_rotation () =
   let w = Slo.window ~sub_windows:4 ~sub_us:100.0 () in
   Alcotest.(check (float 1e-9)) "span" 400.0 (Slo.span_us w);
   Slo.observe w ~now:50.0 5.0;
+  Slo.observe w ~now:50.0 1e6;
   Slo.observe w ~now:150.0 5.0;
-  Alcotest.(check int) "both inside" 2 (Slo.count w ~now:150.0);
-  (* Advancing recycles whole sub-windows in place: at now=450 the
-     sub-window holding the sample from t=50 has rotated out. *)
+  Alcotest.(check int) "all inside" 3 (Slo.count w ~now:150.0);
+  (* Advancing recycles whole sub-windows in place, overflow bucket
+     included: at now=450 the sub-window holding the samples from t=50
+     has rotated out. *)
   Alcotest.(check int) "oldest sub-window expired" 1 (Slo.count w ~now:450.0);
   Alcotest.(check int) "all expired" 0 (Slo.count w ~now:900.0);
   Alcotest.(check (float 1e-9)) "empty quantile is 0" 0.0
@@ -617,7 +615,7 @@ let test_prometheus_format () =
   let sink = Tel.create () in
   Tel.Counter.incr ~by:3 (Tel.counter sink "net.bytes_sent");
   Tel.Gauge.set (Tel.gauge sink "slo.p99-us") 2.5;
-  let h = Tel.hist ~buckets:[ 1.0; 10.0 ] sink "lat" in
+  let h = Tel.hist sink "lat" in
   Tel.Hist.observe h 0.5;
   Tel.Hist.observe h 5.0;
   Tel.Hist.observe h 50.0;
@@ -645,7 +643,6 @@ let () =
       ( "ring",
         [
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
-          Alcotest.test_case "bad capacity" `Quick test_bad_capacity;
         ] );
       ( "metrics",
         [

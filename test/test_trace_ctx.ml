@@ -140,41 +140,48 @@ let test_entries_outside_trees () =
   Alcotest.(check int) "one critical path" 1 (List.length (Tx.critical_paths tc));
   ok_or_fail (Tx.well_formed tc)
 
+(* The recorder's bound: 65,536 entries. *)
+let capacity = 65_536
+
 (* A full store refuses new entries and keeps the old ones, so the
    captured prefix stays a forest of whole trees. *)
 let test_full_store_keeps_prefix () =
-  let tc = Tx.create ~capacity:2 () in
-  let r = root tc ~pos:0 ~t0:0.0 ~t1:10.0 in
-  arrival tc ~parent:r ~node:0 ~variant:1 ~t1:5.0;
+  let tc = Tx.create () in
+  for pos = 0 to (capacity / 2) - 1 do
+    let r = root tc ~pos ~t0:0.0 ~t1:10.0 in
+    arrival tc ~parent:r ~node:0 ~variant:1 ~t1:5.0
+  done;
   let d = Tx.domain tc ~name:"machine" in
   Tx.slice tc ~domain:d ~tid:0 ~t0:0.0 ~t1:1.0 "late";
   Alcotest.(check int) "open refused" (-1) (Tx.open_slice tc ~domain:d ~tid:0 ~t0:2.0 "x");
-  Alcotest.(check int) "store full" 2 (Tx.used tc);
+  Alcotest.(check int) "store full" capacity (Tx.used tc);
   Alcotest.(check int) "refusals counted" 2 (Tx.dropped tc);
-  Alcotest.(check (list string)) "oldest kept" [ "rendezvous"; "arrival" ]
-    (List.map (fun sp -> Tx.kind_name sp.Tx.sp_kind) (Tx.spans tc));
+  Alcotest.(check bool) "oldest kept, in order" true
+    (List.for_all2
+       (fun i sp -> Tx.kind_name sp.Tx.sp_kind = if i mod 2 = 0 then "rendezvous" else "arrival")
+       (List.init capacity Fun.id) (Tx.spans tc));
   ok_or_fail (Tx.well_formed tc)
 
-(* The columns grow on demand: a fresh default recorder holds a small part
-   of the 15 columns of 65,536 entries (983,040 words) it would take to
-   preallocate them, and one filled across two doublings and past its
+(* The columns grow on demand: a fresh recorder holds a small part of
+   the 15 columns of 65,536 entries (983,040 words) it would take to
+   preallocate them, and one filled across every doubling and past its
    capacity keeps every entry it took, in order, with the initial values
    in the fields nobody set, and drops exactly the surplus. *)
 let test_store_grows_on_demand () =
-  Alcotest.(check bool) "fresh default recorder is small" true
+  Alcotest.(check bool) "fresh recorder is small" true
     (Obj.reachable_words (Obj.repr (Tx.create ())) < 983_040 / 20);
-  let cap = 3000 and surplus = 500 in
-  let tc = Tx.create ~capacity:cap () in
+  let surplus = 500 in
+  let tc = Tx.create () in
   let d = Tx.domain tc ~name:"machine" in
-  for i = 0 to cap + surplus - 1 do
+  for i = 0 to capacity + surplus - 1 do
     let t0 = float_of_int i in
     if i mod 2 = 0 then Tx.slice tc ~domain:d ~tid:i ~t0 ~t1:(t0 +. 0.5) "closed"
     else ignore (Tx.open_slice tc ~domain:d ~tid:i ~t0 "open")
   done;
-  Alcotest.(check int) "kept up to capacity" cap (Tx.used tc);
+  Alcotest.(check int) "kept up to capacity" capacity (Tx.used tc);
   Alcotest.(check int) "surplus dropped" surplus (Tx.dropped tc);
   let spans = Tx.spans tc in
-  Alcotest.(check int) "every kept entry listed" cap (List.length spans);
+  Alcotest.(check int) "every kept entry listed" capacity (List.length spans);
   List.iteri
     (fun i sp ->
       let t0 = float_of_int i in
